@@ -51,13 +51,16 @@ from .activities import (
     TruncatedActivity,
     activity_norm,
     block_quadrature_nodes,
-    charge_component,
+    collapse_term,
     truncate_cloud_terms,
 )
-from .interpolation import ordered_region_quadrature, path_in_forest, trees_on
+from .interpolation import (
+    construct_gamma, ordered_region_quadrature, path_in_forest, trees_on,
+)
 from .lattice import (
     Polymer,
     TorusSpec,
+    count_small_supersets,
     is_small,
     partition_closure,
     region_disjoint,
@@ -885,8 +888,9 @@ def _extract_trunc(K: TruncatedActivity, F: TruncatedActivity, order, n_y_max, d
 # ----------------------------------------------------------------------------
 
 
-def scale_linear(K, collapse: bool = True):
-    """S_1 K(X) = sum over polymers with partition closure X of K(Y, phi_L)."""
+def scale_linear(K, cache: dict | None = None):
+    """S_1 K(X) = sum over polymers with partition closure X of K(Y, phi_L);
+    ``cache`` holds the truncated-term images of ``_scale_trunc``."""
     if isinstance(K, CloudActivity):
         coarse = K.torus.coarse()
         out: dict = {}
@@ -896,12 +900,13 @@ def scale_linear(K, collapse: bool = True):
             out[cl.blocks] = canon(list(out.get(cl.blocks, [])) + ts)
         return CloudActivity(coarse, {k: v for k, v in out.items() if v}, K.flags)
     if isinstance(K, TruncatedActivity):
-        return _scale_trunc(K, linear=True, collapse=collapse)
+        return _scale_trunc(K, cache)
     raise TypeError("scale_linear needs cloud or truncated activities")
 
 
-def scale_activity(K, n_cluster_max: int = 2, collapse: bool = True):
-    """The full scaling map (closure-connected clusters of polymers)."""
+def scale_activity(K, n_cluster_max: int = 2, cache: dict | None = None):
+    """The full scaling map (closure-connected clusters of polymers); on
+    truncated activities the linear regrouping, as ``scale_linear``."""
     if isinstance(K, CloudActivity):
         coarse = K.torus.coarse()
         support = [p for p in K.support() if K.terms(p)]
@@ -931,50 +936,77 @@ def scale_activity(K, n_cluster_max: int = 2, collapse: bool = True):
         build(0, [])
         return CloudActivity(coarse, {k: v for k, v in out.items() if v}, K.flags)
     if isinstance(K, TruncatedActivity):
-        return _scale_trunc(K, linear=False, collapse=collapse)
+        return _scale_trunc(K, cache)
     raise TypeError("scale_activity needs cloud or truncated activities")
 
 
-def _scale_trunc(K: TruncatedActivity, linear: bool, collapse: bool):
+class _CoeffOps(tuple):
+    """Stand-in coefficient recording the products (factor, on_left) and
+    negations (None) done to it; ``apply`` replays them in order, bit-exact."""
+
+    def __mul__(self, f):
+        return _CoeffOps(self + ((f, False),))
+
+    def __rmul__(self, f):
+        return _CoeffOps(self + ((f, True),))
+
+    def __neg__(self):
+        return _CoeffOps(self + ((None, False),))
+
+    def apply(self, c):
+        for f, left in self:
+            c = -c if f is None else f * c if left else c * f
+        return c
+
+
+def _scale_trunc(K: TruncatedActivity, cache: dict | None):
     """Translation-invariant scaling: every shape at the L^d positions
     modulo coarse translations, mapped by the partition closure.
 
     Multi-polymer closure clusters are O(K^2); the truncated flow drops
     them (recorded upstream) and keeps the linearized regrouping, which is
     exact on single polymers.
+
+    Where a copy lands and how it collapses depend on the torus, q_max,
+    max_linfs, shape and term key, not on the coefficient: each (shape, term
+    key) image is built once per ``cache`` and replayed on coefficients,
+    summed in the order of collapsing every copy and then ``canon``.
     """
-    coarse = K.torus.coarse()
     L = K.torus.L
-    out: dict = {}
-
-    def add(key, ts):
-        if ts:
-            out.setdefault(key, []).extend(ts)
-
+    offsets = [(ox, oy) for ox in range(L) for oy in range(L)]
+    images = ({} if cache is None else cache).setdefault(
+        (K.torus, K.q_max, K.max_linfs), {}
+    )
+    acc: dict = {}
     for key, ts in K.shapes.items():
-        p0 = Polymer(frozenset(key))
-        for ox in range(L):
-            for oy in range(L):
-                p = p0.translate((ox, oy))
-                cl = partition_closure(p, K.torus)
-                base = tuple(min(b[i] for b in cl.blocks) for i in range(2))
-                mapped = [
-                    tm.translate_term(
-                        tm.scale_term(tm.translate_term(t, (ox, oy)), L),
-                        (-base[0], -base[1]),
-                    )
-                    for t in ts
-                ]
-                add(cl.shape_key(), mapped)
-    result = {}
-    for key, ts in out.items():
-        if collapse:
-            kept, _ = truncate_cloud_terms(ts, K.q_max, K.max_linfs)
-        else:
-            kept = canon(ts)
-        if kept:
-            result[key] = kept
-    return TruncatedActivity(coarse, result, K.flags, K.q_max, K.max_linfs)
+        if not ts:
+            continue
+        if (key, None) not in images:
+            p0 = Polymer(frozenset(key))
+            closures = [partition_closure(p0.translate(o), K.torus) for o in offsets]
+            images[(key, None)] = [
+                (cl.shape_key(), tuple(-min(b[i] for b in cl.blocks) for i in range(2)))
+                for cl in closures
+            ]
+        geometry = images[(key, None)]
+        for t in ts:
+            if (key, t.key()) in images:
+                continue
+            probe = CloudTerm(_CoeffOps(), t.charges, t.linfs)
+            image = images[(key, t.key())] = []
+            for shift, (_, back) in zip(offsets, geometry):
+                moved = tm.scale_term(tm.translate_term(probe, shift), L)
+                c = collapse_term(tm.translate_term(moved, back), K.q_max, K.max_linfs)
+                pieces = [] if c is None else c if isinstance(c, list) else [c]
+                image.append([(p.key(), p.coeff) for p in pieces])
+        term_images = [images[(key, t.key())] for t in ts]
+        for o, (coarse_key, _) in enumerate(geometry):
+            sums = acc.setdefault(coarse_key, {})
+            for t, image in zip(ts, term_images):
+                for piece_key, ops in image[o]:
+                    sums[piece_key] = sums.get(piece_key, 0.0) + ops.apply(t.coeff)
+    result = {k: kept for k, sums in acc.items() if (kept := tm._canon_sums(sums))}
+    return TruncatedActivity(K.torus.coarse(), result, K.flags, K.q_max, K.max_linfs)
 
 
 # ----------------------------------------------------------------------------
@@ -1074,15 +1106,20 @@ def _charged_part(K, unit_only: bool = False):
     return K.map_terms(lambda p, ts: [t for t in ts if keep(t)])
 
 
+K_SMALL_SUPERSETS = 509  # the k of f(X) = 40 k ||alpha(X)||, checked by hypothesis 4
+
+
+@lru_cache(maxsize=None)
+def _hypothesis_constants() -> tuple[float, int]:
+    """gamma(12) and the small-superset count of a block: fixed, computed once."""
+    return construct_gamma(12.0), count_small_supersets((8, 8), TorusSpec(2, 4))
+
+
 def check_hypotheses(K, params: RGStepParams, c_star: float | None = None) -> dict:
     """Numeric checks of the four step hypotheses; values always reported."""
-    from .fields import measure_sobolev_constant
-    from .interpolation import construct_gamma
-    from .lattice import TorusSpec as _TS, count_small_supersets
-
     np_ = params.norm or NormParams.default(params.torus)
     norm_k = _norm_of(K, params)
-    gamma_fac = construct_gamma(12.0)
+    gamma_fac, k_small = _hypothesis_constants()
     checks = {}
     checks["h1_norm_small"] = {
         "value": norm_k.log_value,
@@ -1108,9 +1145,7 @@ def check_hypotheses(K, params: RGStepParams, c_star: float | None = None) -> di
         "bound_log": rhs,
         "ok": lhs >= rhs,
     }
-    aux = _TS(2, 4)
-    k_small = count_small_supersets((8, 8), aux)
-    checks["h4_small_superset_count"] = {"k": k_small, "ok": True}
+    checks["h4_small_superset_count"] = {"k": k_small, "ok": k_small == K_SMALL_SUPERSETS}
     failed = [name for name, c in checks.items() if not c["ok"]]
     checks["failed"] = failed
     if failed and not params.override_hypotheses:
@@ -1119,7 +1154,8 @@ def check_hypotheses(K, params: RGStepParams, c_star: float | None = None) -> di
 
 
 def stability_constants(coeffs: ExtractionCoefficients, h: float,
-                        delta_kappa: float, k_count: int = 509) -> dict:
+                        delta_kappa: float,
+                        k_count: int = K_SMALL_SUPERSETS) -> dict:
     """f(X) = 40 k ||alpha(X)||_h and the delta-kappa variant, per shape."""
     f, df = {}, {}
     a2 = h * h
@@ -1154,8 +1190,11 @@ def rg_step(K, params: RGStepParams):
         k_sharp, F, order=params.extraction_order, n_y_max=params.n_y_max,
         drop_tol=params.drop_tol,
     )
-    k_new = scale_activity(k_star)
-    diag["four_terms"] = four_term_split(K, F, params, cov, k_new, k_star=k_star)
+    scaling: dict = {}  # scaling images, shared by this step's scalings
+    k_new = scale_activity(k_star, cache=scaling)
+    diag["four_terms"] = four_term_split(
+        K, F, params, cov, k_new, k_star=k_star, cache=scaling
+    )
     diag["dropped_terms"] = getattr(k_sharp, "dropped_terms", 0)
     if params.post_scale_extract:
         # second extraction on the coarse lattice: the scaling collapse
@@ -1192,19 +1231,20 @@ def clip_to_small(K: TruncatedActivity, params: RGStepParams):
     return small, clipped_log
 
 
-def linearized_step(K, params: RGStepParams, cov: CovAccess | None = None):
-    """R_1(K, F(K)) = S_1(F_1 K - F(F_1 K))."""
-    cov = cov or params.cov()
-    k1 = fluctuate_linear(K, cov)
+def linearized_step(K, params: RGStepParams, cov: CovAccess | None = None,
+                    cache: dict | None = None, k1=None):
+    """R_1(K, F(K)) = S_1(F_1 K - F(F_1 K)); ``k1`` is F_1 K if already known."""
+    if k1 is None:
+        k1 = fluctuate_linear(K, cov or params.cov())
     coeffs = extraction_coefficients(k1, params.preset, params.beta, enforce=False)
     F = build_extraction_activity(coeffs, k1, n_q=params.n_q)
-    return scale_linear(extract_linear(k1, F)), coeffs
+    return scale_linear(extract_linear(k1, F), cache), coeffs
 
 
 def four_term_split(K, F, params: RGStepParams, cov: CovAccess, k_new,
-                    k_star=None) -> dict:
-    """Norms of the four mechanisms: higher order, large sets, charged
-    small sets, neutral small sets (each linearized except the first).
+                    k_star=None, cache: dict | None = None) -> dict:
+    """Norms of the mechanisms the flow reads: higher order, large sets and
+    unit-charge small sets (each linearized except the first).
 
     The large-set column is measured where large sets live: on the
     extracted post-fluctuation state (tree terms populate it), falling
@@ -1215,7 +1255,7 @@ def four_term_split(K, F, params: RGStepParams, cov: CovAccess, k_new,
         _, large_star = _split_small_large(k_star)
     else:
         large_star = large
-    r1_large = scale_linear(large_star)
+    r1_large = scale_linear(large_star, cache)
     # the closure contraction lives in the full-amplitude regulator
     # Gamma(X) = A^{|X|} Theta(X); measure this column there
     np_full = NormParams.default(
@@ -1229,29 +1269,16 @@ def four_term_split(K, F, params: RGStepParams, cov: CovAccess, k_new,
         "out": activity_norm(r1_large, np_full).log_value,
     }
     # the unit-charge sector isolates the leading contraction mechanism;
-    # higher |q| sectors contract much faster and the all-q ratio is also kept
+    # convolution keeps each term's charge, so its image is a filter of F_1 K
+    k1 = fluctuate_linear(K, cov)
     unit = _charged_part(small, unit_only=True)
-    r1_unit = scale_linear(fluctuate_linear(unit, cov))
+    unit1 = _charged_part(_split_small_large(k1)[0], unit_only=True)
+    r1_unit = scale_linear(unit1, cache)
     out["charged_small"] = {
         "in": _norm_of(unit, params).log_value,
         "out": _norm_of(r1_unit, params).log_value,
     }
-    charged = _charged_part(small)
-    r1_charged = scale_linear(fluctuate_linear(charged, cov))
-    out["charged_small_all"] = {
-        "in": _norm_of(charged, params).log_value,
-        "out": _norm_of(r1_charged, params).log_value,
-    }
-    neutral = charge_component(small, 0)
-    k1n = fluctuate_linear(neutral, cov)
-    coeffs_n = extraction_coefficients(k1n, params.preset, params.beta, enforce=False)
-    Fn = build_extraction_activity(coeffs_n, k1n, n_q=params.n_q)
-    r1_neutral = scale_linear(extract_linear(k1n, Fn))
-    out["neutral_small"] = {
-        "in": _norm_of(neutral, params).log_value,
-        "out": _norm_of(r1_neutral, params).log_value,
-    }
-    r1_full, _ = linearized_step(K, params, cov)
+    r1_full, _ = linearized_step(K, params, cache=cache, k1=k1)
     higher = _difference(k_new, r1_full)
     out["higher_order"] = {
         "in": _norm_of(K, params).log_value,

@@ -95,6 +95,11 @@ def canon(terms, drop_tol: float = 0.0) -> list[CloudTerm]:
     for t in terms:
         k = t.key()
         acc[k] = acc.get(k, 0.0) + t.coeff
+    return _canon_sums(acc, drop_tol)
+
+
+def _canon_sums(acc: dict, drop_tol: float = 0.0) -> list[CloudTerm]:
+    """The canonical term list of a {(charges, linfs): summed coeff} dict."""
     out = []
     scale = max((abs(c) for c in acc.values()), default=0.0)
     for (charges, linfs), c in sorted(acc.items()):

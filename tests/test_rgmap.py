@@ -12,13 +12,15 @@ from sgrg.activities import (
     TruncatedActivity,
     activity_norm,
     charge_component,
+    mayer_init_truncated,
     polymer_exp,
+    truncate_cloud_terms,
     v_activity,
     whole_torus,
 )
 from sgrg.covariance import CovarianceKernel
 from sgrg.fields import random_band_limited, scale_field
-from sgrg.lattice import Polymer, TorusSpec, polymer
+from sgrg.lattice import Polymer, TorusSpec, partition_closure, polymer
 from sgrg.rgmap import (
     AnisotropyError,
     RGStepParams,
@@ -216,6 +218,88 @@ class TestScalingIdentity:
         t = TorusSpec(2, 1)
         SK = scale_activity(cloud_K(t, {}))
         assert not SK.data
+
+
+def reference_scale_trunc(K):
+    """Truncated scaling by copying, scaling and collapsing every term."""
+    L = K.torus.L
+    out = {}
+    for key, ts in K.shapes.items():
+        p0 = Polymer(frozenset(key))
+        for ox in range(L):
+            for oy in range(L):
+                cl = partition_closure(p0.translate((ox, oy)), K.torus)
+                base = tuple(min(b[i] for b in cl.blocks) for i in range(2))
+                mapped = [
+                    tm.translate_term(
+                        tm.scale_term(tm.translate_term(t, (ox, oy)), L),
+                        (-base[0], -base[1]),
+                    )
+                    for t in ts
+                ]
+                if mapped:
+                    out.setdefault(cl.shape_key(), []).extend(mapped)
+    result = {}
+    for key, ts in out.items():
+        kept, _ = truncate_cloud_terms(ts, K.q_max, K.max_linfs)
+        if kept:
+            result[key] = kept
+    return result
+
+
+def cache_test_shapes(t):
+    """A fluctuated Mayer activity plus neutral clouds, which scaling
+    Taylor-expands (with and without a gradient factor)."""
+    cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=t), scale=12 * math.pi)
+    K = mayer_init_truncated(1e-2, t, order=2, max_size=2)
+    shapes = dict(fluctuate(K, cov, n_max=2, n_nodes=4, pair_window=1).shapes)
+    key = ((0, 0), (0, 1))
+    shapes[key] = shapes.get(key, []) + [
+        CloudTerm(0.3 - 0.1j, ((1, (0.0, 0.0)), (-1, (0.25, 1.0)))),
+        CloudTerm(-0.2 + 0.05j, ((2, (0.0, -0.25)), (-1, (0.0, 0.75)), (-1, (-0.25, 1.25)))),
+        CloudTerm(0.1j, ((1, (0.0, 0.0)), (-1, (0.0, 1.0))), (((1, 0), (0.0, 0.0)),)),
+    ]
+    return shapes
+
+
+def as_exact(shapes):
+    return [(k, [(t.key(), t.coeff) for t in ts]) for k, ts in shapes.items()]
+
+
+class TestScalingCache:
+    """The cached truncated scaling equals copying and collapsing every term,
+    term for term and coefficient for coefficient."""
+
+    @pytest.mark.parametrize("t", [TorusSpec(8, 2), TorusSpec(2, 1)])
+    def test_equals_reference(self, t):
+        K = TruncatedActivity(t, cache_test_shapes(t))
+        want = as_exact(reference_scale_trunc(K))
+        cache = {}
+        assert as_exact(scale_activity(K, cache=cache).shapes) == want
+        assert as_exact(scale_linear(K, cache).shapes) == want  # from the cache
+
+    def test_cache_shared_across_tori(self):
+        shapes = cache_test_shapes(TorusSpec(2, 3))
+        cache = {}
+        for t in (TorusSpec(2, 1), TorusSpec(2, 3), TorusSpec(2, 1)):
+            K = TruncatedActivity(t, shapes)
+            assert as_exact(scale_linear(K, cache).shapes) == as_exact(
+                reference_scale_trunc(K)
+            )
+
+    def test_four_term_split_columns(self):
+        t = TorusSpec(2, 2)
+        K = mayer_init_truncated(1e-2, t, order=2, max_size=2)
+        params = RGStepParams(
+            beta=12 * math.pi, torus=t, preset="ir",
+            norm=NormParams.default(t, h=1.0), n_nodes=4,
+        )
+        _, _, diag = rg_step(K, params)
+        four = diag["four_terms"]
+        assert set(four) == {"charged_small", "large_sets", "higher_order"}
+        for column in four.values():
+            assert math.isfinite(column["in"]) and math.isfinite(column["out"])
+        assert diag["hypotheses"]["h4_small_superset_count"] == {"k": 509, "ok": True}
 
 
 class TestExtraction:
