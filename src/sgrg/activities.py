@@ -227,19 +227,22 @@ def collapse_term(term: CloudTerm, q_max: int, max_linfs: int,
             if c is not None:
                 out.append(c)
         return out
+    if len(term.linfs) > max_linfs:
+        return None
     merged: dict = {}
     for q, x in term.charges:
-        b = (round(x[0]), round(x[1]))
+        b = (float(round(x[0])), float(round(x[1])))
         merged[b] = merged.get(b, 0) + q
-    charges = tuple((q, b) for b, q in merged.items() if q != 0)
+    charges = tuple(sorted((q, b) for b, q in merged.items() if q != 0))
     if sum(abs(q) for q, _ in charges) > q_max:
-        return None
-    if len(term.linfs) > max_linfs:
         return None
     if charges and term.linfs:
         return None  # mixed charge-derivative terms are outside the model
-    linfs = tuple((a, (round(y[0]), round(y[1]))) for a, y in term.linfs)
-    return CloudTerm(term.coeff, charges, linfs)
+    linfs = tuple(sorted(
+        (a, (float(round(y[0])), float(round(y[1])))) for a, y in term.linfs
+    ))
+    # canonical already: sorted, with block centres as the floats CloudTerm makes
+    return tm._raw_term(term.coeff, charges, linfs)
 
 
 def truncate_cloud_terms(ts, q_max: int, max_linfs: int, drop_tol: float = 0.0,
@@ -467,15 +470,6 @@ def _v_power_terms(zeta: complex, block, n_q: int, order: int) -> list[list[Clou
     return pows
 
 
-def _exp_v_minus_one_terms(zeta: complex, block, n_q: int, order: int) -> list[CloudTerm]:
-    """Series of e^{zeta V(D)} - 1 to the given order in zeta, as cloud terms."""
-    pows = _v_power_terms(zeta, block, n_q, order)
-    out = []
-    for n in range(1, order + 1):
-        out.extend(pows[n])
-    return canon(out)
-
-
 def _mayer_polymer_terms(zeta: complex, blocks, n_q: int, order: int) -> list[CloudTerm]:
     """prod_D (e^{zeta V(D)} - 1) truncated at total series order across blocks."""
     pows = {b: _v_power_terms(zeta, b, n_q, order) for b in blocks}
@@ -601,16 +595,6 @@ def charge_component(K, q: int, n_phi: int | None = None):
 
         return FunctionalActivity(K.torus, fn, K.support_list, K.flags)
     raise TypeError(f"unsupported representation {type(K)!r}")
-
-
-def resum_charges(K, q_range) -> "CloudActivity":
-    if isinstance(K, CloudActivity):
-        acc = None
-        for q in q_range:
-            part = charge_component(K, q)
-            acc = part if acc is None else acc.add(part)
-        return acc
-    raise TypeError("resummation implemented for cloud activities")
 
 
 # -- activity norms -------------------------------------------------------------------

@@ -318,6 +318,15 @@ def cmd_flow(args, mode: str) -> int:
     for w in config.warnings:
         print(f"warning: {w}", file=sys.stderr)
     traj = ir_flow(config) if mode == "ir" else uv_flow(config)
+    overrides: dict = {}
+    for d in traj.diagnostics:
+        failed = d["hypotheses"].get("failed", [])
+        if failed:
+            names = ", ".join(failed)
+            print(f"warning: step {d['j']}: hypotheses failed (overridden): {names}",
+                  file=sys.stderr)
+        for name in failed:
+            overrides[name] = overrides.get(name, 0) + 1
     stem = f"flow_{mode}"
     traj.write_csv(out / f"{stem}_trajectory.csv")
     traj.write_json(out / f"{stem}_trajectory.json")
@@ -326,7 +335,8 @@ def cmd_flow(args, mode: str) -> int:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-    _write_manifest(args, out / f"{stem}_manifest.json", f"flow-{mode}")
+    _write_manifest(args, out / f"{stem}_manifest.json", f"flow-{mode}",
+                    {"hypothesis_overrides": overrides})
     print(f"{len(traj.states)} states written to {out / (stem + '_trajectory.csv')}")
     for r in rows:
         print(

@@ -361,11 +361,6 @@ def block_distance(b1: Block, b2: Block, torus: TorusSpec) -> float:
     return math.sqrt(sum(c * c for c in torus.delta(b1, b2)))
 
 
-def tree_decay_weight(b1: Block, b2: Block, torus: TorusSpec, nu: float = 2.0) -> float:
-    """theta(b1, b2) = (1 + d(b1, b2))^nu."""
-    return (1.0 + block_distance(b1, b2, torus)) ** nu
-
-
 def block_metrics(b1: Block, b2: Block, torus: TorusSpec, nu: float = 2.0):
     d = block_distance(b1, b2, torus)
     return d, (1.0 + d) ** nu

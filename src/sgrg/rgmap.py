@@ -249,28 +249,6 @@ def _s_integral_affine(paths, u, factors, m_bonds: int, n_nodes: int) -> complex
     return complex(total)
 
 
-def _partitions_into_support(target: Polymer, support_map: dict, torus: TorusSpec,
-                             n_max: int):
-    """Collections of region-disjoint support polymers with union == target."""
-    blocks = sorted(target.blocks)
-    order = {b: i for i, b in enumerate(blocks)}
-
-    def rec(remaining: frozenset, chosen):
-        if not remaining:
-            yield list(chosen)
-            return
-        if len(chosen) >= n_max:
-            return
-        b = min(remaining, key=order.get)
-        for key in support_map:
-            if b in key and key <= remaining:
-                p = Polymer(key)
-                if all(region_disjoint(p, c, torus) for c in chosen):
-                    yield from rec(remaining - key, chosen + [p])
-
-    yield from rec(frozenset(target.blocks), [])
-
-
 def fluctuate(K, cov: CovAccess, n_max: int = 4, n_nodes: int = 24,
               pair_window: int = 2, drop_tol: float = 0.0):
     """The full cluster-expanded fluctuation map on cloud activities."""
@@ -969,8 +947,9 @@ def _scale_trunc(K: TruncatedActivity, cache: dict | None):
 
     Where a copy lands and how it collapses depend on the torus, q_max,
     max_linfs, shape and term key, not on the coefficient: each (shape, term
-    key) image is built once per ``cache`` and replayed on coefficients,
-    summed in the order of collapsing every copy and then ``canon``.
+    key) image is built once per ``cache``, from one table of coarse positions
+    per offset, and replayed on coefficients, summed in the order of
+    collapsing every copy and then ``canon``.
     """
     L = K.torus.L
     offsets = [(ox, oy) for ox in range(L) for oy in range(L)]
@@ -989,14 +968,29 @@ def _scale_trunc(K: TruncatedActivity, cache: dict | None):
                 for cl in closures
             ]
         geometry = images[(key, None)]
+        new = []
         for t in ts:
-            if (key, t.key()) in images:
-                continue
-            probe = CloudTerm(_CoeffOps(), t.charges, t.linfs)
-            image = images[(key, t.key())] = []
-            for shift, (_, back) in zip(offsets, geometry):
-                moved = tm.scale_term(tm.translate_term(probe, shift), L)
-                c = collapse_term(tm.translate_term(moved, back), K.q_max, K.max_linfs)
+            if (key, t.key()) not in images:
+                ops = _CoeffOps()  # scale_term's factor, shared by every offset
+                for alpha, _ in t.linfs:
+                    ops *= float(L) ** (-sum(alpha))
+                image = images[(key, t.key())] = []
+                new.append((t, ops, image))
+        positions = {x for t, _, _ in new for _, x in t.charges + t.linfs}
+        for shift, (_, back) in zip(offsets, geometry):
+            # each position rounded as translate_term, scale_term, translate_term
+            coarse = {}
+            for x in positions:
+                y = tm._round_pos((x[0] + shift[0], x[1] + shift[1]))
+                y = tm._round_pos((y[0] / L, y[1] / L))
+                coarse[x] = tm._round_pos((y[0] + back[0], y[1] + back[1]))
+            for t, ops, image in new:
+                moved = tm._raw_term(
+                    ops,
+                    tuple((q, coarse[x]) for q, x in t.charges),
+                    tuple((a, coarse[y]) for a, y in t.linfs),
+                )
+                c = collapse_term(moved, K.q_max, K.max_linfs)
                 pieces = [] if c is None else c if isinstance(c, list) else [c]
                 image.append([(p.key(), p.coeff) for p in pieces])
         term_images = [images[(key, t.key())] for t in ts]

@@ -126,19 +126,6 @@ def multiply(ts1, ts2) -> list[CloudTerm]:
     return canon(out)
 
 
-def evaluate_term(term: CloudTerm, field) -> complex:
-    """Term value at a concrete field (exact for node-aligned positions)."""
-    val = term.coeff
-    if term.charges:
-        pts = [x for _, x in term.charges]
-        phis = field.at(pts)
-        phase = sum(q * p for (q, _), p in zip(term.charges, phis))
-        val *= cmath.exp(1j * phase)
-    for alpha, y in term.linfs:
-        val *= field.deriv_at(alpha, [y])[0]
-    return val
-
-
 def evaluate_terms(terms, field) -> complex:
     """Sum of term values with batched field lookups."""
     terms = list(terms)
@@ -348,12 +335,6 @@ def bond_laplacian(coeff: complex, slots: list[Slot], i_mem: int, j_mem: int, co
             else:
                 fac = cov.pair(sa.data, sa.pos, sb.data, sb.pos)
                 yield coeff * fac, [s for k, s in enumerate(slots) if k not in (a, b)]
-
-
-def slots_to_term(coeff: complex, slots: list[Slot]) -> CloudTerm:
-    charges = tuple((s.data[0], s.pos) for s in slots if s.kind == "q")
-    linfs = tuple((s.data, s.pos) for s in slots if s.kind == "l")
-    return CloudTerm(coeff, charges, linfs)
 
 
 # -- series norms -----------------------------------------------------------------

@@ -15,11 +15,13 @@ from sgrg.activities import (
     all_connected_subsets,
     block_quadrature_nodes,
     charge_component,
+    collapse_term,
     mayer_init_cloud,
     mayer_init_functional,
     mayer_init_truncated,
     polymer_exp,
     potential_v,
+    taylorize_neutral,
     v_activity,
     v_cloud_terms,
     verify_evenness,
@@ -31,7 +33,8 @@ from sgrg.activities import (
 )
 from sgrg.lattice import Polymer, TorusSpec, polymer, region_disjoint
 from sgrg.fields import FieldGrid, random_band_limited
-from sgrg.terms import CloudTerm, evaluate_terms
+from sgrg.terms import CloudTerm, evaluate_terms, scale_term, translate_term
+from test_rgmap import cache_test_shapes
 
 
 def rfield(torus, rng, n_g=8, amp=0.8):
@@ -362,3 +365,45 @@ class TestSerialization:
         Kf = FunctionalActivity(t, lambda p, f: 1.0, [])
         with pytest.raises(TypeError):
             activity_to_json(Kf)
+
+
+def reference_collapse_term(term, q_max, max_linfs, neutral_taylor=True):
+    """collapse_term through the CloudTerm constructor, which sorts and
+    rounds the integer block centres itself."""
+    if neutral_taylor and term.total_charge == 0 and term.charges:
+        out = []
+        for piece in taylorize_neutral(term):
+            c = reference_collapse_term(piece, q_max, max_linfs, neutral_taylor=False)
+            if c is not None:
+                out.append(c)
+        return out
+    merged: dict = {}
+    for q, x in term.charges:
+        b = (round(x[0]), round(x[1]))
+        merged[b] = merged.get(b, 0) + q
+    charges = tuple((q, b) for b, q in merged.items() if q != 0)
+    if sum(abs(q) for q, _ in charges) > q_max:
+        return None
+    if len(term.linfs) > max_linfs:
+        return None
+    if charges and term.linfs:
+        return None
+    linfs = tuple((a, (round(y[0]), round(y[1]))) for a, y in term.linfs)
+    return CloudTerm(term.coeff, charges, linfs)
+
+
+class TestCollapse:
+    @pytest.mark.parametrize("L", [2, 3, 8])
+    def test_equals_reference(self, L):
+        # repr, not ==: an int block coordinate equals its float but would
+        # serialize differently
+        shapes = cache_test_shapes(TorusSpec(L, 2))
+        shifts = [(ox, oy) for ox in range(3) for oy in range(3)] + [(L - 1, -L)]
+        for ts in shapes.values():
+            for t in ts:
+                for shift in shifts:
+                    moved = scale_term(translate_term(t, shift), L)
+                    for q_max, max_linfs in ((3, 2), (1, 0), (2, 1)):
+                        got = collapse_term(moved, q_max, max_linfs)
+                        want = reference_collapse_term(moved, q_max, max_linfs)
+                        assert repr(got) == repr(want)

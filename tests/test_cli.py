@@ -100,6 +100,17 @@ class TestFlows:
         rows = first.decode().strip().splitlines()
         assert len(rows) == 1 + 4  # header + N+1 states
 
+    def test_overridden_hypotheses_are_reported(self, tmp_path, capsys):
+        code = run_cli([
+            "flow-uv", "--beta", "12.566", "--L", "2", "--N", "1", "--steps", "1",
+            "--zeta", "0.01", "--out", str(tmp_path), "--seed", "7",
+        ])
+        assert code == EXIT_OK  # overridden, so the run still passes
+        err = capsys.readouterr().err
+        assert "warning: step -1: hypotheses failed (overridden): h1_norm_small" in err
+        manifest = json.loads((tmp_path / "flow_uv_manifest.json").read_text())
+        assert manifest["hypothesis_overrides"] == {"h1_norm_small": 1}
+
     def test_plotdata_zeta_schedule(self, tmp_path, capsys):
         run_cli([
             "flow-uv", "--beta", str(4 * math.pi), "--L", "2", "--N", "3",
