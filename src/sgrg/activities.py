@@ -34,11 +34,9 @@ from .lattice import (
     Polymer,
     SetRegulatorParams,
     TorusSpec,
-    connected_components,
     halo,
     is_connected,
     log_gamma_p,
-    polymer,
 )
 from .terms import CloudTerm, canon, evaluate_terms, logsumexp, term_log_weight
 

@@ -322,7 +322,9 @@ def cmd_flow(args, mode: str) -> int:
     for d in traj.diagnostics:
         failed = d["hypotheses"].get("failed", [])
         if failed:
-            names = ", ".join(failed)
+            names = ", ".join(
+                f"{name} (margin {d['hypotheses'][name]['margin']:.3f})" for name in failed
+            )
             print(f"warning: step {d['j']}: hypotheses failed (overridden): {names}",
                   file=sys.stderr)
         for name in failed:

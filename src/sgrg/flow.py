@@ -30,9 +30,7 @@ from .activities import (
     NormParams,
     TruncatedActivity,
     activity_norm,
-    charge_component,
     mayer_init_cloud,
-    mayer_init_functional,
     mayer_init_truncated,
     polymer_exp,
     potential_v,
@@ -44,13 +42,11 @@ from .fields import gaussian_ensemble
 from .lattice import TorusSpec
 from .rgmap import (
     RGStepParams,
-    extract_cloud,
     extraction_coefficients,
     build_extraction_activity,
-    fluctuate,
     rg_step,
-    scale_activity,
 )
+from .terms import canon
 
 SIGMA_CAP = 0.1
 
@@ -349,7 +345,7 @@ def uv_zeta_schedule(config: FlowConfig) -> list[complex]:
     for j in range(-config.N, 1):
         n = abs(j)
         t = TorusSpec(config.L, n)
-        v0 = CovarianceKernel("full", sigma=0.0, torus=t).at_zero() if n >= 0 else 0.0
+        v0 = CovarianceKernel("full", sigma=0.0, torus=t).at_zero()
         out.append(
             complex(config.zeta)
             * config.L ** (-2 * n)
@@ -370,8 +366,6 @@ def _subtract_v(K: TruncatedActivity, zeta_j: complex, n_q: int) -> TruncatedAct
     negV = V.map_shapes(lambda k, ts: [t.scaled(-zeta_j) for t in ts])
     out = dict(K.shapes)
     for k, ts in negV.shapes.items():
-        from .terms import canon
-
         out[k] = canon(list(out.get(k, [])) + list(ts))
     return TruncatedActivity(K.torus, {k: v for k, v in out.items() if v},
                              K.flags, K.q_max, K.max_linfs)

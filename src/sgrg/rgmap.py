@@ -144,13 +144,29 @@ def _cached_regions(m: int, n_nodes: int):
 
 
 def tree_convolved_terms(coeff: complex, slots: list[Slot], n_poly: int, tree,
-                         cov: CovAccess, n_nodes: int = 24) -> list[CloudTerm]:
+                         cov: CovAccess, n_nodes: int, images: dict) -> list[CloudTerm]:
     """Integrate mu_{C(sigma(T,s))} * (slot term) over s in [0,1]^{|T|}.
 
     Every Wick structure contributes a product of factors affine in the
     couplings sigma_kl; single-bond trees integrate in closed form, longer
-    trees per ordering region.
+    trees per ordering region.  The result is linear in ``coeff``: the
+    integrals of a slot list are computed once per ``images`` dict and
+    replayed with the multiplications in the order of a fresh computation.
+    The dict is keyed by the slot list alone, so one dict serves one
+    n_poly, tree, cov and n_nodes.
     """
+    key = tuple(slots)
+    image = images.get(key)
+    if image is None:
+        image = images[key] = _tree_term_image(slots, n_poly, tree, cov, n_nodes)
+    e, pieces = image
+    base = coeff * e
+    return canon([tm._raw_term(base * integral, ch, lf) for ch, lf, integral in pieces])
+
+
+def _tree_term_image(slots: list[Slot], n_poly: int, tree, cov: CovAccess,
+                     n_nodes: int):
+    """(exp(-intra/2), [(canonical charges, canonical linfs, integral)])."""
     charges = [(s.data[0], s.pos, s.member) for s in slots if s.kind == "q"]
     linfs = [(s.data, s.pos, s.member) for s in slots if s.kind == "l"]
     intra = 0.0
@@ -163,7 +179,6 @@ def tree_convolved_terms(coeff: complex, slots: list[Slot], n_poly: int, tree,
             else:
                 key = (min(ma, mb), max(ma, mb))
                 u[key] = u.get(key, 0.0) + 0.5 * cv
-    base = coeff * math.exp(-0.5 * intra)
     shift_parts = []
     for alpha, y, m in linfs:
         parts: dict = {}
@@ -181,15 +196,15 @@ def tree_convolved_terms(coeff: complex, slots: list[Slot], n_poly: int, tree,
 
     paths = _tree_sigma_structures(n_poly, tree)
     m_bonds = len(tree)
-    out = []
-    charge_tuple = tuple((q, x) for q, x, _ in charges)
+    pieces = []
+    # CloudTerm drops zero charges and rounds and sorts positions
+    canon_charges = CloudTerm(0.0, tuple((q, x) for q, x, _ in charges)).charges
     for pairing, rest in tm._pairings_with_rest(len(linfs)):
         for subset in tm._subsets(rest):
             kept = tuple((linfs[i][0], linfs[i][1]) for i in sorted(subset))
             shifted = [i for i in rest if i not in subset]
             # affine factors (a, {pair: b}) meaning a + sum b sigma_pair
             factors = []
-            degenerate_zero = False
             for i, j in pairing:
                 pc, mi, mj = linf_pair(i, j)
                 if mi == mj:
@@ -208,8 +223,8 @@ def tree_convolved_terms(coeff: complex, slots: list[Slot], n_poly: int, tree,
                 factors.append((a, lin))
             integral = _s_integral_affine(paths, u, factors, m_bonds, n_nodes)
             if integral != 0.0:
-                out.append(CloudTerm(base * integral, charge_tuple, kept))
-    return canon(out)
+                pieces.append((canon_charges, CloudTerm(0.0, (), kept).linfs, integral))
+    return math.exp(-0.5 * intra), pieces
 
 
 def _s_integral_affine(paths, u, factors, m_bonds: int, n_nodes: int) -> complex:
@@ -286,6 +301,7 @@ def _fluctuate_cloud(K: CloudActivity, cov: CovAccess, n_max: int, n_nodes: int)
             n = len(polys)
             term_lists = [K.terms(p) for p in polys]
             for tree in trees_on(n):
+                images: dict = {}
                 for combo in itertools.product(*term_lists):
                     coeff = 1.0 + 0.0j
                     slots = []
@@ -300,7 +316,7 @@ def _fluctuate_cloud(K: CloudActivity, cov: CovAccess, n_max: int, n_nodes: int)
                         stack = nxt
                     for c0, sl in stack:
                         acc.extend(
-                            tree_convolved_terms(c0, sl, n, tree, cov, n_nodes)
+                            tree_convolved_terms(c0, sl, n, tree, cov, n_nodes, images)
                         )
         acc = canon(acc)
         if acc:
@@ -333,6 +349,8 @@ def _fluctuate_truncated(K: TruncatedActivity, cov: CovAccess, n_max: int,
         shapes = [k for k in sorted(K.shapes) if len(k) <= tree_shape_cap]
         for i1, k1 in enumerate(shapes):
             p1 = Polymer(frozenset(k1))
+            slots1 = [tm.term_slots(CloudTerm(1.0, t1.charges, t1.linfs), 0)
+                      for t1 in K.shapes[k1]]
             for k2 in shapes[i1:]:
                 base2 = Polymer(frozenset(k2))
                 for ox in range(-pair_window, pair_window + 1):
@@ -346,19 +364,27 @@ def _fluctuate_truncated(K: TruncatedActivity, cov: CovAccess, n_max: int,
                         ukey = union.shape_key()
                         base = tuple(min(b[i] for b in union.blocks) for i in range(2))
                         acc = []
-                        for t1 in K.shapes[k1]:
-                            for t2 in K.shapes[k2]:
-                                if abs(t1.coeff * t2.coeff) < pair_floor:
+                        images: dict = {}
+                        slots2: dict = {}
+                        for t1, sl1 in zip(K.shapes[k1], slots1):
+                            for i2, t2 in enumerate(K.shapes[k2]):
+                                coeff = t1.coeff * t2.coeff
+                                if abs(coeff) < pair_floor:
                                     continue
-                                t2s = tm.translate_term(t2, (ox, oy))
-                                coeff = t1.coeff * t2s.coeff
-                                slots = tm.term_slots(CloudTerm(1.0, t1.charges, t1.linfs), 0)
-                                slots += tm.term_slots(CloudTerm(1.0, t2s.charges, t2s.linfs), 1)
-                                for c0, sl in bond_laplacian(coeff, slots, 0, 1, cov):
-                                    acc.extend(
-                                        tree_convolved_terms(c0, sl, 2, ((0, 1),), cov, n_nodes)
-                                    )
-                        add(ukey, [tm.translate_term(t, (-base[0], -base[1])) for t in acc])
+                                sl2 = slots2.get(i2)
+                                if sl2 is None:
+                                    t2s = tm.translate_term(t2, (ox, oy))
+                                    sl2 = slots2[i2] = tm.term_slots(CloudTerm(1.0, *t2s.key()), 1)
+                                for c0, sl in bond_laplacian(coeff, sl1 + sl2, 0, 1, cov):
+                                    acc.extend(tree_convolved_terms(
+                                        c0, sl, 2, ((0, 1),), cov, n_nodes, images
+                                    ))
+                        # re-anchor each distinct key once; coefficients pass through
+                        moved: dict = {}
+                        for t in acc:
+                            if t.key() not in moved:
+                                moved[t.key()] = tm.translate_term(t, (-base[0], -base[1])).key()
+                        add(ukey, [tm._raw_term(t.coeff, *moved[t.key()]) for t in acc])
     result = {}
     dropped_mass = 0
     for key, ts in out.items():
@@ -975,8 +1001,10 @@ def _scale_trunc(K: TruncatedActivity, cache: dict | None):
                 for alpha, _ in t.linfs:
                     ops *= float(L) ** (-sum(alpha))
                 image = images[(key, t.key())] = []
-                new.append((t, ops, image))
-        positions = {x for t, _, _ in new for _, x in t.charges + t.linfs}
+                # moving a term keeps its charges' q, so this holds for every copy
+                neutral = bool(t.charges) and t.total_charge == 0
+                new.append((t, ops, neutral, image))
+        positions = {x for t, _, _, _ in new for _, x in t.charges + t.linfs}
         for shift, (_, back) in zip(offsets, geometry):
             # each position rounded as translate_term, scale_term, translate_term
             coarse = {}
@@ -984,13 +1012,13 @@ def _scale_trunc(K: TruncatedActivity, cache: dict | None):
                 y = tm._round_pos((x[0] + shift[0], x[1] + shift[1]))
                 y = tm._round_pos((y[0] / L, y[1] / L))
                 coarse[x] = tm._round_pos((y[0] + back[0], y[1] + back[1]))
-            for t, ops, image in new:
+            for t, ops, neutral, image in new:
                 moved = tm._raw_term(
                     ops,
                     tuple((q, coarse[x]) for q, x in t.charges),
                     tuple((a, coarse[y]) for a, y in t.linfs),
                 )
-                c = collapse_term(moved, K.q_max, K.max_linfs)
+                c = collapse_term(moved, K.q_max, K.max_linfs, neutral_taylor=neutral)
                 pieces = [] if c is None else c if isinstance(c, list) else [c]
                 image.append([(p.key(), p.coeff) for p in pieces])
         term_images = [images[(key, t.key())] for t in ts]
@@ -1110,13 +1138,18 @@ def _hypothesis_constants() -> tuple[float, int]:
 
 
 def check_hypotheses(K, params: RGStepParams, c_star: float | None = None) -> dict:
-    """Numeric checks of the four step hypotheses; values always reported."""
+    """Numeric checks of the four step hypotheses; values always reported.
+
+    Each check carries a signed ``margin``, >= 0 exactly when it holds (h1,
+    h2 and h3 in log units, h4 in supersets).
+    """
     np_ = params.norm or NormParams.default(params.torus)
     norm_k = _norm_of(K, params)
     gamma_fac, k_small = _hypothesis_constants()
     checks = {}
     checks["h1_norm_small"] = {
         "value": norm_k.log_value,
+        "margin": math.log(params.smallness) - norm_k.log_value,
         "ok": norm_k.log_value < math.log(params.smallness),
     }
     L = params.torus.L
@@ -1125,6 +1158,7 @@ def check_hypotheses(K, params: RGStepParams, c_star: float | None = None) -> di
     kappa_val = np_.kappa / max(c_bound, 1e-300) * L**2
     checks["h2_regulator_constants"] = {
         "kappa_c_inv_L2": kappa_val,
+        "margin": math.log(10.0 * params.smallness) - math.log(max(kappa_val, 1e-300)),
         "ok": kappa_val <= 10.0 * params.smallness,
     }
     if c_star is None:
@@ -1137,9 +1171,14 @@ def check_hypotheses(K, params: RGStepParams, c_star: float | None = None) -> di
     checks["h3_cauchy_room"] = {
         "delta_h_sq_log": lhs,
         "bound_log": rhs,
+        "margin": lhs - rhs,
         "ok": lhs >= rhs,
     }
-    checks["h4_small_superset_count"] = {"k": k_small, "ok": k_small == K_SMALL_SUPERSETS}
+    checks["h4_small_superset_count"] = {
+        "k": k_small,
+        "margin": -abs(k_small - K_SMALL_SUPERSETS),
+        "ok": k_small == K_SMALL_SUPERSETS,
+    }
     failed = [name for name, c in checks.items() if not c["ok"]]
     checks["failed"] = failed
     if failed and not params.override_hypotheses:

@@ -111,6 +111,24 @@ class TestFlows:
         manifest = json.loads((tmp_path / "flow_uv_manifest.json").read_text())
         assert manifest["hypothesis_overrides"] == {"h1_norm_small": 1}
 
+    @pytest.mark.parametrize("args", [
+        ["flow-uv", "--beta", "12.566", "--L", "2", "--N", "1", "--steps", "1",
+         "--zeta", "0.01"],
+        ["flow-ir", "--beta", "37.699", "--L", "2", "--M", "2", "--steps", "1",
+         "--zeta", "1e-3"],
+    ], ids=["uv", "ir"])
+    def test_hypothesis_margin_sign_matches_ok(self, tmp_path, capsys, args):
+        assert run_cli([*args, "--out", str(tmp_path), "--seed", "7"]) == EXIT_OK
+        (path,) = tmp_path.glob("flow_*_trajectory.json")
+        checks = json.loads(path.read_text())["diagnostics"][0]["hypotheses"]
+        names = [name for name in checks if name != "failed"]
+        assert len(names) == 4
+        for name in names:
+            assert (checks[name]["margin"] >= 0) == checks[name]["ok"], name
+        err = capsys.readouterr().err
+        for name in checks["failed"]:
+            assert f"{name} (margin {checks[name]['margin']:.3f})" in err
+
     def test_plotdata_zeta_schedule(self, tmp_path, capsys):
         run_cli([
             "flow-uv", "--beta", str(4 * math.pi), "--L", "2", "--N", "3",

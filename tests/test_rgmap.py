@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sgrg import rgmap
 from sgrg import terms as tm
 from sgrg.activities import (
     ActivityFlags,
@@ -301,7 +302,165 @@ class TestScalingCache:
         assert set(four) == {"charged_small", "large_sets", "higher_order"}
         for column in four.values():
             assert math.isfinite(column["in"]) and math.isfinite(column["out"])
-        assert diag["hypotheses"]["h4_small_superset_count"] == {"k": 509, "ok": True}
+        assert diag["hypotheses"]["h4_small_superset_count"] == {"k": 509, "margin": 0, "ok": True}
+
+
+def reference_tree_convolved_terms(coeff, slots, n_poly, tree, cov, n_nodes=24):
+    """The tree-term integral computed afresh on every call."""
+    charges = [(s.data[0], s.pos, s.member) for s in slots if s.kind == "q"]
+    linfs = [(s.data, s.pos, s.member) for s in slots if s.kind == "l"]
+    intra = 0.0
+    u = {}
+    for (qa, xa, ma) in charges:
+        for (qb, xb, mb) in charges:
+            cv = qa * qb * cov.c((0, 0), (xa[0] - xb[0], xa[1] - xb[1]))
+            if ma == mb:
+                intra += cv
+            else:
+                key = (min(ma, mb), max(ma, mb))
+                u[key] = u.get(key, 0.0) + 0.5 * cv
+    base = coeff * math.exp(-0.5 * intra)
+    shift_parts = []
+    for alpha, y, m in linfs:
+        parts = {}
+        for q, x, ma in charges:
+            parts[ma] = parts.get(ma, 0.0) + q * cov.c(alpha, (y[0] - x[0], y[1] - x[1]))
+        shift_parts.append((m, parts))
+    paths = rgmap._tree_sigma_structures(n_poly, tree)
+    out = []
+    charge_tuple = tuple((q, x) for q, x, _ in charges)
+    for pairing, rest in tm._pairings_with_rest(len(linfs)):
+        for subset in tm._subsets(rest):
+            kept = tuple((linfs[i][0], linfs[i][1]) for i in sorted(subset))
+            factors = []
+            for i, j in pairing:
+                (ai, yi, mi), (aj, yj, mj) = linfs[i], linfs[j]
+                pc = cov.pair(ai, yi, aj, yj)
+                if mi == mj:
+                    factors.append((pc, {}))
+                else:
+                    factors.append((0.0, {(min(mi, mj), max(mi, mj)): pc}))
+            for i in rest:
+                if i in subset:
+                    continue
+                m_i, parts = shift_parts[i]
+                lin = {}
+                for ma, v in parts.items():
+                    if ma != m_i:
+                        pair = (min(m_i, ma), max(m_i, ma))
+                        lin[pair] = lin.get(pair, 0.0) + 1j * v
+                factors.append((1j * parts.get(m_i, 0.0), lin))
+            integral = rgmap._s_integral_affine(paths, u, factors, len(tree), n_nodes)
+            if integral != 0.0:
+                out.append(CloudTerm(base * integral, charge_tuple, kept))
+    return tm.canon(out)
+
+
+def reference_fluctuate_truncated(K, cov, n_nodes, pair_window, drop_tol):
+    """Truncated fluctuation with the placement loop rebuilding every slot list,
+    integrating every bond piece afresh and re-anchoring every term."""
+    out = {}
+    for key, ts in K.shapes.items():
+        out.setdefault(key, []).extend(tm.convolve_terms(ts, cov))
+    pair_floor = drop_tol * max(abs(t.coeff) for ts in K.shapes.values() for t in ts)
+    shapes = [k for k in sorted(K.shapes) if len(k) <= 2]
+    for i1, k1 in enumerate(shapes):
+        p1 = Polymer(frozenset(k1))
+        for k2 in shapes[i1:]:
+            for ox in range(-pair_window, pair_window + 1):
+                for oy in range(-pair_window, pair_window + 1):
+                    if k1 == k2 and (ox, oy) <= (0, 0):
+                        continue
+                    p2 = Polymer(frozenset(k2)).translate((ox, oy))
+                    if not rgmap._inf_region_disjoint(p1, p2):
+                        continue
+                    union = Polymer(p1.blocks | p2.blocks)
+                    base = tuple(min(b[i] for b in union.blocks) for i in range(2))
+                    acc = []
+                    for t1 in K.shapes[k1]:
+                        for t2 in K.shapes[k2]:
+                            if abs(t1.coeff * t2.coeff) < pair_floor:
+                                continue
+                            t2s = tm.translate_term(t2, (ox, oy))
+                            slots = tm.term_slots(CloudTerm(1.0, t1.charges, t1.linfs), 0)
+                            slots += tm.term_slots(CloudTerm(1.0, t2s.charges, t2s.linfs), 1)
+                            for c0, sl in tm.bond_laplacian(t1.coeff * t2s.coeff, slots, 0, 1, cov):
+                                acc.extend(reference_tree_convolved_terms(
+                                    c0, sl, 2, ((0, 1),), cov, n_nodes
+                                ))
+                    if acc:
+                        out.setdefault(union.shape_key(), []).extend(
+                            tm.translate_term(t, (-base[0], -base[1])) for t in acc
+                        )
+    result, dropped_terms = {}, 0
+    for key, ts in out.items():
+        kept, dropped = truncate_cloud_terms(ts, K.q_max, K.max_linfs, drop_tol=drop_tol)
+        if kept:
+            result[key] = kept
+        dropped_terms += len(dropped)
+    return result, dropped_terms
+
+
+def replay_test_activity(t):
+    """A Mayer activity plus gradient factors on one side and both sides of
+    a bond, and charges off the block centres."""
+    K = mayer_init_truncated(1e-2, t, order=2, max_size=2)
+    shapes = dict(K.shapes)
+    shapes[((0, 0),)] = shapes[((0, 0),)] + [
+        CloudTerm(0.01, (), (((1, 0), (0.0, 0.0)),)),
+        CloudTerm(0.004j, (), (((1, 0), (0.0, 0.0)), ((0, 1), (0.0, 0.0)))),
+        CloudTerm(0.003 - 0.001j, ((1, (0.0, 0.0)),), (((0, 1), (0.0, 0.0)),)),
+    ]
+    key = ((0, 0), (0, 1))
+    shapes[key] = shapes[key] + [
+        CloudTerm(0.002, ((1, (0.25, 0.0)), (-1, (0.0, 0.75)))),
+        CloudTerm(-0.001j, ((1, (0.0, 0.0)), (-1, (0.0, 1.0))), (((1, 0), (0.0, 1.0)),)),
+    ]
+    return TruncatedActivity(t, shapes, K.flags, K.q_max, K.max_linfs)
+
+
+def as_repr(shapes):
+    return [(repr(k), [(repr(t.key()), repr(t.coeff)) for t in ts]) for k, ts in shapes.items()]
+
+
+class TestTreeTermReplay:
+    """Replaying tree-term integrals per placement gives the bits of
+    computing every one afresh."""
+
+    @pytest.mark.parametrize("drop_tol", [1e-14, 1e-6])  # 1e-6 skips most term pairs
+    @pytest.mark.parametrize("t", [TorusSpec(2, 3), TorusSpec(8, 2)])
+    def test_fluctuation_equals_reference(self, t, drop_tol):
+        K = replay_test_activity(t)
+        cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=t), scale=4 * math.pi)
+        got = fluctuate(K, cov, n_max=2, n_nodes=4, pair_window=2, drop_tol=drop_tol)
+        want, dropped_terms = reference_fluctuate_truncated(
+            K, cov, n_nodes=4, pair_window=2, drop_tol=drop_tol
+        )
+        assert sum(len(ts) for ts in want.values()) > 100 and dropped_terms > 0
+        assert as_repr(got.shapes) == as_repr(want)
+        assert got.dropped_terms == dropped_terms
+
+    def test_replay_across_coefficients(self):
+        t = TorusSpec(2, 3)
+        cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=t), scale=4 * math.pi)
+        t1 = CloudTerm(1.0, ((1, (0.0, 0.0)), (-1, (0.25, 0.0))), (((1, 0), (0.0, 0.0)),))
+        t2 = CloudTerm(1.0, ((-1, (1.0, 0.0)),), (((0, 1), (1.0, 0.0)),))
+        slots = tm.term_slots(t1, 0) + tm.term_slots(t2, 1)
+        pieces = list(tm.bond_laplacian(1.0, slots, 0, 1, cov))
+        assert len(pieces) == 6
+        tree = ((0, 1),)
+        for _, sl in pieces:
+            images = {}
+            for coeff in (3.0 - 1.5j, 3e-300 + 1e-300j, 1e-320, 2e-300j):
+                replayed = rgmap.tree_convolved_terms(coeff, sl, 2, tree, cov, 4, images)
+                fresh = rgmap.tree_convolved_terms(coeff, sl, 2, tree, cov, 4, {})
+                want = reference_tree_convolved_terms(coeff, sl, 2, tree, cov, 4)
+                assert repr(replayed) == repr(fresh) == repr(want)
+            assert len(images) == 1
+        # at 1e-320 some products underflow to 0.0, which canon drops
+        _, sl = pieces[0]
+        tiny = reference_tree_convolved_terms(1e-320, sl, 2, tree, cov, 4)
+        assert 0 < len(tiny) < len(reference_tree_convolved_terms(1.0, sl, 2, tree, cov, 4))
 
 
 class TestExtraction:
