@@ -38,7 +38,7 @@ from .lattice import (
     is_connected,
     log_gamma_p,
 )
-from .terms import CloudTerm, canon, evaluate_terms, logsumexp, term_log_weight
+from .terms import CloudTerm, TermTable, canon, logsumexp, term_log_weight
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,8 @@ class CloudActivity:
     torus: TorusSpec
     data: dict
     flags: ActivityFlags = ActivityFlags()
+    # polymer key -> (the term list, its TermTable)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def support(self):
         return [Polymer(k) for k in sorted(self.data, key=lambda fs: sorted(fs))]
@@ -83,7 +85,11 @@ class CloudActivity:
         return self.data.get(p.blocks, [])
 
     def value(self, p: Polymer, fld) -> complex:
-        return evaluate_terms(self.terms(p), fld)
+        ts = self.terms(p)
+        hit = self._tables.get(p.blocks)
+        if hit is None or hit[0] is not ts:
+            hit = self._tables[p.blocks] = (ts, TermTable(ts))
+        return hit[1].value(fld)
 
     def map_terms(self, fn) -> "CloudActivity":
         out = {}
@@ -129,9 +135,6 @@ class TruncatedActivity:
 
     def as_cloud_at(self, key, shift) -> list:
         return [tm.translate_term(t, shift) for t in self.shapes[key]]
-
-    def value_at_shape(self, key, fld) -> complex:
-        return evaluate_terms(self.shapes[key], fld)
 
     def map_shapes(self, fn) -> "TruncatedActivity":
         out = {}

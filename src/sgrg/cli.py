@@ -8,7 +8,6 @@ flow-ir      run the infrared flow, write trajectory CSV/JSON
 flow-uv      run the ultraviolet flow, write trajectory CSV/JSON
 oracle       partition-function invariance and derivative checks (needs --seed)
 plotdata     plot-ready CSV from a stored trajectory JSON
-bench        time the numba and numpy covariance evaluators
 
 Configuration may come from a JSON file (--config); explicit flags override
 file values.  Every run writes a manifest JSON with the resolved
@@ -25,7 +24,6 @@ import json
 import math
 import os
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -419,33 +417,6 @@ def cmd_plotdata(args) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args) -> int:
-    from . import _accel
-    from .covariance import CovarianceKernel
-    from .lattice import TorusSpec
-
-    kern = CovarianceKernel("slice", sigma=0.0, torus=TorusSpec(2, args.M))
-    px, py, f = kern._modes()
-    rng = np.random.default_rng(0)
-    xs = rng.uniform(-2, 2, size=(args.points, 2))
-    alphas = [(0, 0), (1, 0), (0, 1), (2, 0)]
-    _accel.mode_sum(px, py, f, alphas, xs[:2])  # warm the JIT path
-    t0 = time.perf_counter()
-    for _ in range(args.repeat):
-        a = _accel.mode_sum(px, py, f, alphas, xs)
-    t_active = (time.perf_counter() - t0) / args.repeat
-    t0 = time.perf_counter()
-    for _ in range(args.repeat):
-        b = _accel.mode_sum_numpy(px, py, f, alphas, xs)
-    t_numpy = (time.perf_counter() - t0) / args.repeat
-    err = float(np.max(np.abs(a - b)))
-    print(f"backend={_accel.active_backend()} modes={len(px)} points={args.points}")
-    print(f"active path  : {t_active * 1e3:.2f} ms")
-    print(f"numpy path   : {t_numpy * 1e3:.2f} ms")
-    print(f"speedup x{t_numpy / max(t_active, 1e-12):.2f}  max|diff|={err:.2e}")
-    return EXIT_OK
-
-
 # ----------------------------------------------------------------------------
 # argument wiring
 # ----------------------------------------------------------------------------
@@ -517,12 +488,6 @@ def build_parser():
     p.add_argument("--kind", required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_plotdata)
-
-    p = sub.add_parser("bench", help="compare numba and numpy kernel paths")
-    p.add_argument("--M", type=int, default=6)
-    p.add_argument("--points", type=int, default=256)
-    p.add_argument("--repeat", type=int, default=5)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

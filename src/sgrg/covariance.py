@@ -26,7 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._accel import mode_sum
 from .lattice import TorusSpec
 
 SIGMA_MAX = 0.1
@@ -118,6 +117,31 @@ def _gl_modes(sigma: float, L: int, p_max: float, n_theta: int, n_radial: int = 
     u = px * px + py * py
     f = _profile("continuum", u, sigma, L, 0) * wgt / (2.0 * math.pi) ** 2
     return px, py, f
+
+
+def mode_sum(px, py, f, alphas, xs) -> np.ndarray:
+    """Sum_m f_m Re[(i px)^ax (i py)^ay e^{i p.x}] for every x row, alpha.
+
+    px, py, f: (n_modes,) momenta and weights; alphas: [(ax, ay)] integer
+    multi-indices; xs: (n_x, 2) points.  Returns an (n_x, n_alpha) array.
+    """
+    phase = px[None, :] * xs[:, 0:1] + py[None, :] * xs[:, 1:2]
+    cos_p = np.cos(phase)
+    sin_p = np.sin(phase)
+    out = np.empty((xs.shape[0], len(alphas)))
+    for j, (ax, ay) in enumerate(alphas):
+        # Re[i^k e^{i theta}] for k = |alpha| mod 4
+        k = (ax + ay) % 4
+        if k == 0:
+            tr = cos_p
+        elif k == 1:
+            tr = -sin_p
+        elif k == 2:
+            tr = -cos_p
+        else:
+            tr = sin_p
+        out[:, j] = tr @ (f * px**ax * py**ay)
+    return out
 
 
 def tail_bound(p_max: float, order: int) -> float:
@@ -218,8 +242,6 @@ class CovarianceKernel:
         alphas = [tuple(int(c) for c in a) for a in alphas]
         self._check_order(alphas)
         px, py, f = self._modes()
-        if self.method == "periodized-continuum":
-            px, py, f = _gl_modes(self.sigma, self.scale, self.p_max, self.gl_nodes)
         return mode_sum(px, py, f, alphas, self._wrap(xs))
 
     def eval(self, x, alpha=(0, 0)) -> float:

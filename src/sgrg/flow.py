@@ -498,7 +498,7 @@ def z_invariance_check(
     if torus.side > 2:
         raise ValueError("exact invariance check restricted to side <= 2")
     from .activities import CloudActivity
-    from .terms import CovAccess, convolve_terms, evaluate_terms
+    from .terms import CovAccess, convolve_terms
 
     K0 = mayer_init_cloud(zeta, torus, n_q=n_q, order=order,
                           max_size=torus.n_blocks, side_cap=2)
@@ -528,8 +528,8 @@ def z_invariance_check(
         from .fields import scale_field
 
         psi = scale_field(fld_coarse, torus.L)
-        ksh = {p.blocks: evaluate_terms(k_sharp.terms(p), psi) for p in supp}
-        f_val = {p.blocks: evaluate_terms(F.terms(p), psi) for p in f_supp}
+        ksh = {p.blocks: k_sharp.value(p, psi) for p in supp}
+        f_val = {p.blocks: F.value(p, psi) for p in f_supp}
         # (e^F - 1)^+ via subset DP over F polymers (all pairs touch here)
         plus: dict = {frozenset(): 1.0}
         for p in f_supp:

@@ -23,7 +23,6 @@ on the field grid and trigonometric interpolation otherwise.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -126,41 +125,74 @@ def multiply(ts1, ts2) -> list[CloudTerm]:
     return canon(out)
 
 
+def _padded_columns(rows, fill):
+    """(width, len(rows)) array whose row c holds each input row's c-th entry."""
+    out = np.full((max(map(len, rows), default=0), len(rows)), fill)
+    for i, r in enumerate(rows):
+        out[: len(r), i] = r
+    return out
+
+
+class TermTable:
+    """A term list compiled once for evaluation at many fields.
+
+    ``value`` reproduces the scalar sum term by term, bit for bit: phases
+    accumulate charge by charge, complex products are written out in real
+    arithmetic (numpy's complex multiply may fuse them), and the total is a
+    sequential sum from 0.
+    """
+
+    def __init__(self, terms):
+        terms = list(terms)
+        pos_ix: dict = {}
+        alphas: dict = {}  # alpha -> {y: None}, both in first-seen order
+        for t in terms:
+            for _, x in t.charges:
+                pos_ix.setdefault(x, len(pos_ix))
+        for t in terms:
+            for alpha, y in t.linfs:
+                alphas.setdefault(alpha, {})[y] = None
+        self.points = np.array(list(pos_ix), dtype=np.float64).reshape(-1, 2)
+        self.lin_queries = [(alpha, list(ys)) for alpha, ys in alphas.items()]
+        lin_keys = [(alpha, y) for alpha, ys in self.lin_queries for y in ys]
+        lin_ix = {key: i for i, key in enumerate(lin_keys)}
+        # short rows point at an extra slot: charge 0 at phi = 0, linear factor 1
+        self.q = _padded_columns([[float(q) for q, _ in t.charges] for t in terms], 0.0)
+        self.q_ix = _padded_columns([[pos_ix[x] for _, x in t.charges] for t in terms],
+                                    len(pos_ix))
+        self.lin = _padded_columns([[lin_ix[l] for l in t.linfs] for t in terms], len(lin_ix))
+        coeffs = [complex(t.coeff) for t in terms]
+        self.cr = np.array([c.real for c in coeffs])
+        self.ci = np.array([c.imag for c in coeffs])
+        self.charged = np.array([bool(t.charges) for t in terms])
+
+    def value(self, field) -> complex:
+        if not len(self.cr):
+            return 0.0
+        vr, vi = self.cr, self.ci
+        if len(self.points):
+            phis = np.append(field.at(self.points), 0.0)
+            phase = np.zeros(len(vr))
+            for q, ix in zip(self.q, self.q_ix):
+                phase += q * phis[ix]
+            cos, sin = np.cos(phase), np.sin(phase)
+            vr, vi = (np.where(self.charged, vr * cos - vi * sin, vr),
+                      np.where(self.charged, vr * sin + vi * cos, vi))
+        if self.lin_queries:
+            lin = np.append(
+                np.concatenate([field.deriv_at(a, ys) for a, ys in self.lin_queries]), 1.0
+            )
+            for ix in self.lin:
+                f = lin[ix]
+                vr, vi = vr * f - vi * 0.0, vr * 0.0 + vi * f
+        re = np.cumsum(np.append(0.0, vr))[-1]
+        im = np.cumsum(np.append(0.0, vi))[-1]
+        return complex(float(re), float(im))
+
+
 def evaluate_terms(terms, field) -> complex:
     """Sum of term values with batched field lookups."""
-    terms = list(terms)
-    if not terms:
-        return 0.0
-    pos_ix: dict = {}
-    queries = []
-    for t in terms:
-        for _, x in t.charges:
-            if x not in pos_ix:
-                pos_ix[x] = len(queries)
-                queries.append(x)
-    lin_ix: dict = {}
-    lin_queries: dict = {}
-    for t in terms:
-        for alpha, y in t.linfs:
-            if (alpha, y) not in lin_ix:
-                lin_ix[(alpha, y)] = True
-                lin_queries.setdefault(alpha, []).append(y)
-    phis = field.at(queries) if queries else np.zeros(0)
-    lin_vals: dict = {}
-    for alpha, ys in lin_queries.items():
-        vals = field.deriv_at(alpha, ys)
-        for y, v in zip(ys, vals):
-            lin_vals[(alpha, y)] = v
-    total = 0.0 + 0.0j
-    for t in terms:
-        val = t.coeff
-        if t.charges:
-            phase = sum(q * phis[pos_ix[x]] for q, x in t.charges)
-            val *= cmath.exp(1j * phase)
-        for alpha, y in t.linfs:
-            val *= lin_vals[(alpha, y)]
-        total += val
-    return total
+    return TermTable(terms).value(field)
 
 
 def scale_term(term: CloudTerm, L: int, d: int = 2) -> CloudTerm:

@@ -174,6 +174,32 @@ class TestMayer:
             assert abs(a - b) < 1e-18 + abs(b) * 1e-10
 
 
+class TestValueCache:
+    """CloudActivity.value evaluates through one cached TermTable per polymer."""
+
+    def test_replaced_term_list_is_reevaluated(self):
+        t = TorusSpec(2, 1)
+        fld = rfield(t, np.random.default_rng(12))
+        key = frozenset({(0, 0)})
+        old = [CloudTerm(0.4, ((1, (0.0, 0.0)),)), CloudTerm(0.1)]
+        new = [CloudTerm(-0.3, ((-1, (1.0, 0.5)),))]
+        K = CloudActivity(t, {key: old})
+        p = Polymer(key)
+        assert repr(K.value(p, fld)) == repr(evaluate_terms(old, fld))
+        K.data[key] = new
+        assert repr(K.value(p, fld)) == repr(evaluate_terms(new, fld))
+        del K.data[key]
+        assert K.value(p, fld) == 0.0
+
+    def test_evaluation_keeps_equality_and_repr(self):
+        t = TorusSpec(2, 1)
+        data = {frozenset({(0, 0)}): [CloudTerm(0.4, ((1, (0.0, 0.0)),))]}
+        a, b = CloudActivity(t, dict(data)), CloudActivity(t, dict(data))
+        a.value(Polymer(frozenset({(0, 0)})), rfield(t, np.random.default_rng(13)))
+        assert a == b
+        assert repr(a) == repr(b)
+
+
 class TestPotential:
     def test_value_at_zero_field(self):
         t = TorusSpec(2, 1)

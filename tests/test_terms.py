@@ -1,0 +1,189 @@
+"""Exactness of compiled term-list evaluation (``terms.TermTable``).
+
+``reference_evaluate_terms`` is the scalar per-term loop that ``TermTable``
+replaces.  The table must reproduce it bit for bit, so every comparison is
+``==`` on ``repr``, never ``approx``.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from sgrg.activities import CloudActivity, mayer_init_cloud
+from sgrg.covariance import CovarianceKernel
+from sgrg.fields import gaussian_ensemble, random_band_limited, scale_field
+from sgrg.lattice import TorusSpec
+from sgrg.rgmap import build_extraction_activity, extraction_coefficients
+from sgrg.terms import (
+    CloudTerm,
+    CovAccess,
+    TermTable,
+    convolve_terms,
+    evaluate_terms,
+    translate_term,
+)
+
+
+def reference_evaluate_terms(terms, field) -> complex:
+    """Sum of term values with batched field lookups (the per-term loop)."""
+    terms = list(terms)
+    if not terms:
+        return 0.0
+    pos_ix: dict = {}
+    queries = []
+    for t in terms:
+        for _, x in t.charges:
+            if x not in pos_ix:
+                pos_ix[x] = len(queries)
+                queries.append(x)
+    lin_ix: dict = {}
+    lin_queries: dict = {}
+    for t in terms:
+        for alpha, y in t.linfs:
+            if (alpha, y) not in lin_ix:
+                lin_ix[(alpha, y)] = True
+                lin_queries.setdefault(alpha, []).append(y)
+    phis = field.at(queries) if queries else np.zeros(0)
+    lin_vals: dict = {}
+    for alpha, ys in lin_queries.items():
+        vals = field.deriv_at(alpha, ys)
+        for y, v in zip(ys, vals):
+            lin_vals[(alpha, y)] = v
+    total = 0.0 + 0.0j
+    for t in terms:
+        val = t.coeff
+        if t.charges:
+            phase = sum(q * phis[pos_ix[x]] for q, x in t.charges)
+            val *= cmath.exp(1j * phase)
+        for alpha, y in t.linfs:
+            val *= lin_vals[(alpha, y)]
+        total += val
+    return total
+
+
+def assert_same(terms, field):
+    """The table's value equals the reference bit for bit, as a Python complex."""
+    ref = reference_evaluate_terms(terms, field)
+    got = TermTable(terms).value(field)
+    if isinstance(ref, complex):
+        # the loop returns numpy's complex128 once a numpy coefficient joins the sum
+        assert type(got) is complex
+        ref = complex(ref)
+    assert repr(got) == repr(ref)
+    return got
+
+
+class RecordingField:
+    """Delegates to a field and records every lookup with its points."""
+
+    def __init__(self, field):
+        self.field, self.calls = field, []
+
+    def at(self, points):
+        self.calls.append(("at", np.asarray(points, dtype=float).tolist()))
+        return self.field.at(points)
+
+    def deriv_at(self, alpha, points):
+        self.calls.append(("deriv_at", alpha, np.asarray(points, dtype=float).tolist()))
+        return self.field.deriv_at(alpha, points)
+
+
+@pytest.fixture(scope="module")
+def oracle_setup():
+    """The oracle's K0, k_sharp and F, with fine fields and scaled coarse fields."""
+    beta, zeta, torus = 10.0, 0.05, TorusSpec(2, 1)
+    K0 = mayer_init_cloud(zeta, torus, n_q=1, order=6, max_size=torus.n_blocks, side_cap=2)
+    cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=torus), scale=beta)
+    k_sharp = CloudActivity(
+        torus, {k: convolve_terms(ts, cov) for k, ts in K0.data.items()}, K0.flags
+    )
+    coeffs = extraction_coefficients(k_sharp, "ir", beta, enforce=False)
+    F = build_extraction_activity(coeffs, k_sharp, n_q=1)
+    fine = gaussian_ensemble(CovarianceKernel("full", sigma=0.0, torus=torus),
+                             torus, 8, seed=3, scale=beta).sample(5)
+    coarse = torus.coarse()
+    ens_c = gaussian_ensemble(CovarianceKernel("full", sigma=coeffs.dsigma, torus=coarse),
+                              coarse, 8, seed=4, scale=beta)
+    psis = [scale_field(f, torus.L) for f in ens_c.sample(5)]
+    return {"K0": K0, "k_sharp": k_sharp, "F": F}, fine, psis
+
+
+class TestTermTable:
+    @pytest.mark.parametrize("name", ["K0", "k_sharp", "F"])
+    def test_oracle_polymers_at_sampled_fields(self, oracle_setup, name):
+        acts, fine, psis = oracle_setup
+        K = acts[name]
+        assert K.data
+        for fld in fine + psis:
+            for ts in K.data.values():
+                assert_same(ts, fld)
+
+    def test_off_grid_positions_at_scaled_fields(self, oracle_setup):
+        # shifted off the field nodes, every lookup takes FieldGrid.at's
+        # trigonometric interpolation branch
+        acts, _, psis = oracle_setup
+        shift = (0.3, 0.15)
+        for ts in acts["k_sharp"].data.values():
+            moved = [translate_term(t, shift) for t in ts]
+            pts = np.array([x for t in moved for _, x in t.charges]) * psis[0].n_g
+            assert np.all(np.abs(pts - np.rint(pts)) > 1e-9)
+            for psi in psis:
+                assert_same(moved, psi)
+
+    def test_coefficient_kinds_and_factor_mixes(self):
+        t = TorusSpec(2, 1)
+        rng = np.random.default_rng(5)
+        ex, ey, exx = (1, 0), (0, 1), (2, 0)
+        terms = [
+            CloudTerm(0.3, ((1, (0.0, 0.25)), (-1, (1.3, 0.55)))),
+            CloudTerm(complex(-0.2, 0.7), ((2, (0.5, 0.5)),)),
+            CloudTerm(np.complex128(0.1 - 0.4j), ((-1, (0.0, 0.25)),)),
+            CloudTerm(0.125),
+            CloudTerm(complex(0.0, -1.5)),
+            CloudTerm(0.6, (), ((ex, (0.3, 0.7)), (ey, (0.5, 0.25)))),
+            CloudTerm(np.complex128(-0.3 + 0.2j), (), ((exx, (1.0, 1.0)), (ey, (0.0, 0.0)))),
+            CloudTerm(complex(0.2, 0.1), (), ((ey, (0.5, 0.25)),)),
+            CloudTerm(-0.4, ((1, (1.0, 0.5)),), ((ex, (0.0, 0.0)),)),
+        ]
+        for _ in range(5):
+            fld = random_band_limited(t, 8, rng, amplitude=0.8, k_max=2)
+            assert_same(terms, fld)
+            assert_same(terms[3:5], fld)  # uncharged constants only
+            assert_same(terms[5:8], fld)  # linear factors, mixed alpha, no charges
+            assert_same(terms[::-1], fld)  # first-seen query order changes
+
+    def test_same_field_lookups(self, oracle_setup):
+        # one FieldGrid.at call and one deriv_at call per alpha, on the same points
+        acts, fine, _ = oracle_setup
+        terms = [t for ts in acts["F"].data.values() for t in ts]
+        terms += [t for ts in acts["K0"].data.values() for t in ts][:50]
+        terms.reverse()  # first-seen order is then not the sorted order
+        logs = []
+        for evaluate in (reference_evaluate_terms, evaluate_terms):
+            log = RecordingField(fine[0])
+            evaluate(terms, log)
+            logs.append(log.calls)
+        assert logs[0] == logs[1]
+        alphas = [c[1] for c in logs[0][1:]]
+        assert logs[0][0][0] == "at" and len(alphas) == len(set(alphas)) > 1
+
+    def test_empty_list_and_generator(self):
+        t = TorusSpec(2, 1)
+        fld = random_band_limited(t, 8, np.random.default_rng(6), amplitude=0.8, k_max=2)
+        assert repr(TermTable([]).value(fld)) == repr(reference_evaluate_terms([], fld)) == "0.0"
+        assert repr(evaluate_terms(iter([]), fld)) == "0.0"
+        terms = [CloudTerm(0.5, ((1, (0.25, 0.0)),)), CloudTerm(0.25, ((-1, (0.0, 0.75)),))]
+        want = reference_evaluate_terms(terms, fld)
+        assert repr(evaluate_terms((t for t in terms), fld)) == repr(want)
+
+    def test_cancelling_sum_is_sequential(self):
+        # pairwise and sequential summation disagree on these magnitudes
+        t = TorusSpec(2, 1)
+        fld = random_band_limited(t, 8, np.random.default_rng(8), amplitude=0.8, k_max=2)
+        rng = np.random.default_rng(9)
+        terms = [CloudTerm(float(c)) for c in rng.normal(size=300) * 10.0 ** rng.integers(-8, 9, 300)]
+        pairwise = float(np.sum([t.coeff for t in terms]))
+        got = assert_same(terms, fld)
+        assert math.isfinite(got.real) and got.real != pairwise
