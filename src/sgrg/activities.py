@@ -14,6 +14,9 @@ Functional):
                             two gradient factors per term; the desk-scale
                             flow representation.
 
+The two term representations share one algebra, ``TermActivity``: map,
+filter, scale and add-with-factor over their per-key term lists.
+
 The polymer exponential sums over collections of region-disjoint polymers
 (closed squares pairwise non-touching); the Mayer expansion of
 exp(zeta sum_D V(D)) then produces exactly one collection per block subset,
@@ -68,8 +71,44 @@ class FunctionalActivity:
         return self.fn(p, fld)
 
 
+class TermActivity:
+    """The term algebra shared by ``CloudActivity`` and ``TruncatedActivity``.
+
+    A subclass keeps its per-key term lists in the dataclass field named by
+    ``STORE``: polymer block sets for clouds, shape keys for truncated
+    activities.  Every operation returns a new activity of the same class
+    and keeps the key order and term order of its inputs (activity norms sum
+    in that order); keys left without terms are dropped.
+    """
+
+    STORE = ""
+
+    def map(self, fn):
+        """fn(key, terms) -> new terms, per key."""
+        out = {}
+        for k, ts in getattr(self, self.STORE).items():
+            new = fn(k, ts)
+            if new:
+                out[k] = new
+        return replace(self, **{self.STORE: out})
+
+    def filter(self, keep):
+        """The terms t of key k with keep(k, t)."""
+        return self.map(lambda k, ts: [t for t in ts if keep(k, t)])
+
+    def scale(self, z: complex):
+        return self.map(lambda k, ts: [t.scaled(z) for t in ts])
+
+    def add(self, other, z: complex):
+        """self + z * other; keys only in self keep their term lists as they are."""
+        out = dict(getattr(self, self.STORE))
+        for k, ts in getattr(other, other.STORE).items():
+            out[k] = canon(list(out.get(k, [])) + [t.scaled(z) for t in ts])
+        return replace(self, **{self.STORE: {k: v for k, v in out.items() if v}})
+
+
 @dataclass
-class CloudActivity:
+class CloudActivity(TermActivity):
     """Charge-cloud terms per polymer (keyed by the block frozenset)."""
 
     torus: TorusSpec
@@ -77,6 +116,8 @@ class CloudActivity:
     flags: ActivityFlags = ActivityFlags()
     # polymer key -> (the term list, its TermTable)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    STORE = "data"
 
     def support(self):
         return [Polymer(k) for k in sorted(self.data, key=lambda fs: sorted(fs))]
@@ -91,29 +132,9 @@ class CloudActivity:
             hit = self._tables[p.blocks] = (ts, TermTable(ts))
         return hit[1].value(fld)
 
-    def map_terms(self, fn) -> "CloudActivity":
-        out = {}
-        for k, ts in self.data.items():
-            new = fn(Polymer(k), ts)
-            if new:
-                out[k] = new
-        return CloudActivity(self.torus, out, self.flags)
-
-    def scale_coeffs(self, z: complex) -> "CloudActivity":
-        return self.map_terms(lambda p, ts: [t.scaled(z) for t in ts])
-
-    def add(self, other: "CloudActivity") -> "CloudActivity":
-        out = dict(self.data)
-        for k, ts in other.data.items():
-            out[k] = canon(list(out.get(k, [])) + list(ts))
-        return CloudActivity(self.torus, {k: v for k, v in out.items() if v}, self.flags)
-
-    def prune(self, drop_tol: float) -> "CloudActivity":
-        return self.map_terms(lambda p, ts: canon(ts, drop_tol=drop_tol))
-
 
 @dataclass
-class TruncatedActivity:
+class TruncatedActivity(TermActivity):
     """Translation-invariant activity: terms per small-polymer shape.
 
     Shape keys are the canonical block tuples of ``Polymer.shape_key``;
@@ -127,22 +148,7 @@ class TruncatedActivity:
     q_max: int = 3
     max_linfs: int = 2
 
-    def shape_terms(self, key):
-        return self.shapes.get(key, [])
-
-    def support_shapes(self):
-        return [Polymer(frozenset(k)) for k in sorted(self.shapes)]
-
-    def as_cloud_at(self, key, shift) -> list:
-        return [tm.translate_term(t, shift) for t in self.shapes[key]]
-
-    def map_shapes(self, fn) -> "TruncatedActivity":
-        out = {}
-        for k, ts in self.shapes.items():
-            new = fn(k, ts)
-            if new:
-                out[k] = new
-        return TruncatedActivity(self.torus, out, self.flags, self.q_max, self.max_linfs)
+    STORE = "shapes"
 
 
 def taylorize_neutral(term: CloudTerm) -> list[CloudTerm]:
@@ -351,7 +357,10 @@ def polymer_exp(K, region: Polymer, fld, torus: TorusSpec | None = None) -> comp
 
 def _collection_sum(vals: dict, region: Polymer, torus: TorusSpec) -> complex:
     by_block: dict = {}
+    halos, distinct = {}, {}  # one halo object per distinct halo keeps memory flat
     for blocks in vals:
+        h = halo(Polymer(blocks), torus)
+        halos[blocks] = distinct.setdefault(h, h)
         for b in blocks:
             by_block.setdefault(b, []).append(blocks)
     order = {b: i for i, b in enumerate(sorted(region.blocks))}
@@ -367,8 +376,7 @@ def _collection_sum(vals: dict, region: Polymer, torus: TorusSpec) -> complex:
         total = rec(avail - {b})  # b belongs to no polymer
         for blocks in by_block.get(b, ()):
             if blocks <= avail:
-                p = Polymer(blocks)
-                total += vals[blocks] * rec(avail - halo(p, torus))
+                total += vals[blocks] * rec(avail - halos[blocks])
             # polymers containing b but not inside avail are excluded
         memo[avail] = total
         return total
@@ -577,10 +585,8 @@ def charge_component(K, q: int, n_phi: int | None = None):
     quadrature with 2Q+1 nodes, exact when all total charges are <= Q in
     magnitude; requires the periodicity flag.
     """
-    if isinstance(K, CloudActivity):
-        return K.map_terms(lambda p, ts: [t for t in ts if t.total_charge == q])
-    if isinstance(K, TruncatedActivity):
-        return K.map_shapes(lambda k, ts: [t for t in ts if t.total_charge == q])
+    if isinstance(K, TermActivity):
+        return K.filter(lambda k, t: t.total_charge == q)
     if isinstance(K, FunctionalActivity):
         if not K.flags.periodic:
             raise ValueError("charge decomposition needs a 2 pi periodic activity")

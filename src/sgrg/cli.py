@@ -296,13 +296,13 @@ def cmd_identities(args) -> int:
 
 
 def cmd_flow(args, mode: str) -> int:
-    from .flow import FlowConfig, contraction_report, ir_flow, uv_flow
+    from .flow import FlowConfig, contraction_report, run_flow
 
     out = _out_dir(args)
     kwargs = dict(
         mode=mode, beta=args.beta, zeta=args.zeta, L=args.L, steps=args.steps,
-        h=args.h, kappa=args.kappa, q_max=args.q_max, seed=args.seed,
-        n_q=args.n_q, h_mode=args.h_mode,
+        h=args.h, kappa=args.kappa, q_max=args.q_max, n_q=args.n_q,
+        h_mode=args.h_mode,
     )
     if mode == "ir":
         kwargs["M"] = args.M
@@ -315,7 +315,7 @@ def cmd_flow(args, mode: str) -> int:
     config = FlowConfig(**kwargs)
     for w in config.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    traj = ir_flow(config) if mode == "ir" else uv_flow(config)
+    traj = run_flow(config)
     overrides: dict = {}
     for d in traj.diagnostics:
         failed = d["hypotheses"].get("failed", [])
@@ -467,7 +467,6 @@ def build_parser():
         p.add_argument("--kappa", type=float, default=1e-3)
         p.add_argument("--q-max", type=int, default=3)
         p.add_argument("--n-q", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out")
         p.set_defaults(func=lambda a, m=mode: cmd_flow(a, m))
 

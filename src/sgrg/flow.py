@@ -1,5 +1,6 @@
-"""IR and UV flow drivers with energy and field-strength bookkeeping.
+"""The flow driver, ``run_flow``, with energy and field-strength bookkeeping.
 
+One step loop serves both regimes; a mode policy supplies what differs.
 The IR flow (beta > 8 pi) iterates the composed step on the shrinking tori
 Lambda_{M-j}, feeding the field-strength extraction dsigma back into the
 Gaussian measure and accumulating the energy
@@ -28,7 +29,6 @@ import numpy as np
 
 from .activities import (
     NormParams,
-    TruncatedActivity,
     activity_norm,
     mayer_init_cloud,
     mayer_init_truncated,
@@ -46,7 +46,6 @@ from .rgmap import (
     build_extraction_activity,
     rg_step,
 )
-from .terms import canon
 
 SIGMA_CAP = 0.1
 
@@ -93,7 +92,6 @@ class FlowConfig:
     n_tree_max: int = 2
     pair_window: int = 2
     gamma_p: int | None = None  # None: pick p so the per-block budget is ~2
-    seed: int = 0
     override_hypotheses: bool = True
 
     def __post_init__(self):
@@ -281,62 +279,7 @@ def _multipliers(diag: dict) -> dict:
     }
 
 
-# -- IR flow --------------------------------------------------------------------------
-
-
-def ir_flow(config: FlowConfig) -> FlowTrajectory:
-    """Iterate the step with the gradient extraction; sigma and E accumulate."""
-    if config.mode != "ir":
-        raise ValueError("ir_flow needs an IR config")
-    torus = TorusSpec(config.L, config.M)
-    K = mayer_init_truncated(
-        complex(config.zeta).real, torus, order=config.mayer_order,
-        max_size=config.mayer_max_size, q_max=config.q_max, n_q=config.n_q,
-    )
-    sigma = 0.0
-    energy = 0.0
-    states = [FlowState(j=0, sigma=sigma, energy=energy)]
-    states[0].log_norm = activity_norm(K, _norm_params(config, torus, 0)).log_value
-    diagnostics = []
-    c_star = _flow_star_norm(config, torus)
-    for step in range(config.steps):
-        j = step
-        params = _step_params(config, torus, sigma, j, "ir", c_star=c_star)
-        K_new, coeffs, diag = rg_step(K, params)
-        mults = _multipliers(diag)
-        dE = coeffs.dE
-        dsig = coeffs.dsigma + coeffs.dsigma2
-        coarse = torus.coarse()
-        tr = trlog_T(coarse, sigma, dsig)
-        energy = (
-            energy + dE * torus.volume + coeffs.dE2 * coarse.volume - 0.5 * tr
-        )
-        sigma = sigma + dsig
-        if abs(sigma) > SIGMA_CAP:
-            raise RuntimeError(f"sigma left the allowed window: {sigma}")
-        torus = coarse
-        K = K_new
-        log_norm = activity_norm(K, _norm_params(config, torus, j + 1)).log_value
-        st = FlowState(
-            j=j + 1, sigma=sigma, energy=energy, dE=dE, dsigma=dsig,
-            log_norm=log_norm,
-            ratio=math.exp(log_norm - states[-1].log_norm)
-            if states[-1].log_norm > -math.inf
-            else float("nan"),
-            charged_multiplier=mults["charged"],
-            large_multiplier=mults["large"],
-            higher_share=mults["higher"],
-            clipped_log_norm=diag.get("clipped_log_norm", -math.inf),
-        )
-        states.append(st)
-        diagnostics.append(
-            {"j": j, "hypotheses": diag.get("hypotheses", {}),
-             "dropped_terms": diag.get("dropped_terms", 0)}
-        )
-    return FlowTrajectory(config=config, states=states, diagnostics=diagnostics)
-
-
-# -- UV flow --------------------------------------------------------------------------
+# -- the flow driver ------------------------------------------------------------------
 
 
 def uv_zeta_schedule(config: FlowConfig) -> list[complex]:
@@ -361,55 +304,78 @@ def uv_multiplier(config: FlowConfig, j: int) -> float:
     return config.L**2 * math.exp(-config.beta * c0 / 2.0)
 
 
-def _subtract_v(K: TruncatedActivity, zeta_j: complex, n_q: int) -> TruncatedActivity:
-    V = v_activity(K.torus, n_q=n_q, trans_invariant=True)
-    negV = V.map_shapes(lambda k, ts: [t.scaled(-zeta_j) for t in ts])
-    out = dict(K.shapes)
-    for k, ts in negV.shapes.items():
-        out[k] = canon(list(out.get(k, [])) + list(ts))
-    return TruncatedActivity(K.torus, {k: v for k, v in out.items() if v},
-                             K.flags, K.q_max, K.max_linfs)
+@dataclass(frozen=True)
+class _FlowMode:
+    """What the IR and UV flows do differently; the step loop is shared.
+
+    IR: the gradient preset, j = 0, 1, .. from Lambda_M, and sigma feedback
+    (dsigma enters the next measure, -(1/2) tr log(1 + dsigma T) the energy).
+    UV: the constants-only preset, j = -N, .. from Lambda_N with sigma = 0,
+    and the split K_j = zeta_j V + Ktilde_j along the zeta schedule.
+    """
+
+    preset: str
+    start: object  # config -> (first j, exponent of the first torus)
+    sigma_feedback: bool
+    zeta_schedule: object = None  # config -> [zeta_j], when K_j = zeta_j V + Ktilde_j
 
 
-def uv_flow(config: FlowConfig) -> FlowTrajectory:
-    """Iterate with constants-only extraction, tracking K_j = zeta_j V + Ktilde_j."""
-    if config.mode != "uv":
-        raise ValueError("uv_flow needs a UV config")
-    zetas = uv_zeta_schedule(config)
-    torus = TorusSpec(config.L, config.N)
-    zeta_init = zetas[0]
+_MODES = {
+    "ir": _FlowMode("ir", lambda c: (0, c.M), sigma_feedback=True),
+    "uv": _FlowMode("uv", lambda c: (-c.N, c.N), sigma_feedback=False,
+                    zeta_schedule=uv_zeta_schedule),
+}
+
+
+def run_flow(config: FlowConfig) -> FlowTrajectory:
+    """Iterate the composed step from the Mayer activity, accumulating the
+    energy (and, in IR mode, sigma); ``config.mode`` picks the mode."""
+    mode = _MODES[config.mode]
+    j0, exponent = mode.start(config)
+    torus = TorusSpec(config.L, exponent)
+    zetas = mode.zeta_schedule(config) if mode.zeta_schedule else None
     K = mayer_init_truncated(
-        zeta_init, torus, order=config.mayer_order,
-        max_size=config.mayer_max_size, q_max=config.q_max, n_q=config.n_q,
+        zetas[0] if zetas else complex(config.zeta).real, torus,
+        order=config.mayer_order, max_size=config.mayer_max_size,
+        q_max=config.q_max, n_q=config.n_q,
     )
+
+    def norms(K, torus, j, zeta_j):
+        """log ||K|| and, tracking zeta, log ||K - zeta_j V||."""
+        np_j = _norm_params(config, torus, j)
+        if zetas is None:
+            return activity_norm(K, np_j).log_value, -math.inf
+        V = v_activity(K.torus, n_q=config.n_q, trans_invariant=True)
+        return (activity_norm(K, np_j).log_value,
+                activity_norm(K.add(V, -zeta_j), np_j).log_value)
+
+    sigma = 0.0
     energy = 0.0
-    states = []
-    st0 = FlowState(j=-config.N, sigma=0.0, energy=0.0, zeta_j=zeta_init)
-    np0 = _norm_params(config, torus, -config.N)
-    st0.log_norm = activity_norm(K, np0).log_value
-    st0.log_norm_tilde = activity_norm(
-        _subtract_v(K, zeta_init, config.n_q), np0
-    ).log_value
-    states.append(st0)
+    zeta_j = zetas[0] if zetas else 0.0
+    log_norm, log_tilde = norms(K, torus, j0, zeta_j)
+    states = [FlowState(j=j0, sigma=sigma, energy=energy, zeta_j=zeta_j,
+                        log_norm=log_norm, log_norm_tilde=log_tilde)]
     diagnostics = []
     c_star = _flow_star_norm(config, torus)
     for step in range(config.steps):
-        j = -config.N + step
-        params = _step_params(config, torus, 0.0, j, "uv", c_star=c_star)
-        K_new, coeffs, diag = rg_step(K, params)
+        j = j0 + step
+        params = _step_params(config, torus, sigma, j, mode.preset, c_star=c_star)
+        K, coeffs, diag = rg_step(K, params)
         mults = _multipliers(diag)
-        dE = coeffs.dE
-        energy = energy + dE * torus.volume + coeffs.dE2 * torus.coarse().volume
-        zeta_next = zetas[step + 1]
-        torus = torus.coarse()
-        K = K_new
-        np_j = _norm_params(config, torus, j + 1)
-        log_norm = activity_norm(K, np_j).log_value
-        ktilde = _subtract_v(K, zeta_next, config.n_q)
-        log_tilde = activity_norm(ktilde, np_j).log_value
-        st = FlowState(
-            j=j + 1, sigma=0.0, energy=energy, dE=dE, zeta_j=zeta_next,
-            log_norm=log_norm, log_norm_tilde=log_tilde,
+        dsig = coeffs.dsigma + coeffs.dsigma2
+        coarse = torus.coarse()
+        energy = energy + coeffs.dE * torus.volume + coeffs.dE2 * coarse.volume
+        if mode.sigma_feedback:
+            energy = energy - 0.5 * trlog_T(coarse, sigma, dsig)
+            sigma = sigma + dsig
+            if abs(sigma) > SIGMA_CAP:
+                raise RuntimeError(f"sigma left the allowed window: {sigma}")
+        torus = coarse
+        zeta_j = zetas[step + 1] if zetas else 0.0
+        log_norm, log_tilde = norms(K, torus, j + 1, zeta_j)
+        states.append(FlowState(
+            j=j + 1, sigma=sigma, energy=energy, dE=coeffs.dE, dsigma=dsig,
+            zeta_j=zeta_j, log_norm=log_norm, log_norm_tilde=log_tilde,
             ratio=math.exp(log_norm - states[-1].log_norm)
             if states[-1].log_norm > -math.inf
             else float("nan"),
@@ -417,8 +383,7 @@ def uv_flow(config: FlowConfig) -> FlowTrajectory:
             large_multiplier=mults["large"],
             higher_share=mults["higher"],
             clipped_log_norm=diag.get("clipped_log_norm", -math.inf),
-        )
-        states.append(st)
+        ))
         diagnostics.append(
             {"j": j, "hypotheses": diag.get("hypotheses", {}),
              "dropped_terms": diag.get("dropped_terms", 0)}
@@ -543,16 +508,16 @@ def z_invariance_check(
         for B, c in plus.items():
             if B and B not in ktilde:
                 ktilde[B] = -c
+        gys = [(p.blocks, np.exp(-f_val[p.blocks]) - 1.0) for p in f_supp]
         total = 1.0
         for xb, kt in ktilde.items():
             if kt == 0.0:
                 continue
             # Y-subset DP: collections of distinct F polymers joined to X
             reach: dict = {xb: 1.0}
-            for p in f_supp:
-                gy = np.exp(-f_val[p.blocks]) - 1.0
+            for blocks, gy in gys:
                 for B, c in list(reach.items()):
-                    key = B | p.blocks
+                    key = B | blocks
                     reach[key] = reach.get(key, 0.0) + c * gy
             for B, c in reach.items():
                 total += (kt * c).real

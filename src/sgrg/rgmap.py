@@ -89,11 +89,7 @@ def shape_is_small(key) -> bool:
 
 def fluctuate_linear(K, cov: CovAccess):
     """mu_C * K per polymer (exact on clouds)."""
-    if isinstance(K, CloudActivity):
-        return K.map_terms(lambda p, ts: convolve_terms(ts, cov))
-    if isinstance(K, TruncatedActivity):
-        return K.map_shapes(lambda k, ts: convolve_terms(ts, cov))
-    raise TypeError("fluctuate_linear needs a cloud or truncated activity")
+    return K.map(lambda k, ts: convolve_terms(ts, cov))
 
 
 def _tree_sigma_structures(n_poly: int, tree):
@@ -609,7 +605,7 @@ def extraction_coefficients(K, preset: str, beta: float,
 def build_extraction_activity(coeffs: ExtractionCoefficients, K, n_q: int = 1):
     """F(X) = sum_{D in X} [alpha0 + quadratic gradient terms] as an activity."""
 
-    def shape_terms(key, blocks):
+    def key_terms(key, blocks):
         out = []
         size = len(blocks)
         a0 = coeffs.alpha0[key]
@@ -639,13 +635,13 @@ def build_extraction_activity(coeffs: ExtractionCoefficients, K, n_q: int = 1):
     if isinstance(K, TruncatedActivity):
         shapes = {}
         for key in coeffs.alpha0:
-            ts = shape_terms(key, list(key))
+            ts = key_terms(key, list(key))
             if ts:
                 shapes[key] = ts
         return TruncatedActivity(K.torus, shapes, K.flags, K.q_max, K.max_linfs)
     data = {}
     for key in coeffs.alpha0:
-        ts = shape_terms(key, sorted(key))
+        ts = key_terms(key, sorted(key))
         if ts:
             data[key] = ts
     return CloudActivity(K.torus, data, ActivityFlags(even=True, periodic=True, neutral=True))
@@ -653,16 +649,7 @@ def build_extraction_activity(coeffs: ExtractionCoefficients, K, n_q: int = 1):
 
 def extract_linear(K, F):
     """E_1(K, F) = K - F."""
-    if isinstance(K, CloudActivity):
-        return K.add(F.scale_coeffs(-1.0))
-    if isinstance(K, TruncatedActivity):
-        neg = F.map_shapes(lambda k, ts: [t.scaled(-1.0) for t in ts])
-        out = dict(K.shapes)
-        for k, ts in neg.shapes.items():
-            out[k] = canon(list(out.get(k, [])) + list(ts))
-        return TruncatedActivity(K.torus, {k: v for k, v in out.items() if v},
-                                 K.flags, K.q_max, K.max_linfs)
-    raise TypeError("extract_linear needs cloud or truncated activities")
+    return K.add(F, -1.0)
 
 
 def exp_f_minus_one_plus(F, target: Polymer, fld, torus: TorusSpec) -> complex:
@@ -778,71 +765,27 @@ def _valid_extraction_config(xs, ys, torus) -> bool:
     return _touch_connected(list(xs) + list(ys), torus)
 
 
-def extract_cloud(K, F, order: int = 3, n_y_max: int = 1, drop_tol: float = 0.0):
-    """Extraction on cloud/truncated activities with series-expanded e^{+-F}.
-
-    Keeps: Ktilde = K - (e^F-1)^+ (single-Y term plus touching pairs) and
-    the [one X, up to n_y_max touching Y] collections with e^{-F}-1 expanded
-    to ``order``.  Residual pieces are O(K F^2) and recorded by the caller.
-    """
-    if isinstance(K, TruncatedActivity):
-        return _extract_trunc(K, F, order, n_y_max, drop_tol)
-    if isinstance(K, CloudActivity):
-        return _extract_cloud_abs(K, F, order, n_y_max, drop_tol)
-    raise TypeError("extract_cloud needs cloud or truncated activities")
-
-
-def _series_exp_minus_one(ts, order: int, sign: float):
-    """Terms of e^{sign F(Y)} - 1 to the given order in F."""
+def _series_exp_minus_one(ts, order: int):
+    """Terms of e^{F(Y)} - 1 to the given order in F."""
     out = []
     power = [CloudTerm(1.0)]
     fact = 1.0
     for n in range(1, order + 1):
-        power = tm.multiply(power, [t.scaled(sign) for t in ts])
+        # the factor 1.0 is part of the arithmetic: it rewrites signed zeros
+        power = tm.multiply(power, [t.scaled(1.0) for t in ts])
         fact *= n
         out.extend(t.scaled(1.0 / fact) for t in power)
     return canon(out)
 
 
-def _extract_cloud_abs(K: CloudActivity, F: CloudActivity, order, n_y_max, drop_tol):
-    torus = K.torus
-    out: dict = {}
+def extract_cloud(K: TruncatedActivity, F: TruncatedActivity, order: int = 3,
+                  drop_tol: float = 0.0) -> TruncatedActivity:
+    """Truncated extraction: Ktilde = K - (e^F - 1) per shape, with e^F - 1
+    expanded to ``order``.
 
-    def add(blocks, ts):
-        if ts:
-            out[blocks] = canon(list(out.get(blocks, [])) + list(ts), drop_tol=drop_tol)
-
-    f_support = [p for p in F.support()]
-    # Ktilde on K's support and on touching unions of F polymers
-    ktilde: dict = {k: list(ts) for k, ts in K.data.items()}
-    for r in range(1, min(len(f_support), 2) + 1):
-        for combo in itertools.combinations(f_support, r):
-            if r > 1 and not _touch_connected(list(combo), torus):
-                continue
-            union = frozenset().union(*(p.blocks for p in combo))
-            prod = [CloudTerm(1.0)]
-            for y in combo:
-                prod = tm.multiply(prod, _series_exp_minus_one(F.terms(y), order, +1.0))
-            ktilde[union] = canon(ktilde.get(union, []) + [t.scaled(-1.0) for t in prod])
-    for blocks, ts in ktilde.items():
-        add(blocks, ts)
-    if n_y_max >= 1:
-        for xb, xts in ktilde.items():
-            xp = Polymer(xb)
-            for y in f_support:
-                if region_intersects(xp, y, torus):
-                    yts = _series_exp_minus_one(F.terms(y), order, -1.0)
-                    add(xb | y.blocks, tm.multiply(xts, yts))
-    return CloudActivity(torus, {k: v for k, v in out.items() if v}, K.flags)
-
-
-def _extract_trunc(K: TruncatedActivity, F: TruncatedActivity, order, n_y_max, drop_tol):
-    """Truncated extraction: Ktilde = K - (e^F - 1) per shape.
-
-    F is second order in the activity, so multi-Y clusters and X-Y
-    collections are at least third order; with ``n_y_max = 0`` they are
-    dropped (the flow default, recorded by the caller), with 1 the single
-    touching-Y collections are kept within a small window.
+    F is second order in the activity, so multi-Y clusters and the X-Y
+    collections are at least third order; they are dropped, and no record
+    of them is kept.
     """
     out: dict = {}
 
@@ -853,32 +796,7 @@ def _extract_trunc(K: TruncatedActivity, F: TruncatedActivity, order, n_y_max, d
     for key, ts in K.shapes.items():
         add(key, ts)
     for key, ts in F.shapes.items():
-        add(key, [t.scaled(-1.0) for t in _series_exp_minus_one(ts, order, +1.0)])
-    if n_y_max >= 1:
-        ktilde = {k: canon(v) for k, v in out.items()}
-        window = 2
-        for xkey, xts in ktilde.items():
-            xp = Polymer(frozenset(xkey))
-            for ykey, yts in F.shapes.items():
-                yp0 = Polymer(frozenset(ykey))
-                for ox in range(-window - 3, window + 4):
-                    for oy in range(-window - 3, window + 4):
-                        yp = yp0.translate((ox, oy))
-                        if _inf_region_disjoint(xp, yp):
-                            continue
-                        union = Polymer(xp.blocks | yp.blocks)
-                        if union.size > 2**K.torus.d + 2:
-                            continue
-                        e = [
-                            tm.translate_term(t, (ox, oy))
-                            for t in _series_exp_minus_one(yts, order, -1.0)
-                        ]
-                        prod = tm.multiply(xts, e)
-                        base = tuple(min(b[i] for b in union.blocks) for i in range(2))
-                        add(
-                            union.shape_key(),
-                            [tm.translate_term(t, (-base[0], -base[1])) for t in prod],
-                        )
+        add(key, [t.scaled(-1.0) for t in _series_exp_minus_one(ts, order)])
     result = {}
     for key, ts in out.items():
         kept, _ = truncate_cloud_terms(ts, K.q_max, K.max_linfs, drop_tol=drop_tol)
@@ -892,20 +810,10 @@ def _extract_trunc(K: TruncatedActivity, F: TruncatedActivity, order, n_y_max, d
 # ----------------------------------------------------------------------------
 
 
-def scale_linear(K, cache: dict | None = None):
+def scale_linear(K: TruncatedActivity, cache: dict | None = None) -> TruncatedActivity:
     """S_1 K(X) = sum over polymers with partition closure X of K(Y, phi_L);
     ``cache`` holds the truncated-term images of ``_scale_trunc``."""
-    if isinstance(K, CloudActivity):
-        coarse = K.torus.coarse()
-        out: dict = {}
-        for p in K.support():
-            cl = partition_closure(p, K.torus)
-            ts = [tm.scale_term(t, K.torus.L) for t in K.terms(p)]
-            out[cl.blocks] = canon(list(out.get(cl.blocks, [])) + ts)
-        return CloudActivity(coarse, {k: v for k, v in out.items() if v}, K.flags)
-    if isinstance(K, TruncatedActivity):
-        return _scale_trunc(K, cache)
-    raise TypeError("scale_linear needs cloud or truncated activities")
+    return _scale_trunc(K, cache)
 
 
 def scale_activity(K, n_cluster_max: int = 2, cache: dict | None = None):
@@ -1076,7 +984,6 @@ class RGStepParams:
     n_tree_max: int = 2
     n_nodes: int = 16
     extraction_order: int = 2
-    n_y_max: int = 0
     n_q: int = 1
     pair_window: int = 2
     clip_small: bool = False
@@ -1086,9 +993,6 @@ class RGStepParams:
     override_hypotheses: bool = True
     smallness: float = 0.1
     check_hypotheses: bool = True
-    cauchy_split: bool = False
-    cauchy_radius: float = 16.0
-    cauchy_nodes: int = 8
 
     def kernel(self):
         from .covariance import CovarianceKernel
@@ -1099,33 +1003,8 @@ class RGStepParams:
         return CovAccess(self.kernel(), scale=self.beta)
 
 
-def _norm_of(K, params: RGStepParams, p_shift: int = 0, h: float | None = None):
-    np_ = params.norm or NormParams.default(params.torus)
-    if p_shift:
-        np_ = np_.with_p(np_.gamma.p + p_shift)
-    if h is not None:
-        np_ = np_.with_h(h)
-    return activity_norm(K, np_)
-
-
-def _split_small_large(K):
-    if isinstance(K, TruncatedActivity):
-        small = K.map_shapes(lambda k, ts: ts if shape_is_small(k) else [])
-        large = K.map_shapes(lambda k, ts: [] if shape_is_small(k) else ts)
-        return small, large
-    small = K.map_terms(lambda p, ts: ts if is_small(p, K.torus) else [])
-    large = K.map_terms(lambda p, ts: [] if is_small(p, K.torus) else ts)
-    return small, large
-
-
-def _charged_part(K, unit_only: bool = False):
-    if unit_only:
-        keep = lambda t: abs(t.total_charge) == 1
-    else:
-        keep = lambda t: t.total_charge != 0
-    if isinstance(K, TruncatedActivity):
-        return K.map_shapes(lambda k, ts: [t for t in ts if keep(t)])
-    return K.map_terms(lambda p, ts: [t for t in ts if keep(t)])
+def _norm_of(K, params: RGStepParams):
+    return activity_norm(K, params.norm or NormParams.default(params.torus))
 
 
 K_SMALL_SUPERSETS = 509  # the k of f(X) = 40 k ||alpha(X)||, checked by hypothesis 4
@@ -1220,14 +1099,11 @@ def rg_step(K, params: RGStepParams):
     )
     F = build_extraction_activity(coeffs, k_sharp, n_q=params.n_q)
     k_star = extract_cloud(
-        k_sharp, F, order=params.extraction_order, n_y_max=params.n_y_max,
-        drop_tol=params.drop_tol,
+        k_sharp, F, order=params.extraction_order, drop_tol=params.drop_tol,
     )
     scaling: dict = {}  # scaling images, shared by this step's scalings
     k_new = scale_activity(k_star, cache=scaling)
-    diag["four_terms"] = four_term_split(
-        K, F, params, cov, k_new, k_star=k_star, cache=scaling
-    )
+    diag["four_terms"] = four_term_split(K, params, cov, k_new, k_star, cache=scaling)
     diag["dropped_terms"] = getattr(k_sharp, "dropped_terms", 0)
     if params.post_scale_extract:
         # second extraction on the coarse lattice: the scaling collapse
@@ -1241,8 +1117,7 @@ def rg_step(K, params: RGStepParams):
         )
         F2 = build_extraction_activity(coeffs2, k_new, n_q=params.n_q)
         k_new = extract_cloud(
-            k_new, F2, order=params.extraction_order, n_y_max=0,
-            drop_tol=params.drop_tol,
+            k_new, F2, order=params.extraction_order, drop_tol=params.drop_tol,
         )
         coeffs.dE2 = coeffs2.dE
         coeffs.dsigma2 = coeffs2.dsigma
@@ -1252,42 +1127,39 @@ def rg_step(K, params: RGStepParams):
     coeffs.f_stability = stability_constants(
         coeffs, (params.norm.h if params.norm else 1.0), params.delta_kappa
     )["f"]
-    if params.cauchy_split:
-        diag["cauchy"] = cauchy_higher_order(K, params)
     return k_new, coeffs, diag
 
 
 def clip_to_small(K: TruncatedActivity, params: RGStepParams):
     """Restrict the flow state to small shapes; the clipped norm is recorded."""
-    small, rest = _split_small_large(K)
+    small = K.filter(lambda k, t: shape_is_small(k))
+    rest = K.filter(lambda k, t: not shape_is_small(k))
     clipped_log = _norm_of(rest, params).log_value if rest.shapes else -math.inf
     return small, clipped_log
 
 
-def linearized_step(K, params: RGStepParams, cov: CovAccess | None = None,
-                    cache: dict | None = None, k1=None):
-    """R_1(K, F(K)) = S_1(F_1 K - F(F_1 K)); ``k1`` is F_1 K if already known."""
-    if k1 is None:
-        k1 = fluctuate_linear(K, cov or params.cov())
+def linearized_step(k1: TruncatedActivity, params: RGStepParams,
+                    cache: dict | None = None):
+    """R_1(K, F(K)) = S_1(F_1 K - F(F_1 K)) from k1 = F_1 K."""
     coeffs = extraction_coefficients(k1, params.preset, params.beta, enforce=False)
     F = build_extraction_activity(coeffs, k1, n_q=params.n_q)
     return scale_linear(extract_linear(k1, F), cache), coeffs
 
 
-def four_term_split(K, F, params: RGStepParams, cov: CovAccess, k_new,
-                    k_star=None, cache: dict | None = None) -> dict:
+def _unit_charge_small(key, t) -> bool:
+    return shape_is_small(key) and abs(t.total_charge) == 1
+
+
+def four_term_split(K: TruncatedActivity, params: RGStepParams, cov: CovAccess,
+                    k_new: TruncatedActivity, k_star: TruncatedActivity,
+                    cache: dict | None = None) -> dict:
     """Norms of the mechanisms the flow reads: higher order, large sets and
     unit-charge small sets (each linearized except the first).
 
     The large-set column is measured where large sets live: on the
-    extracted post-fluctuation state (tree terms populate it), falling
-    back to the input when no k_star is supplied."""
+    extracted post-fluctuation state k_star (tree terms populate it)."""
     out = {}
-    small, large = _split_small_large(K)
-    if k_star is not None:
-        _, large_star = _split_small_large(k_star)
-    else:
-        large_star = large
+    large_star = k_star.filter(lambda k, t: not shape_is_small(k))
     r1_large = scale_linear(large_star, cache)
     # the closure contraction lives in the full-amplitude regulator
     # Gamma(X) = A^{|X|} Theta(X); measure this column there
@@ -1304,87 +1176,14 @@ def four_term_split(K, F, params: RGStepParams, cov: CovAccess, k_new,
     # the unit-charge sector isolates the leading contraction mechanism;
     # convolution keeps each term's charge, so its image is a filter of F_1 K
     k1 = fluctuate_linear(K, cov)
-    unit = _charged_part(small, unit_only=True)
-    unit1 = _charged_part(_split_small_large(k1)[0], unit_only=True)
-    r1_unit = scale_linear(unit1, cache)
+    r1_unit = scale_linear(k1.filter(_unit_charge_small), cache)
     out["charged_small"] = {
-        "in": _norm_of(unit, params).log_value,
+        "in": _norm_of(K.filter(_unit_charge_small), params).log_value,
         "out": _norm_of(r1_unit, params).log_value,
     }
-    r1_full, _ = linearized_step(K, params, cache=cache, k1=k1)
-    higher = _difference(k_new, r1_full)
+    r1_full, _ = linearized_step(k1, params, cache=cache)
     out["higher_order"] = {
         "in": _norm_of(K, params).log_value,
-        "out": _norm_of(higher, params).log_value,
+        "out": _norm_of(k_new.add(r1_full, -1.0), params).log_value,
     }
     return out
-
-
-def _difference(A, B):
-    if isinstance(A, TruncatedActivity):
-        out = {k: list(ts) for k, ts in A.shapes.items()}
-        for k, ts in B.shapes.items():
-            out[k] = canon(list(out.get(k, [])) + [t.scaled(-1.0) for t in ts])
-        return TruncatedActivity(
-            A.torus, {k: v for k, v in out.items() if v}, A.flags, A.q_max, A.max_linfs
-        )
-    out = {k: list(ts) for k, ts in A.data.items()}
-    for k, ts in B.data.items():
-        out[k] = canon(list(out.get(k, [])) + [t.scaled(-1.0) for t in ts])
-    return CloudActivity(A.torus, {k: v for k, v in out.items() if v}, A.flags)
-
-
-def _scale_activity_coeffs(K, z: complex):
-    if isinstance(K, TruncatedActivity):
-        return K.map_shapes(lambda k, ts: [t.scaled(z) for t in ts])
-    return K.scale_coeffs(z)
-
-
-def cauchy_higher_order(K, params: RGStepParams) -> dict:
-    """Contour estimate of the higher-order part: R_{>=2} = (2 pi i)^{-1}
-    contour integral of R(sK, sF) / (s^2 (s-1)) at |s| = D, compared with
-    the direct difference R - R_1."""
-    D = params.cauchy_radius
-    n = params.cauchy_nodes
-    acts = []
-    weights = []
-    base = dict(params.__dict__)
-    for key in ("check_hypotheses", "cauchy_split"):
-        base[key] = False
-    quiet = RGStepParams(**base)
-    for k in range(n):
-        s = D * cmath.exp(2j * math.pi * k / n)
-        Ks = _scale_activity_coeffs(K, s)
-        k_new_s, _, _ = rg_step(Ks, quiet)
-        acts.append(k_new_s)
-        # (2 pi i)^{-1} contour of R(s)/(s^2(s-1)) discretizes to
-        # (1/n) sum_k R(s_k) / (s_k (s_k - 1))
-        weights.append(1.0 / (n * s * (s - 1.0)))
-    combo = _combine(acts, weights)
-    k_new, _, _ = rg_step(K, quiet)
-    r1, _ = linearized_step(K, quiet)
-    direct = _difference(k_new, r1)
-    resid = _difference(combo, direct)
-    return {
-        "contour_log_norm": _norm_of(combo, params).log_value,
-        "direct_log_norm": _norm_of(direct, params).log_value,
-        "residual_log_norm": _norm_of(resid, params).log_value,
-    }
-
-
-def _combine(acts, weights):
-    first = acts[0]
-    if isinstance(first, TruncatedActivity):
-        out: dict = {}
-        for act, w in zip(acts, weights):
-            for k, ts in act.shapes.items():
-                out[k] = canon(list(out.get(k, [])) + [t.scaled(w) for t in ts])
-        return TruncatedActivity(
-            first.torus, {k: v for k, v in out.items() if v}, first.flags,
-            first.q_max, first.max_linfs,
-        )
-    out = {}
-    for act, w in zip(acts, weights):
-        for k, ts in act.data.items():
-            out[k] = canon(list(out.get(k, [])) + [t.scaled(w) for t in ts])
-    return CloudActivity(first.torus, {k: v for k, v in out.items() if v}, first.flags)

@@ -73,13 +73,6 @@ class CloudTerm:
     def scaled(self, factor: complex) -> "CloudTerm":
         return CloudTerm(self.coeff * factor, self.charges, self.linfs)
 
-    def conjugated(self) -> "CloudTerm":
-        return CloudTerm(
-            self.coeff.conjugate(),
-            tuple((-q, x) for q, x in self.charges),
-            self.linfs,
-        )
-
     def flipped(self) -> "CloudTerm":
         """Term composed with phi -> -phi."""
         sign = (-1.0) ** sum(sum(a) for a, _ in self.linfs)

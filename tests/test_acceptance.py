@@ -36,8 +36,7 @@ from sgrg.fields import (
 )
 from sgrg.flow import (
     FlowConfig,
-    ir_flow,
-    uv_flow,
+    run_flow,
     uv_multiplier,
     uv_zeta_schedule,
     z_derivative_check,
@@ -293,7 +292,7 @@ class TestAcceptance:
 
     def test_ac6_ir_contraction(self):
         cfg = FlowConfig(mode="ir", beta=12 * math.pi, zeta=1e-3, L=8, M=7, steps=6)
-        traj = ir_flow(cfg)
+        traj = run_flow(cfg)
         ratios = [s.ratio for s in traj.states[1:]]
         assert all(r <= 0.25 for r in ratios), f"ratios {ratios}"
         ref = cfg.L ** (2.0 - cfg.beta / (4.0 * math.pi))
@@ -308,7 +307,7 @@ class TestAcceptance:
 
     def test_ac7_uv_second_order(self):
         cfg = FlowConfig(mode="uv", beta=4 * math.pi, zeta=1e-2, L=2, N=8, steps=8)
-        traj = uv_flow(cfg)
+        traj = run_flow(cfg)
         expo = 2.0 - 4.0 * cfg.eps
         c_tilde = 0.0
         c_de = 0.0

@@ -298,7 +298,7 @@ class TestNorms:
         t = TorusSpec(2, 2)
         zeta = 1e-3
         V = v_activity(t, n_q=1, trans_invariant=True)
-        K = V.map_shapes(lambda k, ts: [x.scaled(zeta) for x in ts])
+        K = V.scale(zeta)
         params = NormParams.default(t, h=1.5)
         res = activity_norm(K, params)
         assert res.value == pytest.approx(32.0 * zeta * math.exp(1.5), rel=1e-12)

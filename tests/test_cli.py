@@ -90,20 +90,20 @@ class TestFlows:
     def test_uv_flow_row_count_and_determinism(self, tmp_path, capsys):
         args = [
             "flow-uv", "--beta", "12.566", "--L", "2", "--N", "3",
-            "--zeta", "0.01", "--out", str(tmp_path), "--seed", "7",
+            "--zeta", "0.01", "--out", str(tmp_path),
         ]
         assert run_cli(args) == EXIT_OK
         first = (tmp_path / "flow_uv_trajectory.csv").read_bytes()
         assert run_cli(args) == EXIT_OK
         second = (tmp_path / "flow_uv_trajectory.csv").read_bytes()
-        assert first == second  # identical config + seed -> identical bytes
+        assert first == second  # the flow is deterministic: identical bytes
         rows = first.decode().strip().splitlines()
         assert len(rows) == 1 + 4  # header + N+1 states
 
     def test_overridden_hypotheses_are_reported(self, tmp_path, capsys):
         code = run_cli([
             "flow-uv", "--beta", "12.566", "--L", "2", "--N", "1", "--steps", "1",
-            "--zeta", "0.01", "--out", str(tmp_path), "--seed", "7",
+            "--zeta", "0.01", "--out", str(tmp_path),
         ])
         assert code == EXIT_OK  # overridden, so the run still passes
         err = capsys.readouterr().err
@@ -118,7 +118,7 @@ class TestFlows:
          "--zeta", "1e-3"],
     ], ids=["uv", "ir"])
     def test_hypothesis_margin_sign_matches_ok(self, tmp_path, capsys, args):
-        assert run_cli([*args, "--out", str(tmp_path), "--seed", "7"]) == EXIT_OK
+        assert run_cli([*args, "--out", str(tmp_path)]) == EXIT_OK
         (path,) = tmp_path.glob("flow_*_trajectory.json")
         checks = json.loads(path.read_text())["diagnostics"][0]["hypotheses"]
         names = [name for name in checks if name != "failed"]
@@ -132,7 +132,7 @@ class TestFlows:
     def test_plotdata_zeta_schedule(self, tmp_path, capsys):
         run_cli([
             "flow-uv", "--beta", str(4 * math.pi), "--L", "2", "--N", "3",
-            "--zeta", "0.01", "--out", str(tmp_path), "--seed", "7",
+            "--zeta", "0.01", "--out", str(tmp_path),
         ])
         code = run_cli([
             "plotdata", "--trajectory", str(tmp_path / "flow_uv_trajectory.json"),
@@ -146,7 +146,7 @@ class TestFlows:
     def test_plotdata_unknown_kind(self, tmp_path, capsys):
         run_cli([
             "flow-uv", "--beta", "12.0", "--L", "2", "--N", "2",
-            "--zeta", "0.01", "--out", str(tmp_path), "--seed", "7",
+            "--zeta", "0.01", "--out", str(tmp_path),
         ])
         code = run_cli([
             "plotdata", "--trajectory", str(tmp_path / "flow_uv_trajectory.json"),

@@ -11,10 +11,9 @@ from sgrg.flow import (
     contraction_report,
     h_schedule_ir,
     h_schedule_uv,
-    ir_flow,
     kappa_schedule_ir,
     partition_oracle,
-    uv_flow,
+    run_flow,
     uv_multiplier,
     uv_zeta_schedule,
     z_derivative_check,
@@ -85,14 +84,14 @@ class TestZetaSchedule:
 class TestFlowDrivers:
     def test_zero_coupling_ir(self):
         cfg = FlowConfig(mode="ir", beta=12 * math.pi, zeta=0.0, L=2, M=3, steps=2)
-        traj = ir_flow(cfg)
+        traj = run_flow(cfg)
         for s in traj.states:
             assert s.sigma == 0.0 and s.energy == 0.0 and s.dE == 0.0
             assert s.log_norm == -math.inf
 
     def test_small_ir_flow_runs(self):
         cfg = FlowConfig(mode="ir", beta=12 * math.pi, zeta=1e-3, L=2, M=3, steps=2)
-        traj = ir_flow(cfg)
+        traj = run_flow(cfg)
         assert len(traj.states) == 3
         assert abs(traj.states[-1].sigma) < 0.01
         rows = contraction_report(traj)
@@ -101,7 +100,7 @@ class TestFlowDrivers:
 
     def test_small_uv_flow_runs_and_tracks_split(self):
         cfg = FlowConfig(mode="uv", beta=4 * math.pi, zeta=1e-2, L=2, N=3, steps=3)
-        traj = uv_flow(cfg)
+        traj = run_flow(cfg)
         assert len(traj.states) == 4
         zs = uv_zeta_schedule(cfg)
         for s, z in zip(traj.states, zs):
@@ -111,7 +110,7 @@ class TestFlowDrivers:
 
     def test_uv_dE_second_order(self):
         cfg = FlowConfig(mode="uv", beta=4 * math.pi, zeta=1e-2, L=2, N=4, steps=4)
-        traj = uv_flow(cfg)
+        traj = run_flow(cfg)
         for s in traj.states[1:]:
             if s.dE != 0.0:
                 assert abs(s.dE) <= 10.0 * abs(s.zeta_j) ** 1.2
@@ -128,7 +127,7 @@ class TestFlowDrivers:
 
     def test_trajectory_persistence(self, tmp_path):
         cfg = FlowConfig(mode="uv", beta=4 * math.pi, zeta=1e-2, L=2, N=2, steps=2)
-        traj = uv_flow(cfg)
+        traj = run_flow(cfg)
         csv_path = tmp_path / "traj.csv"
         json_path = tmp_path / "traj.json"
         traj.write_csv(csv_path)
@@ -205,7 +204,7 @@ class TestUVSplitConsistency:
         from sgrg.activities import charge_component
 
         cfg = FlowConfig(mode="uv", beta=4 * math.pi, zeta=1e-2, L=2, N=3, steps=1)
-        traj = uv_flow(cfg)
+        traj = run_flow(cfg)
         # reconstruct the step to inspect the resulting activity
         from sgrg.activities import mayer_init_truncated
         from sgrg.flow import _step_params

@@ -27,14 +27,12 @@ from sgrg.rgmap import (
     RGStepParams,
     build_extraction_activity,
     charge_factors,
-    cauchy_higher_order,
     extract_cloud,
     extract_functional,
     extract_linear,
     extraction_coefficients,
     fluctuate,
     fluctuate_linear,
-    four_term_split,
     linearized_step,
     neutral_moments,
     rg_step,
@@ -466,17 +464,18 @@ class TestTreeTermReplay:
 class TestExtraction:
     def test_extract_zero_F_is_identity(self):
         t = TorusSpec(3, 1)
-        K = cloud_K(t, {((0, 0),): [CloudTerm(0.5, ((1, (0.0, 0.0)),))]})
-        F = cloud_K(t, {})
-        E = extract_cloud(K, F)
-        assert E.data.keys() == K.data.keys()
+        K = TruncatedActivity(t, {
+            ((0, 0),): [CloudTerm(0.5, ((1, (0.0, 0.0)),))],
+            ((0, 0), (0, 1)): tm.canon([CloudTerm(0.2), CloudTerm(-0.1j, ((-1, (0.0, 1.0)),))]),
+        })
+        E = extract_cloud(K, TruncatedActivity(t, {}))
+        assert repr(E.shapes) == repr(K.shapes)
 
     def test_extract_linear(self):
         t = TorusSpec(3, 1)
         K = cloud_K(t, {((0, 0),): [CloudTerm(0.5)]})
         F = cloud_K(t, {((0, 0),): [CloudTerm(0.2)], ((1, 1),): [CloudTerm(0.1)]})
         E1 = extract_linear(K, F)
-        vals = {k: evaluate_terms(ts, None) if False else ts for k, ts in E1.data.items()}
         assert E1.data[frozenset({(0, 0)})][0].coeff == pytest.approx(0.3)
         assert E1.data[frozenset({(1, 1)})][0].coeff == pytest.approx(-0.1)
 
@@ -685,11 +684,30 @@ class TestRGStep:
         params = RGStepParams(
             beta=4 * math.pi, torus=t, preset="uv",
             norm=NormParams.default(t, h=1.0),
-            check_hypotheses=False, cauchy_radius=32.0, cauchy_nodes=6,
+            check_hypotheses=False,
         )
-        out = cauchy_higher_order(K, params)
+        out = contour_higher_order(K, params, radius=32.0, nodes=6)
         # contour and direct higher-order parts agree well below their size
         assert out["residual_log_norm"] < out["direct_log_norm"] - math.log(1e3)
+
+
+def contour_higher_order(K, params, radius, nodes):
+    """Log norms of the step's higher-order part R - R_1, computed directly
+    and as the contour integral R_{>=2} = (2 pi i)^{-1} oint R(sK) / (s^2 (s - 1))
+    at |s| = radius, discretized to (1/n) sum_k R(s_k) / (s_k (s_k - 1))
+    on n nodes, and of their difference."""
+    contour = TruncatedActivity(K.torus.coarse(), {})
+    for k in range(nodes):
+        s = radius * cmath.exp(2j * math.pi * k / nodes)
+        k_new_s, _, _ = rg_step(K.scale(s), params)
+        contour = contour.add(k_new_s, 1.0 / (nodes * s * (s - 1.0)))
+    k_new, _, _ = rg_step(K, params)
+    r1, _ = linearized_step(fluctuate_linear(K, params.cov()), params)
+    direct = k_new.add(r1, -1.0)
+    return {
+        "direct_log_norm": activity_norm(direct, params.norm).log_value,
+        "residual_log_norm": activity_norm(contour.add(direct, -1.0), params.norm).log_value,
+    }
 
 
 class TestChargedSectorBound:
