@@ -215,6 +215,25 @@ def taylorize_neutral(term: CloudTerm) -> list[CloudTerm]:
     return out
 
 
+class _CoeffOps(tuple):
+    """Stand-in coefficient recording the products (factor, on_left) and
+    negations (None) done to it; ``apply`` replays them in order, bit-exact."""
+
+    def __mul__(self, f):
+        return _CoeffOps(self + ((f, False),))
+
+    def __rmul__(self, f):
+        return _CoeffOps(self + ((f, True),))
+
+    def __neg__(self):
+        return _CoeffOps(self + ((None, False),))
+
+    def apply(self, c):
+        for f, left in self:
+            c = -c if f is None else f * c if left else c * f
+        return c
+
+
 def collapse_term(term: CloudTerm, q_max: int, max_linfs: int,
                   neutral_taylor: bool = True):
     """Collapse to the truncated model; None when outside the truncation.
@@ -252,18 +271,35 @@ def collapse_term(term: CloudTerm, q_max: int, max_linfs: int,
     return tm._raw_term(term.coeff, charges, linfs)
 
 
+def _collapsed(memo: dict, key, q_max: int, max_linfs: int):
+    """``collapse_term`` of a term with this key, built once per memo: None
+    outside the model, else [(piece key, _CoeffOps)] (empty when every Taylor
+    piece of a neutral cloud falls outside).  The collapse multiplies the
+    coefficient through, so replaying the ops on it gives the term's bits.
+    A cache keeps the memo of (q_max, max_linfs) under that key."""
+    if key not in memo:
+        c = collapse_term(tm._raw_term(_CoeffOps(), *key), q_max, max_linfs)
+        memo[key] = None if c is None else [
+            (p.key(), p.coeff) for p in (c if isinstance(c, list) else [c])
+        ]
+    return memo[key]
+
+
 def truncate_cloud_terms(ts, q_max: int, max_linfs: int, drop_tol: float = 0.0,
-                         neutral_taylor: bool = True):
-    """(kept terms, dropped terms) after collapsing to the truncated model."""
+                         cache: dict | None = None):
+    """(kept terms, dropped terms) after collapsing to the truncated model.
+
+    Each key is collapsed once per ``cache`` (see ``_collapsed``); the pieces
+    are summed in the order of collapsing every term, then ``canon``."""
+    memo = ({} if cache is None else cache).setdefault((q_max, max_linfs), {})
     kept, dropped = [], []
     for t in ts:
-        c = collapse_term(t, q_max, max_linfs, neutral_taylor=neutral_taylor)
-        if c is None:
+        pieces = _collapsed(memo, t.key(), q_max, max_linfs)
+        if pieces is None:
             dropped.append(t)
-        elif isinstance(c, list):
-            kept.extend(c)
-        else:
-            kept.append(c)
+            continue
+        for piece_key, ops in pieces:
+            kept.append(tm._raw_term(ops.apply(t.coeff), *piece_key))
     return canon(kept, drop_tol=drop_tol), dropped
 
 

@@ -50,8 +50,9 @@ from .activities import (
     NormParams,
     TruncatedActivity,
     activity_norm,
+    _CoeffOps,
+    _collapsed,
     block_quadrature_nodes,
-    collapse_term,
     truncate_cloud_terms,
 )
 from .interpolation import (
@@ -261,13 +262,16 @@ def _s_integral_affine(paths, u, factors, m_bonds: int, n_nodes: int) -> complex
 
 
 def fluctuate(K, cov: CovAccess, n_max: int = 4, n_nodes: int = 24,
-              pair_window: int = 2, drop_tol: float = 0.0):
-    """The full cluster-expanded fluctuation map on cloud activities."""
+              pair_window: int = 2, drop_tol: float = 0.0,
+              cache: dict | None = None, linear: TruncatedActivity | None = None):
+    """The full cluster-expanded fluctuation map on cloud activities; on
+    truncated ones ``cache`` holds the collapse memo and ``linear`` is F_1 K,
+    ``fluctuate_linear(K, cov)``, if the caller has it."""
     if isinstance(K, CloudActivity):
         return _fluctuate_cloud(K, cov, n_max, n_nodes)
     if isinstance(K, TruncatedActivity):
         return _fluctuate_truncated(K, cov, n_max, n_nodes, pair_window,
-                                    drop_tol=drop_tol)
+                                    drop_tol=drop_tol, cache=cache, linear=linear)
     raise TypeError("fluctuate needs a cloud or truncated activity")
 
 
@@ -322,7 +326,8 @@ def _fluctuate_cloud(K: CloudActivity, cov: CovAccess, n_max: int, n_nodes: int)
 
 def _fluctuate_truncated(K: TruncatedActivity, cov: CovAccess, n_max: int,
                          n_nodes: int, pair_window: int,
-                         tree_shape_cap: int = 2, drop_tol: float = 0.0):
+                         tree_shape_cap: int = 2, drop_tol: float = 0.0,
+                         cache: dict | None = None, linear=None):
     """Linear convolution on every shape plus two-polymer tree terms.
 
     Tree terms are restricted to constituent shapes of at most
@@ -339,8 +344,10 @@ def _fluctuate_truncated(K: TruncatedActivity, cov: CovAccess, n_max: int,
         (abs(t.coeff) for ts in K.shapes.values() for t in ts), default=0.0
     )
     pair_floor = drop_tol * scale_max
-    for key, ts in K.shapes.items():
-        add(key, convolve_terms(ts, cov))
+    if linear is None:
+        linear = fluctuate_linear(K, cov)
+    for key, ts in linear.shapes.items():
+        add(key, ts)
     if n_max >= 2:
         shapes = [k for k in sorted(K.shapes) if len(k) <= tree_shape_cap]
         for i1, k1 in enumerate(shapes):
@@ -384,7 +391,7 @@ def _fluctuate_truncated(K: TruncatedActivity, cov: CovAccess, n_max: int,
     result = {}
     dropped_mass = 0
     for key, ts in out.items():
-        kept, dropped = truncate_cloud_terms(ts, K.q_max, K.max_linfs, drop_tol=drop_tol)
+        kept, dropped = truncate_cloud_terms(ts, K.q_max, K.max_linfs, drop_tol, cache)
         if kept:
             result[key] = kept
         dropped_mass += len(dropped)
@@ -779,13 +786,13 @@ def _series_exp_minus_one(ts, order: int):
 
 
 def extract_cloud(K: TruncatedActivity, F: TruncatedActivity, order: int = 3,
-                  drop_tol: float = 0.0) -> TruncatedActivity:
+                  drop_tol: float = 0.0, cache: dict | None = None) -> TruncatedActivity:
     """Truncated extraction: Ktilde = K - (e^F - 1) per shape, with e^F - 1
     expanded to ``order``.
 
     F is second order in the activity, so multi-Y clusters and the X-Y
     collections are at least third order; they are dropped, and no record
-    of them is kept.
+    of them is kept.  ``cache`` holds the collapse memo of the truncation.
     """
     out: dict = {}
 
@@ -799,7 +806,7 @@ def extract_cloud(K: TruncatedActivity, F: TruncatedActivity, order: int = 3,
         add(key, [t.scaled(-1.0) for t in _series_exp_minus_one(ts, order)])
     result = {}
     for key, ts in out.items():
-        kept, _ = truncate_cloud_terms(ts, K.q_max, K.max_linfs, drop_tol=drop_tol)
+        kept, _ = truncate_cloud_terms(ts, K.q_max, K.max_linfs, drop_tol, cache)
         if kept:
             result[key] = kept
     return TruncatedActivity(K.torus, result, K.flags, K.q_max, K.max_linfs)
@@ -812,7 +819,7 @@ def extract_cloud(K: TruncatedActivity, F: TruncatedActivity, order: int = 3,
 
 def scale_linear(K: TruncatedActivity, cache: dict | None = None) -> TruncatedActivity:
     """S_1 K(X) = sum over polymers with partition closure X of K(Y, phi_L);
-    ``cache`` holds the truncated-term images of ``_scale_trunc``."""
+    ``cache`` holds the term images and collapse memo of ``_scale_trunc``."""
     return _scale_trunc(K, cache)
 
 
@@ -852,25 +859,6 @@ def scale_activity(K, n_cluster_max: int = 2, cache: dict | None = None):
     raise TypeError("scale_activity needs cloud or truncated activities")
 
 
-class _CoeffOps(tuple):
-    """Stand-in coefficient recording the products (factor, on_left) and
-    negations (None) done to it; ``apply`` replays them in order, bit-exact."""
-
-    def __mul__(self, f):
-        return _CoeffOps(self + ((f, False),))
-
-    def __rmul__(self, f):
-        return _CoeffOps(self + ((f, True),))
-
-    def __neg__(self):
-        return _CoeffOps(self + ((None, False),))
-
-    def apply(self, c):
-        for f, left in self:
-            c = -c if f is None else f * c if left else c * f
-        return c
-
-
 def _scale_trunc(K: TruncatedActivity, cache: dict | None):
     """Translation-invariant scaling: every shape at the L^d positions
     modulo coarse translations, mapped by the partition closure.
@@ -879,17 +867,19 @@ def _scale_trunc(K: TruncatedActivity, cache: dict | None):
     them (recorded upstream) and keeps the linearized regrouping, which is
     exact on single polymers.
 
-    Where a copy lands and how it collapses depend on the torus, q_max,
-    max_linfs, shape and term key, not on the coefficient: each (shape, term
-    key) image is built once per ``cache``, from one table of coarse positions
-    per offset, and replayed on coefficients, summed in the order of
-    collapsing every copy and then ``canon``.
+    Where a copy lands depends on the torus, shape and term key, not on the
+    coefficient: each (shape, term key) image is built once per ``cache``,
+    from one table of coarse positions per offset.  It holds the L^-|alpha|
+    factors, applied once per term, and per offset the moved key's entry in
+    the ``cache``'s collapse memo, which truncation shares.  Replayed on
+    coefficients, the pieces are summed in the order of collapsing every copy
+    and then ``canon``.
     """
     L = K.torus.L
     offsets = [(ox, oy) for ox in range(L) for oy in range(L)]
-    images = ({} if cache is None else cache).setdefault(
-        (K.torus, K.q_max, K.max_linfs), {}
-    )
+    cache = {} if cache is None else cache
+    images = cache.setdefault((K.torus, K.q_max, K.max_linfs), {})
+    memo = cache.setdefault((K.q_max, K.max_linfs), {})
     acc: dict = {}
     for key, ts in K.shapes.items():
         if not ts:
@@ -908,11 +898,9 @@ def _scale_trunc(K: TruncatedActivity, cache: dict | None):
                 ops = _CoeffOps()  # scale_term's factor, shared by every offset
                 for alpha, _ in t.linfs:
                     ops *= float(L) ** (-sum(alpha))
-                image = images[(key, t.key())] = []
-                # moving a term keeps its charges' q, so this holds for every copy
-                neutral = bool(t.charges) and t.total_charge == 0
-                new.append((t, ops, neutral, image))
-        positions = {x for t, _, _, _ in new for _, x in t.charges + t.linfs}
+                images[(key, t.key())] = (ops, [])
+                new.append((t, images[(key, t.key())][1]))
+        positions = {x for t, _ in new for _, x in t.charges + t.linfs}
         for shift, (_, back) in zip(offsets, geometry):
             # each position rounded as translate_term, scale_term, translate_term
             coarse = {}
@@ -920,21 +908,17 @@ def _scale_trunc(K: TruncatedActivity, cache: dict | None):
                 y = tm._round_pos((x[0] + shift[0], x[1] + shift[1]))
                 y = tm._round_pos((y[0] / L, y[1] / L))
                 coarse[x] = tm._round_pos((y[0] + back[0], y[1] + back[1]))
-            for t, ops, neutral, image in new:
-                moved = tm._raw_term(
-                    ops,
-                    tuple((q, coarse[x]) for q, x in t.charges),
-                    tuple((a, coarse[y]) for a, y in t.linfs),
-                )
-                c = collapse_term(moved, K.q_max, K.max_linfs, neutral_taylor=neutral)
-                pieces = [] if c is None else c if isinstance(c, list) else [c]
-                image.append([(p.key(), p.coeff) for p in pieces])
+            for t, image in new:
+                moved = (tuple((q, coarse[x]) for q, x in t.charges),
+                         tuple((a, coarse[y]) for a, y in t.linfs))
+                image.append(_collapsed(memo, moved, K.q_max, K.max_linfs) or ())
         term_images = [images[(key, t.key())] for t in ts]
+        coeffs = [ops.apply(t.coeff) for t, (ops, _) in zip(ts, term_images)]
         for o, (coarse_key, _) in enumerate(geometry):
             sums = acc.setdefault(coarse_key, {})
-            for t, image in zip(ts, term_images):
+            for c, (_, image) in zip(coeffs, term_images):
                 for piece_key, ops in image[o]:
-                    sums[piece_key] = sums.get(piece_key, 0.0) + ops.apply(t.coeff)
+                    sums[piece_key] = sums.get(piece_key, 0.0) + ops.apply(c)
     result = {k: kept for k, sums in acc.items() if (kept := tm._canon_sums(sums))}
     return TruncatedActivity(K.torus.coarse(), result, K.flags, K.q_max, K.max_linfs)
 
@@ -1085,14 +1069,22 @@ def rg_step(K, params: RGStepParams):
 
     Returns (K', coeffs, diagnostics); the extraction coefficients carry
     dE and dsigma for the flow bookkeeping.
+
+    One cache per step holds the scaling images and the collapse memo, so
+    each term key is collapsed once per step, whether fluctuation,
+    extraction, scaling or the four-term split meets it; F_1 K is computed
+    once, for the fluctuation and the split.
     """
     cov = params.cov()
     diag: dict = {}
     if params.check_hypotheses:
         diag["hypotheses"] = check_hypotheses(K, params, c_star=params.c_star)
+    cache: dict = {}
+    k1 = fluctuate_linear(K, cov)
     k_sharp = fluctuate(
         K, cov, n_max=params.n_tree_max, n_nodes=params.n_nodes,
         pair_window=params.pair_window, drop_tol=params.drop_tol,
+        cache=cache, linear=k1,
     )
     coeffs = extraction_coefficients(
         k_sharp, params.preset, params.beta, enforce=not params.override_hypotheses
@@ -1100,10 +1092,10 @@ def rg_step(K, params: RGStepParams):
     F = build_extraction_activity(coeffs, k_sharp, n_q=params.n_q)
     k_star = extract_cloud(
         k_sharp, F, order=params.extraction_order, drop_tol=params.drop_tol,
+        cache=cache,
     )
-    scaling: dict = {}  # scaling images, shared by this step's scalings
-    k_new = scale_activity(k_star, cache=scaling)
-    diag["four_terms"] = four_term_split(K, params, cov, k_new, k_star, cache=scaling)
+    k_new = scale_activity(k_star, cache=cache)
+    diag["four_terms"] = four_term_split(K, params, k1, k_new, k_star, cache=cache)
     diag["dropped_terms"] = getattr(k_sharp, "dropped_terms", 0)
     if params.post_scale_extract:
         # second extraction on the coarse lattice: the scaling collapse
@@ -1118,6 +1110,7 @@ def rg_step(K, params: RGStepParams):
         F2 = build_extraction_activity(coeffs2, k_new, n_q=params.n_q)
         k_new = extract_cloud(
             k_new, F2, order=params.extraction_order, drop_tol=params.drop_tol,
+            cache=cache,
         )
         coeffs.dE2 = coeffs2.dE
         coeffs.dsigma2 = coeffs2.dsigma
@@ -1150,11 +1143,12 @@ def _unit_charge_small(key, t) -> bool:
     return shape_is_small(key) and abs(t.total_charge) == 1
 
 
-def four_term_split(K: TruncatedActivity, params: RGStepParams, cov: CovAccess,
+def four_term_split(K: TruncatedActivity, params: RGStepParams, k1: TruncatedActivity,
                     k_new: TruncatedActivity, k_star: TruncatedActivity,
                     cache: dict | None = None) -> dict:
     """Norms of the mechanisms the flow reads: higher order, large sets and
-    unit-charge small sets (each linearized except the first).
+    unit-charge small sets (each linearized except the first), from
+    k1 = F_1 K = ``fluctuate_linear(K, cov)``.
 
     The large-set column is measured where large sets live: on the
     extracted post-fluctuation state k_star (tree terms populate it)."""
@@ -1175,7 +1169,6 @@ def four_term_split(K: TruncatedActivity, params: RGStepParams, cov: CovAccess,
     }
     # the unit-charge sector isolates the leading contraction mechanism;
     # convolution keeps each term's charge, so its image is a filter of F_1 K
-    k1 = fluctuate_linear(K, cov)
     r1_unit = scale_linear(k1.filter(_unit_charge_small), cache)
     out["charged_small"] = {
         "in": _norm_of(K.filter(_unit_charge_small), params).log_value,

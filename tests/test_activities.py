@@ -22,6 +22,7 @@ from sgrg.activities import (
     polymer_exp,
     potential_v,
     taylorize_neutral,
+    truncate_cloud_terms,
     v_activity,
     v_cloud_terms,
     verify_evenness,
@@ -33,8 +34,9 @@ from sgrg.activities import (
 )
 from sgrg.lattice import Polymer, TorusSpec, polymer, region_disjoint
 from sgrg.fields import FieldGrid, random_band_limited
-from sgrg.terms import CloudTerm, evaluate_terms, scale_term, translate_term
-from test_rgmap import cache_test_shapes
+from sgrg import activities
+from sgrg.terms import CloudTerm, _raw_term, evaluate_terms, scale_term, translate_term
+from test_rgmap import cache_test_shapes, reference_truncate_cloud_terms
 
 
 def rfield(torus, rng, n_g=8, amp=0.8):
@@ -433,3 +435,37 @@ class TestCollapse:
                         got = collapse_term(moved, q_max, max_linfs)
                         want = reference_collapse_term(moved, q_max, max_linfs)
                         assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("coeff", [
+        0.0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), -0.0,
+        1e300 - 1e300j, 1e-320, -1e-320j, np.complex128(0.3 - 0.1j),
+    ])
+    def test_replay_equals_direct(self, coeff):
+        # the memo's recorded ops on a blank coefficient replay the bits of
+        # collapsing the term itself, signed zeros, overflow and subnormals too
+        keys = {t.key() for ts in cache_test_shapes(TorusSpec(3, 2)).values() for t in ts}
+        assert any(k[0] and sum(q for q, _ in k[0]) == 0 for k in keys)  # neutral clouds
+        for q_max, max_linfs in ((3, 2), (1, 0)):
+            memo = {}
+            for key in sorted(keys):
+                pieces = activities._collapsed(memo, key, q_max, max_linfs)
+                want = collapse_term(_raw_term(coeff, *key), q_max, max_linfs)
+                got = None if pieces is None else [
+                    _raw_term(ops.apply(coeff), *k) for k, ops in pieces
+                ]
+                if isinstance(want, CloudTerm):
+                    want = [want]
+                assert repr(got) == repr(want)
+
+    def test_neutral_pieces_outside_are_not_dropped(self):
+        grad = (((1, 0), (0.0, 0.0)), ((0, 1), (0.0, 0.0)), ((1, 0), (1.0, 0.0)))
+        neutral = CloudTerm(0.5, ((1, (0.0, 0.0)), (-1, (0.25, 0.0))), grad)
+        charged = CloudTerm(0.25, ((2, (0.0, 0.0)), (2, (1.0, 0.0))))
+        kept, dropped = truncate_cloud_terms([neutral, charged], 3, 2)
+        assert kept == [] and dropped == [charged]
+        assert repr((kept, dropped)) == repr(
+            reference_truncate_cloud_terms([neutral, charged], 3, 2)
+        )
+        memo = {}
+        assert activities._collapsed(memo, neutral.key(), 3, 2) == []
+        assert activities._collapsed(memo, charged.key(), 3, 2) is None

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sgrg import rgmap
+from sgrg import activities, rgmap
 from sgrg import terms as tm
 from sgrg.activities import (
     ActivityFlags,
@@ -13,6 +13,7 @@ from sgrg.activities import (
     TruncatedActivity,
     activity_norm,
     charge_component,
+    collapse_term,
     mayer_init_truncated,
     polymer_exp,
     truncate_cloud_terms,
@@ -219,6 +220,20 @@ class TestScalingIdentity:
         assert not SK.data
 
 
+def reference_truncate_cloud_terms(ts, q_max, max_linfs, drop_tol=0.0):
+    """Truncation collapsing every term afresh."""
+    kept, dropped = [], []
+    for t in ts:
+        c = collapse_term(t, q_max, max_linfs)
+        if c is None:
+            dropped.append(t)
+        elif isinstance(c, list):
+            kept.extend(c)
+        else:
+            kept.append(c)
+    return tm.canon(kept, drop_tol=drop_tol), dropped
+
+
 def reference_scale_trunc(K):
     """Truncated scaling by copying, scaling and collapsing every term."""
     L = K.torus.L
@@ -240,7 +255,7 @@ def reference_scale_trunc(K):
                     out.setdefault(cl.shape_key(), []).extend(mapped)
     result = {}
     for key, ts in out.items():
-        kept, _ = truncate_cloud_terms(ts, K.q_max, K.max_linfs)
+        kept, _ = reference_truncate_cloud_terms(ts, K.q_max, K.max_linfs)
         if kept:
             result[key] = kept
     return result
@@ -266,6 +281,16 @@ def as_exact(shapes):
     return [(k, [(repr(t.key()), t.coeff) for t in ts]) for k, ts in shapes.items()]
 
 
+def tiny_ir_step():
+    t = TorusSpec(2, 2)
+    K = mayer_init_truncated(1e-2, t, order=2, max_size=2)
+    params = RGStepParams(
+        beta=12 * math.pi, torus=t, preset="ir",
+        norm=NormParams.default(t, h=1.0), n_nodes=4,
+    )
+    return K, params
+
+
 class TestScalingCache:
     """The cached truncated scaling equals copying and collapsing every term,
     term for term and coefficient for coefficient."""
@@ -288,19 +313,50 @@ class TestScalingCache:
                 reference_scale_trunc(K)
             )
 
-    def test_four_term_split_columns(self):
+    def test_cache_shared_across_truncations(self):
+        # one collapse memo per (q_max, max_linfs): a memo keyed without
+        # either would hand one model's collapses to another
         t = TorusSpec(2, 2)
-        K = mayer_init_truncated(1e-2, t, order=2, max_size=2)
-        params = RGStepParams(
-            beta=12 * math.pi, torus=t, preset="ir",
-            norm=NormParams.default(t, h=1.0), n_nodes=4,
-        )
+        shapes = cache_test_shapes(t)
+        cache = {}
+        for q_max, max_linfs in ((3, 2), (1, 0), (1, 2), (3, 2)):
+            K = TruncatedActivity(t, shapes, q_max=q_max, max_linfs=max_linfs)
+            assert as_exact(scale_linear(K, cache).shapes) == as_exact(
+                reference_scale_trunc(K)
+            )
+            for ts in shapes.values():
+                got = truncate_cloud_terms(ts, q_max, max_linfs, cache=cache)
+                want = reference_truncate_cloud_terms(ts, q_max, max_linfs)
+                assert repr(got) == repr(want)
+
+    def test_four_term_split_columns(self):
+        K, params = tiny_ir_step()
         _, _, diag = rg_step(K, params)
         four = diag["four_terms"]
         assert set(four) == {"charged_small", "large_sets", "higher_order"}
         for column in four.values():
             assert math.isfinite(column["in"]) and math.isfinite(column["out"])
         assert diag["hypotheses"]["h4_small_superset_count"] == {"k": 509, "margin": 0, "ok": True}
+
+    def test_one_collapse_per_key_per_step(self, monkeypatch):
+        # fluctuation, extraction, scaling and the split share one memo per step
+        K, params = tiny_ir_step()
+        calls, depth = [], [0]
+
+        def counted(term, q_max, max_linfs, **kw):
+            if depth[0] == 0:
+                calls.append((q_max, max_linfs, term.key()))
+            depth[0] += 1
+            try:
+                return collapse_term(term, q_max, max_linfs, **kw)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(activities, "collapse_term", counted)
+        monkeypatch.setattr(rgmap, "collapse_term", counted, raising=False)
+        rg_step(K, params)
+        assert len(calls) > 1000
+        assert len(calls) == len(set(calls))
 
 
 def reference_tree_convolved_terms(coeff, slots, n_poly, tree, cov, n_nodes=24):
@@ -392,7 +448,7 @@ def reference_fluctuate_truncated(K, cov, n_nodes, pair_window, drop_tol):
                         )
     result, dropped_terms = {}, 0
     for key, ts in out.items():
-        kept, dropped = truncate_cloud_terms(ts, K.q_max, K.max_linfs, drop_tol=drop_tol)
+        kept, dropped = reference_truncate_cloud_terms(ts, K.q_max, K.max_linfs, drop_tol)
         if kept:
             result[key] = kept
         dropped_terms += len(dropped)
