@@ -664,9 +664,6 @@ class NormParams:
     def with_p(self, p: int) -> "NormParams":
         return replace(self, gamma=replace(self.gamma, p=p))
 
-    def with_h(self, h: float) -> "NormParams":
-        return replace(self, h=h)
-
 
 @dataclass
 class NormResult:

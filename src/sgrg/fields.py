@@ -319,22 +319,6 @@ def measure_sobolev_constant(
     return worst * slack
 
 
-def default_regulator_params(
-    L: int, r: int, s: int, kappa_scale: float = 0.1, c_s: float | None = None, h: float = 1.0
-) -> RegulatorParams:
-    """kappa, c from the smallness rules: c = (8 L c_s)^{-1}, kappa c^{-1} L^2 <= kappa_scale.
-
-    The measured discrete c_s can be small enough that (8 L c_s)^{-1} > 1;
-    c is clamped at 1 (the regulator requires c <= 1) which keeps every
-    smallness condition intact since kappa is tied to the clamped value.
-    """
-    if c_s is None:
-        c_s = measure_sobolev_constant(s)
-    c = min(1.0, 1.0 / (8.0 * L * c_s))
-    kappa = kappa_scale * c / L**2
-    return RegulatorParams(kappa=kappa, c=c, r=r, s=s, h=h, c_s=c_s)
-
-
 # -- field scaling ---------------------------------------------------------------
 
 

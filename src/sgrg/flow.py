@@ -42,8 +42,10 @@ from .fields import gaussian_ensemble
 from .lattice import TorusSpec
 from .rgmap import (
     RGStepParams,
-    extraction_coefficients,
     build_extraction_activity,
+    clip_to_small,
+    extract_step,
+    extraction_coefficients,
     rg_step,
 )
 
@@ -84,19 +86,19 @@ class FlowConfig:
     h: float = 1.0
     h_mode: str = "fixed"  # or 'schedule'
     kappa: float = 1e-3
-    c_s: float = 1.0
     q_max: int = 3
-    mayer_order: int = 3
-    mayer_max_size: int = 2
     n_q: int = 1
-    n_tree_max: int = 2
-    pair_window: int = 2
-    gamma_p: int | None = None  # None: pick p so the per-block budget is ~2
-    override_hypotheses: bool = True
 
     def __post_init__(self):
         if self.mode not in ("ir", "uv"):
             raise ValueError("mode must be 'ir' or 'uv'")
+        for name in ("steps", "n_q", "q_max"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.kappa > 0:
+            raise ValueError(f"kappa must be > 0, got {self.kappa}")
+        if not self.h >= 0:
+            raise ValueError(f"h must be >= 0, got {self.h}")
         if self.eps is None:
             self.eps = 0.1 if self.mode == "ir" else 0.2
         self.warnings = []
@@ -204,8 +206,6 @@ def _flow_gamma_p(config: FlowConfig) -> int:
     requires |zeta| << 1/A, far below desk-scale couplings, so the flow
     norms use 2^{p|X|} A^{|X|} with p chosen to bring the per-block weight
     down to ~2 (the size sum then converges at the configured zeta)."""
-    if config.gamma_p is not None:
-        return config.gamma_p
     A = float(config.L ** (2 + 3))
     return -round(math.log2(A / 2.0))
 
@@ -222,9 +222,7 @@ def _norm_params(config: FlowConfig, torus: TorusSpec, j: int) -> NormParams:
         h0 = 1.0 / math.sqrt(config.kappa)
         h = h_schedule_uv(j, h0)
         kappa = config.kappa
-    return NormParams.default(
-        torus, h=h, kappa=kappa, c_s=config.c_s, p=_flow_gamma_p(config)
-    )
+    return NormParams.default(torus, h=h, kappa=kappa, p=_flow_gamma_p(config))
 
 
 def _step_params(config: FlowConfig, torus: TorusSpec, sigma: float, j: int,
@@ -243,15 +241,22 @@ def _step_params(config: FlowConfig, torus: TorusSpec, sigma: float, j: int,
         preset=preset,
         norm=np_,
         delta_h=delta_h,
-        delta_kappa=config.kappa * 2.0 ** (-(abs(j) + 1)),
-        n_tree_max=config.n_tree_max,
         n_q=config.n_q,
-        pair_window=config.pair_window,
-        clip_small=True,
-        post_scale_extract=True,
-        override_hypotheses=config.override_hypotheses,
-        check_hypotheses=True,
     )
+
+
+def _flow_step(K, params: RGStepParams):
+    """rg_step, then the flow's two policies: a second extraction on the
+    coarse lattice, where the scaling collapse has turned sub-block neutral
+    structure into constants (and quadratic remnants) that would otherwise
+    sit in K until the next step, and the restriction to small shapes.
+
+    Returns (K', step coefficients, coarse coefficients, diagnostics); the
+    clipped log norm is in the diagnostics."""
+    K, coeffs, diag = rg_step(K, params)
+    K, coarse_coeffs = extract_step(K, params)
+    K, diag["clipped_log_norm"] = clip_to_small(K, params.norm)
+    return K, coeffs, coarse_coeffs, diag
 
 
 def _flow_star_norm(config: FlowConfig, torus: TorusSpec) -> float:
@@ -328,15 +333,15 @@ _MODES = {
 
 
 def run_flow(config: FlowConfig) -> FlowTrajectory:
-    """Iterate the composed step from the Mayer activity, accumulating the
-    energy (and, in IR mode, sigma); ``config.mode`` picks the mode."""
+    """Iterate the flow step (``_flow_step``) from the Mayer activity,
+    accumulating the energy (and, in IR mode, sigma); ``config.mode`` picks
+    the mode."""
     mode = _MODES[config.mode]
     j0, exponent = mode.start(config)
     torus = TorusSpec(config.L, exponent)
     zetas = mode.zeta_schedule(config) if mode.zeta_schedule else None
     K = mayer_init_truncated(
         zetas[0] if zetas else complex(config.zeta).real, torus,
-        order=config.mayer_order, max_size=config.mayer_max_size,
         q_max=config.q_max, n_q=config.n_q,
     )
 
@@ -360,11 +365,11 @@ def run_flow(config: FlowConfig) -> FlowTrajectory:
     for step in range(config.steps):
         j = j0 + step
         params = _step_params(config, torus, sigma, j, mode.preset, c_star=c_star)
-        K, coeffs, diag = rg_step(K, params)
+        K, coeffs, coarse_coeffs, diag = _flow_step(K, params)
         mults = _multipliers(diag)
-        dsig = coeffs.dsigma + coeffs.dsigma2
+        dsig = coeffs.dsigma + coarse_coeffs.dsigma
         coarse = torus.coarse()
-        energy = energy + coeffs.dE * torus.volume + coeffs.dE2 * coarse.volume
+        energy = energy + coeffs.dE * torus.volume + coarse_coeffs.dE * coarse.volume
         if mode.sigma_feedback:
             energy = energy - 0.5 * trlog_T(coarse, sigma, dsig)
             sigma = sigma + dsig
@@ -382,11 +387,11 @@ def run_flow(config: FlowConfig) -> FlowTrajectory:
             charged_multiplier=mults["charged"],
             large_multiplier=mults["large"],
             higher_share=mults["higher"],
-            clipped_log_norm=diag.get("clipped_log_norm", -math.inf),
+            clipped_log_norm=diag["clipped_log_norm"],
         ))
         diagnostics.append(
-            {"j": j, "hypotheses": diag.get("hypotheses", {}),
-             "dropped_terms": diag.get("dropped_terms", 0)}
+            {"j": j, "hypotheses": diag["hypotheses"],
+             "dropped_terms": diag["dropped_terms"]}
         )
     return FlowTrajectory(config=config, states=states, diagnostics=diagnostics)
 
@@ -459,6 +464,8 @@ def z_invariance_check(
     (covariance ~ 1e-43), making the MC essentially deterministic; the
     pull is reported against a standard-error floor.
     """
+    if n_samples < 2:
+        raise ValueError(f"a standard error needs n_samples >= 2, got {n_samples}")
     torus = TorusSpec(L, M)
     if torus.side > 2:
         raise ValueError("exact invariance check restricted to side <= 2")
@@ -550,6 +557,8 @@ def z_derivative_check(
     n_g: int = 8,
 ) -> dict:
     """dZ/dzeta at zero equals |Lambda| e^{-beta v(0)/2}; MC versus closed form."""
+    if n_samples < 2:
+        raise ValueError(f"a standard error needs n_samples >= 2, got {n_samples}")
     torus = TorusSpec(L, M)
     kern = CovarianceKernel("full", sigma=0.0, torus=torus)
     expect = torus.volume * math.exp(-beta * kern.at_zero() / 2.0)

@@ -143,10 +143,6 @@ def neighbors(b: Block, torus: TorusSpec, include_self: bool = False):
         yield torus.wrap(tuple(c + o for c, o in zip(b, off)))
 
 
-def adjacent(b1: Block, b2: Block, torus: TorusSpec) -> bool:
-    return torus.cheb(b1, b2) <= 1
-
-
 def is_connected(blocks, torus: TorusSpec) -> bool:
     blocks = set(blocks)
     if not blocks:

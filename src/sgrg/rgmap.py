@@ -37,7 +37,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -69,6 +69,13 @@ from .lattice import (
     small_shapes,
 )
 from .terms import CloudTerm, CovAccess, Slot, bond_laplacian, canon, convolve_terms
+
+# Fixed settings of the composed step (no command varies them).
+DROP_TOL = 1e-14  # relative coefficient floor of canon and of tree-term pairs
+EXTRACTION_ORDER = 2  # order of e^F - 1 in the truncated extraction
+PAIR_WINDOW = 2  # largest offset of the second polymer of a tree term
+TREE_SHAPE_CAP = 2  # largest constituent shape (in blocks) of a tree term
+SMALLNESS = 0.1  # hypothesis 1: ||K|| < SMALLNESS; hypothesis 2 allows 10x
 
 _SMALL_KEYS_CACHE: dict = {}
 
@@ -141,16 +148,17 @@ def _cached_regions(m: int, n_nodes: int):
 
 
 def tree_convolved_terms(coeff: complex, slots: list[Slot], n_poly: int, tree,
-                         cov: CovAccess, n_nodes: int, images: dict) -> list[CloudTerm]:
+                         cov: CovAccess, images: dict,
+                         n_nodes: int = 24) -> list[CloudTerm]:
     """Integrate mu_{C(sigma(T,s))} * (slot term) over s in [0,1]^{|T|}.
 
     Every Wick structure contributes a product of factors affine in the
     couplings sigma_kl; single-bond trees integrate in closed form, longer
-    trees per ordering region.  The result is linear in ``coeff``: the
-    integrals of a slot list are computed once per ``images`` dict and
-    replayed with the multiplications in the order of a fresh computation.
-    The dict is keyed by the slot list alone, so one dict serves one
-    n_poly, tree, cov and n_nodes.
+    trees per ordering region on ``n_nodes`` Gauss nodes per axis.  The
+    result is linear in ``coeff``: the integrals of a slot list are computed
+    once per ``images`` dict and replayed with the multiplications in the
+    order of a fresh computation.  The dict is keyed by the slot list alone,
+    so one dict serves one n_poly, tree, cov and n_nodes.
     """
     key = tuple(slots)
     image = images.get(key)
@@ -264,14 +272,15 @@ def _s_integral_affine(paths, u, factors, m_bonds: int, n_nodes: int) -> complex
 def fluctuate(K, cov: CovAccess, n_max: int = 4, n_nodes: int = 24,
               pair_window: int = 2, drop_tol: float = 0.0,
               cache: dict | None = None, linear: TruncatedActivity | None = None):
-    """The full cluster-expanded fluctuation map on cloud activities; on
-    truncated ones ``cache`` holds the collapse memo and ``linear`` is F_1 K,
-    ``fluctuate_linear(K, cov)``, if the caller has it."""
+    """The full cluster-expanded fluctuation map on cloud activities, with
+    trees on up to ``n_max`` polymers integrated on ``n_nodes`` Gauss nodes
+    per axis.  On truncated ones the two-polymer tree terms within
+    ``pair_window``; ``cache`` holds the collapse memo and ``linear`` is
+    F_1 K, ``fluctuate_linear(K, cov)``, if the caller has it."""
     if isinstance(K, CloudActivity):
         return _fluctuate_cloud(K, cov, n_max, n_nodes)
     if isinstance(K, TruncatedActivity):
-        return _fluctuate_truncated(K, cov, n_max, n_nodes, pair_window,
-                                    drop_tol=drop_tol, cache=cache, linear=linear)
+        return _fluctuate_truncated(K, cov, pair_window, drop_tol, cache, linear)
     raise TypeError("fluctuate needs a cloud or truncated activity")
 
 
@@ -316,7 +325,7 @@ def _fluctuate_cloud(K: CloudActivity, cov: CovAccess, n_max: int, n_nodes: int)
                         stack = nxt
                     for c0, sl in stack:
                         acc.extend(
-                            tree_convolved_terms(c0, sl, n, tree, cov, n_nodes, images)
+                            tree_convolved_terms(c0, sl, n, tree, cov, images, n_nodes)
                         )
         acc = canon(acc)
         if acc:
@@ -324,15 +333,15 @@ def _fluctuate_cloud(K: CloudActivity, cov: CovAccess, n_max: int, n_nodes: int)
     return CloudActivity(K.torus, out, K.flags)
 
 
-def _fluctuate_truncated(K: TruncatedActivity, cov: CovAccess, n_max: int,
-                         n_nodes: int, pair_window: int,
-                         tree_shape_cap: int = 2, drop_tol: float = 0.0,
-                         cache: dict | None = None, linear=None):
+def _fluctuate_truncated(K: TruncatedActivity, cov: CovAccess, pair_window: int,
+                         drop_tol: float, cache: dict | None, linear):
     """Linear convolution on every shape plus two-polymer tree terms.
 
     Tree terms are restricted to constituent shapes of at most
-    ``tree_shape_cap`` blocks and pair separation within ``pair_window``;
-    the neglected pieces are third order in the activity.
+    ``TREE_SHAPE_CAP`` blocks and pair separation within ``pair_window``;
+    the neglected pieces are third order in the activity.  A tree on two
+    polymers has one bond, integrated in closed form, so no quadrature
+    order enters.
     """
     out: dict = {}
 
@@ -348,46 +357,43 @@ def _fluctuate_truncated(K: TruncatedActivity, cov: CovAccess, n_max: int,
         linear = fluctuate_linear(K, cov)
     for key, ts in linear.shapes.items():
         add(key, ts)
-    if n_max >= 2:
-        shapes = [k for k in sorted(K.shapes) if len(k) <= tree_shape_cap]
-        for i1, k1 in enumerate(shapes):
-            p1 = Polymer(frozenset(k1))
-            slots1 = [tm.term_slots(CloudTerm(1.0, t1.charges, t1.linfs), 0)
-                      for t1 in K.shapes[k1]]
-            for k2 in shapes[i1:]:
-                base2 = Polymer(frozenset(k2))
-                for ox in range(-pair_window, pair_window + 1):
-                    for oy in range(-pair_window, pair_window + 1):
-                        if k1 == k2 and (ox, oy) <= (0, 0):
-                            continue  # unordered pair of equal shapes
-                        p2 = base2.translate((ox, oy))
-                        if not _inf_region_disjoint(p1, p2):
-                            continue
-                        union = Polymer(p1.blocks | p2.blocks)
-                        ukey = union.shape_key()
-                        base = tuple(min(b[i] for b in union.blocks) for i in range(2))
-                        acc = []
-                        images: dict = {}
-                        slots2: dict = {}
-                        for t1, sl1 in zip(K.shapes[k1], slots1):
-                            for i2, t2 in enumerate(K.shapes[k2]):
-                                coeff = t1.coeff * t2.coeff
-                                if abs(coeff) < pair_floor:
-                                    continue
-                                sl2 = slots2.get(i2)
-                                if sl2 is None:
-                                    t2s = tm.translate_term(t2, (ox, oy))
-                                    sl2 = slots2[i2] = tm.term_slots(CloudTerm(1.0, *t2s.key()), 1)
-                                for c0, sl in bond_laplacian(coeff, sl1 + sl2, 0, 1, cov):
-                                    acc.extend(tree_convolved_terms(
-                                        c0, sl, 2, ((0, 1),), cov, n_nodes, images
-                                    ))
-                        # re-anchor each distinct key once; coefficients pass through
-                        moved: dict = {}
-                        for t in acc:
-                            if t.key() not in moved:
-                                moved[t.key()] = tm.translate_term(t, (-base[0], -base[1])).key()
-                        add(ukey, [tm._raw_term(t.coeff, *moved[t.key()]) for t in acc])
+    shapes = [k for k in sorted(K.shapes) if len(k) <= TREE_SHAPE_CAP]
+    for i1, k1 in enumerate(shapes):
+        p1 = Polymer(frozenset(k1))
+        slots1 = [tm.term_slots(CloudTerm(1.0, t1.charges, t1.linfs), 0)
+                  for t1 in K.shapes[k1]]
+        for k2 in shapes[i1:]:
+            base2 = Polymer(frozenset(k2))
+            for ox in range(-pair_window, pair_window + 1):
+                for oy in range(-pair_window, pair_window + 1):
+                    if k1 == k2 and (ox, oy) <= (0, 0):
+                        continue  # unordered pair of equal shapes
+                    p2 = base2.translate((ox, oy))
+                    if not _inf_region_disjoint(p1, p2):
+                        continue
+                    union = Polymer(p1.blocks | p2.blocks)
+                    ukey = union.shape_key()
+                    base = tuple(min(b[i] for b in union.blocks) for i in range(2))
+                    acc = []
+                    images: dict = {}
+                    slots2: dict = {}
+                    for t1, sl1 in zip(K.shapes[k1], slots1):
+                        for i2, t2 in enumerate(K.shapes[k2]):
+                            coeff = t1.coeff * t2.coeff
+                            if abs(coeff) < pair_floor:
+                                continue
+                            sl2 = slots2.get(i2)
+                            if sl2 is None:
+                                t2s = tm.translate_term(t2, (ox, oy))
+                                sl2 = slots2[i2] = tm.term_slots(CloudTerm(1.0, *t2s.key()), 1)
+                            for c0, sl in bond_laplacian(coeff, sl1 + sl2, 0, 1, cov):
+                                acc.extend(tree_convolved_terms(c0, sl, 2, ((0, 1),), cov, images))
+                    # re-anchor each distinct key once; coefficients pass through
+                    moved: dict = {}
+                    for t in acc:
+                        if t.key() not in moved:
+                            moved[t.key()] = tm.translate_term(t, (-base[0], -base[1])).key()
+                    add(ukey, [tm._raw_term(t.coeff, *moved[t.key()]) for t in acc])
     result = {}
     dropped_mass = 0
     for key, ts in out.items():
@@ -422,12 +428,7 @@ class ExtractionCoefficients:
     grad2: dict  # key -> {(mu, nu, rho): coeff}, nu <= rho
     dE: float
     dsigma: float
-    anisotropy: float
-    grad2_sum: float
-    dE2: float = 0.0       # post-scaling extraction, coarse-volume weighted
-    dsigma2: float = 0.0
-    f_stability: dict = field(default_factory=dict)
-    df_stability: dict = field(default_factory=dict)
+    anisotropy: float  # the isotropy check's measure of the quadratic part
 
 
 class AnisotropyError(RuntimeError):
@@ -562,7 +563,6 @@ def extraction_coefficients(K, preset: str, beta: float,
     dE = 0.0
     s_diag = np.zeros(2)
     s_off = 0.0
-    g2_sum = 0.0
     for key, ts in items:
         blocks = list(key) if not isinstance(key, frozenset) else sorted(key)
         size = len(blocks)
@@ -588,7 +588,6 @@ def extraction_coefficients(K, preset: str, beta: float,
             s_diag[0] += weight[key] * size * qd[(0, 0)].real
             s_diag[1] += weight[key] * size * qd[(1, 1)].real
             s_off += weight[key] * size * qd[(0, 1)].real
-            g2_sum += sum(abs(v) * size for v in g2.values())
         else:
             quad[key] = {}
             grad2[key] = {}
@@ -604,8 +603,7 @@ def extraction_coefficients(K, preset: str, beta: float,
         aniso = 0.0
         dsigma = 0.0
     return ExtractionCoefficients(
-        alpha0=alpha0, quad=quad, grad2=grad2, dE=dE, dsigma=dsigma,
-        anisotropy=aniso, grad2_sum=g2_sum,
+        alpha0=alpha0, quad=quad, grad2=grad2, dE=dE, dsigma=dsigma, anisotropy=aniso,
     )
 
 
@@ -792,8 +790,10 @@ def extract_cloud(K: TruncatedActivity, F: TruncatedActivity, order: int = 3,
 
     F is second order in the activity, so multi-Y clusters and the X-Y
     collections are at least third order; they are dropped, and no record
-    of them is kept.  ``cache`` holds the collapse memo of the truncation.
+    of them is kept.  ``cache`` holds the collapse memo of the truncation;
+    without one, the call's shapes share a fresh memo.
     """
+    cache = {} if cache is None else cache
     out: dict = {}
 
     def add(key, ts):
@@ -815,12 +815,6 @@ def extract_cloud(K: TruncatedActivity, F: TruncatedActivity, order: int = 3,
 # ----------------------------------------------------------------------------
 # scaling
 # ----------------------------------------------------------------------------
-
-
-def scale_linear(K: TruncatedActivity, cache: dict | None = None) -> TruncatedActivity:
-    """S_1 K(X) = sum over polymers with partition closure X of K(Y, phi_L);
-    ``cache`` holds the term images and collapse memo of ``_scale_trunc``."""
-    return _scale_trunc(K, cache)
 
 
 def scale_activity(K, n_cluster_max: int = 2, cache: dict | None = None):
@@ -855,12 +849,13 @@ def scale_activity(K, n_cluster_max: int = 2, cache: dict | None = None):
         build(0, [])
         return CloudActivity(coarse, {k: v for k, v in out.items() if v}, K.flags)
     if isinstance(K, TruncatedActivity):
-        return _scale_trunc(K, cache)
+        return scale_linear(K, cache)
     raise TypeError("scale_activity needs cloud or truncated activities")
 
 
-def _scale_trunc(K: TruncatedActivity, cache: dict | None):
-    """Translation-invariant scaling: every shape at the L^d positions
+def scale_linear(K: TruncatedActivity, cache: dict | None = None) -> TruncatedActivity:
+    """S_1 K(X) = sum over polymers with partition closure X of K(Y, phi_L):
+    the translation-invariant scaling, every shape at the L^d positions
     modulo coarse translations, mapped by the partition closure.
 
     Multi-polymer closure clusters are O(K^2); the truncated flow drops
@@ -950,13 +945,11 @@ def charge_factors(q: int, c_zero: float, n_c: float, h: float, eta: float,
 # ----------------------------------------------------------------------------
 
 
-class HypothesisError(RuntimeError):
-    pass
-
-
 @dataclass
 class RGStepParams:
-    """One-step configuration: measure, extraction preset, norm weights."""
+    """One-step configuration: measure, extraction preset, norm weights.
+
+    ``norm=None`` means ``NormParams.default(torus)``."""
 
     beta: float
     torus: TorusSpec
@@ -964,19 +957,12 @@ class RGStepParams:
     preset: str = "uv"  # 'ir' extracts gradient quadratics as well
     norm: NormParams | None = None
     delta_h: float = 0.0
-    delta_kappa: float = 0.0
-    n_tree_max: int = 2
-    n_nodes: int = 16
-    extraction_order: int = 2
     n_q: int = 1
-    pair_window: int = 2
-    clip_small: bool = False
-    post_scale_extract: bool = False
-    drop_tol: float = 1e-14
     c_star: float | None = None  # cached beta-scaled star norm for hypothesis 3
-    override_hypotheses: bool = True
-    smallness: float = 0.1
-    check_hypotheses: bool = True
+
+    def __post_init__(self):
+        if self.norm is None:
+            self.norm = NormParams.default(self.torus)
 
     def kernel(self):
         from .covariance import CovarianceKernel
@@ -987,11 +973,7 @@ class RGStepParams:
         return CovAccess(self.kernel(), scale=self.beta)
 
 
-def _norm_of(K, params: RGStepParams):
-    return activity_norm(K, params.norm or NormParams.default(params.torus))
-
-
-K_SMALL_SUPERSETS = 509  # the k of f(X) = 40 k ||alpha(X)||, checked by hypothesis 4
+K_SMALL_SUPERSETS = 509  # small supersets of a block, checked by hypothesis 4
 
 
 @lru_cache(maxsize=None)
@@ -1004,25 +986,25 @@ def check_hypotheses(K, params: RGStepParams, c_star: float | None = None) -> di
     """Numeric checks of the four step hypotheses; values always reported.
 
     Each check carries a signed ``margin``, >= 0 exactly when it holds (h1,
-    h2 and h3 in log units, h4 in supersets).
+    h2 and h3 in log units, h4 in supersets).  A failed check is listed in
+    ``failed`` and does not stop the step.
     """
-    np_ = params.norm or NormParams.default(params.torus)
-    norm_k = _norm_of(K, params)
+    norm_k = activity_norm(K, params.norm)
     gamma_fac, k_small = _hypothesis_constants()
     checks = {}
     checks["h1_norm_small"] = {
         "value": norm_k.log_value,
-        "margin": math.log(params.smallness) - norm_k.log_value,
-        "ok": norm_k.log_value < math.log(params.smallness),
+        "margin": math.log(SMALLNESS) - norm_k.log_value,
+        "ok": norm_k.log_value < math.log(SMALLNESS),
     }
     L = params.torus.L
-    c_s = np_.c_s
+    c_s = params.norm.c_s
     c_bound = 1.0 / (2 * 2 * L * c_s) if c_s > 0 else math.inf
-    kappa_val = np_.kappa / max(c_bound, 1e-300) * L**2
+    kappa_val = params.norm.kappa / max(c_bound, 1e-300) * L**2
     checks["h2_regulator_constants"] = {
         "kappa_c_inv_L2": kappa_val,
-        "margin": math.log(10.0 * params.smallness) - math.log(max(kappa_val, 1e-300)),
-        "ok": kappa_val <= 10.0 * params.smallness,
+        "margin": math.log(10.0 * SMALLNESS) - math.log(max(kappa_val, 1e-300)),
+        "ok": kappa_val <= 10.0 * SMALLNESS,
     }
     if c_star is None:
         from .covariance import star_norm
@@ -1042,30 +1024,22 @@ def check_hypotheses(K, params: RGStepParams, c_star: float | None = None) -> di
         "margin": -abs(k_small - K_SMALL_SUPERSETS),
         "ok": k_small == K_SMALL_SUPERSETS,
     }
-    failed = [name for name, c in checks.items() if not c["ok"]]
-    checks["failed"] = failed
-    if failed and not params.override_hypotheses:
-        raise HypothesisError(f"step hypotheses failed: {failed}")
+    checks["failed"] = [name for name, c in checks.items() if not c["ok"]]
     return checks
 
 
-def stability_constants(coeffs: ExtractionCoefficients, h: float,
-                        delta_kappa: float,
-                        k_count: int = K_SMALL_SUPERSETS) -> dict:
-    """f(X) = 40 k ||alpha(X)||_h and the delta-kappa variant, per shape."""
-    f, df = {}, {}
-    a2 = h * h
-    a2d = (1.0 / math.sqrt(delta_kappa)) ** 2 if delta_kappa > 0 else a2
-    for key, a0 in coeffs.alpha0.items():
-        qsum = sum(abs(v) for v in coeffs.quad.get(key, {}).values())
-        gsum = sum(abs(v) for v in coeffs.grad2.get(key, {}).values())
-        f[key] = 40.0 * k_count * (abs(a0) + a2 * (qsum + gsum))
-        df[key] = 40.0 * k_count * (abs(a0) + a2d * (qsum + gsum))
-    return {"f": f, "df": df}
+def extract_step(K: TruncatedActivity, params: RGStepParams, cache: dict | None = None):
+    """(E(K, F(K)), coefficients): F from K's neutral sector on small sets,
+    removed with e^F - 1 to ``EXTRACTION_ORDER``.  The isotropy check
+    reports its measure in the coefficients and does not stop the step."""
+    coeffs = extraction_coefficients(K, params.preset, params.beta, enforce=False)
+    F = build_extraction_activity(coeffs, K, n_q=params.n_q)
+    k_star = extract_cloud(K, F, order=EXTRACTION_ORDER, drop_tol=DROP_TOL, cache=cache)
+    return k_star, coeffs
 
 
 def rg_step(K, params: RGStepParams):
-    """K' = S(E(F K, F(F K))) with measured diagnostics.
+    """K' = S(E(F K)) with the hypothesis checks and the four-term split.
 
     Returns (K', coeffs, diagnostics); the extraction coefficients carry
     dE and dsigma for the flow bookkeeping.
@@ -1076,58 +1050,23 @@ def rg_step(K, params: RGStepParams):
     once, for the fluctuation and the split.
     """
     cov = params.cov()
-    diag: dict = {}
-    if params.check_hypotheses:
-        diag["hypotheses"] = check_hypotheses(K, params, c_star=params.c_star)
+    diag = {"hypotheses": check_hypotheses(K, params, c_star=params.c_star)}
     cache: dict = {}
     k1 = fluctuate_linear(K, cov)
-    k_sharp = fluctuate(
-        K, cov, n_max=params.n_tree_max, n_nodes=params.n_nodes,
-        pair_window=params.pair_window, drop_tol=params.drop_tol,
-        cache=cache, linear=k1,
-    )
-    coeffs = extraction_coefficients(
-        k_sharp, params.preset, params.beta, enforce=not params.override_hypotheses
-    )
-    F = build_extraction_activity(coeffs, k_sharp, n_q=params.n_q)
-    k_star = extract_cloud(
-        k_sharp, F, order=params.extraction_order, drop_tol=params.drop_tol,
-        cache=cache,
-    )
+    k_sharp = fluctuate(K, cov, pair_window=PAIR_WINDOW, drop_tol=DROP_TOL,
+                        cache=cache, linear=k1)
+    k_star, coeffs = extract_step(k_sharp, params, cache)
     k_new = scale_activity(k_star, cache=cache)
     diag["four_terms"] = four_term_split(K, params, k1, k_new, k_star, cache=cache)
     diag["dropped_terms"] = getattr(k_sharp, "dropped_terms", 0)
-    if params.post_scale_extract:
-        # second extraction on the coarse lattice: the scaling collapse
-        # turns sub-block neutral structure into constants (and quadratic
-        # remnants) that would otherwise sit in K until the next step;
-        # removing them here is the same composed map with the bookkeeping
-        # settled one scale earlier (dE2, dsigma2 live on the coarse torus)
-        coeffs2 = extraction_coefficients(
-            k_new, params.preset, params.beta,
-            enforce=not params.override_hypotheses,
-        )
-        F2 = build_extraction_activity(coeffs2, k_new, n_q=params.n_q)
-        k_new = extract_cloud(
-            k_new, F2, order=params.extraction_order, drop_tol=params.drop_tol,
-            cache=cache,
-        )
-        coeffs.dE2 = coeffs2.dE
-        coeffs.dsigma2 = coeffs2.dsigma
-    if params.clip_small and isinstance(k_new, TruncatedActivity):
-        k_new, clipped_log = clip_to_small(k_new, params)
-        diag["clipped_log_norm"] = clipped_log
-    coeffs.f_stability = stability_constants(
-        coeffs, (params.norm.h if params.norm else 1.0), params.delta_kappa
-    )["f"]
     return k_new, coeffs, diag
 
 
-def clip_to_small(K: TruncatedActivity, params: RGStepParams):
-    """Restrict the flow state to small shapes; the clipped norm is recorded."""
+def clip_to_small(K: TruncatedActivity, norm: NormParams):
+    """Restrict K to small shapes; returns it and the log norm of the rest."""
     small = K.filter(lambda k, t: shape_is_small(k))
     rest = K.filter(lambda k, t: not shape_is_small(k))
-    clipped_log = _norm_of(rest, params).log_value if rest.shapes else -math.inf
+    clipped_log = activity_norm(rest, norm).log_value if rest.shapes else -math.inf
     return small, clipped_log
 
 
@@ -1157,12 +1096,7 @@ def four_term_split(K: TruncatedActivity, params: RGStepParams, k1: TruncatedAct
     r1_large = scale_linear(large_star, cache)
     # the closure contraction lives in the full-amplitude regulator
     # Gamma(X) = A^{|X|} Theta(X); measure this column there
-    np_full = NormParams.default(
-        params.torus,
-        h=(params.norm.h if params.norm else 1.0),
-        kappa=(params.norm.kappa if params.norm else 1e-3),
-        c_s=(params.norm.c_s if params.norm else 1.0),
-    )
+    np_full = params.norm.with_p(0)
     out["large_sets"] = {
         "in": activity_norm(large_star, np_full).log_value,
         "out": activity_norm(r1_large, np_full).log_value,
@@ -1171,12 +1105,12 @@ def four_term_split(K: TruncatedActivity, params: RGStepParams, k1: TruncatedAct
     # convolution keeps each term's charge, so its image is a filter of F_1 K
     r1_unit = scale_linear(k1.filter(_unit_charge_small), cache)
     out["charged_small"] = {
-        "in": _norm_of(K.filter(_unit_charge_small), params).log_value,
-        "out": _norm_of(r1_unit, params).log_value,
+        "in": activity_norm(K.filter(_unit_charge_small), params.norm).log_value,
+        "out": activity_norm(r1_unit, params.norm).log_value,
     }
     r1_full, _ = linearized_step(k1, params, cache=cache)
     out["higher_order"] = {
-        "in": _norm_of(K, params).log_value,
-        "out": _norm_of(k_new.add(r1_full, -1.0), params).log_value,
+        "in": activity_norm(K, params.norm).log_value,
+        "out": activity_norm(k_new.add(r1_full, -1.0), params.norm).log_value,
     }
     return out

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from sgrg.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main, parse_torus
+from sgrg.flow import z_derivative_check, z_invariance_check
 
 
 def run_cli(args):
@@ -154,6 +155,39 @@ class TestFlows:
         ])
         assert code == EXIT_USAGE
         assert "contraction" in capsys.readouterr().err
+
+
+class TestBadInputs:
+    UV = ["flow-uv", "--beta", "12.566", "--L", "2", "--N", "1", "--zeta", "0.01"]
+    IR = ["flow-ir", "--beta", "37.699", "--L", "2", "--zeta", "1e-3"]
+
+    @pytest.mark.parametrize("args, field", [
+        (UV + ["--n-q", "0"], "n_q"),
+        (UV + ["--h-mode", "schedule", "--kappa", "0"], "kappa"),
+        (UV + ["--q-max", "-1"], "q_max"),
+        (UV + ["--h", "-1"], "h"),
+        (UV + ["--steps", "0"], "steps"),
+        (IR + ["--M", "0"], "steps"),
+    ], ids=["n_q", "kappa", "q_max", "h", "steps", "M"])
+    def test_bad_flow_input_fails_before_any_work(self, tmp_path, capsys, args, field):
+        assert run_cli([*args, "--out", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and f"{field} must be" in err
+        assert not list(tmp_path.glob("flow_*"))
+
+    def test_oracle_needs_two_samples(self, tmp_path, capsys):
+        code = run_cli(["oracle", "--samples", "1", "--seed", "3", "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not list(tmp_path.glob("oracle_*"))
+
+    @pytest.mark.parametrize("check", [
+        lambda n: z_invariance_check(beta=10.0, zeta=0.05, n_samples=n),
+        lambda n: z_derivative_check(beta=10.0, n_samples=n),
+    ], ids=["invariance", "derivative"])
+    def test_oracle_checks_need_two_samples(self, check):
+        with pytest.raises(ValueError, match="n_samples >= 2"):
+            check(1)
 
 
 class TestBench:

@@ -8,7 +8,6 @@ from sgrg.fields import (
     FieldGrid,
     RegulatorParams,
     charge_cloud_expectation,
-    default_regulator_params,
     field_norms,
     gaussian_ensemble,
     grid_points,

@@ -203,18 +203,16 @@ class TestUVSplitConsistency:
     def test_unit_charge_block_amplitude_tracks_zeta(self):
         from sgrg.activities import charge_component
 
-        cfg = FlowConfig(mode="uv", beta=4 * math.pi, zeta=1e-2, L=2, N=3, steps=1)
-        traj = run_flow(cfg)
-        # reconstruct the step to inspect the resulting activity
+        # the flow's first step, built as run_flow builds it
         from sgrg.activities import mayer_init_truncated
-        from sgrg.flow import _step_params
-        from sgrg.rgmap import rg_step
+        from sgrg.flow import _flow_step, _step_params
 
+        cfg = FlowConfig(mode="uv", beta=4 * math.pi, zeta=1e-2, L=2, N=3, steps=1)
         zetas = uv_zeta_schedule(cfg)
         t0 = TorusSpec(2, 3)
         K = mayer_init_truncated(zetas[0], t0, order=3, max_size=2, q_max=3, n_q=1)
         params = _step_params(cfg, t0, 0.0, -3, "uv")
-        K1, _, _ = rg_step(K, params)
+        K1, _, _, _ = _flow_step(K, params)
         key = tuple([(0, 0)])
         k1 = charge_component(K1, 1)
         amp = sum(

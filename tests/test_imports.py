@@ -1,10 +1,11 @@
-"""Every name a module of the package imports is used in that module, and
+"""Every name a module of the package imports is used in that module,
 every private function, method or class is referenced somewhere in the
-package.
+package, and every public one somewhere in the package or its tests.
 
 A standard-library stand-in for an unused-code lint: it parses each
 ``src/sgrg/*.py`` file and checks the names bound by ``import`` statements,
-at module level or inside functions, and the ``_name`` definitions.
+at module level or inside functions, and the function, method and class
+definitions.
 """
 
 import ast
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "sgrg"
+TESTS = Path(__file__).resolve().parent
 
 
 def imported_names(tree):
@@ -47,13 +49,25 @@ def test_unused_import_is_caught():
     assert set(imported_names(tree)) - referenced_names(tree) == {"os", "t", "sys"}
 
 
-def private_definitions(tree):
-    """Every _name function, method or class defined in the module (no dunders)."""
+def definitions(tree):
+    """Every function, method or class defined in the module."""
     return [
         node for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_") and not node.name.endswith("__")
     ]
+
+
+def private_definitions(tree):
+    """Every _name function, method or class defined in the module (no dunders)."""
+    return [
+        node for node in definitions(tree)
+        if node.name.startswith("_") and not node.name.endswith("__")
+    ]
+
+
+def public_definitions(tree):
+    """Every function, method or class whose name does not start with _."""
+    return [node for node in definitions(tree) if not node.name.startswith("_")]
 
 
 def name_uses(node) -> Counter:
@@ -67,18 +81,26 @@ def name_uses(node) -> Counter:
     return uses
 
 
-def unreferenced_private(trees) -> list:
-    """Private definitions that nothing outside their own body refers to."""
-    total = sum((name_uses(tree) for tree in trees), Counter())
+def unreferenced(defined, trees, users=()) -> list:
+    """Definitions in ``trees`` that nothing in ``trees`` or ``users`` refers
+    to outside their own body; an import alone is not a reference."""
+    total = sum((name_uses(tree) for tree in [*trees, *users]), Counter())
     return [
-        node.name for tree in trees for node in private_definitions(tree)
+        node.name for tree in trees for node in defined(tree)
         if total[node.name] - name_uses(node)[node.name] <= 0
     ]
 
 
+def parse_all(folder):
+    return [ast.parse(path.read_text(), filename=str(path)) for path in sorted(folder.glob("*.py"))]
+
+
 def test_no_unreferenced_private_definitions():
-    trees = [ast.parse(path.read_text(), filename=str(path)) for path in sorted(SRC.glob("*.py"))]
-    assert unreferenced_private(trees) == []
+    assert unreferenced(private_definitions, parse_all(SRC)) == []
+
+
+def test_no_unreferenced_public_definitions():
+    assert unreferenced(public_definitions, parse_all(SRC), parse_all(TESTS)) == []
 
 
 def test_unreferenced_private_is_caught():
@@ -88,4 +110,16 @@ def test_unreferenced_private_is_caught():
         "def _helper():\n    return _Used()\n"
     )
     b = ast.parse("from a import _helper\n\nx = _helper()\n")
-    assert sorted(unreferenced_private([a, b])) == ["_dead", "_rec"]
+    assert sorted(unreferenced(private_definitions, [a, b])) == ["_dead", "_rec"]
+
+
+def test_unreferenced_public_is_caught():
+    src = ast.parse(
+        "class Used:\n    def method(self):\n        return self.method()\n"
+        "    def called(self):\n        pass\n"
+        "def helper():\n    return Used().called()\n"
+        "def dead():\n    return helper()\n"
+    )
+    # an import alone is not a use
+    test = ast.parse("from pkg import dead, helper\n\ndef test_helper():\n    assert helper()\n")
+    assert sorted(unreferenced(public_definitions, [src], [test])) == ["dead", "method"]

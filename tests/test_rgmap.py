@@ -286,7 +286,7 @@ def tiny_ir_step():
     K = mayer_init_truncated(1e-2, t, order=2, max_size=2)
     params = RGStepParams(
         beta=12 * math.pi, torus=t, preset="ir",
-        norm=NormParams.default(t, h=1.0), n_nodes=4,
+        norm=NormParams.default(t, h=1.0),
     )
     return K, params
 
@@ -506,8 +506,8 @@ class TestTreeTermReplay:
         for _, sl in pieces:
             images = {}
             for coeff in (3.0 - 1.5j, 3e-300 + 1e-300j, 1e-320, 2e-300j):
-                replayed = rgmap.tree_convolved_terms(coeff, sl, 2, tree, cov, 4, images)
-                fresh = rgmap.tree_convolved_terms(coeff, sl, 2, tree, cov, 4, {})
+                replayed = rgmap.tree_convolved_terms(coeff, sl, 2, tree, cov, images, 4)
+                fresh = rgmap.tree_convolved_terms(coeff, sl, 2, tree, cov, {}, 4)
                 want = reference_tree_convolved_terms(coeff, sl, 2, tree, cov, 4)
                 assert repr(replayed) == repr(fresh) == repr(want)
             assert len(images) == 1
@@ -689,7 +689,7 @@ class TestChargeFactors:
 class TestRGStep:
     def test_zero_activity(self):
         t = TorusSpec(2, 2)
-        params = RGStepParams(beta=4 * math.pi, torus=t, check_hypotheses=False)
+        params = RGStepParams(beta=4 * math.pi, torus=t)
         K = TruncatedActivity(t, {})
         k_new, coeffs, diag = rg_step(K, params)
         assert not k_new.shapes
@@ -719,7 +719,7 @@ class TestRGStep:
         K = mayer_init_truncated(zeta, t, order=3, max_size=2)
         params = RGStepParams(
             beta=4 * math.pi, torus=t, preset="uv",
-            norm=NormParams.default(t, h=1.0), check_hypotheses=False,
+            norm=NormParams.default(t, h=1.0),
         )
         k_new, coeffs, diag = rg_step(K, params)
         assert k_new.torus.side == 4
@@ -740,7 +740,6 @@ class TestRGStep:
         params = RGStepParams(
             beta=4 * math.pi, torus=t, preset="uv",
             norm=NormParams.default(t, h=1.0),
-            check_hypotheses=False,
         )
         out = contour_higher_order(K, params, radius=32.0, nodes=6)
         # contour and direct higher-order parts agree well below their size
