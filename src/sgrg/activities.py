@@ -1,5 +1,5 @@
 """Polymer activities: representations, the polymer exponential, potentials,
-charge decomposition and activity norms.
+charge decomposition and the activity norm of cloud and truncated activities.
 
 Three representations with promotion downward (Truncated -> Cloud ->
 Functional):
@@ -303,79 +303,6 @@ def truncate_cloud_terms(ts, q_max: int, max_linfs: int, drop_tol: float = 0.0,
     return canon(kept, drop_tol=drop_tol), dropped
 
 
-# -- serialization (functional activities are evaluators and stay in memory) -------
-
-
-def _term_to_json(t: CloudTerm) -> dict:
-    return {
-        "coeff": [t.coeff.real, complex(t.coeff).imag],
-        "charges": [[q, list(x)] for q, x in t.charges],
-        "linfs": [[list(a), list(y)] for a, y in t.linfs],
-    }
-
-
-def _term_from_json(d) -> CloudTerm:
-    return CloudTerm(
-        complex(d["coeff"][0], d["coeff"][1]),
-        tuple((int(q), tuple(x)) for q, x in d["charges"]),
-        tuple((tuple(int(c) for c in a), tuple(y)) for a, y in d["linfs"]),
-    )
-
-
-def activity_to_json(K) -> dict:
-    """Cloud and truncated activities as polymer -> term-list JSON."""
-    flags = {"even": K.flags.even, "periodic": K.flags.periodic,
-             "neutral": K.flags.neutral}
-    if isinstance(K, CloudActivity):
-        return {
-            "kind": "cloud",
-            "torus": {"L": K.torus.L, "M": K.torus.M, "d": K.torus.d},
-            "flags": flags,
-            "data": [
-                {"polymer": sorted(map(list, blocks)),
-                 "terms": [_term_to_json(t) for t in ts]}
-                for blocks, ts in sorted(K.data.items(), key=lambda kv: sorted(kv[0]))
-            ],
-        }
-    if isinstance(K, TruncatedActivity):
-        return {
-            "kind": "truncated",
-            "torus": {"L": K.torus.L, "M": K.torus.M, "d": K.torus.d},
-            "flags": flags,
-            "q_max": K.q_max,
-            "max_linfs": K.max_linfs,
-            "data": [
-                {"shape": [list(b) for b in key],
-                 "terms": [_term_to_json(t) for t in ts]}
-                for key, ts in sorted(K.shapes.items())
-            ],
-        }
-    raise TypeError("functional activities are opaque evaluators; not serializable")
-
-
-def activity_from_json(payload) -> "CloudActivity | TruncatedActivity":
-    torus = TorusSpec(payload["torus"]["L"], payload["torus"]["M"], payload["torus"]["d"])
-    flags = ActivityFlags(**payload["flags"])
-    if payload["kind"] == "cloud":
-        data = {
-            frozenset(tuple(b) for b in entry["polymer"]): [
-                _term_from_json(t) for t in entry["terms"]
-            ]
-            for entry in payload["data"]
-        }
-        return CloudActivity(torus, data, flags)
-    if payload["kind"] == "truncated":
-        shapes = {
-            tuple(tuple(b) for b in entry["shape"]): [
-                _term_from_json(t) for t in entry["terms"]
-            ]
-            for entry in payload["data"]
-        }
-        return TruncatedActivity(torus, shapes, flags, payload["q_max"],
-                                 payload["max_linfs"])
-    raise ValueError(f"unknown activity kind {payload['kind']!r}")
-
-
 # -- polymer exponential ----------------------------------------------------------
 
 
@@ -645,62 +572,40 @@ def charge_component(K, q: int, n_phi: int | None = None):
 
 @dataclass(frozen=True)
 class NormParams:
-    """Weights of the norm: regulator budget (kappa, c_s), analyticity h,
+    """Weights of the norm: regulator budget kappa, analyticity h,
     polymer-size budget Gamma_p."""
 
     h: float
     kappa: float
-    c_s: float
     gamma: SetRegulatorParams
-    n_max: int = 4
 
     @staticmethod
     def default(torus: TorusSpec, h: float = 1.0, kappa: float = 1e-3,
-                c_s: float = 1.0, p: int = 0) -> "NormParams":
-        return NormParams(
-            h=h, kappa=kappa, c_s=c_s, gamma=SetRegulatorParams.default(torus, p=p)
-        )
+                p: int = 0) -> "NormParams":
+        return NormParams(h=h, kappa=kappa, gamma=SetRegulatorParams.default(torus, p=p))
 
     def with_p(self, p: int) -> "NormParams":
         return replace(self, gamma=replace(self.gamma, p=p))
 
 
-@dataclass
-class NormResult:
-    log_value: float
-    per_anchor: dict
-    kind: str
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def value(self) -> float:
-        try:
-            return math.exp(self.log_value)
-        except OverflowError:
-            return math.inf
-
-
 def _shape_log_norm(ts, params: NormParams) -> float:
-    return logsumexp([term_log_weight(t, params.h, params.kappa, params.c_s) for t in ts])
+    return logsumexp([term_log_weight(t, params.h, params.kappa) for t in ts])
 
 
-def activity_norm(K, params: NormParams, rng=None, n_samples: int = 40) -> NormResult:
-    """Series norm sum_{X cont. D} Gamma(X) ||K(X)||_{G,h} (log domain).
+def activity_norm(K, params: NormParams) -> float:
+    """Log of the series norm sum_{X cont. D} Gamma(X) ||K(X)||_{G,h}.
 
-    Cloud/truncated terms give certified series bounds; functional
-    activities return a sampled lower-bound estimate.
+    Defined for cloud and truncated activities, whose terms give certified
+    series bounds; the cloud norm is the largest sum over the polymers
+    containing one block.
     """
     if isinstance(K, TruncatedActivity):
         logs = []
-        per = {}
         for key, ts in K.shapes.items():
             p = Polymer(frozenset(key))
             lg = log_gamma_p(p, params.gamma, K.torus)
-            ln = _shape_log_norm(ts, params)
-            contrib = math.log(p.size) + lg + ln
-            per[key] = contrib
-            logs.append(contrib)
-        return NormResult(logsumexp(logs), per, "series-truncated")
+            logs.append(math.log(p.size) + lg + _shape_log_norm(ts, params))
+        return logsumexp(logs)
     if isinstance(K, CloudActivity):
         anchors = {}
         for p in K.support():
@@ -710,58 +615,8 @@ def activity_norm(K, params: NormParams, rng=None, n_samples: int = 40) -> NormR
             lgn = log_gamma_p(p, params.gamma, K.torus) + _shape_log_norm(ts, params)
             for b in p.blocks:
                 anchors[b] = logsumexp([anchors.get(b, -math.inf), lgn])
-        if not anchors:
-            return NormResult(-math.inf, {}, "series-cloud")
-        best = max(anchors.values())
-        return NormResult(best, anchors, "series-cloud")
-    if isinstance(K, FunctionalActivity):
-        return _functional_norm_estimate(K, params, rng, n_samples)
+        return max(anchors.values(), default=-math.inf)
     raise TypeError(f"unsupported representation {type(K)!r}")
-
-
-def _functional_norm_estimate(K, params: NormParams, rng, n_samples: int) -> NormResult:
-    from .fields import field_norms, random_band_limited
-
-    rng = rng or np.random.default_rng(0)
-    anchors = {}
-    n_g = 8
-    for p in K.support():
-        best = -math.inf
-        for _ in range(n_samples):
-            phi = random_band_limited(K.torus, n_g, rng, amplitude=0.5)
-            f = random_band_limited(K.torus, n_g, rng, amplitude=0.5)
-            supf, _ = field_norms(f, p, r=2, s=4)
-            if supf < 1e-9:
-                continue
-            step = 0.05
-            # n-th directional derivatives by iterated central differences;
-            # moderate phi keep G ~ 1, so the G-division is skipped (estimate)
-            samples = [
-                K.value(p, _field_plus(phi, f, m * step / supf))
-                for m in range(-params.n_max, params.n_max + 1)
-            ]
-            deriv = samples
-            series = abs(samples[params.n_max])
-            for n in range(1, params.n_max + 1):
-                deriv = [
-                    (deriv[i + 1] - deriv[i - 1]) / (2 * step)
-                    for i in range(1, len(deriv) - 1)
-                ]
-                series += params.h**n / math.factorial(n) * abs(deriv[len(deriv) // 2])
-            best = max(best, math.log(max(series, 1e-300)))
-        lgn = log_gamma_p(p, params.gamma, K.torus) + best
-        for b in p.blocks:
-            anchors[b] = logsumexp([anchors.get(b, -math.inf), lgn])
-    best = max(anchors.values()) if anchors else -math.inf
-    return NormResult(
-        best, anchors, "sampled-lower-bound", {"n_samples": n_samples}
-    )
-
-
-def _field_plus(phi, f, t: float):
-    from .fields import FieldGrid
-
-    return FieldGrid(phi.torus, phi.n_g, phi.values + t * f.values)
 
 
 # -- randomized structural checks -----------------------------------------------------

@@ -137,9 +137,6 @@ class FieldGrid:
             vals = _fd_axis(vals, order, self.n_g, axis)
         return FieldGrid(self.torus, self.n_g, vals)
 
-    def shifted(self, const: float) -> "FieldGrid":
-        return self + const
-
 
 def _spectral_multiplier(n, k, alpha):
     kx = k.copy()
@@ -254,7 +251,6 @@ class RegulatorParams:
     s: int = 4
     h: float = 1.0
     ell: float = 2.0
-    c_s: float | None = None
 
     def __post_init__(self):
         if self.s <= 1 + self.r:  # d = 2
@@ -360,14 +356,12 @@ class GaussianEnsemble:
     seed: int
 
     def sample(self, count: int) -> list[FieldGrid]:
-        rng = np.random.default_rng(self.seed)
-        fac = self.cov.sqrt_factor
-        xi = rng.standard_normal(size=(count, fac.shape[1]))
-        draws = xi @ fac.T
         n = self.torus.side * self.n_g
-        return [FieldGrid(self.torus, self.n_g, d.reshape(n, n)) for d in draws]
+        return [FieldGrid(self.torus, self.n_g, d.reshape(n, n))
+                for d in self.sample_values(count)]
 
     def sample_values(self, count: int) -> np.ndarray:
+        """``count`` draws as rows of grid values; the same seed gives the same rows."""
         rng = np.random.default_rng(self.seed)
         fac = self.cov.sqrt_factor
         xi = rng.standard_normal(size=(count, fac.shape[1]))
@@ -386,37 +380,6 @@ def gaussian_ensemble(
 ) -> GaussianEnsemble:
     cov = covariance_matrix(kernel, grid_points(torus, n_g), scale=scale)
     return GaussianEnsemble(cov=cov, torus=torus, n_g=n_g, seed=seed)
-
-
-def save_field(phi: FieldGrid, path, seed: int | None = None):
-    """Flat binary array with a JSON header (torus, n_g, seed)."""
-    import json
-
-    header = {
-        "L": phi.torus.L,
-        "M": phi.torus.M,
-        "d": phi.torus.d,
-        "n_g": phi.n_g,
-        "seed": seed,
-        "dtype": "float64",
-    }
-    blob = json.dumps(header).encode()
-    with open(path, "wb") as fh:
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(phi.values, dtype=np.float64).tobytes())
-
-
-def load_field(path) -> FieldGrid:
-    import json
-
-    with open(path, "rb") as fh:
-        n = int.from_bytes(fh.read(8), "little")
-        header = json.loads(fh.read(n).decode())
-        values = np.frombuffer(fh.read(), dtype=np.float64)
-    torus = TorusSpec(header["L"], header["M"], header["d"])
-    side = torus.side * header["n_g"]
-    return FieldGrid(torus, header["n_g"], values.reshape(side, side).copy())
 
 
 def charge_cloud_expectation(charges, kernel: CovarianceKernel, scale: float = 1.0) -> float:

@@ -349,10 +349,10 @@ def run_flow(config: FlowConfig) -> FlowTrajectory:
         """log ||K|| and, tracking zeta, log ||K - zeta_j V||."""
         np_j = _norm_params(config, torus, j)
         if zetas is None:
-            return activity_norm(K, np_j).log_value, -math.inf
+            return activity_norm(K, np_j), -math.inf
         V = v_activity(K.torus, n_q=config.n_q, trans_invariant=True)
-        return (activity_norm(K, np_j).log_value,
-                activity_norm(K.add(V, -zeta_j), np_j).log_value)
+        return (activity_norm(K, np_j),
+                activity_norm(K.add(V, -zeta_j), np_j))
 
     sigma = 0.0
     energy = 0.0
@@ -391,7 +391,8 @@ def run_flow(config: FlowConfig) -> FlowTrajectory:
         ))
         diagnostics.append(
             {"j": j, "hypotheses": diag["hypotheses"],
-             "dropped_terms": diag["dropped_terms"]}
+             "dropped_terms": diag["dropped_terms"],
+             "anisotropy": [coeffs.anisotropy, coarse_coeffs.anisotropy]}
         )
     return FlowTrajectory(config=config, states=states, diagnostics=diagnostics)
 
@@ -399,48 +400,11 @@ def run_flow(config: FlowConfig) -> FlowTrajectory:
 # -- partition-function oracle ----------------------------------------------------------
 
 
-class OraclePrecisionError(RuntimeError):
-    pass
-
-
 @dataclass
 class OracleResult:
     value: float
     stderr: float
     n_samples: int
-
-
-def partition_oracle(
-    beta: float,
-    zeta: complex,
-    torus: TorusSpec,
-    K,
-    sigma: float,
-    energy: float,
-    n_samples: int,
-    seed: int,
-    n_g: int = 8,
-    rel_err_cap: float = 0.02,
-) -> OracleResult:
-    """MC estimate of e^E int Exp(box + K)(Lambda, phi) d mu_{beta v(sigma)}."""
-    if torus.side > 4:
-        raise ValueError("oracle restricted to tiny tori (side <= 4)")
-    kern = CovarianceKernel("full", sigma=sigma, torus=torus)
-    ens = gaussian_ensemble(kern, torus, n_g, seed=seed, scale=beta)
-    lam = whole_torus(torus)
-    vals = np.empty(n_samples)
-    fields = ens.sample(n_samples)
-    for i, fld in enumerate(fields):
-        vals[i] = (polymer_exp(K, lam, fld)).real
-    mean = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
-    scale = math.exp(energy)
-    if mean != 0 and abs(se / mean) > rel_err_cap:
-        raise OraclePrecisionError(
-            f"relative standard error {abs(se / mean):.3%} above the cap; "
-            f"suggest n_samples >= {int(n_samples * (se / (rel_err_cap * mean)) ** 2)}"
-        )
-    return OracleResult(value=scale * mean, stderr=scale * se, n_samples=n_samples)
 
 
 def z_invariance_check(
@@ -480,7 +444,7 @@ def z_invariance_check(
     k_sharp = CloudActivity(
         torus, {k: convolve_terms(ts, cov) for k, ts in K0.data.items()}, K0.flags
     )
-    coeffs = extraction_coefficients(k_sharp, "ir", beta, enforce=False)
+    coeffs = extraction_coefficients(k_sharp, "ir", beta)
     F = build_extraction_activity(coeffs, k_sharp, n_q=n_q)
     dsig = coeffs.dsigma
     coarse = torus.coarse()

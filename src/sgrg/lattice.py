@@ -105,9 +105,6 @@ class Polymer:
     def sorted_blocks(self) -> list[Block]:
         return sorted(self.blocks)
 
-    def anchor(self) -> Block:
-        return min(self.blocks)
-
     def shape_key(self) -> tuple[Block, ...]:
         """Translation-canonical form: blocks shifted so the min corner is 0."""
         bs = self.sorted_blocks()
@@ -121,13 +118,6 @@ class Polymer:
         return Polymer(
             frozenset(torus.wrap(tuple(c + s for c, s in zip(b, shift))) for b in self.blocks)
         )
-
-    def to_json(self) -> list:
-        return [list(b) for b in self.sorted_blocks()]
-
-    @staticmethod
-    def from_json(data) -> "Polymer":
-        return Polymer(frozenset(tuple(int(c) for c in b) for b in data))
 
 
 def polymer(blocks) -> Polymer:
@@ -156,26 +146,6 @@ def is_connected(blocks, torus: TorusSpec) -> bool:
                 seen.add(nb)
                 stack.append(nb)
     return len(seen) == len(blocks)
-
-
-def connected_components(blocks, torus: TorusSpec) -> list[Polymer]:
-    """Partition a block set into maximal adjacency components (sorted, deterministic)."""
-    remaining = {torus.wrap(b) for b in blocks}
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        stack = [seed]
-        remaining.remove(seed)
-        while stack:
-            b = stack.pop()
-            for nb in neighbors(b, torus):
-                if nb in remaining:
-                    remaining.remove(nb)
-                    comp.add(nb)
-                    stack.append(nb)
-        comps.append(Polymer(frozenset(comp)))
-    return sorted(comps, key=lambda p: p.sorted_blocks())
 
 
 def region_disjoint(p1: Polymer, p2: Polymer, torus: TorusSpec) -> bool:

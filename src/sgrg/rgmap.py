@@ -431,10 +431,6 @@ class ExtractionCoefficients:
     anisotropy: float  # the isotropy check's measure of the quadratic part
 
 
-class AnisotropyError(RuntimeError):
-    pass
-
-
 def _centroid(blocks) -> tuple:
     bs = list(blocks)
     return (
@@ -534,14 +530,13 @@ def _poly_deriv_quadratic(alpha, y, x_star, nu, rho) -> float:
     return 0.0
 
 
-def extraction_coefficients(K, preset: str, beta: float,
-                            anisotropy_tol: float = 1e-8,
-                            enforce: bool = True) -> ExtractionCoefficients:
+def extraction_coefficients(K, preset: str, beta: float) -> ExtractionCoefficients:
     """Extraction data from the neutral sector of K on small sets.
 
     preset 'ir': constants plus both gradient quadratics; 'uv': constants only.
     dE sums shape values at phi = 0; dsigma comes from the trace identity of
-    the quadratic coefficients (isotropy enforced unless ``enforce=False``).
+    the quadratic coefficients.  The isotropy check reports its measure in
+    ``anisotropy`` and does not stop the caller.
     """
     if isinstance(K, TruncatedActivity):
         items = [(key, ts) for key, ts in K.shapes.items() if shape_is_small(key)]
@@ -592,12 +587,7 @@ def extraction_coefficients(K, preset: str, beta: float,
             quad[key] = {}
             grad2[key] = {}
     if preset == "ir":
-        aniso = abs(s_diag[0] - s_diag[1]) + abs(s_off)
-        scale = max(1.0, abs(s_diag[0]))
-        if enforce and aniso > anisotropy_tol * scale:
-            raise AnisotropyError(
-                f"quadratic extraction not lattice-isotropic: {aniso:.3e}"
-            )
+        aniso = float(abs(s_diag[0] - s_diag[1]) + abs(s_off))
         dsigma = -2.0 * beta * 0.5 * (s_diag[0] + s_diag[1])
     else:
         aniso = 0.0
@@ -982,36 +972,36 @@ def _hypothesis_constants() -> tuple[float, int]:
     return construct_gamma(12.0), count_small_supersets((8, 8), TorusSpec(2, 4))
 
 
-def check_hypotheses(K, params: RGStepParams, c_star: float | None = None) -> dict:
+def check_hypotheses(K, params: RGStepParams) -> dict:
     """Numeric checks of the four step hypotheses; values always reported.
 
     Each check carries a signed ``margin``, >= 0 exactly when it holds (h1,
     h2 and h3 in log units, h4 in supersets).  A failed check is listed in
     ``failed`` and does not stop the step.
     """
-    norm_k = activity_norm(K, params.norm)
+    log_norm_k = activity_norm(K, params.norm)
     gamma_fac, k_small = _hypothesis_constants()
     checks = {}
     checks["h1_norm_small"] = {
-        "value": norm_k.log_value,
-        "margin": math.log(SMALLNESS) - norm_k.log_value,
-        "ok": norm_k.log_value < math.log(SMALLNESS),
+        "value": log_norm_k,
+        "margin": math.log(SMALLNESS) - log_norm_k,
+        "ok": log_norm_k < math.log(SMALLNESS),
     }
     L = params.torus.L
-    c_s = params.norm.c_s
-    c_bound = 1.0 / (2 * 2 * L * c_s) if c_s > 0 else math.inf
+    c_bound = 1.0 / (2 * 2 * L)
     kappa_val = params.norm.kappa / max(c_bound, 1e-300) * L**2
     checks["h2_regulator_constants"] = {
         "kappa_c_inv_L2": kappa_val,
         "margin": math.log(10.0 * SMALLNESS) - math.log(max(kappa_val, 1e-300)),
         "ok": kappa_val <= 10.0 * SMALLNESS,
     }
+    c_star = params.c_star
     if c_star is None:
         from .covariance import star_norm
 
         c_star, _ = star_norm(params.kernel(), r=2)
         c_star *= params.beta
-    rhs = math.log(8.0 * gamma_fac**2 * c_star) + norm_k.log_value
+    rhs = math.log(8.0 * gamma_fac**2 * c_star) + log_norm_k
     lhs = 2.0 * math.log(max(params.delta_h, 1e-300))
     checks["h3_cauchy_room"] = {
         "delta_h_sq_log": lhs,
@@ -1032,7 +1022,7 @@ def extract_step(K: TruncatedActivity, params: RGStepParams, cache: dict | None 
     """(E(K, F(K)), coefficients): F from K's neutral sector on small sets,
     removed with e^F - 1 to ``EXTRACTION_ORDER``.  The isotropy check
     reports its measure in the coefficients and does not stop the step."""
-    coeffs = extraction_coefficients(K, params.preset, params.beta, enforce=False)
+    coeffs = extraction_coefficients(K, params.preset, params.beta)
     F = build_extraction_activity(coeffs, K, n_q=params.n_q)
     k_star = extract_cloud(K, F, order=EXTRACTION_ORDER, drop_tol=DROP_TOL, cache=cache)
     return k_star, coeffs
@@ -1050,7 +1040,7 @@ def rg_step(K, params: RGStepParams):
     once, for the fluctuation and the split.
     """
     cov = params.cov()
-    diag = {"hypotheses": check_hypotheses(K, params, c_star=params.c_star)}
+    diag = {"hypotheses": check_hypotheses(K, params)}
     cache: dict = {}
     k1 = fluctuate_linear(K, cov)
     k_sharp = fluctuate(K, cov, pair_window=PAIR_WINDOW, drop_tol=DROP_TOL,
@@ -1066,14 +1056,14 @@ def clip_to_small(K: TruncatedActivity, norm: NormParams):
     """Restrict K to small shapes; returns it and the log norm of the rest."""
     small = K.filter(lambda k, t: shape_is_small(k))
     rest = K.filter(lambda k, t: not shape_is_small(k))
-    clipped_log = activity_norm(rest, norm).log_value if rest.shapes else -math.inf
+    clipped_log = activity_norm(rest, norm) if rest.shapes else -math.inf
     return small, clipped_log
 
 
 def linearized_step(k1: TruncatedActivity, params: RGStepParams,
                     cache: dict | None = None):
     """R_1(K, F(K)) = S_1(F_1 K - F(F_1 K)) from k1 = F_1 K."""
-    coeffs = extraction_coefficients(k1, params.preset, params.beta, enforce=False)
+    coeffs = extraction_coefficients(k1, params.preset, params.beta)
     F = build_extraction_activity(coeffs, k1, n_q=params.n_q)
     return scale_linear(extract_linear(k1, F), cache), coeffs
 
@@ -1098,19 +1088,19 @@ def four_term_split(K: TruncatedActivity, params: RGStepParams, k1: TruncatedAct
     # Gamma(X) = A^{|X|} Theta(X); measure this column there
     np_full = params.norm.with_p(0)
     out["large_sets"] = {
-        "in": activity_norm(large_star, np_full).log_value,
-        "out": activity_norm(r1_large, np_full).log_value,
+        "in": activity_norm(large_star, np_full),
+        "out": activity_norm(r1_large, np_full),
     }
     # the unit-charge sector isolates the leading contraction mechanism;
     # convolution keeps each term's charge, so its image is a filter of F_1 K
     r1_unit = scale_linear(k1.filter(_unit_charge_small), cache)
     out["charged_small"] = {
-        "in": activity_norm(K.filter(_unit_charge_small), params.norm).log_value,
-        "out": activity_norm(r1_unit, params.norm).log_value,
+        "in": activity_norm(K.filter(_unit_charge_small), params.norm),
+        "out": activity_norm(r1_unit, params.norm),
     }
     r1_full, _ = linearized_step(k1, params, cache=cache)
     out["higher_order"] = {
-        "in": activity_norm(K, params.norm).log_value,
-        "out": activity_norm(k_new.add(r1_full, -1.0), params.norm).log_value,
+        "in": activity_norm(K, params.norm),
+        "out": activity_norm(k_new.add(r1_full, -1.0), params.norm),
     }
     return out

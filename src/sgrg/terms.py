@@ -366,24 +366,24 @@ def bond_laplacian(coeff: complex, slots: list[Slot], i_mem: int, j_mem: int, co
 
 
 @lru_cache(maxsize=4096)
-def linf_weight(m: int, h: float, kappa: float, c_s: float) -> float:
-    """sup_u (sqrt(c_s u) + h)^m e^{-kappa u}: per-block weight of m gradient slots."""
+def linf_weight(m: int, h: float, kappa: float) -> float:
+    """sup_u (sqrt(u) + h)^m e^{-kappa u}: per-block weight of m gradient slots."""
     if m == 0:
         return 1.0
     if kappa <= 0:
         raise ValueError("kappa must be positive to control gradient factors")
     us = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 400)])
-    vals = (np.sqrt(c_s * us) + h) ** m * np.exp(-kappa * us)
+    vals = (np.sqrt(us) + h) ** m * np.exp(-kappa * us)
     return float(np.max(vals))
 
 
-def term_log_weight(term: CloudTerm, h: float, kappa: float, c_s: float) -> float:
+def term_log_weight(term: CloudTerm, h: float, kappa: float) -> float:
     """log of the series norm contribution |c| e^{h Q} W(linfs)."""
     if abs(term.coeff) == 0.0:
         return -math.inf
     lw = math.log(abs(term.coeff)) + h * term.abs_charge
     if term.linfs:
-        lw += math.log(linf_weight(len(term.linfs), h, kappa, c_s))
+        lw += math.log(linf_weight(len(term.linfs), h, kappa))
     return lw
 
 

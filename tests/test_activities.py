@@ -293,7 +293,7 @@ class TestNorms:
     def test_zero_activity(self):
         t = TorusSpec(2, 2)
         res = activity_norm(CloudActivity(t, {}), NormParams.default(t))
-        assert res.log_value == -math.inf
+        assert res == -math.inf
 
     def test_potential_norm_value(self):
         # single-block V with n_q = 1: sum Gamma * |zeta| e^h = 32 |zeta| e^h
@@ -303,7 +303,7 @@ class TestNorms:
         K = V.scale(zeta)
         params = NormParams.default(t, h=1.5)
         res = activity_norm(K, params)
-        assert res.value == pytest.approx(32.0 * zeta * math.exp(1.5), rel=1e-12)
+        assert math.exp(res) == pytest.approx(32.0 * zeta * math.exp(1.5), rel=1e-12)
 
     def test_charge_sector_norm_dominated(self):
         t = TorusSpec(2, 2)
@@ -318,21 +318,10 @@ class TestNorms:
                 )
                 terms.append(CloudTerm(complex(rng.normal(), rng.normal()), charges))
             K = CloudActivity(t, {frozenset({(0, 0)}): terms})
-            total = activity_norm(K, params).log_value
+            total = activity_norm(K, params)
             for q in range(-4, 5):
-                part = activity_norm(charge_component(K, q), params).log_value
+                part = activity_norm(charge_component(K, q), params)
                 assert part <= total + 1e-12
-
-    def test_functional_estimate_reported(self):
-        t = TorusSpec(2, 1)
-        V = v_activity(t, n_q=2, trans_invariant=False)
-        Kf = FunctionalActivity(
-            t, lambda p, fld: V.value(p, fld), V.support()[:1], ActivityFlags(periodic=True)
-        )
-        params = NormParams.default(t, h=1.0)
-        res = activity_norm(Kf, params, n_samples=10)
-        assert res.kind == "sampled-lower-bound"
-        assert np.isfinite(res.log_value)
 
 
 class TestStructureChecks:
@@ -362,37 +351,6 @@ class TestStructureChecks:
         # charge amplitudes at first order: zeta/2 each sign
         amp = [t_ for t_ in ts if t_.total_charge == 1 and len(t_.charges) == 1]
         assert sum(x.coeff for x in amp) == pytest.approx(0.5e-2, rel=1e-3)
-
-
-class TestSerialization:
-    def test_cloud_roundtrip(self):
-        from sgrg.activities import activity_from_json, activity_to_json
-
-        t = TorusSpec(2, 2)
-        K = CloudActivity(
-            t,
-            {frozenset({(0, 0)}): [CloudTerm(0.5 + 0.1j, ((1, (0.0, 0.25)),),
-                                             (((1, 0), (0.25, 0.0)),))]},
-            ActivityFlags(periodic=True),
-        )
-        back = activity_from_json(activity_to_json(K))
-        assert back.data == K.data and back.flags == K.flags
-
-    def test_truncated_roundtrip(self):
-        from sgrg.activities import activity_from_json, activity_to_json
-
-        t = TorusSpec(2, 3)
-        K = mayer_init_truncated(1e-2, t, order=2, max_size=2)
-        back = activity_from_json(activity_to_json(K))
-        assert back.shapes == K.shapes
-
-    def test_functional_not_serializable(self):
-        from sgrg.activities import activity_to_json
-
-        t = TorusSpec(2, 1)
-        Kf = FunctionalActivity(t, lambda p, f: 1.0, [])
-        with pytest.raises(TypeError):
-            activity_to_json(Kf)
 
 
 def reference_collapse_term(term, q_max, max_linfs, neutral_taylor=True):

@@ -268,17 +268,3 @@ class TestVanishingPointScaling:
             gains.append(supY / supX)
         measured = max(gains)
         assert measured < 3.0 / L
-
-
-class TestSnapshots:
-    def test_field_roundtrip(self, tmp_path):
-        from sgrg.fields import load_field, save_field
-
-        t = TorusSpec(2, 2)
-        rng = np.random.default_rng(8)
-        phi = random_band_limited(t, 8, rng)
-        path = tmp_path / "field.bin"
-        save_field(phi, path, seed=8)
-        back = load_field(path)
-        assert back.torus == t and back.n_g == 8
-        assert np.array_equal(back.values, phi.values)

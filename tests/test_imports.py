@@ -71,24 +71,43 @@ def public_definitions(tree):
 
 
 def name_uses(node) -> Counter:
-    """How often each name is read, as a bare name or as an attribute."""
+    """How often each name is read: ("name", id) for a bare name,
+    ("attr", name) for an attribute read ``x.name``."""
     uses = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            uses[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
-            uses[sub.attr] += 1
+            uses["name", sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            uses["attr", sub.attr] += 1
     return uses
+
+
+def methods(tree) -> set:
+    """The ids of the function nodes defined directly in a class body."""
+    return {
+        id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
 
 
 def unreferenced(defined, trees, users=()) -> list:
     """Definitions in ``trees`` that nothing in ``trees`` or ``users`` refers
-    to outside their own body; an import alone is not a reference."""
+    to outside their own body.  An import alone is not a reference, and a
+    method is referred to only by an attribute read: a local or parameter of
+    the same name does not count."""
     total = sum((name_uses(tree) for tree in [*trees, *users]), Counter())
-    return [
-        node.name for tree in trees for node in defined(tree)
-        if total[node.name] - name_uses(node)[node.name] <= 0
-    ]
+
+    def refs(uses, node, is_method):
+        return uses["attr", node.name] + (0 if is_method else uses["name", node.name])
+
+    out = []
+    for tree in trees:
+        in_class = methods(tree)
+        for node in defined(tree):
+            is_method = id(node) in in_class
+            if refs(total, node, is_method) - refs(name_uses(node), node, is_method) <= 0:
+                out.append(node.name)
+    return out
 
 
 def parse_all(folder):
@@ -117,9 +136,10 @@ def test_unreferenced_public_is_caught():
     src = ast.parse(
         "class Used:\n    def method(self):\n        return self.method()\n"
         "    def called(self):\n        pass\n"
-        "def helper():\n    return Used().called()\n"
+        "    def shifted(self):\n        pass\n"
+        "def helper(shifted=0):\n    return Used().called(), shifted\n"
         "def dead():\n    return helper()\n"
     )
-    # an import alone is not a use
+    # an import alone is not a use, nor is a parameter named like a method
     test = ast.parse("from pkg import dead, helper\n\ndef test_helper():\n    assert helper()\n")
-    assert sorted(unreferenced(public_definitions, [src], [test])) == ["dead", "method"]
+    assert sorted(unreferenced(public_definitions, [src], [test])) == ["dead", "method", "shifted"]

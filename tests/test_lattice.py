@@ -10,7 +10,6 @@ from sgrg.lattice import (
     Polymer,
     SetRegulatorParams,
     TorusSpec,
-    connected_components,
     count_small_supersets,
     enumerate_all_connected,
     enumerate_polymers,
@@ -22,74 +21,6 @@ from sgrg.lattice import (
     region_disjoint,
     scale_up,
 )
-
-
-def brute_components(blocks, torus):
-    """Independent union-find over the full pairwise adjacency relation."""
-    blocks = sorted({torus.wrap(b) for b in blocks})
-    parent = {b: b for b in blocks}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in itertools.combinations(blocks, 2):
-        if torus.cheb(a, b) <= 1:
-            parent[find(a)] = find(b)
-    groups = {}
-    for b in blocks:
-        groups.setdefault(find(b), set()).add(b)
-    return sorted(frozenset(g) for g in groups.values())
-
-
-class TestConnectedComponents:
-    def test_singleton(self):
-        t = TorusSpec(2, 2)
-        comps = connected_components({(0, 0)}, t)
-        assert comps == [polymer([(0, 0)])]
-
-    def test_corner_contact_counts(self):
-        t = TorusSpec(2, 2)
-        comps = connected_components({(0, 0), (1, 1)}, t)
-        assert len(comps) == 1 and comps[0].size == 2
-
-    def test_separated_pair(self):
-        t = TorusSpec(2, 2)
-        comps = connected_components({(0, 0), (2, 2)}, t)
-        assert len(comps) == 2
-
-    def test_empty(self):
-        assert connected_components(set(), TorusSpec(2, 2)) == []
-
-    def test_matches_brute_force_and_is_order_independent(self):
-        t = TorusSpec(2, 3)
-        rng = random.Random(7)
-        for _ in range(60):
-            blocks = {
-                (rng.randrange(t.side), rng.randrange(t.side))
-                for _ in range(rng.randrange(1, 12))
-            }
-            expect = brute_components(blocks, t)
-            got = sorted(c.blocks for c in connected_components(blocks, t))
-            assert got == expect
-            shuffled = list(blocks)
-            rng.shuffle(shuffled)
-            got2 = sorted(c.blocks for c in connected_components(shuffled, t))
-            assert got2 == expect
-
-    def test_idempotent(self):
-        t = TorusSpec(2, 3)
-        rng = random.Random(3)
-        for _ in range(20):
-            blocks = {
-                (rng.randrange(t.side), rng.randrange(t.side))
-                for _ in range(rng.randrange(1, 10))
-            }
-            for comp in connected_components(blocks, t):
-                again = connected_components(comp.blocks, t)
-                assert len(again) == 1 and again[0].blocks == comp.blocks
 
 
 def brute_enumerate(torus, max_size, anchor):
@@ -313,11 +244,3 @@ class TestRegulator:
         print(f"large-set closure constants (L=2, |X|>=5): {measured}")
         # the partition closure never grows the block count, so its constant is smaller
         assert measured["partition"] <= measured["geometric"]
-
-
-class TestSerialization:
-    def test_json_roundtrip(self):
-        p = polymer([(2, 1), (0, 0), (1, 1)])
-        data = p.to_json()
-        assert data == [[0, 0], [1, 1], [2, 1]]
-        assert Polymer.from_json(data) == p

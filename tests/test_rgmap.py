@@ -24,7 +24,6 @@ from sgrg.covariance import CovarianceKernel
 from sgrg.fields import random_band_limited, scale_field
 from sgrg.lattice import Polymer, TorusSpec, partition_closure, polymer
 from sgrg.rgmap import (
-    AnisotropyError,
     RGStepParams,
     build_extraction_activity,
     charge_factors,
@@ -623,7 +622,7 @@ class TestExtractionCoefficients:
                 )
             shapes[p.shape_key()] = ts
         K = TruncatedActivity(t, shapes)
-        coeffs = extraction_coefficients(K, "ir", beta=3.0, enforce=False)
+        coeffs = extraction_coefficients(K, "ir", beta=3.0)
         F = build_extraction_activity(coeffs, K, n_q=2)
         resid = extract_linear(charge_component(K, 0), F)
         from sgrg.rgmap import _centroid
@@ -640,8 +639,8 @@ class TestExtractionCoefficients:
         key = tuple([(0, 0)])
         terms = [CloudTerm(0.01, (), (((1, 0), (0.0, 0.0)), ((1, 0), (0.0, 0.0))))]
         K = TruncatedActivity(t, {key: terms})
-        with pytest.raises(AnisotropyError):
-            extraction_coefficients(K, "ir", beta=1.0, enforce=True)
+        # the check reports its measure and does not stop the caller
+        assert extraction_coefficients(K, "ir", beta=1.0).anisotropy > 1e-8
 
 
 class TestNeutralScalingDimension:
@@ -655,8 +654,8 @@ class TestNeutralScalingDimension:
                 terms = [CloudTerm(1.0, (), ((alpha, (0.0, 0.0)), (alpha, (0.0, 0.0))))]
                 K = TruncatedActivity(t, {key: terms})
                 SK = scale_linear(K)
-                num = activity_norm(SK, NormParams.default(t.coarse(), h=1.0)).log_value
-                den = activity_norm(K, NormParams.default(t, h=1.0)).log_value
+                num = activity_norm(SK, NormParams.default(t.coarse(), h=1.0))
+                den = activity_norm(K, NormParams.default(t, h=1.0))
                 ratios[(L, dim)] = math.exp(num - den)
         for L in (2, 4):
             assert ratios[(L, 2)] == pytest.approx(1.0, rel=1e-9)
@@ -705,8 +704,8 @@ class TestRGStep:
         cov = CovAccess(kern, scale=4 * math.pi)
         out = scale_linear(fluctuate_linear(K, cov))
         params = NormParams.default(t, h=1.0)
-        num = activity_norm(out, params).log_value
-        den = activity_norm(K, params).log_value
+        num = activity_norm(out, params)
+        den = activity_norm(K, params)
         ratio = math.exp(num - den)
         print(f"large-set one-step multiplier at L=2: {ratio:.4f} (L^-2 = 0.25)")
         assert ratio < 1.0
@@ -760,8 +759,8 @@ def contour_higher_order(K, params, radius, nodes):
     r1, _ = linearized_step(fluctuate_linear(K, params.cov()), params)
     direct = k_new.add(r1, -1.0)
     return {
-        "direct_log_norm": activity_norm(direct, params.norm).log_value,
-        "residual_log_norm": activity_norm(contour.add(direct, -1.0), params.norm).log_value,
+        "direct_log_norm": activity_norm(direct, params.norm),
+        "residual_log_norm": activity_norm(contour.add(direct, -1.0), params.norm),
     }
 
 
@@ -782,8 +781,8 @@ class TestChargedSectorBound:
             key = tuple([(0, 0)])
             kq = TruncatedActivity(t, {key: [CloudTerm(1e-3, ((q, (0.0, 0.0)),))]})
             out = scale_linear(fluctuate_linear(kq, cov))
-            num = activity_norm(out, NormParams.default(t.coarse(), h=1.0)).log_value
-            den = activity_norm(kq, params).log_value
+            num = activity_norm(out, NormParams.default(t.coarse(), h=1.0))
+            den = activity_norm(kq, params)
             measured = math.exp(num - den)
             bound = charge_factors(q, c0, n_c, h=1.0, eta=0.0, L=t.L)["combined"]
             assert measured <= bound * (1 + 1e-9), (q, measured, bound)

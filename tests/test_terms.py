@@ -99,7 +99,7 @@ def oracle_setup():
     k_sharp = CloudActivity(
         torus, {k: convolve_terms(ts, cov) for k, ts in K0.data.items()}, K0.flags
     )
-    coeffs = extraction_coefficients(k_sharp, "ir", beta, enforce=False)
+    coeffs = extraction_coefficients(k_sharp, "ir", beta)
     F = build_extraction_activity(coeffs, k_sharp, n_q=1)
     fine = gaussian_ensemble(CovarianceKernel("full", sigma=0.0, torus=torus),
                              torus, 8, seed=3, scale=beta).sample(5)
