@@ -285,22 +285,29 @@ def _collapsed(memo: dict, key, q_max: int, max_linfs: int):
     return memo[key]
 
 
+def _add_collapsed(sums: dict, pieces, c) -> None:
+    """Add the collapse pieces (from ``_collapsed``) of a term with coefficient
+    ``c`` into ``sums`` ({piece key: coeff}), as ``canon`` would sum them."""
+    for piece_key, ops in pieces:
+        sums[piece_key] = sums.get(piece_key, 0.0) + ops.apply(c)
+
+
 def truncate_cloud_terms(ts, q_max: int, max_linfs: int, drop_tol: float = 0.0,
                          cache: dict | None = None):
     """(kept terms, dropped terms) after collapsing to the truncated model.
 
     Each key is collapsed once per ``cache`` (see ``_collapsed``); the pieces
-    are summed in the order of collapsing every term, then ``canon``."""
+    are summed in the order of collapsing every term, as ``canon`` sums."""
     memo = ({} if cache is None else cache).setdefault((q_max, max_linfs), {})
-    kept, dropped = [], []
+    sums: dict = {}
+    dropped = []
     for t in ts:
         pieces = _collapsed(memo, t.key(), q_max, max_linfs)
         if pieces is None:
             dropped.append(t)
-            continue
-        for piece_key, ops in pieces:
-            kept.append(tm._raw_term(ops.apply(t.coeff), *piece_key))
-    return canon(kept, drop_tol=drop_tol), dropped
+        else:
+            _add_collapsed(sums, pieces, t.coeff)
+    return tm._canon_sums(sums, drop_tol), dropped
 
 
 # -- polymer exponential ----------------------------------------------------------

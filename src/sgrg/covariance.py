@@ -231,8 +231,7 @@ class CovarianceKernel:
     def _wrap(self, xs: np.ndarray) -> np.ndarray:
         if self.kind == "continuum":
             return xs
-        s = float(self.torus.side)
-        return (xs + s / 2.0) % s - s / 2.0
+        return _min_image(xs, float(self.torus.side))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -253,8 +252,9 @@ class CovarianceKernel:
     def grid_tables(self, n_sub: int, alphas, side: int | None = None):
         """FFT evaluation of d^alpha C on the full torus grid (spacing 1/n_sub).
 
-        Returns (tables, side_used): tables[alpha] is an (n, n) array over
-        grid points k/n_sub.  Large tori are proxied on NORM_PROXY_SIDE.
+        Returns (tables, side_used): tables yields (alpha, (n, n) array over
+        grid points k/n_sub), one alpha at a time, from modes computed once.
+        Large tori are proxied on NORM_PROXY_SIDE.
         """
         if self.kind == "continuum":
             raise ValueError("grid_tables needs a torus kernel")
@@ -271,15 +271,22 @@ class CovarianceKernel:
         step = 2.0 * math.pi / side_used
         kx = np.rint(px / step).astype(int) % n
         ky = np.rint(py / step).astype(int) % n
-        tables = {}
-        for a in alphas:
-            coef = np.zeros((n, n), dtype=np.complex128)
-            w = f * (1j * px) ** a[0] * (1j * py) ** a[1]
-            np.add.at(coef, (kx, ky), w)
-            # values at x = m/n_sub: sum_k w_k e^{i p_k m / n_sub}; with
-            # p = 2 pi q / side the phase is 2 pi (q m) / (side n_sub) = DFT
-            tables[tuple(a)] = np.real(np.fft.ifft2(coef)) * n * n
-        return tables, side_used
+
+        def tables():
+            for a in alphas:
+                coef = np.zeros((n, n), dtype=np.complex128)
+                w = f * (1j * px) ** a[0] * (1j * py) ** a[1]
+                np.add.at(coef, (kx, ky), w)
+                # values at x = m/n_sub: sum_k w_k e^{i p_k m / n_sub}; with
+                # p = 2 pi q / side the phase is 2 pi (q m) / (side n_sub) = DFT
+                yield tuple(a), np.real(np.fft.ifft2(coef)) * n * n
+
+        return tables(), side_used
+
+
+def _min_image(x, side: float):
+    """Displacement(s) ``x``, a float or an array, wrapped into [-side/2, side/2)."""
+    return (x + side / 2.0) % side - side / 2.0
 
 
 def _proxy_torus(L: int, side: int, d: int) -> TorusSpec:
@@ -334,12 +341,15 @@ def _deriv_alphas(max_total: int):
     ]
 
 
-def block_pair_norm_tables(kernel: CovarianceKernel, r: int, n_sub: int = 4):
-    """Grid tables of |d^gamma C| for all |gamma| <= 2r (C^r norm in each slot)."""
-    alphas = _deriv_alphas(2 * r)
-    tables, side_used = kernel.grid_tables(n_sub, alphas)
-    stack = np.stack([np.abs(tables[a]) for a in alphas], axis=0)
-    return stack, side_used, n_sub
+def block_pair_norm_table(kernel: CovarianceKernel, r: int, n_sub: int = 4):
+    """Grid table of max over |gamma| <= 2r of |d^gamma C| (C^r norm in each
+    slot), kept as a running maximum so one table per gamma is alive at once."""
+    tables, side_used = kernel.grid_tables(n_sub, _deriv_alphas(2 * r))
+    peak = None
+    for _, table in tables:
+        table = np.abs(table)
+        peak = table if peak is None else np.maximum(peak, table, out=peak)
+    return peak, side_used, n_sub
 
 
 def star_norm(kernel: CovarianceKernel, r: int, nu: float = 2.0, n_sub: int = 4):
@@ -348,7 +358,7 @@ def star_norm(kernel: CovarianceKernel, r: int, nu: float = 2.0, n_sub: int = 4)
     Block norms are dense sub-grid maxima of mixed derivatives; the block
     pair sum runs over the (possibly proxied) torus.  Returns (value, info).
     """
-    stack, side, n_sub = block_pair_norm_tables(kernel, r, n_sub)
+    peak, side, n_sub = block_pair_norm_table(kernel, r, n_sub)
     n = side * n_sub
     d = 2
     total = 0.0
@@ -363,7 +373,7 @@ def star_norm(kernel: CovarianceKernel, r: int, nu: float = 2.0, n_sub: int = 4)
             # separation region (D - D') spans [diff-1, diff+1] per axis
             ix = (np.arange(-n_sub, n_sub + 1) + cx * n_sub) % n
             iy = (np.arange(-n_sub, n_sub + 1) + cy * n_sub) % n
-            block_norm = float(np.max(stack[:, np.ix_(ix, iy)[0], np.ix_(ix, iy)[1]]))
+            block_norm = float(np.max(peak[np.ix_(ix, iy)]))
             total += block_norm * dist ** (2 * d) * (1.0 + dist) ** nu
     info = {"side_used": side, "n_sub": n_sub, "proxy": side != (kernel.torus.side if kernel.torus else side)}
     return total, info

@@ -39,6 +39,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .activities import (
     TruncatedActivity,
     activity_norm,
     _CoeffOps,
+    _add_collapsed,
     _collapsed,
     block_quadrature_nodes,
     truncate_cloud_terms,
@@ -100,15 +102,17 @@ def fluctuate_linear(K, cov: CovAccess):
     return K.map(lambda k, ts: convolve_terms(ts, cov))
 
 
+@lru_cache(maxsize=None)
 def _tree_sigma_structures(n_poly: int, tree):
-    """Per polymer pair (k < l): list of bond ranks on the tree path."""
+    """Per polymer pair (k < l): the bond ranks on the tree path.  Computed
+    once per (n_poly, tree) and read-only, since every caller shares it."""
     rank = {b: r for r, b in enumerate(tree)}
     paths = {}
     for k in range(n_poly):
         for l in range(k + 1, n_poly):
             path = path_in_forest(tree, k, l)
             paths[(k, l)] = tuple(rank[b] for b in path)
-    return paths
+    return MappingProxyType(paths)
 
 
 def _sigma_values(paths, pts):
@@ -148,30 +152,40 @@ def _cached_regions(m: int, n_nodes: int):
 
 
 def tree_convolved_terms(coeff: complex, slots: list[Slot], n_poly: int, tree,
-                         cov: CovAccess, images: dict,
-                         n_nodes: int = 24) -> list[CloudTerm]:
+                         cov: CovAccess, images: dict, n_nodes: int = 24) -> list:
     """Integrate mu_{C(sigma(T,s))} * (slot term) over s in [0,1]^{|T|}.
 
     Every Wick structure contributes a product of factors affine in the
     couplings sigma_kl; single-bond trees integrate in closed form, longer
-    trees per ordering region on ``n_nodes`` Gauss nodes per axis.  The
-    result is linear in ``coeff``: the integrals of a slot list are computed
-    once per ``images`` dict and replayed with the multiplications in the
-    order of a fresh computation.  The dict is keyed by the slot list alone,
-    so one dict serves one n_poly, tree, cov and n_nodes.
+    trees per ordering region on ``n_nodes`` Gauss nodes per axis.  Returns
+    the pieces summed by key as ``canon`` sums them: [(key, coeff)] in sorted
+    key order, each sum started from 0.0 and exact zeros dropped.  The result
+    is linear in ``coeff``: the integrals of a slot list are computed once per
+    ``images`` dict and replayed with the multiplications and additions of a
+    fresh computation in the same order.  The dict is keyed by the slot list
+    alone, member indices included, so one dict serves one n_poly, tree, cov
+    and n_nodes.
     """
-    key = tuple(slots)
-    image = images.get(key)
+    slots_key = tuple(slots)
+    image = images.get(slots_key)
     if image is None:
-        image = images[key] = _tree_term_image(slots, n_poly, tree, cov, n_nodes)
-    e, pieces = image
+        image = images[slots_key] = _tree_term_image(slots, n_poly, tree, cov, n_nodes)
+    e, groups = image
     base = coeff * e
-    return canon([tm._raw_term(base * integral, ch, lf) for ch, lf, integral in pieces])
+    out = []
+    for key, integrals in groups:
+        c = 0.0
+        for integral in integrals:
+            c = c + base * integral
+        if c != 0.0:
+            out.append((key, c))
+    return out
 
 
 def _tree_term_image(slots: list[Slot], n_poly: int, tree, cov: CovAccess,
                      n_nodes: int):
-    """(exp(-intra/2), [(canonical charges, canonical linfs, integral)])."""
+    """(exp(-intra/2), [(canonical key, [integral, ...])]): the integral of
+    each Wick structure, grouped by key in sorted key order."""
     charges = [(s.data[0], s.pos, s.member) for s in slots if s.kind == "q"]
     linfs = [(s.data, s.pos, s.member) for s in slots if s.kind == "l"]
     intra = 0.0
@@ -201,7 +215,7 @@ def _tree_term_image(slots: list[Slot], n_poly: int, tree, cov: CovAccess,
 
     paths = _tree_sigma_structures(n_poly, tree)
     m_bonds = len(tree)
-    pieces = []
+    groups: dict = {}
     # CloudTerm drops zero charges and rounds and sorts positions
     canon_charges = CloudTerm(0.0, tuple((q, x) for q, x, _ in charges)).charges
     for pairing, rest in tm._pairings_with_rest(len(linfs)):
@@ -228,8 +242,9 @@ def _tree_term_image(slots: list[Slot], n_poly: int, tree, cov: CovAccess,
                 factors.append((a, lin))
             integral = _s_integral_affine(paths, u, factors, m_bonds, n_nodes)
             if integral != 0.0:
-                pieces.append((canon_charges, CloudTerm(0.0, (), kept).linfs, integral))
-    return math.exp(-0.5 * intra), pieces
+                key = (canon_charges, CloudTerm(0.0, (), kept).linfs)
+                groups.setdefault(key, []).append(integral)
+    return math.exp(-0.5 * intra), sorted(groups.items())
 
 
 def _s_integral_affine(paths, u, factors, m_bonds: int, n_nodes: int) -> complex:
@@ -302,10 +317,12 @@ def _fluctuate_cloud(K: CloudActivity, cov: CovAccess, n_max: int, n_nodes: int)
     build(0, [])
     out: dict = {}
     for union, collections in targets.items():
-        acc = []
+        acc: dict = {}  # the sums canon makes of the concatenated term lists
         for polys in collections:
             if len(polys) == 1:
-                acc.extend(convolve_terms(K.terms(polys[0]), cov))
+                for t in convolve_terms(K.terms(polys[0]), cov):
+                    key = t.key()
+                    acc[key] = acc.get(key, 0.0) + t.coeff
                 continue
             n = len(polys)
             term_lists = [K.terms(p) for p in polys]
@@ -324,31 +341,39 @@ def _fluctuate_cloud(K: CloudActivity, cov: CovAccess, n_max: int, n_nodes: int)
                             nxt.extend(bond_laplacian(c0, sl, bi, bj, cov))
                         stack = nxt
                     for c0, sl in stack:
-                        acc.extend(
-                            tree_convolved_terms(c0, sl, n, tree, cov, images, n_nodes)
-                        )
-        acc = canon(acc)
-        if acc:
-            out[union] = acc
+                        for key, c in tree_convolved_terms(c0, sl, n, tree, cov, images,
+                                                           n_nodes):
+                            acc[key] = acc.get(key, 0.0) + c
+        ts = tm._canon_sums(acc)
+        if ts:
+            out[union] = ts
     return CloudActivity(K.torus, out, K.flags)
 
 
 def _fluctuate_truncated(K: TruncatedActivity, cov: CovAccess, pair_window: int,
                          drop_tol: float, cache: dict | None, linear):
-    """Linear convolution on every shape plus two-polymer tree terms.
+    """Linear convolution on every shape plus two-polymer tree terms, collapsed
+    to the truncated model as they are made.
 
     Tree terms are restricted to constituent shapes of at most
     ``TREE_SHAPE_CAP`` blocks and pair separation within ``pair_window``;
     the neglected pieces are third order in the activity.  A tree on two
     polymers has one bond, integrated in closed form, so no quadrature
     order enters.
+
+    Each union shape keeps one {piece key: coeff} dict.  The linear terms,
+    then every bond piece's sums from ``tree_convolved_terms``, go into it
+    through the step's collapse memo (``cache``), each key re-anchored and
+    looked up once per placement, in the order in which truncating the
+    concatenated term lists would add them; so the result has the bits of
+    building, re-anchoring and truncating those lists.  Keys outside the
+    model are counted in ``dropped_terms``.  One dict of tree-term images
+    serves the whole call: its cov and tree are fixed, and a slot list
+    carries the member index of every slot.
     """
-    out: dict = {}
-
-    def add(key, ts):
-        if ts:
-            out.setdefault(key, []).extend(ts)
-
+    memo = ({} if cache is None else cache).setdefault((K.q_max, K.max_linfs), {})
+    out: dict = {}  # union shape key -> {piece key: coeff}
+    dropped = 0
     scale_max = max(
         (abs(t.coeff) for ts in K.shapes.values() for t in ts), default=0.0
     )
@@ -356,12 +381,60 @@ def _fluctuate_truncated(K: TruncatedActivity, cov: CovAccess, pair_window: int,
     if linear is None:
         linear = fluctuate_linear(K, cov)
     for key, ts in linear.shapes.items():
-        add(key, ts)
+        if ts:
+            sums = out[key] = {}
+            for t in ts:
+                pieces = _collapsed(memo, t.key(), K.q_max, K.max_linfs)
+                if pieces is None:
+                    dropped += 1
+                else:
+                    _add_collapsed(sums, pieces, t.coeff)
     shapes = [k for k in sorted(K.shapes) if len(k) <= TREE_SHAPE_CAP]
+    slots1 = {k: [tm.term_slots(CloudTerm(1.0, t.charges, t.linfs), 0) for t in K.shapes[k]]
+              for k in shapes}
+    images: dict = {}
+    for k1, k2, offset, ukey, shift in _pair_placements(shapes, pair_window):
+        sums = out.get(ukey)
+        moved: dict = {}  # output key -> collapse of the re-anchored key
+        slots2: dict = {}
+        for t1, sl1 in zip(K.shapes[k1], slots1[k1]):
+            for i2, t2 in enumerate(K.shapes[k2]):
+                coeff = t1.coeff * t2.coeff
+                if abs(coeff) < pair_floor:
+                    continue
+                sl2 = slots2.get(i2)
+                if sl2 is None:
+                    t2s = tm.translate_term(t2, offset)
+                    sl2 = slots2[i2] = tm.term_slots(CloudTerm(1.0, *t2s.key()), 1)
+                for c0, sl in bond_laplacian(coeff, sl1 + sl2, 0, 1, cov):
+                    for key, c in tree_convolved_terms(c0, sl, 2, ((0, 1),), cov, images):
+                        if sums is None:
+                            sums = out[ukey] = {}
+                        if key not in moved:
+                            moved[key] = _collapsed(memo, tm._translate_key(key, shift),
+                                                    K.q_max, K.max_linfs)
+                        pieces = moved[key]
+                        if pieces is None:
+                            dropped += 1
+                        else:
+                            _add_collapsed(sums, pieces, c)
+    result = {}
+    for key, sums in out.items():
+        kept = tm._canon_sums(sums, drop_tol)
+        if kept:
+            result[key] = kept
+    act = TruncatedActivity(K.torus, result, K.flags, K.q_max, K.max_linfs)
+    act.__dict__["dropped_terms"] = dropped
+    return act
+
+
+def _pair_placements(shapes, pair_window: int):
+    """(k1, k2, offset, union shape key, re-anchoring shift) for every
+    placement of shape k2 at ``offset`` from shape k1 (k1 <= k2 in ``shapes``
+    order, each unordered pair of equal shapes once) that is inf-region
+    disjoint from k1."""
     for i1, k1 in enumerate(shapes):
         p1 = Polymer(frozenset(k1))
-        slots1 = [tm.term_slots(CloudTerm(1.0, t1.charges, t1.linfs), 0)
-                  for t1 in K.shapes[k1]]
         for k2 in shapes[i1:]:
             base2 = Polymer(frozenset(k2))
             for ox in range(-pair_window, pair_window + 1):
@@ -372,38 +445,8 @@ def _fluctuate_truncated(K: TruncatedActivity, cov: CovAccess, pair_window: int,
                     if not _inf_region_disjoint(p1, p2):
                         continue
                     union = Polymer(p1.blocks | p2.blocks)
-                    ukey = union.shape_key()
                     base = tuple(min(b[i] for b in union.blocks) for i in range(2))
-                    acc = []
-                    images: dict = {}
-                    slots2: dict = {}
-                    for t1, sl1 in zip(K.shapes[k1], slots1):
-                        for i2, t2 in enumerate(K.shapes[k2]):
-                            coeff = t1.coeff * t2.coeff
-                            if abs(coeff) < pair_floor:
-                                continue
-                            sl2 = slots2.get(i2)
-                            if sl2 is None:
-                                t2s = tm.translate_term(t2, (ox, oy))
-                                sl2 = slots2[i2] = tm.term_slots(CloudTerm(1.0, *t2s.key()), 1)
-                            for c0, sl in bond_laplacian(coeff, sl1 + sl2, 0, 1, cov):
-                                acc.extend(tree_convolved_terms(c0, sl, 2, ((0, 1),), cov, images))
-                    # re-anchor each distinct key once; coefficients pass through
-                    moved: dict = {}
-                    for t in acc:
-                        if t.key() not in moved:
-                            moved[t.key()] = tm.translate_term(t, (-base[0], -base[1])).key()
-                    add(ukey, [tm._raw_term(t.coeff, *moved[t.key()]) for t in acc])
-    result = {}
-    dropped_mass = 0
-    for key, ts in out.items():
-        kept, dropped = truncate_cloud_terms(ts, K.q_max, K.max_linfs, drop_tol, cache)
-        if kept:
-            result[key] = kept
-        dropped_mass += len(dropped)
-    act = TruncatedActivity(K.torus, result, K.flags, K.q_max, K.max_linfs)
-    act.__dict__["dropped_terms"] = dropped_mass
-    return act
+                    yield k1, k2, (ox, oy), union.shape_key(), (-base[0], -base[1])
 
 
 def _inf_region_disjoint(p1: Polymer, p2: Polymer) -> bool:

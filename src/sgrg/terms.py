@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .covariance import CovarianceKernel
+from .covariance import CovarianceKernel, _min_image
 
 POS_DECIMALS = 9
 
@@ -209,25 +209,37 @@ def scale_term(term: CloudTerm, L: int, d: int = 2) -> CloudTerm:
 
 def translate_term(term: CloudTerm, shift) -> CloudTerm:
     """Uniform shift preserves the canonical ordering."""
-    charges = tuple(
-        (q, _round_pos((x[0] + shift[0], x[1] + shift[1]))) for q, x in term.charges
+    return _raw_term(term.coeff, *_translate_key(term.key(), shift))
+
+
+def _translate_key(key, shift):
+    """The (charges, linfs) key of a term moved by ``shift``."""
+    charges, linfs = key
+    return (
+        tuple((q, _round_pos((x[0] + shift[0], x[1] + shift[1]))) for q, x in charges),
+        tuple((a, _round_pos((y[0] + shift[0], y[1] + shift[1]))) for a, y in linfs),
     )
-    linfs = tuple(
-        (a, _round_pos((y[0] + shift[0], y[1] + shift[1]))) for a, y in term.linfs
-    )
-    return _raw_term(term.coeff, charges, linfs)
 
 
 class CovAccess:
-    """Memoized derivative evaluations of scale * C on a torus (min-image)."""
+    """Memoized derivative evaluations of scale * C on a torus (min-image).
+
+    The memo is keyed by the min-image displacement that the kernel's
+    ``_wrap`` makes of ``dx``, so a displacement and its periodic images share
+    one evaluation, and a hit returns exactly what a fresh evaluation would.
+    """
 
     def __init__(self, kernel: CovarianceKernel, scale: float = 1.0):
         self.kernel = kernel
         self.scale = scale
         self._memo: dict = {}
+        self._side = None if kernel.kind == "continuum" else float(kernel.torus.side)
 
     def c(self, alpha, dx) -> float:
-        key = (tuple(alpha), _round_pos(dx))
+        x, y = float(dx[0]), float(dx[1])
+        if self._side is not None:  # as CovarianceKernel._wrap does
+            x, y = _min_image(x, self._side), _min_image(y, self._side)
+        key = (tuple(alpha), x, y)
         hit = self._memo.get(key)
         if hit is None:
             hit = self.scale * self.kernel.eval(dx, alpha)

@@ -131,7 +131,37 @@ class TestScaleDecomposition:
         assert verify_scale_decomposition(2, 2, 2, xs, sigma=0.1) < 1e-8
 
 
+def reference_star_norm(kernel, r, nu=2.0, n_sub=4):
+    """star_norm over a stack of every |d^gamma C| table, maximised per block
+    over gamma and grid point at once."""
+    alphas = [(a, b) for a in range(2 * r + 1) for b in range(2 * r + 1) if a + b <= 2 * r]
+    tables, side = kernel.grid_tables(n_sub, alphas)
+    tables = dict(tables)
+    stack = np.stack([np.abs(tables[a]) for a in alphas], axis=0)
+    n = side * n_sub
+    total = 0.0
+    for cx in range(side):
+        for cy in range(side):
+            if cx == 0 and cy == 0:
+                continue
+            dx = cx if cx <= side // 2 else cx - side
+            dy = cy if cy <= side // 2 else cy - side
+            dist = math.hypot(dx, dy)
+            ix = (np.arange(-n_sub, n_sub + 1) + cx * n_sub) % n
+            iy = (np.arange(-n_sub, n_sub + 1) + cy * n_sub) % n
+            block_norm = float(np.max(stack[:, np.ix_(ix, iy)[0], np.ix_(ix, iy)[1]]))
+            total += block_norm * dist ** 4 * (1.0 + dist) ** nu
+    return total
+
+
 class TestNorms:
+    @pytest.mark.parametrize("L, M", [(2, 8), (8, 7), (2, 3), (3, 2)])
+    def test_star_norm_equals_stacked_reference(self, L, M):
+        # the running maximum over gamma is exact
+        kernel = CovarianceKernel("slice", sigma=0.0, torus=TorusSpec(L, M))
+        value, _ = star_norm(kernel, r=2)
+        assert value == reference_star_norm(kernel, r=2)
+
     def test_star_norm_finite_and_stable(self):
         t = TorusSpec(2, 3)
         v1, _ = star_norm(CovarianceKernel("slice", sigma=0.0, torus=t), r=2)

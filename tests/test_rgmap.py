@@ -454,9 +454,11 @@ def reference_fluctuate_truncated(K, cov, n_nodes, pair_window, drop_tol):
     return result, dropped_terms
 
 
-def replay_test_activity(t):
+def replay_test_activity(t, shared_key=False):
     """A Mayer activity plus gradient factors on one side and both sides of
-    a bond, and charges off the block centres."""
+    a bond, and charges off the block centres.  With ``shared_key`` a term key
+    of the one-block shape also sits in the two-block shape, so placements of
+    either shape reach the same slot lists."""
     K = mayer_init_truncated(1e-2, t, order=2, max_size=2)
     shapes = dict(K.shapes)
     shapes[((0, 0),)] = shapes[((0, 0),)] + [
@@ -469,6 +471,8 @@ def replay_test_activity(t):
         CloudTerm(0.002, ((1, (0.25, 0.0)), (-1, (0.0, 0.75)))),
         CloudTerm(-0.001j, ((1, (0.0, 0.0)), (-1, (0.0, 1.0))), (((1, 0), (0.0, 1.0)),)),
     ]
+    if shared_key:
+        shapes[key] = shapes[key] + [CloudTerm(0.005 + 0.002j, *shapes[((0, 0),)][-1].key())]
     return TruncatedActivity(t, shapes, K.flags, K.q_max, K.max_linfs)
 
 
@@ -481,9 +485,13 @@ class TestTreeTermReplay:
     computing every one afresh."""
 
     @pytest.mark.parametrize("drop_tol", [1e-14, 1e-6])  # 1e-6 skips most term pairs
-    @pytest.mark.parametrize("t", [TorusSpec(2, 3), TorusSpec(8, 2)])
-    def test_fluctuation_equals_reference(self, t, drop_tol):
-        K = replay_test_activity(t)
+    @pytest.mark.parametrize("t, shared_key", [
+        pytest.param(TorusSpec(2, 3), False, id="t0"),
+        pytest.param(TorusSpec(8, 2), False, id="t1"),
+        pytest.param(TorusSpec(8, 2), True, id="t1-shared_key"),
+    ])
+    def test_fluctuation_equals_reference(self, t, shared_key, drop_tol):
+        K = replay_test_activity(t, shared_key)
         cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=t), scale=4 * math.pi)
         got = fluctuate(K, cov, n_max=2, n_nodes=4, pair_window=2, drop_tol=drop_tol)
         want, dropped_terms = reference_fluctuate_truncated(
@@ -492,6 +500,23 @@ class TestTreeTermReplay:
         assert sum(len(ts) for ts in want.values()) > 100 and dropped_terms > 0
         assert as_repr(got.shapes) == as_repr(want)
         assert got.dropped_terms == dropped_terms
+
+    def test_one_image_per_slot_list_per_call(self, monkeypatch):
+        # the images of one fluctuate call serve every placement
+        t = TorusSpec(8, 2)
+        K = replay_test_activity(t)
+        cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=t), scale=4 * math.pi)
+        built = []
+        plain = rgmap._tree_term_image
+
+        def counted(slots, *args):
+            built.append(tuple(slots))
+            return plain(slots, *args)
+
+        monkeypatch.setattr(rgmap, "_tree_term_image", counted)
+        fluctuate(K, cov, n_max=2, n_nodes=4, pair_window=2, drop_tol=1e-14)
+        assert len(built) > 100
+        assert len(built) == len(set(built))
 
     def test_replay_across_coefficients(self):
         t = TorusSpec(2, 3)
@@ -508,12 +533,30 @@ class TestTreeTermReplay:
                 replayed = rgmap.tree_convolved_terms(coeff, sl, 2, tree, cov, images, 4)
                 fresh = rgmap.tree_convolved_terms(coeff, sl, 2, tree, cov, {}, 4)
                 want = reference_tree_convolved_terms(coeff, sl, 2, tree, cov, 4)
+                want = [(t.key(), t.coeff) for t in want]
                 assert repr(replayed) == repr(fresh) == repr(want)
             assert len(images) == 1
         # at 1e-320 some products underflow to 0.0, which canon drops
         _, sl = pieces[0]
         tiny = reference_tree_convolved_terms(1e-320, sl, 2, tree, cov, 4)
         assert 0 < len(tiny) < len(reference_tree_convolved_terms(1.0, sl, 2, tree, cov, 4))
+
+    def test_images_keyed_by_member(self):
+        # equal slots on other polymers couple differently: one images dict
+        # keeps a slot list apart from its relabelled copy
+        t = TorusSpec(2, 3)
+        cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=t), scale=4 * math.pi)
+        t1 = CloudTerm(1.0, ((1, (0.0, 0.0)), (-1, (0.25, 0.0))), (((1, 0), (0.0, 0.0)),))
+        t2 = CloudTerm(1.0, ((-1, (1.0, 0.0)),), (((0, 1), (1.0, 0.0)),))
+        slots = tm.term_slots(t1, 0) + tm.term_slots(t2, 1)
+        moved = [tm.Slot(s.kind, s.data, s.pos, 1) if k == 1 else s for k, s in enumerate(slots)]
+        images = {}
+        tree = ((0, 1),)
+        for sl in (slots, moved):
+            got = rgmap.tree_convolved_terms(0.5 - 2j, sl, 2, tree, cov, images, 4)
+            want = reference_tree_convolved_terms(0.5 - 2j, sl, 2, tree, cov, 4)
+            assert repr(got) == repr([(t.key(), t.coeff) for t in want])
+        assert len(images) == 2
 
 
 class TestExtraction:

@@ -187,3 +187,26 @@ class TestTermTable:
         pairwise = float(np.sum([t.coeff for t in terms]))
         got = assert_same(terms, fld)
         assert math.isfinite(got.real) and got.real != pairwise
+
+
+class TestCovAccess:
+    def test_periodic_images_share_one_evaluation(self, monkeypatch):
+        # side 4: dx and dx +- 4 per axis have one min-image displacement
+        t = TorusSpec(2, 2)
+        kernel = CovarianceKernel("slice", sigma=0.0, torus=t)
+        evals = []
+        plain = CovarianceKernel.eval
+
+        def counted(self, x, alpha=(0, 0)):
+            if self is kernel:
+                evals.append((tuple(x), alpha))
+            return plain(self, x, alpha)
+
+        monkeypatch.setattr(CovarianceKernel, "eval", counted)
+        cov = CovAccess(kernel, scale=2.0)
+        for alpha in ((0, 0), (1, 0), (1, 2)):
+            for sx, sy in ((0, 0), (4, 0), (-4, 0), (0, 4), (4, -4)):
+                dx = (0.25 + sx, -1.5 + sy)
+                fresh = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=t), scale=2.0)
+                assert repr(cov.c(alpha, dx)) == repr(fresh.c(alpha, dx))
+        assert len(evals) == 3
