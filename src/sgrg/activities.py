@@ -271,18 +271,22 @@ def collapse_term(term: CloudTerm, q_max: int, max_linfs: int,
     return tm._raw_term(term.coeff, charges, linfs)
 
 
+_MISSING = object()
+
+
 def _collapsed(memo: dict, key, q_max: int, max_linfs: int):
     """``collapse_term`` of a term with this key, built once per memo: None
     outside the model, else [(piece key, _CoeffOps)] (empty when every Taylor
     piece of a neutral cloud falls outside).  The collapse multiplies the
     coefficient through, so replaying the ops on it gives the term's bits.
     A cache keeps the memo of (q_max, max_linfs) under that key."""
-    if key not in memo:
+    pieces = memo.get(key, _MISSING)  # one hash of the key; None is a stored value
+    if pieces is _MISSING:
         c = collapse_term(tm._raw_term(_CoeffOps(), *key), q_max, max_linfs)
-        memo[key] = None if c is None else [
+        pieces = memo[key] = None if c is None else [
             (p.key(), p.coeff) for p in (c if isinstance(c, list) else [c])
         ]
-    return memo[key]
+    return pieces
 
 
 def _add_collapsed(sums: dict, pieces, c) -> None:

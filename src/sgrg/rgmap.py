@@ -369,7 +369,9 @@ def _fluctuate_truncated(K: TruncatedActivity, cov: CovAccess, pair_window: int,
     building, re-anchoring and truncating those lists.  Keys outside the
     model are counted in ``dropped_terms``.  One dict of tree-term images
     serves the whole call: its cov and tree are fixed, and a slot list
-    carries the member index of every slot.
+    carries the member index of every slot.  The pair floor tests the two
+    coefficients only, so the term pairs above it are listed once per pair
+    of shapes and reused at each of its placements.
     """
     memo = ({} if cache is None else cache).setdefault((K.q_max, K.max_linfs), {})
     out: dict = {}  # union shape key -> {piece key: coeff}
@@ -393,31 +395,36 @@ def _fluctuate_truncated(K: TruncatedActivity, cov: CovAccess, pair_window: int,
     slots1 = {k: [tm.term_slots(CloudTerm(1.0, t.charges, t.linfs), 0) for t in K.shapes[k]]
               for k in shapes}
     images: dict = {}
+    pair = None  # _pair_placements yields the placements of a shape pair together
     for k1, k2, offset, ukey, shift in _pair_placements(shapes, pair_window):
+        if (k1, k2) != pair:
+            pair = (k1, k2)
+            above = [  # the term pairs above the floor, in loop order
+                (sl1, i2, t2, coeff)
+                for t1, sl1 in zip(K.shapes[k1], slots1[k1])
+                for i2, t2 in enumerate(K.shapes[k2])
+                if not abs(coeff := t1.coeff * t2.coeff) < pair_floor
+            ]
         sums = out.get(ukey)
         moved: dict = {}  # output key -> collapse of the re-anchored key
         slots2: dict = {}
-        for t1, sl1 in zip(K.shapes[k1], slots1[k1]):
-            for i2, t2 in enumerate(K.shapes[k2]):
-                coeff = t1.coeff * t2.coeff
-                if abs(coeff) < pair_floor:
-                    continue
-                sl2 = slots2.get(i2)
-                if sl2 is None:
-                    t2s = tm.translate_term(t2, offset)
-                    sl2 = slots2[i2] = tm.term_slots(CloudTerm(1.0, *t2s.key()), 1)
-                for c0, sl in bond_laplacian(coeff, sl1 + sl2, 0, 1, cov):
-                    for key, c in tree_convolved_terms(c0, sl, 2, ((0, 1),), cov, images):
-                        if sums is None:
-                            sums = out[ukey] = {}
-                        if key not in moved:
-                            moved[key] = _collapsed(memo, tm._translate_key(key, shift),
-                                                    K.q_max, K.max_linfs)
-                        pieces = moved[key]
-                        if pieces is None:
-                            dropped += 1
-                        else:
-                            _add_collapsed(sums, pieces, c)
+        for sl1, i2, t2, coeff in above:
+            sl2 = slots2.get(i2)
+            if sl2 is None:
+                t2s = tm.translate_term(t2, offset)
+                sl2 = slots2[i2] = tm.term_slots(CloudTerm(1.0, *t2s.key()), 1)
+            for c0, sl in bond_laplacian(coeff, sl1 + sl2, 0, 1, cov):
+                for key, c in tree_convolved_terms(c0, sl, 2, ((0, 1),), cov, images):
+                    if sums is None:
+                        sums = out[ukey] = {}
+                    if key not in moved:
+                        moved[key] = _collapsed(memo, tm._translate_key(key, shift),
+                                                K.q_max, K.max_linfs)
+                    pieces = moved[key]
+                    if pieces is None:
+                        dropped += 1
+                    else:
+                        _add_collapsed(sums, pieces, c)
     result = {}
     for key, sums in out.items():
         kept = tm._canon_sums(sums, drop_tol)
@@ -899,15 +906,27 @@ def scale_linear(K: TruncatedActivity, cache: dict | None = None) -> TruncatedAc
     coefficient: each (shape, term key) image is built once per ``cache``,
     from one table of coarse positions per offset.  It holds the L^-|alpha|
     factors, applied once per term, and per offset the moved key's entry in
-    the ``cache``'s collapse memo, which truncation shares.  Replayed on
-    coefficients, the pieces are summed in the order of collapsing every copy
-    and then ``canon``.
+    the ``cache``'s collapse memo, which truncation shares.  Offsets whose
+    tables round every position of the charged and charge-free new terms to
+    the same blocks form a class; such a term's collapse reaches its
+    positions only through ``round()``, so it is looked up once per class
+    and the pieces are shared by the class's offsets.  A neutral cloud is
+    Taylor-expanded about its exact positions, so it is looked up at every
+    offset.  Replayed on coefficients, the pieces are summed in the order of
+    collapsing every copy and then ``canon``.
     """
     L = K.torus.L
     offsets = [(ox, oy) for ox in range(L) for oy in range(L)]
     cache = {} if cache is None else cache
     images = cache.setdefault((K.torus, K.q_max, K.max_linfs), {})
     memo = cache.setdefault((K.q_max, K.max_linfs), {})
+
+    def collapsed(t, coarse):
+        """The collapse pieces of t's copy, moved by the {position: coarse} table."""
+        moved = (tuple((q, coarse[x]) for q, x in t.charges),
+                 tuple((a, coarse[y]) for a, y in t.linfs))
+        return _collapsed(memo, moved, K.q_max, K.max_linfs) or ()
+
     acc: dict = {}
     for key, ts in K.shapes.items():
         if not ts:
@@ -928,7 +947,13 @@ def scale_linear(K: TruncatedActivity, cache: dict | None = None) -> TruncatedAc
                     ops *= float(L) ** (-sum(alpha))
                 images[(key, t.key())] = (ops, [])
                 new.append((t, images[(key, t.key())][1]))
+        # collapse_term Taylor-expands a neutral cloud about its exact
+        # positions; every other term reaches its positions only through round()
+        neutral = [bool(t.charges) and t.total_charge == 0 for t, _ in new]
         positions = {x for t, _ in new for _, x in t.charges + t.linfs}
+        rounded = list({x for (t, _), n in zip(new, neutral) if not n
+                        for _, x in t.charges + t.linfs})
+        classes: dict = {}  # blocks of the rounded positions -> pieces per term
         for shift, (_, back) in zip(offsets, geometry):
             # each position rounded as translate_term, scale_term, translate_term
             coarse = {}
@@ -936,10 +961,14 @@ def scale_linear(K: TruncatedActivity, cache: dict | None = None) -> TruncatedAc
                 y = tm._round_pos((x[0] + shift[0], x[1] + shift[1]))
                 y = tm._round_pos((y[0] / L, y[1] / L))
                 coarse[x] = tm._round_pos((y[0] + back[0], y[1] + back[1]))
-            for t, image in new:
-                moved = (tuple((q, coarse[x]) for q, x in t.charges),
-                         tuple((a, coarse[y]) for a, y in t.linfs))
-                image.append(_collapsed(memo, moved, K.q_max, K.max_linfs) or ())
+            blocks = tuple(round(c) for x in rounded for c in coarse[x])
+            shared = classes.get(blocks)
+            if shared is None:
+                shared = classes[blocks] = [
+                    None if n else collapsed(t, coarse) for (t, _), n in zip(new, neutral)
+                ]
+            for (t, image), pieces in zip(new, shared):
+                image.append(collapsed(t, coarse) if pieces is None else pieces)
         term_images = [images[(key, t.key())] for t in ts]
         coeffs = [ops.apply(t.coeff) for t, (ops, _) in zip(ts, term_images)]
         for o, (coarse_key, _) in enumerate(geometry):

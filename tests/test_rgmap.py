@@ -277,7 +277,8 @@ def cache_test_shapes(t):
 
 def as_exact(shapes):
     # repr tells an int block coordinate from its equal float
-    return [(k, [(repr(t.key()), t.coeff) for t in ts]) for k, ts in shapes.items()]
+    # and a float coefficient from a complex or np.complex128 one
+    return [(k, [(repr(t.key()), repr(t.coeff)) for t in ts]) for k, ts in shapes.items()]
 
 
 def tiny_ir_step():
@@ -302,6 +303,54 @@ class TestScalingCache:
         cache = {}
         assert as_exact(scale_activity(K, cache=cache).shapes) == want
         assert as_exact(scale_linear(K, cache).shapes) == want  # from the cache
+
+    def test_one_collapse_per_offset_class(self, monkeypatch):
+        # offsets whose copies round every position of the charged and
+        # charge-free terms to the same blocks share one collapse; a neutral
+        # cloud is Taylor-expanded about its exact positions, at every offset
+        torus = TorusSpec(8, 2)
+        K = TruncatedActivity(torus, cache_test_shapes(torus))
+        lookups = []
+
+        def counted(memo, key, q_max, max_linfs):
+            lookups.append(key)
+            return activities._collapsed(memo, key, q_max, max_linfs)
+
+        monkeypatch.setattr(rgmap, "_collapsed", counted)
+        scale_linear(K, {})
+
+        L = torus.L
+        want = 0
+        for key, ts in K.shapes.items():
+            ts = list({t.key(): t for t in ts}.values())
+            neutral = [bool(t.charges) and t.total_charge == 0 for t in ts]
+            rounded = sorted({x for t, n in zip(ts, neutral) if not n
+                              for _, x in t.charges + t.linfs})
+            classes = set()
+            for ox in range(L):
+                for oy in range(L):
+                    cl = partition_closure(Polymer(frozenset(key)).translate((ox, oy)), torus)
+                    back = tuple(-min(b[i] for b in cl.blocks) for i in range(2))
+                    blocks = []
+                    for x in rounded:
+                        one = CloudTerm(1.0, ((1, x),))
+                        moved = tm.translate_term(tm.scale_term(tm.translate_term(one, (ox, oy)), L), back)
+                        blocks.append(tuple(round(c) for c in moved.charges[0][1]))
+                    classes.add(tuple(blocks))
+            want += len(classes) * neutral.count(False) + L * L * neutral.count(True)
+        assert len(lookups) == want < L * L * sum(len(ts) for ts in K.shapes.values())
+
+    def test_new_position_on_seen_shape(self):
+        # a later call on the same cache brings a position that splits an
+        # offset class of a shape already scaled
+        t = TorusSpec(8, 2)
+        shapes = cache_test_shapes(t)
+        cache = {}
+        scale_linear(TruncatedActivity(t, shapes), cache)
+        key = ((0, 0),)
+        shapes[key] = shapes[key] + [CloudTerm(0.7 - 0.2j, ((1, (0.375, -0.375)),))]
+        K = TruncatedActivity(t, shapes)
+        assert as_exact(scale_linear(K, cache).shapes) == as_exact(reference_scale_trunc(K))
 
     def test_cache_shared_across_tori(self):
         shapes = cache_test_shapes(TorusSpec(2, 3))
