@@ -1,8 +1,9 @@
-"""Golden outputs: four tiny CLI runs compared by ``repr`` with committed files.
+"""Golden outputs: tiny CLI runs compared by ``repr`` with committed files.
 
 Each case runs ``sgrg.cli.main`` into a temporary directory and collects the
 numbers it writes: flow trajectory and contraction rows, identity residuals,
-and the oracle's Z estimates, pull and relative difference.  Output paths
+the oracle's Z estimates, pull and relative difference, and the cells of
+each kernel kind's covariance table.  Output paths
 are not part of the comparison.  A change to a file under ``tests/golden/``
 is a change to the program's numbers; regenerate them with
 
@@ -31,6 +32,9 @@ CASES = {
                 "--steps", "2", "--zeta", "1e-2"],
     "identities": ["identities", "--torus", "3x3", "--seed", "3"],
     "oracle": ["oracle", "--samples", "20", "--seed", "3"],
+    **{f"covariance_{kind}": ["covariance", "--kind", kind, "--grid", "3"]
+       for kind in ("slice", "full", "cutoff")},
+    "covariance_continuum": ["covariance", "--kind", "continuum"],
 }
 
 
@@ -43,7 +47,11 @@ def collect(name: str, out: Path) -> dict:
     argv = CASES[name]
     code = main([*argv, "--out", str(out)])
     values: dict = {"exit_code": code}
-    if name.startswith("flow_"):
+    if name.startswith("covariance_"):
+        with open(out / "covariance.csv", newline="") as fh:
+            # a CSV cell holds str() of the value, which for a float is its repr
+            values["table"] = list(csv.DictReader(fh))
+    elif name.startswith("flow_"):
         mode = name.split("_")[1]
         traj = json.loads((out / f"flow_{mode}_trajectory.json").read_text())
         values["trajectory"] = _repr_rows(traj["rows"])
