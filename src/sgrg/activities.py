@@ -1,12 +1,11 @@
 """Polymer activities: representations, the polymer exponential, potentials,
 charge decomposition and the activity norm of cloud and truncated activities.
 
-Three representations with promotion downward (Truncated -> Cloud ->
-Functional):
+Three representations:
 
   * ``FunctionalActivity``  opaque evaluator (X, phi) -> complex with an
-                            explicit finite support list; used for generic
-                            identity testing;
+                            explicit finite support list; the exact Mayer
+                            activity and the extraction identity use it;
   * ``CloudActivity``       per-polymer lists of charge-cloud terms; the
                             Gaussian algebra acts on it in closed form;
   * ``TruncatedActivity``   translation-invariant per-shape term lists with
@@ -15,7 +14,8 @@ Functional):
                             flow representation.
 
 The two term representations share one algebra, ``TermActivity``: map,
-filter, scale and add-with-factor over their per-key term lists.
+filter, scale and add-with-factor over their per-key term lists.  Charge
+decomposition and the activity norm are defined on these two only.
 
 The polymer exponential sums over collections of region-disjoint polymers
 (closed squares pairwise non-touching); the Mayer expansion of
@@ -44,13 +44,6 @@ from .lattice import (
 from .terms import CloudTerm, TermTable, canon, logsumexp, term_log_weight
 
 
-@dataclass(frozen=True)
-class ActivityFlags:
-    even: bool = False
-    periodic: bool = False
-    neutral: bool = False
-
-
 class SupportCapError(RuntimeError):
     pass
 
@@ -62,7 +55,6 @@ class FunctionalActivity:
     torus: TorusSpec
     fn: object  # callable (Polymer, field) -> complex
     support_list: list
-    flags: ActivityFlags = ActivityFlags()
 
     def support(self):
         return self.support_list
@@ -113,7 +105,6 @@ class CloudActivity(TermActivity):
 
     torus: TorusSpec
     data: dict
-    flags: ActivityFlags = ActivityFlags()
     # polymer key -> (the term list, its TermTable)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -144,7 +135,6 @@ class TruncatedActivity(TermActivity):
 
     torus: TorusSpec
     shapes: dict
-    flags: ActivityFlags = ActivityFlags(even=True, periodic=True)
     q_max: int = 3
     max_linfs: int = 2
 
@@ -416,15 +406,11 @@ def v_activity(torus: TorusSpec, n_q: int = 1, trans_invariant: bool = True):
     """The single-block potential as a truncated or cloud activity."""
     if trans_invariant:
         key = tuple([tuple([0] * torus.d)])
-        return TruncatedActivity(
-            torus,
-            {key: v_cloud_terms(tuple([0] * torus.d), n_q)},
-            ActivityFlags(even=True, periodic=True),
-        )
+        return TruncatedActivity(torus, {key: v_cloud_terms(tuple([0] * torus.d), n_q)})
     data = {}
     for b in itertools.product(range(torus.side), repeat=torus.d):
         data[frozenset({b})] = v_cloud_terms(b, n_q)
-    return CloudActivity(torus, data, ActivityFlags(even=True, periodic=True))
+    return CloudActivity(torus, data)
 
 
 def mayer_init_functional(zeta: complex, torus: TorusSpec, n_q: int = 2,
@@ -438,7 +424,7 @@ def mayer_init_functional(zeta: complex, torus: TorusSpec, n_q: int = 2,
             out *= cmath.exp(zeta * potential_v(b, fld, n_q)) - 1.0
         return out
 
-    return FunctionalActivity(torus, fn, support, ActivityFlags(even=True, periodic=True))
+    return FunctionalActivity(torus, fn, support)
 
 
 def _v_power_terms(zeta: complex, block, n_q: int, order: int) -> list[list[CloudTerm]]:
@@ -485,7 +471,7 @@ def mayer_init_cloud(
         terms = _mayer_polymer_terms(zeta, p.sorted_blocks(), n_q, order)
         if terms:
             data[p.blocks] = terms
-    return CloudActivity(torus, data, ActivityFlags(even=True, periodic=True))
+    return CloudActivity(torus, data)
 
 
 def mayer_init_truncated(
@@ -511,7 +497,10 @@ def mayer_init_truncated(
 # -- potential norms (series bounds) ------------------------------------------------
 
 
-def vbd_norms(zeta: complex, h: float, eps: float, order: int = 40) -> dict:
+VBD_SERIES_ORDER = 40  # terms of the series for ||V||_{1,h}
+
+
+def vbd_norms(zeta: complex, h: float, eps: float) -> dict:
     """Series bounds on the potential norms at G = 1 and their thresholds.
 
     ||V||_{1,h} <= sum h^n/n! sup||V_n|| with sup||V_n|| = 1;
@@ -520,7 +509,7 @@ def vbd_norms(zeta: complex, h: float, eps: float, order: int = 40) -> dict:
     bound crosses |zeta|^{1-eps} (resp. |zeta|^{2-eps}).
     """
     az = abs(zeta)
-    v_norm = sum(h**n / math.factorial(n) for n in range(order))
+    v_norm = sum(h**n / math.factorial(n) for n in range(VBD_SERIES_ORDER))
     e_norm = math.expm1(az * math.exp(h))
     e2_norm = math.expm1(az * math.exp(h)) - az * math.exp(h)
 
@@ -552,29 +541,11 @@ def vbd_norms(zeta: complex, h: float, eps: float, order: int = 40) -> dict:
 # -- charge decomposition ------------------------------------------------------------
 
 
-def charge_component(K, q: int, n_phi: int | None = None):
-    """Fourier component in the constant-shift variable.
-
-    Cloud/truncated: exact filter on the total charge.  Functional: uniform
-    quadrature with 2Q+1 nodes, exact when all total charges are <= Q in
-    magnitude; requires the periodicity flag.
-    """
+def charge_component(K, q: int):
+    """Fourier component in the constant-shift variable: the exact filter
+    of a cloud or truncated activity on the total charge."""
     if isinstance(K, TermActivity):
         return K.filter(lambda k, t: t.total_charge == q)
-    if isinstance(K, FunctionalActivity):
-        if not K.flags.periodic:
-            raise ValueError("charge decomposition needs a 2 pi periodic activity")
-        Q = n_phi if n_phi is not None else 8
-        nodes = 2 * Q + 1
-
-        def fn(p, fld, _fn=K.fn, _q=q, _nodes=nodes):
-            acc = 0.0
-            for m in range(_nodes):
-                big_phi = -math.pi + 2.0 * math.pi * m / _nodes
-                acc += cmath.exp(-1j * _q * big_phi) * _fn(p, fld + big_phi)
-            return acc / _nodes
-
-        return FunctionalActivity(K.torus, fn, K.support_list, K.flags)
     raise TypeError(f"unsupported representation {type(K)!r}")
 
 
@@ -633,11 +604,6 @@ def activity_norm(K, params: NormParams) -> float:
 # -- randomized structural checks -----------------------------------------------------
 
 
-def verify_evenness(K, p: Polymer, fld) -> float:
-    """|K(X, phi) - K(X, -phi)| at one field."""
-    return abs(K.value(p, fld) - K.value(p, -fld))
-
-
 def verify_shift_law(K, q: int, p: Polymer, fld, c: float) -> float:
     """|k_q(X, phi + c) - e^{iqc} k_q(X, phi)|."""
     kq = charge_component(K, q)
@@ -647,23 +613,3 @@ def verify_shift_law(K, q: int, p: Polymer, fld, c: float) -> float:
 def verify_resummation(K: CloudActivity, p: Polymer, fld, q_range) -> float:
     total = sum(charge_component(K, q).value(p, fld) for q in q_range)
     return abs(total - K.value(p, fld))
-
-
-def verify_locality(K, p: Polymer, fld, rng, n_masks: int = 5) -> float:
-    """Masked evaluation: randomize grid values outside X, compare values.
-
-    Exact only when the activity reads node-aligned positions (grid lookups).
-    """
-    from .fields import FieldGrid, polymer_node_indices
-
-    base = K.value(p, fld)
-    n = fld.torus.side * fld.n_g
-    inside = np.zeros((n, n), dtype=bool)
-    gx, gy = polymer_node_indices(p, fld.torus, fld.n_g)
-    inside[gx, gy] = True
-    worst = 0.0
-    for _ in range(n_masks):
-        noise = rng.normal(size=(n, n))
-        vals = np.where(inside, fld.values, noise)
-        worst = max(worst, abs(K.value(p, FieldGrid(fld.torus, fld.n_g, vals)) - base))
-    return worst

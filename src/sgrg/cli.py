@@ -151,7 +151,7 @@ def _identity_suites(torus_text: str, seed: int):
     from .lattice import TorusSpec, polymer
     from .rgmap import extract_functional, fluctuate, scale_activity
     from .terms import CloudTerm, CovAccess
-    from .activities import CloudActivity, ActivityFlags
+    from .activities import CloudActivity
 
     rng = np.random.default_rng(seed)
     torus = parse_torus(torus_text)
@@ -197,7 +197,6 @@ def _identity_suites(torus_text: str, seed: int):
             frozenset({(2, 2)}): [CloudTerm(0.3, ((1, (2.0, 2.25)),)),
                                   CloudTerm(0.3, ((-1, (2.0, 2.25)),))],
         },
-        ActivityFlags(periodic=True),
     )
     from .terms import convolve_terms, multiply as _mul, evaluate_terms
 
@@ -223,7 +222,6 @@ def _identity_suites(torus_text: str, seed: int):
             frozenset({(0, 0)}): [CloudTerm(0.45, ((1, (0.0, 0.0)),)), CloudTerm(0.1)],
             frozenset({(2, 2), (2, 1)}): [CloudTerm(0.3, ((-1, (2.0, 2.0)),))],
         },
-        ActivityFlags(periodic=True),
     )
     F_e = CloudActivity(
         t_e,
@@ -233,7 +231,6 @@ def _identity_suites(torus_text: str, seed: int):
                 CloudTerm(0.2, (), (((0, 1), (2.0, 2.0)), ((0, 1), (2.0, 2.0))))
             ],
         },
-        ActivityFlags(periodic=True),
     )
     E = extract_functional(K_e, F_e, t_e)
     worst = 0.0
@@ -253,9 +250,8 @@ def _identity_suites(torus_text: str, seed: int):
             frozenset({(0, 0)}): [CloudTerm(0.4, ((1, (0.0, 0.25)),)), CloudTerm(0.1)],
             frozenset({(1, 1)}): [CloudTerm(0.3, ((-1, (1.0, 1.0)),))],
         },
-        ActivityFlags(periodic=True),
     )
-    SK = scale_activity(K_s, n_cluster_max=3)
+    SK = scale_activity(K_s)
     coarse = t_s.coarse()
     worst = 0.0
     for _ in range(10):

@@ -7,15 +7,15 @@ sum over a cached momentum table):
                    p^-2 [ (e^{p^4}+sigma)^-1 - (e^{L^4 p^4}+sigma)^-1 ]
                    summed over the dual torus lattice;
   * ``full``       v^M_0(sigma, x): profile p^-2 (e^{p^4}+sigma)^-1;
-  * ``cutoff``     v^M_{-N}(x): profile p^-2 e^{-p^4 L^{-4N}};
+  * ``cutoff``     the N = 0 cutoff profile p^-2 e^{-p^4} (sigma = 0 only);
   * ``continuum``  C_inf(sigma, x): the slice profile integrated over the
                    plane with tensor Gauss-Legendre nodes.
 
 The superexponential e^{-p^4} decay certifies momentum truncation: the
 default radius keeps the neglected tail below 1e-12 for derivative orders
-up to ``r_max``.  Large tori (side > DIRECT_SIDE_CAP) are evaluated by the
+up to ``R_MAX``.  Large tori (side > DIRECT_SIDE_CAP) are evaluated by the
 periodized continuum kernel; the neglected image terms are bounded by
-exp(-side/(2L)), recorded on the kernel as ``method_error_bound``.
+exp(-side/(2L)).
 """
 
 from __future__ import annotations
@@ -31,16 +31,20 @@ from .lattice import TorusSpec
 SIGMA_MAX = 0.1
 DEFAULT_P_MAX = 3.6
 DEFAULT_GL_NODES = 256
-DEFAULT_R_MAX = 14
+GL_RADIAL_NODES = 64  # per radial panel of the continuum kernel
+R_MAX = 14  # highest derivative order a kernel evaluates
 DIRECT_SIDE_CAP = 256
 NORM_PROXY_SIDE = 64
+N_SUB = 4  # grid points per block side in the block-pair norms
+STAR_NU = 2.0  # power of (1 + distance) in the star norm
+CLIP_TOL = 1e-10  # relative negative-eigenvalue floor of a covariance matrix
 
 
 class TailBoundError(RuntimeError):
     """Momentum truncation cannot certify the requested derivative order."""
 
 
-def _profile(kind: str, u: np.ndarray, sigma: float, L: int, n_cutoff: int) -> np.ndarray:
+def _profile(kind: str, u: np.ndarray, sigma: float, L: int) -> np.ndarray:
     """Momentum profile g(|p|^2); u = |p|^2.  Stable near u = 0 for the slice."""
     u = np.asarray(u, dtype=np.float64)
     if kind in ("slice", "continuum"):
@@ -70,13 +74,12 @@ def _profile(kind: str, u: np.ndarray, sigma: float, L: int, n_cutoff: int) -> n
         a = u * u
         return 1.0 / (u * (np.exp(np.minimum(a, 700.0)) + sigma))
     if kind == "cutoff":
-        a = u * u * float(L) ** (-4 * n_cutoff)
-        return np.exp(-a) / u
+        return np.exp(-(u * u)) / u
     raise ValueError(f"unknown kernel kind {kind!r}")
 
 
 @lru_cache(maxsize=64)
-def _torus_modes(kind: str, sigma: float, L: int, M: int, n_cutoff: int, p_max: float):
+def _torus_modes(kind: str, sigma: float, L: int, M: int, p_max: float):
     """(px, py, weight) table over the dual lattice, zero mode excluded."""
     side = L**M
     step = 2.0 * math.pi / side
@@ -88,19 +91,19 @@ def _torus_modes(kind: str, sigma: float, L: int, M: int, n_cutoff: int, p_max: 
     u = px * px + py * py
     keep = (u > 0) & (np.sqrt(u) <= p_max)
     px, py, u = px[keep], py[keep], u[keep]
-    f = _profile(kind, u, sigma, L, n_cutoff) / float(side) ** 2
+    f = _profile(kind, u, sigma, L) / float(side) ** 2
     return px, py, f
 
 
 @lru_cache(maxsize=32)
-def _gl_modes(sigma: float, L: int, p_max: float, n_theta: int, n_radial: int = 64):
+def _gl_modes(sigma: float, L: int, p_max: float, n_theta: int):
     """Polar momentum table for the continuum slice kernel.
 
     Radial Gauss-Legendre on two panels split at p_max/L (the slice profile
     varies on the 1/L momentum scale), uniform angular nodes; n_theta must
     exceed twice the largest phase p_max * |x| to resolve the oscillation.
     """
-    x, w = np.polynomial.legendre.leggauss(n_radial)
+    x, w = np.polynomial.legendre.leggauss(GL_RADIAL_NODES)
     split = p_max / float(L)
     rs, ws = [], []
     for lo, hi in ((0.0, split), (split, p_max)):
@@ -115,7 +118,7 @@ def _gl_modes(sigma: float, L: int, p_max: float, n_theta: int, n_radial: int = 
     py = (r[:, None] * np.sin(theta)[None, :]).ravel()
     wgt = (wr[:, None] * r[:, None] * wt * np.ones_like(theta)[None, :]).ravel()
     u = px * px + py * py
-    f = _profile("continuum", u, sigma, L, 0) * wgt / (2.0 * math.pi) ** 2
+    f = _profile("continuum", u, sigma, L) * wgt / (2.0 * math.pi) ** 2
     return px, py, f
 
 
@@ -166,16 +169,16 @@ class CovarianceKernel:
     sigma: float = 0.0
     torus: TorusSpec | None = None
     L: int | None = None
-    n_cutoff: int = 0
     p_max: float = DEFAULT_P_MAX
     gl_nodes: int = DEFAULT_GL_NODES
-    r_max: int = DEFAULT_R_MAX
 
     def __post_init__(self):
         if abs(self.sigma) > SIGMA_MAX + 1e-15:
             raise ValueError(f"|sigma| must be <= {SIGMA_MAX}")
         if self.kind not in ("slice", "full", "cutoff", "continuum"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
+        if self.kind == "cutoff" and self.sigma != 0.0:
+            raise ValueError("sigma must be 0 for the cutoff kernel, which ignores it")
         if self.kind == "continuum":
             if self.L is None:
                 raise ValueError("continuum kernel needs the block scale L")
@@ -200,27 +203,15 @@ class CovarianceKernel:
             f"{self.kind} kernel on side {self.torus.side}: direct mode sum too large"
         )
 
-    @property
-    def method_error_bound(self) -> float:
-        """Bound on the neglected periodization images (zero for direct sums)."""
-        if self.kind == "continuum" or self.torus.side <= DIRECT_SIDE_CAP:
-            return 0.0
-        return math.exp(-self.torus.side / (2.0 * self.scale))
-
     def _modes(self):
         if self.method == "fourier":
-            return _torus_modes(
-                self.kind, self.sigma, self.torus.L, self.torus.M, self.n_cutoff, self.p_max
-            )
+            return _torus_modes(self.kind, self.sigma, self.torus.L, self.torus.M, self.p_max)
         return _gl_modes(self.sigma, self.scale, self.p_max, self.gl_nodes)
 
     def _check_order(self, alphas):
         worst = max(int(a[0] + a[1]) for a in alphas)
-        if worst > self.r_max:
-            raise TailBoundError(
-                f"derivative order {worst} above r_max={self.r_max}; "
-                f"rebuild the kernel with a larger p_max/r_max"
-            )
+        if worst > R_MAX:
+            raise TailBoundError(f"derivative order {worst} above R_MAX={R_MAX}")
         tb = tail_bound(self.p_max, worst)
         if tb > 1e-10:
             raise TailBoundError(
@@ -249,7 +240,7 @@ class CovarianceKernel:
     def at_zero(self) -> float:
         return self.eval((0.0, 0.0))
 
-    def grid_tables(self, n_sub: int, alphas, side: int | None = None):
+    def grid_tables(self, n_sub: int, alphas):
         """FFT evaluation of d^alpha C on the full torus grid (spacing 1/n_sub).
 
         Returns (tables, side_used): tables yields (alpha, (n, n) array over
@@ -258,15 +249,13 @@ class CovarianceKernel:
         """
         if self.kind == "continuum":
             raise ValueError("grid_tables needs a torus kernel")
-        side_used = side or min(self.torus.side, NORM_PROXY_SIDE)
+        side_used = min(self.torus.side, NORM_PROXY_SIDE)
         proxy = (
             self.torus
             if side_used == self.torus.side
             else _proxy_torus(self.torus.L, side_used, self.torus.d)
         )
-        px, py, f = _torus_modes(
-            self.kind, self.sigma, proxy.L, proxy.M, self.n_cutoff, self.p_max
-        )
+        px, py, f = _torus_modes(self.kind, self.sigma, proxy.L, proxy.M, self.p_max)
         n = side_used * n_sub
         step = 2.0 * math.pi / side_used
         kx = np.rint(px / step).astype(int) % n
@@ -341,25 +330,25 @@ def _deriv_alphas(max_total: int):
     ]
 
 
-def block_pair_norm_table(kernel: CovarianceKernel, r: int, n_sub: int = 4):
+def block_pair_norm_table(kernel: CovarianceKernel, r: int):
     """Grid table of max over |gamma| <= 2r of |d^gamma C| (C^r norm in each
     slot), kept as a running maximum so one table per gamma is alive at once."""
-    tables, side_used = kernel.grid_tables(n_sub, _deriv_alphas(2 * r))
+    tables, side_used = kernel.grid_tables(N_SUB, _deriv_alphas(2 * r))
     peak = None
     for _, table in tables:
         table = np.abs(table)
         peak = table if peak is None else np.maximum(peak, table, out=peak)
-    return peak, side_used, n_sub
+    return peak, side_used
 
 
-def star_norm(kernel: CovarianceKernel, r: int, nu: float = 2.0, n_sub: int = 4):
+def star_norm(kernel: CovarianceKernel, r: int):
     """||C||_* = sup_D sum_{D' != D} ||C(D,D')|| d(D,D')^{2d} theta(D,D').
 
     Block norms are dense sub-grid maxima of mixed derivatives; the block
     pair sum runs over the (possibly proxied) torus.  Returns (value, info).
     """
-    peak, side, n_sub = block_pair_norm_table(kernel, r, n_sub)
-    n = side * n_sub
+    peak, side = block_pair_norm_table(kernel, r)
+    n = side * N_SUB
     d = 2
     total = 0.0
     # sup over blocks is trivial by translation invariance: fix D at 0
@@ -371,15 +360,15 @@ def star_norm(kernel: CovarianceKernel, r: int, nu: float = 2.0, n_sub: int = 4)
             dy = cy if cy <= side // 2 else cy - side
             dist = math.hypot(dx, dy)
             # separation region (D - D') spans [diff-1, diff+1] per axis
-            ix = (np.arange(-n_sub, n_sub + 1) + cx * n_sub) % n
-            iy = (np.arange(-n_sub, n_sub + 1) + cy * n_sub) % n
+            ix = (np.arange(-N_SUB, N_SUB + 1) + cx * N_SUB) % n
+            iy = (np.arange(-N_SUB, N_SUB + 1) + cy * N_SUB) % n
             block_norm = float(np.max(peak[np.ix_(ix, iy)]))
-            total += block_norm * dist ** (2 * d) * (1.0 + dist) ** nu
-    info = {"side_used": side, "n_sub": n_sub, "proxy": side != (kernel.torus.side if kernel.torus else side)}
+            total += block_norm * dist ** (2 * d) * (1.0 + dist) ** STAR_NU
+    info = {"side_used": side, "n_sub": N_SUB, "proxy": side != (kernel.torus.side if kernel.torus else side)}
     return total, info
 
 
-def translation_loss(kernel: CovarianceKernel, r: int, n_sub: int = 4):
+def translation_loss(kernel: CovarianceKernel, r: int):
     """N_C = sup over small sets X of inf_{x in X} ||C(. - x) - C(0)||_X."""
     from .lattice import small_shapes
 
@@ -389,12 +378,12 @@ def translation_loss(kernel: CovarianceKernel, r: int, n_sub: int = 4):
     for shape in small_shapes(2):
         pts = []
         for b in shape.blocks:
-            for i in range(n_sub):
-                for jj in range(n_sub):
+            for i in range(N_SUB):
+                for jj in range(N_SUB):
                     pts.append(
                         (
-                            b[0] - 0.5 + (i + 0.5) / n_sub,
-                            b[1] - 0.5 + (jj + 0.5) / n_sub,
+                            b[0] - 0.5 + (i + 0.5) / N_SUB,
+                            b[1] - 0.5 + (jj + 0.5) / N_SUB,
                         )
                     )
         pts = np.asarray(pts)
@@ -430,9 +419,7 @@ class CovarianceMatrix:
         return self.eigvecs * np.sqrt(self.eigvals)[None, :]
 
 
-def covariance_matrix(
-    kernel: CovarianceKernel, points, scale: float = 1.0, clip_tol: float = 1e-10
-) -> CovarianceMatrix:
+def covariance_matrix(kernel: CovarianceKernel, points, scale: float = 1.0) -> CovarianceMatrix:
     """Assemble scale * C(x_i - x_j), eigendecompose, clip tiny negative modes."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     n = pts.shape[0]
@@ -440,7 +427,7 @@ def covariance_matrix(
     vals = kernel.eval_many(diffs.reshape(-1, 2), [(0, 0)])[:, 0].reshape(n, n)
     mat = scale * 0.5 * (vals + vals.T)
     w, v = np.linalg.eigh(mat)
-    floor = -clip_tol * max(1.0, float(np.max(np.abs(w))))
+    floor = -CLIP_TOL * max(1.0, float(np.max(np.abs(w))))
     if np.min(w) < floor:
         raise NotPositiveSemidefiniteError(
             f"matrix eigenvalue {np.min(w):.3e} below clip tolerance"
@@ -448,27 +435,19 @@ def covariance_matrix(
     return CovarianceMatrix(points=pts, matrix=mat, eigvals=np.clip(w, 0.0, None), eigvecs=v)
 
 
-def operator_norm_T(torus: TorusSpec, sigma: float, p_max: float = DEFAULT_P_MAX) -> float:
-    """||T|| = max_p (e^{p^4}+sigma)^-1 over the dual lattice."""
-    px, py, _ = _torus_modes("full", sigma, torus.L, torus.M, 0, p_max)
-    u = px * px + py * py
-    return float(np.max(1.0 / (np.exp(u * u) + sigma)))
-
-def trlog_T(
-    torus: TorusSpec, sigma: float, dsigma: float, p_max: float = DEFAULT_P_MAX
-) -> float:
+def trlog_T(torus: TorusSpec, sigma: float, dsigma: float) -> float:
     """tr log(1 + dsigma T) = sum_{p != 0} log(1 + dsigma (e^{p^4}+sigma)^-1).
 
     Direct mode sum for tori up to DIRECT_SIDE_CAP; density approximation
     |Lambda| (2 pi)^-2 integral beyond (documented large-volume fallback).
     """
     if torus.side <= DIRECT_SIDE_CAP:
-        px, py, _ = _torus_modes("full", sigma, torus.L, torus.M, 0, p_max)
+        px, py, _ = _torus_modes("full", sigma, torus.L, torus.M, DEFAULT_P_MAX)
         u = px * px + py * py
         return float(np.sum(np.log1p(dsigma / (np.exp(u * u) + sigma))))
     x, w = np.polynomial.legendre.leggauss(DEFAULT_GL_NODES)
-    p = x * p_max
-    wp = w * p_max
+    p = x * DEFAULT_P_MAX
+    wp = w * DEFAULT_P_MAX
     px, py = np.meshgrid(p, p, indexing="ij")
     wgt = np.outer(wp, wp)
     u = px * px + py * py

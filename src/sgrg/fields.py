@@ -1,9 +1,9 @@
-"""Discretized fields on the torus: derivatives, norms, regulators, sampling.
+"""Discretized fields on the torus: derivatives, regulators, sampling.
 
 A FieldGrid stores real values at nodes x = j/n_g (n_g even nodes per unit
 length).  Off-node evaluation uses trigonometric interpolation, which is
 exact for band-limited fields; derivative arrays come from 2nd-order
-central differences (the default for norms and regulators) or from the
+central differences (the default, used by the regulator) or from the
 spectral multiplier (exact on band-limited fields, used by the activity
 algebra where pointwise identities must hold to machine precision).
 
@@ -12,7 +12,7 @@ The large field regulator is
     G(kappa, X, phi) = exp( kappa sum_{1<=|a|<=s} w_a int_X |d^a phi|^2
                           + kappa c w_b sum_{|a|=1} int_{dX} |d phi|^2 )
 
-with w_a = ell^{2|a|-2}, w_b = ell for the ell-scaled variant and 1
+with w_a = ELL^{2|a|-2}, w_b = ELL for the ELL-scaled variant and 1
 otherwise.  Block k covers [k-1/2, k+1/2); boundary faces are the unit
 segments between blocks in X and blocks outside it.
 """
@@ -27,6 +27,11 @@ import numpy as np
 
 from .covariance import CovarianceKernel, CovarianceMatrix, covariance_matrix
 from .lattice import Polymer, TorusSpec
+
+ELL = 2.0  # the scale of the ELL-scaled regulator
+SOBOLEV_N_G = 8  # grid nodes per block side of the Sobolev measurement
+SOBOLEV_SEED = 1234
+SOBOLEV_SLACK = 1.1  # inflation of the measured Sobolev constant
 
 
 def multi_indices(d: int, min_total: int, max_total: int):
@@ -226,21 +231,6 @@ def face_node_indices(face, torus: TorusSpec, n_g: int):
 # -- norms and regulators -------------------------------------------------------
 
 
-def field_norms(
-    phi: FieldGrid, p: Polymer, r: int, s: int, method: str = "fd"
-) -> tuple[float, float]:
-    """(sup norm over |a|<=r, L2 Sobolev norm over |a|<=s) on the polymer."""
-    gx, gy = polymer_node_indices(p, phi.torus, phi.n_g)
-    sup = 0.0
-    l2 = 0.0
-    for a in multi_indices(2, 0, s):
-        da = phi.deriv(a, method=method).values[gx, gy]
-        if sum(a) <= r:
-            sup = max(sup, float(np.max(np.abs(da))))
-        l2 += float(np.sum(da * da)) / phi.n_g**2
-    return sup, math.sqrt(l2)
-
-
 @dataclass(frozen=True)
 class RegulatorParams:
     """Large field regulator constants; s > d/2 + r is required for Sobolev."""
@@ -249,54 +239,43 @@ class RegulatorParams:
     c: float
     r: int = 2
     s: int = 4
-    h: float = 1.0
-    ell: float = 2.0
 
     def __post_init__(self):
         if self.s <= 1 + self.r:  # d = 2
             raise ValueError("need s > d/2 + r")
         if self.kappa > 1.0 or self.c > 1.0:
             raise ValueError("kappa and c must be <= 1")
-        if self.h < 0:
-            raise ValueError("h must be >= 0")
 
 
-def log_regulator(
-    phi: FieldGrid, p: Polymer, params: RegulatorParams, scaled: bool = False,
-    method: str = "fd",
-) -> float:
-    """log G(kappa, X, phi); ``scaled=True`` gives the ell-scaled variant."""
+def log_regulator(phi: FieldGrid, p: Polymer, params: RegulatorParams,
+                  scaled: bool = False) -> float:
+    """log G(kappa, X, phi); ``scaled=True`` gives the ELL-scaled variant."""
     gx, gy = polymer_node_indices(p, phi.torus, phi.n_g)
     bulk = 0.0
     for a in multi_indices(2, 1, params.s):
-        da = phi.deriv(a, method=method).values[gx, gy]
-        w = params.ell ** (2 * sum(a) - 2) if scaled else 1.0
+        da = phi.deriv(a).values[gx, gy]
+        w = ELL ** (2 * sum(a) - 2) if scaled else 1.0
         bulk += w * float(np.sum(da * da)) / phi.n_g**2
     bdry = 0.0
-    grads = [phi.deriv(a, method=method).values for a in ((1, 0), (0, 1))]
+    grads = [phi.deriv(a).values for a in ((1, 0), (0, 1))]
     for face in boundary_faces(p, phi.torus):
         fx, fy = face_node_indices(face, phi.torus, phi.n_g)
         for g in grads:
             v = g[fx, fy]
             bdry += float(np.sum(v * v)) / phi.n_g
-    w_b = params.ell if scaled else 1.0
+    w_b = ELL if scaled else 1.0
     return params.kappa * bulk + params.kappa * params.c * w_b * bdry
 
 
-def regulator(phi, p, params, scaled=False, method="fd") -> float:
-    return math.exp(log_regulator(phi, p, params, scaled=scaled, method=method))
-
-
-def measure_sobolev_constant(
-    s: int, n_g: int = 8, n_fields: int = 200, seed: int = 1234, slack: float = 1.1
-) -> float:
+def measure_sobolev_constant(s: int, n_fields: int = 200) -> float:
     """Discrete Sobolev constant: max |d phi(x)|^2 / sum_{1<=|a|<=s} int_D |d^a phi|^2.
 
-    Measured over random band-limited fields on a single block, inflated by
-    ``slack``; feeds c = (8 L c_s)^{-1}.
+    Measured over random band-limited fields on a single block of SOBOLEV_N_G
+    nodes per side, inflated by SOBOLEV_SLACK; feeds c = (8 L c_s)^{-1}.
     """
     torus = TorusSpec(2, 1)
-    rng = np.random.default_rng(seed)
+    n_g = SOBOLEV_N_G
+    rng = np.random.default_rng(SOBOLEV_SEED)
     block = Polymer(frozenset({(0, 0)}))
     worst = 0.0
     for _ in range(n_fields):
@@ -312,7 +291,7 @@ def measure_sobolev_constant(
             num = max(num, float(np.max(da * da)))
         if denom > 1e-12:
             worst = max(worst, num / denom)
-    return worst * slack
+    return worst * SOBOLEV_SLACK
 
 
 # -- field scaling ---------------------------------------------------------------
@@ -380,12 +359,3 @@ def gaussian_ensemble(
 ) -> GaussianEnsemble:
     cov = covariance_matrix(kernel, grid_points(torus, n_g), scale=scale)
     return GaussianEnsemble(cov=cov, torus=torus, n_g=n_g, seed=seed)
-
-
-def charge_cloud_expectation(charges, kernel: CovarianceKernel, scale: float = 1.0) -> float:
-    """E[e^{i sum_a q_a phi(x_a)}] = exp(-scale/2 sum_ab q_a q_b C(x_a - x_b))."""
-    qs = np.asarray([float(q) for q, _ in charges])
-    xs = np.asarray([tuple(x) for _, x in charges], dtype=np.float64)
-    diffs = xs[:, None, :] - xs[None, :, :]
-    c = kernel.eval_many(diffs.reshape(-1, 2), [(0, 0)])[:, 0].reshape(len(qs), len(qs))
-    return math.exp(-0.5 * scale * float(qs @ c @ qs))

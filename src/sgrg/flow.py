@@ -226,7 +226,7 @@ def _norm_params(config: FlowConfig, torus: TorusSpec, j: int) -> NormParams:
 
 
 def _step_params(config: FlowConfig, torus: TorusSpec, sigma: float, j: int,
-                 preset: str, c_star: float | None = None) -> RGStepParams:
+                 preset: str, c_star: float) -> RGStepParams:
     np_ = _norm_params(config, torus, j)
     if config.h_mode == "fixed":
         delta_h = 0.25 * config.h
@@ -407,6 +407,9 @@ class OracleResult:
     n_samples: int
 
 
+ORACLE_N_Q = 1  # quadrature nodes per block side of the oracle's potential
+
+
 def z_invariance_check(
     beta: float,
     zeta: float,
@@ -416,7 +419,6 @@ def z_invariance_check(
     seed: int = 11,
     n_g: int = 8,
     order: int = 6,
-    n_q: int = 1,
 ) -> dict:
     """Compare MC estimates of Z in the step-j and step-(j+1) representations.
 
@@ -436,16 +438,14 @@ def z_invariance_check(
     from .activities import CloudActivity
     from .terms import CovAccess, convolve_terms
 
-    K0 = mayer_init_cloud(zeta, torus, n_q=n_q, order=order,
+    K0 = mayer_init_cloud(zeta, torus, n_q=ORACLE_N_Q, order=order,
                           max_size=torus.n_blocks, side_cap=2)
     kern = CovarianceKernel("slice", sigma=0.0, torus=torus)
     cov = CovAccess(kern, scale=beta)
     # on side <= 2 every polymer pair touches: F K = mu_C * K per polymer
-    k_sharp = CloudActivity(
-        torus, {k: convolve_terms(ts, cov) for k, ts in K0.data.items()}, K0.flags
-    )
+    k_sharp = CloudActivity(torus, {k: convolve_terms(ts, cov) for k, ts in K0.data.items()})
     coeffs = extraction_coefficients(k_sharp, "ir", beta)
-    F = build_extraction_activity(coeffs, k_sharp, n_q=n_q)
+    F = build_extraction_activity(coeffs, k_sharp, n_q=ORACLE_N_Q)
     dsig = coeffs.dsigma
     coarse = torus.coarse()
     energy1 = coeffs.dE * torus.volume - 0.5 * trlog_T(coarse, 0.0, dsig)

@@ -266,7 +266,7 @@ def forest_interpolation_check_smooth(n: int, f, df_prod, n_nodes: int = 24) -> 
         raise ValueError("smooth-integrand check capped at n = 4")
     ones = np.ones((n, n))
     lhs = f(ones)
-    total = df_prod((), _sigma_full((), {}, n))  # empty forest: F at sigma(0)
+    total = df_prod((), sigma_matrix((), {}, n))  # empty forest: F at sigma(0)
     for G in all_forests(n):
         if not G:
             continue
@@ -276,19 +276,11 @@ def forest_interpolation_check_smooth(n: int, f, df_prod, n_nodes: int = 24) -> 
             out = np.empty(pts.shape[0])
             for row in range(pts.shape[0]):
                 s = {b: pts[row, r] for r, b in enumerate(G)}
-                out[row] = df_prod(G, _sigma_full(G, s, n))
+                out[row] = df_prod(G, sigma_matrix(G, s, n))
             return out
 
         total += integrate_over_cube(m, integrand, n_nodes)
     return abs(lhs - total)
-
-
-def _sigma_full(G, s, n):
-    mat = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            mat[i, j] = mat[j, i] = sigma(G, s, i, j)
-    return mat
 
 
 # -- Cayley counts ----------------------------------------------------------------
@@ -308,35 +300,37 @@ def tree_count(degree_sequence) -> int:
 
 # -- factorial-distance bound ------------------------------------------------------
 
+DIM = 2  # the blocks of the bound tile the plane
 
-def ball_block_count(r: float, d: int = 2) -> int:
+
+def ball_block_count(r: float) -> int:
     """Unit blocks (centered on lattice points) intersecting a radius-r ball."""
     reach = int(math.ceil(r + 1.0))
     count = 0
-    for c in itertools.product(range(-reach, reach + 1), repeat=d):
+    for c in itertools.product(range(-reach, reach + 1), repeat=DIM):
         dist2 = sum(max(abs(ci) - 0.5, 0.0) ** 2 for ci in c)
         if dist2 <= r * r:
             count += 1
     return count
 
 
-def construct_gamma(r_max: float, d: int = 2) -> float:
+def construct_gamma(r_max: float) -> float:
     """gamma with m_r <= gamma r^d for all r > 1 (checked on jump radii)."""
-    gamma = ball_block_count(1.0 + 1e-9, d)  # r -> 1+ limit
+    gamma = ball_block_count(1.0 + 1e-9)  # r -> 1+ limit
     # m_r jumps where a new shell of blocks becomes reachable
     radii = sorted(
         {
             math.sqrt(sum(max(abs(ci) - 0.5, 0.0) ** 2 for ci in c))
-            for c in itertools.product(range(-int(r_max) - 2, int(r_max) + 3), repeat=d)
+            for c in itertools.product(range(-int(r_max) - 2, int(r_max) + 3), repeat=DIM)
         }
     )
     for r in radii:
         if 1.0 < r <= r_max:
-            gamma = max(gamma, ball_block_count(r, d) / r**d)
+            gamma = max(gamma, ball_block_count(r) / r**DIM)
     return gamma
 
 
-def factorial_bound_check(delta, blocks, d: int = 2, gamma: float | None = None):
+def factorial_bound_check(delta, blocks, gamma: float | None = None):
     """Check n! <= gamma^n prod_j dist(delta, block_j)^d with constructed gamma."""
     blocks = [tuple(b) for b in blocks]
     if len(set(blocks)) != len(blocks) or tuple(delta) in blocks:
@@ -345,8 +339,8 @@ def factorial_bound_check(delta, blocks, d: int = 2, gamma: float | None = None)
         math.sqrt(sum((bi - di) ** 2 for bi, di in zip(b, delta))) for b in blocks
     ]
     if gamma is None:
-        gamma = construct_gamma(max(dists) + 1.0, d)
+        gamma = construct_gamma(max(dists) + 1.0)
     n = len(blocks)
     lhs = math.lgamma(n + 1)
-    rhs = n * math.log(gamma) + d * sum(math.log(x) for x in dists)
+    rhs = n * math.log(gamma) + DIM * sum(math.log(x) for x in dists)
     return gamma, lhs <= rhs + 1e-9

@@ -7,16 +7,10 @@ intersect, so corner contact counts; two polymers are *region disjoint*
 when no pair of their blocks is adjacent (their closed regions are
 disjoint), which is the disjointness used by the polymer exponential.
 
-Two closure maps onto the L-block lattice coexist:
-
-  * ``l_closure``         geometric: every L-block whose closed L-square
-                          intersects the polymer (blocks straddling the
-                          L-grid belong to several L-blocks);
-  * ``partition_closure`` each block is assigned to the unique L-block
-                          whose square contains it, ties on straddling
-                          blocks broken upward.  The scaling map uses
-                          this partition so that single-block activities
-                          rescale with the exact L^d block count.
+The closure onto the L-block lattice, ``partition_closure``, assigns each
+block to the unique L-block whose square contains it, ties on straddling
+blocks broken upward.  The scaling map uses this partition so that
+single-block activities rescale with the exact L^d block count.
 """
 
 from __future__ import annotations
@@ -30,6 +24,7 @@ Block = tuple[int, ...]
 
 ENUM_MAX_SIZE_CAP = 6
 ENUM_TORUS_SIDE_CAP = 4096
+THETA_NU = 2.0  # power of (1 + MST length) in the large-set regulator
 
 
 class EnumerationCapError(RuntimeError):
@@ -114,21 +109,16 @@ class Polymer:
     def translate(self, shift) -> "Polymer":
         return Polymer(frozenset(tuple(c + s for c, s in zip(b, shift)) for b in self.blocks))
 
-    def translate_mod(self, shift, torus: TorusSpec) -> "Polymer":
-        return Polymer(
-            frozenset(torus.wrap(tuple(c + s for c, s in zip(b, shift))) for b in self.blocks)
-        )
-
 
 def polymer(blocks) -> Polymer:
     return Polymer(frozenset(tuple(b) for b in blocks))
 
 
-def neighbors(b: Block, torus: TorusSpec, include_self: bool = False):
-    """Blocks whose closed squares intersect b's (Chebyshev distance <= 1)."""
+def neighbors(b: Block, torus: TorusSpec):
+    """Blocks other than b whose closed squares intersect b's (Chebyshev distance 1)."""
     offs = itertools.product((-1, 0, 1), repeat=torus.d)
     for off in offs:
-        if not include_self and all(o == 0 for o in off):
+        if all(o == 0 for o in off):
             continue
         yield torus.wrap(tuple(c + o for c, o in zip(b, off)))
 
@@ -221,7 +211,7 @@ def enumerate_all_connected(
     return sorted(out, key=lambda p: (p.size, p.sorted_blocks()))
 
 
-def enumerate_shapes(d: int, max_size: int, L: int = 2) -> list[Polymer]:
+def enumerate_shapes(d: int, max_size: int) -> list[Polymer]:
     """Translation classes of connected polymers (anchored with min corner at 0)."""
     aux = TorusSpec(L=2, M=max(4, max_size.bit_length() + 2), d=d)
     center = tuple(aux.side // 2 for _ in range(d))
@@ -249,26 +239,6 @@ def small_shapes(d: int = 2) -> tuple[Polymer, ...]:
     return tuple(enumerate_shapes(d, 2**d))
 
 
-def l_closure(p: Polymer, torus: TorusSpec) -> Polymer:
-    """Geometric L-closure: L-blocks whose closed squares intersect the polymer.
-
-    Block k occupies [k-1/2, k+1/2]; L-block a occupies [La-L/2, La+L/2].
-    Overlap per axis iff |2k - 2La| <= L+1.  Returned on the coarse torus.
-    """
-    coarse = torus.coarse()
-    L = torus.L
-    out = set()
-    for b in p.blocks:
-        ranges = []
-        for k in b:
-            lo = math.ceil((2 * k - (L + 1)) / (2 * L))
-            hi = math.floor((2 * k + (L + 1)) / (2 * L))
-            ranges.append(range(lo, hi + 1))
-        for combo in itertools.product(*ranges):
-            out.add(coarse.wrap(combo))
-    return Polymer(frozenset(out))
-
-
 def partition_block(k: int, L: int) -> int:
     """Index of the L-block assigned to block k; straddling blocks go upward."""
     return (k + L // 2) // L
@@ -283,53 +253,25 @@ def partition_closure(p: Polymer, torus: TorusSpec) -> Polymer:
     )
 
 
-def scale_up(p: Polymer, torus: TorusSpec) -> Polymer:
-    """Image of the polymer under x -> Lx as unit blocks of the fine torus."""
-    L = torus.L
-    fine = TorusSpec(torus.L, torus.M + 1, torus.d)
-    offs = list(itertools.product(range(-(L // 2), L - L // 2), repeat=torus.d))
-    out = set()
-    for b in p.blocks:
-        for off in offs:
-            out.add(fine.wrap(tuple(L * c + o for c, o in zip(b, off))))
-    return Polymer(frozenset(out))
-
-
-def blocks_assigned_to(a: Block, torus_fine: TorusSpec) -> list[Block]:
-    """Fine blocks whose partition closure is the coarse block a."""
-    L = torus_fine.L
-    base = range(-(L // 2), L - L // 2)
-    out = []
-    for off in itertools.product(base, repeat=torus_fine.d):
-        out.append(torus_fine.wrap(tuple(L * c + o for c, o in zip(a, off))))
-    return out
-
-
 @dataclass(frozen=True)
 class SetRegulatorParams:
-    """Large-set regulator Gamma_p(X) = 2^{p|X|} A^{|X|} (1 + MST length)^nu."""
+    """Large-set regulator Gamma_p(X) = 2^{p|X|} A^{|X|} (1 + MST length)^THETA_NU."""
 
     A: float
     p: int = 0
-    nu: float = 2.0
 
     def __post_init__(self):
         if self.A < 1:
             raise ValueError("amplitude A must be >= 1")
 
     @staticmethod
-    def default(torus: TorusSpec, p: int = 0, nu: float = 2.0) -> "SetRegulatorParams":
-        return SetRegulatorParams(A=float(torus.L ** (torus.d + 3)), p=p, nu=nu)
+    def default(torus: TorusSpec, p: int = 0) -> "SetRegulatorParams":
+        return SetRegulatorParams(A=float(torus.L ** (torus.d + 3)), p=p)
 
 
 def block_distance(b1: Block, b2: Block, torus: TorusSpec) -> float:
     """Euclidean torus distance between block centers."""
     return math.sqrt(sum(c * c for c in torus.delta(b1, b2)))
-
-
-def block_metrics(b1: Block, b2: Block, torus: TorusSpec, nu: float = 2.0):
-    d = block_distance(b1, b2, torus)
-    return d, (1.0 + d) ** nu
 
 
 def mst_length(p: Polymer, torus: TorusSpec) -> float:
@@ -354,20 +296,11 @@ def mst_length(p: Polymer, torus: TorusSpec) -> float:
     return total
 
 
-def theta(p: Polymer, torus: TorusSpec, nu: float = 2.0) -> float:
-    return (1.0 + mst_length(p, torus)) ** nu
-
-
-def gamma_p(p: Polymer, params: SetRegulatorParams, torus: TorusSpec) -> float:
-    """Gamma_p(X) = 2^{p|X|} A^{|X|} Theta(X)."""
-    n = p.size
-    return (2.0 ** (params.p * n)) * (params.A**n) * theta(p, torus, params.nu)
-
-
 def log_gamma_p(p: Polymer, params: SetRegulatorParams, torus: TorusSpec) -> float:
+    """log Gamma_p(X) = |X| (p log 2 + log A) + THETA_NU log(1 + MST length)."""
     n = p.size
     return (
         params.p * n * math.log(2.0)
         + n * math.log(params.A)
-        + params.nu * math.log1p(mst_length(p, torus))
+        + THETA_NU * math.log1p(mst_length(p, torus))
     )

@@ -45,7 +45,6 @@ import numpy as np
 
 from . import terms as tm
 from .activities import (
-    ActivityFlags,
     CloudActivity,
     FunctionalActivity,
     NormParams,
@@ -248,12 +247,7 @@ def _tree_term_image(slots: list[Slot], n_poly: int, tree, cov: CovAccess,
 
 
 def _s_integral_affine(paths, u, factors, m_bonds: int, n_nodes: int) -> complex:
-    if m_bonds == 0:
-        val = math.exp(-sum(u.values())) if u else 1.0
-        prod = 1.0 + 0.0j
-        for a, lin in factors:
-            prod *= a + sum(lin.values())
-        return val * prod
+    """The s-integral over a tree of ``m_bonds >= 1`` bonds."""
     if m_bonds == 1:
         # every sigma equals the single bond coordinate s
         u_tot = sum(u.values())
@@ -347,7 +341,7 @@ def _fluctuate_cloud(K: CloudActivity, cov: CovAccess, n_max: int, n_nodes: int)
         ts = tm._canon_sums(acc)
         if ts:
             out[union] = ts
-    return CloudActivity(K.torus, out, K.flags)
+    return CloudActivity(K.torus, out)
 
 
 def _fluctuate_truncated(K: TruncatedActivity, cov: CovAccess, pair_window: int,
@@ -430,7 +424,7 @@ def _fluctuate_truncated(K: TruncatedActivity, cov: CovAccess, pair_window: int,
         kept = tm._canon_sums(sums, drop_tol)
         if kept:
             result[key] = kept
-    act = TruncatedActivity(K.torus, result, K.flags, K.q_max, K.max_linfs)
+    act = TruncatedActivity(K.torus, result, K.q_max, K.max_linfs)
     act.__dict__["dropped_terms"] = dropped
     return act
 
@@ -683,13 +677,13 @@ def build_extraction_activity(coeffs: ExtractionCoefficients, K, n_q: int = 1):
             ts = key_terms(key, list(key))
             if ts:
                 shapes[key] = ts
-        return TruncatedActivity(K.torus, shapes, K.flags, K.q_max, K.max_linfs)
+        return TruncatedActivity(K.torus, shapes, K.q_max, K.max_linfs)
     data = {}
     for key in coeffs.alpha0:
         ts = key_terms(key, sorted(key))
         if ts:
             data[key] = ts
-    return CloudActivity(K.torus, data, ActivityFlags(even=True, periodic=True, neutral=True))
+    return CloudActivity(K.torus, data)
 
 
 def extract_linear(K, F):
@@ -791,9 +785,7 @@ def extract_functional(K, F, torus: TorusSpec) -> FunctionalActivity:
                         total += xval * yval
         return total
 
-    return FunctionalActivity(
-        torus, fn, [Polymer(s) for s in sorted(supports, key=sorted)], ActivityFlags()
-    )
+    return FunctionalActivity(torus, fn, [Polymer(s) for s in sorted(supports, key=sorted)])
 
 
 def _pairwise_disjoint(ps, torus) -> bool:
@@ -849,7 +841,7 @@ def extract_cloud(K: TruncatedActivity, F: TruncatedActivity, order: int = 3,
         kept, _ = truncate_cloud_terms(ts, K.q_max, K.max_linfs, drop_tol, cache)
         if kept:
             result[key] = kept
-    return TruncatedActivity(K.torus, result, K.flags, K.q_max, K.max_linfs)
+    return TruncatedActivity(K.torus, result, K.q_max, K.max_linfs)
 
 
 # ----------------------------------------------------------------------------
@@ -857,9 +849,12 @@ def extract_cloud(K: TruncatedActivity, F: TruncatedActivity, order: int = 3,
 # ----------------------------------------------------------------------------
 
 
-def scale_activity(K, n_cluster_max: int = 2, cache: dict | None = None):
-    """The full scaling map (closure-connected clusters of polymers); on
-    truncated activities the linear regrouping, as ``scale_linear``."""
+CLUSTER_MAX = 3  # polymers per cluster in the scaling of a cloud activity
+
+
+def scale_activity(K, cache: dict | None = None):
+    """The full scaling map (closure-connected clusters of at most CLUSTER_MAX
+    polymers); on truncated activities the linear regrouping, as ``scale_linear``."""
     if isinstance(K, CloudActivity):
         coarse = K.torus.coarse()
         support = [p for p in K.support() if K.terms(p)]
@@ -879,7 +874,7 @@ def scale_activity(K, n_cluster_max: int = 2, cache: dict | None = None):
                     for ts in lists:
                         acc = tm.multiply(acc, ts)
                     add(union, [tm.scale_term(t, K.torus.L) for t in acc])
-            if len(chosen) >= n_cluster_max:
+            if len(chosen) >= CLUSTER_MAX:
                 return
             for i in range(idx, len(support)):
                 p = support[i]
@@ -887,7 +882,7 @@ def scale_activity(K, n_cluster_max: int = 2, cache: dict | None = None):
                     build(i + 1, chosen + [p])
 
         build(0, [])
-        return CloudActivity(coarse, {k: v for k, v in out.items() if v}, K.flags)
+        return CloudActivity(coarse, {k: v for k, v in out.items() if v})
     if isinstance(K, TruncatedActivity):
         return scale_linear(K, cache)
     raise TypeError("scale_activity needs cloud or truncated activities")
@@ -977,7 +972,7 @@ def scale_linear(K: TruncatedActivity, cache: dict | None = None) -> TruncatedAc
                 for piece_key, ops in image[o]:
                     sums[piece_key] = sums.get(piece_key, 0.0) + ops.apply(c)
     result = {k: kept for k, sums in acc.items() if (kept := tm._canon_sums(sums))}
-    return TruncatedActivity(K.torus.coarse(), result, K.flags, K.q_max, K.max_linfs)
+    return TruncatedActivity(K.torus.coarse(), result, K.q_max, K.max_linfs)
 
 
 # ----------------------------------------------------------------------------
@@ -1015,24 +1010,22 @@ class RGStepParams:
 
     beta: float
     torus: TorusSpec
+    c_star: float  # beta-scaled star norm for hypothesis 3, computed once per flow
     sigma: float = 0.0
     preset: str = "uv"  # 'ir' extracts gradient quadratics as well
     norm: NormParams | None = None
     delta_h: float = 0.0
     n_q: int = 1
-    c_star: float | None = None  # cached beta-scaled star norm for hypothesis 3
 
     def __post_init__(self):
         if self.norm is None:
             self.norm = NormParams.default(self.torus)
 
-    def kernel(self):
+    def cov(self) -> CovAccess:
         from .covariance import CovarianceKernel
 
-        return CovarianceKernel("slice", sigma=self.sigma, torus=self.torus)
-
-    def cov(self) -> CovAccess:
-        return CovAccess(self.kernel(), scale=self.beta)
+        return CovAccess(CovarianceKernel("slice", sigma=self.sigma, torus=self.torus),
+                         scale=self.beta)
 
 
 K_SMALL_SUPERSETS = 509  # small supersets of a block, checked by hypothesis 4
@@ -1067,13 +1060,7 @@ def check_hypotheses(K, params: RGStepParams) -> dict:
         "margin": math.log(10.0 * SMALLNESS) - math.log(max(kappa_val, 1e-300)),
         "ok": kappa_val <= 10.0 * SMALLNESS,
     }
-    c_star = params.c_star
-    if c_star is None:
-        from .covariance import star_norm
-
-        c_star, _ = star_norm(params.kernel(), r=2)
-        c_star *= params.beta
-    rhs = math.log(8.0 * gamma_fac**2 * c_star) + log_norm_k
+    rhs = math.log(8.0 * gamma_fac**2 * params.c_star) + log_norm_k
     lhs = 2.0 * math.log(max(params.delta_h, 1e-300))
     checks["h3_cauchy_room"] = {
         "delta_h_sq_log": lhs,

@@ -188,14 +188,12 @@ def evaluate_terms(terms, field) -> complex:
     return TermTable(terms).value(field)
 
 
-def scale_term(term: CloudTerm, L: int, d: int = 2) -> CloudTerm:
+def scale_term(term: CloudTerm, L: int) -> CloudTerm:
     """Compose with the scaled field: phi_L(x) = phi(x/L) in d = 2.
 
     Positions divide by L (an order-preserving map, so canonical ordering
     survives) and every derivative factor picks up L^{-|alpha|}.
     """
-    if d != 2:
-        raise NotImplementedError("cloud scaling implemented for d = 2")
     charges = tuple(
         (q, _round_pos((x[0] / L, x[1] / L))) for q, x in term.charges
     )

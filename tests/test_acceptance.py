@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from sgrg.activities import (
-    ActivityFlags,
     CloudActivity,
     NormParams,
     activity_norm,
@@ -165,7 +164,6 @@ class TestAcceptance:
                     CloudTerm(0.2, ((1, (0.0, 2.0)),), (((1, 0), (0.25, 2.0)),))
                 ],
             },
-            ActivityFlags(periodic=True),
         )
         FK = fluctuate(K, cov, n_max=4)
         support = K.support()
@@ -200,7 +198,6 @@ class TestAcceptance:
                 frozenset({(0, 0)}): [CloudTerm(0.45, ((1, (0.0, 0.0)),)), CloudTerm(0.1)],
                 frozenset({(2, 2), (2, 1)}): [CloudTerm(0.3, ((-1, (2.0, 2.0)),))],
             },
-            ActivityFlags(periodic=True),
         )
         F_e = CloudActivity(
             t3,
@@ -213,7 +210,6 @@ class TestAcceptance:
                     CloudTerm(0.2, (), (((0, 1), (2.0, 2.0)), ((0, 1), (2.0, 2.0))))
                 ],
             },
-            ActivityFlags(periodic=True),
         )
         E = extract_functional(K_e, F_e, t3)
         worst_ex = 0.0
@@ -233,9 +229,8 @@ class TestAcceptance:
                 frozenset({(0, 0)}): [CloudTerm(0.4, ((1, (0.0, 0.25)),)), CloudTerm(0.1)],
                 frozenset({(1, 1)}): [CloudTerm(0.3, ((-1, (1.0, 1.0)),))],
             },
-            ActivityFlags(periodic=True),
         )
-        SK = scale_activity(K_s, n_cluster_max=3)
+        SK = scale_activity(K_s)
         coarse = t_s.coarse()
         worst_sc = 0.0
         for _ in range(100):

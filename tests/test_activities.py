@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sgrg.activities import (
-    ActivityFlags,
     CloudActivity,
     FunctionalActivity,
     NormParams,
@@ -25,15 +24,13 @@ from sgrg.activities import (
     truncate_cloud_terms,
     v_activity,
     v_cloud_terms,
-    verify_evenness,
-    verify_locality,
     verify_resummation,
     verify_shift_law,
     vbd_norms,
     whole_torus,
 )
 from sgrg.lattice import Polymer, TorusSpec, polymer, region_disjoint
-from sgrg.fields import FieldGrid, random_band_limited
+from sgrg.fields import FieldGrid, polymer_node_indices, random_band_limited
 from sgrg import activities
 from sgrg.terms import CloudTerm, _raw_term, evaluate_terms, scale_term, translate_term
 from test_rgmap import cache_test_shapes, reference_truncate_cloud_terms
@@ -232,8 +229,7 @@ class TestChargeDecomposition:
     def test_single_charge_projection(self):
         t = TorusSpec(2, 2)
         K = CloudActivity(
-            t, {frozenset({(0, 0)}): [CloudTerm(1.0, ((1, (0.0, 0.0)),))]},
-            ActivityFlags(periodic=True),
+            t, {frozenset({(0, 0)}): [CloudTerm(1.0, ((1, (0.0, 0.0)),))]}
         )
         k1 = charge_component(K, 1)
         k0 = charge_component(K, 0)
@@ -255,25 +251,6 @@ class TestChargeDecomposition:
             res = verify_shift_law(V, q, polymer([(0, 0)]), fld, c=0.77)
             assert res < 1e-12
 
-    def test_functional_quadrature_matches_cloud_filter(self):
-        t = TorusSpec(2, 1)
-        terms = [
-            CloudTerm(0.3, ((1, (0.0, 0.0)),)),
-            CloudTerm(0.2, ((2, (0.25, 0.25)), (-1, (0.0, 0.25)))),
-            CloudTerm(0.1),
-        ]
-        K = CloudActivity(t, {frozenset({(0, 0)}): terms}, ActivityFlags(periodic=True))
-        Kf = FunctionalActivity(
-            t, lambda p, fld: K.value(p, fld), K.support(), ActivityFlags(periodic=True)
-        )
-        rng = np.random.default_rng(10)
-        fld = rfield(t, rng)
-        p = polymer([(0, 0)])
-        for q in (-1, 0, 1, 2):
-            a = charge_component(K, q).value(p, fld)
-            b = charge_component(Kf, q, n_phi=4).value(p, fld)
-            assert abs(a - b) < 1e-10
-
     def test_resummation(self):
         t = TorusSpec(2, 1)
         V = v_activity(t, n_q=2, trans_invariant=False)
@@ -282,10 +259,10 @@ class TestChargeDecomposition:
         res = verify_resummation(V, polymer([(1, 1)]), fld, range(-3, 4))
         assert res < 1e-10
 
-    def test_requires_periodic_flag(self):
+    def test_functional_activity_is_rejected(self):
         t = TorusSpec(2, 1)
         Kf = FunctionalActivity(t, lambda p, fld: 1.0, [polymer([(0, 0)])])
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             charge_component(Kf, 1)
 
 
@@ -330,15 +307,22 @@ class TestStructureChecks:
         V = v_activity(t, n_q=2, trans_invariant=False)
         rng = np.random.default_rng(14)
         fld = rfield(t, rng)
-        assert verify_evenness(V, polymer([(0, 1)]), fld) < 1e-12
+        p = polymer([(0, 1)])
+        assert abs(V.value(p, fld) - V.value(p, -fld)) < 1e-12
 
     def test_locality_masked(self):
+        # V reads node-aligned positions, so noise outside X leaves V(X) as it is
         t = TorusSpec(2, 2)
         V = v_activity(t, n_q=2, trans_invariant=False)
         rng = np.random.default_rng(15)
         fld = rfield(t, rng)
-        res = verify_locality(V, polymer([(2, 2)]), fld, rng)
-        assert res < 1e-12
+        p = polymer([(2, 2)])
+        inside = np.zeros(fld.values.shape, dtype=bool)
+        inside[polymer_node_indices(p, t, fld.n_g)] = True
+        for _ in range(5):
+            noise = rng.normal(size=fld.values.shape)
+            masked = FieldGrid(t, fld.n_g, np.where(inside, fld.values, noise))
+            assert abs(V.value(p, masked) - V.value(p, fld)) < 1e-12
 
     def test_truncated_mayer_charge_content(self):
         t = TorusSpec(2, 3)

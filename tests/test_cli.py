@@ -168,12 +168,13 @@ class TestBadInputs:
         (UV + ["--h", "-1"], "h"),
         (UV + ["--steps", "0"], "steps"),
         (IR + ["--M", "0"], "steps"),
-    ], ids=["n_q", "kappa", "q_max", "h", "steps", "M"])
+        (["covariance", "--kind", "cutoff", "--sigma", "0.05"], "sigma"),
+    ], ids=["n_q", "kappa", "q_max", "h", "steps", "M", "cutoff_sigma"])
     def test_bad_flow_input_fails_before_any_work(self, tmp_path, capsys, args, field):
         assert run_cli([*args, "--out", str(tmp_path)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert "invalid configuration" in err and f"{field} must be" in err
-        assert not list(tmp_path.glob("flow_*"))
+        assert not list(tmp_path.iterdir())
 
     def test_oracle_needs_two_samples(self, tmp_path, capsys):
         code = run_cli(["oracle", "--samples", "1", "--seed", "3", "--out", str(tmp_path)])

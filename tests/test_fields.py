@@ -7,19 +7,18 @@ from sgrg.covariance import CovarianceKernel
 from sgrg.fields import (
     FieldGrid,
     RegulatorParams,
-    charge_cloud_expectation,
-    field_norms,
     gaussian_ensemble,
     grid_points,
     log_regulator,
     measure_sobolev_constant,
+    multi_indices,
     polymer_node_indices,
     random_band_limited,
-    regulator,
     scale_amplitude,
     scale_field,
 )
 from sgrg.lattice import Polymer, TorusSpec, polymer
+from sgrg.terms import CloudTerm, CovAccess, convolve_term
 
 
 def make_wave(torus, n_g, mx=1, my=0, amp=1.0, phase=0.3):
@@ -34,10 +33,7 @@ class TestDerivatives:
     def test_constant_field(self):
         t = TorusSpec(2, 1)
         phi = FieldGrid(t, 8, np.full((16, 16), 2.5))
-        p = polymer([(0, 0)])
         assert np.allclose(phi.deriv((1, 0)).values, 0.0)
-        sup, _ = field_norms(phi, p, r=2, s=4)
-        assert sup == pytest.approx(2.5)
 
     def test_fd_accuracy_second_order(self):
         t = TorusSpec(2, 2)
@@ -86,7 +82,6 @@ class TestDerivatives:
         block = polymer([(0, 0)])
         for _ in range(20):
             phi = random_band_limited(t, 8, rng)
-            sup, l2 = field_norms(phi, block, r=1, s=4)
             gx, gy = polymer_node_indices(block, t, 8)
             num = max(
                 float(np.max(phi.deriv(a).values[gx, gy] ** 2)) for a in ((1, 0), (0, 1))
@@ -128,7 +123,7 @@ class TestRegulator:
         t = TorusSpec(2, 1)
         phi = FieldGrid(t, 8, np.zeros((16, 16)))
         params = RegulatorParams(kappa=0.01, c=0.05)
-        assert regulator(phi, polymer([(0, 0)]), params) == 1.0
+        assert log_regulator(phi, polymer([(0, 0)]), params) == 0.0
 
     def test_multiplicative_on_separated_blocks(self):
         t = TorusSpec(2, 2)
@@ -197,26 +192,30 @@ def _bulk_only(phi, X, params):
     return params.kappa * bulk
 
 
+def cloud_expectation(charges, kernel, scale=1.0):
+    """E[e^{i sum_a q_a phi(x_a)}]: the Gaussian convolution of the pure cloud."""
+    (term,) = convolve_term(CloudTerm(1.0, tuple(charges)), CovAccess(kernel, scale))
+    return term.coeff
+
+
 class TestGaussian:
     def test_single_charge_expectation(self):
         t = TorusSpec(2, 2)
         k = CovarianceKernel("slice", sigma=0.0, torus=t)
-        val = charge_cloud_expectation([(1, (0.3, 0.7))], k, scale=2.0)
+        val = cloud_expectation([(1, (0.3, 0.7))], k, scale=2.0)
         assert val == pytest.approx(math.exp(-k.at_zero()), rel=1e-12)
 
     def test_two_charge_second_moment(self):
         t = TorusSpec(2, 2)
         k = CovarianceKernel("slice", sigma=0.0, torus=t)
         x, y = (0.0, 0.0), (1.0, 0.5)
-        # E[phi(x) phi(y)] from the quadratic term of the characteristic function
-        eps = 1e-2  # the log is exactly quadratic in the charges, no bias
+        # E[phi(x) phi(y)] from the quadratic term of the characteristic
+        # function, whose log is exactly quadratic in the (unit) charges
         vals = {}
         for qa in (-1, 1):
             for qb in (-1, 1):
-                vals[(qa, qb)] = math.log(
-                    charge_cloud_expectation([(qa * eps, x), (qb * eps, y)], k)
-                )
-        mixed = (vals[(1, 1)] - vals[(1, -1)] - vals[(-1, 1)] + vals[(-1, -1)]) / (4 * eps**2)
+                vals[(qa, qb)] = math.log(cloud_expectation([(qa, x), (qb, y)], k))
+        mixed = (vals[(1, 1)] - vals[(1, -1)] - vals[(-1, 1)] + vals[(-1, -1)]) / 4
         assert mixed == pytest.approx(-k.eval((-1.0, -0.5)), rel=1e-6)
 
     def test_sample_covariance_matches(self):
@@ -243,11 +242,18 @@ class TestGaussian:
         phi = random_band_limited(t, 4, rng, amplitude=0.3, k_max=2)
         ens = gaussian_ensemble(kern, t, 4, seed=5)
         zs = ens.sample(400)
-        vals = [regulator(phi + z, X, params) for z in zs]
+        vals = [math.exp(log_regulator(phi + z, X, params)) for z in zs]
         mean = float(np.mean(vals))
-        bound = 2.0**X.size * regulator(phi, X, params, scaled=True)
+        bound = 2.0**X.size * math.exp(log_regulator(phi, X, params, scaled=True))
         se = float(np.std(vals) / math.sqrt(len(vals)))
         assert mean <= bound + 3.0 * se
+
+
+def sup_norm(phi, p, r):
+    """max over |a| <= r of |d^a phi| at the grid nodes of the polymer."""
+    gx, gy = polymer_node_indices(p, phi.torus, phi.n_g)
+    return max(float(np.max(np.abs(phi.deriv(a).values[gx, gy])))
+               for a in multi_indices(2, 0, r))
 
 
 class TestVanishingPointScaling:
@@ -263,8 +269,8 @@ class TestVanishingPointScaling:
             fL = fL + (-fL.at([(1.0, 1.0)])[0])  # vanish at a point of Y
             Y = polymer([(1, 1)])
             X = polymer([(0, 0), (0, 1), (1, 0), (1, 1)])
-            supY, _ = field_norms(fL, Y, r=0, s=2)
-            supX, _ = field_norms(f, X, r=1, s=2)
+            supY = sup_norm(fL, Y, r=0)
+            supX = sup_norm(f, X, r=1)
             gains.append(supY / supX)
         measured = max(gains)
         assert measured < 3.0 / L

@@ -19,6 +19,7 @@ from sgrg.flow import (
     z_invariance_check,
 )
 from sgrg.lattice import TorusSpec
+from test_rgmap import step_c_star
 
 
 class TestSchedules:
@@ -206,7 +207,7 @@ class TestUVSplitConsistency:
         zetas = uv_zeta_schedule(cfg)
         t0 = TorusSpec(2, 3)
         K = mayer_init_truncated(zetas[0], t0, order=3, max_size=2, q_max=3, n_q=1)
-        params = _step_params(cfg, t0, 0.0, -3, "uv")
+        params = _step_params(cfg, t0, 0.0, -3, "uv", c_star=step_c_star(cfg.beta, t0))
         K1, _, _, _ = _flow_step(K, params)
         key = tuple([(0, 0)])
         k1 = charge_component(K1, 1)

@@ -1,14 +1,17 @@
 """Every name a module of the package imports is used in that module,
 every private function, method or class is referenced somewhere in the
-package, and every public one somewhere in the package or its tests.
+package, every public one runs under a command or an acceptance check (or
+is a reference that a named test compares other code against), and every
+parameter default is overridden by some call.
 
 A standard-library stand-in for an unused-code lint: it parses each
 ``src/sgrg/*.py`` file and checks the names bound by ``import`` statements,
-at module level or inside functions, and the function, method and class
-definitions.
+at module level or inside functions, the function, method and class
+definitions, and the defaulted parameters and dataclass fields.
 """
 
 import ast
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -65,11 +68,6 @@ def private_definitions(tree):
     ]
 
 
-def public_definitions(tree):
-    """Every function, method or class whose name does not start with _."""
-    return [node for node in definitions(tree) if not node.name.startswith("_")]
-
-
 def name_uses(node) -> Counter:
     """How often each name is read: ("name", id) for a bare name,
     ("attr", name) for an attribute read ``x.name``."""
@@ -90,12 +88,12 @@ def methods(tree) -> set:
     }
 
 
-def unreferenced(defined, trees, users=()) -> list:
-    """Definitions in ``trees`` that nothing in ``trees`` or ``users`` refers
-    to outside their own body.  An import alone is not a reference, and a
+def unreferenced(defined, trees) -> list:
+    """Definitions in ``trees`` that nothing in ``trees`` refers to outside
+    their own body.  An import alone is not a reference, and a
     method is referred to only by an attribute read: a local or parameter of
     the same name does not count."""
-    total = sum((name_uses(tree) for tree in [*trees, *users]), Counter())
+    total = sum((name_uses(tree) for tree in trees), Counter())
 
     def refs(uses, node, is_method):
         return uses["attr", node.name] + (0 if is_method else uses["name", node.name])
@@ -118,10 +116,6 @@ def test_no_unreferenced_private_definitions():
     assert unreferenced(private_definitions, parse_all(SRC)) == []
 
 
-def test_no_unreferenced_public_definitions():
-    assert unreferenced(public_definitions, parse_all(SRC), parse_all(TESTS)) == []
-
-
 def test_unreferenced_private_is_caught():
     a = ast.parse(
         "class _Used:\n    def __init__(self):\n        pass\n    def _dead(self):\n        pass\n"
@@ -132,14 +126,320 @@ def test_unreferenced_private_is_caught():
     assert sorted(unreferenced(private_definitions, [a, b])) == ["_dead", "_rec"]
 
 
+# -- reachability: every public definition runs under a command or an
+# acceptance check, or is a reference that a named test compares other code to
+
+# {qualified name: the test that compares other code against it}
+KEPT = {
+    "rgmap.charge_factors":
+        "test_rgmap.py::TestChargedSectorBound::test_single_cloud_never_exceeds_composite_bound",
+    "covariance.translation_loss":
+        "test_rgmap.py::TestChargedSectorBound::test_single_cloud_never_exceeds_composite_bound",
+    "flow.uv_multiplier":
+        "test_flow.py::TestZetaSchedule::test_schedule_matches_stepwise_multiplier",
+    "interpolation.forest_count_recursive":
+        "test_interpolation.py::TestForests::test_counts_match_recursion",
+    "terms.CloudTerm.flipped":
+        "test_rgmap.py::TestRGStep::test_uv_step_preserves_evenness_and_charge_track",
+    "covariance.verify_periodization":
+        "test_covariance.py::TestTorusKernels::test_periodized_continuum_matches_direct",
+}
+KEPT_MAX = 6
+
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def parse_modules(folder) -> dict:
+    """{module name: tree} for every ``*.py`` file of the folder."""
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(folder.glob("*.py"))}
+
+
+def definition_table(mods) -> dict:
+    """{qualified name: node} for the module-level functions and classes and
+    the methods of module-level classes; a nested function belongs to the
+    function around it."""
+    out = {}
+    for mod, tree in mods.items():
+        for node in tree.body:
+            if isinstance(node, (*FUNCS, ast.ClassDef)):
+                out[f"{mod}.{node.name}"] = node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, FUNCS):
+                        out[f"{mod}.{node.name}.{sub.name}"] = sub
+    return out
+
+
+def reads(node) -> set:
+    """("name", id) and ("attr", name) for every name the node reads.  A class
+    reads its bases, decorators and body, but of a method only what runs when
+    the class is built: its decorators and defaults.  A function's bare reads
+    leave out the names it binds by assignment or as parameters: those are
+    its locals, not the module's definitions."""
+    if isinstance(node, FUNCS):
+        local = {sub.arg for sub in ast.walk(node) if isinstance(sub, ast.arg)}
+        local |= {sub.id for sub in ast.walk(node)
+                  if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Load)}
+        body = {read for read in reads(node.body) if read[0] == "attr" or read[1] not in local}
+        args = node.args
+        return body | reads([*node.decorator_list, *args.defaults,
+                             *(d for d in args.kw_defaults if d is not None)])
+    parts = node if isinstance(node, list) else [node]
+    if isinstance(node, ast.ClassDef):
+        parts = [*node.bases, *node.keywords, *node.decorator_list]
+        for sub in node.body:
+            if isinstance(sub, FUNCS):
+                parts += [*sub.decorator_list, *sub.args.defaults,
+                          *(d for d in sub.args.kw_defaults if d is not None)]
+            else:
+                parts.append(sub)
+    out = set()
+    for part in parts:
+        for sub in ast.walk(part):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                out.add(("name", sub.id))
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                out.add(("attr", sub.attr))
+    return out
+
+
+def root_reads(mods, *trees) -> set:
+    """What a command runs from: the reads of ``cli.main`` and of each module's
+    import-time statements, plus every read of ``trees``."""
+    out = set().union(*(reads(tree) for tree in trees))
+    for tree in mods.values():
+        for node in tree.body:
+            if not isinstance(node, (*FUNCS, ast.ClassDef)):
+                out |= reads(node)
+    main = next(n for n in mods["cli"].body if isinstance(n, FUNCS) and n.name == "main")
+    return out | reads(main) | {("name", "main")}
+
+
+def reached(defs, roots) -> set:
+    """The qualified names of ``defs`` reached from the reads ``roots``.
+
+    A bare name reaches module-level definitions of that name, an attribute
+    read also methods; a class reaches its dunder methods.  Matching is by
+    name alone, so a local that shares a definition's name reaches it too:
+    the closure can only err towards keeping code."""
+    by_read: dict = {}
+    for qual in defs:
+        parts = qual.split(".")
+        if len(parts) == 3 and parts[2].startswith("__") and parts[2].endswith("__"):
+            by_read.setdefault(("class", ".".join(parts[:2])), []).append(qual)
+            continue
+        by_read.setdefault(("attr", parts[-1]), []).append(qual)
+        if len(parts) == 2:
+            by_read.setdefault(("name", parts[-1]), []).append(qual)
+    seen, done, todo = set(), set(), list(roots)
+    while todo:
+        read = todo.pop()
+        if read in done:
+            continue
+        done.add(read)
+        for qual in by_read.get(read, ()):
+            if qual not in seen:
+                seen.add(qual)
+                todo.extend(reads(defs[qual]))
+                todo.append(("class", qual))
+    return seen
+
+
+def collect_test_ids(trees) -> set:
+    """``file::Class::test`` and ``file::test`` for every test in ``trees``
+    ({file name: tree})."""
+    out = set()
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, FUNCS):
+                out.add(f"{name}::{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                out |= {f"{name}::{node.name}::{sub.name}"
+                        for sub in node.body if isinstance(sub, FUNCS)}
+    return out
+
+
+def reachability_faults(mods, roots, kept, tests) -> list:
+    """Public definitions neither reached from ``roots`` nor kept (with what
+    the kept ones read), and ``kept`` entries that are reached anyway, that
+    name no definition, or that name no test of ``tests``."""
+    defs = definition_table(mods)
+    live = reached(defs, roots)
+    kept_reads = set().union(*(reads(defs[q]) for q in kept if q in defs))
+    allowed = live | set(kept) | reached(defs, roots | kept_reads)
+    faults = [f"unreached: {q}" for q in sorted(defs)
+              if q not in allowed and not q.rsplit(".", 1)[-1].startswith("_")]
+    faults += [f"kept but reached: {q}" for q in sorted(kept) if q in live]
+    faults += [f"kept but not defined: {q}" for q in sorted(kept) if q not in defs]
+    faults += [f"kept for a test that does not exist: {q}"
+               for q, test in sorted(kept.items()) if test not in tests]
+    return faults
+
+
+def test_no_unreferenced_public_definitions():
+    mods = parse_modules(SRC)
+    tests = {path.name: ast.parse(path.read_text()) for path in sorted(TESTS.glob("test_*.py"))}
+    roots = root_reads(mods, tests["test_acceptance.py"])
+    assert len(KEPT) <= KEPT_MAX
+    assert reachability_faults(mods, roots, KEPT, collect_test_ids(tests)) == []
+
+
 def test_unreferenced_public_is_caught():
-    src = ast.parse(
-        "class Used:\n    def method(self):\n        return self.method()\n"
-        "    def called(self):\n        pass\n"
-        "    def shifted(self):\n        pass\n"
-        "def helper(shifted=0):\n    return Used().called(), shifted\n"
-        "def dead():\n    return helper()\n"
+    cli = ast.parse(
+        "def main():\n    return run(Used())\n"
+        "def run(x, shadowed=None):\n    return x.method(), shadowed\n"
+        "def only_tested():\n    return _private()\n"
     )
-    # an import alone is not a use, nor is a parameter named like a method
-    test = ast.parse("from pkg import dead, helper\n\ndef test_helper():\n    assert helper()\n")
-    assert sorted(unreferenced(public_definitions, [src], [test])) == ["dead", "method", "shifted"]
+    lib = ast.parse(
+        "class Used:\n    def __init__(self):\n        pass\n"
+        "    def method(self):\n        return helper()\n"
+        "    def unread(self):\n        pass\n"
+        "def helper():\n    pass\n"
+        "def reference():\n    return referenced_helper()\n"
+        "def referenced_helper():\n    pass\n"
+        "def _private():\n    pass\n"
+        "def shadowed():\n    pass\n"
+    )
+    mods = {"cli": cli, "lib": lib}
+    unit = ast.parse("def test_only():\n    assert only_tested() and reference()\n")
+    tests = {"test_lib.py": unit}
+    names = collect_test_ids(tests)
+    roots = root_reads(mods)
+    # a definition only a unit test reads is unreached, as is one whose name
+    # only a local reads; a kept one's helpers are not
+    assert reachability_faults(mods, roots, {"lib.reference": "test_lib.py::test_only"},
+                               names) == ["unreached: cli.only_tested", "unreached: lib.Used.unread",
+                                          "unreached: lib.shadowed"]
+    # the allow-list cannot go stale
+    kept = {"lib.Used.method": "test_lib.py::test_only", "lib.gone": "test_lib.py::test_only",
+            "lib.reference": "test_lib.py::test_gone"}
+    assert reachability_faults(mods, roots | {("name", "only_tested"), ("attr", "unread"),
+                                              ("name", "shadowed")},
+                               kept, names) == [
+        "kept but reached: lib.Used.method",
+        "kept but not defined: lib.gone",
+        "kept for a test that does not exist: lib.reference",
+    ]
+
+
+# -- knob census: every defaulted parameter is set by some call
+
+def is_dataclass(cls) -> bool:
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def dataclass_fields(cls):
+    """(name, defaulted) for each ``__init__`` field of a dataclass, in order."""
+    for node in cls.body:
+        if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
+            continue
+        value = node.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            kws = {k.arg: k.value for k in value.keywords}
+            if "init" in kws and getattr(kws["init"], "value", True) is False:
+                continue
+            yield node.target.id, "default" in kws or "default_factory" in kws
+        else:
+            yield node.target.id, value is not None
+
+
+def function_knobs(fn, call_name, is_method):
+    """(call name, parameter, positional index or None) per defaulted parameter."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args]
+    static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+    if is_method and not static:
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    for i, a in enumerate(positional):
+        if i >= first:
+            yield call_name, a.arg, i
+    for a, d in zip(args.kwonlyargs, args.kw_defaults):
+        if d is not None:
+            yield call_name, a.arg, None
+
+
+def knobs(mods):
+    """{qualified parameter name: (call name, parameter, positional index)} for
+    each defaulted parameter of a module-level function or a method, and each
+    defaulted field of a dataclass."""
+    out = {}
+    for mod, tree in mods.items():
+        for node in tree.body:
+            if isinstance(node, FUNCS):
+                for knob in function_knobs(node, node.name, False):
+                    out[f"{mod}.{node.name}({knob[1]})"] = knob
+            elif isinstance(node, ast.ClassDef):
+                if is_dataclass(node):
+                    for i, (name, defaulted) in enumerate(dataclass_fields(node)):
+                        if defaulted:
+                            out[f"{mod}.{node.name}.{name}"] = (node.name, name, i)
+                for sub in node.body:
+                    if isinstance(sub, FUNCS):
+                        call = node.name if sub.name == "__init__" else sub.name
+                        for knob in function_knobs(sub, call, True):
+                            out[f"{mod}.{node.name}.{sub.name}({knob[1]})"] = knob
+    return out
+
+
+def settings(trees) -> dict:
+    """{call name: [(positional argument count, keywords)]} over every call;
+    a ``*args`` counts as every position and a ``**kwargs`` as every keyword
+    (None), except in ``dataclasses.replace``, whose keywords set fields of
+    whatever dataclass its first argument is."""
+    out: dict = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            n_pos = math.inf if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+            kws = {k.arg for k in node.keywords}
+            if name == "replace":
+                kws.discard(None)
+            out.setdefault(name, []).append((n_pos, kws))
+    return out
+
+
+def unset_parameters(mods, trees) -> list:
+    """The knobs of ``mods`` that no call in ``trees`` sets, by keyword or by
+    position; a ``replace`` keyword sets the dataclass field of that name."""
+    calls = settings(trees)
+    replaced = set().union(*(kws for _, kws in calls.get("replace", [])))
+    out = []
+    for qual, (call, param, index) in sorted(knobs(mods).items()):
+        is_field = "(" not in qual
+        if is_field and param in replaced:
+            continue
+        if not any(
+            param in kws or None in kws or (index is not None and n_pos > index)
+            for n_pos, kws in calls.get(call, ())
+        ):
+            out.append(qual)
+    return out
+
+
+def test_every_parameter_default_is_overridden_somewhere():
+    mods = parse_modules(SRC)
+    assert unset_parameters(mods, [*mods.values(), *parse_all(TESTS)]) == []
+
+
+def test_unset_parameter_is_caught():
+    lib = ast.parse(
+        "from dataclasses import dataclass, field\n"
+        "@dataclass\nclass Cfg:\n    a: int\n    b: int = 1\n    c: int = 2\n"
+        "    d: list = field(default_factory=list)\n    e: dict = field(init=False, default=None)\n"
+        "class Obj:\n    def __init__(self, x, y=0):\n        pass\n"
+        "    def go(self, n=1, *, fast=False):\n        def inner(_k=n):\n            return _k\n"
+        "        return inner()\n"
+        "    @staticmethod\n    def make(s=0):\n        return Obj(s)\n"
+        "def run(p, q=0, r=0, **kw):\n    return p\n"
+    )
+    use = ast.parse(
+        "run(1, 2)\nrun(1, r=3)\nObj(1, 2).go(5)\nObj.make(1)\nCfg(0, 1)\nreplace(cfg, d=[])\n"
+    )
+    # c is set by no call, nor is fast; inner's default binding is exempt
+    assert unset_parameters({"lib": lib}, [lib, use]) == ["lib.Cfg.c", "lib.Obj.go(fast)"]

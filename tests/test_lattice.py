@@ -13,14 +13,16 @@ from sgrg.lattice import (
     count_small_supersets,
     enumerate_all_connected,
     enumerate_polymers,
-    gamma_p,
     is_small,
-    l_closure,
+    log_gamma_p,
     partition_closure,
     polymer,
     region_disjoint,
-    scale_up,
 )
+
+
+def gamma_p(p, params, torus):
+    return math.exp(log_gamma_p(p, params, torus))
 
 
 def brute_enumerate(torus, max_size, anchor):
@@ -92,35 +94,6 @@ class TestSmallSets:
 
 
 class TestClosuresAndScaling:
-    def test_closure_interior_block(self):
-        t = TorusSpec(2, 2)
-        c = l_closure(polymer([(0, 0)]), t)
-        assert c.blocks == frozenset({(0, 0)})
-
-    def test_closure_straddling_block(self):
-        t = TorusSpec(2, 2)
-        c = l_closure(polymer([(1, 1)]), t)
-        assert c.size == 4
-
-    def test_closure_brute_force_geometry(self):
-        # block k covers [k-1/2, k+1/2]; L-block a covers [La-L/2, La+L/2]
-        t = TorusSpec(3, 2)
-        rng = random.Random(11)
-        for _ in range(40):
-            k = (rng.randrange(t.side), rng.randrange(t.side))
-            got = l_closure(polymer([k]), t).blocks
-            expect = set()
-            coarse = t.coarse()
-            for a in itertools.product(range(-2, t.side), repeat=2):
-                if all(abs(2 * ki - 2 * t.L * ai) <= t.L + 1 for ki, ai in zip(k, a)):
-                    expect.add(coarse.wrap(a))
-            assert got == frozenset(expect)
-
-    def test_scale_up_counts(self):
-        t = TorusSpec(2, 1)
-        up = scale_up(polymer([(0, 0)]), t)
-        assert up.size == 4
-
     def test_partition_closure_is_a_partition(self):
         t = TorusSpec(2, 2)
         seen = {}
@@ -134,9 +107,10 @@ class TestClosuresAndScaling:
 
     def test_partition_closure_matches_assigned_blocks(self):
         t = TorusSpec(2, 2)
+        offsets = range(-(t.L // 2), t.L - t.L // 2)
         for a in itertools.product(range(t.coarse().side), repeat=2):
-            fine = lat.blocks_assigned_to(a, t)
-            for k in fine:
+            for off in itertools.product(offsets, repeat=2):
+                k = t.wrap(tuple(t.L * c + o for c, o in zip(a, off)))
                 pc = partition_closure(polymer([k]), t)
                 assert pc.blocks == frozenset({a})
 
@@ -159,14 +133,15 @@ class TestRegulator:
             assert g2 / g0 == pytest.approx(2.0 ** (2 * p.size))
 
     def test_theta_self(self):
+        # a single block spans no tree: Theta = 1, so Gamma_0 = A
         t = TorusSpec(2, 2)
-        d, th = lat.block_metrics((1, 1), (1, 1), t)
-        assert d == 0.0 and th == 1.0
+        params = SetRegulatorParams.default(t)
+        assert lat.block_distance((1, 1), (1, 1), t) == 0.0
+        assert log_gamma_p(polymer([(1, 1)]), params, t) == math.log(params.A)
 
     def test_distance_wraps(self):
         t = TorusSpec(2, 2)
-        d, _ = lat.block_metrics((0, 0), (3, 0), t)
-        assert d == pytest.approx(1.0)
+        assert lat.block_distance((0, 0), (3, 0), t) == pytest.approx(1.0)
 
     def test_submultiplicative_when_sharing_blocks(self):
         # Gamma_p(X u Y) <= Gamma_p(X) Gamma_p(Y) holds for the MST-based Theta
@@ -202,7 +177,10 @@ class TestRegulator:
         for _ in range(400):
             p1 = polys[rng.randrange(len(polys))]
             shift = (rng.randrange(t.side), rng.randrange(t.side))
-            p2 = polys[rng.randrange(len(polys))].translate_mod(shift, t)
+            p2 = Polymer(frozenset(
+                t.wrap(tuple(c + s for c, s in zip(b, shift)))
+                for b in polys[rng.randrange(len(polys))].blocks
+            ))
             if not region_disjoint(p1, p2, t):
                 continue
             union = Polymer(p1.blocks | p2.blocks)
@@ -214,7 +192,7 @@ class TestRegulator:
             ratio = gamma_p(union, params, t) / (
                 gamma_p(p1, params, t) * gamma_p(p2, params, t)
             )
-            slack = (1.0 + diam) ** params.nu
+            slack = (1.0 + diam) ** lat.THETA_NU
             assert ratio <= slack * (1.0 + 1e-12)
             worst_slack = max(worst_slack, ratio)
             checked += 1
@@ -223,24 +201,19 @@ class TestRegulator:
 
     def test_large_set_closure_contraction_measured(self):
         # Measure c in Gamma_0(closure on coarse lattice) <= c L^{-d-2} Gamma_{-3}(X)
-        # over an enumerated family of large sets, for both closure maps.
+        # over an enumerated family of large sets, for the partition closure.
         t = TorusSpec(2, 3)
         params0 = SetRegulatorParams.default(t)
         params_m3 = SetRegulatorParams.default(t, p=-3)
-        measured = {}
-        for name, closure in (("geometric", l_closure), ("partition", partition_closure)):
-            ratios = []
-            for p in enumerate_polymers(t, 6, (2, 2), max_size_cap=6):
-                if p.size < 5:
-                    continue
-                cl = closure(p, t)
-                num = gamma_p(cl, params0, t.coarse())
-                den = gamma_p(p, params_m3, t)
-                ratios.append(num / den * t.L ** (t.d + 2))
-            assert len(ratios) > 100
-            c = max(ratios)
-            assert math.isfinite(c)
-            measured[name] = c
-        print(f"large-set closure constants (L=2, |X|>=5): {measured}")
-        # the partition closure never grows the block count, so its constant is smaller
-        assert measured["partition"] <= measured["geometric"]
+        ratios = []
+        for p in enumerate_polymers(t, 6, (2, 2), max_size_cap=6):
+            if p.size < 5:
+                continue
+            cl = partition_closure(p, t)
+            num = gamma_p(cl, params0, t.coarse())
+            den = gamma_p(p, params_m3, t)
+            ratios.append(num / den * t.L ** (t.d + 2))
+        assert len(ratios) > 100
+        c = max(ratios)
+        assert math.isfinite(c)
+        print(f"large-set closure constant (L=2, |X|>=5): {c}")

@@ -7,7 +7,6 @@ import pytest
 from sgrg import activities, rgmap
 from sgrg import terms as tm
 from sgrg.activities import (
-    ActivityFlags,
     CloudActivity,
     NormParams,
     TruncatedActivity,
@@ -20,7 +19,7 @@ from sgrg.activities import (
     v_activity,
     whole_torus,
 )
-from sgrg.covariance import CovarianceKernel
+from sgrg.covariance import CovarianceKernel, star_norm
 from sgrg.fields import random_band_limited, scale_field
 from sgrg.lattice import Polymer, TorusSpec, partition_closure, polymer
 from sgrg.rgmap import (
@@ -48,11 +47,13 @@ def rfield(torus, rng, n_g=8, amp=0.7, k_max=2):
 
 def cloud_K(torus, spec):
     """spec: {blocks: [terms]} convenience builder."""
-    return CloudActivity(
-        torus,
-        {frozenset(b): ts for b, ts in spec.items()},
-        ActivityFlags(periodic=True),
-    )
+    return CloudActivity(torus, {frozenset(b): ts for b, ts in spec.items()})
+
+
+def step_c_star(beta, torus):
+    """The beta-scaled star norm at sigma = 0 that a flow hands each step."""
+    value, _ = star_norm(CovarianceKernel("slice", sigma=0.0, torus=torus), r=2)
+    return beta * value
 
 
 def exact_convolved_exp(K, cov, region, fld, torus):
@@ -201,7 +202,7 @@ class TestScalingIdentity:
         if M == 2:
             spec[((2, 3),)] = [CloudTerm(0.25, ((1, (2.0, 3.0)), (-1, (2.25, 3.0))))]
         K = cloud_K(t, spec)
-        SK = scale_activity(K, n_cluster_max=3)
+        SK = scale_activity(K)
         coarse = t.coarse()
         rng = np.random.default_rng(31)
         worst = 0.0
@@ -285,7 +286,7 @@ def tiny_ir_step():
     t = TorusSpec(2, 2)
     K = mayer_init_truncated(1e-2, t, order=2, max_size=2)
     params = RGStepParams(
-        beta=12 * math.pi, torus=t, preset="ir",
+        beta=12 * math.pi, torus=t, c_star=step_c_star(12 * math.pi, t), preset="ir",
         norm=NormParams.default(t, h=1.0),
     )
     return K, params
@@ -522,7 +523,7 @@ def replay_test_activity(t, shared_key=False):
     ]
     if shared_key:
         shapes[key] = shapes[key] + [CloudTerm(0.005 + 0.002j, *shapes[((0, 0),)][-1].key())]
-    return TruncatedActivity(t, shapes, K.flags, K.q_max, K.max_linfs)
+    return TruncatedActivity(t, shapes, K.q_max, K.max_linfs)
 
 
 def as_repr(shapes):
@@ -780,7 +781,7 @@ class TestChargeFactors:
 class TestRGStep:
     def test_zero_activity(self):
         t = TorusSpec(2, 2)
-        params = RGStepParams(beta=4 * math.pi, torus=t)
+        params = RGStepParams(beta=4 * math.pi, torus=t, c_star=step_c_star(4 * math.pi, t))
         K = TruncatedActivity(t, {})
         k_new, coeffs, diag = rg_step(K, params)
         assert not k_new.shapes
@@ -809,7 +810,7 @@ class TestRGStep:
         zeta = 1e-2
         K = mayer_init_truncated(zeta, t, order=3, max_size=2)
         params = RGStepParams(
-            beta=4 * math.pi, torus=t, preset="uv",
+            beta=4 * math.pi, torus=t, c_star=step_c_star(4 * math.pi, t), preset="uv",
             norm=NormParams.default(t, h=1.0),
         )
         k_new, coeffs, diag = rg_step(K, params)
@@ -829,7 +830,7 @@ class TestRGStep:
 
         K = mayer_init_truncated(5e-3, t, order=3, max_size=1)
         params = RGStepParams(
-            beta=4 * math.pi, torus=t, preset="uv",
+            beta=4 * math.pi, torus=t, c_star=step_c_star(4 * math.pi, t), preset="uv",
             norm=NormParams.default(t, h=1.0),
         )
         out = contour_higher_order(K, params, radius=32.0, nodes=6)

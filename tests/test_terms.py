@@ -96,9 +96,7 @@ def oracle_setup():
     beta, zeta, torus = 10.0, 0.05, TorusSpec(2, 1)
     K0 = mayer_init_cloud(zeta, torus, n_q=1, order=6, max_size=torus.n_blocks, side_cap=2)
     cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=torus), scale=beta)
-    k_sharp = CloudActivity(
-        torus, {k: convolve_terms(ts, cov) for k, ts in K0.data.items()}, K0.flags
-    )
+    k_sharp = CloudActivity(torus, {k: convolve_terms(ts, cov) for k, ts in K0.data.items()})
     coeffs = extraction_coefficients(k_sharp, "ir", beta)
     F = build_extraction_activity(coeffs, k_sharp, n_q=1)
     fine = gaussian_ensemble(CovarianceKernel("full", sigma=0.0, torus=torus),
