@@ -10,8 +10,8 @@ Three representations:
                             Gaussian algebra acts on it in closed form;
   * ``TruncatedActivity``   translation-invariant per-shape term lists with
                             charges collapsed to block centers and at most
-                            two gradient factors per term; the desk-scale
-                            flow representation.
+                            ``MAX_LINFS`` gradient factors per term; the
+                            desk-scale flow representation.
 
 The two term representations share one algebra, ``TermActivity``: map,
 filter, scale and add-with-factor over their per-key term lists.  Charge
@@ -42,6 +42,12 @@ from .lattice import (
     log_gamma_p,
 )
 from .terms import CloudTerm, TermTable, canon, logsumexp, term_log_weight
+
+MAX_LINFS = 2  # gradient factors a truncated term carries at most
+POTENTIAL_N_Q = 2  # midpoint nodes per block side of the pointwise potential V(D, phi)
+SUBSET_SCAN_SIDE_CAP = 4  # largest torus side whose block subsets are scanned
+MAYER_ORDER = 3  # series order of the truncated Mayer activity, across blocks
+MAYER_MAX_SIZE = 2  # largest polymer (in blocks) of the truncated Mayer activity
 
 
 class SupportCapError(RuntimeError):
@@ -136,7 +142,6 @@ class TruncatedActivity(TermActivity):
     torus: TorusSpec
     shapes: dict
     q_max: int = 3
-    max_linfs: int = 2
 
     STORE = "shapes"
 
@@ -224,9 +229,10 @@ class _CoeffOps(tuple):
         return c
 
 
-def collapse_term(term: CloudTerm, q_max: int, max_linfs: int,
-                  neutral_taylor: bool = True):
-    """Collapse to the truncated model; None when outside the truncation.
+def collapse_term(term: CloudTerm, q_max: int, neutral_taylor: bool = True):
+    """Collapse to the truncated model; None when outside the truncation
+    (total |charge| above ``q_max``, more than ``MAX_LINFS`` gradient factors,
+    or charges with gradient factors).
 
     Charged clouds collapse to per-block total charges at block centers;
     neutral clouds with position spread convert to derivative data when
@@ -239,11 +245,11 @@ def collapse_term(term: CloudTerm, q_max: int, max_linfs: int,
     ):
         out = []
         for piece in taylorize_neutral(term):
-            c = collapse_term(piece, q_max, max_linfs, neutral_taylor=False)
+            c = collapse_term(piece, q_max, neutral_taylor=False)
             if c is not None:
                 out.append(c)
         return out
-    if len(term.linfs) > max_linfs:
+    if len(term.linfs) > MAX_LINFS:
         return None
     merged: dict = {}
     for q, x in term.charges:
@@ -264,15 +270,15 @@ def collapse_term(term: CloudTerm, q_max: int, max_linfs: int,
 _MISSING = object()
 
 
-def _collapsed(memo: dict, key, q_max: int, max_linfs: int):
+def _collapsed(memo: dict, key, q_max: int):
     """``collapse_term`` of a term with this key, built once per memo: None
     outside the model, else [(piece key, _CoeffOps)] (empty when every Taylor
     piece of a neutral cloud falls outside).  The collapse multiplies the
     coefficient through, so replaying the ops on it gives the term's bits.
-    A cache keeps the memo of (q_max, max_linfs) under that key."""
+    A cache keeps the memo of a q_max under that int key."""
     pieces = memo.get(key, _MISSING)  # one hash of the key; None is a stored value
     if pieces is _MISSING:
-        c = collapse_term(tm._raw_term(_CoeffOps(), *key), q_max, max_linfs)
+        c = collapse_term(tm._raw_term(_CoeffOps(), *key), q_max)
         pieces = memo[key] = None if c is None else [
             (p.key(), p.coeff) for p in (c if isinstance(c, list) else [c])
         ]
@@ -286,17 +292,17 @@ def _add_collapsed(sums: dict, pieces, c) -> None:
         sums[piece_key] = sums.get(piece_key, 0.0) + ops.apply(c)
 
 
-def truncate_cloud_terms(ts, q_max: int, max_linfs: int, drop_tol: float = 0.0,
-                         cache: dict | None = None):
+def truncate_cloud_terms(ts, q_max: int, drop_tol: float, cache: dict):
     """(kept terms, dropped terms) after collapsing to the truncated model.
 
     Each key is collapsed once per ``cache`` (see ``_collapsed``); the pieces
-    are summed in the order of collapsing every term, as ``canon`` sums."""
-    memo = ({} if cache is None else cache).setdefault((q_max, max_linfs), {})
+    are summed in the order of collapsing every term, as ``canon`` sums, and
+    sums at most ``drop_tol`` times the largest are dropped."""
+    memo = cache.setdefault(q_max, {})
     sums: dict = {}
     dropped = []
     for t in ts:
-        pieces = _collapsed(memo, t.key(), q_max, max_linfs)
+        pieces = _collapsed(memo, t.key(), q_max)
         if pieces is None:
             dropped.append(t)
         else:
@@ -307,16 +313,15 @@ def truncate_cloud_terms(ts, q_max: int, max_linfs: int, drop_tol: float = 0.0,
 # -- polymer exponential ----------------------------------------------------------
 
 
-def polymer_exp(K, region: Polymer, fld, torus: TorusSpec | None = None) -> complex:
+def polymer_exp(K, region: Polymer, fld) -> complex:
     """Exp(box + K)(region, phi): sum over non-touching collections in region."""
-    torus = torus or K.torus
     vals = {}
     for p in K.support():
         if p.blocks <= region.blocks:
             v = K.value(p, fld)
             if v != 0.0:
                 vals[p.blocks] = v
-    return _collection_sum(vals, region, torus)
+    return _collection_sum(vals, region, K.torus)
 
 
 def _collection_sum(vals: dict, region: Polymer, torus: TorusSpec) -> complex:
@@ -350,15 +355,15 @@ def _collection_sum(vals: dict, region: Polymer, torus: TorusSpec) -> complex:
 
 def whole_torus(torus: TorusSpec) -> Polymer:
     return Polymer(
-        frozenset(itertools.product(range(torus.side), repeat=torus.d))
+        frozenset(itertools.product(range(torus.side), repeat=2))
     )
 
 
-def all_connected_subsets(torus: TorusSpec, side_cap: int = 4) -> list[Polymer]:
+def all_connected_subsets(torus: TorusSpec) -> list[Polymer]:
     """Every connected polymer of a tiny torus (single pass over subsets)."""
-    if torus.side > side_cap:
-        raise SupportCapError(f"whole-subset scan capped at side {side_cap}")
-    cells = sorted(itertools.product(range(torus.side), repeat=torus.d))
+    if torus.side > SUBSET_SCAN_SIDE_CAP:
+        raise SupportCapError(f"whole-subset scan capped at side {SUBSET_SCAN_SIDE_CAP}")
+    cells = sorted(itertools.product(range(torus.side), repeat=2))
     out = []
     for mask in range(1, 1 << len(cells)):
         blocks = {cells[i] for i in range(len(cells)) if mask >> i & 1}
@@ -384,9 +389,9 @@ def block_quadrature_nodes(block, n_q: int):
     return out
 
 
-def potential_v(block, fld, n_q: int = 2) -> float:
-    """V(D, phi) = int_D cos(phi) by the midpoint rule (n_q^2 nodes)."""
-    nodes = block_quadrature_nodes(block, n_q)
+def potential_v(block, fld) -> float:
+    """V(D, phi) = int_D cos(phi) by the midpoint rule (POTENTIAL_N_Q^2 nodes)."""
+    nodes = block_quadrature_nodes(block, POTENTIAL_N_Q)
     vals = fld.at(nodes)
     return float(np.mean(np.cos(vals)))
 
@@ -405,23 +410,21 @@ def v_cloud_terms(block, n_q: int = 2) -> list[CloudTerm]:
 def v_activity(torus: TorusSpec, n_q: int = 1, trans_invariant: bool = True):
     """The single-block potential as a truncated or cloud activity."""
     if trans_invariant:
-        key = tuple([tuple([0] * torus.d)])
-        return TruncatedActivity(torus, {key: v_cloud_terms(tuple([0] * torus.d), n_q)})
+        return TruncatedActivity(torus, {((0, 0),): v_cloud_terms((0, 0), n_q)})
     data = {}
-    for b in itertools.product(range(torus.side), repeat=torus.d):
+    for b in itertools.product(range(torus.side), repeat=2):
         data[frozenset({b})] = v_cloud_terms(b, n_q)
     return CloudActivity(torus, data)
 
 
-def mayer_init_functional(zeta: complex, torus: TorusSpec, n_q: int = 2,
-                          side_cap: int = 4) -> FunctionalActivity:
+def mayer_init_functional(zeta: complex, torus: TorusSpec) -> FunctionalActivity:
     """K0(X, phi) = prod_{D in X} (e^{zeta V(D, phi)} - 1) on connected X (exact)."""
-    support = all_connected_subsets(torus, side_cap=side_cap)
+    support = all_connected_subsets(torus)
 
     def fn(p: Polymer, fld) -> complex:
         out = 1.0
         for b in p.sorted_blocks():
-            out *= cmath.exp(zeta * potential_v(b, fld, n_q)) - 1.0
+            out *= cmath.exp(zeta * potential_v(b, fld)) - 1.0
         return out
 
     return FunctionalActivity(torus, fn, support)
@@ -454,41 +457,30 @@ def _mayer_polymer_terms(zeta: complex, blocks, n_q: int, order: int) -> list[Cl
     return canon(out)
 
 
-def mayer_init_cloud(
-    zeta: complex,
-    torus: TorusSpec,
-    n_q: int = 2,
-    order: int = 3,
-    max_size: int = 2,
-    side_cap: int = 6,
-) -> CloudActivity:
+def mayer_init_cloud(zeta: complex, torus: TorusSpec, n_q: int, order: int,
+                     max_size: int) -> CloudActivity:
     """Cloud form of the Mayer activity, truncated at `order` per block
     and polymers of at most `max_size` blocks (value O(zeta^{|X|}))."""
     from .lattice import enumerate_all_connected
 
     data = {}
-    for p in enumerate_all_connected(torus, max_size, side_cap=side_cap):
+    for p in enumerate_all_connected(torus, max_size):
         terms = _mayer_polymer_terms(zeta, p.sorted_blocks(), n_q, order)
         if terms:
             data[p.blocks] = terms
     return CloudActivity(torus, data)
 
 
-def mayer_init_truncated(
-    zeta: complex,
-    torus: TorusSpec,
-    order: int = 3,
-    max_size: int = 2,
-    q_max: int = 3,
-    n_q: int = 1,
-) -> TruncatedActivity:
-    """Translation-invariant truncated Mayer activity (flow initial data)."""
+def mayer_init_truncated(zeta: complex, torus: TorusSpec, q_max: int = 3,
+                         n_q: int = 1) -> TruncatedActivity:
+    """Translation-invariant truncated Mayer activity (flow initial data):
+    shapes of at most MAYER_MAX_SIZE blocks, the series to MAYER_ORDER."""
     from .lattice import enumerate_shapes
 
     shapes = {}
-    for p in enumerate_shapes(2, max_size):
-        terms = _mayer_polymer_terms(zeta, p.sorted_blocks(), n_q, order)
-        kept, _ = truncate_cloud_terms(terms, q_max, 2)
+    for p in enumerate_shapes(MAYER_MAX_SIZE):
+        terms = _mayer_polymer_terms(zeta, p.sorted_blocks(), n_q, MAYER_ORDER)
+        kept, _ = truncate_cloud_terms(terms, q_max, 0.0, {})
         if kept:
             shapes[p.shape_key()] = kept
     return TruncatedActivity(torus, shapes, q_max=q_max)

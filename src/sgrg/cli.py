@@ -149,7 +149,7 @@ def _identity_suites(torus_text: str, seed: int):
         forest_interpolation_check_multilinear, bonds_on, tree_count,
     )
     from .lattice import TorusSpec, polymer
-    from .rgmap import extract_functional, fluctuate, scale_activity
+    from .rgmap import extract_functional, fluctuate_cloud, scale_activity
     from .terms import CloudTerm, CovAccess
     from .activities import CloudActivity
 
@@ -175,12 +175,12 @@ def _identity_suites(torus_text: str, seed: int):
     # Mayer / polymer exponential identity
     zeta = 0.2
     t_small = torus if torus.side <= 3 else TorusSpec(2, 1)
-    K0 = mayer_init_functional(zeta, t_small, n_q=2, side_cap=4)
+    K0 = mayer_init_functional(zeta, t_small)
     lam = whole_torus(t_small)
     worst = 0.0
     for _ in range(20):
         fld = random_band_limited(t_small, 8, rng, amplitude=0.8, k_max=2)
-        lhs = cmath.exp(zeta * sum(potential_v(b, fld, 2) for b in lam.sorted_blocks()))
+        lhs = cmath.exp(zeta * sum(potential_v(b, fld) for b in lam.sorted_blocks()))
         rhs = polymer_exp(K0, lam, fld)
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
     yield ("mayer-polymer-exp", worst, 1e-10)
@@ -200,7 +200,7 @@ def _identity_suites(torus_text: str, seed: int):
     )
     from .terms import convolve_terms, multiply as _mul, evaluate_terms
 
-    FK = fluctuate(K, cov, n_max=4)
+    FK = fluctuate_cloud(K, cov)
     support = K.support()
     worst = 0.0
     for _ in range(10):
@@ -232,13 +232,13 @@ def _identity_suites(torus_text: str, seed: int):
             ],
         },
     )
-    E = extract_functional(K_e, F_e, t_e)
+    E = extract_functional(K_e, F_e)
     worst = 0.0
     for _ in range(10):
         fld = random_band_limited(t_e, 8, rng, amplitude=0.7, k_max=2)
         lhs = polymer_exp(K_e, whole_torus(t_e), fld)
         f_sum = sum(F_e.value(y, fld) for y in F_e.support())
-        rhs = cmath.exp(f_sum) * polymer_exp(E, whole_torus(t_e), fld, torus=t_e)
+        rhs = cmath.exp(f_sum) * polymer_exp(E, whole_torus(t_e), fld)
         worst = max(worst, abs(lhs - rhs))
     yield ("extraction", worst, 1e-9)
 

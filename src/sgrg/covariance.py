@@ -253,7 +253,7 @@ class CovarianceKernel:
         proxy = (
             self.torus
             if side_used == self.torus.side
-            else _proxy_torus(self.torus.L, side_used, self.torus.d)
+            else _proxy_torus(self.torus.L, side_used)
         )
         px, py, f = _torus_modes(self.kind, self.sigma, proxy.L, proxy.M, self.p_max)
         n = side_used * n_sub
@@ -278,11 +278,11 @@ def _min_image(x, side: float):
     return (x + side / 2.0) % side - side / 2.0
 
 
-def _proxy_torus(L: int, side: int, d: int) -> TorusSpec:
+def _proxy_torus(L: int, side: int) -> TorusSpec:
     M = round(math.log(side, L))
     if L**M != side:
         raise ValueError("proxy side must be a power of L")
-    return TorusSpec(L, M, d)
+    return TorusSpec(L, M)
 
 
 # -- verification operations -------------------------------------------------
@@ -305,7 +305,7 @@ def verify_periodization(kernel: CovarianceKernel, x, n_max: int) -> float:
     return abs(kernel.eval(x) - total)
 
 
-def verify_scale_decomposition(L: int, M: int, j: int, xs, sigma: float = 0.0) -> float:
+def verify_scale_decomposition(L: int, M: int, j: int, xs, sigma: float) -> float:
     """Residual of v^M_0(x) = sum_{k<j} C^{M-k}(x/L^k) + v^{M-j}_0(x/L^j)."""
     if not 0 <= j <= M:
         raise ValueError("need 0 <= j <= M")
@@ -341,11 +341,11 @@ def block_pair_norm_table(kernel: CovarianceKernel, r: int):
     return peak, side_used
 
 
-def star_norm(kernel: CovarianceKernel, r: int):
+def star_norm(kernel: CovarianceKernel, r: int) -> float:
     """||C||_* = sup_D sum_{D' != D} ||C(D,D')|| d(D,D')^{2d} theta(D,D').
 
     Block norms are dense sub-grid maxima of mixed derivatives; the block
-    pair sum runs over the (possibly proxied) torus.  Returns (value, info).
+    pair sum runs over the (possibly proxied) torus.
     """
     peak, side = block_pair_norm_table(kernel, r)
     n = side * N_SUB
@@ -364,8 +364,7 @@ def star_norm(kernel: CovarianceKernel, r: int):
             iy = (np.arange(-N_SUB, N_SUB + 1) + cy * N_SUB) % n
             block_norm = float(np.max(peak[np.ix_(ix, iy)]))
             total += block_norm * dist ** (2 * d) * (1.0 + dist) ** STAR_NU
-    info = {"side_used": side, "n_sub": N_SUB, "proxy": side != (kernel.torus.side if kernel.torus else side)}
-    return total, info
+    return total
 
 
 def translation_loss(kernel: CovarianceKernel, r: int):
@@ -375,7 +374,7 @@ def translation_loss(kernel: CovarianceKernel, r: int):
     alphas = _deriv_alphas(r)
     c0 = kernel.eval((0.0, 0.0))
     worst = 0.0
-    for shape in small_shapes(2):
+    for shape in small_shapes():
         pts = []
         for b in shape.blocks:
             for i in range(N_SUB):

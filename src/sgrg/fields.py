@@ -29,15 +29,18 @@ from .covariance import CovarianceKernel, CovarianceMatrix, covariance_matrix
 from .lattice import Polymer, TorusSpec
 
 ELL = 2.0  # the scale of the ELL-scaled regulator
+REGULATOR_S = 4  # highest derivative order s of the regulator; s > d/2 + r with r = 2
 SOBOLEV_N_G = 8  # grid nodes per block side of the Sobolev measurement
+SOBOLEV_N_FIELDS = 60  # random fields of the Sobolev measurement
 SOBOLEV_SEED = 1234
 SOBOLEV_SLACK = 1.1  # inflation of the measured Sobolev constant
 
 
-def multi_indices(d: int, min_total: int, max_total: int):
+def multi_indices(min_total: int, max_total: int):
+    """2-D multi-indices a with min_total <= |a| <= max_total, by order."""
     out = []
     for total in range(min_total, max_total + 1):
-        for a in itertools.product(range(total + 1), repeat=d):
+        for a in itertools.product(range(total + 1), repeat=2):
             if sum(a) == total:
                 out.append(a)
     return out
@@ -208,7 +211,7 @@ def boundary_faces(p: Polymer, torus: TorusSpec):
     """(block, axis, direction) triples for faces between p and its complement."""
     out = []
     for b in p.blocks:
-        for axis in range(torus.d):
+        for axis in range(2):
             for dire in (-1, 1):
                 nb = list(b)
                 nb[axis] += dire
@@ -233,26 +236,21 @@ def face_node_indices(face, torus: TorusSpec, n_g: int):
 
 @dataclass(frozen=True)
 class RegulatorParams:
-    """Large field regulator constants; s > d/2 + r is required for Sobolev."""
+    """Large field regulator constants (the order s is ``REGULATOR_S``)."""
 
     kappa: float
     c: float
-    r: int = 2
-    s: int = 4
 
     def __post_init__(self):
-        if self.s <= 1 + self.r:  # d = 2
-            raise ValueError("need s > d/2 + r")
         if self.kappa > 1.0 or self.c > 1.0:
             raise ValueError("kappa and c must be <= 1")
 
 
-def log_regulator(phi: FieldGrid, p: Polymer, params: RegulatorParams,
-                  scaled: bool = False) -> float:
+def log_regulator(phi: FieldGrid, p: Polymer, params: RegulatorParams, scaled: bool) -> float:
     """log G(kappa, X, phi); ``scaled=True`` gives the ELL-scaled variant."""
     gx, gy = polymer_node_indices(p, phi.torus, phi.n_g)
     bulk = 0.0
-    for a in multi_indices(2, 1, params.s):
+    for a in multi_indices(1, REGULATOR_S):
         da = phi.deriv(a).values[gx, gy]
         w = ELL ** (2 * sum(a) - 2) if scaled else 1.0
         bulk += w * float(np.sum(da * da)) / phi.n_g**2
@@ -267,22 +265,24 @@ def log_regulator(phi: FieldGrid, p: Polymer, params: RegulatorParams,
     return params.kappa * bulk + params.kappa * params.c * w_b * bdry
 
 
-def measure_sobolev_constant(s: int, n_fields: int = 200) -> float:
-    """Discrete Sobolev constant: max |d phi(x)|^2 / sum_{1<=|a|<=s} int_D |d^a phi|^2.
+def measure_sobolev_constant() -> float:
+    """Discrete Sobolev constant: max |d phi(x)|^2 / sum_{1<=|a|<=s} int_D |d^a phi|^2
+    with s = REGULATOR_S.
 
-    Measured over random band-limited fields on a single block of SOBOLEV_N_G
-    nodes per side, inflated by SOBOLEV_SLACK; feeds c = (8 L c_s)^{-1}.
+    Measured over SOBOLEV_N_FIELDS random band-limited fields on a single
+    block of SOBOLEV_N_G nodes per side, inflated by SOBOLEV_SLACK; feeds
+    c = (8 L c_s)^{-1}.
     """
     torus = TorusSpec(2, 1)
     n_g = SOBOLEV_N_G
     rng = np.random.default_rng(SOBOLEV_SEED)
     block = Polymer(frozenset({(0, 0)}))
     worst = 0.0
-    for _ in range(n_fields):
+    for _ in range(SOBOLEV_N_FIELDS):
         phi = random_band_limited(torus, n_g, rng, k_max=n_g // 2 - 1)
         gx, gy = polymer_node_indices(block, torus, n_g)
         denom = 0.0
-        for a in multi_indices(2, 1, s):
+        for a in multi_indices(1, REGULATOR_S):
             da = phi.deriv(a).values[gx, gy]
             denom += float(np.sum(da * da)) / n_g**2
         num = 0.0
@@ -297,28 +297,24 @@ def measure_sobolev_constant(s: int, n_fields: int = 200) -> float:
 # -- field scaling ---------------------------------------------------------------
 
 
-def scale_amplitude(ell: float, d: int = 2) -> float:
-    """Field rescaling amplitude ell^{-(d-2)/2} (identity in d = 2)."""
-    return float(ell) ** (-(d - 2) / 2.0)
-
-
 def scale_field(phi: FieldGrid, ell: int) -> FieldGrid:
-    """phi_ell(x) = ell^{-(d-2)/2} phi(x/ell) on the ell-times-larger torus."""
+    """phi_ell(x) = ell^{-(d-2)/2} phi(x/ell) = phi(x/ell) in d = 2, on the
+    ell-times-larger torus."""
     t = phi.torus
     if ell == t.L:
-        big = TorusSpec(t.L, t.M + 1, t.d)
+        big = TorusSpec(t.L, t.M + 1)
     else:
         # representable only if the scaled side is a power of L
         side = t.side * ell
         M = round(math.log(side, t.L))
         if t.L**M != side:
             raise ValueError(f"scaled side {side} not a power of L={t.L}")
-        big = TorusSpec(t.L, M, t.d)
+        big = TorusSpec(t.L, M)
     n = big.side * phi.n_g
     xs = np.arange(n) / phi.n_g / ell
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
-    vals = phi.at(pts).reshape(n, n) * scale_amplitude(ell, t.d)
+    vals = phi.at(pts).reshape(n, n)
     return FieldGrid(big, phi.n_g, vals)
 
 

@@ -82,7 +82,7 @@ class FlowConfig:
     M: int = 0  # IR: starting torus exponent
     N: int = 0  # UV: cutoff exponent
     steps: int = 1
-    eps: float | None = None
+    eps: float = field(init=False)  # 0.1 in IR, 0.2 in UV
     h: float = 1.0
     h_mode: str = "fixed"  # or 'schedule'
     kappa: float = 1e-3
@@ -99,8 +99,7 @@ class FlowConfig:
             raise ValueError(f"kappa must be > 0, got {self.kappa}")
         if not self.h >= 0:
             raise ValueError(f"h must be >= 0, got {self.h}")
-        if self.eps is None:
-            self.eps = 0.1 if self.mode == "ir" else 0.2
+        self.eps = 0.1 if self.mode == "ir" else 0.2
         self.warnings = []
         if self.mode == "ir":
             if self.beta <= 8 * math.pi:
@@ -112,8 +111,6 @@ class FlowConfig:
         else:
             if self.beta >= 8 * math.pi:
                 self.warnings.append("UV flow configured with beta >= 8 pi")
-            if self.eps >= 0.25:
-                self.warnings.append("UV flow eps >= 1/4")
             if self.steps > self.N:
                 raise ValueError("UV flow needs steps <= N")
 
@@ -254,7 +251,7 @@ def _flow_step(K, params: RGStepParams):
     Returns (K', step coefficients, coarse coefficients, diagnostics); the
     clipped log norm is in the diagnostics."""
     K, coeffs, diag = rg_step(K, params)
-    K, coarse_coeffs = extract_step(K, params)
+    K, coarse_coeffs = extract_step(K, params, {})
     K, diag["clipped_log_norm"] = clip_to_small(K, params.norm)
     return K, coeffs, coarse_coeffs, diag
 
@@ -264,8 +261,7 @@ def _flow_star_norm(config: FlowConfig, torus: TorusSpec) -> float:
     (its sigma dependence is negligible at desk scale)."""
     from .covariance import star_norm
 
-    value, _ = star_norm(CovarianceKernel("slice", sigma=0.0, torus=torus), r=2)
-    return config.beta * value
+    return config.beta * star_norm(CovarianceKernel("slice", sigma=0.0, torus=torus), r=2)
 
 
 def _multipliers(diag: dict) -> dict:
@@ -408,6 +404,7 @@ class OracleResult:
 
 
 ORACLE_N_Q = 1  # quadrature nodes per block side of the oracle's potential
+ORACLE_ORDER = 6  # series order per block of the oracle's Mayer activity
 
 
 def z_invariance_check(
@@ -418,7 +415,6 @@ def z_invariance_check(
     n_samples: int = 40000,
     seed: int = 11,
     n_g: int = 8,
-    order: int = 6,
 ) -> dict:
     """Compare MC estimates of Z in the step-j and step-(j+1) representations.
 
@@ -438,8 +434,7 @@ def z_invariance_check(
     from .activities import CloudActivity
     from .terms import CovAccess, convolve_terms
 
-    K0 = mayer_init_cloud(zeta, torus, n_q=ORACLE_N_Q, order=order,
-                          max_size=torus.n_blocks, side_cap=2)
+    K0 = mayer_init_cloud(zeta, torus, ORACLE_N_Q, ORACLE_ORDER, torus.n_blocks)
     kern = CovarianceKernel("slice", sigma=0.0, torus=torus)
     cov = CovAccess(kern, scale=beta)
     # on side <= 2 every polymer pair touches: F K = mu_C * K per polymer
@@ -530,7 +525,7 @@ def z_derivative_check(
     lam = whole_torus(torus)
     vals = np.empty(n_samples)
     for i, fld in enumerate(ens.sample(n_samples)):
-        vals[i] = sum(potential_v(b, fld, 2) for b in lam.sorted_blocks())
+        vals[i] = sum(potential_v(b, fld) for b in lam.sorted_blocks())
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
     # fluctuation-free tori give se = 0 exactly; fall back to a relative floor

@@ -23,6 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
+GAUSS_NODES = 24  # Gauss-Legendre nodes per axis of each ordering region
+
 
 def bonds_on(n: int):
     return [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -183,14 +185,14 @@ def gl_nodes(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def ordered_region_quadrature(m: int, n_nodes: int = 24):
+def ordered_region_quadrature(m: int):
     """Nodes/weights covering [0,1]^m split into ordering regions.
 
-    Yields (perm, pts, wts): pts are (n_nodes^m, m) points with
+    Yields (perm, pts, wts): pts are (GAUSS_NODES^m, m) points with
     t_{perm[0]} < t_{perm[1]} < ... inside the region, wts include the
     simplex Jacobian.  Integrands smooth per region integrate spectrally.
     """
-    x, w = gl_nodes(n_nodes)
+    x, w = gl_nodes(GAUSS_NODES)
     for perm in itertools.permutations(range(m)):
         # t_(m) = u_m, t_(i) = t_(i+1) u_i  (descending construction)
         grids = np.meshgrid(*([x] * m), indexing="ij")
@@ -209,12 +211,12 @@ def ordered_region_quadrature(m: int, n_nodes: int = 24):
         yield perm, pts, (wgts * jac).ravel()
 
 
-def integrate_over_cube(m: int, fn, n_nodes: int = 24) -> float:
+def integrate_over_cube(m: int, fn) -> float:
     """Integrate fn(pts) over [0,1]^m by summing the ordering regions."""
     if m == 0:
         return float(fn(np.zeros((1, 0)))[0])
     total = 0.0
-    for _, pts, wts in ordered_region_quadrature(m, n_nodes):
+    for _, pts, wts in ordered_region_quadrature(m):
         total += float(np.dot(fn(pts), wts))
     return total
 
@@ -256,7 +258,7 @@ def forest_interpolation_check_multilinear(n: int, coeffs: dict) -> float:
     return abs(lhs - multilinear_interpolation_rhs(n, coeffs))
 
 
-def forest_interpolation_check_smooth(n: int, f, df_prod, n_nodes: int = 24) -> float:
+def forest_interpolation_check_smooth(n: int, f, df_prod) -> float:
     """|F(1) - expansion| for smooth F.
 
     f(smat): value of F given the full matrix of pair couplings;
@@ -279,7 +281,7 @@ def forest_interpolation_check_smooth(n: int, f, df_prod, n_nodes: int = 24) -> 
                 out[row] = df_prod(G, sigma_matrix(G, s, n))
             return out
 
-        total += integrate_over_cube(m, integrand, n_nodes)
+        total += integrate_over_cube(m, integrand)
     return abs(lhs - total)
 
 
@@ -330,17 +332,16 @@ def construct_gamma(r_max: float) -> float:
     return gamma
 
 
-def factorial_bound_check(delta, blocks, gamma: float | None = None):
-    """Check n! <= gamma^n prod_j dist(delta, block_j)^d with constructed gamma."""
+def factorial_bound_check(delta, blocks, gamma: float) -> bool:
+    """Check n! <= gamma^n prod_j dist(delta, block_j)^d for a gamma from
+    ``construct_gamma``."""
     blocks = [tuple(b) for b in blocks]
     if len(set(blocks)) != len(blocks) or tuple(delta) in blocks:
         raise ValueError("blocks must be distinct and different from the base block")
     dists = [
         math.sqrt(sum((bi - di) ** 2 for bi, di in zip(b, delta))) for b in blocks
     ]
-    if gamma is None:
-        gamma = construct_gamma(max(dists) + 1.0)
     n = len(blocks)
     lhs = math.lgamma(n + 1)
     rhs = n * math.log(gamma) + DIM * sum(math.log(x) for x in dists)
-    return gamma, lhs <= rhs + 1e-9
+    return lhs <= rhs + 1e-9

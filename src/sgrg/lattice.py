@@ -1,7 +1,7 @@
 """Torus block geometry, polymers, closures and the large-set regulator.
 
 Blocks are closed unit squares centered on the integer lattice points of
-the torus (side length L^M in block units).  A polymer is a nonempty set
+the two-dimensional torus (side length L^M in block units).  A polymer is a nonempty set
 of block indices.  Two blocks are adjacent when their closed squares
 intersect, so corner contact counts; two polymers are *region disjoint*
 when no pair of their blocks is adjacent (their closed regions are
@@ -23,7 +23,7 @@ from functools import lru_cache
 Block = tuple[int, ...]
 
 ENUM_MAX_SIZE_CAP = 6
-ENUM_TORUS_SIDE_CAP = 4096
+WHOLE_TORUS_SIDE_CAP = 8  # largest side that enumerate_all_connected scans
 THETA_NU = 2.0  # power of (1 + MST length) in the large-set regulator
 
 
@@ -33,19 +33,16 @@ class EnumerationCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class TorusSpec:
-    """Block lattice on the torus: side length L^M unit blocks per axis."""
+    """Block lattice on the 2-D torus: side length L^M unit blocks per axis."""
 
     L: int
     M: int
-    d: int = 2
 
     def __post_init__(self):
         if self.L < 2:
             raise ValueError("block scale L must be >= 2")
         if self.M < 0:
             raise ValueError("torus exponent M must be >= 0")
-        if self.d < 1:
-            raise ValueError("dimension must be >= 1")
 
     @property
     def side(self) -> int:
@@ -53,11 +50,11 @@ class TorusSpec:
 
     @property
     def n_blocks(self) -> int:
-        return self.side**self.d
+        return self.side**2
 
     @property
     def volume(self) -> float:
-        return float(self.side**self.d)
+        return float(self.side**2)
 
     def wrap(self, coords) -> Block:
         s = self.side
@@ -80,7 +77,7 @@ class TorusSpec:
     def coarse(self) -> "TorusSpec":
         if self.M < 1:
             raise ValueError("no coarser lattice below M=0")
-        return TorusSpec(self.L, self.M - 1, self.d)
+        return TorusSpec(self.L, self.M - 1)
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,7 @@ def polymer(blocks) -> Polymer:
 
 def neighbors(b: Block, torus: TorusSpec):
     """Blocks other than b whose closed squares intersect b's (Chebyshev distance 1)."""
-    offs = itertools.product((-1, 0, 1), repeat=torus.d)
+    offs = itertools.product((-1, 0, 1), repeat=2)
     for off in offs:
         if all(o == 0 for o in off):
             continue
@@ -163,14 +160,13 @@ def enumerate_polymers(
     torus: TorusSpec,
     max_size: int,
     anchor: Block,
-    max_size_cap: int = ENUM_MAX_SIZE_CAP,
 ) -> list[Polymer]:
     """All connected polymers containing ``anchor`` with size <= max_size, each once."""
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
-    if max_size > max_size_cap:
+    if max_size > ENUM_MAX_SIZE_CAP:
         raise EnumerationCapError(
-            f"max_size={max_size} exceeds enumeration cap {max_size_cap}"
+            f"max_size={max_size} exceeds enumeration cap {ENUM_MAX_SIZE_CAP}"
         )
     anchor = torus.wrap(anchor)
     start = frozenset({anchor})
@@ -193,17 +189,15 @@ def enumerate_polymers(
     return sorted((Polymer(s) for s in out), key=lambda p: (p.size, p.sorted_blocks()))
 
 
-def enumerate_all_connected(
-    torus: TorusSpec, max_size: int, side_cap: int = 8
-) -> list[Polymer]:
+def enumerate_all_connected(torus: TorusSpec, max_size: int) -> list[Polymer]:
     """Every connected polymer of the torus with size <= max_size (whole-torus scan)."""
-    if torus.side > side_cap:
+    if torus.side > WHOLE_TORUS_SIDE_CAP:
         raise EnumerationCapError(
-            f"torus side {torus.side} exceeds whole-torus enumeration cap {side_cap}"
+            f"torus side {torus.side} exceeds whole-torus enumeration cap {WHOLE_TORUS_SIDE_CAP}"
         )
     seen = set()
     out = []
-    for anchor in itertools.product(range(torus.side), repeat=torus.d):
+    for anchor in itertools.product(range(torus.side), repeat=2):
         for p in enumerate_polymers(torus, max_size, anchor):
             if p.blocks not in seen:
                 seen.add(p.blocks)
@@ -211,10 +205,10 @@ def enumerate_all_connected(
     return sorted(out, key=lambda p: (p.size, p.sorted_blocks()))
 
 
-def enumerate_shapes(d: int, max_size: int) -> list[Polymer]:
+def enumerate_shapes(max_size: int) -> list[Polymer]:
     """Translation classes of connected polymers (anchored with min corner at 0)."""
-    aux = TorusSpec(L=2, M=max(4, max_size.bit_length() + 2), d=d)
-    center = tuple(aux.side // 2 for _ in range(d))
+    aux = TorusSpec(L=2, M=max(4, max_size.bit_length() + 2))
+    center = (aux.side // 2, aux.side // 2)
     shapes = set()
     for p in enumerate_polymers(aux, max_size, center):
         shapes.add(p.shape_key())
@@ -224,19 +218,19 @@ def enumerate_shapes(d: int, max_size: int) -> list[Polymer]:
 
 
 def is_small(p: Polymer, torus: TorusSpec) -> bool:
-    """Small set: connected with at most 2^d blocks."""
-    return p.size <= 2**torus.d and is_connected(p.blocks, torus)
+    """Small set: connected with at most 2^d = 4 blocks."""
+    return p.size <= 4 and is_connected(p.blocks, torus)
 
 
 def count_small_supersets(delta: Block, torus: TorusSpec) -> int:
     """Number of small polymers containing a given block."""
-    return sum(1 for p in enumerate_polymers(torus, 2**torus.d, delta))
+    return sum(1 for p in enumerate_polymers(torus, 4, delta))
 
 
 @lru_cache(maxsize=None)
-def small_shapes(d: int = 2) -> tuple[Polymer, ...]:
-    """Translation classes of small sets (connected, size <= 2^d)."""
-    return tuple(enumerate_shapes(d, 2**d))
+def small_shapes() -> tuple[Polymer, ...]:
+    """Translation classes of small sets (connected, size <= 2^d = 4)."""
+    return tuple(enumerate_shapes(4))
 
 
 def partition_block(k: int, L: int) -> int:
@@ -266,7 +260,7 @@ class SetRegulatorParams:
 
     @staticmethod
     def default(torus: TorusSpec, p: int = 0) -> "SetRegulatorParams":
-        return SetRegulatorParams(A=float(torus.L ** (torus.d + 3)), p=p)
+        return SetRegulatorParams(A=float(torus.L ** (2 + 3)), p=p)
 
 
 def block_distance(b1: Block, b2: Block, torus: TorusSpec) -> float:

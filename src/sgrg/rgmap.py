@@ -30,6 +30,11 @@ closures share or touch an L-block land in one coarse polymer, and
 
 All disjoint/overlap predicates are those of closed polymers: disjoint
 means no touching; overlap includes corner contact.
+
+``fluctuate_cloud`` and ``scale_activity`` are the maps on charge clouds,
+which the identity checks use; the flow's truncated activities take
+``fluctuate`` and ``scale_linear``.  The settings of the truncated step are
+the module constants below, which no command varies.
 """
 
 from __future__ import annotations
@@ -77,18 +82,16 @@ EXTRACTION_ORDER = 2  # order of e^F - 1 in the truncated extraction
 PAIR_WINDOW = 2  # largest offset of the second polymer of a tree term
 TREE_SHAPE_CAP = 2  # largest constituent shape (in blocks) of a tree term
 SMALLNESS = 0.1  # hypothesis 1: ||K|| < SMALLNESS; hypothesis 2 allows 10x
+CLOUD_TREE_CAP = 4  # most polymers a tree term of the cloud fluctuation joins
 
-_SMALL_KEYS_CACHE: dict = {}
 
-
-def small_shape_keys(d: int = 2) -> frozenset:
-    if d not in _SMALL_KEYS_CACHE:
-        _SMALL_KEYS_CACHE[d] = frozenset(p.shape_key() for p in small_shapes(d))
-    return _SMALL_KEYS_CACHE[d]
+@lru_cache(maxsize=None)
+def _small_shape_keys() -> frozenset:
+    return frozenset(p.shape_key() for p in small_shapes())
 
 
 def shape_is_small(key) -> bool:
-    return key in small_shape_keys(2)
+    return key in _small_shape_keys()
 
 
 # ----------------------------------------------------------------------------
@@ -143,32 +146,32 @@ def _exp_monomial_01(k: int, u: float) -> float:
 
 
 @lru_cache(maxsize=32)
-def _cached_regions(m: int, n_nodes: int):
+def _cached_regions(m: int):
     return tuple(
         (perm, pts.copy(), wts.copy())
-        for perm, pts, wts in ordered_region_quadrature(m, n_nodes)
+        for perm, pts, wts in ordered_region_quadrature(m)
     )
 
 
 def tree_convolved_terms(coeff: complex, slots: list[Slot], n_poly: int, tree,
-                         cov: CovAccess, images: dict, n_nodes: int = 24) -> list:
+                         cov: CovAccess, images: dict) -> list:
     """Integrate mu_{C(sigma(T,s))} * (slot term) over s in [0,1]^{|T|}.
 
     Every Wick structure contributes a product of factors affine in the
     couplings sigma_kl; single-bond trees integrate in closed form, longer
-    trees per ordering region on ``n_nodes`` Gauss nodes per axis.  Returns
-    the pieces summed by key as ``canon`` sums them: [(key, coeff)] in sorted
-    key order, each sum started from 0.0 and exact zeros dropped.  The result
-    is linear in ``coeff``: the integrals of a slot list are computed once per
-    ``images`` dict and replayed with the multiplications and additions of a
-    fresh computation in the same order.  The dict is keyed by the slot list
-    alone, member indices included, so one dict serves one n_poly, tree, cov
-    and n_nodes.
+    trees per ordering region on ``interpolation.GAUSS_NODES`` Gauss nodes
+    per axis.  Returns the pieces summed by key as ``canon`` sums them:
+    [(key, coeff)] in sorted key order, each sum started from 0.0 and exact
+    zeros dropped.  The result is linear in ``coeff``: the integrals of a
+    slot list are computed once per ``images`` dict and replayed with the
+    multiplications and additions of a fresh computation in the same order.
+    The dict is keyed by the slot list alone, member indices included, so
+    one dict serves one n_poly, tree and cov.
     """
     slots_key = tuple(slots)
     image = images.get(slots_key)
     if image is None:
-        image = images[slots_key] = _tree_term_image(slots, n_poly, tree, cov, n_nodes)
+        image = images[slots_key] = _tree_term_image(slots, n_poly, tree, cov)
     e, groups = image
     base = coeff * e
     out = []
@@ -181,8 +184,7 @@ def tree_convolved_terms(coeff: complex, slots: list[Slot], n_poly: int, tree,
     return out
 
 
-def _tree_term_image(slots: list[Slot], n_poly: int, tree, cov: CovAccess,
-                     n_nodes: int):
+def _tree_term_image(slots: list[Slot], n_poly: int, tree, cov: CovAccess):
     """(exp(-intra/2), [(canonical key, [integral, ...])]): the integral of
     each Wick structure, grouped by key in sorted key order."""
     charges = [(s.data[0], s.pos, s.member) for s in slots if s.kind == "q"]
@@ -239,14 +241,14 @@ def _tree_term_image(slots: list[Slot], n_poly: int, tree, cov: CovAccess,
                             (min(m_i, ma), max(m_i, ma)), 0.0
                         ) + 1j * v
                 factors.append((a, lin))
-            integral = _s_integral_affine(paths, u, factors, m_bonds, n_nodes)
+            integral = _s_integral_affine(paths, u, factors, m_bonds)
             if integral != 0.0:
                 key = (canon_charges, CloudTerm(0.0, (), kept).linfs)
                 groups.setdefault(key, []).append(integral)
     return math.exp(-0.5 * intra), sorted(groups.items())
 
 
-def _s_integral_affine(paths, u, factors, m_bonds: int, n_nodes: int) -> complex:
+def _s_integral_affine(paths, u, factors, m_bonds: int) -> complex:
     """The s-integral over a tree of ``m_bonds >= 1`` bonds."""
     if m_bonds == 1:
         # every sigma equals the single bond coordinate s
@@ -262,7 +264,7 @@ def _s_integral_affine(paths, u, factors, m_bonds: int, n_nodes: int) -> complex
             poly = new
         return sum(c * _exp_monomial_01(k, u_tot) for k, c in enumerate(poly))
     total = 0.0 + 0.0j
-    for _, pts, wts in _cached_regions(m_bonds, n_nodes):
+    for _, pts, wts in _cached_regions(m_bonds):
         sig_arrays = _sigma_values(paths, pts)
         expo = np.ones(pts.shape[0])
         for pair, uval in u.items():
@@ -278,30 +280,17 @@ def _s_integral_affine(paths, u, factors, m_bonds: int, n_nodes: int) -> complex
     return complex(total)
 
 
-def fluctuate(K, cov: CovAccess, n_max: int = 4, n_nodes: int = 24,
-              pair_window: int = 2, drop_tol: float = 0.0,
-              cache: dict | None = None, linear: TruncatedActivity | None = None):
+def fluctuate_cloud(K: CloudActivity, cov: CovAccess) -> CloudActivity:
     """The full cluster-expanded fluctuation map on cloud activities, with
-    trees on up to ``n_max`` polymers integrated on ``n_nodes`` Gauss nodes
-    per axis.  On truncated ones the two-polymer tree terms within
-    ``pair_window``; ``cache`` holds the collapse memo and ``linear`` is
-    F_1 K, ``fluctuate_linear(K, cov)``, if the caller has it."""
-    if isinstance(K, CloudActivity):
-        return _fluctuate_cloud(K, cov, n_max, n_nodes)
-    if isinstance(K, TruncatedActivity):
-        return _fluctuate_truncated(K, cov, pair_window, drop_tol, cache, linear)
-    raise TypeError("fluctuate needs a cloud or truncated activity")
-
-
-def _fluctuate_cloud(K: CloudActivity, cov: CovAccess, n_max: int, n_nodes: int):
+    trees on up to ``CLOUD_TREE_CAP`` polymers."""
     support = [p for p in K.support() if K.terms(p)]
     targets: dict = {}
-    # all unions of region-disjoint support subsets of size <= n_max
+    # all unions of region-disjoint support subsets of size <= CLOUD_TREE_CAP
     def build(idx, chosen):
         if chosen:
             union = frozenset().union(*(p.blocks for p in chosen))
             targets.setdefault(union, []).append(list(chosen))
-        if len(chosen) >= n_max:
+        if len(chosen) >= CLOUD_TREE_CAP:
             return
         for i in range(idx, len(support)):
             p = support[i]
@@ -335,8 +324,7 @@ def _fluctuate_cloud(K: CloudActivity, cov: CovAccess, n_max: int, n_nodes: int)
                             nxt.extend(bond_laplacian(c0, sl, bi, bj, cov))
                         stack = nxt
                     for c0, sl in stack:
-                        for key, c in tree_convolved_terms(c0, sl, n, tree, cov, images,
-                                                           n_nodes):
+                        for key, c in tree_convolved_terms(c0, sl, n, tree, cov, images):
                             acc[key] = acc.get(key, 0.0) + c
         ts = tm._canon_sums(acc)
         if ts:
@@ -344,13 +332,14 @@ def _fluctuate_cloud(K: CloudActivity, cov: CovAccess, n_max: int, n_nodes: int)
     return CloudActivity(K.torus, out)
 
 
-def _fluctuate_truncated(K: TruncatedActivity, cov: CovAccess, pair_window: int,
-                         drop_tol: float, cache: dict | None, linear):
-    """Linear convolution on every shape plus two-polymer tree terms, collapsed
-    to the truncated model as they are made.
+def fluctuate(K: TruncatedActivity, cov: CovAccess, cache: dict,
+              k1: TruncatedActivity) -> TruncatedActivity:
+    """The truncated fluctuation map: F_1 K = ``k1`` (``fluctuate_linear(K,
+    cov)``) on every shape plus two-polymer tree terms, collapsed to the
+    truncated model as they are made.
 
     Tree terms are restricted to constituent shapes of at most
-    ``TREE_SHAPE_CAP`` blocks and pair separation within ``pair_window``;
+    ``TREE_SHAPE_CAP`` blocks and pair separation within ``PAIR_WINDOW``;
     the neglected pieces are third order in the activity.  A tree on two
     polymers has one bond, integrated in closed form, so no quadrature
     order enters.
@@ -363,24 +352,23 @@ def _fluctuate_truncated(K: TruncatedActivity, cov: CovAccess, pair_window: int,
     building, re-anchoring and truncating those lists.  Keys outside the
     model are counted in ``dropped_terms``.  One dict of tree-term images
     serves the whole call: its cov and tree are fixed, and a slot list
-    carries the member index of every slot.  The pair floor tests the two
-    coefficients only, so the term pairs above it are listed once per pair
-    of shapes and reused at each of its placements.
+    carries the member index of every slot.  The pair floor (``DROP_TOL``
+    times the largest coefficient) tests the two coefficients only, so the
+    term pairs above it are listed once per pair of shapes and reused at
+    each of its placements.
     """
-    memo = ({} if cache is None else cache).setdefault((K.q_max, K.max_linfs), {})
+    memo = cache.setdefault(K.q_max, {})
     out: dict = {}  # union shape key -> {piece key: coeff}
     dropped = 0
     scale_max = max(
         (abs(t.coeff) for ts in K.shapes.values() for t in ts), default=0.0
     )
-    pair_floor = drop_tol * scale_max
-    if linear is None:
-        linear = fluctuate_linear(K, cov)
-    for key, ts in linear.shapes.items():
+    pair_floor = DROP_TOL * scale_max
+    for key, ts in k1.shapes.items():
         if ts:
             sums = out[key] = {}
             for t in ts:
-                pieces = _collapsed(memo, t.key(), K.q_max, K.max_linfs)
+                pieces = _collapsed(memo, t.key(), K.q_max)
                 if pieces is None:
                     dropped += 1
                 else:
@@ -390,13 +378,13 @@ def _fluctuate_truncated(K: TruncatedActivity, cov: CovAccess, pair_window: int,
               for k in shapes}
     images: dict = {}
     pair = None  # _pair_placements yields the placements of a shape pair together
-    for k1, k2, offset, ukey, shift in _pair_placements(shapes, pair_window):
-        if (k1, k2) != pair:
-            pair = (k1, k2)
+    for key1, key2, offset, ukey, shift in _pair_placements(shapes):
+        if (key1, key2) != pair:
+            pair = (key1, key2)
             above = [  # the term pairs above the floor, in loop order
                 (sl1, i2, t2, coeff)
-                for t1, sl1 in zip(K.shapes[k1], slots1[k1])
-                for i2, t2 in enumerate(K.shapes[k2])
+                for t1, sl1 in zip(K.shapes[key1], slots1[key1])
+                for i2, t2 in enumerate(K.shapes[key2])
                 if not abs(coeff := t1.coeff * t2.coeff) < pair_floor
             ]
         sums = out.get(ukey)
@@ -412,8 +400,7 @@ def _fluctuate_truncated(K: TruncatedActivity, cov: CovAccess, pair_window: int,
                     if sums is None:
                         sums = out[ukey] = {}
                     if key not in moved:
-                        moved[key] = _collapsed(memo, tm._translate_key(key, shift),
-                                                K.q_max, K.max_linfs)
+                        moved[key] = _collapsed(memo, tm._translate_key(key, shift), K.q_max)
                     pieces = moved[key]
                     if pieces is None:
                         dropped += 1
@@ -421,25 +408,25 @@ def _fluctuate_truncated(K: TruncatedActivity, cov: CovAccess, pair_window: int,
                         _add_collapsed(sums, pieces, c)
     result = {}
     for key, sums in out.items():
-        kept = tm._canon_sums(sums, drop_tol)
+        kept = tm._canon_sums(sums, DROP_TOL)
         if kept:
             result[key] = kept
-    act = TruncatedActivity(K.torus, result, K.q_max, K.max_linfs)
+    act = TruncatedActivity(K.torus, result, K.q_max)
     act.__dict__["dropped_terms"] = dropped
     return act
 
 
-def _pair_placements(shapes, pair_window: int):
+def _pair_placements(shapes):
     """(k1, k2, offset, union shape key, re-anchoring shift) for every
-    placement of shape k2 at ``offset`` from shape k1 (k1 <= k2 in ``shapes``
-    order, each unordered pair of equal shapes once) that is inf-region
-    disjoint from k1."""
+    placement of shape k2 at ``offset`` from shape k1, within PAIR_WINDOW
+    (k1 <= k2 in ``shapes`` order, each unordered pair of equal shapes
+    once), that is inf-region disjoint from k1."""
     for i1, k1 in enumerate(shapes):
         p1 = Polymer(frozenset(k1))
         for k2 in shapes[i1:]:
             base2 = Polymer(frozenset(k2))
-            for ox in range(-pair_window, pair_window + 1):
-                for oy in range(-pair_window, pair_window + 1):
+            for ox in range(-PAIR_WINDOW, PAIR_WINDOW + 1):
+                for oy in range(-PAIR_WINDOW, PAIR_WINDOW + 1):
                     if k1 == k2 and (ox, oy) <= (0, 0):
                         continue  # unordered pair of equal shapes
                     p2 = base2.translate((ox, oy))
@@ -677,7 +664,7 @@ def build_extraction_activity(coeffs: ExtractionCoefficients, K, n_q: int = 1):
             ts = key_terms(key, list(key))
             if ts:
                 shapes[key] = ts
-        return TruncatedActivity(K.torus, shapes, K.q_max, K.max_linfs)
+        return TruncatedActivity(K.torus, shapes, K.q_max)
     data = {}
     for key in coeffs.alpha0:
         ts = key_terms(key, sorted(key))
@@ -724,12 +711,13 @@ def _touch_connected(pieces, torus) -> bool:
     return len(seen) == n
 
 
-def extract_functional(K, F, torus: TorusSpec) -> FunctionalActivity:
+def extract_functional(K, F) -> FunctionalActivity:
     """The full extraction map as a pointwise evaluator (identity testing).
 
     Ktilde lives on K's support and on every touch-connected union of F
     polymers; both feed the X-collections.
     """
+    torus = K.torus
     k_supp = list(K.support())
     f_supp = list(F.support())
 
@@ -815,17 +803,16 @@ def _series_exp_minus_one(ts, order: int):
     return canon(out)
 
 
-def extract_cloud(K: TruncatedActivity, F: TruncatedActivity, order: int = 3,
-                  drop_tol: float = 0.0, cache: dict | None = None) -> TruncatedActivity:
+def extract_cloud(K: TruncatedActivity, F: TruncatedActivity,
+                  cache: dict) -> TruncatedActivity:
     """Truncated extraction: Ktilde = K - (e^F - 1) per shape, with e^F - 1
-    expanded to ``order``.
+    expanded to ``EXTRACTION_ORDER`` and the truncation dropping sums at most
+    ``DROP_TOL`` times a shape's largest.
 
     F is second order in the activity, so multi-Y clusters and the X-Y
     collections are at least third order; they are dropped, and no record
-    of them is kept.  ``cache`` holds the collapse memo of the truncation;
-    without one, the call's shapes share a fresh memo.
+    of them is kept.  ``cache`` holds the collapse memo of the truncation.
     """
-    cache = {} if cache is None else cache
     out: dict = {}
 
     def add(key, ts):
@@ -835,13 +822,13 @@ def extract_cloud(K: TruncatedActivity, F: TruncatedActivity, order: int = 3,
     for key, ts in K.shapes.items():
         add(key, ts)
     for key, ts in F.shapes.items():
-        add(key, [t.scaled(-1.0) for t in _series_exp_minus_one(ts, order)])
+        add(key, [t.scaled(-1.0) for t in _series_exp_minus_one(ts, EXTRACTION_ORDER)])
     result = {}
     for key, ts in out.items():
-        kept, _ = truncate_cloud_terms(ts, K.q_max, K.max_linfs, drop_tol, cache)
+        kept, _ = truncate_cloud_terms(ts, K.q_max, DROP_TOL, cache)
         if kept:
             result[key] = kept
-    return TruncatedActivity(K.torus, result, K.q_max, K.max_linfs)
+    return TruncatedActivity(K.torus, result, K.q_max)
 
 
 # ----------------------------------------------------------------------------
@@ -852,43 +839,40 @@ def extract_cloud(K: TruncatedActivity, F: TruncatedActivity, order: int = 3,
 CLUSTER_MAX = 3  # polymers per cluster in the scaling of a cloud activity
 
 
-def scale_activity(K, cache: dict | None = None):
-    """The full scaling map (closure-connected clusters of at most CLUSTER_MAX
-    polymers); on truncated activities the linear regrouping, as ``scale_linear``."""
-    if isinstance(K, CloudActivity):
-        coarse = K.torus.coarse()
-        support = [p for p in K.support() if K.terms(p)]
-        out: dict = {}
+def scale_activity(K: CloudActivity) -> CloudActivity:
+    """The full scaling map on cloud activities (closure-connected clusters
+    of at most CLUSTER_MAX polymers); truncated activities take the linear
+    regrouping, ``scale_linear``."""
+    coarse = K.torus.coarse()
+    support = [p for p in K.support() if K.terms(p)]
+    out: dict = {}
 
-        def add(blocks, ts):
-            if ts:
-                out[blocks] = canon(list(out.get(blocks, [])) + ts)
+    def add(blocks, ts):
+        if ts:
+            out[blocks] = canon(list(out.get(blocks, [])) + ts)
 
-        def build(idx, chosen):
-            if chosen:
-                closures = [partition_closure(p, K.torus) for p in chosen]
-                if _touch_connected(closures, coarse):
-                    union = frozenset().union(*(c.blocks for c in closures))
-                    lists = [K.terms(p) for p in chosen]
-                    acc = [CloudTerm(1.0)]
-                    for ts in lists:
-                        acc = tm.multiply(acc, ts)
-                    add(union, [tm.scale_term(t, K.torus.L) for t in acc])
-            if len(chosen) >= CLUSTER_MAX:
-                return
-            for i in range(idx, len(support)):
-                p = support[i]
-                if all(region_disjoint(p, c, K.torus) for c in chosen):
-                    build(i + 1, chosen + [p])
+    def build(idx, chosen):
+        if chosen:
+            closures = [partition_closure(p, K.torus) for p in chosen]
+            if _touch_connected(closures, coarse):
+                union = frozenset().union(*(c.blocks for c in closures))
+                lists = [K.terms(p) for p in chosen]
+                acc = [CloudTerm(1.0)]
+                for ts in lists:
+                    acc = tm.multiply(acc, ts)
+                add(union, [tm.scale_term(t, K.torus.L) for t in acc])
+        if len(chosen) >= CLUSTER_MAX:
+            return
+        for i in range(idx, len(support)):
+            p = support[i]
+            if all(region_disjoint(p, c, K.torus) for c in chosen):
+                build(i + 1, chosen + [p])
 
-        build(0, [])
-        return CloudActivity(coarse, {k: v for k, v in out.items() if v})
-    if isinstance(K, TruncatedActivity):
-        return scale_linear(K, cache)
-    raise TypeError("scale_activity needs cloud or truncated activities")
+    build(0, [])
+    return CloudActivity(coarse, {k: v for k, v in out.items() if v})
 
 
-def scale_linear(K: TruncatedActivity, cache: dict | None = None) -> TruncatedActivity:
+def scale_linear(K: TruncatedActivity, cache: dict) -> TruncatedActivity:
     """S_1 K(X) = sum over polymers with partition closure X of K(Y, phi_L):
     the translation-invariant scaling, every shape at the L^d positions
     modulo coarse translations, mapped by the partition closure.
@@ -912,15 +896,14 @@ def scale_linear(K: TruncatedActivity, cache: dict | None = None) -> TruncatedAc
     """
     L = K.torus.L
     offsets = [(ox, oy) for ox in range(L) for oy in range(L)]
-    cache = {} if cache is None else cache
-    images = cache.setdefault((K.torus, K.q_max, K.max_linfs), {})
-    memo = cache.setdefault((K.q_max, K.max_linfs), {})
+    images = cache.setdefault((K.torus, K.q_max), {})
+    memo = cache.setdefault(K.q_max, {})
 
     def collapsed(t, coarse):
         """The collapse pieces of t's copy, moved by the {position: coarse} table."""
         moved = (tuple((q, coarse[x]) for q, x in t.charges),
                  tuple((a, coarse[y]) for a, y in t.linfs))
-        return _collapsed(memo, moved, K.q_max, K.max_linfs) or ()
+        return _collapsed(memo, moved, K.q_max) or ()
 
     acc: dict = {}
     for key, ts in K.shapes.items():
@@ -972,7 +955,7 @@ def scale_linear(K: TruncatedActivity, cache: dict | None = None) -> TruncatedAc
                 for piece_key, ops in image[o]:
                     sums[piece_key] = sums.get(piece_key, 0.0) + ops.apply(c)
     result = {k: kept for k, sums in acc.items() if (kept := tm._canon_sums(sums))}
-    return TruncatedActivity(K.torus.coarse(), result, K.q_max, K.max_linfs)
+    return TruncatedActivity(K.torus.coarse(), result, K.q_max)
 
 
 # ----------------------------------------------------------------------------
@@ -1077,14 +1060,13 @@ def check_hypotheses(K, params: RGStepParams) -> dict:
     return checks
 
 
-def extract_step(K: TruncatedActivity, params: RGStepParams, cache: dict | None = None):
+def extract_step(K: TruncatedActivity, params: RGStepParams, cache: dict):
     """(E(K, F(K)), coefficients): F from K's neutral sector on small sets,
     removed with e^F - 1 to ``EXTRACTION_ORDER``.  The isotropy check
     reports its measure in the coefficients and does not stop the step."""
     coeffs = extraction_coefficients(K, params.preset, params.beta)
     F = build_extraction_activity(coeffs, K, n_q=params.n_q)
-    k_star = extract_cloud(K, F, order=EXTRACTION_ORDER, drop_tol=DROP_TOL, cache=cache)
-    return k_star, coeffs
+    return extract_cloud(K, F, cache), coeffs
 
 
 def rg_step(K, params: RGStepParams):
@@ -1102,12 +1084,11 @@ def rg_step(K, params: RGStepParams):
     diag = {"hypotheses": check_hypotheses(K, params)}
     cache: dict = {}
     k1 = fluctuate_linear(K, cov)
-    k_sharp = fluctuate(K, cov, pair_window=PAIR_WINDOW, drop_tol=DROP_TOL,
-                        cache=cache, linear=k1)
+    k_sharp = fluctuate(K, cov, cache, k1)
     k_star, coeffs = extract_step(k_sharp, params, cache)
-    k_new = scale_activity(k_star, cache=cache)
-    diag["four_terms"] = four_term_split(K, params, k1, k_new, k_star, cache=cache)
-    diag["dropped_terms"] = getattr(k_sharp, "dropped_terms", 0)
+    k_new = scale_linear(k_star, cache)
+    diag["four_terms"] = four_term_split(K, params, k1, k_new, k_star, cache)
+    diag["dropped_terms"] = k_sharp.dropped_terms
     return k_new, coeffs, diag
 
 
@@ -1119,8 +1100,7 @@ def clip_to_small(K: TruncatedActivity, norm: NormParams):
     return small, clipped_log
 
 
-def linearized_step(k1: TruncatedActivity, params: RGStepParams,
-                    cache: dict | None = None):
+def linearized_step(k1: TruncatedActivity, params: RGStepParams, cache: dict):
     """R_1(K, F(K)) = S_1(F_1 K - F(F_1 K)) from k1 = F_1 K."""
     coeffs = extraction_coefficients(k1, params.preset, params.beta)
     F = build_extraction_activity(coeffs, k1, n_q=params.n_q)
@@ -1133,7 +1113,7 @@ def _unit_charge_small(key, t) -> bool:
 
 def four_term_split(K: TruncatedActivity, params: RGStepParams, k1: TruncatedActivity,
                     k_new: TruncatedActivity, k_star: TruncatedActivity,
-                    cache: dict | None = None) -> dict:
+                    cache: dict) -> dict:
     """Norms of the mechanisms the flow reads: higher order, large sets and
     unit-charge small sets (each linearized except the first), from
     k1 = F_1 K = ``fluctuate_linear(K, cov)``.
@@ -1157,7 +1137,7 @@ def four_term_split(K: TruncatedActivity, params: RGStepParams, k1: TruncatedAct
         "in": activity_norm(K.filter(_unit_charge_small), params.norm),
         "out": activity_norm(r1_unit, params.norm),
     }
-    r1_full, _ = linearized_step(k1, params, cache=cache)
+    r1_full, _ = linearized_step(k1, params, cache)
     out["higher_order"] = {
         "in": activity_norm(K, params.norm),
         "out": activity_norm(k_new.add(r1_full, -1.0), params.norm),

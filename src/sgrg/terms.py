@@ -81,13 +81,13 @@ class CloudTerm:
         )
 
 
-def canon(terms, drop_tol: float = 0.0) -> list[CloudTerm]:
-    """Merge identical (charges, linfs) keys; optionally drop tiny coefficients."""
+def canon(terms) -> list[CloudTerm]:
+    """Merge identical (charges, linfs) keys; exact zero sums are dropped."""
     acc: dict = {}
     for t in terms:
         k = t.key()
         acc[k] = acc.get(k, 0.0) + t.coeff
-    return _canon_sums(acc, drop_tol)
+    return _canon_sums(acc)
 
 
 def _canon_sums(acc: dict, drop_tol: float = 0.0) -> list[CloudTerm]:

@@ -122,24 +122,24 @@ class TestMayer:
     def test_identity_small_torus(self, M):
         t = TorusSpec(2, M)
         zeta = 0.3 + 0.1j
-        K0 = mayer_init_functional(zeta, t, n_q=2)
+        K0 = mayer_init_functional(zeta, t)
         rng = np.random.default_rng(11)
         lam = whole_torus(t)
         for _ in range(20):
             fld = rfield(t, rng)
-            lhs = cmath.exp(zeta * sum(potential_v(b, fld, 2) for b in lam.sorted_blocks()))
+            lhs = cmath.exp(zeta * sum(potential_v(b, fld) for b in lam.sorted_blocks()))
             rhs = polymer_exp(K0, lam, fld)
             assert abs(lhs - rhs) / abs(lhs) < 1e-10
 
     def test_identity_3x3(self):
         t = TorusSpec(3, 1)
         zeta = 0.2
-        K0 = mayer_init_functional(zeta, t, n_q=2, side_cap=4)
+        K0 = mayer_init_functional(zeta, t)
         rng = np.random.default_rng(13)
         lam = whole_torus(t)
         for _ in range(10):
             fld = rfield(t, rng)
-            lhs = cmath.exp(zeta * sum(potential_v(b, fld, 2) for b in lam.sorted_blocks()))
+            lhs = cmath.exp(zeta * sum(potential_v(b, fld) for b in lam.sorted_blocks()))
             rhs = polymer_exp(K0, lam, fld)
             assert abs(lhs - rhs) / abs(lhs) < 1e-10
 
@@ -156,15 +156,15 @@ class TestMayer:
         K0 = mayer_init_functional(zeta, t)
         fld = rfield(t, np.random.default_rng(6))
         p = polymer([(0, 0), (0, 1)])
-        f0 = cmath.exp(zeta * potential_v((0, 0), fld, 2)) - 1.0
-        f1 = cmath.exp(zeta * potential_v((0, 1), fld, 2)) - 1.0
+        f0 = cmath.exp(zeta * potential_v((0, 0), fld)) - 1.0
+        f1 = cmath.exp(zeta * potential_v((0, 1), fld)) - 1.0
         assert K0.value(p, fld) == pytest.approx(f0 * f1, rel=1e-12)
 
     def test_cloud_matches_functional_order(self):
         t = TorusSpec(2, 1)
         zeta = 1e-3
-        Kc = mayer_init_cloud(zeta, t, n_q=2, order=5, max_size=2, side_cap=4)
-        Kf = mayer_init_functional(zeta, t, n_q=2)
+        Kc = mayer_init_cloud(zeta, t, n_q=2, order=5, max_size=2)
+        Kf = mayer_init_functional(zeta, t)
         rng = np.random.default_rng(8)
         fld = rfield(t, rng)
         for p in Kc.support():
@@ -203,17 +203,18 @@ class TestPotential:
     def test_value_at_zero_field(self):
         t = TorusSpec(2, 1)
         fld = FieldGrid(t, 8, np.zeros((16, 16)))
-        assert potential_v((0, 0), fld, 2) == pytest.approx(1.0)
+        assert potential_v((0, 0), fld) == pytest.approx(1.0)
 
-    def test_cloud_terms_match_quadrature(self):
+    def test_cloud_terms_match_quadrature(self, monkeypatch):
         t = TorusSpec(2, 1)
         rng = np.random.default_rng(9)
         fld = rfield(t, rng)
         for n_q in (1, 2):
+            monkeypatch.setattr(activities, "POTENTIAL_N_Q", n_q)
             ts = v_cloud_terms((1, 0), n_q)
             val = evaluate_terms(ts, fld)
             assert val.imag == pytest.approx(0.0, abs=1e-12)
-            assert val.real == pytest.approx(potential_v((1, 0), fld, n_q), rel=1e-12)
+            assert val.real == pytest.approx(potential_v((1, 0), fld), rel=1e-12)
 
     def test_vbd_norm_bounds(self):
         rep = vbd_norms(1e-10, h=2.0, eps=0.1)
@@ -326,7 +327,7 @@ class TestStructureChecks:
 
     def test_truncated_mayer_charge_content(self):
         t = TorusSpec(2, 3)
-        K = mayer_init_truncated(1e-2, t, order=3, max_size=2)
+        K = mayer_init_truncated(1e-2, t)
         key = (((0, 0)),)
         key = tuple([(0, 0)])
         ts = K.shapes[key]
@@ -364,7 +365,7 @@ def reference_collapse_term(term, q_max, max_linfs, neutral_taylor=True):
 
 class TestCollapse:
     @pytest.mark.parametrize("L", [2, 3, 8])
-    def test_equals_reference(self, L):
+    def test_equals_reference(self, L, monkeypatch):
         # repr, not ==: an int block coordinate equals its float but would
         # serialize differently
         shapes = cache_test_shapes(TorusSpec(L, 2))
@@ -374,7 +375,8 @@ class TestCollapse:
                 for shift in shifts:
                     moved = scale_term(translate_term(t, shift), L)
                     for q_max, max_linfs in ((3, 2), (1, 0), (2, 1)):
-                        got = collapse_term(moved, q_max, max_linfs)
+                        monkeypatch.setattr(activities, "MAX_LINFS", max_linfs)
+                        got = collapse_term(moved, q_max)
                         want = reference_collapse_term(moved, q_max, max_linfs)
                         assert repr(got) == repr(want)
 
@@ -382,16 +384,17 @@ class TestCollapse:
         0.0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), -0.0,
         1e300 - 1e300j, 1e-320, -1e-320j, np.complex128(0.3 - 0.1j),
     ])
-    def test_replay_equals_direct(self, coeff):
+    def test_replay_equals_direct(self, coeff, monkeypatch):
         # the memo's recorded ops on a blank coefficient replay the bits of
         # collapsing the term itself, signed zeros, overflow and subnormals too
         keys = {t.key() for ts in cache_test_shapes(TorusSpec(3, 2)).values() for t in ts}
         assert any(k[0] and sum(q for q, _ in k[0]) == 0 for k in keys)  # neutral clouds
         for q_max, max_linfs in ((3, 2), (1, 0)):
+            monkeypatch.setattr(activities, "MAX_LINFS", max_linfs)
             memo = {}
             for key in sorted(keys):
-                pieces = activities._collapsed(memo, key, q_max, max_linfs)
-                want = collapse_term(_raw_term(coeff, *key), q_max, max_linfs)
+                pieces = activities._collapsed(memo, key, q_max)
+                want = collapse_term(_raw_term(coeff, *key), q_max)
                 got = None if pieces is None else [
                     _raw_term(ops.apply(coeff), *k) for k, ops in pieces
                 ]
@@ -403,11 +406,11 @@ class TestCollapse:
         grad = (((1, 0), (0.0, 0.0)), ((0, 1), (0.0, 0.0)), ((1, 0), (1.0, 0.0)))
         neutral = CloudTerm(0.5, ((1, (0.0, 0.0)), (-1, (0.25, 0.0))), grad)
         charged = CloudTerm(0.25, ((2, (0.0, 0.0)), (2, (1.0, 0.0))))
-        kept, dropped = truncate_cloud_terms([neutral, charged], 3, 2)
+        kept, dropped = truncate_cloud_terms([neutral, charged], 3, 0.0, {})
         assert kept == [] and dropped == [charged]
         assert repr((kept, dropped)) == repr(
-            reference_truncate_cloud_terms([neutral, charged], 3, 2)
+            reference_truncate_cloud_terms([neutral, charged], 3)
         )
         memo = {}
-        assert activities._collapsed(memo, neutral.key(), 3, 2) == []
-        assert activities._collapsed(memo, charged.key(), 3, 2) is None
+        assert activities._collapsed(memo, neutral.key(), 3) == []
+        assert activities._collapsed(memo, charged.key(), 3) is None

@@ -157,6 +157,28 @@ class TestFlows:
         assert "contraction" in capsys.readouterr().err
 
 
+class TestScheduleMode:
+    @pytest.mark.parametrize("args", [
+        ["flow-ir", "--beta", "37.699", "--L", "2", "--M", "2", "--steps", "1",
+         "--zeta", "1e-3"],
+        ["flow-uv", "--beta", "12.566", "--L", "2", "--N", "1", "--steps", "1",
+         "--zeta", "0.01"],
+    ], ids=["ir", "uv"])
+    def test_schedule_mode_runs(self, tmp_path, args):
+        """The 'schedule' h-mode runs end to end with finite rows.  Its h_j
+        start near 1/sqrt(kappa), about 32 at the default kappa = 1e-3, so
+        the norms are huge: h1 fails by -176 (IR) and -131 (UV) in log
+        units on these inputs, and the step goes on under the override."""
+        assert run_cli([*args, "--h-mode", "schedule", "--out", str(tmp_path)]) == EXIT_OK
+        (path,) = tmp_path.glob("flow_*_trajectory.json")
+        rows = json.loads(path.read_text())["rows"]
+        assert len(rows) == 2
+        for row in rows:
+            assert all(math.isfinite(row[k]) for k in ("sigma", "energy", "dE", "dsigma", "log_norm"))
+        assert all(math.isfinite(rows[1][k]) for k in (
+            "ratio", "charged_multiplier", "large_multiplier", "higher_share"))
+
+
 class TestBadInputs:
     UV = ["flow-uv", "--beta", "12.566", "--L", "2", "--N", "1", "--zeta", "0.01"]
     IR = ["flow-ir", "--beta", "37.699", "--L", "2", "--zeta", "1e-3"]

@@ -114,14 +114,14 @@ class TestTorusKernels:
 
 class TestScaleDecomposition:
     def test_j_zero_exact(self):
-        assert verify_scale_decomposition(2, 2, 0, [(0.3, 0.4)]) == pytest.approx(0.0, abs=1e-14)
+        assert verify_scale_decomposition(2, 2, 0, [(0.3, 0.4)], 0.0) == pytest.approx(0.0, abs=1e-14)
 
     @pytest.mark.parametrize("L,M,j", [(2, 2, 1), (2, 3, 2)])
     def test_residual_small(self, L, M, j):
         rng = np.random.default_rng(42)
         side = L**M
         xs = rng.uniform(-side / 2, side / 2, size=(20, 2))
-        assert verify_scale_decomposition(L, M, j, xs) < 1e-8
+        assert verify_scale_decomposition(L, M, j, xs, 0.0) < 1e-8
 
     def test_with_sigma_and_j_equal_M(self):
         rng = np.random.default_rng(1)
@@ -157,13 +157,13 @@ class TestNorms:
     def test_star_norm_equals_stacked_reference(self, L, M):
         # the running maximum over gamma is exact
         kernel = CovarianceKernel("slice", sigma=0.0, torus=TorusSpec(L, M))
-        value, _ = star_norm(kernel, r=2)
+        value = star_norm(kernel, r=2)
         assert value == reference_star_norm(kernel, r=2)
 
     def test_star_norm_finite_and_stable(self):
         t = TorusSpec(2, 3)
-        v1, _ = star_norm(CovarianceKernel("slice", sigma=0.0, torus=t), r=2)
-        v2, _ = star_norm(
+        v1 = star_norm(CovarianceKernel("slice", sigma=0.0, torus=t), r=2)
+        v2 = star_norm(
             CovarianceKernel("slice", sigma=0.0, torus=t, p_max=4.2), r=2
         )
         assert v1 > 0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sgrg import fields
 from sgrg.covariance import CovarianceKernel
 from sgrg.fields import (
     FieldGrid,
@@ -14,7 +15,6 @@ from sgrg.fields import (
     multi_indices,
     polymer_node_indices,
     random_band_limited,
-    scale_amplitude,
     scale_field,
 )
 from sgrg.lattice import Polymer, TorusSpec, polymer
@@ -74,8 +74,9 @@ class TestDerivatives:
         vals = phi.at(pts)
         assert np.all(np.isfinite(vals))
 
-    def test_sobolev_inequality_measured(self):
-        c_s = measure_sobolev_constant(s=4, n_fields=50)
+    def test_sobolev_inequality_measured(self, monkeypatch):
+        monkeypatch.setattr(fields, "SOBOLEV_N_FIELDS", 50)
+        c_s = measure_sobolev_constant()
         assert 0 < c_s < 100.0
         t = TorusSpec(2, 1)
         rng = np.random.default_rng(7)
@@ -94,12 +95,6 @@ class TestDerivatives:
 
 
 class TestScaling:
-    def test_d2_amplitude_unchanged(self):
-        assert scale_amplitude(2.0, d=2) == 1.0
-
-    def test_d4_amplitude_halved(self):
-        assert scale_amplitude(2.0, d=4) == 0.5
-
     def test_constant_fixed_point(self):
         t = TorusSpec(2, 1)
         phi = FieldGrid(t, 8, np.full((16, 16), 1.7))
@@ -123,7 +118,7 @@ class TestRegulator:
         t = TorusSpec(2, 1)
         phi = FieldGrid(t, 8, np.zeros((16, 16)))
         params = RegulatorParams(kappa=0.01, c=0.05)
-        assert log_regulator(phi, polymer([(0, 0)]), params) == 0.0
+        assert log_regulator(phi, polymer([(0, 0)]), params, False) == 0.0
 
     def test_multiplicative_on_separated_blocks(self):
         t = TorusSpec(2, 2)
@@ -134,23 +129,24 @@ class TestRegulator:
         XY = polymer([(0, 0), (2, 2)])
         for _ in range(25):
             phi = random_band_limited(t, 8, rng)
-            lg = log_regulator(phi, X, params) + log_regulator(phi, Y, params)
-            assert lg == pytest.approx(log_regulator(phi, XY, params), abs=1e-10)
+            lg = log_regulator(phi, X, params, False) + log_regulator(phi, Y, params, False)
+            assert lg == pytest.approx(log_regulator(phi, XY, params, False), abs=1e-10)
 
-    def test_scaled_weights(self):
+    def test_scaled_weights(self, monkeypatch):
         # ell = 2: |a|=1 bulk weight 1, |a|=2 weight 4, boundary weight 2
         t = TorusSpec(2, 1)
         rng = np.random.default_rng(3)
         phi = random_band_limited(t, 8, rng)
         X = polymer([(0, 0)])
-        params = RegulatorParams(kappa=0.01, c=0.05, r=0, s=2)
+        monkeypatch.setattr(fields, "REGULATOR_S", 2)
+        params = RegulatorParams(kappa=0.01, c=0.05)
         lg_scaled = log_regulator(phi, X, params, scaled=True)
         # reassemble from pieces with explicit weights
         from sgrg.fields import multi_indices, polymer_node_indices, boundary_faces, face_node_indices
 
         gx, gy = polymer_node_indices(X, t, 8)
         bulk = 0.0
-        for a in multi_indices(2, 1, 2):
+        for a in multi_indices(1, 2):
             da = phi.deriv(a).values[gx, gy]
             w = 2.0 ** (2 * sum(a) - 2)
             bulk += w * float(np.sum(da * da)) / 64.0
@@ -164,19 +160,20 @@ class TestRegulator:
         expect = 0.01 * bulk + 0.01 * 0.05 * 2.0 * bdry
         assert lg_scaled == pytest.approx(expect, abs=1e-12)
 
-    def test_dissolve_monotone(self):
+    def test_dissolve_monotone(self, monkeypatch):
         # G(kappa, X) <= G(kappa, Z) for X subset Z when c < (2 d c_s)^{-1}
         t = TorusSpec(2, 2)
-        c_s = measure_sobolev_constant(s=4, n_fields=50)
+        monkeypatch.setattr(fields, "SOBOLEV_N_FIELDS", 50)
+        c_s = measure_sobolev_constant()
         c = 0.9 / (4.0 * c_s)
-        params = RegulatorParams(kappa=0.01, c=min(c, 1.0), s=4, r=2)
+        params = RegulatorParams(kappa=0.01, c=min(c, 1.0))
         rng = np.random.default_rng(13)
         X = polymer([(1, 1)])
         Z = polymer([(1, 1), (1, 2), (2, 1), (2, 2)])
         bad = 0
         for _ in range(200):
             phi = random_band_limited(t, 8, rng)
-            if log_regulator(phi, X, params) > log_regulator(phi, Z, params) + 1e-12:
+            if log_regulator(phi, X, params, False) > log_regulator(phi, Z, params, False) + 1e-12:
                 bad += 1
         assert bad == 0
 
@@ -186,7 +183,7 @@ def _bulk_only(phi, X, params):
 
     gx, gy = polymer_node_indices(X, phi.torus, phi.n_g)
     bulk = 0.0
-    for a in multi_indices(2, 1, params.s):
+    for a in multi_indices(1, fields.REGULATOR_S):
         da = phi.deriv(a).values[gx, gy]
         bulk += float(np.sum(da * da)) / phi.n_g**2
     return params.kappa * bulk
@@ -235,14 +232,14 @@ class TestGaussian:
         # sample mean of G(kappa, X, phi + zeta) <= 2^{|X|} G_ell(kappa, X, phi)
         t = TorusSpec(2, 3)
         kern = CovarianceKernel("slice", sigma=0.0, torus=t)
-        params = RegulatorParams(kappa=1e-3, c=0.5, r=2, s=4)
+        params = RegulatorParams(kappa=1e-3, c=0.5)
         assert params.kappa / params.c * t.L**2 < 0.01  # configured smallness
         X = polymer([(1, 1), (1, 2)])
         rng = np.random.default_rng(21)
         phi = random_band_limited(t, 4, rng, amplitude=0.3, k_max=2)
         ens = gaussian_ensemble(kern, t, 4, seed=5)
         zs = ens.sample(400)
-        vals = [math.exp(log_regulator(phi + z, X, params)) for z in zs]
+        vals = [math.exp(log_regulator(phi + z, X, params, False)) for z in zs]
         mean = float(np.mean(vals))
         bound = 2.0**X.size * math.exp(log_regulator(phi, X, params, scaled=True))
         se = float(np.std(vals) / math.sqrt(len(vals)))
@@ -253,7 +250,7 @@ def sup_norm(phi, p, r):
     """max over |a| <= r of |d^a phi| at the grid nodes of the polymer."""
     gx, gy = polymer_node_indices(p, phi.torus, phi.n_g)
     return max(float(np.max(np.abs(phi.deriv(a).values[gx, gy])))
-               for a in multi_indices(2, 0, r))
+               for a in multi_indices(0, r))
 
 
 class TestVanishingPointScaling:

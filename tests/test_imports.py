@@ -2,7 +2,8 @@
 every private function, method or class is referenced somewhere in the
 package, every public one runs under a command or an acceptance check (or
 is a reference that a named test compares other code against), and every
-parameter default is overridden by some call.
+defaulted parameter or dataclass field takes two values, or a runtime one,
+across the calls in ``src/`` (tests are not callers).
 
 A standard-library stand-in for an unused-code lint: it parses each
 ``src/sgrg/*.py`` file and checks the names bound by ``import`` statements,
@@ -11,8 +12,8 @@ definitions, and the defaulted parameters and dataclass fields.
 """
 
 import ast
-import math
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -323,7 +324,29 @@ def test_unreferenced_public_is_caught():
     ]
 
 
-# -- knob census: every defaulted parameter is set by some call
+# -- knob census: every defaulted parameter takes two values in src/
+
+# {knob: why it stays a parameter though the calls in src/ give it one value}
+EXEMPT = {
+    "cli.main(argv)": "the entry point: run as a script it reads sys.argv, and tests "
+                      "and the benchmark hand it their argument lists",
+}
+EXEMPT_MAX = 3
+# defaulted parameters and dataclass fields: a change that adds one raises this number
+KNOBS_MAX = 67
+
+RUNTIME = None  # the value of an argument that is no literal: a local, an attribute, a call
+
+
+@dataclass(frozen=True)
+class Knob:
+    owner: str | None  # the class of a method or field, None for a function
+    name: str  # what a call names: the function, the method, or the class of a field
+    param: str
+    index: int | None  # positional index, None for keyword-only
+    default: ast.expr
+    field: bool = False
+
 
 def is_dataclass(cls) -> bool:
     return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
@@ -331,7 +354,8 @@ def is_dataclass(cls) -> bool:
 
 
 def dataclass_fields(cls):
-    """(name, defaulted) for each ``__init__`` field of a dataclass, in order."""
+    """(name, default expression or None) for each ``__init__`` field of a
+    dataclass, in order."""
     for node in cls.body:
         if not (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)):
             continue
@@ -340,106 +364,231 @@ def dataclass_fields(cls):
             kws = {k.arg: k.value for k in value.keywords}
             if "init" in kws and getattr(kws["init"], "value", True) is False:
                 continue
-            yield node.target.id, "default" in kws or "default_factory" in kws
+            yield node.target.id, kws.get("default", kws.get("default_factory"))
         else:
-            yield node.target.id, value is not None
+            yield node.target.id, value
 
 
-def function_knobs(fn, call_name, is_method):
-    """(call name, parameter, positional index or None) per defaulted parameter."""
+def function_knobs(fn, is_method):
+    """(parameter, positional index or None, default) per defaulted parameter."""
     args = fn.args
     positional = [*args.posonlyargs, *args.args]
     static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
     if is_method and not static:
         positional = positional[1:]
     first = len(positional) - len(args.defaults)
-    for i, a in enumerate(positional):
-        if i >= first:
-            yield call_name, a.arg, i
+    for i, (a, d) in enumerate(zip(positional[first:], args.defaults), first):
+        yield a.arg, i, d
     for a, d in zip(args.kwonlyargs, args.kw_defaults):
         if d is not None:
-            yield call_name, a.arg, None
+            yield a.arg, None, d
 
 
-def knobs(mods):
-    """{qualified parameter name: (call name, parameter, positional index)} for
-    each defaulted parameter of a module-level function or a method, and each
-    defaulted field of a dataclass."""
+def knobs(mods) -> dict:
+    """{qualified parameter name: Knob} for each defaulted parameter of a
+    module-level function or a method, and each defaulted dataclass field."""
     out = {}
     for mod, tree in mods.items():
         for node in tree.body:
             if isinstance(node, FUNCS):
-                for knob in function_knobs(node, node.name, False):
-                    out[f"{mod}.{node.name}({knob[1]})"] = knob
+                for param, i, d in function_knobs(node, False):
+                    out[f"{mod}.{node.name}({param})"] = Knob(None, node.name, param, i, d)
             elif isinstance(node, ast.ClassDef):
                 if is_dataclass(node):
-                    for i, (name, defaulted) in enumerate(dataclass_fields(node)):
-                        if defaulted:
-                            out[f"{mod}.{node.name}.{name}"] = (node.name, name, i)
+                    for i, (name, d) in enumerate(dataclass_fields(node)):
+                        if d is not None:
+                            out[f"{mod}.{node.name}.{name}"] = Knob(node.name, node.name, name,
+                                                                    i, d, field=True)
                 for sub in node.body:
                     if isinstance(sub, FUNCS):
                         call = node.name if sub.name == "__init__" else sub.name
-                        for knob in function_knobs(sub, call, True):
-                            out[f"{mod}.{node.name}.{sub.name}({knob[1]})"] = knob
+                        for param, i, d in function_knobs(sub, True):
+                            out[f"{mod}.{node.name}.{sub.name}({param})"] = Knob(
+                                node.name, call, param, i, d)
     return out
 
 
-def settings(trees) -> dict:
-    """{call name: [(positional argument count, keywords)]} over every call;
-    a ``*args`` counts as every position and a ``**kwargs`` as every keyword
-    (None), except in ``dataclasses.replace``, whose keywords set fields of
-    whatever dataclass its first argument is."""
-    out: dict = {}
-    for tree in trees:
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = getattr(func, "id", None) or getattr(func, "attr", None)
-            n_pos = math.inf if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
-            kws = {k.arg for k in node.keywords}
-            if name == "replace":
-                kws.discard(None)
-            out.setdefault(name, []).append((n_pos, kws))
+def module_constants(mods) -> dict:
+    """{NAME: repr of its value} for each module-level UPPER_CASE name bound
+    to a literal."""
+    out = {}
+    for tree in mods.values():
+        for node in tree.body:
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name) and node.targets[0].id.isupper()):
+                value = literal(node.value)
+                if value is not RUNTIME:
+                    out[node.targets[0].id] = value
     return out
 
 
-def unset_parameters(mods, trees) -> list:
-    """The knobs of ``mods`` that no call in ``trees`` sets, by keyword or by
-    position; a ``replace`` keyword sets the dataclass field of that name."""
-    calls = settings(trees)
-    replaced = set().union(*(kws for _, kws in calls.get("replace", [])))
-    out = []
-    for qual, (call, param, index) in sorted(knobs(mods).items()):
-        is_field = "(" not in qual
-        if is_field and param in replaced:
+def literal(expr):
+    try:
+        return repr(ast.literal_eval(expr))
+    except (ValueError, TypeError, SyntaxError):
+        return RUNTIME
+
+
+def value_of(expr, consts):
+    """The repr of the literal ``expr`` is, an UPPER_CASE constant read as its
+    literal (so ``PAIR_WINDOW`` and ``2`` are one value), else RUNTIME."""
+    if isinstance(expr, ast.Name) and expr.id in consts:
+        return consts[expr.id]
+    return literal(expr)
+
+
+def spread_keys(expr, scope, consts):
+    """{key: value} that ``**expr`` passes, from what the enclosing ``scope``
+    visibly puts into it: a dict literal, or a name bound to one (or to
+    ``dict(...)``) plus its ``name["key"] = ...`` items; None when unknown."""
+    if isinstance(expr, ast.Dict):
+        if not all(isinstance(k, ast.Constant) for k in expr.keys):
+            return None
+        return {k.value: value_of(v, consts) for k, v in zip(expr.keys, expr.values)}
+    if not isinstance(expr, ast.Name):
+        return None
+    out, bound = {}, False
+    for node in ast.walk(scope):
+        if not isinstance(node, ast.Assign):
             continue
-        if not any(
-            param in kws or None in kws or (index is not None and n_pos > index)
-            for n_pos, kws in calls.get(call, ())
-        ):
-            out.append(qual)
-    return out
+        for target in node.targets:
+            if isinstance(target, ast.Name) and target.id == expr.id:
+                value = node.value
+                if isinstance(value, ast.Dict):
+                    keys = spread_keys(value, scope, consts)
+                elif (isinstance(value, ast.Call) and getattr(value.func, "id", None) == "dict"
+                        and not value.args and all(k.arg for k in value.keywords)):
+                    keys = {k.arg: value_of(k.value, consts) for k in value.keywords}
+                else:
+                    keys = None
+                if keys is None:
+                    return None
+                out.update(keys)
+                bound = True
+            elif (isinstance(target, ast.Subscript) and getattr(target.value, "id", None) == expr.id
+                    and isinstance(target.slice, ast.Constant)):
+                out[target.slice.value] = value_of(node.value, consts)
+    return out if bound else None
+
+
+def calls_in(tree):
+    """(call, the function around it or the module) for every call of the tree."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                yield child, scope
+            yield from visit(child, child if isinstance(child, FUNCS) else scope)
+    yield from visit(tree, tree)
+
+
+def arguments(call, scope, consts):
+    """(positional values, a ``*args`` seen, {keyword: value}, an unknown ``**`` seen)."""
+    pos, star = [], False
+    for a in call.args:
+        if isinstance(a, ast.Starred):
+            star = True
+            break
+        pos.append(value_of(a, consts))
+    kws, spread = {}, False
+    for k in call.keywords:
+        if k.arg is not None:
+            kws[k.arg] = value_of(k.value, consts)
+        else:
+            keys = spread_keys(k.value, scope, consts)
+            spread = spread or keys is None
+            kws.update(keys or {})
+    return pos, star, kws, spread
+
+
+def knob_values(mods) -> dict:
+    """{qualified knob: the values the calls in ``mods`` give it}.  A call that
+    omits the knob gives its default; ``C.name(...)`` with C a class of
+    ``mods`` reaches only C's knobs.  A ``replace`` keyword sets the
+    dataclass fields of that name, and its omissions set nothing."""
+    consts = module_constants(mods)
+    table = knobs(mods)
+    classes = {node.name for tree in mods.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    by_name: dict = {}
+    for qual, knob in table.items():
+        by_name.setdefault(knob.name, []).append(qual)
+    values = {qual: set() for qual in table}
+    for tree in mods.values():
+        for call, scope in calls_in(tree):
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "replace":
+                for k in call.keywords:
+                    for qual, knob in table.items():
+                        if knob.field and knob.param == k.arg:
+                            values[qual].add(value_of(k.value, consts))
+                continue
+            receiver = getattr(getattr(func, "value", None), "id", None)
+            pos, star, kws, spread = arguments(call, scope, consts)
+            for qual in by_name.get(name, ()):
+                knob = table[qual]
+                if receiver in classes and knob.owner != receiver:
+                    continue
+                if knob.index is not None and knob.index < len(pos):
+                    value = pos[knob.index]
+                elif (knob.index is not None and star) or (knob.param not in kws and spread):
+                    value = RUNTIME
+                elif knob.param in kws:
+                    value = kws[knob.param]
+                else:
+                    value = value_of(knob.default, consts) or f"default {ast.unparse(knob.default)}"
+                values[qual].add(value)
+    return values
+
+
+def single_valued(mods, exempt) -> list:
+    """The knobs of ``mods`` that the calls in ``mods`` give fewer than two
+    values and no runtime value, less ``exempt``; and stale ``exempt`` entries."""
+    values = knob_values(mods)
+    flagged = [q for q, vals in sorted(values.items()) if RUNTIME not in vals and len(vals) < 2]
+    faults = [q for q in flagged if q not in exempt]
+    faults += [f"exempt but not single-valued: {q}" for q in sorted(exempt) if q not in flagged]
+    return faults
 
 
 def test_every_parameter_default_is_overridden_somewhere():
     mods = parse_modules(SRC)
-    assert unset_parameters(mods, [*mods.values(), *parse_all(TESTS)]) == []
+    assert len(EXEMPT) <= EXEMPT_MAX
+    assert single_valued(mods, EXEMPT) == []
+    assert len(knobs(mods)) <= KNOBS_MAX
 
 
 def test_unset_parameter_is_caught():
     lib = ast.parse(
         "from dataclasses import dataclass, field\n"
+        "WINDOW = 2\n"
         "@dataclass\nclass Cfg:\n    a: int\n    b: int = 1\n    c: int = 2\n"
         "    d: list = field(default_factory=list)\n    e: dict = field(init=False, default=None)\n"
         "class Obj:\n    def __init__(self, x, y=0):\n        pass\n"
         "    def go(self, n=1, *, fast=False):\n        def inner(_k=n):\n            return _k\n"
         "        return inner()\n"
         "    @staticmethod\n    def make(s=0):\n        return Obj(s)\n"
-        "def run(p, q=0, r=0, **kw):\n    return p\n"
+        "def run(p, q=0, r=0, w=2, t=0):\n    return p\n"
     )
     use = ast.parse(
-        "run(1, 2)\nrun(1, r=3)\nObj(1, 2).go(5)\nObj.make(1)\nCfg(0, 1)\nreplace(cfg, d=[])\n"
+        "from lib import Cfg, Obj, WINDOW, run\n"
+        "def main(argv, n):\n"
+        "    run(1, 2, w=WINDOW)\n    run(1, r=3)\n    run(n, r=n)\n"
+        "    Obj(1, 2).go(5)\n    Obj(n, n).go(n)\n    Obj.make(n)\n"
+        "    kw = dict(a=0, b=n)\n    kw['d'] = []\n    Cfg(**kw)\n    Cfg(0, 1)\n"
+        "    replace(cfg, d=n)\n"
     )
-    # c is set by no call, nor is fast; inner's default binding is exempt
-    assert unset_parameters({"lib": lib}, [lib, use]) == ["lib.Cfg.c", "lib.Obj.go(fast)"]
+    tested = ast.parse("from lib import run\nrun(0, t=5)\n")
+    # run(t) is set only by a test; run(w) only through a constant equal to
+    # its default; Cfg(**kw) omits c; Obj.go(fast) is never set; inner's
+    # default binding is exempt
+    assert single_valued({"lib": lib, "use": use}, {}) == [
+        "lib.Cfg.c", "lib.Obj.go(fast)", "lib.run(t)", "lib.run(w)",
+    ]
+    # read as a module of the package, the test would count as a caller
+    assert "lib.run(t)" not in single_valued({"lib": lib, "use": use, "tested": tested}, {})
+    # the exemption list cannot go stale
+    assert single_valued({"lib": lib, "use": use},
+                         {"lib.run(t)": "set by a test", "lib.run(q)": "stale"}) == [
+        "lib.Cfg.c", "lib.Obj.go(fast)", "lib.run(w)", "exempt but not single-valued: lib.run(q)",
+    ]

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from sgrg import interpolation
 from sgrg.interpolation import (
     all_forests,
     ball_block_count,
@@ -115,7 +116,7 @@ class TestInterpolationIdentity:
         res = forest_interpolation_check_smooth(n, f, df_prod)
         assert res < 1e-8
 
-    def test_smooth_exponential_n4(self):
+    def test_smooth_exponential_n4(self, monkeypatch):
         n = 4
         c = {b: 0.15 * (1 + b[0] - 0.5 * b[1]) for b in bonds_on(n)}
 
@@ -128,7 +129,8 @@ class TestInterpolationIdentity:
                 val *= c[b]
             return val
 
-        res = forest_interpolation_check_smooth(n, f, df_prod, n_nodes=16)
+        monkeypatch.setattr(interpolation, "GAUSS_NODES", 16)
+        res = forest_interpolation_check_smooth(n, f, df_prod)
         assert res < 1e-8
 
 
@@ -166,8 +168,7 @@ class TestCayley:
 
 class TestFactorialBound:
     def test_single_adjacent_block(self):
-        gamma, ok = factorial_bound_check((0, 0), [(1, 0)])
-        assert ok
+        assert factorial_bound_check((0, 0), [(1, 0)], construct_gamma(2.0))
 
     def test_randomized_no_violations(self):
         rng = random.Random(17)
@@ -179,8 +180,7 @@ class TestFactorialBound:
                 b = (rng.randrange(-12, 13), rng.randrange(-12, 13))
                 if b != (0, 0):
                     blocks.add(b)
-            _, ok = factorial_bound_check((0, 0), sorted(blocks), gamma=gamma)
-            assert ok
+            assert factorial_bound_check((0, 0), sorted(blocks), gamma)
 
     def test_adversarial_nearest_first(self):
         # pack blocks as close as possible to the base block
@@ -188,8 +188,8 @@ class TestFactorialBound:
             (b for b in itertools.product(range(-3, 4), repeat=2) if b != (0, 0)),
             key=lambda b: b[0] ** 2 + b[1] ** 2,
         )[:12]
-        _, ok = factorial_bound_check((0, 0), ring)
-        assert ok
+        gamma = construct_gamma(max(math.hypot(*b) for b in ring) + 1.0)
+        assert factorial_bound_check((0, 0), ring, gamma)
 
     def test_ball_count_monotone(self):
         counts = [ball_block_count(r) for r in (1.0, 2.0, 3.0, 5.0)]

@@ -27,7 +27,7 @@ def gamma_p(p, params, torus):
 
 def brute_enumerate(torus, max_size, anchor):
     """Exhaustive subset scan oracle for anchored connected polymers."""
-    cells = list(itertools.product(range(torus.side), repeat=torus.d))
+    cells = list(itertools.product(range(torus.side), repeat=2))
     found = set()
     for size in range(1, max_size + 1):
         for combo in itertools.combinations(cells, size):
@@ -77,7 +77,7 @@ class TestSmallSets:
         assert is_small(polymer([(3, 3)]), t)
         k = count_small_supersets((8, 8), t)
         # independent count: m * (number of fixed shapes of size m)
-        shapes = lat.enumerate_shapes(2, 4)
+        shapes = lat.enumerate_shapes(4)
         by_size = {}
         for s in shapes:
             by_size[s.size] = by_size.get(s.size, 0) + 1
@@ -86,7 +86,7 @@ class TestSmallSets:
 
     def test_king_shape_counts(self):
         # fixed polyplet counts (king-connectivity): 1, 4, 20, 110
-        shapes = lat.enumerate_shapes(2, 4)
+        shapes = lat.enumerate_shapes(4)
         by_size = {}
         for s in shapes:
             by_size[s.size] = by_size.get(s.size, 0) + 1
@@ -206,13 +206,13 @@ class TestRegulator:
         params0 = SetRegulatorParams.default(t)
         params_m3 = SetRegulatorParams.default(t, p=-3)
         ratios = []
-        for p in enumerate_polymers(t, 6, (2, 2), max_size_cap=6):
+        for p in enumerate_polymers(t, 6, (2, 2)):
             if p.size < 5:
                 continue
             cl = partition_closure(p, t)
             num = gamma_p(cl, params0, t.coarse())
             den = gamma_p(p, params_m3, t)
-            ratios.append(num / den * t.L ** (t.d + 2))
+            ratios.append(num / den * t.L ** (2 + 2))
         assert len(ratios) > 100
         c = max(ratios)
         assert math.isfinite(c)

@@ -31,6 +31,7 @@ from sgrg.rgmap import (
     extract_linear,
     extraction_coefficients,
     fluctuate,
+    fluctuate_cloud,
     fluctuate_linear,
     linearized_step,
     neutral_moments,
@@ -52,8 +53,7 @@ def cloud_K(torus, spec):
 
 def step_c_star(beta, torus):
     """The beta-scaled star norm at sigma = 0 that a flow hands each step."""
-    value, _ = star_norm(CovarianceKernel("slice", sigma=0.0, torus=torus), r=2)
-    return beta * value
+    return beta * star_norm(CovarianceKernel("slice", sigma=0.0, torus=torus), r=2)
 
 
 def exact_convolved_exp(K, cov, region, fld, torus):
@@ -85,7 +85,7 @@ class TestFluctuationIdentity:
 
     def _check_identity(self, K, beta=2.0, n_fields=4, seed=0, tol=1e-8):
         cov = CovAccess(self.kernel, scale=beta)
-        FK = fluctuate(K, cov, n_max=4)
+        FK = fluctuate_cloud(K, cov)
         rng = np.random.default_rng(seed)
         lam = whole_torus(self.torus)
         worst = 0.0
@@ -98,7 +98,7 @@ class TestFluctuationIdentity:
 
     def test_zero(self):
         cov = CovAccess(self.kernel, scale=2.0)
-        FK = fluctuate(cloud_K(self.torus, {}), cov)
+        FK = fluctuate_cloud(cloud_K(self.torus, {}), cov)
         assert not FK.data
 
     def test_two_polymer_charges(self):
@@ -141,7 +141,7 @@ class TestFluctuationIdentity:
         cov = CovAccess(self.kernel, scale=2.0)
         terms = [CloudTerm(0.7, ((1, (1.0, 1.0)), (-1, (1.25, 1.0))))]
         K = cloud_K(self.torus, {((1, 1),): terms})
-        FK = fluctuate(K, cov)
+        FK = fluctuate_cloud(K, cov)
         expect = tm.convolve_terms(terms, cov)
         got = FK.terms(polymer([(1, 1)]))
         assert len(got) == len(expect)
@@ -169,7 +169,7 @@ class TestLinearizedMaps:
         # S_1 (zeta V) = L^2 zeta V in the collapsed representation
         t = TorusSpec(2, 2)
         V = v_activity(t, n_q=1, trans_invariant=True)
-        SV = scale_linear(V)
+        SV = scale_linear(V, {})
         key = tuple([(0, 0)])
         assert SV.torus.side == 2
         got = {x.key(): x.coeff for x in SV.shapes[key]}
@@ -183,7 +183,7 @@ class TestLinearizedMaps:
         for beta in (4.0 * math.pi, 6.0 * math.pi):
             cov = CovAccess(kern, scale=beta)
             V = v_activity(t, n_q=1, trans_invariant=True)
-            out = scale_linear(fluctuate_linear(V, cov))
+            out = scale_linear(fluctuate_linear(V, cov), {})
             key = tuple([(0, 0)])
             got = {x.key(): x.coeff for x in out.shapes[key]}
             mult = 4.0 * math.exp(-beta * kern.at_zero() / 2.0)
@@ -220,18 +220,20 @@ class TestScalingIdentity:
         assert not SK.data
 
 
-def reference_truncate_cloud_terms(ts, q_max, max_linfs, drop_tol=0.0):
+def reference_truncate_cloud_terms(ts, q_max, drop_tol=0.0):
     """Truncation collapsing every term afresh."""
     kept, dropped = [], []
     for t in ts:
-        c = collapse_term(t, q_max, max_linfs)
+        c = collapse_term(t, q_max)
         if c is None:
             dropped.append(t)
         elif isinstance(c, list):
             kept.extend(c)
         else:
             kept.append(c)
-    return tm.canon(kept, drop_tol=drop_tol), dropped
+    merged = tm.canon(kept)
+    floor = drop_tol * max((abs(t.coeff) for t in merged), default=0.0)
+    return [t for t in merged if not (drop_tol > 0.0 and abs(t.coeff) <= floor)], dropped
 
 
 def reference_scale_trunc(K):
@@ -255,18 +257,30 @@ def reference_scale_trunc(K):
                     out.setdefault(cl.shape_key(), []).extend(mapped)
     result = {}
     for key, ts in out.items():
-        kept, _ = reference_truncate_cloud_terms(ts, K.q_max, K.max_linfs)
+        kept, _ = reference_truncate_cloud_terms(ts, K.q_max)
         if kept:
             result[key] = kept
     return result
+
+
+def truncated_mayer(zeta, t, order=2, max_size=2):
+    """The truncated Mayer activity at a series order and largest polymer
+    of the test's choosing."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(activities, "MAYER_ORDER", order)
+        mp.setattr(activities, "MAYER_MAX_SIZE", max_size)
+        return mayer_init_truncated(zeta, t)
 
 
 def cache_test_shapes(t):
     """A fluctuated Mayer activity plus neutral clouds, which scaling
     Taylor-expands (with and without a gradient factor)."""
     cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=t), scale=12 * math.pi)
-    K = mayer_init_truncated(1e-2, t, order=2, max_size=2)
-    shapes = dict(fluctuate(K, cov, n_max=2, n_nodes=4, pair_window=1).shapes)
+    K = truncated_mayer(1e-2, t)
+    with pytest.MonkeyPatch.context() as mp:  # a narrow window and no floor
+        mp.setattr(rgmap, "PAIR_WINDOW", 1)
+        mp.setattr(rgmap, "DROP_TOL", 0.0)
+        shapes = dict(fluctuate(K, cov, {}, fluctuate_linear(K, cov)).shapes)
     key = ((0, 0), (0, 1))
     shapes[key] = shapes.get(key, []) + [
         CloudTerm(0.3 - 0.1j, ((1, (0.0, 0.0)), (-1, (0.25, 1.0)))),
@@ -284,7 +298,7 @@ def as_exact(shapes):
 
 def tiny_ir_step():
     t = TorusSpec(2, 2)
-    K = mayer_init_truncated(1e-2, t, order=2, max_size=2)
+    K = truncated_mayer(1e-2, t)
     params = RGStepParams(
         beta=12 * math.pi, torus=t, c_star=step_c_star(12 * math.pi, t), preset="ir",
         norm=NormParams.default(t, h=1.0),
@@ -302,7 +316,7 @@ class TestScalingCache:
         K = TruncatedActivity(t, cache_test_shapes(t))
         want = as_exact(reference_scale_trunc(K))
         cache = {}
-        assert as_exact(scale_activity(K, cache=cache).shapes) == want
+        assert as_exact(scale_linear(K, cache).shapes) == want
         assert as_exact(scale_linear(K, cache).shapes) == want  # from the cache
 
     def test_one_collapse_per_offset_class(self, monkeypatch):
@@ -313,9 +327,9 @@ class TestScalingCache:
         K = TruncatedActivity(torus, cache_test_shapes(torus))
         lookups = []
 
-        def counted(memo, key, q_max, max_linfs):
+        def counted(memo, key, q_max):
             lookups.append(key)
-            return activities._collapsed(memo, key, q_max, max_linfs)
+            return activities._collapsed(memo, key, q_max)
 
         monkeypatch.setattr(rgmap, "_collapsed", counted)
         scale_linear(K, {})
@@ -363,19 +377,19 @@ class TestScalingCache:
             )
 
     def test_cache_shared_across_truncations(self):
-        # one collapse memo per (q_max, max_linfs): a memo keyed without
-        # either would hand one model's collapses to another
+        # one collapse memo per q_max: a memo keyed without it would hand
+        # one model's collapses to another
         t = TorusSpec(2, 2)
         shapes = cache_test_shapes(t)
         cache = {}
-        for q_max, max_linfs in ((3, 2), (1, 0), (1, 2), (3, 2)):
-            K = TruncatedActivity(t, shapes, q_max=q_max, max_linfs=max_linfs)
+        for q_max in (3, 1, 3):
+            K = TruncatedActivity(t, shapes, q_max=q_max)
             assert as_exact(scale_linear(K, cache).shapes) == as_exact(
                 reference_scale_trunc(K)
             )
             for ts in shapes.values():
-                got = truncate_cloud_terms(ts, q_max, max_linfs, cache=cache)
-                want = reference_truncate_cloud_terms(ts, q_max, max_linfs)
+                got = truncate_cloud_terms(ts, q_max, 0.0, cache)
+                want = reference_truncate_cloud_terms(ts, q_max)
                 assert repr(got) == repr(want)
 
     def test_four_term_split_columns(self):
@@ -392,12 +406,12 @@ class TestScalingCache:
         K, params = tiny_ir_step()
         calls, depth = [], [0]
 
-        def counted(term, q_max, max_linfs, **kw):
+        def counted(term, q_max, **kw):
             if depth[0] == 0:
-                calls.append((q_max, max_linfs, term.key()))
+                calls.append((q_max, term.key()))
             depth[0] += 1
             try:
-                return collapse_term(term, q_max, max_linfs, **kw)
+                return collapse_term(term, q_max, **kw)
             finally:
                 depth[0] -= 1
 
@@ -408,7 +422,7 @@ class TestScalingCache:
         assert len(calls) == len(set(calls))
 
 
-def reference_tree_convolved_terms(coeff, slots, n_poly, tree, cov, n_nodes=24):
+def reference_tree_convolved_terms(coeff, slots, n_poly, tree, cov):
     """The tree-term integral computed afresh on every call."""
     charges = [(s.data[0], s.pos, s.member) for s in slots if s.kind == "q"]
     linfs = [(s.data, s.pos, s.member) for s in slots if s.kind == "l"]
@@ -453,13 +467,13 @@ def reference_tree_convolved_terms(coeff, slots, n_poly, tree, cov, n_nodes=24):
                         pair = (min(m_i, ma), max(m_i, ma))
                         lin[pair] = lin.get(pair, 0.0) + 1j * v
                 factors.append((1j * parts.get(m_i, 0.0), lin))
-            integral = rgmap._s_integral_affine(paths, u, factors, len(tree), n_nodes)
+            integral = rgmap._s_integral_affine(paths, u, factors, len(tree))
             if integral != 0.0:
                 out.append(CloudTerm(base * integral, charge_tuple, kept))
     return tm.canon(out)
 
 
-def reference_fluctuate_truncated(K, cov, n_nodes, pair_window, drop_tol):
+def reference_fluctuate_truncated(K, cov, pair_window, drop_tol):
     """Truncated fluctuation with the placement loop rebuilding every slot list,
     integrating every bond piece afresh and re-anchoring every term."""
     out = {}
@@ -489,7 +503,7 @@ def reference_fluctuate_truncated(K, cov, n_nodes, pair_window, drop_tol):
                             slots += tm.term_slots(CloudTerm(1.0, t2s.charges, t2s.linfs), 1)
                             for c0, sl in tm.bond_laplacian(t1.coeff * t2s.coeff, slots, 0, 1, cov):
                                 acc.extend(reference_tree_convolved_terms(
-                                    c0, sl, 2, ((0, 1),), cov, n_nodes
+                                    c0, sl, 2, ((0, 1),), cov
                                 ))
                     if acc:
                         out.setdefault(union.shape_key(), []).extend(
@@ -497,7 +511,7 @@ def reference_fluctuate_truncated(K, cov, n_nodes, pair_window, drop_tol):
                         )
     result, dropped_terms = {}, 0
     for key, ts in out.items():
-        kept, dropped = reference_truncate_cloud_terms(ts, K.q_max, K.max_linfs, drop_tol)
+        kept, dropped = reference_truncate_cloud_terms(ts, K.q_max, drop_tol)
         if kept:
             result[key] = kept
         dropped_terms += len(dropped)
@@ -509,7 +523,7 @@ def replay_test_activity(t, shared_key=False):
     a bond, and charges off the block centres.  With ``shared_key`` a term key
     of the one-block shape also sits in the two-block shape, so placements of
     either shape reach the same slot lists."""
-    K = mayer_init_truncated(1e-2, t, order=2, max_size=2)
+    K = truncated_mayer(1e-2, t)
     shapes = dict(K.shapes)
     shapes[((0, 0),)] = shapes[((0, 0),)] + [
         CloudTerm(0.01, (), (((1, 0), (0.0, 0.0)),)),
@@ -523,7 +537,7 @@ def replay_test_activity(t, shared_key=False):
     ]
     if shared_key:
         shapes[key] = shapes[key] + [CloudTerm(0.005 + 0.002j, *shapes[((0, 0),)][-1].key())]
-    return TruncatedActivity(t, shapes, K.q_max, K.max_linfs)
+    return TruncatedActivity(t, shapes, K.q_max)
 
 
 def as_repr(shapes):
@@ -540,12 +554,13 @@ class TestTreeTermReplay:
         pytest.param(TorusSpec(8, 2), False, id="t1"),
         pytest.param(TorusSpec(8, 2), True, id="t1-shared_key"),
     ])
-    def test_fluctuation_equals_reference(self, t, shared_key, drop_tol):
+    def test_fluctuation_equals_reference(self, t, shared_key, drop_tol, monkeypatch):
         K = replay_test_activity(t, shared_key)
         cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=t), scale=4 * math.pi)
-        got = fluctuate(K, cov, n_max=2, n_nodes=4, pair_window=2, drop_tol=drop_tol)
+        monkeypatch.setattr(rgmap, "DROP_TOL", drop_tol)
+        got = fluctuate(K, cov, {}, fluctuate_linear(K, cov))
         want, dropped_terms = reference_fluctuate_truncated(
-            K, cov, n_nodes=4, pair_window=2, drop_tol=drop_tol
+            K, cov, pair_window=2, drop_tol=drop_tol
         )
         assert sum(len(ts) for ts in want.values()) > 100 and dropped_terms > 0
         assert as_repr(got.shapes) == as_repr(want)
@@ -564,7 +579,7 @@ class TestTreeTermReplay:
             return plain(slots, *args)
 
         monkeypatch.setattr(rgmap, "_tree_term_image", counted)
-        fluctuate(K, cov, n_max=2, n_nodes=4, pair_window=2, drop_tol=1e-14)
+        fluctuate(K, cov, {}, fluctuate_linear(K, cov))
         assert len(built) > 100
         assert len(built) == len(set(built))
 
@@ -580,16 +595,16 @@ class TestTreeTermReplay:
         for _, sl in pieces:
             images = {}
             for coeff in (3.0 - 1.5j, 3e-300 + 1e-300j, 1e-320, 2e-300j):
-                replayed = rgmap.tree_convolved_terms(coeff, sl, 2, tree, cov, images, 4)
-                fresh = rgmap.tree_convolved_terms(coeff, sl, 2, tree, cov, {}, 4)
-                want = reference_tree_convolved_terms(coeff, sl, 2, tree, cov, 4)
+                replayed = rgmap.tree_convolved_terms(coeff, sl, 2, tree, cov, images)
+                fresh = rgmap.tree_convolved_terms(coeff, sl, 2, tree, cov, {})
+                want = reference_tree_convolved_terms(coeff, sl, 2, tree, cov)
                 want = [(t.key(), t.coeff) for t in want]
                 assert repr(replayed) == repr(fresh) == repr(want)
             assert len(images) == 1
         # at 1e-320 some products underflow to 0.0, which canon drops
         _, sl = pieces[0]
-        tiny = reference_tree_convolved_terms(1e-320, sl, 2, tree, cov, 4)
-        assert 0 < len(tiny) < len(reference_tree_convolved_terms(1.0, sl, 2, tree, cov, 4))
+        tiny = reference_tree_convolved_terms(1e-320, sl, 2, tree, cov)
+        assert 0 < len(tiny) < len(reference_tree_convolved_terms(1.0, sl, 2, tree, cov))
 
     def test_images_keyed_by_member(self):
         # equal slots on other polymers couple differently: one images dict
@@ -603,8 +618,8 @@ class TestTreeTermReplay:
         images = {}
         tree = ((0, 1),)
         for sl in (slots, moved):
-            got = rgmap.tree_convolved_terms(0.5 - 2j, sl, 2, tree, cov, images, 4)
-            want = reference_tree_convolved_terms(0.5 - 2j, sl, 2, tree, cov, 4)
+            got = rgmap.tree_convolved_terms(0.5 - 2j, sl, 2, tree, cov, images)
+            want = reference_tree_convolved_terms(0.5 - 2j, sl, 2, tree, cov)
             assert repr(got) == repr([(t.key(), t.coeff) for t in want])
         assert len(images) == 2
 
@@ -616,7 +631,7 @@ class TestExtraction:
             ((0, 0),): [CloudTerm(0.5, ((1, (0.0, 0.0)),))],
             ((0, 0), (0, 1)): tm.canon([CloudTerm(0.2), CloudTerm(-0.1j, ((-1, (0.0, 1.0)),))]),
         })
-        E = extract_cloud(K, TruncatedActivity(t, {}))
+        E = extract_cloud(K, TruncatedActivity(t, {}), {})
         assert repr(E.shapes) == repr(K.shapes)
 
     def test_extract_linear(self):
@@ -646,14 +661,14 @@ class TestExtraction:
                 ((2, 2),): [CloudTerm(0.2, (), (((0, 1), (2.0, 2.0)), ((0, 1), (2.0, 2.0))))],
             },
         )
-        E = extract_functional(K, F, t)
+        E = extract_functional(K, F)
         lam = whole_torus(t)
         worst = 0.0
         for _ in range(6):
             fld = rfield(t, rng)
             lhs = polymer_exp(K, lam, fld)
             f_sum = sum(F.value(y, fld) for y in F.support())
-            rhs = cmath.exp(f_sum) * polymer_exp(E, lam, fld, torus=t)
+            rhs = cmath.exp(f_sum) * polymer_exp(E, lam, fld)
             worst = max(worst, abs(lhs - rhs))
         assert worst < 1e-9, f"extraction identity residual {worst}"
 
@@ -696,7 +711,7 @@ class TestExtractionCoefficients:
         shapes = {}
         from sgrg.lattice import enumerate_shapes
 
-        for p in enumerate_shapes(2, 2):
+        for p in enumerate_shapes(2):
             ts = []
             for b in p.sorted_blocks():
                 ts.append(CloudTerm(rng.normal() * 0.1))
@@ -746,7 +761,7 @@ class TestNeutralScalingDimension:
             for dim, alpha in ((2, (1, 0)), (4, (2, 0))):
                 terms = [CloudTerm(1.0, (), ((alpha, (0.0, 0.0)), (alpha, (0.0, 0.0))))]
                 K = TruncatedActivity(t, {key: terms})
-                SK = scale_linear(K)
+                SK = scale_linear(K, {})
                 num = activity_norm(SK, NormParams.default(t.coarse(), h=1.0))
                 den = activity_norm(K, NormParams.default(t, h=1.0))
                 ratios[(L, dim)] = math.exp(num - den)
@@ -795,7 +810,7 @@ class TestRGStep:
         K = TruncatedActivity(t, {key: terms})
         kern = CovarianceKernel("slice", sigma=0.0, torus=t)
         cov = CovAccess(kern, scale=4 * math.pi)
-        out = scale_linear(fluctuate_linear(K, cov))
+        out = scale_linear(fluctuate_linear(K, cov), {})
         params = NormParams.default(t, h=1.0)
         num = activity_norm(out, params)
         den = activity_norm(K, params)
@@ -808,7 +823,7 @@ class TestRGStep:
         from sgrg.activities import mayer_init_truncated
 
         zeta = 1e-2
-        K = mayer_init_truncated(zeta, t, order=3, max_size=2)
+        K = mayer_init_truncated(zeta, t)
         params = RGStepParams(
             beta=4 * math.pi, torus=t, c_star=step_c_star(4 * math.pi, t), preset="uv",
             norm=NormParams.default(t, h=1.0),
@@ -826,9 +841,7 @@ class TestRGStep:
 
     def test_cauchy_split_cross_check(self):
         t = TorusSpec(2, 2)
-        from sgrg.activities import mayer_init_truncated
-
-        K = mayer_init_truncated(5e-3, t, order=3, max_size=1)
+        K = truncated_mayer(5e-3, t, order=3, max_size=1)
         params = RGStepParams(
             beta=4 * math.pi, torus=t, c_star=step_c_star(4 * math.pi, t), preset="uv",
             norm=NormParams.default(t, h=1.0),
@@ -849,7 +862,7 @@ def contour_higher_order(K, params, radius, nodes):
         k_new_s, _, _ = rg_step(K.scale(s), params)
         contour = contour.add(k_new_s, 1.0 / (nodes * s * (s - 1.0)))
     k_new, _, _ = rg_step(K, params)
-    r1, _ = linearized_step(fluctuate_linear(K, params.cov()), params)
+    r1, _ = linearized_step(fluctuate_linear(K, params.cov()), params, {})
     direct = k_new.add(r1, -1.0)
     return {
         "direct_log_norm": activity_norm(direct, params.norm),
@@ -873,7 +886,7 @@ class TestChargedSectorBound:
         for q in (1, 2, 3):
             key = tuple([(0, 0)])
             kq = TruncatedActivity(t, {key: [CloudTerm(1e-3, ((q, (0.0, 0.0)),))]})
-            out = scale_linear(fluctuate_linear(kq, cov))
+            out = scale_linear(fluctuate_linear(kq, cov), {})
             num = activity_norm(out, NormParams.default(t.coarse(), h=1.0))
             den = activity_norm(kq, params)
             measured = math.exp(num - den)

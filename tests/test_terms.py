@@ -94,7 +94,7 @@ class RecordingField:
 def oracle_setup():
     """The oracle's K0, k_sharp and F, with fine fields and scaled coarse fields."""
     beta, zeta, torus = 10.0, 0.05, TorusSpec(2, 1)
-    K0 = mayer_init_cloud(zeta, torus, n_q=1, order=6, max_size=torus.n_blocks, side_cap=2)
+    K0 = mayer_init_cloud(zeta, torus, n_q=1, order=6, max_size=torus.n_blocks)
     cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=torus), scale=beta)
     k_sharp = CloudActivity(torus, {k: convolve_terms(ts, cov) for k, ts in K0.data.items()})
     coeffs = extraction_coefficients(k_sharp, "ir", beta)
