@@ -9,7 +9,8 @@ Three representations:
   * ``CloudActivity``       per-polymer lists of charge-cloud terms; the
                             Gaussian algebra acts on it in closed form;
   * ``TruncatedActivity``   translation-invariant per-shape term lists with
-                            charges collapsed to block centers and at most
+                            charges collapsed to block centers, total
+                            |charge| at most ``Q_MAX`` and at most
                             ``MAX_LINFS`` gradient factors per term; the
                             desk-scale flow representation.
 
@@ -43,7 +44,9 @@ from .lattice import (
 )
 from .terms import CloudTerm, TermTable, canon, logsumexp, term_log_weight
 
+Q_MAX = 3  # total |charge| a truncated term carries at most
 MAX_LINFS = 2  # gradient factors a truncated term carries at most
+FLOW_N_Q = 1  # midpoint nodes per block side of the flow's potential and of extraction
 POTENTIAL_N_Q = 2  # midpoint nodes per block side of the pointwise potential V(D, phi)
 SUBSET_SCAN_SIDE_CAP = 4  # largest torus side whose block subsets are scanned
 MAYER_ORDER = 3  # series order of the truncated Mayer activity, across blocks
@@ -141,7 +144,6 @@ class TruncatedActivity(TermActivity):
 
     torus: TorusSpec
     shapes: dict
-    q_max: int = 3
 
     STORE = "shapes"
 
@@ -229,9 +231,9 @@ class _CoeffOps(tuple):
         return c
 
 
-def collapse_term(term: CloudTerm, q_max: int, neutral_taylor: bool = True):
+def collapse_term(term: CloudTerm, neutral_taylor: bool = True):
     """Collapse to the truncated model; None when outside the truncation
-    (total |charge| above ``q_max``, more than ``MAX_LINFS`` gradient factors,
+    (total |charge| above ``Q_MAX``, more than ``MAX_LINFS`` gradient factors,
     or charges with gradient factors).
 
     Charged clouds collapse to per-block total charges at block centers;
@@ -245,7 +247,7 @@ def collapse_term(term: CloudTerm, q_max: int, neutral_taylor: bool = True):
     ):
         out = []
         for piece in taylorize_neutral(term):
-            c = collapse_term(piece, q_max, neutral_taylor=False)
+            c = collapse_term(piece, neutral_taylor=False)
             if c is not None:
                 out.append(c)
         return out
@@ -256,7 +258,7 @@ def collapse_term(term: CloudTerm, q_max: int, neutral_taylor: bool = True):
         b = (float(round(x[0])), float(round(x[1])))
         merged[b] = merged.get(b, 0) + q
     charges = tuple(sorted((q, b) for b, q in merged.items() if q != 0))
-    if sum(abs(q) for q, _ in charges) > q_max:
+    if sum(abs(q) for q, _ in charges) > Q_MAX:
         return None
     if charges and term.linfs:
         return None  # mixed charge-derivative terms are outside the model
@@ -270,15 +272,19 @@ def collapse_term(term: CloudTerm, q_max: int, neutral_taylor: bool = True):
 _MISSING = object()
 
 
-def _collapsed(memo: dict, key, q_max: int):
+def _collapse_memo(cache: dict) -> dict:
+    """The collapse memo a cache keeps for ``_collapsed``."""
+    return cache.setdefault("collapse", {})
+
+
+def _collapsed(memo: dict, key):
     """``collapse_term`` of a term with this key, built once per memo: None
     outside the model, else [(piece key, _CoeffOps)] (empty when every Taylor
     piece of a neutral cloud falls outside).  The collapse multiplies the
-    coefficient through, so replaying the ops on it gives the term's bits.
-    A cache keeps the memo of a q_max under that int key."""
+    coefficient through, so replaying the ops on it gives the term's bits."""
     pieces = memo.get(key, _MISSING)  # one hash of the key; None is a stored value
     if pieces is _MISSING:
-        c = collapse_term(tm._raw_term(_CoeffOps(), *key), q_max)
+        c = collapse_term(tm._raw_term(_CoeffOps(), *key))
         pieces = memo[key] = None if c is None else [
             (p.key(), p.coeff) for p in (c if isinstance(c, list) else [c])
         ]
@@ -292,17 +298,17 @@ def _add_collapsed(sums: dict, pieces, c) -> None:
         sums[piece_key] = sums.get(piece_key, 0.0) + ops.apply(c)
 
 
-def truncate_cloud_terms(ts, q_max: int, drop_tol: float, cache: dict):
+def truncate_cloud_terms(ts, drop_tol: float, cache: dict):
     """(kept terms, dropped terms) after collapsing to the truncated model.
 
     Each key is collapsed once per ``cache`` (see ``_collapsed``); the pieces
     are summed in the order of collapsing every term, as ``canon`` sums, and
     sums at most ``drop_tol`` times the largest are dropped."""
-    memo = cache.setdefault(q_max, {})
+    memo = _collapse_memo(cache)
     sums: dict = {}
     dropped = []
     for t in ts:
-        pieces = _collapsed(memo, t.key(), q_max)
+        pieces = _collapsed(memo, t.key())
         if pieces is None:
             dropped.append(t)
         else:
@@ -471,19 +477,18 @@ def mayer_init_cloud(zeta: complex, torus: TorusSpec, n_q: int, order: int,
     return CloudActivity(torus, data)
 
 
-def mayer_init_truncated(zeta: complex, torus: TorusSpec, q_max: int = 3,
-                         n_q: int = 1) -> TruncatedActivity:
+def mayer_init_truncated(zeta: complex, torus: TorusSpec) -> TruncatedActivity:
     """Translation-invariant truncated Mayer activity (flow initial data):
     shapes of at most MAYER_MAX_SIZE blocks, the series to MAYER_ORDER."""
     from .lattice import enumerate_shapes
 
     shapes = {}
     for p in enumerate_shapes(MAYER_MAX_SIZE):
-        terms = _mayer_polymer_terms(zeta, p.sorted_blocks(), n_q, MAYER_ORDER)
-        kept, _ = truncate_cloud_terms(terms, q_max, 0.0, {})
+        terms = _mayer_polymer_terms(zeta, p.sorted_blocks(), FLOW_N_Q, MAYER_ORDER)
+        kept, _ = truncate_cloud_terms(terms, 0.0, {})
         if kept:
             shapes[p.shape_key()] = kept
-    return TruncatedActivity(torus, shapes, q_max=q_max)
+    return TruncatedActivity(torus, shapes)
 
 
 # -- potential norms (series bounds) ------------------------------------------------
@@ -544,6 +549,10 @@ def charge_component(K, q: int):
 # -- activity norms -------------------------------------------------------------------
 
 
+NORM_H = 1.0  # analyticity radius h of the activity norm
+NORM_KAPPA = 1e-3  # regulator budget kappa of the activity norm
+
+
 @dataclass(frozen=True)
 class NormParams:
     """Weights of the norm: regulator budget kappa, analyticity h,
@@ -554,9 +563,10 @@ class NormParams:
     gamma: SetRegulatorParams
 
     @staticmethod
-    def default(torus: TorusSpec, h: float = 1.0, kappa: float = 1e-3,
-                p: int = 0) -> "NormParams":
-        return NormParams(h=h, kappa=kappa, gamma=SetRegulatorParams.default(torus, p=p))
+    def default(torus: TorusSpec, p: int) -> "NormParams":
+        """NORM_H and NORM_KAPPA with the Gamma_p shift p."""
+        return NormParams(h=NORM_H, kappa=NORM_KAPPA,
+                          gamma=SetRegulatorParams.default(torus, p=p))
 
     def with_p(self, p: int) -> "NormParams":
         return replace(self, gamma=replace(self.gamma, p=p))

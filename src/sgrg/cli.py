@@ -297,8 +297,6 @@ def cmd_flow(args, mode: str) -> int:
     out = _out_dir(args)
     kwargs = dict(
         mode=mode, beta=args.beta, zeta=args.zeta, L=args.L, steps=args.steps,
-        h=args.h, kappa=args.kappa, q_max=args.q_max, n_q=args.n_q,
-        h_mode=args.h_mode,
     )
     if mode == "ir":
         kwargs["M"] = args.M
@@ -448,7 +446,8 @@ def build_parser():
     p.set_defaults(func=cmd_identities)
 
     for mode in ("ir", "uv"):
-        p = sub.add_parser(f"flow-{mode}", help=f"{mode.upper()} RG flow")
+        # no prefix matching: a retired flag such as --h must not pass for --help
+        p = sub.add_parser(f"flow-{mode}", help=f"{mode.upper()} RG flow", allow_abbrev=False)
         p.add_argument("--config")
         p.add_argument("--beta", type=float, required=True)
         p.add_argument("--zeta", type=float, required=True)
@@ -458,11 +457,6 @@ def build_parser():
         else:
             p.add_argument("--N", type=int, required=True)
         p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--h", type=float, default=1.0)
-        p.add_argument("--h-mode", default="fixed", choices=["fixed", "schedule"])
-        p.add_argument("--kappa", type=float, default=1e-3)
-        p.add_argument("--q-max", type=int, default=3)
-        p.add_argument("--n-q", type=int, default=1)
         p.add_argument("--out")
         p.set_defaults(func=lambda a, m=mode: cmd_flow(a, m))
 

@@ -12,10 +12,11 @@ extracts constants only, and maintains the split K_j = zeta_j V + Ktilde_j
 with the exact linearized multiplier zeta_{j+1} = L^2 e^{-beta C(0)/2}
 zeta_j.
 
-Desk-scale defaults keep a fixed analyticity radius h; the slowly varying
-schedules kappa_j, h_j are available as pure functions and as the
-'schedule' h-mode.  All truncation losses per step (clipped large-set
-norm, dropped term count) are carried in the trajectory diagnostics.
+The norm weights are fixed (``activities.NORM_H``, ``NORM_KAPPA``), as
+are the charge cap ``Q_MAX`` and the one quadrature node per block side
+``FLOW_N_Q``; a flow takes beta, zeta, L and M or N only.  All truncation
+losses per step (clipped large-set norm, dropped term count) are carried
+in the trajectory diagnostics.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .activities import (
+    FLOW_N_Q,
     NormParams,
     activity_norm,
     mayer_init_cloud,
@@ -52,24 +54,6 @@ from .rgmap import (
 SIGMA_CAP = 0.1
 
 
-# -- schedules -----------------------------------------------------------------
-
-
-def kappa_schedule_ir(j: int, kappa0: float) -> float:
-    """kappa_j = kappa_0 sum_{k=0}^{j} 2^{-k} (slowly increasing)."""
-    return kappa0 * (2.0 - 2.0 ** (-j))
-
-
-def h_schedule_ir(j: int, h_inf: float) -> float:
-    """h_j = h_inf (1 + sum_{k>j} 2^{-k}) = h_inf (1 + 2^{-j}) (decreasing)."""
-    return h_inf * (1.0 + 2.0 ** (-j))
-
-
-def h_schedule_uv(j: int, h0: float) -> float:
-    """h_j = h_0 (1 + sum_{k=1}^{|j|} 2^{-k}), j <= 0 (decreasing toward 0)."""
-    return h0 * (2.0 - 2.0 ** (-abs(j)))
-
-
 # -- configuration ----------------------------------------------------------------
 
 
@@ -83,22 +67,12 @@ class FlowConfig:
     N: int = 0  # UV: cutoff exponent
     steps: int = 1
     eps: float = field(init=False)  # 0.1 in IR, 0.2 in UV
-    h: float = 1.0
-    h_mode: str = "fixed"  # or 'schedule'
-    kappa: float = 1e-3
-    q_max: int = 3
-    n_q: int = 1
 
     def __post_init__(self):
         if self.mode not in ("ir", "uv"):
             raise ValueError("mode must be 'ir' or 'uv'")
-        for name in ("steps", "n_q", "q_max"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.kappa > 0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa}")
-        if not self.h >= 0:
-            raise ValueError(f"h must be >= 0, got {self.h}")
+        if self.steps < 1:
+            raise ValueError(f"steps must be >= 1, got {self.steps}")
         self.eps = 0.1 if self.mode == "ir" else 0.2
         self.warnings = []
         if self.mode == "ir":
@@ -139,26 +113,12 @@ class FlowTrajectory:
     diagnostics: list = field(default_factory=list)
 
     def to_rows(self):
-        rows = []
-        for s in self.states:
-            rows.append(
-                {
-                    "j": s.j,
-                    "sigma": s.sigma,
-                    "energy": s.energy,
-                    "dE": s.dE,
-                    "dsigma": s.dsigma,
-                    "zeta_abs": abs(s.zeta_j),
-                    "log_norm": s.log_norm,
-                    "log_norm_tilde": s.log_norm_tilde,
-                    "ratio": s.ratio,
-                    "charged_multiplier": s.charged_multiplier,
-                    "large_multiplier": s.large_multiplier,
-                    "higher_share": s.higher_share,
-                    "clipped_log_norm": s.clipped_log_norm,
-                }
-            )
-        return rows
+        """The fields of each state in order, zeta_j as zeta_abs = |zeta_j|."""
+        return [
+            dict(("zeta_abs", abs(v)) if k == "zeta_j" else (k, v)
+                 for k, v in asdict(s).items())
+            for s in self.states
+        ]
 
     def write_csv(self, path):
         rows = self.to_rows()
@@ -207,39 +167,14 @@ def _flow_gamma_p(config: FlowConfig) -> int:
     return -round(math.log2(A / 2.0))
 
 
-def _norm_params(config: FlowConfig, torus: TorusSpec, j: int) -> NormParams:
-    if config.h_mode == "fixed":
-        h = config.h
-        kappa = config.kappa
-    elif config.mode == "ir":
-        h_inf = 1.0 / math.sqrt(config.kappa)
-        h = h_schedule_ir(j, h_inf)
-        kappa = kappa_schedule_ir(j, config.kappa)
-    else:
-        h0 = 1.0 / math.sqrt(config.kappa)
-        h = h_schedule_uv(j, h0)
-        kappa = config.kappa
-    return NormParams.default(torus, h=h, kappa=kappa, p=_flow_gamma_p(config))
+def _norm_params(config: FlowConfig, torus: TorusSpec) -> NormParams:
+    return NormParams.default(torus, p=_flow_gamma_p(config))
 
 
-def _step_params(config: FlowConfig, torus: TorusSpec, sigma: float, j: int,
+def _step_params(config: FlowConfig, torus: TorusSpec, sigma: float,
                  preset: str, c_star: float) -> RGStepParams:
-    np_ = _norm_params(config, torus, j)
-    if config.h_mode == "fixed":
-        delta_h = 0.25 * config.h
-    else:
-        base = 1.0 / math.sqrt(config.kappa)
-        delta_h = base * 2.0 ** (-(abs(j) + 1))
-    return RGStepParams(
-        c_star=c_star,
-        beta=config.beta,
-        torus=torus,
-        sigma=sigma,
-        preset=preset,
-        norm=np_,
-        delta_h=delta_h,
-        n_q=config.n_q,
-    )
+    return RGStepParams(beta=config.beta, torus=torus, c_star=c_star,
+                        norm=_norm_params(config, torus), sigma=sigma, preset=preset)
 
 
 def _flow_step(K, params: RGStepParams):
@@ -336,31 +271,28 @@ def run_flow(config: FlowConfig) -> FlowTrajectory:
     j0, exponent = mode.start(config)
     torus = TorusSpec(config.L, exponent)
     zetas = mode.zeta_schedule(config) if mode.zeta_schedule else None
-    K = mayer_init_truncated(
-        zetas[0] if zetas else complex(config.zeta).real, torus,
-        q_max=config.q_max, n_q=config.n_q,
-    )
+    K = mayer_init_truncated(zetas[0] if zetas else complex(config.zeta).real, torus)
 
-    def norms(K, torus, j, zeta_j):
+    def norms(K, zeta_j):
         """log ||K|| and, tracking zeta, log ||K - zeta_j V||."""
-        np_j = _norm_params(config, torus, j)
+        np_j = _norm_params(config, K.torus)
         if zetas is None:
             return activity_norm(K, np_j), -math.inf
-        V = v_activity(K.torus, n_q=config.n_q, trans_invariant=True)
+        V = v_activity(K.torus, n_q=FLOW_N_Q, trans_invariant=True)
         return (activity_norm(K, np_j),
                 activity_norm(K.add(V, -zeta_j), np_j))
 
     sigma = 0.0
     energy = 0.0
     zeta_j = zetas[0] if zetas else 0.0
-    log_norm, log_tilde = norms(K, torus, j0, zeta_j)
+    log_norm, log_tilde = norms(K, zeta_j)
     states = [FlowState(j=j0, sigma=sigma, energy=energy, zeta_j=zeta_j,
                         log_norm=log_norm, log_norm_tilde=log_tilde)]
     diagnostics = []
     c_star = _flow_star_norm(config, torus)
     for step in range(config.steps):
         j = j0 + step
-        params = _step_params(config, torus, sigma, j, mode.preset, c_star=c_star)
+        params = _step_params(config, torus, sigma, mode.preset, c_star=c_star)
         K, coeffs, coarse_coeffs, diag = _flow_step(K, params)
         mults = _multipliers(diag)
         dsig = coeffs.dsigma + coarse_coeffs.dsigma
@@ -373,7 +305,7 @@ def run_flow(config: FlowConfig) -> FlowTrajectory:
                 raise RuntimeError(f"sigma left the allowed window: {sigma}")
         torus = coarse
         zeta_j = zetas[step + 1] if zetas else 0.0
-        log_norm, log_tilde = norms(K, torus, j + 1, zeta_j)
+        log_norm, log_tilde = norms(K, zeta_j)
         states.append(FlowState(
             j=j + 1, sigma=sigma, energy=energy, dE=coeffs.dE, dsigma=dsig,
             zeta_j=zeta_j, log_norm=log_norm, log_norm_tilde=log_tilde,
@@ -440,7 +372,7 @@ def z_invariance_check(
     # on side <= 2 every polymer pair touches: F K = mu_C * K per polymer
     k_sharp = CloudActivity(torus, {k: convolve_terms(ts, cov) for k, ts in K0.data.items()})
     coeffs = extraction_coefficients(k_sharp, "ir", beta)
-    F = build_extraction_activity(coeffs, k_sharp, n_q=ORACLE_N_Q)
+    F = build_extraction_activity(coeffs, k_sharp)
     dsig = coeffs.dsigma
     coarse = torus.coarse()
     energy1 = coeffs.dE * torus.volume - 0.5 * trlog_T(coarse, 0.0, dsig)

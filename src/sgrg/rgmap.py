@@ -50,6 +50,8 @@ import numpy as np
 
 from . import terms as tm
 from .activities import (
+    FLOW_N_Q,
+    NORM_H,
     CloudActivity,
     FunctionalActivity,
     NormParams,
@@ -57,6 +59,7 @@ from .activities import (
     activity_norm,
     _CoeffOps,
     _add_collapsed,
+    _collapse_memo,
     _collapsed,
     block_quadrature_nodes,
     truncate_cloud_terms,
@@ -357,7 +360,7 @@ def fluctuate(K: TruncatedActivity, cov: CovAccess, cache: dict,
     term pairs above it are listed once per pair of shapes and reused at
     each of its placements.
     """
-    memo = cache.setdefault(K.q_max, {})
+    memo = _collapse_memo(cache)
     out: dict = {}  # union shape key -> {piece key: coeff}
     dropped = 0
     scale_max = max(
@@ -368,7 +371,7 @@ def fluctuate(K: TruncatedActivity, cov: CovAccess, cache: dict,
         if ts:
             sums = out[key] = {}
             for t in ts:
-                pieces = _collapsed(memo, t.key(), K.q_max)
+                pieces = _collapsed(memo, t.key())
                 if pieces is None:
                     dropped += 1
                 else:
@@ -400,7 +403,7 @@ def fluctuate(K: TruncatedActivity, cov: CovAccess, cache: dict,
                     if sums is None:
                         sums = out[ukey] = {}
                     if key not in moved:
-                        moved[key] = _collapsed(memo, tm._translate_key(key, shift), K.q_max)
+                        moved[key] = _collapsed(memo, tm._translate_key(key, shift))
                     pieces = moved[key]
                     if pieces is None:
                         dropped += 1
@@ -411,7 +414,7 @@ def fluctuate(K: TruncatedActivity, cov: CovAccess, cache: dict,
         kept = tm._canon_sums(sums, DROP_TOL)
         if kept:
             result[key] = kept
-    act = TruncatedActivity(K.torus, result, K.q_max)
+    act = TruncatedActivity(K.torus, result)
     act.__dict__["dropped_terms"] = dropped
     return act
 
@@ -628,8 +631,9 @@ def extraction_coefficients(K, preset: str, beta: float) -> ExtractionCoefficien
     )
 
 
-def build_extraction_activity(coeffs: ExtractionCoefficients, K, n_q: int = 1):
-    """F(X) = sum_{D in X} [alpha0 + quadratic gradient terms] as an activity."""
+def build_extraction_activity(coeffs: ExtractionCoefficients, K):
+    """F(X) = sum_{D in X} [alpha0 + quadratic gradient terms] as an activity,
+    the gradient terms at FLOW_N_Q^2 midpoint nodes per block."""
 
     def key_terms(key, blocks):
         out = []
@@ -638,7 +642,7 @@ def build_extraction_activity(coeffs: ExtractionCoefficients, K, n_q: int = 1):
         if a0 != 0:
             out.append(CloudTerm(a0 * size))
         for b in blocks:
-            nodes = block_quadrature_nodes(b, n_q)
+            nodes = block_quadrature_nodes(b, FLOW_N_Q)
             w = 1.0 / len(nodes)
             for (mu, nu), cq in coeffs.quad.get(key, {}).items():
                 if cq == 0:
@@ -664,7 +668,7 @@ def build_extraction_activity(coeffs: ExtractionCoefficients, K, n_q: int = 1):
             ts = key_terms(key, list(key))
             if ts:
                 shapes[key] = ts
-        return TruncatedActivity(K.torus, shapes, K.q_max)
+        return TruncatedActivity(K.torus, shapes)
     data = {}
     for key in coeffs.alpha0:
         ts = key_terms(key, sorted(key))
@@ -825,10 +829,10 @@ def extract_cloud(K: TruncatedActivity, F: TruncatedActivity,
         add(key, [t.scaled(-1.0) for t in _series_exp_minus_one(ts, EXTRACTION_ORDER)])
     result = {}
     for key, ts in out.items():
-        kept, _ = truncate_cloud_terms(ts, K.q_max, DROP_TOL, cache)
+        kept, _ = truncate_cloud_terms(ts, DROP_TOL, cache)
         if kept:
             result[key] = kept
-    return TruncatedActivity(K.torus, result, K.q_max)
+    return TruncatedActivity(K.torus, result)
 
 
 # ----------------------------------------------------------------------------
@@ -896,14 +900,14 @@ def scale_linear(K: TruncatedActivity, cache: dict) -> TruncatedActivity:
     """
     L = K.torus.L
     offsets = [(ox, oy) for ox in range(L) for oy in range(L)]
-    images = cache.setdefault((K.torus, K.q_max), {})
-    memo = cache.setdefault(K.q_max, {})
+    images = cache.setdefault(K.torus, {})
+    memo = _collapse_memo(cache)
 
     def collapsed(t, coarse):
         """The collapse pieces of t's copy, moved by the {position: coarse} table."""
         moved = (tuple((q, coarse[x]) for q, x in t.charges),
                  tuple((a, coarse[y]) for a, y in t.linfs))
-        return _collapsed(memo, moved, K.q_max) or ()
+        return _collapsed(memo, moved) or ()
 
     acc: dict = {}
     for key, ts in K.shapes.items():
@@ -955,7 +959,7 @@ def scale_linear(K: TruncatedActivity, cache: dict) -> TruncatedActivity:
                 for piece_key, ops in image[o]:
                     sums[piece_key] = sums.get(piece_key, 0.0) + ops.apply(c)
     result = {k: kept for k, sums in acc.items() if (kept := tm._canon_sums(sums))}
-    return TruncatedActivity(K.torus.coarse(), result, K.q_max)
+    return TruncatedActivity(K.torus.coarse(), result)
 
 
 # ----------------------------------------------------------------------------
@@ -987,22 +991,14 @@ def charge_factors(q: int, c_zero: float, n_c: float, h: float, eta: float,
 
 @dataclass
 class RGStepParams:
-    """One-step configuration: measure, extraction preset, norm weights.
-
-    ``norm=None`` means ``NormParams.default(torus)``."""
+    """One-step configuration: measure, extraction preset, norm weights."""
 
     beta: float
     torus: TorusSpec
     c_star: float  # beta-scaled star norm for hypothesis 3, computed once per flow
+    norm: NormParams
     sigma: float = 0.0
     preset: str = "uv"  # 'ir' extracts gradient quadratics as well
-    norm: NormParams | None = None
-    delta_h: float = 0.0
-    n_q: int = 1
-
-    def __post_init__(self):
-        if self.norm is None:
-            self.norm = NormParams.default(self.torus)
 
     def cov(self) -> CovAccess:
         from .covariance import CovarianceKernel
@@ -1012,6 +1008,7 @@ class RGStepParams:
 
 
 K_SMALL_SUPERSETS = 509  # small supersets of a block, checked by hypothesis 4
+CAUCHY_ROOM = NORM_H / 4  # the analyticity room delta h of hypothesis 3
 
 
 @lru_cache(maxsize=None)
@@ -1020,14 +1017,14 @@ def _hypothesis_constants() -> tuple[float, int]:
     return construct_gamma(12.0), count_small_supersets((8, 8), TorusSpec(2, 4))
 
 
-def check_hypotheses(K, params: RGStepParams) -> dict:
-    """Numeric checks of the four step hypotheses; values always reported.
+def check_hypotheses(log_norm_k: float, params: RGStepParams) -> dict:
+    """Numeric checks of the four step hypotheses on an activity of log norm
+    ``log_norm_k``; values always reported.
 
     Each check carries a signed ``margin``, >= 0 exactly when it holds (h1,
     h2 and h3 in log units, h4 in supersets).  A failed check is listed in
     ``failed`` and does not stop the step.
     """
-    log_norm_k = activity_norm(K, params.norm)
     gamma_fac, k_small = _hypothesis_constants()
     checks = {}
     checks["h1_norm_small"] = {
@@ -1044,7 +1041,7 @@ def check_hypotheses(K, params: RGStepParams) -> dict:
         "ok": kappa_val <= 10.0 * SMALLNESS,
     }
     rhs = math.log(8.0 * gamma_fac**2 * params.c_star) + log_norm_k
-    lhs = 2.0 * math.log(max(params.delta_h, 1e-300))
+    lhs = 2.0 * math.log(CAUCHY_ROOM)
     checks["h3_cauchy_room"] = {
         "delta_h_sq_log": lhs,
         "bound_log": rhs,
@@ -1065,7 +1062,7 @@ def extract_step(K: TruncatedActivity, params: RGStepParams, cache: dict):
     removed with e^F - 1 to ``EXTRACTION_ORDER``.  The isotropy check
     reports its measure in the coefficients and does not stop the step."""
     coeffs = extraction_coefficients(K, params.preset, params.beta)
-    F = build_extraction_activity(coeffs, K, n_q=params.n_q)
+    F = build_extraction_activity(coeffs, K)
     return extract_cloud(K, F, cache), coeffs
 
 
@@ -1078,16 +1075,18 @@ def rg_step(K, params: RGStepParams):
     One cache per step holds the scaling images and the collapse memo, so
     each term key is collapsed once per step, whether fluctuation,
     extraction, scaling or the four-term split meets it; F_1 K is computed
-    once, for the fluctuation and the split.
+    once, for the fluctuation and the split, and ||K|| once, for the
+    hypotheses and the split.
     """
     cov = params.cov()
-    diag = {"hypotheses": check_hypotheses(K, params)}
+    log_norm = activity_norm(K, params.norm)
+    diag = {"hypotheses": check_hypotheses(log_norm, params)}
     cache: dict = {}
     k1 = fluctuate_linear(K, cov)
     k_sharp = fluctuate(K, cov, cache, k1)
     k_star, coeffs = extract_step(k_sharp, params, cache)
     k_new = scale_linear(k_star, cache)
-    diag["four_terms"] = four_term_split(K, params, k1, k_new, k_star, cache)
+    diag["four_terms"] = four_term_split(K, log_norm, params, k1, k_new, k_star, cache)
     diag["dropped_terms"] = k_sharp.dropped_terms
     return k_new, coeffs, diag
 
@@ -1103,7 +1102,7 @@ def clip_to_small(K: TruncatedActivity, norm: NormParams):
 def linearized_step(k1: TruncatedActivity, params: RGStepParams, cache: dict):
     """R_1(K, F(K)) = S_1(F_1 K - F(F_1 K)) from k1 = F_1 K."""
     coeffs = extraction_coefficients(k1, params.preset, params.beta)
-    F = build_extraction_activity(coeffs, k1, n_q=params.n_q)
+    F = build_extraction_activity(coeffs, k1)
     return scale_linear(extract_linear(k1, F), cache), coeffs
 
 
@@ -1111,12 +1110,12 @@ def _unit_charge_small(key, t) -> bool:
     return shape_is_small(key) and abs(t.total_charge) == 1
 
 
-def four_term_split(K: TruncatedActivity, params: RGStepParams, k1: TruncatedActivity,
-                    k_new: TruncatedActivity, k_star: TruncatedActivity,
-                    cache: dict) -> dict:
+def four_term_split(K: TruncatedActivity, log_norm_k: float, params: RGStepParams,
+                    k1: TruncatedActivity, k_new: TruncatedActivity,
+                    k_star: TruncatedActivity, cache: dict) -> dict:
     """Norms of the mechanisms the flow reads: higher order, large sets and
     unit-charge small sets (each linearized except the first), from
-    k1 = F_1 K = ``fluctuate_linear(K, cov)``.
+    k1 = F_1 K = ``fluctuate_linear(K, cov)`` and log ||K|| = ``log_norm_k``.
 
     The large-set column is measured where large sets live: on the
     extracted post-fluctuation state k_star (tree terms populate it)."""
@@ -1139,7 +1138,7 @@ def four_term_split(K: TruncatedActivity, params: RGStepParams, k1: TruncatedAct
     }
     r1_full, _ = linearized_step(k1, params, cache)
     out["higher_order"] = {
-        "in": activity_norm(K, params.norm),
+        "in": log_norm_k,
         "out": activity_norm(k_new.add(r1_full, -1.0), params.norm),
     }
     return out

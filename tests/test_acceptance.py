@@ -362,7 +362,7 @@ class TestAcceptance:
             assert ok
         # (b) charge-sector norms never exceed the full norm
         t = TorusSpec(2, 2)
-        params = NormParams.default(t, h=1.0)
+        params = NormParams.default(t, p=0)
         for _ in range(1000):
             terms = []
             for _ in range(rng.randrange(1, 5)):

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -270,7 +271,7 @@ class TestChargeDecomposition:
 class TestNorms:
     def test_zero_activity(self):
         t = TorusSpec(2, 2)
-        res = activity_norm(CloudActivity(t, {}), NormParams.default(t))
+        res = activity_norm(CloudActivity(t, {}), NormParams.default(t, p=0))
         assert res == -math.inf
 
     def test_potential_norm_value(self):
@@ -279,14 +280,14 @@ class TestNorms:
         zeta = 1e-3
         V = v_activity(t, n_q=1, trans_invariant=True)
         K = V.scale(zeta)
-        params = NormParams.default(t, h=1.5)
+        params = replace(NormParams.default(t, p=0), h=1.5)
         res = activity_norm(K, params)
         assert math.exp(res) == pytest.approx(32.0 * zeta * math.exp(1.5), rel=1e-12)
 
     def test_charge_sector_norm_dominated(self):
         t = TorusSpec(2, 2)
         rng = np.random.default_rng(4)
-        params = NormParams.default(t, h=0.8)
+        params = replace(NormParams.default(t, p=0), h=0.8)
         for _ in range(30):
             terms = []
             for _ in range(rng.integers(1, 6)):
@@ -375,8 +376,9 @@ class TestCollapse:
                 for shift in shifts:
                     moved = scale_term(translate_term(t, shift), L)
                     for q_max, max_linfs in ((3, 2), (1, 0), (2, 1)):
+                        monkeypatch.setattr(activities, "Q_MAX", q_max)
                         monkeypatch.setattr(activities, "MAX_LINFS", max_linfs)
-                        got = collapse_term(moved, q_max)
+                        got = collapse_term(moved)
                         want = reference_collapse_term(moved, q_max, max_linfs)
                         assert repr(got) == repr(want)
 
@@ -390,11 +392,12 @@ class TestCollapse:
         keys = {t.key() for ts in cache_test_shapes(TorusSpec(3, 2)).values() for t in ts}
         assert any(k[0] and sum(q for q, _ in k[0]) == 0 for k in keys)  # neutral clouds
         for q_max, max_linfs in ((3, 2), (1, 0)):
+            monkeypatch.setattr(activities, "Q_MAX", q_max)
             monkeypatch.setattr(activities, "MAX_LINFS", max_linfs)
             memo = {}
             for key in sorted(keys):
-                pieces = activities._collapsed(memo, key, q_max)
-                want = collapse_term(_raw_term(coeff, *key), q_max)
+                pieces = activities._collapsed(memo, key)
+                want = collapse_term(_raw_term(coeff, *key))
                 got = None if pieces is None else [
                     _raw_term(ops.apply(coeff), *k) for k, ops in pieces
                 ]
@@ -406,11 +409,9 @@ class TestCollapse:
         grad = (((1, 0), (0.0, 0.0)), ((0, 1), (0.0, 0.0)), ((1, 0), (1.0, 0.0)))
         neutral = CloudTerm(0.5, ((1, (0.0, 0.0)), (-1, (0.25, 0.0))), grad)
         charged = CloudTerm(0.25, ((2, (0.0, 0.0)), (2, (1.0, 0.0))))
-        kept, dropped = truncate_cloud_terms([neutral, charged], 3, 0.0, {})
+        kept, dropped = truncate_cloud_terms([neutral, charged], 0.0, {})
         assert kept == [] and dropped == [charged]
-        assert repr((kept, dropped)) == repr(
-            reference_truncate_cloud_terms([neutral, charged], 3)
-        )
+        assert repr((kept, dropped)) == repr(reference_truncate_cloud_terms([neutral, charged]))
         memo = {}
-        assert activities._collapsed(memo, neutral.key(), 3) == []
-        assert activities._collapsed(memo, charged.key(), 3) is None
+        assert activities._collapsed(memo, neutral.key()) == []
+        assert activities._collapsed(memo, charged.key()) is None

@@ -6,12 +6,20 @@ from pathlib import Path
 
 import pytest
 
-from sgrg.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, main, parse_torus
+from sgrg.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main, parse_torus
 from sgrg.flow import z_derivative_check, z_invariance_check
 
 
 def run_cli(args):
     return main(args)
+
+
+def exit_code(args):
+    """The code main returns, or the one argparse exits with."""
+    try:
+        return main(args)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestParsing:
@@ -38,6 +46,14 @@ class TestParsing:
         code = run_cli(["covariance", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == EXIT_USAGE
         assert "bogus_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode, size", [("ir", "--M"), ("uv", "--N")], ids=["ir", "uv"])
+    def test_flow_options_are_pinned(self, mode, size):
+        # a new flow flag shows up in this set, as a new knob does in KNOBS_MAX
+        flow = build_parser()._subparsers_action.choices[f"flow-{mode}"]
+        options = {o for a in flow._actions for o in a.option_strings}
+        assert options == {"-h", "--help", "--config", "--beta", "--zeta", "--L", size,
+                           "--steps", "--out"}
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -157,46 +173,36 @@ class TestFlows:
         assert "contraction" in capsys.readouterr().err
 
 
-class TestScheduleMode:
-    @pytest.mark.parametrize("args", [
-        ["flow-ir", "--beta", "37.699", "--L", "2", "--M", "2", "--steps", "1",
-         "--zeta", "1e-3"],
-        ["flow-uv", "--beta", "12.566", "--L", "2", "--N", "1", "--steps", "1",
-         "--zeta", "0.01"],
-    ], ids=["ir", "uv"])
-    def test_schedule_mode_runs(self, tmp_path, args):
-        """The 'schedule' h-mode runs end to end with finite rows.  Its h_j
-        start near 1/sqrt(kappa), about 32 at the default kappa = 1e-3, so
-        the norms are huge: h1 fails by -176 (IR) and -131 (UV) in log
-        units on these inputs, and the step goes on under the override."""
-        assert run_cli([*args, "--h-mode", "schedule", "--out", str(tmp_path)]) == EXIT_OK
-        (path,) = tmp_path.glob("flow_*_trajectory.json")
-        rows = json.loads(path.read_text())["rows"]
-        assert len(rows) == 2
-        for row in rows:
-            assert all(math.isfinite(row[k]) for k in ("sigma", "energy", "dE", "dsigma", "log_norm"))
-        assert all(math.isfinite(rows[1][k]) for k in (
-            "ratio", "charged_multiplier", "large_multiplier", "higher_share"))
-
-
 class TestBadInputs:
     UV = ["flow-uv", "--beta", "12.566", "--L", "2", "--N", "1", "--zeta", "0.01"]
     IR = ["flow-ir", "--beta", "37.699", "--L", "2", "--zeta", "1e-3"]
 
-    @pytest.mark.parametrize("args, field", [
-        (UV + ["--n-q", "0"], "n_q"),
-        (UV + ["--h-mode", "schedule", "--kappa", "0"], "kappa"),
-        (UV + ["--q-max", "-1"], "q_max"),
-        (UV + ["--h", "-1"], "h"),
-        (UV + ["--steps", "0"], "steps"),
-        (IR + ["--M", "0"], "steps"),
-        (["covariance", "--kind", "cutoff", "--sigma", "0.05"], "sigma"),
-    ], ids=["n_q", "kappa", "q_max", "h", "steps", "M", "cutoff_sigma"])
-    def test_bad_flow_input_fails_before_any_work(self, tmp_path, capsys, args, field):
-        assert run_cli([*args, "--out", str(tmp_path)]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "invalid configuration" in err and f"{field} must be" in err
+    # the norm weights, charge cap and quadrature are fixed: their old
+    # flags are unknown, and --h does not pass for a prefix of --help
+    @pytest.mark.parametrize("args, message", [
+        (UV + ["--n-q", "1"], "unrecognized arguments: --n-q 1"),
+        (UV + ["--kappa", "1e-3"], "unrecognized arguments: --kappa 1e-3"),
+        (UV + ["--q-max", "3"], "unrecognized arguments: --q-max 3"),
+        (UV + ["--h", "1.0"], "unrecognized arguments: --h 1.0"),
+        (IR + ["--M", "2", "--h-mode", "fixed"], "unrecognized arguments: --h-mode fixed"),
+        (UV + ["--steps", "0"], "invalid configuration: steps must be"),
+        (IR + ["--M", "0"], "invalid configuration: steps must be"),
+        (["covariance", "--kind", "cutoff", "--sigma", "0.05"],
+         "invalid configuration: sigma must be"),
+    ], ids=["n_q", "kappa", "q_max", "h", "h_mode", "steps", "M", "cutoff_sigma"])
+    def test_bad_flow_input_fails_before_any_work(self, tmp_path, capsys, args, message):
+        assert exit_code([*args, "--out", str(tmp_path)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_removed_config_key_fails_before_any_work(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kappa": 0.001}))
+        out = tmp_path / "out"
+        code = run_cli([*self.UV, "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "unknown config keys: kappa" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_oracle_needs_two_samples(self, tmp_path, capsys):
         code = run_cli(["oracle", "--samples", "1", "--seed", "3", "--out", str(tmp_path)])

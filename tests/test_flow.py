@@ -10,9 +10,6 @@ from sgrg.flow import (
     FlowConfig,
     FlowTrajectory,
     contraction_report,
-    h_schedule_ir,
-    h_schedule_uv,
-    kappa_schedule_ir,
     run_flow,
     uv_multiplier,
     uv_zeta_schedule,
@@ -21,35 +18,6 @@ from sgrg.flow import (
 )
 from sgrg.lattice import TorusSpec
 from test_rgmap import step_c_star
-
-
-class TestSchedules:
-    def test_kappa_partial_sums(self):
-        k0 = 1e-3
-        for j in range(6):
-            expect = k0 * sum(2.0**-k for k in range(j + 1))
-            assert kappa_schedule_ir(j, k0) == pytest.approx(expect, rel=1e-12)
-
-    def test_h_ir_partial_sums(self):
-        h_inf = 5.0
-        for j in range(6):
-            expect = h_inf * (1.0 + sum(2.0**-k for k in range(j + 1, 60)))
-            assert h_schedule_ir(j, h_inf) == pytest.approx(expect, rel=1e-9)
-        assert h_schedule_ir(0, h_inf) > h_schedule_ir(3, h_inf) > h_inf
-
-    def test_h_uv_partial_sums(self):
-        h0 = 3.0
-        for j in range(-6, 1):
-            expect = h0 * (1.0 + sum(2.0**-k for k in range(1, abs(j) + 1)))
-            assert h_schedule_uv(j, h0) == pytest.approx(expect, rel=1e-12)
-        assert h_schedule_uv(-6, h0) > h_schedule_uv(-1, h0) > h_schedule_uv(0, h0) - 1e-12
-
-    def test_kappa_h_product_invariant(self):
-        # kappa_j^{1/2} h_{j'} >= kappa_0^{1/2} h_inf = 1 with h_inf = kappa_0^{-1/2}
-        k0 = 4e-4
-        h_inf = k0**-0.5
-        for j in range(5):
-            assert math.sqrt(kappa_schedule_ir(j, k0)) * h_schedule_ir(j, h_inf) >= 1.0
 
 
 class TestZetaSchedule:
@@ -208,8 +176,8 @@ class TestUVSplitConsistency:
         cfg = FlowConfig(mode="uv", beta=4 * math.pi, zeta=1e-2, L=2, N=3, steps=1)
         zetas = uv_zeta_schedule(cfg)
         t0 = TorusSpec(2, 3)
-        K = mayer_init_truncated(zetas[0], t0, q_max=3, n_q=1)
-        params = _step_params(cfg, t0, 0.0, -3, "uv", c_star=step_c_star(cfg.beta, t0))
+        K = mayer_init_truncated(zetas[0], t0)
+        params = _step_params(cfg, t0, 0.0, "uv", c_star=step_c_star(cfg.beta, t0))
         K1, _, _, _ = _flow_step(K, params)
         key = tuple([(0, 0)])
         k1 = charge_component(K1, 1)

@@ -15,7 +15,6 @@ from sgrg.activities import (
     collapse_term,
     mayer_init_truncated,
     polymer_exp,
-    truncate_cloud_terms,
     v_activity,
     whole_torus,
 )
@@ -29,6 +28,7 @@ from sgrg.rgmap import (
     extract_cloud,
     extract_functional,
     extract_linear,
+    extract_step,
     extraction_coefficients,
     fluctuate,
     fluctuate_cloud,
@@ -220,11 +220,11 @@ class TestScalingIdentity:
         assert not SK.data
 
 
-def reference_truncate_cloud_terms(ts, q_max, drop_tol=0.0):
+def reference_truncate_cloud_terms(ts, drop_tol=0.0):
     """Truncation collapsing every term afresh."""
     kept, dropped = [], []
     for t in ts:
-        c = collapse_term(t, q_max)
+        c = collapse_term(t)
         if c is None:
             dropped.append(t)
         elif isinstance(c, list):
@@ -257,7 +257,7 @@ def reference_scale_trunc(K):
                     out.setdefault(cl.shape_key(), []).extend(mapped)
     result = {}
     for key, ts in out.items():
-        kept, _ = reference_truncate_cloud_terms(ts, K.q_max)
+        kept, _ = reference_truncate_cloud_terms(ts)
         if kept:
             result[key] = kept
     return result
@@ -301,7 +301,7 @@ def tiny_ir_step():
     K = truncated_mayer(1e-2, t)
     params = RGStepParams(
         beta=12 * math.pi, torus=t, c_star=step_c_star(12 * math.pi, t), preset="ir",
-        norm=NormParams.default(t, h=1.0),
+        norm=NormParams.default(t, p=0),
     )
     return K, params
 
@@ -327,9 +327,9 @@ class TestScalingCache:
         K = TruncatedActivity(torus, cache_test_shapes(torus))
         lookups = []
 
-        def counted(memo, key, q_max):
+        def counted(memo, key):
             lookups.append(key)
-            return activities._collapsed(memo, key, q_max)
+            return activities._collapsed(memo, key)
 
         monkeypatch.setattr(rgmap, "_collapsed", counted)
         scale_linear(K, {})
@@ -377,20 +377,21 @@ class TestScalingCache:
             )
 
     def test_cache_shared_across_truncations(self):
-        # one collapse memo per q_max: a memo keyed without it would hand
-        # one model's collapses to another
-        t = TorusSpec(2, 2)
-        shapes = cache_test_shapes(t)
+        # one collapse memo serves the truncations of fluctuation, extraction
+        # and scaling in turn, each as exact as on a cache of its own
+        K, params = tiny_ir_step()
+        cov = params.cov()
+        k1 = fluctuate_linear(K, cov)
         cache = {}
-        for q_max in (3, 1, 3):
-            K = TruncatedActivity(t, shapes, q_max=q_max)
-            assert as_exact(scale_linear(K, cache).shapes) == as_exact(
-                reference_scale_trunc(K)
-            )
-            for ts in shapes.values():
-                got = truncate_cloud_terms(ts, q_max, 0.0, cache)
-                want = reference_truncate_cloud_terms(ts, q_max)
-                assert repr(got) == repr(want)
+        k_sharp = fluctuate(K, cov, cache, k1)
+        assert as_exact(k_sharp.shapes) == as_exact(fluctuate(K, cov, {}, k1).shapes)
+        k_star, _ = extract_step(k_sharp, params, cache)
+        assert as_exact(k_star.shapes) == as_exact(extract_step(k_sharp, params, {})[0].shapes)
+        assert as_exact(scale_linear(k_star, cache).shapes) == as_exact(
+            scale_linear(k_star, {}).shapes
+        )
+        # the memo, and the scaling images keyed by torus alone
+        assert list(cache) == ["collapse", K.torus]
 
     def test_four_term_split_columns(self):
         K, params = tiny_ir_step()
@@ -406,12 +407,12 @@ class TestScalingCache:
         K, params = tiny_ir_step()
         calls, depth = [], [0]
 
-        def counted(term, q_max, **kw):
+        def counted(term, **kw):
             if depth[0] == 0:
-                calls.append((q_max, term.key()))
+                calls.append(term.key())
             depth[0] += 1
             try:
-                return collapse_term(term, q_max, **kw)
+                return collapse_term(term, **kw)
             finally:
                 depth[0] -= 1
 
@@ -511,7 +512,7 @@ def reference_fluctuate_truncated(K, cov, pair_window, drop_tol):
                         )
     result, dropped_terms = {}, 0
     for key, ts in out.items():
-        kept, dropped = reference_truncate_cloud_terms(ts, K.q_max, drop_tol)
+        kept, dropped = reference_truncate_cloud_terms(ts, drop_tol)
         if kept:
             result[key] = kept
         dropped_terms += len(dropped)
@@ -537,7 +538,7 @@ def replay_test_activity(t, shared_key=False):
     ]
     if shared_key:
         shapes[key] = shapes[key] + [CloudTerm(0.005 + 0.002j, *shapes[((0, 0),)][-1].key())]
-    return TruncatedActivity(t, shapes, K.q_max)
+    return TruncatedActivity(t, shapes)
 
 
 def as_repr(shapes):
@@ -731,7 +732,7 @@ class TestExtractionCoefficients:
             shapes[p.shape_key()] = ts
         K = TruncatedActivity(t, shapes)
         coeffs = extraction_coefficients(K, "ir", beta=3.0)
-        F = build_extraction_activity(coeffs, K, n_q=2)
+        F = build_extraction_activity(coeffs, K)
         resid = extract_linear(charge_component(K, 0), F)
         from sgrg.rgmap import _centroid
 
@@ -762,8 +763,8 @@ class TestNeutralScalingDimension:
                 terms = [CloudTerm(1.0, (), ((alpha, (0.0, 0.0)), (alpha, (0.0, 0.0))))]
                 K = TruncatedActivity(t, {key: terms})
                 SK = scale_linear(K, {})
-                num = activity_norm(SK, NormParams.default(t.coarse(), h=1.0))
-                den = activity_norm(K, NormParams.default(t, h=1.0))
+                num = activity_norm(SK, NormParams.default(t.coarse(), p=0))
+                den = activity_norm(K, NormParams.default(t, p=0))
                 ratios[(L, dim)] = math.exp(num - den)
         for L in (2, 4):
             assert ratios[(L, 2)] == pytest.approx(1.0, rel=1e-9)
@@ -796,7 +797,8 @@ class TestChargeFactors:
 class TestRGStep:
     def test_zero_activity(self):
         t = TorusSpec(2, 2)
-        params = RGStepParams(beta=4 * math.pi, torus=t, c_star=step_c_star(4 * math.pi, t))
+        params = RGStepParams(beta=4 * math.pi, torus=t, c_star=step_c_star(4 * math.pi, t),
+                              norm=NormParams.default(t, p=0))
         K = TruncatedActivity(t, {})
         k_new, coeffs, diag = rg_step(K, params)
         assert not k_new.shapes
@@ -811,7 +813,7 @@ class TestRGStep:
         kern = CovarianceKernel("slice", sigma=0.0, torus=t)
         cov = CovAccess(kern, scale=4 * math.pi)
         out = scale_linear(fluctuate_linear(K, cov), {})
-        params = NormParams.default(t, h=1.0)
+        params = NormParams.default(t, p=0)
         num = activity_norm(out, params)
         den = activity_norm(K, params)
         ratio = math.exp(num - den)
@@ -826,7 +828,7 @@ class TestRGStep:
         K = mayer_init_truncated(zeta, t)
         params = RGStepParams(
             beta=4 * math.pi, torus=t, c_star=step_c_star(4 * math.pi, t), preset="uv",
-            norm=NormParams.default(t, h=1.0),
+            norm=NormParams.default(t, p=0),
         )
         k_new, coeffs, diag = rg_step(K, params)
         assert k_new.torus.side == 4
@@ -844,7 +846,7 @@ class TestRGStep:
         K = truncated_mayer(5e-3, t, order=3, max_size=1)
         params = RGStepParams(
             beta=4 * math.pi, torus=t, c_star=step_c_star(4 * math.pi, t), preset="uv",
-            norm=NormParams.default(t, h=1.0),
+            norm=NormParams.default(t, p=0),
         )
         out = contour_higher_order(K, params, radius=32.0, nodes=6)
         # contour and direct higher-order parts agree well below their size
@@ -882,12 +884,12 @@ class TestChargedSectorBound:
         from sgrg.covariance import translation_loss
 
         n_c = beta * translation_loss(kern, r=2)
-        params = NormParams.default(t, h=1.0)
+        params = NormParams.default(t, p=0)
         for q in (1, 2, 3):
             key = tuple([(0, 0)])
             kq = TruncatedActivity(t, {key: [CloudTerm(1e-3, ((q, (0.0, 0.0)),))]})
             out = scale_linear(fluctuate_linear(kq, cov), {})
-            num = activity_norm(out, NormParams.default(t.coarse(), h=1.0))
+            num = activity_norm(out, NormParams.default(t.coarse(), p=0))
             den = activity_norm(kq, params)
             measured = math.exp(num - den)
             bound = charge_factors(q, c0, n_c, h=1.0, eta=0.0, L=t.L)["combined"]

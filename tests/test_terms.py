@@ -98,7 +98,7 @@ def oracle_setup():
     cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=torus), scale=beta)
     k_sharp = CloudActivity(torus, {k: convolve_terms(ts, cov) for k, ts in K0.data.items()})
     coeffs = extraction_coefficients(k_sharp, "ir", beta)
-    F = build_extraction_activity(coeffs, k_sharp, n_q=1)
+    F = build_extraction_activity(coeffs, k_sharp)
     fine = gaussian_ensemble(CovarianceKernel("full", sigma=0.0, torus=torus),
                              torus, 8, seed=3, scale=beta).sample(5)
     coarse = torus.coarse()
