@@ -3,9 +3,10 @@ charge decomposition and the activity norm of cloud and truncated activities.
 
 Three representations:
 
-  * ``FunctionalActivity``  opaque evaluator (X, phi) -> complex with an
-                            explicit finite support list; the exact Mayer
-                            activity and the extraction identity use it;
+  * ``FunctionalActivity``  opaque evaluator (polymers, phi) -> one complex
+                            per polymer, with an explicit finite support
+                            list; the exact Mayer activity and the
+                            extraction identity use it;
   * ``CloudActivity``       per-polymer lists of charge-cloud terms; the
                             Gaussian algebra acts on it in closed form;
   * ``TruncatedActivity``   translation-invariant per-shape term lists with
@@ -59,17 +60,20 @@ class SupportCapError(RuntimeError):
 
 @dataclass
 class FunctionalActivity:
-    """Opaque evaluator with finite support; value reads the field only on X."""
+    """Opaque evaluator with finite support; K(X) reads the field only on X."""
 
     torus: TorusSpec
-    fn: object  # callable (Polymer, field) -> complex
+    fn: object  # callable (polymers, field) -> [complex per polymer]
     support_list: list
 
     def support(self):
         return self.support_list
 
+    def values(self, polymers, fld) -> list:
+        return self.fn(polymers, fld)
+
     def value(self, p: Polymer, fld) -> complex:
-        return self.fn(p, fld)
+        return self.values([p], fld)[0]
 
 
 class TermActivity:
@@ -114,7 +118,7 @@ class CloudActivity(TermActivity):
 
     torus: TorusSpec
     data: dict
-    # polymer key -> (the term list, its TermTable)
+    # polymer keys -> (their term lists, one TermTable of them all)
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     STORE = "data"
@@ -125,12 +129,18 @@ class CloudActivity(TermActivity):
     def terms(self, p: Polymer):
         return self.data.get(p.blocks, [])
 
+    def values(self, polymers, fld) -> list:
+        """K(X, phi) for each polymer X, from one table per tuple of polymers;
+        a table is rebuilt when one of its term lists has been replaced."""
+        keys = tuple(p.blocks for p in polymers)
+        lists = [self.data.get(k, ()) for k in keys]
+        hit = self._tables.get(keys)
+        if hit is None or any(a is not b for a, b in zip(hit[0], lists)):
+            hit = self._tables[keys] = (lists, TermTable(lists))
+        return hit[1].values(fld)
+
     def value(self, p: Polymer, fld) -> complex:
-        ts = self.terms(p)
-        hit = self._tables.get(p.blocks)
-        if hit is None or hit[0] is not ts:
-            hit = self._tables[p.blocks] = (ts, TermTable(ts))
-        return hit[1].value(fld)
+        return self.values([p], fld)[0]
 
 
 @dataclass
@@ -321,21 +331,16 @@ def truncate_cloud_terms(ts, drop_tol: float, cache: dict):
 
 def polymer_exp(K, region: Polymer, fld) -> complex:
     """Exp(box + K)(region, phi): sum over non-touching collections in region."""
-    vals = {}
-    for p in K.support():
-        if p.blocks <= region.blocks:
-            v = K.value(p, fld)
-            if v != 0.0:
-                vals[p.blocks] = v
+    inside = [p for p in K.support() if p.blocks <= region.blocks]
+    vals = {p.blocks: v for p, v in zip(inside, K.values(inside, fld)) if v != 0.0}
     return _collection_sum(vals, region, K.torus)
 
 
 def _collection_sum(vals: dict, region: Polymer, torus: TorusSpec) -> complex:
     by_block: dict = {}
-    halos, distinct = {}, {}  # one halo object per distinct halo keeps memory flat
+    halos = {}
     for blocks in vals:
-        h = halo(Polymer(blocks), torus)
-        halos[blocks] = distinct.setdefault(h, h)
+        halos[blocks] = halo(Polymer(blocks), torus)
         for b in blocks:
             by_block.setdefault(b, []).append(blocks)
     order = {b: i for i, b in enumerate(sorted(region.blocks))}
@@ -395,11 +400,12 @@ def block_quadrature_nodes(block, n_q: int):
     return out
 
 
-def potential_v(block, fld) -> float:
-    """V(D, phi) = int_D cos(phi) by the midpoint rule (POTENTIAL_N_Q^2 nodes)."""
-    nodes = block_quadrature_nodes(block, POTENTIAL_N_Q)
-    vals = fld.at(nodes)
-    return float(np.mean(np.cos(vals)))
+def potentials(blocks, fld) -> list[float]:
+    """V(D, phi) = int_D cos(phi) by the midpoint rule (POTENTIAL_N_Q^2 nodes)
+    for each block D, from one field lookup of all their nodes."""
+    nodes = [x for b in blocks for x in block_quadrature_nodes(b, POTENTIAL_N_Q)]
+    cos = np.cos(fld.at(nodes)).reshape(-1, POTENTIAL_N_Q**2)
+    return [float(np.mean(row)) for row in cos]
 
 
 def v_cloud_terms(block, n_q: int = 2) -> list[CloudTerm]:
@@ -427,10 +433,15 @@ def mayer_init_functional(zeta: complex, torus: TorusSpec) -> FunctionalActivity
     """K0(X, phi) = prod_{D in X} (e^{zeta V(D, phi)} - 1) on connected X (exact)."""
     support = all_connected_subsets(torus)
 
-    def fn(p: Polymer, fld) -> complex:
-        out = 1.0
-        for b in p.sorted_blocks():
-            out *= cmath.exp(zeta * potential_v(b, fld)) - 1.0
+    def fn(polymers, fld) -> list:
+        blocks = sorted(frozenset().union(*(p.blocks for p in polymers)))
+        factor = {b: cmath.exp(zeta * v) - 1.0 for b, v in zip(blocks, potentials(blocks, fld))}
+        out = []
+        for p in polymers:
+            prod = 1.0
+            for b in p.sorted_blocks():
+                prod *= factor[b]
+            out.append(prod)
         return out
 
     return FunctionalActivity(torus, fn, support)

@@ -140,7 +140,7 @@ def cmd_covariance(args) -> int:
 def _identity_suites(torus_text: str, seed: int):
     """Run the identity suites; yields (name, residual, tolerance)."""
     from .activities import (
-        mayer_init_functional, polymer_exp, potential_v, v_activity,
+        mayer_init_functional, polymer_exp, potentials, v_activity,
         verify_resummation, verify_shift_law, whole_torus, charge_component,
     )
     from .covariance import CovarianceKernel
@@ -180,7 +180,7 @@ def _identity_suites(torus_text: str, seed: int):
     worst = 0.0
     for _ in range(20):
         fld = random_band_limited(t_small, 8, rng, amplitude=0.8, k_max=2)
-        lhs = cmath.exp(zeta * sum(potential_v(b, fld) for b in lam.sorted_blocks()))
+        lhs = cmath.exp(zeta * sum(potentials(lam.sorted_blocks(), fld)))
         rhs = polymer_exp(K0, lam, fld)
         worst = max(worst, abs(lhs - rhs) / abs(lhs))
     yield ("mayer-polymer-exp", worst, 1e-10)
@@ -348,6 +348,10 @@ def cmd_oracle(args) -> int:
         beta=args.beta, zeta=args.zeta, L=args.L, M=args.M,
         n_samples=args.samples, seed=args.seed, n_g=args.n_g,
     )
+    n0, n1 = inv["z0"].n_samples, inv["z1"].n_samples
+    if min(n0, n1) < args.samples:
+        print(f"note: the invariance check caps --samples {args.samples}: Z(j) used {n0} "
+              f"and Z(j+1) {n1} samples; dZ/dzeta uses all {args.samples}", file=sys.stderr)
     der = z_derivative_check(
         beta=args.beta, L=args.L, M=args.M, n_samples=args.samples,
         seed=args.seed + 1, n_g=args.n_g,
@@ -466,7 +470,10 @@ def build_parser():
     p.add_argument("--zeta", type=float, default=0.05)
     p.add_argument("--L", type=int, default=2)
     p.add_argument("--M", type=int, default=1)
-    p.add_argument("--samples", type=int, default=20000)
+    p.add_argument("--samples", type=int, default=20000,
+                   help="field samples; dZ/dzeta uses all of them, the invariance check at "
+                        "most 2000 for Z(j) and 400 for Z(j+1) (flow.Z0_SAMPLE_CAP, "
+                        "flow.Z1_SAMPLE_CAP)")
     p.add_argument("--n-g", type=int, default=8)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")

@@ -35,7 +35,7 @@ from .activities import (
     mayer_init_cloud,
     mayer_init_truncated,
     polymer_exp,
-    potential_v,
+    potentials,
     v_activity,
     whole_torus,
 )
@@ -337,6 +337,8 @@ class OracleResult:
 
 ORACLE_N_Q = 1  # quadrature nodes per block side of the oracle's potential
 ORACLE_ORDER = 6  # series order per block of the oracle's Mayer activity
+Z0_SAMPLE_CAP = 2000  # most field samples z_invariance_check draws for Z(j)
+Z1_SAMPLE_CAP = 400  # most field samples z_invariance_check draws for Z(j+1)
 
 
 def z_invariance_check(
@@ -356,7 +358,9 @@ def z_invariance_check(
     the j+1 representation is assembled without any series truncation.
     With the e^{-p^4} cutoff the side-2 torus carries no sub-cutoff modes
     (covariance ~ 1e-43), making the MC essentially deterministic; the
-    pull is reported against a standard-error floor.
+    pull is reported against a standard-error floor.  Z(j) uses at most
+    ``Z0_SAMPLE_CAP`` samples and Z(j+1) at most ``Z1_SAMPLE_CAP``; the
+    counts used are returned with the estimates.
     """
     if n_samples < 2:
         raise ValueError(f"a standard error needs n_samples >= 2, got {n_samples}")
@@ -391,8 +395,8 @@ def z_invariance_check(
         from .fields import scale_field
 
         psi = scale_field(fld_coarse, torus.L)
-        ksh = {p.blocks: k_sharp.value(p, psi) for p in supp}
-        f_val = {p.blocks: F.value(p, psi) for p in f_supp}
+        ksh = {p.blocks: v for p, v in zip(supp, k_sharp.values(supp, psi))}
+        f_val = {p.blocks: v for p, v in zip(f_supp, F.values(f_supp, psi))}
         # (e^F - 1)^+ via subset DP over F polymers (all pairs touch here)
         plus: dict = {frozenset(): 1.0}
         for p in f_supp:
@@ -423,11 +427,11 @@ def z_invariance_check(
 
     kern_full = CovarianceKernel("full", sigma=0.0, torus=torus)
     ens = gaussian_ensemble(kern_full, torus, n_g, seed=seed, scale=beta)
-    vals0 = np.array([rep_j_value(f) for f in ens.sample(min(n_samples, 2000))])
+    vals0 = np.array([rep_j_value(f) for f in ens.sample(min(n_samples, Z0_SAMPLE_CAP))])
     z0_mean, z0_se = float(np.mean(vals0)), float(np.std(vals0, ddof=1) / math.sqrt(len(vals0)))
     kern_c = CovarianceKernel("full", sigma=dsig, torus=coarse)
     ens_c = gaussian_ensemble(kern_c, coarse, n_g, seed=seed + 1, scale=beta)
-    vals1 = np.array([rep_j1_value(f) for f in ens_c.sample(min(n_samples, 400))])
+    vals1 = np.array([rep_j1_value(f) for f in ens_c.sample(min(n_samples, Z1_SAMPLE_CAP))])
     z1_mean = float(np.mean(vals1)) * math.exp(energy1)
     z1_se = float(np.std(vals1, ddof=1) / math.sqrt(len(vals1))) * math.exp(energy1)
     floor = 1e-6 * abs(z0_mean)
@@ -454,10 +458,10 @@ def z_derivative_check(
     kern = CovarianceKernel("full", sigma=0.0, torus=torus)
     expect = torus.volume * math.exp(-beta * kern.at_zero() / 2.0)
     ens = gaussian_ensemble(kern, torus, n_g, seed=seed, scale=beta)
-    lam = whole_torus(torus)
+    blocks = whole_torus(torus).sorted_blocks()
     vals = np.empty(n_samples)
     for i, fld in enumerate(ens.sample(n_samples)):
-        vals[i] = sum(potential_v(b, fld) for b in lam.sorted_blocks())
+        vals[i] = sum(potentials(blocks, fld))
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
     # fluctuation-free tori give se = 0 exactly; fall back to a relative floor

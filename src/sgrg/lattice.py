@@ -148,8 +148,10 @@ def region_intersects(p1: Polymer, p2: Polymer, torus: TorusSpec) -> bool:
     return not region_disjoint(p1, p2, torus)
 
 
+@lru_cache(maxsize=None)
 def halo(p: Polymer, torus: TorusSpec) -> frozenset:
-    """Blocks of p together with every block adjacent to p."""
+    """Blocks of p together with every block adjacent to p (one frozenset per
+    distinct polymer and torus, built once)."""
     out = set(p.blocks)
     for b in p.blocks:
         out.update(neighbors(b, torus))

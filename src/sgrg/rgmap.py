@@ -682,9 +682,10 @@ def extract_linear(K, F):
     return K.add(F, -1.0)
 
 
-def exp_f_minus_one_plus(F, target: Polymer, fld, torus: TorusSpec) -> complex:
-    """(e^F - 1)^+(target) evaluated pointwise (distinct touch-connected covers)."""
-    supp = [p for p in F.support() if p.blocks <= target.blocks]
+def exp_f_minus_one_plus(f_vals: dict, target: Polymer, torus: TorusSpec) -> complex:
+    """(e^F - 1)^+(target) from F's values at one field, {polymer: F(Y, phi)}
+    in support order (distinct touch-connected covers)."""
+    supp = [p for p in f_vals if p.blocks <= target.blocks]
     total = 0.0
     for r in range(1, len(supp) + 1):
         for combo in itertools.combinations(supp, r):
@@ -695,7 +696,7 @@ def exp_f_minus_one_plus(F, target: Polymer, fld, torus: TorusSpec) -> complex:
                 continue
             prod = 1.0
             for y in combo:
-                prod *= cmath.exp(F.value(y, fld)) - 1.0
+                prod *= cmath.exp(f_vals[y]) - 1.0
             total += prod
     return total
 
@@ -747,11 +748,22 @@ def extract_functional(K, F) -> FunctionalActivity:
                         continue
                     supports.add(union_blocks(list(xs) + list(ys)))
 
-    def ktilde(p: Polymer, fld) -> complex:
-        val = K.value(p, fld) if any(p.blocks == s.blocks for s in k_supp) else 0.0
-        return val - exp_f_minus_one_plus(F, p, fld, torus)
+    def fn(zs, fld) -> list:
+        # K and F are evaluated once per field; Ktilde once per X candidate
+        k_vals = dict(zip((p.blocks for p in k_supp), K.values(k_supp, fld)))
+        f_vals = dict(zip(f_supp, F.values(f_supp, fld)))
+        kt: dict = {}
 
-    def fn(z: Polymer, fld) -> complex:
+        def ktilde(p: Polymer) -> complex:
+            hit = kt.get(p.blocks)
+            if hit is None:
+                hit = kt[p.blocks] = (k_vals.get(p.blocks, 0.0)
+                                      - exp_f_minus_one_plus(f_vals, p, torus))
+            return hit
+
+        return [z_value(z, ktilde, f_vals) for z in zs]
+
+    def z_value(z: Polymer, ktilde, f_vals) -> complex:
         total = 0.0
         zb = z.blocks
         xc = [p for p in xc_all if p.blocks <= zb]
@@ -762,7 +774,7 @@ def extract_functional(K, F) -> FunctionalActivity:
                     continue
                 xval = 1.0
                 for x in xs:
-                    xval *= ktilde(x, fld)
+                    xval *= ktilde(x)
                 if xval == 0.0:
                     continue
                 for ry in range(0, len(ys_in) + 1):
@@ -773,7 +785,7 @@ def extract_functional(K, F) -> FunctionalActivity:
                             continue
                         yval = 1.0
                         for y in ys:
-                            yval *= cmath.exp(-F.value(y, fld)) - 1.0
+                            yval *= cmath.exp(-f_vals[y]) - 1.0
                         total += xval * yval
         return total
 

@@ -127,16 +127,22 @@ def _padded_columns(rows, fill):
 
 
 class TermTable:
-    """A term list compiled once for evaluation at many fields.
+    """Term lists compiled once for evaluation at many fields.
 
-    ``value`` reproduces the scalar sum term by term, bit for bit: phases
-    accumulate charge by charge, complex products are written out in real
-    arithmetic (numpy's complex multiply may fuse them), and the total is a
-    sequential sum from 0.
+    ``values`` gives one sum per list and reproduces the scalar sum term by
+    term, bit for bit: phases accumulate charge by charge, complex products
+    are written out in real arithmetic (numpy's complex multiply may fuse
+    them), and each total is a sequential sum from 0.  All lists share one
+    ``field.at`` call over the union of their charge positions and one
+    ``deriv_at`` call per alpha.  A list's sums do not depend on its batch:
+    the padding another list brings adds 0.0 to a phase or a sum, or changes
+    only the sign of a zero term value, and a sum from +0.0 never reads a
+    zero's sign.
     """
 
-    def __init__(self, terms):
-        terms = list(terms)
+    def __init__(self, term_lists):
+        lists = [list(ts) for ts in term_lists]
+        terms = [t for ts in lists for t in ts]
         pos_ix: dict = {}
         alphas: dict = {}  # alpha -> {y: None}, both in first-seen order
         for t in terms:
@@ -158,10 +164,17 @@ class TermTable:
         self.cr = np.array([c.real for c in coeffs])
         self.ci = np.array([c.imag for c in coeffs])
         self.charged = np.array([bool(t.charges) for t in terms])
+        # row i: a leading 0.0 slot, then list i's term indices, padded with 0.0
+        starts = itertools.accumulate((len(ts) for ts in lists), initial=0)
+        self.rows = _padded_columns(
+            [[len(terms), *range(s, s + len(ts))] for s, ts in zip(starts, lists)],
+            len(terms)).T
+        self.empty = [not ts for ts in lists]
 
-    def value(self, field) -> complex:
-        if not len(self.cr):
-            return 0.0
+    def values(self, field) -> list:
+        """The sum of each list at ``field``: a complex, or 0.0 for an empty list."""
+        if not len(self.rows):
+            return []
         vr, vi = self.cr, self.ci
         if len(self.points):
             phis = np.append(field.at(self.points), 0.0)
@@ -178,14 +191,14 @@ class TermTable:
             for ix in self.lin:
                 f = lin[ix]
                 vr, vi = vr * f - vi * 0.0, vr * 0.0 + vi * f
-        re = np.cumsum(np.append(0.0, vr))[-1]
-        im = np.cumsum(np.append(0.0, vi))[-1]
-        return complex(float(re), float(im))
+        re = np.cumsum(np.append(vr, 0.0)[self.rows], axis=1)[:, -1].tolist()
+        im = np.cumsum(np.append(vi, 0.0)[self.rows], axis=1)[:, -1].tolist()
+        return [0.0 if e else complex(r, i) for e, r, i in zip(self.empty, re, im)]
 
 
 def evaluate_terms(terms, field) -> complex:
     """Sum of term values with batched field lookups."""
-    return TermTable(terms).value(field)
+    return TermTable([terms]).values(field)[0]
 
 
 def scale_term(term: CloudTerm, L: int) -> CloudTerm:

@@ -18,7 +18,7 @@ from sgrg.activities import (
     charge_component,
     mayer_init_functional,
     polymer_exp,
-    potential_v,
+    potentials,
     v_activity,
     vbd_norms,
     verify_resummation,
@@ -140,7 +140,7 @@ class TestAcceptance:
         worst_mayer = 0.0
         for _ in range(100):
             fld = random_band_limited(t3, 8, rng, amplitude=0.8, k_max=2)
-            lhs = cmath.exp(zeta * sum(potential_v(b, fld) for b in lam3.sorted_blocks()))
+            lhs = cmath.exp(zeta * sum(potentials(lam3.sorted_blocks(), fld)))
             rhs = polymer_exp(K0, lam3, fld)
             worst_mayer = max(worst_mayer, abs(lhs - rhs))
         assert worst_mayer < 1e-8

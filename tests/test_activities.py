@@ -20,7 +20,7 @@ from sgrg.activities import (
     mayer_init_functional,
     mayer_init_truncated,
     polymer_exp,
-    potential_v,
+    potentials,
     taylorize_neutral,
     truncate_cloud_terms,
     v_activity,
@@ -128,7 +128,7 @@ class TestMayer:
         lam = whole_torus(t)
         for _ in range(20):
             fld = rfield(t, rng)
-            lhs = cmath.exp(zeta * sum(potential_v(b, fld) for b in lam.sorted_blocks()))
+            lhs = cmath.exp(zeta * sum(potentials(lam.sorted_blocks(), fld)))
             rhs = polymer_exp(K0, lam, fld)
             assert abs(lhs - rhs) / abs(lhs) < 1e-10
 
@@ -140,7 +140,7 @@ class TestMayer:
         lam = whole_torus(t)
         for _ in range(10):
             fld = rfield(t, rng)
-            lhs = cmath.exp(zeta * sum(potential_v(b, fld) for b in lam.sorted_blocks()))
+            lhs = cmath.exp(zeta * sum(potentials(lam.sorted_blocks(), fld)))
             rhs = polymer_exp(K0, lam, fld)
             assert abs(lhs - rhs) / abs(lhs) < 1e-10
 
@@ -157,8 +157,9 @@ class TestMayer:
         K0 = mayer_init_functional(zeta, t)
         fld = rfield(t, np.random.default_rng(6))
         p = polymer([(0, 0), (0, 1)])
-        f0 = cmath.exp(zeta * potential_v((0, 0), fld)) - 1.0
-        f1 = cmath.exp(zeta * potential_v((0, 1), fld)) - 1.0
+        v0, v1 = potentials([(0, 0), (0, 1)], fld)
+        f0 = cmath.exp(zeta * v0) - 1.0
+        f1 = cmath.exp(zeta * v1) - 1.0
         assert K0.value(p, fld) == pytest.approx(f0 * f1, rel=1e-12)
 
     def test_cloud_matches_functional_order(self):
@@ -175,7 +176,7 @@ class TestMayer:
 
 
 class TestValueCache:
-    """CloudActivity.value evaluates through one cached TermTable per polymer."""
+    """CloudActivity evaluates through one cached TermTable per tuple of polymers."""
 
     def test_replaced_term_list_is_reevaluated(self):
         t = TorusSpec(2, 1)
@@ -200,11 +201,58 @@ class TestValueCache:
         assert repr(a) == repr(b)
 
 
+def reference_potential_v(block, fld) -> float:
+    """V(D, phi) of one block, with a field lookup of its own nodes."""
+    nodes = block_quadrature_nodes(block, activities.POTENTIAL_N_Q)
+    return float(np.mean(np.cos(fld.at(nodes))))
+
+
+def reference_mayer_value(zeta, p, fld) -> complex:
+    """K0(X, phi) of one polymer, block by block: the per-polymer evaluator
+    that the batched ``mayer_init_functional`` must reproduce bit for bit."""
+    out = 1.0
+    for b in p.sorted_blocks():
+        out *= cmath.exp(zeta * reference_potential_v(b, fld)) - 1.0
+    return out
+
+
+class TestPerFieldPotential:
+    """The batched Mayer evaluator takes one potential per block per field."""
+
+    @pytest.mark.parametrize("side", [2, 3])
+    def test_values_equal_per_polymer_reference(self, side):
+        t = TorusSpec(side, 1)
+        zeta = 0.2 + 0.05j
+        K0 = mayer_init_functional(zeta, t)
+        support = K0.support()
+        rng = np.random.default_rng(21)
+        for _ in range(4):
+            # two live fields evaluated in turn, then freed: a new field can
+            # take a freed one's id, so a stale per-field value would show
+            a, b = rfield(t, rng), rfield(t, rng)
+            for fld in (a, b, a, b):
+                want = [repr(reference_mayer_value(zeta, p, fld)) for p in support]
+                assert [repr(v) for v in K0.values(support, fld)] == want
+                assert [repr(v) for v in K0.values(support[::-1], fld)] == want[::-1]
+                assert repr(K0.value(support[-1], fld)) == want[-1]
+            del a, b
+
+    def test_potentials_equal_per_block_reference(self):
+        t = TorusSpec(3, 1)
+        blocks = sorted(itertools.product(range(3), repeat=2))
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            fld = rfield(t, rng)
+            want = [repr(reference_potential_v(b, fld)) for b in blocks]
+            assert [repr(v) for v in potentials(blocks, fld)] == want
+            assert [repr(v) for v in potentials(blocks[::-1], fld)] == want[::-1]
+
+
 class TestPotential:
     def test_value_at_zero_field(self):
         t = TorusSpec(2, 1)
         fld = FieldGrid(t, 8, np.zeros((16, 16)))
-        assert potential_v((0, 0), fld) == pytest.approx(1.0)
+        assert potentials([(0, 0)], fld) == [pytest.approx(1.0)]
 
     def test_cloud_terms_match_quadrature(self, monkeypatch):
         t = TorusSpec(2, 1)
@@ -215,7 +263,7 @@ class TestPotential:
             ts = v_cloud_terms((1, 0), n_q)
             val = evaluate_terms(ts, fld)
             assert val.imag == pytest.approx(0.0, abs=1e-12)
-            assert val.real == pytest.approx(potential_v((1, 0), fld), rel=1e-12)
+            assert val.real == pytest.approx(potentials([(1, 0)], fld)[0], rel=1e-12)
 
     def test_vbd_norm_bounds(self):
         rep = vbd_norms(1e-10, h=2.0, eps=0.1)
@@ -263,7 +311,7 @@ class TestChargeDecomposition:
 
     def test_functional_activity_is_rejected(self):
         t = TorusSpec(2, 1)
-        Kf = FunctionalActivity(t, lambda p, fld: 1.0, [polymer([(0, 0)])])
+        Kf = FunctionalActivity(t, lambda ps, fld: [1.0] * len(ps), [polymer([(0, 0)])])
         with pytest.raises(TypeError):
             charge_component(Kf, 1)
 

@@ -219,6 +219,38 @@ class TestBadInputs:
             check(1)
 
 
+class TestOracleSampleCaps:
+    """The invariance check caps its samples; the cap is stated and reported."""
+
+    def test_help_states_the_caps(self):
+        from sgrg import flow
+
+        oracle = build_parser()._subparsers_action.choices["oracle"]
+        (samples,) = [a for a in oracle._actions if "--samples" in a.option_strings]
+        assert (f"at most {flow.Z0_SAMPLE_CAP} for Z(j) and {flow.Z1_SAMPLE_CAP} for Z(j+1)"
+                in samples.help)
+
+    def test_capped_run_says_so_once(self, tmp_path, capsys, monkeypatch):
+        from sgrg import flow
+
+        monkeypatch.setattr(flow, "Z0_SAMPLE_CAP", 6)
+        monkeypatch.setattr(flow, "Z1_SAMPLE_CAP", 4)
+        assert run_cli(["oracle", "--samples", "10", "--seed", "3", "--out", str(tmp_path)]) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["note: the invariance check caps --samples 10: Z(j) used 6 and "
+                       "Z(j+1) 4 samples; dZ/dzeta uses all 10"]
+        inv = json.loads((tmp_path / "oracle_manifest.json").read_text())["invariance"]
+        assert (inv["z0"]["n_samples"], inv["z1"]["n_samples"]) == (6, 4)
+
+    def test_uncapped_run_is_silent(self, tmp_path, capsys, monkeypatch):
+        from sgrg import flow
+
+        monkeypatch.setattr(flow, "Z0_SAMPLE_CAP", 6)
+        monkeypatch.setattr(flow, "Z1_SAMPLE_CAP", 4)
+        assert run_cli(["oracle", "--samples", "4", "--seed", "3", "--out", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+
 class TestBench:
     def test_bench_is_usage_error(self, capsys):
         # the numba-vs-numpy timer is gone; perfbench/run.py is the benchmark

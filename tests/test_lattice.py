@@ -13,6 +13,7 @@ from sgrg.lattice import (
     count_small_supersets,
     enumerate_all_connected,
     enumerate_polymers,
+    halo,
     is_small,
     log_gamma_p,
     partition_closure,
@@ -217,3 +218,33 @@ class TestRegulator:
         c = max(ratios)
         assert math.isfinite(c)
         print(f"large-set closure constant (L=2, |X|>=5): {c}")
+
+
+def direct_halo(p, torus):
+    """Blocks of p and every block within Chebyshev distance 1, wrapped."""
+    s = torus.side
+    return frozenset(((b[0] + i) % s, (b[1] + j) % s)
+                     for b in p.blocks for i in (-1, 0, 1) for j in (-1, 0, 1))
+
+
+class TestHalo:
+    """``halo`` is memoised on (polymer, torus); a hit must equal a fresh scan."""
+
+    @pytest.mark.parametrize("L, M", [(2, 0), (2, 1), (3, 1), (2, 2)],
+                             ids=["side1", "side2", "side3", "side4"])
+    def test_equals_direct_scan(self, L, M):
+        t = TorusSpec(L, M)
+        polys = enumerate_all_connected(t, 3)
+        assert polys
+        for _ in range(2):  # the second pass reads the cache
+            for p in polys:
+                assert halo(p, t) == direct_halo(p, t)
+                assert halo(Polymer(frozenset(p.blocks)), t) is halo(p, t)
+
+    def test_key_includes_the_torus(self):
+        p = polymer([(0, 0), (0, 1)])
+        t3, t4 = TorusSpec(3, 1), TorusSpec(2, 2)
+        h3, h4 = halo(p, t3), halo(p, t4)
+        assert h3 == direct_halo(p, t3) and h4 == direct_halo(p, t4)
+        assert (2, 2) in h3 and (3, 3) in h4 and h3 != h4
+        assert halo(p, t3) == h3

@@ -1,8 +1,9 @@
 """Exactness of compiled term-list evaluation (``terms.TermTable``).
 
 ``reference_evaluate_terms`` is the scalar per-term loop that ``TermTable``
-replaces.  The table must reproduce it bit for bit, so every comparison is
-``==`` on ``repr``, never ``approx``.
+replaces.  The table must reproduce it bit for bit, list by list, whether it
+holds one list or a batch of several, so every comparison is ``==`` on
+``repr``, never ``approx``.
 """
 
 import cmath
@@ -65,14 +66,24 @@ def reference_evaluate_terms(terms, field) -> complex:
 
 def assert_same(terms, field):
     """The table's value equals the reference bit for bit, as a Python complex."""
-    ref = reference_evaluate_terms(terms, field)
-    got = TermTable(terms).value(field)
+    return assert_batch_same([terms], field)[0]
+
+
+def assert_batch_same(lists, field):
+    """Each sum of one batched table equals the reference of its list alone."""
+    got = TermTable(lists).values(field)
+    assert len(got) == len(lists)
+    for ts, value in zip(lists, got):
+        assert_value(value, reference_evaluate_terms(ts, field))
+    return got
+
+
+def assert_value(got, ref):
     if isinstance(ref, complex):
         # the loop returns numpy's complex128 once a numpy coefficient joins the sum
         assert type(got) is complex
         ref = complex(ref)
     assert repr(got) == repr(ref)
-    return got
 
 
 class RecordingField:
@@ -170,7 +181,8 @@ class TestTermTable:
     def test_empty_list_and_generator(self):
         t = TorusSpec(2, 1)
         fld = random_band_limited(t, 8, np.random.default_rng(6), amplitude=0.8, k_max=2)
-        assert repr(TermTable([]).value(fld)) == repr(reference_evaluate_terms([], fld)) == "0.0"
+        assert repr(TermTable([[]]).values(fld)[0]) == repr(reference_evaluate_terms([], fld)) == "0.0"
+        assert TermTable([]).values(fld) == []
         assert repr(evaluate_terms(iter([]), fld)) == "0.0"
         terms = [CloudTerm(0.5, ((1, (0.25, 0.0)),)), CloudTerm(0.25, ((-1, (0.0, 0.75)),))]
         want = reference_evaluate_terms(terms, fld)
@@ -185,6 +197,64 @@ class TestTermTable:
         pairwise = float(np.sum([t.coeff for t in terms]))
         got = assert_same(terms, fld)
         assert math.isfinite(got.real) and got.real != pairwise
+
+
+class TestBatch:
+    """One table over several term lists, as ``CloudActivity.values`` builds it."""
+
+    @pytest.mark.parametrize("name", ["K0", "k_sharp", "F"])
+    def test_oracle_activities_at_sampled_fields(self, oracle_setup, name):
+        acts, fine, psis = oracle_setup
+        K = acts[name]
+        support = K.support()
+        assert len(support) > 1
+        for fld in fine + psis:
+            assert_batch_same([K.terms(p) for p in support], fld)
+            for p, value in zip(support, K.values(support, fld)):
+                assert_value(value, reference_evaluate_terms(K.terms(p), fld))
+
+    def test_all_oracle_activities_in_one_batch(self, oracle_setup):
+        acts, fine, psis = oracle_setup
+        lists = [ts for K in acts.values() for ts in K.data.values()]
+        for fld in fine[:2] + psis[:2]:
+            assert_batch_same(lists, fld)
+
+    def test_off_grid_positions_batched(self, oracle_setup):
+        # the moved lists take FieldGrid.at's interpolation branch, the
+        # others its node lookup, within the one call of the batch
+        acts, _, psis = oracle_setup
+        lists = list(acts["k_sharp"].data.values())
+        moved = [[translate_term(t, (0.3, 0.15)) for t in ts] for ts in lists]
+        pts = np.array([x for ts in moved for t in ts for _, x in t.charges]) * psis[0].n_g
+        assert np.all(np.abs(pts - np.rint(pts)) > 1e-9)
+        for psi in psis:
+            assert_batch_same(moved + lists, psi)
+            assert_batch_same(moved[::-1], psi)
+
+    def test_empty_list_inside_a_batch(self, oracle_setup):
+        acts, fine, _ = oracle_setup
+        a, b = list(acts["F"].data.values())[:2]
+        got = assert_batch_same([a, [], b], fine[0])
+        assert repr(got[1]) == repr(TermTable([[]]).values(fine[0])[0]) == "0.0"
+        assert assert_batch_same([[], [], a], fine[0])[:2] == [0.0, 0.0]
+
+    def test_one_lookup_per_batch(self, oracle_setup):
+        # one FieldGrid.at call and one deriv_at call per alpha for the batch
+        acts, fine, _ = oracle_setup
+        lists = [ts for K in acts.values() for ts in K.data.values()]
+        alphas = {a for ts in lists for t in ts for a, _ in t.linfs}
+        assert len(alphas) > 1
+        log = RecordingField(fine[0])
+        TermTable(lists).values(log)
+        assert [c[0] for c in log.calls] == ["at"] + ["deriv_at"] * len(alphas)
+        assert {c[1] for c in log.calls[1:]} == alphas
+        for K in acts.values():
+            ts = [t for p in K.support() for t in K.terms(p)]
+            charged = any(t.charges for t in ts)
+            alphas = {a for t in ts for a, _ in t.linfs}
+            log = RecordingField(fine[0])
+            K.values(K.support(), log)
+            assert [c[0] for c in log.calls] == ["at"] * charged + ["deriv_at"] * len(alphas)
 
 
 class TestCovAccess:
