@@ -21,7 +21,7 @@ exp(-side/(2L)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,7 +37,6 @@ DIRECT_SIDE_CAP = 256
 NORM_PROXY_SIDE = 64
 N_SUB = 4  # grid points per block side in the block-pair norms
 STAR_NU = 2.0  # power of (1 + distance) in the star norm
-CLIP_TOL = 1e-10  # relative negative-eigenvalue floor of a covariance matrix
 
 
 class TailBoundError(RuntimeError):
@@ -203,7 +202,8 @@ class CovarianceKernel:
             f"{self.kind} kernel on side {self.torus.side}: direct mode sum too large"
         )
 
-    def _modes(self):
+    def modes(self):
+        """(px, py, f) momentum table of the kernel: C(x) = sum_m f_m cos(p_m . x)."""
         if self.method == "fourier":
             return _torus_modes(self.kind, self.sigma, self.torus.L, self.torus.M, self.p_max)
         return _gl_modes(self.sigma, self.scale, self.p_max, self.gl_nodes)
@@ -231,7 +231,7 @@ class CovarianceKernel:
         xs = np.asarray(xs, dtype=np.float64).reshape(-1, 2)
         alphas = [tuple(int(c) for c in a) for a in alphas]
         self._check_order(alphas)
-        px, py, f = self._modes()
+        px, py, f = self.modes()
         return mode_sum(px, py, f, alphas, self._wrap(xs))
 
     def eval(self, x, alpha=(0, 0)) -> float:
@@ -397,41 +397,7 @@ def translation_loss(kernel: CovarianceKernel, r: int):
     return worst
 
 
-# -- matrices and trace-log ---------------------------------------------------
-
-
-class NotPositiveSemidefiniteError(RuntimeError):
-    pass
-
-
-@dataclass
-class CovarianceMatrix:
-    """Kernel sampled on a point grid, eigendecomposed for Gaussian sampling."""
-
-    points: np.ndarray
-    matrix: np.ndarray
-    eigvals: np.ndarray = field(repr=False, default=None)
-    eigvecs: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def sqrt_factor(self) -> np.ndarray:
-        return self.eigvecs * np.sqrt(self.eigvals)[None, :]
-
-
-def covariance_matrix(kernel: CovarianceKernel, points, scale: float = 1.0) -> CovarianceMatrix:
-    """Assemble scale * C(x_i - x_j), eigendecompose, clip tiny negative modes."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    n = pts.shape[0]
-    diffs = pts[:, None, :] - pts[None, :, :]
-    vals = kernel.eval_many(diffs.reshape(-1, 2), [(0, 0)])[:, 0].reshape(n, n)
-    mat = scale * 0.5 * (vals + vals.T)
-    w, v = np.linalg.eigh(mat)
-    floor = -CLIP_TOL * max(1.0, float(np.max(np.abs(w))))
-    if np.min(w) < floor:
-        raise NotPositiveSemidefiniteError(
-            f"matrix eigenvalue {np.min(w):.3e} below clip tolerance"
-        )
-    return CovarianceMatrix(points=pts, matrix=mat, eigvals=np.clip(w, 0.0, None), eigvecs=v)
+# -- trace-log ----------------------------------------------------------------
 
 
 def trlog_T(torus: TorusSpec, sigma: float, dsigma: float) -> float:

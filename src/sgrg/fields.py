@@ -2,10 +2,12 @@
 
 A FieldGrid stores real values at nodes x = j/n_g (n_g even nodes per unit
 length).  Off-node evaluation uses trigonometric interpolation, which is
-exact for band-limited fields; derivative arrays come from 2nd-order
-central differences (the default, used by the regulator) or from the
-spectral multiplier (exact on band-limited fields, used by the activity
-algebra where pointwise identities must hold to machine precision).
+exact for band-limited fields.  Point derivatives (``deriv_at``, used by the
+activity algebra where pointwise identities must hold to machine precision)
+differentiate that interpolant through the spectral multiplier; derivative
+grids (``deriv``, used by the regulator) come from 2nd-order central
+differences.  Gaussian fields are sums of the covariance kernel's Fourier
+modes with independent normal amplitudes.
 
 The large field regulator is
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covariance import CovarianceKernel, CovarianceMatrix, covariance_matrix
+from .covariance import CovarianceKernel
 from .lattice import Polymer, TorusSpec
 
 ELL = 2.0  # the scale of the ELL-scaled regulator
@@ -105,17 +107,19 @@ class FieldGrid:
         if np.any(aligned):
             ii = idx[aligned].astype(int) % n
             out[aligned] = self.values[ii[:, 0], ii[:, 1]]
-        out[~aligned] = self._interpolate(pts[~aligned])
+        out[~aligned] = self._interpolate(pts[~aligned], (0, 0))
         return out
 
-    def _interpolate(self, pts) -> np.ndarray:
+    def _interpolate(self, pts, alpha) -> np.ndarray:
+        """d^alpha of the trigonometric interpolant at ``pts``."""
         n = self.n
         hat = self._hat() / (n * n)
         k = self._freqs()
+        if any(alpha):
+            hat = hat * _spectral_multiplier(n, k, alpha)
         # Nyquist mode of an even grid must act as a cosine
-        kx = k.copy()
         nyq = n // 2
-        phase_x = np.exp(1j * np.outer(pts[:, 0], kx))
+        phase_x = np.exp(1j * np.outer(pts[:, 0], k))
         phase_y = np.exp(1j * np.outer(pts[:, 1], k))
         if n % 2 == 0:
             phase_x[:, nyq] = np.cos(pts[:, 0] * k[nyq])
@@ -124,25 +128,16 @@ class FieldGrid:
         return np.real(vals)
 
     def deriv_at(self, alpha, points) -> np.ndarray:
-        """Spectral derivative evaluated at arbitrary points (cached grid)."""
-        a = tuple(int(c) for c in alpha)
-        cache = self.__dict__.setdefault("_deriv_cache", {})
-        if a not in cache:
-            cache[a] = self.deriv(a, method="spectral")
-        return cache[a].at(points)
+        """Spectral derivative d^alpha at arbitrary points, exact on band-limited
+        fields; an odd order drops the Nyquist mode along its axis."""
+        pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        return self._interpolate(pts, tuple(int(c) for c in alpha))
 
-    def deriv(self, alpha, method: str = "fd") -> "FieldGrid":
-        """d^alpha field as a new grid; 'fd' central stencils or 'spectral'."""
-        a = tuple(int(c) for c in alpha)
-        if method == "spectral":
-            k = self._freqs()
-            out = np.fft.ifft2(self._hat() * _spectral_multiplier(self.n, k, a))
-            return FieldGrid(self.torus, self.n_g, np.real(out))
-        if method != "fd":
-            raise ValueError("method must be 'fd' or 'spectral'")
+    def deriv(self, alpha) -> "FieldGrid":
+        """d^alpha field as a new grid, from 2nd-order central stencils."""
         vals = self.values
-        for axis, order in enumerate(a):
-            vals = _fd_axis(vals, order, self.n_g, axis)
+        for axis, order in enumerate(alpha):
+            vals = _fd_axis(vals, int(order), self.n_g, axis)
         return FieldGrid(self.torus, self.n_g, vals)
 
 
@@ -323,9 +318,16 @@ def scale_field(phi: FieldGrid, ell: int) -> FieldGrid:
 
 @dataclass
 class GaussianEnsemble:
-    """Seeded sampler for the Gaussian measure with the given grid covariance."""
+    """Seeded sampler for the Gaussian measure with covariance scale * C.
 
-    cov: CovarianceMatrix
+    A torus kernel is the finite mode sum C(x) = sum_m f_m cos(p_m . x), so
+    phi = sum_m sqrt(scale f_m) (xi_m cos p_m . x + eta_m sin p_m . x), with
+    independent standard normals xi, eta, has covariance exactly
+    scale * C(x - y).  ``basis`` holds the rows sqrt(scale f_m) cos p_m . x,
+    then the sines, over the grid nodes.
+    """
+
+    basis: np.ndarray
     torus: TorusSpec
     n_g: int
     seed: int
@@ -336,22 +338,32 @@ class GaussianEnsemble:
                 for d in self.sample_values(count)]
 
     def sample_values(self, count: int) -> np.ndarray:
-        """``count`` draws as rows of grid values; the same seed gives the same rows."""
+        """``count`` draws as rows of grid values; the same seed gives the same rows.
+
+        The modes are added one at a time in basis order, so the bits do not
+        depend on a BLAS build or its thread count."""
         rng = np.random.default_rng(self.seed)
-        fac = self.cov.sqrt_factor
-        xi = rng.standard_normal(size=(count, fac.shape[1]))
-        return xi @ fac.T
-
-
-def grid_points(torus: TorusSpec, n_g: int) -> np.ndarray:
-    n = torus.side * n_g
-    xs = np.arange(n) / n_g
-    X, Y = np.meshgrid(xs, xs, indexing="ij")
-    return np.stack([X.ravel(), Y.ravel()], axis=1)
+        xi = rng.standard_normal(size=(count, self.basis.shape[0]))
+        out = np.zeros((count, self.basis.shape[1]))
+        for amp, row in zip(xi.T, self.basis):
+            out += amp[:, None] * row[None, :]
+        return out
 
 
 def gaussian_ensemble(
     kernel: CovarianceKernel, torus: TorusSpec, n_g: int, seed: int, scale: float = 1.0
 ) -> GaussianEnsemble:
-    cov = covariance_matrix(kernel, grid_points(torus, n_g), scale=scale)
-    return GaussianEnsemble(cov=cov, torus=torus, n_g=n_g, seed=seed)
+    """Sampler of scale * C on the grid nodes j/n_g of ``torus``, from the
+    mode table of a torus kernel (``kernel.method == "fourier"``)."""
+    if kernel.method != "fourier":
+        raise ValueError(f"mode-basis sampling needs a torus mode table, not {kernel.method!r}")
+    px, py, f = kernel.modes()
+    if np.any(f < 0):
+        raise ValueError("mode-basis sampling needs non-negative mode weights")
+    n = torus.side * n_g
+    xs = np.arange(n) / n_g
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    phase = px[:, None] * X.ravel()[None, :] + py[:, None] * Y.ravel()[None, :]
+    amp = np.sqrt(scale * f)[:, None]
+    basis = np.concatenate([amp * np.cos(phase), amp * np.sin(phase)])
+    return GaussianEnsemble(basis=basis, torus=torus, n_g=n_g, seed=seed)

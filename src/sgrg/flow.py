@@ -21,6 +21,7 @@ in the trajectory diagnostics.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import json
 import math
@@ -40,7 +41,7 @@ from .activities import (
     whole_torus,
 )
 from .covariance import CovarianceKernel, trlog_T
-from .fields import gaussian_ensemble
+from .fields import gaussian_ensemble, scale_field
 from .lattice import TorusSpec
 from .rgmap import (
     RGStepParams,
@@ -48,8 +49,10 @@ from .rgmap import (
     clip_to_small,
     extract_step,
     extraction_coefficients,
+    fluctuate_linear,
     rg_step,
 )
+from .terms import CovAccess
 
 SIGMA_CAP = 0.1
 
@@ -341,6 +344,17 @@ Z0_SAMPLE_CAP = 2000  # most field samples z_invariance_check draws for Z(j)
 Z1_SAMPLE_CAP = 400  # most field samples z_invariance_check draws for Z(j+1)
 
 
+def _rep_j1_value(k_sharp, F, psi) -> float:
+    """The step-(j+1) integrand Exp(box + S E(K#, F))(Lambda', phi) at
+    psi = phi_L, on a torus where every polymer pair touches.
+
+    By scaling it is Exp(box + E(K#, F))(Lambda, psi), and by extraction
+    e^{-sum_Y F(Y, psi)} Exp(box + K#)(Lambda, psi).
+    """
+    return (cmath.exp(-sum(F.values(F.support(), psi)))
+            * polymer_exp(k_sharp, whole_torus(k_sharp.torus), psi)).real
+
+
 def z_invariance_check(
     beta: float,
     zeta: float,
@@ -353,9 +367,13 @@ def z_invariance_check(
     """Compare MC estimates of Z in the step-j and step-(j+1) representations.
 
     Exact small-torus path (side <= 2, where every polymer pair touches):
-    the fluctuation is the per-polymer convolution, and the extraction and
-    scaling sums reduce to subset DPs over per-polymer scalar values, so
-    the j+1 representation is assembled without any series truncation.
+    the fluctuation K# is the per-polymer convolution, and the scaling and
+    extraction identities give the step-(j+1) integrand in closed form,
+    e^{-sum_Y F(Y, phi_L)} Exp(box + K#)(Lambda, phi_L), with no series
+    truncation.  So the check exercises the per-polymer fluctuation and the
+    energy and sigma bookkeeping (dE, dsigma, the tr log and the coarse
+    measure), not a separate assembly of E(K#, F) and its scaling S, which
+    the ``extraction`` and ``scaling`` identity suites check pointwise.
     With the e^{-p^4} cutoff the side-2 torus carries no sub-cutoff modes
     (covariance ~ 1e-43), making the MC essentially deterministic; the
     pull is reported against a standard-error floor.  Z(j) uses at most
@@ -367,71 +385,25 @@ def z_invariance_check(
     torus = TorusSpec(L, M)
     if torus.side > 2:
         raise ValueError("exact invariance check restricted to side <= 2")
-    from .activities import CloudActivity
-    from .terms import CovAccess, convolve_terms
-
     K0 = mayer_init_cloud(zeta, torus, ORACLE_N_Q, ORACLE_ORDER, torus.n_blocks)
     kern = CovarianceKernel("slice", sigma=0.0, torus=torus)
-    cov = CovAccess(kern, scale=beta)
     # on side <= 2 every polymer pair touches: F K = mu_C * K per polymer
-    k_sharp = CloudActivity(torus, {k: convolve_terms(ts, cov) for k, ts in K0.data.items()})
+    k_sharp = fluctuate_linear(K0, CovAccess(kern, scale=beta))
     coeffs = extraction_coefficients(k_sharp, "ir", beta)
     F = build_extraction_activity(coeffs, k_sharp)
     dsig = coeffs.dsigma
     coarse = torus.coarse()
     energy1 = coeffs.dE * torus.volume - 0.5 * trlog_T(coarse, 0.0, dsig)
 
-    supp = [p for p in k_sharp.support()]
-    f_supp = [p for p in F.support()]
-    lam_blocks = frozenset(whole_torus(torus).blocks)
-
-    def rep_j_value(fld) -> float:
-        return polymer_exp(K0, whole_torus(torus), fld).real
-
-    def rep_j1_value(fld_coarse) -> float:
-        # Exp(box + S K*)(coarse, phi) = Exp(box + K*)(fine, phi_L); on the
-        # fine side every collection is a single polymer, so the value is
-        # 1 + sum_Z K*(Z) with K* from the subset DPs below
-        from .fields import scale_field
-
-        psi = scale_field(fld_coarse, torus.L)
-        ksh = {p.blocks: v for p, v in zip(supp, k_sharp.values(supp, psi))}
-        f_val = {p.blocks: v for p, v in zip(f_supp, F.values(f_supp, psi))}
-        # (e^F - 1)^+ via subset DP over F polymers (all pairs touch here)
-        plus: dict = {frozenset(): 1.0}
-        for p in f_supp:
-            fy = np.exp(f_val[p.blocks]) - 1.0
-            for B, c in list(plus.items()):
-                key = B | p.blocks
-                plus[key] = plus.get(key, 0.0) + c * fy
-        ktilde = {}
-        for p in supp:
-            ktilde[p.blocks] = ksh[p.blocks] - plus.get(p.blocks, 0.0)
-        for B, c in plus.items():
-            if B and B not in ktilde:
-                ktilde[B] = -c
-        gys = [(p.blocks, np.exp(-f_val[p.blocks]) - 1.0) for p in f_supp]
-        total = 1.0
-        for xb, kt in ktilde.items():
-            if kt == 0.0:
-                continue
-            # Y-subset DP: collections of distinct F polymers joined to X
-            reach: dict = {xb: 1.0}
-            for blocks, gy in gys:
-                for B, c in list(reach.items()):
-                    key = B | blocks
-                    reach[key] = reach.get(key, 0.0) + c * gy
-            for B, c in reach.items():
-                total += (kt * c).real
-        return total.real if isinstance(total, complex) else float(total)
-
     kern_full = CovarianceKernel("full", sigma=0.0, torus=torus)
     ens = gaussian_ensemble(kern_full, torus, n_g, seed=seed, scale=beta)
-    vals0 = np.array([rep_j_value(f) for f in ens.sample(min(n_samples, Z0_SAMPLE_CAP))])
+    vals0 = np.array([polymer_exp(K0, whole_torus(torus), f).real
+                      for f in ens.sample(min(n_samples, Z0_SAMPLE_CAP))])
     z0_mean, z0_se = float(np.mean(vals0)), float(np.std(vals0, ddof=1) / math.sqrt(len(vals0)))
     kern_c = CovarianceKernel("full", sigma=dsig, torus=coarse)
     ens_c = gaussian_ensemble(kern_c, coarse, n_g, seed=seed + 1, scale=beta)
-    vals1 = np.array([rep_j1_value(f) for f in ens_c.sample(min(n_samples, Z1_SAMPLE_CAP))])
+    vals1 = np.array([_rep_j1_value(k_sharp, F, scale_field(f, torus.L))
+                      for f in ens_c.sample(min(n_samples, Z1_SAMPLE_CAP))])
     z1_mean = float(np.mean(vals1)) * math.exp(energy1)
     z1_se = float(np.std(vals1, ddof=1) / math.sqrt(len(vals1))) * math.exp(energy1)
     floor = 1e-6 * abs(z0_mean)

@@ -251,6 +251,32 @@ class TestOracleSampleCaps:
         assert capsys.readouterr().err == ""
 
 
+class TestOracleDerivativePull:
+    """The oracle prints, and decides with, the pull that z_derivative_check
+    returns and the manifest records."""
+
+    @staticmethod
+    def printed_pull(out: str) -> str:
+        (line,) = [l for l in out.splitlines() if l.startswith("dZ/dzeta:")]
+        return line.rsplit("pull=", 1)[1]
+
+    def test_printed_pull_is_the_manifests(self, tmp_path, capsys):
+        assert run_cli(["oracle", "--samples", "8", "--seed", "3", "--out", str(tmp_path)]) == EXIT_OK
+        der = json.loads((tmp_path / "oracle_manifest.json").read_text())["derivative"]
+        assert self.printed_pull(capsys.readouterr().out) == f"{der['pull']:.2f}"
+
+    def test_stderr_below_the_old_floor(self, tmp_path, capsys, monkeypatch):
+        # a standard error under 1e-9 once met a second floor in the command
+        from sgrg import flow
+
+        monkeypatch.setattr(flow, "z_derivative_check", lambda **kw: {
+            "mc": 4.0 + 2e-11, "stderr": 1e-11, "expected": 4.0, "pull": 2.0})
+        assert run_cli(["oracle", "--samples", "8", "--seed", "3", "--out", str(tmp_path)]) == EXIT_OK
+        der = json.loads((tmp_path / "oracle_manifest.json").read_text())["derivative"]
+        assert der["pull"] == 2.0
+        assert self.printed_pull(capsys.readouterr().out) == "2.00"
+
+
 class TestBench:
     def test_bench_is_usage_error(self, capsys):
         # the numba-vs-numpy timer is gone; perfbench/run.py is the benchmark

@@ -5,9 +5,7 @@ import pytest
 
 from sgrg.covariance import (
     CovarianceKernel,
-    NotPositiveSemidefiniteError,
     TailBoundError,
-    covariance_matrix,
     mode_sum,
     star_norm,
     translation_loss,
@@ -186,14 +184,6 @@ class TestNorms:
 
 
 class TestMatrixAndTrlog:
-    def test_matrix_psd_and_sampling_shape(self):
-        t = TorusSpec(2, 2)
-        k = CovarianceKernel("slice", sigma=0.0, torus=t)
-        pts = [(i * 0.5, j * 0.5) for i in range(4) for j in range(4)]
-        cm = covariance_matrix(k, pts, scale=2.0)
-        assert np.all(cm.eigvals >= 0)
-        assert np.allclose(cm.matrix, cm.matrix.T)
-
     def test_trlog_zero(self):
         assert trlog_T(TorusSpec(2, 2), 0.0, 0.0) == 0.0
 

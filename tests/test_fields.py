@@ -9,7 +9,6 @@ from sgrg.fields import (
     FieldGrid,
     RegulatorParams,
     gaussian_ensemble,
-    grid_points,
     log_regulator,
     measure_sobolev_constant,
     multi_indices,
@@ -29,6 +28,41 @@ def make_wave(torus, n_g, mx=1, my=0, amp=1.0, phase=0.3):
     return FieldGrid(torus, n_g, amp * np.sin(w * (mx * X + my * Y) + phase))
 
 
+def node_points(torus, n_g):
+    """The grid nodes j/n_g as rows, in the order of ``FieldGrid.values.ravel()``."""
+    n = torus.side * n_g
+    xs = np.arange(n) / n_g
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    return np.stack([X.ravel(), Y.ravel()], axis=1)
+
+
+def dense_covariance(kernel, torus, n_g, scale):
+    """scale * C(x_i - x_j) over the grid nodes, from the kernel's point
+    evaluator: the dense matrix the mode-basis sampler replaces."""
+    pts = node_points(torus, n_g)
+    diffs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, 2)
+    vals = kernel.eval_many(diffs, [(0, 0)])[:, 0].reshape(len(pts), len(pts))
+    return scale * 0.5 * (vals + vals.T)
+
+
+def grid_derivative(phi, alpha):
+    """d^alpha phi at the nodes, real(ifft2(fft2(v) * multiplier)): the
+    spectral derivative grid, with an odd order dropping the Nyquist mode."""
+    n = phi.n
+    k = 2.0 * math.pi * np.fft.fftfreq(n, d=1.0 / n) / phi.torus.side
+    factors = []
+    for a in alpha:
+        f = (1j * k) ** a
+        if a % 2:
+            f[n // 2] = 0.0
+        factors.append(f)
+    mult = factors[0][:, None] * factors[1][None, :]
+    return np.real(np.fft.ifft2(np.fft.fft2(phi.values) * mult))
+
+
+ALPHAS = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1)]
+
+
 class TestDerivatives:
     def test_constant_field(self):
         t = TorusSpec(2, 1)
@@ -40,7 +74,7 @@ class TestDerivatives:
         errs = []
         for n_g in (8, 16):
             phi = make_wave(t, n_g)
-            d = phi.deriv((1, 0), method="fd")
+            d = phi.deriv((1, 0))
             w = 2.0 * math.pi / t.side
             n = t.side * n_g
             xs = np.arange(n) / n_g
@@ -53,14 +87,42 @@ class TestDerivatives:
     def test_spectral_derivative_exact_on_band_limited(self):
         t = TorusSpec(2, 2)
         phi = make_wave(t, 8, mx=2, my=1)
-        d = phi.deriv((2, 1), method="spectral")
-        w = 2.0 * math.pi / t.side
         n = t.side * 8
+        d = phi.deriv_at((2, 1), node_points(t, 8)).reshape(n, n)
+        w = 2.0 * math.pi / t.side
         xs = np.arange(n) / 8
         X, Y = np.meshgrid(xs, xs, indexing="ij")
         # d^2/dx^2 d/dy of sin(w(2x+y)+c) = -(2w)^2 w cos(w(2x+y)+c)... chain:
         exact = -(2 * w) ** 2 * w * np.cos(w * (2 * X + Y) + 0.3)
-        assert np.max(np.abs(d.values - exact)) < 1e-10
+        assert np.max(np.abs(d - exact)) < 1e-10
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_point_derivative_matches_grid_at_nodes(self, alpha):
+        t = TorusSpec(2, 2)
+        rng = np.random.default_rng(8)
+        smooth = random_band_limited(t, 8, rng, k_max=3)
+        # Nyquist components along both axes, and along x alone
+        i = np.arange(t.side * 8)
+        nyq = smooth + FieldGrid(t, 8, 0.4 * np.outer((-1.0) ** i, (-1.0) ** i)
+                                 + 0.3 * np.outer((-1.0) ** i, np.cos(math.pi * i / 16)))
+        for phi in (smooth, nyq):
+            ref = grid_derivative(phi, alpha)
+            got = phi.deriv_at(alpha, node_points(t, 8)).reshape(ref.shape)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_point_derivative_exact_off_nodes(self, alpha):
+        t = TorusSpec(2, 2)
+        mx, my, c = 2, -1, 0.3
+        phi = make_wave(t, 8, mx=mx, my=my, phase=c)
+        pts = np.array([[0.13, 0.27], [1.3, 2.71], [0.01, 3.99], [2.5, 0.0625]])
+        w = 2.0 * math.pi / t.side
+        # d^alpha sin(theta) = (w mx)^ax (w my)^ay sin(theta + |alpha| pi / 2)
+        theta = w * (mx * pts[:, 0] + my * pts[:, 1]) + c
+        exact = ((w * mx) ** alpha[0] * (w * my) ** alpha[1]
+                 * np.sin(theta + sum(alpha) * math.pi / 2))
+        got = phi.deriv_at(alpha, pts)
+        assert np.max(np.abs(got - exact)) <= 1e-12 * max(1.0, np.max(np.abs(exact)))
 
     def test_interpolation_matches_nodes_and_off_nodes(self):
         t = TorusSpec(2, 2)
@@ -221,12 +283,50 @@ class TestGaussian:
         ens = gaussian_ensemble(k, t, 4, seed=99)
         draws = ens.sample_values(30000)
         emp = draws.T @ draws / draws.shape[0]
-        cov = ens.cov.matrix
+        cov = dense_covariance(k, t, 4, 1.0)
         assert float(np.max(np.abs(cov))) > 1e-4  # non-degenerate covariance
         se = np.sqrt(
             (np.outer(np.diag(cov), np.diag(cov)) + cov**2) / draws.shape[0]
         )
         assert np.all(np.abs(emp - cov) <= 5.0 * se + 1e-12)
+
+    @pytest.mark.parametrize("kind, sigma, scale, torus", [
+        ("slice", 0.0, 1.0, TorusSpec(2, 2)),
+        ("full", 0.05, 7.0, TorusSpec(2, 2)),
+        ("slice", -0.03, 2.5, TorusSpec(4, 1)),
+    ])
+    def test_mode_basis_reproduces_dense_covariance(self, kind, sigma, scale, torus):
+        k = CovarianceKernel(kind, sigma=sigma, torus=torus)
+        ens = gaussian_ensemble(k, torus, 4, seed=0, scale=scale)
+        dense = dense_covariance(k, torus, 4, scale)
+        assert ens.basis.shape == (2 * len(k.modes()[2]), dense.shape[0])
+        assert float(np.max(np.abs(dense))) > 1e-4
+        err = np.max(np.abs(ens.basis.T @ ens.basis - dense))
+        assert err <= 1e-14 * np.max(np.abs(dense))
+
+    def test_side_one_torus_gives_zero_fields(self):
+        t = TorusSpec(2, 0)
+        k = CovarianceKernel("full", sigma=0.0, torus=t)
+        ens = gaussian_ensemble(k, t, 8, seed=4, scale=10.0)
+        assert ens.basis.shape == (0, 64)
+        assert not np.any(dense_covariance(k, t, 8, 10.0))
+        (phi,) = ens.sample(1)
+        assert phi.values.shape == (8, 8) and not np.any(phi.values)
+
+    def test_mode_basis_needs_a_torus_kernel(self):
+        k = CovarianceKernel("continuum", sigma=0.0, L=2)
+        with pytest.raises(ValueError, match="torus mode table"):
+            gaussian_ensemble(k, TorusSpec(2, 2), 4, seed=0)
+
+    def test_mode_basis_refuses_negative_weights(self):
+        class NegativeMode:
+            method = "fourier"
+
+            def modes(self):
+                return np.array([math.pi / 2]), np.array([0.0]), np.array([-1e-3])
+
+        with pytest.raises(ValueError, match="non-negative"):
+            gaussian_ensemble(NegativeMode(), TorusSpec(2, 2), 4, seed=0)
 
     def test_convolution_stability_spot_check(self):
         # sample mean of G(kappa, X, phi + zeta) <= 2^{|X|} G_ell(kappa, X, phi)

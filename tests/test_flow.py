@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from sgrg import flow
-from sgrg.covariance import CovarianceKernel, covariance_matrix, trlog_T
-from sgrg.fields import grid_points
+from sgrg.covariance import CovarianceKernel, trlog_T
 from sgrg.flow import (
     FlowConfig,
     FlowTrajectory,
@@ -17,6 +16,7 @@ from sgrg.flow import (
     z_invariance_check,
 )
 from sgrg.lattice import TorusSpec
+from test_fields import dense_covariance
 from test_rgmap import step_c_star
 
 
@@ -125,8 +125,7 @@ class TestEnergyBookkeeping:
         sigma, dsigma, beta = 0.02, 3e-3, 7.0
         n_g = 4
         kern = CovarianceKernel("full", sigma=sigma, torus=torus)
-        pts = grid_points(torus, n_g)
-        cm = covariance_matrix(kern, pts, scale=beta)
+        cov = dense_covariance(kern, torus, n_g, beta)
         n = torus.side * n_g
         # spectral derivative matrices via FFT on the grid
         eye = np.eye(n * n)
@@ -144,7 +143,7 @@ class TestEnergyBookkeeping:
             D.append(np.real(cols.reshape(n * n, n * n)).T)
         quad = (D[0].T @ D[0] + D[1].T @ D[1]) / n_g**2
         A = (dsigma / beta) * quad
-        w = np.linalg.eigvalsh(0.5 * (cm.matrix @ A + (cm.matrix @ A).T))
+        w = np.linalg.eigvalsh(0.5 * (cov @ A + (cov @ A).T))
         dense = float(np.sum(np.log1p(np.clip(w, -0.999, None))))
         mode_sum = trlog_T(torus, sigma, dsigma)
         assert dense == pytest.approx(mode_sum, abs=1e-8)
@@ -163,6 +162,66 @@ class TestOracle:
         # loose gate here; the acceptance suite runs the full-precision version
         assert out["pull"] < 6.0
         assert out["rel_diff"] < 1e-4
+
+
+    def test_closed_form_matches_subset_dps(self):
+        # the side-2 oracle's activities, built as z_invariance_check builds them
+        from sgrg.activities import mayer_init_cloud
+        from sgrg.fields import random_band_limited
+        from sgrg.rgmap import build_extraction_activity, extraction_coefficients, fluctuate_linear
+        from sgrg.terms import CovAccess
+
+        beta, zeta, torus = 10.0, 0.05, TorusSpec(2, 1)
+        K0 = mayer_init_cloud(zeta, torus, flow.ORACLE_N_Q, flow.ORACLE_ORDER, torus.n_blocks)
+        kern = CovarianceKernel("slice", sigma=0.0, torus=torus)
+        k_sharp = fluctuate_linear(K0, CovAccess(kern, scale=beta))
+        F = build_extraction_activity(extraction_coefficients(k_sharp, "ir", beta), k_sharp)
+        rng = np.random.default_rng(16)
+        worst = 0.0
+        for amplitude in (0.0, 0.3, 1.0):
+            for _ in range(5):
+                psi = random_band_limited(torus, 8, rng, k_max=3, amplitude=amplitude)
+                want = subset_dp_rep_j1_value(k_sharp, F, psi)
+                got = flow._rep_j1_value(k_sharp, F, psi)
+                worst = max(worst, abs(got - want) / abs(want))
+        assert worst <= 1e-13
+
+
+def subset_dp_rep_j1_value(k_sharp, F, psi) -> float:
+    """The step-(j+1) integrand as the oracle assembled it before the closed
+    form: Ktilde = K# - (e^F - 1)^+ and the Y-subset sums, both as subset DPs
+    over the F polymers (on a side-2 torus every polymer pair touches)."""
+    supp = k_sharp.support()
+    f_supp = F.support()
+    ksh = {p.blocks: v for p, v in zip(supp, k_sharp.values(supp, psi))}
+    f_val = {p.blocks: v for p, v in zip(f_supp, F.values(f_supp, psi))}
+    # (e^F - 1)^+ via subset DP over F polymers
+    plus: dict = {frozenset(): 1.0}
+    for p in f_supp:
+        fy = np.exp(f_val[p.blocks]) - 1.0
+        for B, c in list(plus.items()):
+            key = B | p.blocks
+            plus[key] = plus.get(key, 0.0) + c * fy
+    ktilde = {}
+    for p in supp:
+        ktilde[p.blocks] = ksh[p.blocks] - plus.get(p.blocks, 0.0)
+    for B, c in plus.items():
+        if B and B not in ktilde:
+            ktilde[B] = -c
+    gys = [(p.blocks, np.exp(-f_val[p.blocks]) - 1.0) for p in f_supp]
+    total = 1.0
+    for xb, kt in ktilde.items():
+        if kt == 0.0:
+            continue
+        # Y-subset DP: collections of distinct F polymers joined to X
+        reach: dict = {xb: 1.0}
+        for blocks, gy in gys:
+            for B, c in list(reach.items()):
+                key = B | blocks
+                reach[key] = reach.get(key, 0.0) + c * gy
+        for B, c in reach.items():
+            total += (kt * c).real
+    return total.real if isinstance(total, complex) else float(total)
 
 
 class TestUVSplitConsistency:

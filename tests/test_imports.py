@@ -333,7 +333,7 @@ EXEMPT = {
 }
 EXEMPT_MAX = 3
 # defaulted parameters and dataclass fields: a change that adds one raises this number
-KNOBS_MAX = 52
+KNOBS_MAX = 48
 
 RUNTIME = None  # the value of an argument that is no literal: a local, an attribute, a call
 
