@@ -345,8 +345,8 @@ class GaussianEnsemble:
         rng = np.random.default_rng(self.seed)
         xi = rng.standard_normal(size=(count, self.basis.shape[0]))
         out = np.zeros((count, self.basis.shape[1]))
-        for amp, row in zip(xi.T, self.basis):
-            out += amp[:, None] * row[None, :]
+        for z, row in zip(xi.T, self.basis):
+            out += z[:, None] * row
         return out
 
 
