@@ -80,7 +80,8 @@ class FieldGrid:
     def __neg__(self):
         return FieldGrid(self.torus, self.n_g, -self.values)
 
-    def _hat(self) -> np.ndarray:
+    def spectrum(self) -> np.ndarray:
+        """The discrete Fourier transform of the node values (``fft2``)."""
         return np.fft.fft2(self.values)
 
     def _freqs(self):
@@ -107,13 +108,13 @@ class FieldGrid:
         if np.any(aligned):
             ii = idx[aligned].astype(int) % n
             out[aligned] = self.values[ii[:, 0], ii[:, 1]]
-        out[~aligned] = self._interpolate(pts[~aligned], (0, 0))
+        out[~aligned] = self._interpolate(pts[~aligned], (0, 0), self.spectrum())
         return out
 
-    def _interpolate(self, pts, alpha) -> np.ndarray:
+    def _interpolate(self, pts, alpha, spectrum) -> np.ndarray:
         """d^alpha of the trigonometric interpolant at ``pts``."""
         n = self.n
-        hat = self._hat() / (n * n)
+        hat = spectrum / (n * n)
         k = self._freqs()
         if any(alpha):
             hat = hat * _spectral_multiplier(n, k, alpha)
@@ -127,11 +128,14 @@ class FieldGrid:
         vals = np.einsum("pk,kl,pl->p", phase_x, hat, phase_y)
         return np.real(vals)
 
-    def deriv_at(self, alpha, points) -> np.ndarray:
+    def deriv_at(self, alpha, points, spectrum) -> np.ndarray:
         """Spectral derivative d^alpha at arbitrary points, exact on band-limited
-        fields; an odd order drops the Nyquist mode along its axis."""
+        fields; an odd order drops the Nyquist mode along its axis.
+
+        ``spectrum`` is this field's ``spectrum()``, taken once by the caller
+        so that the derivatives of one evaluation share one transform."""
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-        return self._interpolate(pts, tuple(int(c) for c in alpha))
+        return self._interpolate(pts, tuple(int(c) for c in alpha), spectrum)
 
     def deriv(self, alpha) -> "FieldGrid":
         """d^alpha field as a new grid, from 2nd-order central stencils."""

@@ -133,11 +133,11 @@ class TermTable:
     term, bit for bit: phases accumulate charge by charge, complex products
     are written out in real arithmetic (numpy's complex multiply may fuse
     them), and each total is a sequential sum from 0.  All lists share one
-    ``field.at`` call over the union of their charge positions and one
-    ``deriv_at`` call per alpha.  A list's sums do not depend on its batch:
-    the padding another list brings adds 0.0 to a phase or a sum, or changes
-    only the sign of a zero term value, and a sum from +0.0 never reads a
-    zero's sign.
+    ``field.at`` call over the union of their charge positions, and one
+    ``deriv_at`` call per alpha from one shared ``field.spectrum()``.  A
+    list's sums do not depend on its batch: the padding another list brings
+    adds 0.0 to a phase or a sum, or changes only the sign of a zero term
+    value, and a sum from +0.0 never reads a zero's sign.
     """
 
     def __init__(self, term_lists):
@@ -185,9 +185,9 @@ class TermTable:
             vr, vi = (np.where(self.charged, vr * cos - vi * sin, vr),
                       np.where(self.charged, vr * sin + vi * cos, vi))
         if self.lin_queries:
-            lin = np.append(
-                np.concatenate([field.deriv_at(a, ys) for a, ys in self.lin_queries]), 1.0
-            )
+            spectrum = field.spectrum()
+            lin = np.append(np.concatenate(
+                [field.deriv_at(a, ys, spectrum) for a, ys in self.lin_queries]), 1.0)
             for ix in self.lin:
                 f = lin[ix]
                 vr, vi = vr * f - vi * 0.0, vr * 0.0 + vi * f
@@ -238,15 +238,26 @@ class CovAccess:
     The memo is keyed by the min-image displacement that the kernel's
     ``_wrap`` makes of ``dx``, so a displacement and its periodic images share
     one evaluation, and a hit returns exactly what a fresh evaluation would.
+    In front of it sits a memo keyed by the caller's own ``(alpha, dx)``, so a
+    repeated query is one lookup; a key equal to an earlier one has an equal
+    min-image key, so the front memo returns what the min-image memo would.
     """
 
     def __init__(self, kernel: CovarianceKernel, scale: float = 1.0):
         self.kernel = kernel
         self.scale = scale
+        self._seen: dict = {}
         self._memo: dict = {}
         self._side = None if kernel.kind == "continuum" else float(kernel.torus.side)
 
-    def c(self, alpha, dx) -> float:
+    def c(self, alpha: tuple, dx: tuple) -> float:
+        key = (alpha, dx)
+        hit = self._seen.get(key)
+        if hit is None:
+            hit = self._seen[key] = self._min_image_c(alpha, dx)
+        return hit
+
+    def _min_image_c(self, alpha, dx) -> float:
         x, y = float(dx[0]), float(dx[1])
         if self._side is not None:  # as CovarianceKernel._wrap does
             x, y = _min_image(x, self._side), _min_image(y, self._side)

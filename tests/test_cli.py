@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import sgrg
 from sgrg.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main, parse_torus
 from sgrg.flow import z_derivative_check, z_invariance_check
 
@@ -275,6 +277,32 @@ class TestOracleDerivativePull:
         der = json.loads((tmp_path / "oracle_manifest.json").read_text())["derivative"]
         assert der["pull"] == 2.0
         assert self.printed_pull(capsys.readouterr().out) == "2.00"
+
+
+class TestThreadIndependence:
+    """The identity and oracle manifests do not depend on the BLAS thread count."""
+
+    CASES = {
+        "identities": ["identities", "--torus", "3x3", "--seed", "3"],
+        "oracle": ["oracle", "--samples", "20", "--seed", "3"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_manifest_bytes_at_one_and_two_threads(self, tmp_path, name):
+        src = str(Path(sgrg.__file__).resolve().parents[1])
+        manifests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-m", "sgrg.cli", *self.CASES[name], "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            text = (out / f"{name}_manifest.json").read_text()
+            assert json.loads(text)["config"]["out"] == str(out)
+            manifests.append(text.replace(json.dumps(str(out)), '"OUT"'))
+        assert manifests[0] == manifests[1]
 
 
 class TestBench:

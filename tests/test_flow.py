@@ -165,17 +165,10 @@ class TestOracle:
 
 
     def test_closed_form_matches_subset_dps(self):
-        # the side-2 oracle's activities, built as z_invariance_check builds them
-        from sgrg.activities import mayer_init_cloud
         from sgrg.fields import random_band_limited
-        from sgrg.rgmap import build_extraction_activity, extraction_coefficients, fluctuate_linear
-        from sgrg.terms import CovAccess
 
-        beta, zeta, torus = 10.0, 0.05, TorusSpec(2, 1)
-        K0 = mayer_init_cloud(zeta, torus, flow.ORACLE_N_Q, flow.ORACLE_ORDER, torus.n_blocks)
-        kern = CovarianceKernel("slice", sigma=0.0, torus=torus)
-        k_sharp = fluctuate_linear(K0, CovAccess(kern, scale=beta))
-        F = build_extraction_activity(extraction_coefficients(k_sharp, "ir", beta), k_sharp)
+        torus = TorusSpec(2, 1)
+        k_sharp, F, _ = oracle_activities(10.0, 0.05, torus)
         rng = np.random.default_rng(16)
         worst = 0.0
         for amplitude in (0.0, 0.3, 1.0):
@@ -185,6 +178,62 @@ class TestOracle:
                 got = flow._rep_j1_value(k_sharp, F, psi)
                 worst = max(worst, abs(got - want) / abs(want))
         assert worst <= 1e-13
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_point_mass_z1_matches_sampled_loop(self, seed):
+        beta, zeta, n_g, count = 10.0, 0.05, 8, 20
+        torus = TorusSpec(2, 1)
+        coarse = torus.coarse()
+        k_sharp, F, coeffs = oracle_activities(beta, zeta, torus)
+        want = sampled_z1_values(k_sharp, F, coarse, coeffs.dsigma, count, n_g, seed + 1, beta)
+        got = flow._z1_values(k_sharp, F, coarse, coeffs.dsigma, count, n_g)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # the check's Z(j+1) is the estimate from those draws, bit for bit
+        out = z_invariance_check(beta, zeta, L=2, M=1, n_samples=count, seed=seed, n_g=n_g)
+        weight = math.exp(coeffs.dE * torus.volume - 0.5 * trlog_T(coarse, 0.0, coeffs.dsigma))
+        assert repr(out["z1"].value) == repr(float(np.mean(want)) * weight)
+        assert repr(out["z1"].stderr) == repr(
+            float(np.std(want, ddof=1) / math.sqrt(count)) * weight)
+        assert out["z1"].n_samples == count
+
+    def test_coarse_measure_with_modes_raises(self, monkeypatch):
+        # a coarse kernel with a mode is not a point mass; the check must not
+        # fall back to sampling it
+        plain = CovarianceKernel.modes
+
+        def one_coarse_mode(self):
+            if self.torus is not None and self.torus.side == 1:
+                return np.array([2.0 * math.pi]), np.array([0.0]), np.array([1e-3])
+            return plain(self)
+
+        monkeypatch.setattr(CovarianceKernel, "modes", one_coarse_mode)
+        with pytest.raises(ValueError, match="not a point mass"):
+            z_invariance_check(beta=10.0, zeta=0.05, L=2, M=1, n_samples=4, seed=3, n_g=8)
+
+
+def oracle_activities(beta, zeta, torus):
+    """The side-2 oracle's K#, F and extraction coefficients, built as
+    z_invariance_check builds them."""
+    from sgrg.activities import mayer_init_cloud
+    from sgrg.rgmap import build_extraction_activity, extraction_coefficients, fluctuate_linear
+    from sgrg.terms import CovAccess
+
+    K0 = mayer_init_cloud(zeta, torus, flow.ORACLE_N_Q, flow.ORACLE_ORDER, torus.n_blocks)
+    kern = CovarianceKernel("slice", sigma=0.0, torus=torus)
+    k_sharp = fluctuate_linear(K0, CovAccess(kern, scale=beta))
+    coeffs = extraction_coefficients(k_sharp, "ir", beta)
+    return k_sharp, build_extraction_activity(coeffs, k_sharp), coeffs
+
+
+def sampled_z1_values(k_sharp, F, coarse, dsigma, count, n_g, seed, beta):
+    """Z(j+1)'s integrand as the oracle sampled it before the point mass:
+    one evaluation per field drawn from the coarse ensemble."""
+    from sgrg.fields import gaussian_ensemble, scale_field
+
+    kern_c = CovarianceKernel("full", sigma=dsigma, torus=coarse)
+    ens_c = gaussian_ensemble(kern_c, coarse, n_g, seed=seed, scale=beta)
+    return np.array([flow._rep_j1_value(k_sharp, F, scale_field(f, coarse.L))
+                     for f in ens_c.sample(count)])
 
 
 def subset_dp_rep_j1_value(k_sharp, F, psi) -> float:

@@ -49,7 +49,7 @@ def reference_evaluate_terms(terms, field) -> complex:
     phis = field.at(queries) if queries else np.zeros(0)
     lin_vals: dict = {}
     for alpha, ys in lin_queries.items():
-        vals = field.deriv_at(alpha, ys)
+        vals = field.deriv_at(alpha, ys, field.spectrum())
         for y, v in zip(ys, vals):
             lin_vals[(alpha, y)] = v
     total = 0.0 + 0.0j
@@ -87,18 +87,23 @@ def assert_value(got, ref):
 
 
 class RecordingField:
-    """Delegates to a field and records every lookup with its points."""
+    """Delegates to a field and records every lookup with its points; the
+    transforms it hands out are counted apart, in ``spectra``."""
 
     def __init__(self, field):
-        self.field, self.calls = field, []
+        self.field, self.calls, self.spectra = field, [], 0
+
+    def spectrum(self):
+        self.spectra += 1
+        return self.field.spectrum()
 
     def at(self, points):
         self.calls.append(("at", np.asarray(points, dtype=float).tolist()))
         return self.field.at(points)
 
-    def deriv_at(self, alpha, points):
+    def deriv_at(self, alpha, points, spectrum):
         self.calls.append(("deriv_at", alpha, np.asarray(points, dtype=float).tolist()))
-        return self.field.deriv_at(alpha, points)
+        return self.field.deriv_at(alpha, points, spectrum)
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +183,28 @@ class TestTermTable:
         alphas = [c[1] for c in logs[0][1:]]
         assert logs[0][0][0] == "at" and len(alphas) == len(set(alphas)) > 1
 
+    def test_shared_transform_off_grid(self):
+        # the alphas of one evaluation share one transform; the reference loop
+        # takes a fresh one per alpha, and the values agree bit for bit at
+        # positions off the field nodes
+        t = TorusSpec(2, 1)
+        rng = np.random.default_rng(17)
+        alphas = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 1)]
+        terms = [CloudTerm(complex(rng.normal(), rng.normal()),
+                           ((1, (0.37 * k, 0.11 + 0.29 * k)),),
+                           ((a, (0.13 + 0.41 * k, 0.77 - 0.23 * k)), (b, (0.59, 0.05 + 0.31 * k))))
+                 for k, (a, b) in enumerate(zip(alphas, alphas[1:] + alphas[:1]))]
+        ys = np.array([y for tm in terms for _, y in tm.linfs]) * 8
+        assert np.all(np.abs(ys - np.rint(ys)) > 1e-9)
+        for _ in range(3):
+            fld = random_band_limited(t, 8, rng, amplitude=0.7, k_max=3)
+            assert_same(terms, fld)
+            logs = []
+            for evaluate in (reference_evaluate_terms, evaluate_terms):
+                logs.append(RecordingField(fld))
+                evaluate(terms, logs[-1])
+            assert [log.spectra for log in logs] == [len(alphas), 1]
+
     def test_empty_list_and_generator(self):
         t = TorusSpec(2, 1)
         fld = random_band_limited(t, 8, np.random.default_rng(6), amplitude=0.8, k_max=2)
@@ -239,7 +266,8 @@ class TestBatch:
         assert assert_batch_same([[], [], a], fine[0])[:2] == [0.0, 0.0]
 
     def test_one_lookup_per_batch(self, oracle_setup):
-        # one FieldGrid.at call and one deriv_at call per alpha for the batch
+        # one FieldGrid.at call, one transform and one deriv_at call per alpha
+        # for the batch
         acts, fine, _ = oracle_setup
         lists = [ts for K in acts.values() for ts in K.data.values()]
         alphas = {a for ts in lists for t in ts for a, _ in t.linfs}
@@ -247,6 +275,7 @@ class TestBatch:
         log = RecordingField(fine[0])
         TermTable(lists).values(log)
         assert [c[0] for c in log.calls] == ["at"] + ["deriv_at"] * len(alphas)
+        assert log.spectra == 1
         assert {c[1] for c in log.calls[1:]} == alphas
         for K in acts.values():
             ts = [t for p in K.support() for t in K.terms(p)]
@@ -255,9 +284,49 @@ class TestBatch:
             log = RecordingField(fine[0])
             K.values(K.support(), log)
             assert [c[0] for c in log.calls] == ["at"] * charged + ["deriv_at"] * len(alphas)
+            assert log.spectra == bool(alphas)
+
+
+class MinImageOnly(CovAccess):
+    """``CovAccess`` without its front memo: every query takes the min-image path."""
+
+    def c(self, alpha, dx):
+        return self._min_image_c(alpha, dx)
 
 
 class TestCovAccess:
+    @pytest.mark.parametrize("kind", ["slice", "continuum"])
+    def test_front_memo_keeps_bits_and_evaluations(self, monkeypatch, kind):
+        # periodic images, signed zeros and int/float spellings of one
+        # displacement, each asked twice, against the min-image memo alone
+        def kernel():
+            if kind == "continuum":
+                return CovarianceKernel("continuum", sigma=0.0, L=2)
+            return CovarianceKernel("slice", sigma=0.0, torus=TorusSpec(2, 2))
+
+        side = 4
+        fast, slow = kernel(), kernel()
+        evals = {id(fast): 0, id(slow): 0}
+        plain = CovarianceKernel.eval
+
+        def counted(self, x, alpha=(0, 0)):
+            evals[id(self)] += 1
+            return plain(self, x, alpha)
+
+        monkeypatch.setattr(CovarianceKernel, "eval", counted)
+        cov, ref = CovAccess(fast, scale=2.0), MinImageOnly(slow, scale=2.0)
+        queries = []
+        for alpha in ((0, 0), (1, 0), (0, 1), (1, 2)):
+            for dx in ((0.25, -1.5), (0.25 + side, -1.5), (0.25, -1.5 - side),
+                       (-0.0, 0.75), (0.0, 0.75), (0.75, -0.0), (0.75, 0.0),
+                       (1, 2), (1.0, 2.0), (1, 2.0), (1 - side, 2)):
+                queries.append((alpha, dx))
+        for alpha, dx in queries + queries[::-1]:
+            assert repr(cov.c(alpha, dx)) == repr(ref.c(alpha, dx))
+        assert evals[id(fast)] == evals[id(slow)] > 0
+        if kind == "slice":  # four displacements up to images and zero signs
+            assert evals[id(fast)] == 4 * 4
+
     def test_periodic_images_share_one_evaluation(self, monkeypatch):
         # side 4: dx and dx +- 4 per axis have one min-image displacement
         t = TorusSpec(2, 2)
