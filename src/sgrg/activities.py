@@ -16,7 +16,7 @@ Three representations:
                             desk-scale flow representation.
 
 The two term representations share one algebra, ``TermActivity``: map,
-filter, scale and add-with-factor over their per-key term lists.  Charge
+filter and add-with-factor over their per-key term lists.  Charge
 decomposition and the activity norm are defined on these two only.
 
 The polymer exponential sums over collections of region-disjoint polymers
@@ -72,9 +72,6 @@ class FunctionalActivity:
     def values(self, polymers, fld) -> list:
         return self.fn(polymers, fld)
 
-    def value(self, p: Polymer, fld) -> complex:
-        return self.values([p], fld)[0]
-
 
 class TermActivity:
     """The term algebra shared by ``CloudActivity`` and ``TruncatedActivity``.
@@ -100,9 +97,6 @@ class TermActivity:
     def filter(self, keep):
         """The terms t of key k with keep(k, t)."""
         return self.map(lambda k, ts: [t for t in ts if keep(k, t)])
-
-    def scale(self, z: complex):
-        return self.map(lambda k, ts: [t.scaled(z) for t in ts])
 
     def add(self, other, z: complex):
         """self + z * other; keys only in self keep their term lists as they are."""
@@ -241,23 +235,19 @@ class _CoeffOps(tuple):
         return c
 
 
-def collapse_term(term: CloudTerm, neutral_taylor: bool = True):
+def collapse_term(term: CloudTerm):
     """Collapse to the truncated model; None when outside the truncation
     (total |charge| above ``Q_MAX``, more than ``MAX_LINFS`` gradient factors,
     or charges with gradient factors).
 
     Charged clouds collapse to per-block total charges at block centers;
-    neutral clouds with position spread convert to derivative data when
-    ``neutral_taylor`` is set.
+    neutral clouds convert to derivative data, a list of the collapsed
+    Taylor pieces, which carry no charges.
     """
-    if (
-        neutral_taylor
-        and term.total_charge == 0
-        and term.charges
-    ):
+    if term.total_charge == 0 and term.charges:
         out = []
         for piece in taylorize_neutral(term):
-            c = collapse_term(piece, neutral_taylor=False)
+            c = collapse_term(piece)
             if c is not None:
                 out.append(c)
         return out
@@ -408,7 +398,7 @@ def potentials(blocks, fld) -> list[float]:
     return [float(np.mean(row)) for row in cos]
 
 
-def v_cloud_terms(block, n_q: int = 2) -> list[CloudTerm]:
+def v_cloud_terms(block, n_q: int) -> list[CloudTerm]:
     """V(D) as charge clouds: (w/2) e^{i phi(x)} + (w/2) e^{-i phi(x)} per node."""
     nodes = block_quadrature_nodes(block, n_q)
     w = 1.0 / len(nodes)

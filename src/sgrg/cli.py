@@ -99,7 +99,7 @@ def parse_torus(text: str):
 
 
 def cmd_covariance(args) -> int:
-    from .covariance import CovarianceKernel, covariance_table
+    from .covariance import CovarianceKernel, _deriv_alphas, covariance_table
     from .lattice import TorusSpec
 
     out = _out_dir(args)
@@ -113,13 +113,7 @@ def cmd_covariance(args) -> int:
         side = args.L**args.M if torus else 4 * args.L
         pts = np.linspace(0.0, side / 2.0, args.grid)
         xs = [(p, 0.0) for p in pts]
-    alphas = [
-        (a, b)
-        for a in range(args.alpha_max + 1)
-        for b in range(args.alpha_max + 1)
-        if a + b <= args.alpha_max
-    ]
-    rows = covariance_table(kernel, xs, alphas)
+    rows = covariance_table(kernel, xs, _deriv_alphas(args.alpha_max))
     table = out / "covariance.csv"
     with open(table, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
@@ -137,8 +131,9 @@ def cmd_covariance(args) -> int:
     return EXIT_OK
 
 
-def _identity_suites(torus_text: str, seed: int):
-    """Run the identity suites; yields (name, residual, tolerance)."""
+def _identity_suites(torus, seed: int):
+    """Run the identity suites on ``torus`` (side >= 3); yields (name,
+    residual, tolerance)."""
     from .activities import (
         mayer_init_functional, polymer_exp, potentials, v_activity,
         verify_resummation, verify_shift_law, whole_torus, charge_component,
@@ -154,7 +149,6 @@ def _identity_suites(torus_text: str, seed: int):
     from .activities import CloudActivity
 
     rng = np.random.default_rng(seed)
-    torus = parse_torus(torus_text)
 
     # forest interpolation, multilinear n = 3
     import itertools as _it
@@ -256,7 +250,7 @@ def _identity_suites(torus_text: str, seed: int):
     worst = 0.0
     for _ in range(10):
         phi = random_band_limited(coarse, 8, rng, amplitude=0.7, k_max=2)
-        phi_L = scale_field(phi, t_s.L)
+        phi_L = scale_field(phi)
         lhs = polymer_exp(K_s, whole_torus(t_s), phi_L)
         rhs = polymer_exp(SK, whole_torus(coarse), phi)
         worst = max(worst, abs(lhs - rhs))
@@ -275,10 +269,14 @@ def _identity_suites(torus_text: str, seed: int):
 
 
 def cmd_identities(args) -> int:
+    torus = parse_torus(args.torus)
+    if torus.side < 3:
+        # the extraction suite's activities sit on blocks up to (2, 2)
+        raise ValueError(f"identities need a torus side of at least 3, got side {torus.side}")
     out = _out_dir(args)
     report = []
     failed = 0
-    for name, residual, tol in _identity_suites(args.torus, args.seed):
+    for name, residual, tol in _identity_suites(torus, args.seed):
         ok = residual <= tol
         failed += 0 if ok else 1
         report.append({"suite": name, "residual": residual, "tolerance": tol,
@@ -295,18 +293,10 @@ def cmd_flow(args, mode: str) -> int:
     from .flow import FlowConfig, contraction_report, run_flow
 
     out = _out_dir(args)
-    kwargs = dict(
-        mode=mode, beta=args.beta, zeta=args.zeta, L=args.L, steps=args.steps,
-    )
-    if mode == "ir":
-        kwargs["M"] = args.M
-        if args.steps is None:
-            kwargs["steps"] = args.M
-    else:
-        kwargs["N"] = args.N
-        if args.steps is None:
-            kwargs["steps"] = args.N
-    config = FlowConfig(**kwargs)
+    M, N = (args.M, 0) if mode == "ir" else (0, args.N)
+    steps = args.steps if args.steps is not None else M + N
+    config = FlowConfig(mode=mode, beta=args.beta, zeta=args.zeta, L=args.L, M=M, N=N,
+                        steps=steps)
     for w in config.warnings:
         print(f"warning: {w}", file=sys.stderr)
     traj = run_flow(config)

@@ -69,9 +69,6 @@ class FieldGrid:
     def n(self) -> int:
         return self.torus.side * self.n_g
 
-    def copy(self) -> "FieldGrid":
-        return FieldGrid(self.torus, self.n_g, self.values.copy())
-
     def __add__(self, other):
         if isinstance(other, FieldGrid):
             return FieldGrid(self.torus, self.n_g, self.values + other.values)
@@ -166,7 +163,7 @@ def _fd_axis(vals, order, n_g, axis):
 
 
 def random_band_limited(
-    torus: TorusSpec, n_g: int, rng, k_max: int = 3, amplitude: float = 1.0
+    torus: TorusSpec, n_g: int, rng, k_max: int, amplitude: float = 1.0
 ) -> FieldGrid:
     """Random sum of Fourier modes with |mode| <= k_max (exact under interpolation)."""
     n = torus.side * n_g
@@ -296,21 +293,13 @@ def measure_sobolev_constant() -> float:
 # -- field scaling ---------------------------------------------------------------
 
 
-def scale_field(phi: FieldGrid, ell: int) -> FieldGrid:
-    """phi_ell(x) = ell^{-(d-2)/2} phi(x/ell) = phi(x/ell) in d = 2, on the
-    ell-times-larger torus."""
+def scale_field(phi: FieldGrid) -> FieldGrid:
+    """phi_L(x) = L^{-(d-2)/2} phi(x/L) = phi(x/L) in d = 2, on the torus one
+    exponent larger (its own block scale L)."""
     t = phi.torus
-    if ell == t.L:
-        big = TorusSpec(t.L, t.M + 1)
-    else:
-        # representable only if the scaled side is a power of L
-        side = t.side * ell
-        M = round(math.log(side, t.L))
-        if t.L**M != side:
-            raise ValueError(f"scaled side {side} not a power of L={t.L}")
-        big = TorusSpec(t.L, M)
+    big = TorusSpec(t.L, t.M + 1)
     n = big.side * phi.n_g
-    xs = np.arange(n) / phi.n_g / ell
+    xs = np.arange(n) / phi.n_g / t.L
     X, Y = np.meshgrid(xs, xs, indexing="ij")
     pts = np.stack([X.ravel(), Y.ravel()], axis=1)
     vals = phi.at(pts).reshape(n, n)
@@ -355,7 +344,7 @@ class GaussianEnsemble:
 
 
 def gaussian_ensemble(
-    kernel: CovarianceKernel, torus: TorusSpec, n_g: int, seed: int, scale: float = 1.0
+    kernel: CovarianceKernel, torus: TorusSpec, n_g: int, seed: int, scale: float
 ) -> GaussianEnsemble:
     """Sampler of scale * C on the grid nodes j/n_g of ``torus``, from the
     mode table of a torus kernel (``kernel.method == "fourier"``)."""

@@ -66,9 +66,9 @@ class FlowConfig:
     beta: float
     zeta: complex
     L: int
-    M: int = 0  # IR: starting torus exponent
-    N: int = 0  # UV: cutoff exponent
-    steps: int = 1
+    M: int  # IR: starting torus exponent (0 in UV)
+    N: int  # UV: cutoff exponent (0 in IR)
+    steps: int
     eps: float = field(init=False)  # 0.1 in IR, 0.2 in UV
 
     def __post_init__(self):
@@ -97,11 +97,11 @@ class FlowState:
     j: int
     sigma: float
     energy: float
-    dE: float = 0.0
-    dsigma: float = 0.0
-    zeta_j: complex = 0.0
-    log_norm: float = -math.inf
-    log_norm_tilde: float = -math.inf
+    dE: float
+    dsigma: float
+    zeta_j: complex
+    log_norm: float
+    log_norm_tilde: float
     ratio: float = float("nan")
     charged_multiplier: float = float("nan")
     large_multiplier: float = float("nan")
@@ -113,7 +113,7 @@ class FlowState:
 class FlowTrajectory:
     config: FlowConfig
     states: list
-    diagnostics: list = field(default_factory=list)
+    diagnostics: list
 
     def to_rows(self):
         """The fields of each state in order, zeta_j as zeta_abs = |zeta_j|."""
@@ -289,7 +289,7 @@ def run_flow(config: FlowConfig) -> FlowTrajectory:
     energy = 0.0
     zeta_j = zetas[0] if zetas else 0.0
     log_norm, log_tilde = norms(K, zeta_j)
-    states = [FlowState(j=j0, sigma=sigma, energy=energy, zeta_j=zeta_j,
+    states = [FlowState(j=j0, sigma=sigma, energy=energy, dE=0.0, dsigma=0.0, zeta_j=zeta_j,
                         log_norm=log_norm, log_norm_tilde=log_tilde)]
     diagnostics = []
     c_star = _flow_star_norm(config, torus)
@@ -369,17 +369,11 @@ def _z1_values(k_sharp, F, coarse: TorusSpec, dsig: float, count: int, n_g: int)
         raise ValueError(f"the coarse measure on side {coarse.side} is not a point mass")
     n = coarse.side * n_g
     zero = FieldGrid(coarse, n_g, np.zeros((n, n)))
-    return np.full(count, _rep_j1_value(k_sharp, F, scale_field(zero, coarse.L)))
+    return np.full(count, _rep_j1_value(k_sharp, F, scale_field(zero)))
 
 
 def z_invariance_check(
-    beta: float,
-    zeta: float,
-    L: int = 2,
-    M: int = 1,
-    n_samples: int = 40000,
-    seed: int = 11,
-    n_g: int = 8,
+    beta: float, zeta: float, L: int, M: int, n_samples: int, seed: int, n_g: int,
 ) -> dict:
     """Compare MC estimates of Z in the step-j and step-(j+1) representations.
 
@@ -438,8 +432,7 @@ def z_invariance_check(
 
 
 def z_derivative_check(
-    beta: float, L: int = 2, M: int = 1, n_samples: int = 40000, seed: int = 3,
-    n_g: int = 8,
+    beta: float, L: int, M: int, n_samples: int, seed: int, n_g: int,
 ) -> dict:
     """dZ/dzeta at zero equals |Lambda| e^{-beta v(0)/2}; MC versus closed form."""
     if n_samples < 2:

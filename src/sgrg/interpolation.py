@@ -73,29 +73,8 @@ def forest_count_recursive(n: int) -> int:
 
 
 def trees_on(n: int) -> tuple:
-    """All labeled trees on n vertices via Pruefer sequences."""
-    if n == 1:
-        return ((),)
-    if n == 2:
-        return (((0, 1),),)
-    out = []
-    for seq in itertools.product(range(n), repeat=n - 2):
-        degree = [1] * n
-        for v in seq:
-            degree[v] += 1
-        seq_list = list(seq)
-        bonds = []
-        avail = sorted(range(n))
-        work_deg = degree[:]
-        for v in seq_list:
-            leaf = min(u for u in range(n) if work_deg[u] == 1)
-            bonds.append((min(leaf, v), max(leaf, v)))
-            work_deg[leaf] -= 1
-            work_deg[v] -= 1
-        last = [u for u in range(n) if work_deg[u] == 1]
-        bonds.append((min(last), max(last)))
-        out.append(tuple(sorted(bonds)))
-    return tuple(out)
+    """All labeled trees on n vertices: the forests with n - 1 bonds."""
+    return tuple(f for f in all_forests(n) if len(f) == n - 1)
 
 
 def path_in_forest(bonds, i, j):

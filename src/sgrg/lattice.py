@@ -254,14 +254,14 @@ class SetRegulatorParams:
     """Large-set regulator Gamma_p(X) = 2^{p|X|} A^{|X|} (1 + MST length)^THETA_NU."""
 
     A: float
-    p: int = 0
+    p: int
 
     def __post_init__(self):
         if self.A < 1:
             raise ValueError("amplitude A must be >= 1")
 
     @staticmethod
-    def default(torus: TorusSpec, p: int = 0) -> "SetRegulatorParams":
+    def default(torus: TorusSpec, p: int) -> "SetRegulatorParams":
         return SetRegulatorParams(A=float(torus.L ** (2 + 3)), p=p)
 
 

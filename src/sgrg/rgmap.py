@@ -42,7 +42,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -283,24 +283,30 @@ def _s_integral_affine(paths, u, factors, m_bonds: int) -> complex:
     return complex(total)
 
 
-def fluctuate_cloud(K: CloudActivity, cov: CovAccess) -> CloudActivity:
-    """The full cluster-expanded fluctuation map on cloud activities, with
-    trees on up to ``CLOUD_TREE_CAP`` polymers."""
+def _disjoint_collections(K: CloudActivity, cap: int):
+    """Every collection of at most ``cap`` pairwise region-disjoint polymers
+    of K's support that carry terms, as a list in support order; depth first,
+    each collection before its extensions."""
     support = [p for p in K.support() if K.terms(p)]
-    targets: dict = {}
-    # all unions of region-disjoint support subsets of size <= CLOUD_TREE_CAP
-    def build(idx, chosen):
-        if chosen:
-            union = frozenset().union(*(p.blocks for p in chosen))
-            targets.setdefault(union, []).append(list(chosen))
-        if len(chosen) >= CLOUD_TREE_CAP:
-            return
+
+    def rec(idx, chosen):
         for i in range(idx, len(support)):
             p = support[i]
             if all(region_disjoint(p, c, K.torus) for c in chosen):
-                build(i + 1, chosen + [p])
+                yield chosen + [p]
+                if len(chosen) + 1 < cap:
+                    yield from rec(i + 1, chosen + [p])
 
-    build(0, [])
+    yield from rec(0, [])
+
+
+def fluctuate_cloud(K: CloudActivity, cov: CovAccess) -> CloudActivity:
+    """The full cluster-expanded fluctuation map on cloud activities, with
+    trees on up to ``CLOUD_TREE_CAP`` polymers."""
+    targets: dict = {}
+    for chosen in _disjoint_collections(K, CLOUD_TREE_CAP):
+        union = frozenset().union(*(p.blocks for p in chosen))
+        targets.setdefault(union, []).append(chosen)
     out: dict = {}
     for union, collections in targets.items():
         acc: dict = {}  # the sums canon makes of the concatenated term lists
@@ -377,8 +383,7 @@ def fluctuate(K: TruncatedActivity, cov: CovAccess, cache: dict,
                 else:
                     _add_collapsed(sums, pieces, t.coeff)
     shapes = [k for k in sorted(K.shapes) if len(k) <= TREE_SHAPE_CAP]
-    slots1 = {k: [tm.term_slots(CloudTerm(1.0, t.charges, t.linfs), 0) for t in K.shapes[k]]
-              for k in shapes}
+    slots1 = {k: [tm.term_slots(t, 0) for t in K.shapes[k]] for k in shapes}
     images: dict = {}
     pair = None  # _pair_placements yields the placements of a shape pair together
     for key1, key2, offset, ukey, shift in _pair_placements(shapes):
@@ -396,8 +401,7 @@ def fluctuate(K: TruncatedActivity, cov: CovAccess, cache: dict,
         for sl1, i2, t2, coeff in above:
             sl2 = slots2.get(i2)
             if sl2 is None:
-                t2s = tm.translate_term(t2, offset)
-                sl2 = slots2[i2] = tm.term_slots(CloudTerm(1.0, *t2s.key()), 1)
+                sl2 = slots2[i2] = tm.term_slots(tm.translate_term(t2, offset), 1)
             for c0, sl in bond_laplacian(coeff, sl1 + sl2, 0, 1, cov):
                 for key, c in tree_convolved_terms(c0, sl, 2, ((0, 1),), cov, images):
                     if sums is None:
@@ -593,7 +597,7 @@ def extraction_coefficients(K, preset: str, beta: float) -> ExtractionCoefficien
     s_diag = np.zeros(2)
     s_off = 0.0
     for key, ts in items:
-        blocks = list(key) if not isinstance(key, frozenset) else sorted(key)
+        blocks = sorted(key)
         size = len(blocks)
         x_star = _centroid(blocks)
         M0, M2, M3 = neutral_moments(ts, x_star)
@@ -632,16 +636,16 @@ def extraction_coefficients(K, preset: str, beta: float) -> ExtractionCoefficien
 
 
 def build_extraction_activity(coeffs: ExtractionCoefficients, K):
-    """F(X) = sum_{D in X} [alpha0 + quadratic gradient terms] as an activity,
-    the gradient terms at FLOW_N_Q^2 midpoint nodes per block."""
+    """F(X) = sum_{D in X} [alpha0 + quadratic gradient terms] as an activity
+    of K's class on K's torus, the gradient terms at FLOW_N_Q^2 midpoint nodes
+    per block.  Polymer and shape keys alike list their blocks by ``sorted``."""
 
-    def key_terms(key, blocks):
+    def key_terms(key):
         out = []
-        size = len(blocks)
         a0 = coeffs.alpha0[key]
         if a0 != 0:
-            out.append(CloudTerm(a0 * size))
-        for b in blocks:
+            out.append(CloudTerm(a0 * len(key)))
+        for b in sorted(key):
             nodes = block_quadrature_nodes(b, FLOW_N_Q)
             w = 1.0 / len(nodes)
             for (mu, nu), cq in coeffs.quad.get(key, {}).items():
@@ -662,19 +666,8 @@ def build_extraction_activity(coeffs: ExtractionCoefficients, K):
                     out.append(CloudTerm(cg * w, (), ((emu, x), (tuple(e2), x))))
         return canon(out)
 
-    if isinstance(K, TruncatedActivity):
-        shapes = {}
-        for key in coeffs.alpha0:
-            ts = key_terms(key, list(key))
-            if ts:
-                shapes[key] = ts
-        return TruncatedActivity(K.torus, shapes)
-    data = {}
-    for key in coeffs.alpha0:
-        ts = key_terms(key, sorted(key))
-        if ts:
-            data[key] = ts
-    return CloudActivity(K.torus, data)
+    data = {key: ts for key in coeffs.alpha0 if (ts := key_terms(key))}
+    return replace(K, **{K.STORE: data})
 
 
 def extract_linear(K, F):
@@ -860,31 +853,17 @@ def scale_activity(K: CloudActivity) -> CloudActivity:
     of at most CLUSTER_MAX polymers); truncated activities take the linear
     regrouping, ``scale_linear``."""
     coarse = K.torus.coarse()
-    support = [p for p in K.support() if K.terms(p)]
     out: dict = {}
-
-    def add(blocks, ts):
-        if ts:
-            out[blocks] = canon(list(out.get(blocks, [])) + ts)
-
-    def build(idx, chosen):
-        if chosen:
-            closures = [partition_closure(p, K.torus) for p in chosen]
-            if _touch_connected(closures, coarse):
-                union = frozenset().union(*(c.blocks for c in closures))
-                lists = [K.terms(p) for p in chosen]
-                acc = [CloudTerm(1.0)]
-                for ts in lists:
-                    acc = tm.multiply(acc, ts)
-                add(union, [tm.scale_term(t, K.torus.L) for t in acc])
-        if len(chosen) >= CLUSTER_MAX:
-            return
-        for i in range(idx, len(support)):
-            p = support[i]
-            if all(region_disjoint(p, c, K.torus) for c in chosen):
-                build(i + 1, chosen + [p])
-
-    build(0, [])
+    for chosen in _disjoint_collections(K, CLUSTER_MAX):
+        closures = [partition_closure(p, K.torus) for p in chosen]
+        if _touch_connected(closures, coarse):
+            union = frozenset().union(*(c.blocks for c in closures))
+            acc = [CloudTerm(1.0)]
+            for p in chosen:
+                acc = tm.multiply(acc, K.terms(p))
+            ts = [tm.scale_term(t, K.torus.L) for t in acc]
+            if ts:
+                out[union] = canon(list(out.get(union, [])) + ts)
     return CloudActivity(coarse, {k: v for k, v in out.items() if v})
 
 
@@ -1009,8 +988,8 @@ class RGStepParams:
     torus: TorusSpec
     c_star: float  # beta-scaled star norm for hypothesis 3, computed once per flow
     norm: NormParams
-    sigma: float = 0.0
-    preset: str = "uv"  # 'ir' extracts gradient quadratics as well
+    sigma: float
+    preset: str  # 'uv' extracts constants; 'ir' gradient quadratics as well
 
     def cov(self) -> CovAccess:
         from .covariance import CovarianceKernel

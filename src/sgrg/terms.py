@@ -243,7 +243,7 @@ class CovAccess:
     min-image key, so the front memo returns what the min-image memo would.
     """
 
-    def __init__(self, kernel: CovarianceKernel, scale: float = 1.0):
+    def __init__(self, kernel: CovarianceKernel, scale: float):
         self.kernel = kernel
         self.scale = scale
         self._seen: dict = {}
@@ -286,7 +286,7 @@ def convolve_term(term: CloudTerm, cov: CovAccess) -> list[CloudTerm]:
             quad += qs[a] * qs[b] * cov.c((0, 0), (xs[a][0] - xs[b][0], xs[a][1] - xs[b][1]))
     base = term.coeff * math.exp(-0.5 * quad)
     if not term.linfs:
-        return [CloudTerm(base, term.charges, ())]
+        return [_raw_term(base, term.charges, ())]
     # mean shifts m_k = i sum_a q_a d^{alpha_k} C(y_k - x_a)
     linfs = list(term.linfs)
     shifts = []
@@ -305,14 +305,13 @@ def convolve_term(term: CloudTerm, cov: CovAccess) -> list[CloudTerm]:
             pair_factor *= cov.pair(ai, yi, aj, yj)
         # remaining slots: either keep the phi factor or take the mean shift
         for subset in _subsets(rest):
-            keep = [linfs[i] for i in subset]
+            # a sub-tuple of the sorted linfs, in index order, is sorted too
+            keep = tuple(linfs[i] for i in sorted(subset))
             shift_factor = 1.0
             for i in rest:
                 if i not in subset:
                     shift_factor *= shifts[i]
-            out.append(
-                CloudTerm(base * pair_factor * shift_factor, term.charges, tuple(keep))
-            )
+            out.append(_raw_term(base * pair_factor * shift_factor, term.charges, keep))
     return canon(out)
 
 

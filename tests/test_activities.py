@@ -149,7 +149,7 @@ class TestMayer:
         K0 = mayer_init_functional(0.0, t)
         fld = rfield(t, np.random.default_rng(5))
         for p in K0.support():
-            assert K0.value(p, fld) == pytest.approx(0.0)
+            assert K0.values([p], fld)[0] == pytest.approx(0.0)
 
     def test_two_block_product_structure(self):
         t = TorusSpec(2, 1)
@@ -160,7 +160,7 @@ class TestMayer:
         v0, v1 = potentials([(0, 0), (0, 1)], fld)
         f0 = cmath.exp(zeta * v0) - 1.0
         f1 = cmath.exp(zeta * v1) - 1.0
-        assert K0.value(p, fld) == pytest.approx(f0 * f1, rel=1e-12)
+        assert K0.values([p], fld)[0] == pytest.approx(f0 * f1, rel=1e-12)
 
     def test_cloud_matches_functional_order(self):
         t = TorusSpec(2, 1)
@@ -171,7 +171,7 @@ class TestMayer:
         fld = rfield(t, rng)
         for p in Kc.support():
             a = Kc.value(p, fld)
-            b = Kf.value(p, fld)
+            b = Kf.values([p], fld)[0]
             assert abs(a - b) < 1e-18 + abs(b) * 1e-10
 
 
@@ -234,7 +234,7 @@ class TestPerFieldPotential:
                 want = [repr(reference_mayer_value(zeta, p, fld)) for p in support]
                 assert [repr(v) for v in K0.values(support, fld)] == want
                 assert [repr(v) for v in K0.values(support[::-1], fld)] == want[::-1]
-                assert repr(K0.value(support[-1], fld)) == want[-1]
+                assert repr(K0.values([support[-1]], fld)[0]) == want[-1]
             del a, b
 
     def test_potentials_equal_per_block_reference(self):
@@ -327,7 +327,7 @@ class TestNorms:
         t = TorusSpec(2, 2)
         zeta = 1e-3
         V = v_activity(t, n_q=1, trans_invariant=True)
-        K = V.scale(zeta)
+        K = V.map(lambda k, ts: [t.scaled(zeta) for t in ts])
         params = replace(NormParams.default(t, p=0), h=1.5)
         res = activity_norm(K, params)
         assert math.exp(res) == pytest.approx(32.0 * zeta * math.exp(1.5), rel=1e-12)

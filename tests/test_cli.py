@@ -104,6 +104,16 @@ class TestIdentities:
         manifest = json.loads((tmp_path / "identities_manifest.json").read_text())
         assert len(manifest["report"]) >= 6
 
+    def test_side_two_is_a_usage_error(self, tmp_path, capsys):
+        # the extraction suite's activities sit on blocks outside a side-2 torus
+        out = tmp_path / "out"
+        code = run_cli(["identities", "--seed", "1", "--torus", "2x2", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert "side 2" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestFlows:
     def test_uv_flow_row_count_and_determinism(self, tmp_path, capsys):
@@ -213,8 +223,9 @@ class TestBadInputs:
         assert not list(tmp_path.glob("oracle_*"))
 
     @pytest.mark.parametrize("check", [
-        lambda n: z_invariance_check(beta=10.0, zeta=0.05, n_samples=n),
-        lambda n: z_derivative_check(beta=10.0, n_samples=n),
+        lambda n: z_invariance_check(beta=10.0, zeta=0.05, L=2, M=1, n_samples=n, seed=11,
+                                     n_g=8),
+        lambda n: z_derivative_check(beta=10.0, L=2, M=1, n_samples=n, seed=3, n_g=8),
     ], ids=["invariance", "derivative"])
     def test_oracle_checks_need_two_samples(self, check):
         with pytest.raises(ValueError, match="n_samples >= 2"):

@@ -144,7 +144,7 @@ class TestDerivatives:
         rng = np.random.default_rng(7)
         block = polymer([(0, 0)])
         for _ in range(20):
-            phi = random_band_limited(t, 8, rng)
+            phi = random_band_limited(t, 8, rng, k_max=3)
             gx, gy = polymer_node_indices(block, t, 8)
             num = max(
                 float(np.max(phi.deriv(a).values[gx, gy] ** 2)) for a in ((1, 0), (0, 1))
@@ -160,13 +160,13 @@ class TestScaling:
     def test_constant_fixed_point(self):
         t = TorusSpec(2, 1)
         phi = FieldGrid(t, 8, np.full((16, 16), 1.7))
-        big = scale_field(phi, 2)
+        big = scale_field(phi)
         assert np.allclose(big.values, 1.7, atol=1e-9)
 
     def test_scaled_wave(self):
         t = TorusSpec(2, 1)
         phi = make_wave(t, 8)
-        big = scale_field(phi, 2)
+        big = scale_field(phi)
         n = big.torus.side * 8
         xs = np.arange(n) / 8
         X, Y = np.meshgrid(xs, xs, indexing="ij")
@@ -190,7 +190,7 @@ class TestRegulator:
         Y = polymer([(2, 2)])
         XY = polymer([(0, 0), (2, 2)])
         for _ in range(25):
-            phi = random_band_limited(t, 8, rng)
+            phi = random_band_limited(t, 8, rng, k_max=3)
             lg = log_regulator(phi, X, params, False) + log_regulator(phi, Y, params, False)
             assert lg == pytest.approx(log_regulator(phi, XY, params, False), abs=1e-10)
 
@@ -198,7 +198,7 @@ class TestRegulator:
         # ell = 2: |a|=1 bulk weight 1, |a|=2 weight 4, boundary weight 2
         t = TorusSpec(2, 1)
         rng = np.random.default_rng(3)
-        phi = random_band_limited(t, 8, rng)
+        phi = random_band_limited(t, 8, rng, k_max=3)
         X = polymer([(0, 0)])
         monkeypatch.setattr(fields, "REGULATOR_S", 2)
         params = RegulatorParams(kappa=0.01, c=0.05)
@@ -234,7 +234,7 @@ class TestRegulator:
         Z = polymer([(1, 1), (1, 2), (2, 1), (2, 2)])
         bad = 0
         for _ in range(200):
-            phi = random_band_limited(t, 8, rng)
+            phi = random_band_limited(t, 8, rng, k_max=3)
             if log_regulator(phi, X, params, False) > log_regulator(phi, Z, params, False) + 1e-12:
                 bad += 1
         assert bad == 0
@@ -280,7 +280,7 @@ class TestGaussian:
     def test_sample_covariance_matches(self):
         t = TorusSpec(2, 2)
         k = CovarianceKernel("slice", sigma=0.0, torus=t)
-        ens = gaussian_ensemble(k, t, 4, seed=99)
+        ens = gaussian_ensemble(k, t, 4, seed=99, scale=1.0)
         draws = ens.sample_values(30000)
         emp = draws.T @ draws / draws.shape[0]
         cov = dense_covariance(k, t, 4, 1.0)
@@ -316,7 +316,7 @@ class TestGaussian:
     def test_mode_basis_needs_a_torus_kernel(self):
         k = CovarianceKernel("continuum", sigma=0.0, L=2)
         with pytest.raises(ValueError, match="torus mode table"):
-            gaussian_ensemble(k, TorusSpec(2, 2), 4, seed=0)
+            gaussian_ensemble(k, TorusSpec(2, 2), 4, seed=0, scale=1.0)
 
     def test_mode_basis_refuses_negative_weights(self):
         class NegativeMode:
@@ -326,7 +326,7 @@ class TestGaussian:
                 return np.array([math.pi / 2]), np.array([0.0]), np.array([-1e-3])
 
         with pytest.raises(ValueError, match="non-negative"):
-            gaussian_ensemble(NegativeMode(), TorusSpec(2, 2), 4, seed=0)
+            gaussian_ensemble(NegativeMode(), TorusSpec(2, 2), 4, seed=0, scale=1.0)
 
     def test_convolution_stability_spot_check(self):
         # sample mean of G(kappa, X, phi + zeta) <= 2^{|X|} G_ell(kappa, X, phi)
@@ -337,7 +337,7 @@ class TestGaussian:
         X = polymer([(1, 1), (1, 2)])
         rng = np.random.default_rng(21)
         phi = random_band_limited(t, 4, rng, amplitude=0.3, k_max=2)
-        ens = gaussian_ensemble(kern, t, 4, seed=5)
+        ens = gaussian_ensemble(kern, t, 4, seed=5, scale=1.0)
         zs = ens.sample(400)
         vals = [math.exp(log_regulator(phi + z, X, params, False)) for z in zs]
         mean = float(np.mean(vals))
@@ -361,8 +361,8 @@ class TestVanishingPointScaling:
         L = 2
         gains = []
         for _ in range(10):
-            f = random_band_limited(t, 8, rng)
-            fL = scale_field(f, L)
+            f = random_band_limited(t, 8, rng, k_max=3)
+            fL = scale_field(f)
             fL = fL + (-fL.at([(1.0, 1.0)])[0])  # vanish at a point of Y
             Y = polymer([(1, 1)])
             X = polymer([(0, 0), (0, 1), (1, 0), (1, 1)])

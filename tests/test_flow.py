@@ -24,7 +24,7 @@ class TestZetaSchedule:
     def test_schedule_matches_stepwise_multiplier(self):
         # zeta_{j+1}/zeta_j = L^2 e^{-beta C^{|j|}(0)/2} via the scale split
         for beta in (4 * math.pi, 6 * math.pi):
-            cfg = FlowConfig(mode="uv", beta=beta, zeta=1e-2, L=2, N=5, steps=5)
+            cfg = FlowConfig(mode="uv", beta=beta, zeta=1e-2, L=2, M=0, N=5, steps=5)
             zs = uv_zeta_schedule(cfg)
             for idx, j in enumerate(range(-5, 0)):
                 ratio = zs[idx + 1] / zs[idx]
@@ -34,7 +34,7 @@ class TestZetaSchedule:
         # log multiplier + beta corr / 2 = (2 - beta/4pi) log L to 1e-6
         L = 2
         for beta in (4 * math.pi, 6 * math.pi):
-            cfg = FlowConfig(mode="uv", beta=beta, zeta=1e-2, L=L, N=6, steps=6)
+            cfg = FlowConfig(mode="uv", beta=beta, zeta=1e-2, L=L, M=0, N=6, steps=6)
             for j in range(-6, -1):
                 t = TorusSpec(L, abs(j))
                 c0 = CovarianceKernel("slice", sigma=0.0, torus=t).at_zero()
@@ -45,21 +45,21 @@ class TestZetaSchedule:
                 )
 
     def test_beta_4pi_multiplier_two(self):
-        cfg = FlowConfig(mode="uv", beta=4 * math.pi, zeta=1e-2, L=2, N=6, steps=6)
+        cfg = FlowConfig(mode="uv", beta=4 * math.pi, zeta=1e-2, L=2, M=0, N=6, steps=6)
         # far from the small-torus regime the multiplier approaches 2
         assert uv_multiplier(cfg, -6) == pytest.approx(2.0, abs=1e-3)
 
 
 class TestFlowDrivers:
     def test_zero_coupling_ir(self):
-        cfg = FlowConfig(mode="ir", beta=12 * math.pi, zeta=0.0, L=2, M=3, steps=2)
+        cfg = FlowConfig(mode="ir", beta=12 * math.pi, zeta=0.0, L=2, M=3, N=0, steps=2)
         traj = run_flow(cfg)
         for s in traj.states:
             assert s.sigma == 0.0 and s.energy == 0.0 and s.dE == 0.0
             assert s.log_norm == -math.inf
 
     def test_small_ir_flow_runs(self):
-        cfg = FlowConfig(mode="ir", beta=12 * math.pi, zeta=1e-3, L=2, M=3, steps=2)
+        cfg = FlowConfig(mode="ir", beta=12 * math.pi, zeta=1e-3, L=2, M=3, N=0, steps=2)
         traj = run_flow(cfg)
         assert len(traj.states) == 3
         assert abs(traj.states[-1].sigma) < 0.01
@@ -73,7 +73,7 @@ class TestFlowDrivers:
             assert all(math.isfinite(a) and a >= 0.0 for a in d["anisotropy"])
 
     def test_small_uv_flow_runs_and_tracks_split(self):
-        cfg = FlowConfig(mode="uv", beta=4 * math.pi, zeta=1e-2, L=2, N=3, steps=3)
+        cfg = FlowConfig(mode="uv", beta=4 * math.pi, zeta=1e-2, L=2, M=0, N=3, steps=3)
         traj = run_flow(cfg)
         assert len(traj.states) == 4
         zs = uv_zeta_schedule(cfg)
@@ -83,7 +83,7 @@ class TestFlowDrivers:
             assert s.log_norm_tilde <= s.log_norm + 1e-9
 
     def test_uv_dE_second_order(self):
-        cfg = FlowConfig(mode="uv", beta=4 * math.pi, zeta=1e-2, L=2, N=4, steps=4)
+        cfg = FlowConfig(mode="uv", beta=4 * math.pi, zeta=1e-2, L=2, M=0, N=4, steps=4)
         traj = run_flow(cfg)
         for s in traj.states[1:]:
             if s.dE != 0.0:
@@ -91,16 +91,16 @@ class TestFlowDrivers:
 
     def test_ir_requires_real_zeta(self):
         with pytest.raises(ValueError):
-            FlowConfig(mode="ir", beta=12 * math.pi, zeta=1e-3 + 1e-3j, L=2, M=3, steps=1)
+            FlowConfig(mode="ir", beta=12 * math.pi, zeta=1e-3 + 1e-3j, L=2, M=3, N=0, steps=1)
 
     def test_beta_preset_warnings(self):
-        cfg = FlowConfig(mode="ir", beta=4 * math.pi, zeta=1e-3, L=2, M=2, steps=1)
+        cfg = FlowConfig(mode="ir", beta=4 * math.pi, zeta=1e-3, L=2, M=2, N=0, steps=1)
         assert cfg.warnings
-        cfg2 = FlowConfig(mode="uv", beta=12 * math.pi, zeta=1e-3, L=2, N=2, steps=1)
+        cfg2 = FlowConfig(mode="uv", beta=12 * math.pi, zeta=1e-3, L=2, M=0, N=2, steps=1)
         assert cfg2.warnings
 
     def test_trajectory_persistence(self, tmp_path):
-        cfg = FlowConfig(mode="uv", beta=4 * math.pi, zeta=1e-2, L=2, N=2, steps=2)
+        cfg = FlowConfig(mode="uv", beta=4 * math.pi, zeta=1e-2, L=2, M=0, N=2, steps=2)
         traj = run_flow(cfg)
         csv_path = tmp_path / "traj.csv"
         json_path = tmp_path / "traj.json"
@@ -232,7 +232,7 @@ def sampled_z1_values(k_sharp, F, coarse, dsigma, count, n_g, seed, beta):
 
     kern_c = CovarianceKernel("full", sigma=dsigma, torus=coarse)
     ens_c = gaussian_ensemble(kern_c, coarse, n_g, seed=seed, scale=beta)
-    return np.array([flow._rep_j1_value(k_sharp, F, scale_field(f, coarse.L))
+    return np.array([flow._rep_j1_value(k_sharp, F, scale_field(f))
                      for f in ens_c.sample(count)])
 
 
@@ -281,7 +281,7 @@ class TestUVSplitConsistency:
         from sgrg.activities import mayer_init_truncated
         from sgrg.flow import _flow_step, _step_params
 
-        cfg = FlowConfig(mode="uv", beta=4 * math.pi, zeta=1e-2, L=2, N=3, steps=1)
+        cfg = FlowConfig(mode="uv", beta=4 * math.pi, zeta=1e-2, L=2, M=0, N=3, steps=1)
         zetas = uv_zeta_schedule(cfg)
         t0 = TorusSpec(2, 3)
         K = mayer_init_truncated(zetas[0], t0)

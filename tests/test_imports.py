@@ -3,7 +3,8 @@ every private function, method or class is referenced somewhere in the
 package, every public one runs under a command or an acceptance check (or
 is a reference that a named test compares other code against), and every
 defaulted parameter or dataclass field takes two values, or a runtime one,
-across the calls in ``src/`` (tests are not callers).
+across the calls in ``src/`` (tests are not callers), its default among them:
+some call in ``src/`` omits it or passes its value.
 
 A standard-library stand-in for an unused-code lint: it parses each
 ``src/sgrg/*.py`` file and checks the names bound by ``import`` statements,
@@ -333,7 +334,7 @@ EXEMPT = {
 }
 EXEMPT_MAX = 3
 # defaulted parameters and dataclass fields: a change that adds one raises this number
-KNOBS_MAX = 48
+KNOBS_MAX = 20
 
 RUNTIME = None  # the value of an argument that is no literal: a local, an attribute, a call
 
@@ -500,11 +501,13 @@ def arguments(call, scope, consts):
     return pos, star, kws, spread
 
 
-def knob_values(mods) -> dict:
-    """{qualified knob: the values the calls in ``mods`` give it}.  A call that
-    omits the knob gives its default; ``C.name(...)`` with C a class of
-    ``mods`` reaches only C's knobs.  A ``replace`` keyword sets the
-    dataclass fields of that name, and its omissions set nothing."""
+def knob_settings(mods):
+    """(qualified knob, value, whether the call leaves the default) for each
+    call in ``mods`` that reaches a knob.  A call that omits the knob gives
+    its default; ``C.name(...)`` with C a class of ``mods`` reaches only C's
+    knobs.  A ``replace`` keyword sets the dataclass fields of that name, and
+    its omissions set nothing.  A ``*args`` or unknown ``**`` that may carry
+    the knob gives a runtime value and may leave the default."""
     consts = module_constants(mods)
     table = knobs(mods)
     classes = {node.name for tree in mods.values() for node in tree.body
@@ -512,7 +515,6 @@ def knob_values(mods) -> dict:
     by_name: dict = {}
     for qual, knob in table.items():
         by_name.setdefault(knob.name, []).append(qual)
-    values = {qual: set() for qual in table}
     for tree in mods.values():
         for call, scope in calls_in(tree):
             func = call.func
@@ -521,7 +523,7 @@ def knob_values(mods) -> dict:
                 for k in call.keywords:
                     for qual, knob in table.items():
                         if knob.field and knob.param == k.arg:
-                            values[qual].add(value_of(k.value, consts))
+                            yield qual, value_of(k.value, consts), False
                 continue
             receiver = getattr(getattr(func, "value", None), "id", None)
             pos, star, kws, spread = arguments(call, scope, consts)
@@ -530,14 +532,21 @@ def knob_values(mods) -> dict:
                 if receiver in classes and knob.owner != receiver:
                     continue
                 if knob.index is not None and knob.index < len(pos):
-                    value = pos[knob.index]
+                    yield qual, pos[knob.index], False
                 elif (knob.index is not None and star) or (knob.param not in kws and spread):
-                    value = RUNTIME
+                    yield qual, RUNTIME, True
                 elif knob.param in kws:
-                    value = kws[knob.param]
+                    yield qual, kws[knob.param], False
                 else:
-                    value = value_of(knob.default, consts) or f"default {ast.unparse(knob.default)}"
-                values[qual].add(value)
+                    default = value_of(knob.default, consts) or f"default {ast.unparse(knob.default)}"
+                    yield qual, default, True
+
+
+def knob_values(mods) -> dict:
+    """{qualified knob: the values the calls in ``mods`` give it}."""
+    values = {qual: set() for qual in knobs(mods)}
+    for qual, value, _ in knob_settings(mods):
+        values[qual].add(value)
     return values
 
 
@@ -591,4 +600,52 @@ def test_unset_parameter_is_caught():
     assert single_valued({"lib": lib, "use": use},
                          {"lib.run(t)": "set by a test", "lib.run(q)": "stale"}) == [
         "lib.Cfg.c", "lib.Obj.go(fast)", "lib.run(w)", "exempt but not single-valued: lib.run(q)",
+    ]
+
+
+# -- every default is read: some call in src/ leaves it in place, or passes
+# its value
+
+
+def unread_defaults(mods) -> list:
+    """The knobs of ``mods`` whose default no call in ``mods`` uses: each
+    call passes another value, a runtime one, or none reaches the knob."""
+    table = knobs(mods)
+    consts = module_constants(mods)
+    read = set()
+    for qual, value, left in knob_settings(mods):
+        default = value_of(table[qual].default, consts)
+        if left or (default is not RUNTIME and value == default):
+            read.add(qual)
+    return sorted(q for q in table if q not in read)
+
+
+def test_every_parameter_default_is_read_somewhere():
+    assert unread_defaults(parse_modules(SRC)) == []
+
+
+def test_unread_default_is_caught():
+    lib = ast.parse(
+        "from dataclasses import dataclass\n"
+        "WINDOW = 2\n"
+        "@dataclass\nclass Cfg:\n    a: int = 0\n"
+        "def run(p, tested=0, overridden=1, same=2, left=3, spread=4):\n    return p\n"
+    )
+    use = ast.parse(
+        "from lib import Cfg, WINDOW, run\n"
+        "def main(n, kw, cfg):\n"
+        "    run(n, 1, overridden=5, same=WINDOW, spread=0)\n"
+        "    run(n, n, overridden=n, left=n, **kw)\n"
+        "    replace(cfg, a=n)\n    Cfg(n)\n"
+    )
+    tested = ast.parse("from lib import run\nrun(0, overridden=7)\n")
+    # run(tested) is left in place only by a test; every src call passes
+    # run(overridden) another value; run(same) is passed its own value, and
+    # an unknown ** may leave run(same) and run(spread); replace reads no default
+    assert unread_defaults({"lib": lib, "use": use}) == [
+        "lib.Cfg.a", "lib.run(overridden)", "lib.run(tested)",
+    ]
+    # read as a module of the package, the test would count as a caller
+    assert unread_defaults({"lib": lib, "use": use, "tested": tested}) == [
+        "lib.Cfg.a", "lib.run(overridden)",
     ]

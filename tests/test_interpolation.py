@@ -63,6 +63,13 @@ class TestForests:
         for n in range(1, 7):
             assert len(all_forests(n)) == forest_count_recursive(n)
 
+    def test_tree_order_is_pinned(self):
+        # fluctuate_cloud sums its tree terms in this order; the commands and
+        # the acceptance checks build trees on at most three polymers
+        assert trees_on(1) == ((),)
+        assert trees_on(2) == (((0, 1),),)
+        assert trees_on(3) == (((0, 1), (0, 2)), ((0, 1), (1, 2)), ((0, 2), (1, 2)))
+
     def test_tree_enumeration_count(self):
         for n in (2, 3, 4, 5):
             expect = 1 if n == 2 else n ** (n - 2)

@@ -119,7 +119,7 @@ class TestClosuresAndScaling:
 class TestRegulator:
     def test_single_block_value(self):
         t = TorusSpec(2, 2)
-        params = SetRegulatorParams.default(t)
+        params = SetRegulatorParams.default(t, p=0)
         assert gamma_p(polymer([(0, 0)]), params, t) == pytest.approx(32.0)
 
     def test_p_shift_ratio(self):
@@ -136,7 +136,7 @@ class TestRegulator:
     def test_theta_self(self):
         # a single block spans no tree: Theta = 1, so Gamma_0 = A
         t = TorusSpec(2, 2)
-        params = SetRegulatorParams.default(t)
+        params = SetRegulatorParams.default(t, p=0)
         assert lat.block_distance((1, 1), (1, 1), t) == 0.0
         assert log_gamma_p(polymer([(1, 1)]), params, t) == math.log(params.A)
 
@@ -149,7 +149,7 @@ class TestRegulator:
         # whenever the pieces share a block (the union's spanning tree reuses
         # the pieces' trees through the shared center).
         t = TorusSpec(2, 3)
-        params = SetRegulatorParams.default(t)
+        params = SetRegulatorParams.default(t, p=0)
         polys = enumerate_polymers(t, 4, (3, 3))
         rng = random.Random(13)
         checked = 0
@@ -170,7 +170,7 @@ class TestRegulator:
         # For region-disjoint pieces the connector edge costs at most a
         # (1 + diam)^nu slack: Gamma(Z) <= Gamma(X) Gamma(Y) (1 + diam Z)^nu.
         t = TorusSpec(2, 3)
-        params = SetRegulatorParams.default(t)
+        params = SetRegulatorParams.default(t, p=0)
         polys = enumerate_polymers(t, 3, (3, 3))
         rng = random.Random(13)
         checked = 0
@@ -204,7 +204,7 @@ class TestRegulator:
         # Measure c in Gamma_0(closure on coarse lattice) <= c L^{-d-2} Gamma_{-3}(X)
         # over an enumerated family of large sets, for the partition closure.
         t = TorusSpec(2, 3)
-        params0 = SetRegulatorParams.default(t)
+        params0 = SetRegulatorParams.default(t, p=0)
         params_m3 = SetRegulatorParams.default(t, p=-3)
         ratios = []
         for p in enumerate_polymers(t, 6, (2, 2)):

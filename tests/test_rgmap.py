@@ -208,7 +208,7 @@ class TestScalingIdentity:
         worst = 0.0
         for _ in range(6):
             phi = rfield(coarse, rng)
-            phi_L = scale_field(phi, t.L)
+            phi_L = scale_field(phi)
             lhs = polymer_exp(K, whole_torus(t), phi_L)
             rhs = polymer_exp(SK, whole_torus(coarse), phi)
             worst = max(worst, abs(lhs - rhs))
@@ -301,7 +301,7 @@ def tiny_ir_step():
     K = truncated_mayer(1e-2, t)
     params = RGStepParams(
         beta=12 * math.pi, torus=t, c_star=step_c_star(12 * math.pi, t), preset="ir",
-        norm=NormParams.default(t, p=0),
+        norm=NormParams.default(t, p=0), sigma=0.0,
     )
     return K, params
 
@@ -407,12 +407,12 @@ class TestScalingCache:
         K, params = tiny_ir_step()
         calls, depth = [], [0]
 
-        def counted(term, **kw):
+        def counted(term):
             if depth[0] == 0:
                 calls.append(term.key())
             depth[0] += 1
             try:
-                return collapse_term(term, **kw)
+                return collapse_term(term)
             finally:
                 depth[0] -= 1
 
@@ -798,7 +798,7 @@ class TestRGStep:
     def test_zero_activity(self):
         t = TorusSpec(2, 2)
         params = RGStepParams(beta=4 * math.pi, torus=t, c_star=step_c_star(4 * math.pi, t),
-                              norm=NormParams.default(t, p=0))
+                              norm=NormParams.default(t, p=0), sigma=0.0, preset="uv")
         K = TruncatedActivity(t, {})
         k_new, coeffs, diag = rg_step(K, params)
         assert not k_new.shapes
@@ -828,7 +828,7 @@ class TestRGStep:
         K = mayer_init_truncated(zeta, t)
         params = RGStepParams(
             beta=4 * math.pi, torus=t, c_star=step_c_star(4 * math.pi, t), preset="uv",
-            norm=NormParams.default(t, p=0),
+            norm=NormParams.default(t, p=0), sigma=0.0,
         )
         k_new, coeffs, diag = rg_step(K, params)
         assert k_new.torus.side == 4
@@ -846,7 +846,7 @@ class TestRGStep:
         K = truncated_mayer(5e-3, t, order=3, max_size=1)
         params = RGStepParams(
             beta=4 * math.pi, torus=t, c_star=step_c_star(4 * math.pi, t), preset="uv",
-            norm=NormParams.default(t, p=0),
+            norm=NormParams.default(t, p=0), sigma=0.0,
         )
         out = contour_higher_order(K, params, radius=32.0, nodes=6)
         # contour and direct higher-order parts agree well below their size
@@ -861,7 +861,7 @@ def contour_higher_order(K, params, radius, nodes):
     contour = TruncatedActivity(K.torus.coarse(), {})
     for k in range(nodes):
         s = radius * cmath.exp(2j * math.pi * k / nodes)
-        k_new_s, _, _ = rg_step(K.scale(s), params)
+        k_new_s, _, _ = rg_step(K.map(lambda k, ts: [t.scaled(s) for t in ts]), params)
         contour = contour.add(k_new_s, 1.0 / (nodes * s * (s - 1.0)))
     k_new, _, _ = rg_step(K, params)
     r1, _ = linearized_step(fluctuate_linear(K, params.cov()), params, {})

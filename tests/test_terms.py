@@ -120,7 +120,7 @@ def oracle_setup():
     coarse = torus.coarse()
     ens_c = gaussian_ensemble(CovarianceKernel("full", sigma=coeffs.dsigma, torus=coarse),
                               coarse, 8, seed=4, scale=beta)
-    psis = [scale_field(f, torus.L) for f in ens_c.sample(5)]
+    psis = [scale_field(f) for f in ens_c.sample(5)]
     return {"K0": K0, "k_sharp": k_sharp, "F": F}, fine, psis
 
 
