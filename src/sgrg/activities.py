@@ -142,18 +142,23 @@ class TruncatedActivity(TermActivity):
     """Translation-invariant activity: terms per small-polymer shape.
 
     Shape keys are the canonical block tuples of ``Polymer.shape_key``;
-    terms are anchored at those blocks.  ``charge_collapsed`` shapes carry
-    charges at block centers only.
+    terms are anchored at those blocks.  Every term is one that
+    ``collapse_term`` maps to itself: charges merged at block centres with
+    no gradient factor, or no charges and at most ``MAX_LINFS`` gradient
+    factors at block centres.  ``scale_linear`` checks this.
     """
 
     torus: TorusSpec
     shapes: dict
+    # terms ``fluctuate`` found outside the model
+    dropped_terms: int = field(default=0, init=False, repr=False, compare=False)
 
     STORE = "shapes"
 
 
 def taylorize_neutral(term: CloudTerm) -> list[CloudTerm]:
-    """Convert a neutral multi-position cloud into derivative data.
+    """Convert a neutral multi-position cloud with no gradient factor into
+    derivative data.
 
     With sum q_a = 0 the cloud exp(i sum q_a phi(x_a)) depends only on
     field differences; expanding to second order in the position spread
@@ -182,20 +187,8 @@ def taylorize_neutral(term: CloudTerm) -> list[CloudTerm]:
             for nu in (0, 1):
                 S[mu][nu] += 0.5 * q * dx[mu] * dx[nu]
     c = term.coeff
-    out = [CloudTerm(c, (), term.linfs)]
+    out = [CloudTerm(c)]
     basis = ((1, 0), (0, 1))
-    if term.linfs:
-        # one existing derivative factor still admits the dipole cross term;
-        # anything further is third order in the truncation
-        if len(term.linfs) == 1:
-            for mu in (0, 1):
-                if D[mu] != 0.0:
-                    out.append(
-                        CloudTerm(
-                            1j * c * D[mu], (), term.linfs + ((basis[mu], pos),)
-                        )
-                    )
-        return out
     for mu in (0, 1):
         if D[mu] != 0.0:
             out.append(CloudTerm(1j * c * D[mu], (), ((basis[mu], pos),)))
@@ -237,13 +230,15 @@ class _CoeffOps(tuple):
 
 def collapse_term(term: CloudTerm):
     """Collapse to the truncated model; None when outside the truncation
-    (total |charge| above ``Q_MAX``, more than ``MAX_LINFS`` gradient factors,
-    or charges with gradient factors).
+    (charges with gradient factors, total |charge| above ``Q_MAX``, or more
+    than ``MAX_LINFS`` gradient factors).
 
     Charged clouds collapse to per-block total charges at block centers;
     neutral clouds convert to derivative data, a list of the collapsed
     Taylor pieces, which carry no charges.
     """
+    if term.charges and term.linfs:
+        return None  # mixed charge-derivative terms are outside the model
     if term.total_charge == 0 and term.charges:
         out = []
         for piece in taylorize_neutral(term):
@@ -260,8 +255,6 @@ def collapse_term(term: CloudTerm):
     charges = tuple(sorted((q, b) for b, q in merged.items() if q != 0))
     if sum(abs(q) for q, _ in charges) > Q_MAX:
         return None
-    if charges and term.linfs:
-        return None  # mixed charge-derivative terms are outside the model
     linfs = tuple(sorted(
         (a, (float(round(y[0])), float(round(y[1])))) for a, y in term.linfs
     ))
@@ -279,9 +272,9 @@ def _collapse_memo(cache: dict) -> dict:
 
 def _collapsed(memo: dict, key):
     """``collapse_term`` of a term with this key, built once per memo: None
-    outside the model, else [(piece key, _CoeffOps)] (empty when every Taylor
-    piece of a neutral cloud falls outside).  The collapse multiplies the
-    coefficient through, so replaying the ops on it gives the term's bits."""
+    outside the model, else [(piece key, _CoeffOps)].  The collapse
+    multiplies the coefficient through, so replaying the ops on it gives the
+    term's bits."""
     pieces = memo.get(key, _MISSING)  # one hash of the key; None is a stored value
     if pieces is _MISSING:
         c = collapse_term(tm._raw_term(_CoeffOps(), *key))
@@ -409,7 +402,7 @@ def v_cloud_terms(block, n_q: int) -> list[CloudTerm]:
     return canon(out)
 
 
-def v_activity(torus: TorusSpec, n_q: int = 1, trans_invariant: bool = True):
+def v_activity(torus: TorusSpec, n_q: int, trans_invariant: bool):
     """The single-block potential as a truncated or cloud activity."""
     if trans_invariant:
         return TruncatedActivity(torus, {((0, 0),): v_cloud_terms((0, 0), n_q)})

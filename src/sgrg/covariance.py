@@ -165,7 +165,7 @@ class CovarianceKernel:
     """One covariance kernel with cached momentum tables and derived scalars."""
 
     kind: str
-    sigma: float = 0.0
+    sigma: float
     torus: TorusSpec | None = None
     L: int | None = None
     p_max: float = DEFAULT_P_MAX
@@ -245,19 +245,17 @@ class CovarianceKernel:
 
         Returns (tables, side_used): tables yields (alpha, (n, n) array over
         grid points k/n_sub), one alpha at a time, from modes computed once.
-        Large tori are proxied on NORM_PROXY_SIDE.
+        A torus of side above NORM_PROXY_SIDE is proxied by its coarsening
+        of the largest side L^M not above it, or of side L when L is larger.
         """
         if self.kind == "continuum":
             raise ValueError("grid_tables needs a torus kernel")
-        side_used = min(self.torus.side, NORM_PROXY_SIDE)
-        proxy = (
-            self.torus
-            if side_used == self.torus.side
-            else _proxy_torus(self.torus.L, side_used)
-        )
+        proxy = self.torus
+        while proxy.side > NORM_PROXY_SIDE and proxy.M > 1:
+            proxy = proxy.coarse()
         px, py, f = _torus_modes(self.kind, self.sigma, proxy.L, proxy.M, self.p_max)
-        n = side_used * n_sub
-        step = 2.0 * math.pi / side_used
+        n = proxy.side * n_sub
+        step = 2.0 * math.pi / proxy.side
         kx = np.rint(px / step).astype(int) % n
         ky = np.rint(py / step).astype(int) % n
 
@@ -270,19 +268,12 @@ class CovarianceKernel:
                 # p = 2 pi q / side the phase is 2 pi (q m) / (side n_sub) = DFT
                 yield tuple(a), np.real(np.fft.ifft2(coef)) * n * n
 
-        return tables(), side_used
+        return tables(), proxy.side
 
 
 def _min_image(x, side: float):
     """Displacement(s) ``x``, a float or an array, wrapped into [-side/2, side/2)."""
     return (x + side / 2.0) % side - side / 2.0
-
-
-def _proxy_torus(L: int, side: int) -> TorusSpec:
-    M = round(math.log(side, L))
-    if L**M != side:
-        raise ValueError("proxy side must be a power of L")
-    return TorusSpec(L, M)
 
 
 # -- verification operations -------------------------------------------------

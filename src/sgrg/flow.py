@@ -76,6 +76,8 @@ class FlowConfig:
             raise ValueError("mode must be 'ir' or 'uv'")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if self.beta <= 0:
+            raise ValueError(f"beta must be > 0, got {self.beta}")
         self.eps = 0.1 if self.mode == "ir" else 0.2
         self.warnings = []
         if self.mode == "ir":
@@ -86,6 +88,8 @@ class FlowConfig:
             if self.steps > self.M:
                 raise ValueError("IR flow needs steps <= M")
         else:
+            if self.zeta == 0:
+                raise ValueError("UV flow needs zeta != 0")
             if self.beta >= 8 * math.pi:
                 self.warnings.append("UV flow configured with beta >= 8 pi")
             if self.steps > self.N:

@@ -419,7 +419,7 @@ def fluctuate(K: TruncatedActivity, cov: CovAccess, cache: dict,
         if kept:
             result[key] = kept
     act = TruncatedActivity(K.torus, result)
-    act.__dict__["dropped_terms"] = dropped
+    act.dropped_terms = dropped
     return act
 
 
@@ -876,30 +876,24 @@ def scale_linear(K: TruncatedActivity, cache: dict) -> TruncatedActivity:
     them (recorded upstream) and keeps the linearized regrouping, which is
     exact on single polymers.
 
-    Where a copy lands depends on the torus, shape and term key, not on the
-    coefficient: each (shape, term key) image is built once per ``cache``,
-    from one table of coarse positions per offset.  It holds the L^-|alpha|
-    factors, applied once per term, and per offset the moved key's entry in
-    the ``cache``'s collapse memo, which truncation shares.  Offsets whose
-    tables round every position of the charged and charge-free new terms to
-    the same blocks form a class; such a term's collapse reaches its
-    positions only through ``round()``, so it is looked up once per class
-    and the pieces are shared by the class's offsets.  A neutral cloud is
-    Taylor-expanded about its exact positions, so it is looked up at every
-    offset.  Replayed on coefficients, the pieces are summed in the order of
-    collapsing every copy and then ``canon``.
+    Every term of ``K`` must be one that ``collapse_term`` maps to itself
+    (see ``TruncatedActivity``); a term that is not raises a RuntimeError
+    naming it.  A moved copy of such a term collapses to one term of the
+    model, with its coefficient untouched.  Where a copy lands depends on
+    the torus, shape and term key, not on the coefficient: each (shape,
+    term key) image is built once per ``cache``, from one table of coarse
+    positions per offset.  It holds the L^-|alpha| factors, applied once per
+    term, and per offset the key of the moved term's collapse, from the
+    ``cache``'s collapse memo, which truncation shares.  A collapse reaches
+    the positions only through ``round()``, so offsets whose tables round
+    every position of the new terms to the same blocks form a class, and
+    each term is looked up once per class.  The coefficients are summed per
+    key in the order of collapsing every copy, and then ``canon``.
     """
     L = K.torus.L
     offsets = [(ox, oy) for ox in range(L) for oy in range(L)]
     images = cache.setdefault(K.torus, {})
     memo = _collapse_memo(cache)
-
-    def collapsed(t, coarse):
-        """The collapse pieces of t's copy, moved by the {position: coarse} table."""
-        moved = (tuple((q, coarse[x]) for q, x in t.charges),
-                 tuple((a, coarse[y]) for a, y in t.linfs))
-        return _collapsed(memo, moved) or ()
-
     acc: dict = {}
     for key, ts in K.shapes.items():
         if not ts:
@@ -915,18 +909,15 @@ def scale_linear(K: TruncatedActivity, cache: dict) -> TruncatedActivity:
         new = []
         for t in ts:
             if (key, t.key()) not in images:
+                if _collapsed(memo, t.key()) != [(t.key(), ())]:
+                    raise RuntimeError(f"shape {key}: {t!r} is outside the truncated model")
                 ops = _CoeffOps()  # scale_term's factor, shared by every offset
                 for alpha, _ in t.linfs:
                     ops *= float(L) ** (-sum(alpha))
                 images[(key, t.key())] = (ops, [])
                 new.append((t, images[(key, t.key())][1]))
-        # collapse_term Taylor-expands a neutral cloud about its exact
-        # positions; every other term reaches its positions only through round()
-        neutral = [bool(t.charges) and t.total_charge == 0 for t, _ in new]
-        positions = {x for t, _ in new for _, x in t.charges + t.linfs}
-        rounded = list({x for (t, _), n in zip(new, neutral) if not n
-                        for _, x in t.charges + t.linfs})
-        classes: dict = {}  # blocks of the rounded positions -> pieces per term
+        positions = list({x for t, _ in new for _, x in t.charges + t.linfs})
+        classes: dict = {}  # blocks of the rounded positions -> piece key per term
         for shift, (_, back) in zip(offsets, geometry):
             # each position rounded as translate_term, scale_term, translate_term
             coarse = {}
@@ -934,21 +925,22 @@ def scale_linear(K: TruncatedActivity, cache: dict) -> TruncatedActivity:
                 y = tm._round_pos((x[0] + shift[0], x[1] + shift[1]))
                 y = tm._round_pos((y[0] / L, y[1] / L))
                 coarse[x] = tm._round_pos((y[0] + back[0], y[1] + back[1]))
-            blocks = tuple(round(c) for x in rounded for c in coarse[x])
+            blocks = tuple(round(c) for x in positions for c in coarse[x])
             shared = classes.get(blocks)
             if shared is None:
                 shared = classes[blocks] = [
-                    None if n else collapsed(t, coarse) for (t, _), n in zip(new, neutral)
+                    _collapsed(memo, (tuple((q, coarse[x]) for q, x in t.charges),
+                                      tuple((a, coarse[y]) for a, y in t.linfs)))[0][0]
+                    for t, _ in new
                 ]
-            for (t, image), pieces in zip(new, shared):
-                image.append(collapsed(t, coarse) if pieces is None else pieces)
+            for (_, image), piece_key in zip(new, shared):
+                image.append(piece_key)
         term_images = [images[(key, t.key())] for t in ts]
         coeffs = [ops.apply(t.coeff) for t, (ops, _) in zip(ts, term_images)]
         for o, (coarse_key, _) in enumerate(geometry):
             sums = acc.setdefault(coarse_key, {})
             for c, (_, image) in zip(coeffs, term_images):
-                for piece_key, ops in image[o]:
-                    sums[piece_key] = sums.get(piece_key, 0.0) + ops.apply(c)
+                sums[image[o]] = sums.get(image[o], 0.0) + c
     result = {k: kept for k, sums in acc.items() if (kept := tm._canon_sums(sums))}
     return TruncatedActivity(K.torus.coarse(), result)
 

@@ -390,6 +390,8 @@ class TestStructureChecks:
 def reference_collapse_term(term, q_max, max_linfs, neutral_taylor=True):
     """collapse_term through the CloudTerm constructor, which sorts and
     rounds the integer block centres itself."""
+    if term.charges and term.linfs:
+        return None
     if neutral_taylor and term.total_charge == 0 and term.charges:
         out = []
         for piece in taylorize_neutral(term):
@@ -406,10 +408,21 @@ def reference_collapse_term(term, q_max, max_linfs, neutral_taylor=True):
         return None
     if len(term.linfs) > max_linfs:
         return None
-    if charges and term.linfs:
-        return None
     linfs = tuple((a, (round(y[0]), round(y[1]))) for a, y in term.linfs)
     return CloudTerm(term.coeff, charges, linfs)
+
+
+def collapse_test_terms(t):
+    """The terms of a fluctuated Mayer activity, plus terms outside the
+    model: neutral clouds with and without a gradient factor, charges off
+    the block centres, and charges with a gradient factor."""
+    return [x for ts in cache_test_shapes(t).values() for x in ts] + [
+        CloudTerm(0.3 - 0.1j, ((1, (0.0, 0.0)), (-1, (0.25, 1.0)))),
+        CloudTerm(-0.2 + 0.05j, ((2, (0.0, -0.25)), (-1, (0.0, 0.75)), (-1, (-0.25, 1.25)))),
+        CloudTerm(0.1j, ((1, (0.0, 0.0)), (-1, (0.0, 1.0))), (((1, 0), (0.0, 0.0)),)),
+        CloudTerm(0.7 - 0.2j, ((1, (0.375, -0.375)), (1, (1.0, 0.25)))),
+        CloudTerm(-0.4j, ((-1, (0.0, 1.0)),), (((0, 1), (0.0, 0.0)),)),
+    ]
 
 
 class TestCollapse:
@@ -417,18 +430,16 @@ class TestCollapse:
     def test_equals_reference(self, L, monkeypatch):
         # repr, not ==: an int block coordinate equals its float but would
         # serialize differently
-        shapes = cache_test_shapes(TorusSpec(L, 2))
         shifts = [(ox, oy) for ox in range(3) for oy in range(3)] + [(L - 1, -L)]
-        for ts in shapes.values():
-            for t in ts:
-                for shift in shifts:
-                    moved = scale_term(translate_term(t, shift), L)
-                    for q_max, max_linfs in ((3, 2), (1, 0), (2, 1)):
-                        monkeypatch.setattr(activities, "Q_MAX", q_max)
-                        monkeypatch.setattr(activities, "MAX_LINFS", max_linfs)
-                        got = collapse_term(moved)
-                        want = reference_collapse_term(moved, q_max, max_linfs)
-                        assert repr(got) == repr(want)
+        for t in collapse_test_terms(TorusSpec(L, 2)):
+            for shift in shifts:
+                moved = scale_term(translate_term(t, shift), L)
+                for q_max, max_linfs in ((3, 2), (1, 0), (2, 1)):
+                    monkeypatch.setattr(activities, "Q_MAX", q_max)
+                    monkeypatch.setattr(activities, "MAX_LINFS", max_linfs)
+                    got = collapse_term(moved)
+                    want = reference_collapse_term(moved, q_max, max_linfs)
+                    assert repr(got) == repr(want)
 
     @pytest.mark.parametrize("coeff", [
         0.0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), -0.0,
@@ -437,7 +448,7 @@ class TestCollapse:
     def test_replay_equals_direct(self, coeff, monkeypatch):
         # the memo's recorded ops on a blank coefficient replay the bits of
         # collapsing the term itself, signed zeros, overflow and subnormals too
-        keys = {t.key() for ts in cache_test_shapes(TorusSpec(3, 2)).values() for t in ts}
+        keys = {t.key() for t in collapse_test_terms(TorusSpec(3, 2))}
         assert any(k[0] and sum(q for q, _ in k[0]) == 0 for k in keys)  # neutral clouds
         for q_max, max_linfs in ((3, 2), (1, 0)):
             monkeypatch.setattr(activities, "Q_MAX", q_max)
@@ -453,13 +464,14 @@ class TestCollapse:
                     want = [want]
                 assert repr(got) == repr(want)
 
-    def test_neutral_pieces_outside_are_not_dropped(self):
+    def test_mixed_neutral_cloud_is_dropped(self):
+        # charges with gradient factors are outside the model, neutral or not
         grad = (((1, 0), (0.0, 0.0)), ((0, 1), (0.0, 0.0)), ((1, 0), (1.0, 0.0)))
         neutral = CloudTerm(0.5, ((1, (0.0, 0.0)), (-1, (0.25, 0.0))), grad)
         charged = CloudTerm(0.25, ((2, (0.0, 0.0)), (2, (1.0, 0.0))))
         kept, dropped = truncate_cloud_terms([neutral, charged], 0.0, {})
-        assert kept == [] and dropped == [charged]
+        assert kept == [] and dropped == [neutral, charged]
         assert repr((kept, dropped)) == repr(reference_truncate_cloud_terms([neutral, charged]))
         memo = {}
-        assert activities._collapsed(memo, neutral.key()) == []
+        assert activities._collapsed(memo, neutral.key()) is None
         assert activities._collapsed(memo, charged.key()) is None

@@ -201,7 +201,11 @@ class TestBadInputs:
         (IR + ["--M", "0"], "invalid configuration: steps must be"),
         (["covariance", "--kind", "cutoff", "--sigma", "0.05"],
          "invalid configuration: sigma must be"),
-    ], ids=["n_q", "kappa", "q_max", "h", "h_mode", "steps", "M", "cutoff_sigma"])
+        (UV + ["--zeta", "0"], "invalid configuration: UV flow needs zeta != 0"),
+        (UV + ["--beta", "0"], "invalid configuration: beta must be > 0, got 0.0"),
+        (IR + ["--M", "2", "--beta=-37.699"], "invalid configuration: beta must be > 0"),
+    ], ids=["n_q", "kappa", "q_max", "h", "h_mode", "steps", "M", "cutoff_sigma", "uv_zeta",
+            "uv_beta", "ir_beta"])
     def test_bad_flow_input_fails_before_any_work(self, tmp_path, capsys, args, message):
         assert exit_code([*args, "--out", str(tmp_path)]) == EXIT_USAGE
         assert message in capsys.readouterr().err

@@ -158,6 +158,12 @@ class TestNorms:
         value = star_norm(kernel, r=2)
         assert value == reference_star_norm(kernel, r=2)
 
+    @pytest.mark.parametrize("L, M, side", [(3, 4, 27), (16, 2, 16), (8, 7, 64), (2, 3, 8)])
+    def test_norm_proxy_side(self, L, M, side):
+        # the largest power of L not above NORM_PROXY_SIDE, or L itself
+        kernel = CovarianceKernel("slice", sigma=0.0, torus=TorusSpec(L, M))
+        assert kernel.grid_tables(4, [(0, 0)])[1] == side
+
     def test_star_norm_finite_and_stable(self):
         t = TorusSpec(2, 3)
         v1 = star_norm(CovarianceKernel("slice", sigma=0.0, torus=t), r=2)

@@ -4,7 +4,7 @@ package, every public one runs under a command or an acceptance check (or
 is a reference that a named test compares other code against), and every
 defaulted parameter or dataclass field takes two values, or a runtime one,
 across the calls in ``src/`` (tests are not callers), its default among them:
-some call in ``src/`` omits it or passes its value.
+some call in ``src/`` omits it.
 
 A standard-library stand-in for an unused-code lint: it parses each
 ``src/sgrg/*.py`` file and checks the names bound by ``import`` statements,
@@ -334,7 +334,7 @@ EXEMPT = {
 }
 EXEMPT_MAX = 3
 # defaulted parameters and dataclass fields: a change that adds one raises this number
-KNOBS_MAX = 20
+KNOBS_MAX = 17
 
 RUNTIME = None  # the value of an argument that is no literal: a local, an attribute, a call
 
@@ -603,21 +603,15 @@ def test_unset_parameter_is_caught():
     ]
 
 
-# -- every default is read: some call in src/ leaves it in place, or passes
-# its value
+# -- every default is read: some call in src/ leaves it in place
 
 
 def unread_defaults(mods) -> list:
-    """The knobs of ``mods`` whose default no call in ``mods`` uses: each
-    call passes another value, a runtime one, or none reaches the knob."""
-    table = knobs(mods)
-    consts = module_constants(mods)
-    read = set()
-    for qual, value, left in knob_settings(mods):
-        default = value_of(table[qual].default, consts)
-        if left or (default is not RUNTIME and value == default):
-            read.add(qual)
-    return sorted(q for q in table if q not in read)
+    """The knobs of ``mods`` whose default no call in ``mods`` leaves in
+    place: each call passes a value, even the default's own, or none
+    reaches the knob."""
+    read = {qual for qual, _, left in knob_settings(mods) if left}
+    return sorted(q for q in knobs(mods) if q not in read)
 
 
 def test_every_parameter_default_is_read_somewhere():
@@ -629,21 +623,22 @@ def test_unread_default_is_caught():
         "from dataclasses import dataclass\n"
         "WINDOW = 2\n"
         "@dataclass\nclass Cfg:\n    a: int = 0\n"
-        "def run(p, tested=0, overridden=1, same=2, left=3, spread=4):\n    return p\n"
+        "def run(p, tested=0, overridden=1, same=2, left=3, spread=4, own=2):\n    return p\n"
     )
     use = ast.parse(
         "from lib import Cfg, WINDOW, run\n"
         "def main(n, kw, cfg):\n"
-        "    run(n, 1, overridden=5, same=WINDOW, spread=0)\n"
-        "    run(n, n, overridden=n, left=n, **kw)\n"
+        "    run(n, 1, overridden=5, same=WINDOW, spread=0, own=WINDOW)\n"
+        "    run(n, n, overridden=n, left=n, own=2, **kw)\n"
         "    replace(cfg, a=n)\n    Cfg(n)\n"
     )
     tested = ast.parse("from lib import run\nrun(0, overridden=7)\n")
     # run(tested) is left in place only by a test; every src call passes
-    # run(overridden) another value; run(same) is passed its own value, and
-    # an unknown ** may leave run(same) and run(spread); replace reads no default
+    # run(overridden) another value, and run(own) its own value, as a literal
+    # or a constant; an unknown ** may leave run(same) and run(spread) in
+    # place; replace reads no default
     assert unread_defaults({"lib": lib, "use": use}) == [
-        "lib.Cfg.a", "lib.run(overridden)", "lib.run(tested)",
+        "lib.Cfg.a", "lib.run(overridden)", "lib.run(own)", "lib.run(tested)",
     ]
     # read as a module of the package, the test would count as a caller
     assert unread_defaults({"lib": lib, "use": use, "tested": tested}) == [

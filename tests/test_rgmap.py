@@ -15,6 +15,7 @@ from sgrg.activities import (
     collapse_term,
     mayer_init_truncated,
     polymer_exp,
+    truncate_cloud_terms,
     v_activity,
     whole_torus,
 )
@@ -273,8 +274,9 @@ def truncated_mayer(zeta, t, order=2, max_size=2):
 
 
 def cache_test_shapes(t):
-    """A fluctuated Mayer activity plus neutral clouds, which scaling
-    Taylor-expands (with and without a gradient factor)."""
+    """A fluctuated Mayer activity plus charged and charge-free terms at
+    block centres off the shape, which split its offset classes; every term
+    is one of the truncated model."""
     cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=t), scale=12 * math.pi)
     K = truncated_mayer(1e-2, t)
     with pytest.MonkeyPatch.context() as mp:  # a narrow window and no floor
@@ -283,9 +285,9 @@ def cache_test_shapes(t):
         shapes = dict(fluctuate(K, cov, {}, fluctuate_linear(K, cov)).shapes)
     key = ((0, 0), (0, 1))
     shapes[key] = shapes.get(key, []) + [
-        CloudTerm(0.3 - 0.1j, ((1, (0.0, 0.0)), (-1, (0.25, 1.0)))),
-        CloudTerm(-0.2 + 0.05j, ((2, (0.0, -0.25)), (-1, (0.0, 0.75)), (-1, (-0.25, 1.25)))),
-        CloudTerm(0.1j, ((1, (0.0, 0.0)), (-1, (0.0, 1.0))), (((1, 0), (0.0, 0.0)),)),
+        CloudTerm(0.3 - 0.1j, ((2, (0.0, 0.0)), (-1, (1.0, 2.0)))),
+        CloudTerm(-0.2 + 0.05j, ((1, (-1.0, 1.0)), (1, (0.0, 1.0)), (-1, (1.0, -1.0)))),
+        CloudTerm(0.1j, (), (((1, 0), (0.0, 0.0)), ((0, 1), (-1.0, 2.0)))),
     ]
     return shapes
 
@@ -320,9 +322,8 @@ class TestScalingCache:
         assert as_exact(scale_linear(K, cache).shapes) == want  # from the cache
 
     def test_one_collapse_per_offset_class(self, monkeypatch):
-        # offsets whose copies round every position of the charged and
-        # charge-free terms to the same blocks share one collapse; a neutral
-        # cloud is Taylor-expanded about its exact positions, at every offset
+        # each term key is checked once, and offsets whose copies round every
+        # position to the same blocks share one collapse
         torus = TorusSpec(8, 2)
         K = TruncatedActivity(torus, cache_test_shapes(torus))
         lookups = []
@@ -338,9 +339,7 @@ class TestScalingCache:
         want = 0
         for key, ts in K.shapes.items():
             ts = list({t.key(): t for t in ts}.values())
-            neutral = [bool(t.charges) and t.total_charge == 0 for t in ts]
-            rounded = sorted({x for t, n in zip(ts, neutral) if not n
-                              for _, x in t.charges + t.linfs})
+            rounded = sorted({x for t in ts for _, x in t.charges + t.linfs})
             classes = set()
             for ox in range(L):
                 for oy in range(L):
@@ -352,7 +351,7 @@ class TestScalingCache:
                         moved = tm.translate_term(tm.scale_term(tm.translate_term(one, (ox, oy)), L), back)
                         blocks.append(tuple(round(c) for c in moved.charges[0][1]))
                     classes.add(tuple(blocks))
-            want += len(classes) * neutral.count(False) + L * L * neutral.count(True)
+            want += (1 + len(classes)) * len(ts)
         assert len(lookups) == want < L * L * sum(len(ts) for ts in K.shapes.values())
 
     def test_new_position_on_seen_shape(self):
@@ -363,9 +362,22 @@ class TestScalingCache:
         cache = {}
         scale_linear(TruncatedActivity(t, shapes), cache)
         key = ((0, 0),)
-        shapes[key] = shapes[key] + [CloudTerm(0.7 - 0.2j, ((1, (0.375, -0.375)),))]
+        shapes[key] = shapes[key] + [CloudTerm(0.7 - 0.2j, ((1, (1.0, -1.0)),))]
         K = TruncatedActivity(t, shapes)
         assert as_exact(scale_linear(K, cache).shapes) == as_exact(reference_scale_trunc(K))
+
+    @pytest.mark.parametrize("term", [
+        CloudTerm(0.3, ((1, (0.0, 0.0)), (-1, (0.0, 1.0)))),
+        CloudTerm(0.3, ((1, (0.375, -0.375)),)),
+        CloudTerm(0.3, ((1, (0.0, 0.0)),), (((1, 0), (0.0, 1.0)),)),
+    ], ids=["neutral", "off_centre", "mixed"])
+    def test_term_outside_the_model_raises(self, term):
+        # a runtime error, not a ValueError, which the CLI reports as bad input
+        model = CloudTerm(0.1, ((1, (0.0, 0.0)),))
+        K = TruncatedActivity(TorusSpec(2, 2), {((0, 0), (0, 1)): [model, term]})
+        with pytest.raises(RuntimeError, match=r"is outside the truncated model") as exc:
+            scale_linear(K, {})
+        assert repr(term) in str(exc.value)
 
     def test_cache_shared_across_tori(self):
         shapes = cache_test_shapes(TorusSpec(2, 3))
@@ -566,6 +578,7 @@ class TestTreeTermReplay:
         assert sum(len(ts) for ts in want.values()) > 100 and dropped_terms > 0
         assert as_repr(got.shapes) == as_repr(want)
         assert got.dropped_terms == dropped_terms
+        assert got.filter(lambda k, t: True).dropped_terms == 0  # a field: a copy reads 0
 
     def test_one_image_per_slot_list_per_call(self, monkeypatch):
         # the images of one fluctuate call serve every placement
@@ -808,7 +821,9 @@ class TestRGStep:
         t = TorusSpec(2, 3)
         cross = polymer([(1, 1), (0, 1), (2, 1), (1, 0), (1, 2)])
         key = cross.shape_key()
-        terms = [CloudTerm(1e-3, ((1, (1.0, 1.0)), (-1, (0.0, 1.0))))]
+        dipole = CloudTerm(1e-3, ((1, (1.0, 1.0)), (-1, (0.0, 1.0))))
+        terms, dropped = truncate_cloud_terms([dipole], 0.0, {})
+        assert terms and not dropped
         K = TruncatedActivity(t, {key: terms})
         kern = CovarianceKernel("slice", sigma=0.0, torus=t)
         cov = CovAccess(kern, scale=4 * math.pi)
