@@ -28,6 +28,10 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = {
     "flow_ir": ["flow-ir", "--beta", repr(12 * math.pi), "--L", "2", "--M", "2",
                 "--steps", "1", "--zeta", "1e-3"],
+    # L = 8: 64 offsets per shape, half-integer ties and the wrap on the
+    # side-8 coarse torus
+    "flow_ir_l8": ["flow-ir", "--beta", repr(12 * math.pi), "--L", "8", "--M", "2",
+                   "--steps", "1", "--zeta", "1e-3"],
     "flow_uv": ["flow-uv", "--beta", repr(4 * math.pi), "--L", "2", "--N", "3",
                 "--steps", "2", "--zeta", "1e-2"],
     "identities": ["identities", "--torus", "3x3", "--seed", "3"],
