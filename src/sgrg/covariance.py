@@ -128,8 +128,10 @@ def mode_sum(px, py, f, alphas, xs) -> np.ndarray:
     multi-indices; xs: (n_x, 2) points.  Returns an (n_x, n_alpha) array.
     """
     phase = px[None, :] * xs[:, 0:1] + py[None, :] * xs[:, 1:2]
-    cos_p = np.cos(phase)
-    sin_p = np.sin(phase)
+    # cos for even |alpha|, sin for odd: only what the alphas read
+    parities = {(ax + ay) % 2 for ax, ay in alphas}
+    cos_p = np.cos(phase) if 0 in parities else None
+    sin_p = np.sin(phase) if 1 in parities else None
     out = np.empty((xs.shape[0], len(alphas)))
     for j, (ax, ay) in enumerate(alphas):
         # Re[i^k e^{i theta}] for k = |alpha| mod 4

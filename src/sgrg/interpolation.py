@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -106,21 +107,29 @@ def path_in_forest(bonds, i, j):
     return tuple(path)
 
 
-def sigma(bonds, s: dict, i: int, j: int) -> float:
-    """Path-minimum coupling sigma_ij(G, s); s maps bond -> [0, 1]."""
-    if i == j:
-        return 1.0
-    path = path_in_forest(bonds, i, j)
-    if path is None:
-        return 0.0
-    return min(s[b] for b in path)
+@lru_cache(maxsize=None)
+def _path_table(bonds: tuple) -> MappingProxyType:
+    """{(i, j): the ranks in ``bonds`` of the bonds on the path joining i < j}
+    for every pair of vertices the forest joins, in ``path_in_forest``'s
+    order.  Built once per forest and read-only, since every caller shares
+    it."""
+    rank = {b: r for r, b in enumerate(bonds)}
+    verts = sorted({v for b in bonds for v in b})
+    table = {}
+    for i, j in itertools.combinations(verts, 2):
+        path = path_in_forest(bonds, i, j)
+        if path is not None:
+            table[(i, j)] = tuple(rank[b] for b in path)
+    return MappingProxyType(table)
 
 
 def sigma_matrix(bonds, s: dict, n: int) -> np.ndarray:
+    """The path-minimum couplings sigma_ij(G, s) of the forest ``bonds`` on n
+    vertices, with s mapping bond -> [0, 1]: 1 on the diagonal, the minimum
+    of s over the G-path joining i and j, and 0 where no path joins them."""
     out = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = sigma(bonds, s, i, j)
+    for (i, j), ranks in _path_table(bonds).items():
+        out[i, j] = out[j, i] = min(s[bonds[r]] for r in ranks)
     return out
 
 
@@ -205,11 +214,9 @@ def integrate_over_cube(m: int, fn) -> float:
 
 def multilinear_interpolation_rhs(n: int, coeffs: dict) -> float:
     """RHS of the identity for multilinear F = sum_A c_A prod_{b in A} s_b."""
-    bonds = bonds_on(n)
     total = 0.0
     for G in all_forests(n):
         Gset = frozenset(G)
-        bond_rank = {b: r for r, b in enumerate(G)}
         m = len(G)
         for A, cA in coeffs.items():
             Aset = frozenset(A)
@@ -220,11 +227,11 @@ def multilinear_interpolation_rhs(n: int, coeffs: dict) -> float:
             subsets = []
             zero = False
             for b in Aset - Gset:
-                path = path_in_forest(G, b[0], b[1])
-                if path is None:
+                ranks = _path_table(G).get((min(b), max(b)))
+                if ranks is None:
                     zero = True
                     break
-                subsets.append([bond_rank[p] for p in path])
+                subsets.append(ranks)
             if zero:
                 continue
             total += cA * integrate_min_products(m, subsets)

@@ -44,7 +44,6 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -65,7 +64,7 @@ from .activities import (
     truncate_cloud_terms,
 )
 from .interpolation import (
-    construct_gamma, ordered_region_quadrature, path_in_forest, trees_on,
+    _path_table, construct_gamma, ordered_region_quadrature, trees_on,
 )
 from .lattice import (
     Polymer,
@@ -107,19 +106,6 @@ def fluctuate_linear(K, cov: CovAccess):
     return K.map(lambda k, ts: convolve_terms(ts, cov))
 
 
-@lru_cache(maxsize=None)
-def _tree_sigma_structures(n_poly: int, tree):
-    """Per polymer pair (k < l): the bond ranks on the tree path.  Computed
-    once per (n_poly, tree) and read-only, since every caller shares it."""
-    rank = {b: r for r, b in enumerate(tree)}
-    paths = {}
-    for k in range(n_poly):
-        for l in range(k + 1, n_poly):
-            path = path_in_forest(tree, k, l)
-            paths[(k, l)] = tuple(rank[b] for b in path)
-    return MappingProxyType(paths)
-
-
 def _sigma_values(paths, pts):
     """sigma_kl at each quadrature point: min over path bond coordinates."""
     out = {}
@@ -156,8 +142,8 @@ def _cached_regions(m: int):
     )
 
 
-def tree_convolved_terms(coeff: complex, slots: list[Slot], n_poly: int, tree,
-                         cov: CovAccess, images: dict) -> list:
+def tree_convolved_terms(coeff: complex, slots: list[Slot], tree, cov: CovAccess,
+                         images: dict) -> list:
     """Integrate mu_{C(sigma(T,s))} * (slot term) over s in [0,1]^{|T|}.
 
     Every Wick structure contributes a product of factors affine in the
@@ -167,14 +153,20 @@ def tree_convolved_terms(coeff: complex, slots: list[Slot], n_poly: int, tree,
     [(key, coeff)] in sorted key order, each sum started from 0.0 and exact
     zeros dropped.  The result is linear in ``coeff``: the integrals of a
     slot list are computed once per ``images`` dict and replayed with the
-    multiplications and additions of a fresh computation in the same order.
-    The dict is keyed by the slot list alone, member indices included, so
-    one dict serves one n_poly, tree and cov.
+    multiplications and additions of a fresh computation in the same order
+    (``_replay_image``).  The dict is keyed by the slot list alone, member
+    indices included, so one dict serves one tree and cov.
     """
     slots_key = tuple(slots)
     image = images.get(slots_key)
     if image is None:
-        image = images[slots_key] = _tree_term_image(slots, n_poly, tree, cov)
+        image = images[slots_key] = _tree_term_image(slots, tree, cov)
+    return _replay_image(coeff, image)
+
+
+def _replay_image(coeff: complex, image) -> list:
+    """[(key, coeff * exp(-intra/2) * integrals summed from 0.0)] of a tree-term
+    image, exact zeros dropped."""
     e, groups = image
     base = coeff * e
     out = []
@@ -187,7 +179,33 @@ def tree_convolved_terms(coeff: complex, slots: list[Slot], n_poly: int, tree,
     return out
 
 
-def _tree_term_image(slots: list[Slot], n_poly: int, tree, cov: CovAccess):
+def _charge_tree_image(charges1, charges2, cov: CovAccess):
+    """``_tree_term_image`` of the slot list of two charge-only terms, with
+    canonical charges ``charges1`` on member 0 and ``charges2`` on member 1,
+    on the one-bond tree.
+
+    The same covariance reads and float operations in the same order, with
+    nothing to pair or shift: the one Wick structure integrates to
+    int_0^1 e^{-us} ds, which ``_s_integral_affine`` gives as 0 + (1 + 0j)
+    times it, equal to complex() of the finite integral; and the sorted
+    concatenation of canonical charges is their canonical form.
+    """
+    charges = [(q, x, 0) for q, x in charges1] + [(q, x, 1) for q, x in charges2]
+    intra = 0.0
+    u = 0.0
+    for qa, xa, ma in charges:
+        for qb, xb, mb in charges:
+            cv = qa * qb * cov.c((0, 0), (xa[0] - xb[0], xa[1] - xb[1]))
+            if ma == mb:
+                intra += cv
+            else:
+                u += 0.5 * cv
+    integral = complex(_exp_monomial_01(0, u))
+    key = (tuple(sorted(charges1 + charges2)), ())
+    return math.exp(-0.5 * intra), [(key, [integral])] if integral != 0.0 else []
+
+
+def _tree_term_image(slots: list[Slot], tree, cov: CovAccess):
     """(exp(-intra/2), [(canonical key, [integral, ...])]): the integral of
     each Wick structure, grouped by key in sorted key order."""
     charges = [(s.data[0], s.pos, s.member) for s in slots if s.kind == "q"]
@@ -217,7 +235,7 @@ def _tree_term_image(slots: list[Slot], n_poly: int, tree, cov: CovAccess):
             pair_cache[(i, j)] = (cov.pair(ai, yi, aj, yj), mi, mj)
         return pair_cache[(i, j)]
 
-    paths = _tree_sigma_structures(n_poly, tree)
+    paths = _path_table(tree)
     m_bonds = len(tree)
     groups: dict = {}
     # CloudTerm drops zero charges and rounds and sorts positions
@@ -333,7 +351,7 @@ def fluctuate_cloud(K: CloudActivity, cov: CovAccess) -> CloudActivity:
                             nxt.extend(bond_laplacian(c0, sl, bi, bj, cov))
                         stack = nxt
                     for c0, sl in stack:
-                        for key, c in tree_convolved_terms(c0, sl, n, tree, cov, images):
+                        for key, c in tree_convolved_terms(c0, sl, tree, cov, images):
                             acc[key] = acc.get(key, 0.0) + c
         ts = tm._canon_sums(acc)
         if ts:
@@ -361,10 +379,14 @@ def fluctuate(K: TruncatedActivity, cov: CovAccess, cache: dict,
     building, re-anchoring and truncating those lists.  Keys outside the
     model are counted in ``dropped_terms``.  One dict of tree-term images
     serves the whole call: its cov and tree are fixed, and a slot list
-    carries the member index of every slot.  The pair floor (``DROP_TOL``
-    times the largest coefficient) tests the two coefficients only, so the
-    term pairs above it are listed once per pair of shapes and reused at
-    each of its placements.
+    carries the member index of every slot.  A pair of charge-only terms
+    takes ``_charge_bond_terms``, with no slot lists: its bond pieces share
+    one slot list, whose image ``_charge_tree_image`` builds once per call
+    from the two terms' charges with the float operations of the generic
+    ``_tree_term_image``.  The pair floor (``DROP_TOL`` times the largest
+    coefficient) tests the two coefficients only, so the term pairs above
+    it are listed once per pair of shapes and reused at each of its
+    placements.
     """
     memo = _collapse_memo(cache)
     out: dict = {}  # union shape key -> {piece key: coeff}
@@ -384,35 +406,43 @@ def fluctuate(K: TruncatedActivity, cov: CovAccess, cache: dict,
                     _add_collapsed(sums, pieces, t.coeff)
     shapes = [k for k in sorted(K.shapes) if len(k) <= TREE_SHAPE_CAP]
     slots1 = {k: [tm.term_slots(t, 0) for t in K.shapes[k]] for k in shapes}
-    images: dict = {}
+    images: dict = {}  # slot list -> image
+    charge_images: dict = {}  # (charges of member 0, of member 1) -> image
     pair = None  # _pair_placements yields the placements of a shape pair together
     for key1, key2, offset, ukey, shift in _pair_placements(shapes):
         if (key1, key2) != pair:
             pair = (key1, key2)
             above = [  # the term pairs above the floor, in loop order
-                (sl1, i2, t2, coeff)
+                (t1, sl1, i2, t2, coeff)
                 for t1, sl1 in zip(K.shapes[key1], slots1[key1])
                 for i2, t2 in enumerate(K.shapes[key2])
                 if not abs(coeff := t1.coeff * t2.coeff) < pair_floor
             ]
         sums = out.get(ukey)
         moved: dict = {}  # output key -> collapse of the re-anchored key
-        slots2: dict = {}
-        for sl1, i2, t2, coeff in above:
-            sl2 = slots2.get(i2)
-            if sl2 is None:
-                sl2 = slots2[i2] = tm.term_slots(tm.translate_term(t2, offset), 1)
-            for c0, sl in bond_laplacian(coeff, sl1 + sl2, 0, 1, cov):
-                for key, c in tree_convolved_terms(c0, sl, 2, ((0, 1),), cov, images):
-                    if sums is None:
-                        sums = out[ukey] = {}
-                    if key not in moved:
-                        moved[key] = _collapsed(memo, tm._translate_key(key, shift))
-                    pieces = moved[key]
-                    if pieces is None:
-                        dropped += 1
-                    else:
-                        _add_collapsed(sums, pieces, c)
+        moved2: dict = {}  # i2 -> t2 at offset
+        slots2: dict = {}  # i2 -> its slots as member 1
+        for t1, sl1, i2, t2, coeff in above:
+            t2m = moved2.get(i2)
+            if t2m is None:
+                t2m = moved2[i2] = tm.translate_term(t2, offset)
+            if t1.linfs or t2.linfs:
+                sl2 = slots2.get(i2)
+                if sl2 is None:
+                    sl2 = slots2[i2] = tm.term_slots(t2m, 1)
+                terms = _bond_terms(coeff, sl1 + sl2, cov, images)
+            else:
+                terms = _charge_bond_terms(coeff, t1.charges, t2m.charges, cov, charge_images)
+            for key, c in terms:
+                if sums is None:
+                    sums = out[ukey] = {}
+                if key not in moved:
+                    moved[key] = _collapsed(memo, tm._translate_key(key, shift))
+                pieces = moved[key]
+                if pieces is None:
+                    dropped += 1
+                else:
+                    _add_collapsed(sums, pieces, c)
     result = {}
     for key, sums in out.items():
         kept = tm._canon_sums(sums, DROP_TOL)
@@ -421,6 +451,30 @@ def fluctuate(K: TruncatedActivity, cov: CovAccess, cache: dict,
     act = TruncatedActivity(K.torus, result)
     act.dropped_terms = dropped
     return act
+
+
+def _bond_terms(coeff, slots: list[Slot], cov: CovAccess, images: dict):
+    """The (key, coeff) pieces of the one-bond tree term on a slot list of
+    members 0 and 1: each bond Laplacian piece through
+    ``tree_convolved_terms``."""
+    for c0, sl in bond_laplacian(coeff, slots, 0, 1, cov):
+        yield from tree_convolved_terms(c0, sl, ((0, 1),), cov, images)
+
+
+def _charge_bond_terms(coeff, charges1, charges2, cov: CovAccess, images: dict):
+    """``_bond_terms`` of two charge-only terms.  Every bond Laplacian piece
+    is a charge pair's -q q' C times ``coeff`` on the unchanged slot list,
+    so one ``_charge_tree_image``, built once per ``images`` dict, serves
+    them all."""
+    if not (charges1 and charges2):
+        return
+    image = images.get((charges1, charges2))
+    if image is None:
+        image = images[(charges1, charges2)] = _charge_tree_image(charges1, charges2, cov)
+    for qa, xa in charges1:
+        for qb, xb in charges2:
+            fac = -qa * qb * cov.c((0, 0), (xa[0] - xb[0], xa[1] - xb[1]))
+            yield from _replay_image(coeff * fac, image)
 
 
 def _pair_placements(shapes):
@@ -867,10 +921,12 @@ def scale_activity(K: CloudActivity) -> CloudActivity:
     return CloudActivity(coarse, {k: v for k, v in out.items() if v})
 
 
-def scale_linear(K: TruncatedActivity, cache: dict) -> TruncatedActivity:
-    """S_1 K(X) = sum over polymers with partition closure X of K(Y, phi_L):
-    the translation-invariant scaling, every shape at the L^d positions
-    modulo coarse translations, mapped by the partition closure.
+def scale_linear(K: TruncatedActivity, cache: dict):
+    """(S_1 K, S_1 K_large), where S_1 K(X) = sum over polymers with partition
+    closure X of K(Y, phi_L): the translation-invariant scaling, every shape
+    at the L^d positions modulo coarse translations, mapped by the partition
+    closure.  K_large is K on its shapes that are not small; its image comes
+    from the same pass, with the additions a call on K_large alone makes.
 
     Multi-polymer closure clusters are O(K^2); the truncated flow drops
     them (recorded upstream) and keeps the linearized regrouping, which is
@@ -881,68 +937,154 @@ def scale_linear(K: TruncatedActivity, cache: dict) -> TruncatedActivity:
     naming it.  A moved copy of such a term collapses to one term of the
     model, with its coefficient untouched.  Where a copy lands depends on
     the torus, shape and term key, not on the coefficient: each (shape,
-    term key) image is built once per ``cache``, from one table of coarse
-    positions per offset.  It holds the L^-|alpha| factors, applied once per
-    term, and per offset the key of the moved term's collapse, from the
-    ``cache``'s collapse memo, which truncation shares.  A collapse reaches
-    the positions only through ``round()``, so offsets whose tables round
-    every position of the new terms to the same blocks form a class, and
-    each term is looked up once per class.  The coefficients are summed per
-    key in the order of collapsing every copy, and then ``canon``.
+    term key) image is built once per ``cache`` (see ``_ShapeImages``), an
+    int32 row of slots, each slot a (coarse shape key, piece key) pair
+    numbered once per ``cache``.  The coefficients, with the L^-|alpha|
+    factors applied once per term, are summed per slot in the order of
+    collapsing every copy (shape, then offset, then term) by ``_SlotSums``,
+    and then ``canon``.
     """
     L = K.torus.L
-    offsets = [(ox, oy) for ox in range(L) for oy in range(L)]
+    offsets = np.array([(ox, oy) for ox in range(L) for oy in range(L)])
     images = cache.setdefault(K.torus, {})
+    slots = cache.setdefault("slots", {})  # (coarse shape key, piece key) -> slot
     memo = _collapse_memo(cache)
-    acc: dict = {}
+    scaled = []  # (images, rows, coefficients, large) per shape
     for key, ts in K.shapes.items():
         if not ts:
             continue
-        if (key, None) not in images:
-            p0 = Polymer(frozenset(key))
-            closures = [partition_closure(p0.translate(o), K.torus) for o in offsets]
-            images[(key, None)] = [
-                (cl.shape_key(), tuple(-min(b[i] for b in cl.blocks) for i in range(2)))
-                for cl in closures
-            ]
-        geometry = images[(key, None)]
-        new = []
-        for t in ts:
-            if (key, t.key()) not in images:
-                if _collapsed(memo, t.key()) != [(t.key(), ())]:
+        img = images.get(key)
+        if img is None:
+            img = images[key] = _ShapeImages(key, K.torus, offsets)
+        keys = [t.key() for t in ts]
+        new: dict = {}
+        for k, t in zip(keys, ts):
+            if k not in img.rows and k not in new:
+                if _collapsed(memo, k) != [(k, ())]:
                     raise RuntimeError(f"shape {key}: {t!r} is outside the truncated model")
-                ops = _CoeffOps()  # scale_term's factor, shared by every offset
-                for alpha, _ in t.linfs:
-                    ops *= float(L) ** (-sum(alpha))
-                images[(key, t.key())] = (ops, [])
-                new.append((t, images[(key, t.key())][1]))
-        positions = list({x for t, _ in new for _, x in t.charges + t.linfs})
-        classes: dict = {}  # blocks of the rounded positions -> piece key per term
-        for shift, (_, back) in zip(offsets, geometry):
-            # each position rounded as translate_term, scale_term, translate_term
-            coarse = {}
-            for x in positions:
-                y = tm._round_pos((x[0] + shift[0], x[1] + shift[1]))
-                y = tm._round_pos((y[0] / L, y[1] / L))
-                coarse[x] = tm._round_pos((y[0] + back[0], y[1] + back[1]))
-            blocks = tuple(round(c) for x in positions for c in coarse[x])
-            shared = classes.get(blocks)
-            if shared is None:
-                shared = classes[blocks] = [
-                    _collapsed(memo, (tuple((q, coarse[x]) for q, x in t.charges),
-                                      tuple((a, coarse[y]) for a, y in t.linfs)))[0][0]
-                    for t, _ in new
+                new[k] = t
+        if new:
+            img.add_terms(list(new.values()), L, offsets, slots, memo)
+        rows = [img.rows[k] for k in keys]
+        coeffs = [ops.apply(t.coeff) for t, (_, ops) in zip(ts, rows)]
+        scaled.append((img, [r for r, _ in rows], coeffs, not shape_is_small(key)))
+    full, large = _SlotSums(len(slots)), _SlotSums(len(slots))
+    for img, rows, coeffs, is_large in scaled:
+        for sums in (full, large) if is_large else (full,):
+            sums.add(img.coarse_keys, img.table[rows], coeffs)
+    coarse, keys = K.torus.coarse(), list(slots)
+    return tuple(TruncatedActivity(coarse, sums.terms(keys)) for sums in (full, large))
+
+
+class _ShapeImages:
+    """The scaling images of one shape on one torus.
+
+    Per offset: the shape key of the shape's partition closure, and the
+    shift back to that key's anchor.  Per term key: a row of ``table``, the
+    slot of the moved term's collapse at each offset, and the L^-|alpha|
+    factors as ``_CoeffOps``.
+    """
+
+    __slots__ = ("coarse_keys", "back", "rows", "table")
+
+    def __init__(self, key, torus: TorusSpec, offsets: np.ndarray):
+        # partition_closure in integer arithmetic, at every offset at once
+        L, side = torus.L, torus.coarse().side
+        closure = ((np.array(key)[None] + offsets[:, None] + L // 2) // L) % side
+        base = closure.min(axis=1)
+        self.coarse_keys = [tuple(sorted(set(map(tuple, blocks))))
+                            for blocks in (closure - base[:, None]).tolist()]
+        self.back = -base
+        self.rows: dict = {}  # term key -> (row of table, L^-|alpha| factors)
+        self.table = np.empty((0, len(offsets)), dtype=np.int32)
+
+    def add_terms(self, new, L: int, offsets: np.ndarray, slots: dict, memo: dict):
+        """Give each new model term its row, numbering new slots in ``slots``.
+
+        The collapse reads positions only through ``round()``, so offsets
+        whose copies round every position of the new terms to the same
+        blocks form a class, and each term is looked up in ``memo`` once per
+        class.  A position x at offset o lands at translate_term, scale_term
+        and translate_term's roundings of (x + o) / L + back, then
+        ``round()``; for the integral positions of the model that is
+        ``np.rint((x + o) / L + back)``, ties to even alike.
+        """
+        positions = sorted({x for t in new for _, x in t.charges + t.linfs})
+        moved = np.rint(
+            (np.array(positions, dtype=float).reshape(1, -1, 2) + offsets[:, None]) / L
+            + self.back[:, None]
+        ).reshape(len(offsets), -1).tolist()
+        classes: dict = {}  # rounded positions -> piece key of each new term
+        combos: dict = {}  # (coarse shape key, rounded positions) -> index
+        slot_rows = []  # per combo: the slot of each new term
+        combo_of = []  # per offset: its combo
+        for blocks, coarse_key in zip(map(tuple, moved), self.coarse_keys):
+            pieces = classes.get(blocks)
+            if pieces is None:
+                at = dict(zip(positions, zip(blocks[::2], blocks[1::2])))
+                pieces = classes[blocks] = [
+                    _collapsed(memo, (tuple((q, at[x]) for q, x in t.charges),
+                                      tuple((a, at[y]) for a, y in t.linfs)))[0][0]
+                    for t in new
                 ]
-            for (_, image), piece_key in zip(new, shared):
-                image.append(piece_key)
-        term_images = [images[(key, t.key())] for t in ts]
-        coeffs = [ops.apply(t.coeff) for t, (ops, _) in zip(ts, term_images)]
-        for o, (coarse_key, _) in enumerate(geometry):
-            sums = acc.setdefault(coarse_key, {})
-            for c, (_, image) in zip(coeffs, term_images):
-                sums[image[o]] = sums.get(image[o], 0.0) + c
-    result = {k: kept for k, sums in acc.items() if (kept := tm._canon_sums(sums))}
-    return TruncatedActivity(K.torus.coarse(), result)
+            j = combos.setdefault((coarse_key, blocks), len(slot_rows))
+            if j == len(slot_rows):
+                slot_rows.append([slots.setdefault((coarse_key, p), len(slots))
+                                  for p in pieces])
+            combo_of.append(j)
+        for t in new:
+            ops = _CoeffOps()  # scale_term's factor, shared by every offset
+            for alpha, _ in t.linfs:
+                ops *= float(L) ** (-sum(alpha))
+            self.rows[t.key()] = (len(self.rows), ops)
+        rows = np.array(slot_rows, dtype=np.int32)[combo_of].T
+        self.table = np.concatenate([self.table, rows])
+
+
+# the types of the flow's coefficients; a sum takes the highest of its terms'
+_COEFF_RANK = {float: 0, complex: 1, np.complex128: 2}
+
+
+class _SlotSums:
+    """Per-slot sums of coefficients, each started from 0.0 and added to in
+    the order of the ``add`` calls, and within one call offset by offset.
+
+    ``np.add.at`` adds repeated indices in input order, into separate real
+    and imaginary parts, as Python's float, complex and np.complex128
+    additions do (a float adds 0.0 to an imaginary part); each sum then
+    takes the type that Python's sum would have.
+    """
+
+    def __init__(self, n: int):
+        self.order: dict = {}  # coarse shape keys, in order of appearance
+        self.re, self.im = np.zeros(n), np.zeros(n)
+        self.rank = np.zeros(n, dtype=np.int8)
+        self.hit = np.zeros(n, dtype=bool)
+
+    def add(self, coarse_keys, rows: np.ndarray, coeffs) -> None:
+        """Add coeffs[i] to slot rows[i, o], for offset o, then term i; the
+        coarse keys are those of the offsets."""
+        self.order.update(dict.fromkeys(coarse_keys))
+        idx = rows.T.ravel()
+        n_offsets = rows.shape[1]
+        z = np.tile(np.array(coeffs, dtype=complex), n_offsets)
+        np.add.at(self.re, idx, z.real)
+        np.add.at(self.im, idx, z.imag)
+        rank = np.array([_COEFF_RANK[type(c)] for c in coeffs], dtype=np.int8)
+        np.maximum.at(self.rank, idx, np.tile(rank, n_offsets))
+        self.hit[idx] = True
+
+    def terms(self, keys) -> dict:
+        """{coarse shape key: canonical terms}, from the (coarse shape key,
+        piece key) of each slot."""
+        acc: dict = {k: {} for k in self.order}
+        hit = np.flatnonzero(self.hit)
+        for s, r, i, k in zip(hit.tolist(), self.re[hit].tolist(), self.im[hit].tolist(),
+                              self.rank[hit].tolist()):
+            coarse_key, piece = keys[s]
+            acc[coarse_key][piece] = (r if k == 0 else complex(r, i) if k == 1
+                                      else np.complex128(complex(r, i)))
+        return {k: kept for k, sums in acc.items() if (kept := tm._canon_sums(sums))}
 
 
 # ----------------------------------------------------------------------------
@@ -1055,11 +1197,12 @@ def rg_step(K, params: RGStepParams):
     Returns (K', coeffs, diagnostics); the extraction coefficients carry
     dE and dsigma for the flow bookkeeping.
 
-    One cache per step holds the scaling images and the collapse memo, so
-    each term key is collapsed once per step, whether fluctuation,
-    extraction, scaling or the four-term split meets it; F_1 K is computed
-    once, for the fluctuation and the split, and ||K|| once, for the
-    hypotheses and the split.
+    One cache per step holds the scaling images and slots and the collapse
+    memo, so each term key is collapsed once per step, whether
+    fluctuation, extraction, scaling or the four-term split meets it; F_1 K
+    is computed once, for the fluctuation and the split, ||K|| once, for
+    the hypotheses and the split, and the scaling of the extracted state
+    gives the split its large-set image in the same pass.
     """
     cov = params.cov()
     log_norm = activity_norm(K, params.norm)
@@ -1068,8 +1211,9 @@ def rg_step(K, params: RGStepParams):
     k1 = fluctuate_linear(K, cov)
     k_sharp = fluctuate(K, cov, cache, k1)
     k_star, coeffs = extract_step(k_sharp, params, cache)
-    k_new = scale_linear(k_star, cache)
-    diag["four_terms"] = four_term_split(K, log_norm, params, k1, k_new, k_star, cache)
+    k_new, r1_large = scale_linear(k_star, cache)
+    diag["four_terms"] = four_term_split(K, log_norm, params, k1, k_new, k_star, r1_large,
+                                         cache)
     diag["dropped_terms"] = k_sharp.dropped_terms
     return k_new, coeffs, diag
 
@@ -1086,7 +1230,7 @@ def linearized_step(k1: TruncatedActivity, params: RGStepParams, cache: dict):
     """R_1(K, F(K)) = S_1(F_1 K - F(F_1 K)) from k1 = F_1 K."""
     coeffs = extraction_coefficients(k1, params.preset, params.beta)
     F = build_extraction_activity(coeffs, k1)
-    return scale_linear(extract_linear(k1, F), cache), coeffs
+    return scale_linear(extract_linear(k1, F), cache)[0], coeffs
 
 
 def _unit_charge_small(key, t) -> bool:
@@ -1095,16 +1239,18 @@ def _unit_charge_small(key, t) -> bool:
 
 def four_term_split(K: TruncatedActivity, log_norm_k: float, params: RGStepParams,
                     k1: TruncatedActivity, k_new: TruncatedActivity,
-                    k_star: TruncatedActivity, cache: dict) -> dict:
+                    k_star: TruncatedActivity, r1_large: TruncatedActivity,
+                    cache: dict) -> dict:
     """Norms of the mechanisms the flow reads: higher order, large sets and
     unit-charge small sets (each linearized except the first), from
     k1 = F_1 K = ``fluctuate_linear(K, cov)`` and log ||K|| = ``log_norm_k``.
 
     The large-set column is measured where large sets live: on the
-    extracted post-fluctuation state k_star (tree terms populate it)."""
+    extracted post-fluctuation state k_star (tree terms populate it), whose
+    large shapes scale to ``r1_large`` (the second output of
+    ``scale_linear(k_star, cache)``)."""
     out = {}
     large_star = k_star.filter(lambda k, t: not shape_is_small(k))
-    r1_large = scale_linear(large_star, cache)
     # the closure contraction lives in the full-amplitude regulator
     # Gamma(X) = A^{|X|} Theta(X); measure this column there
     np_full = params.norm.with_p(0)
@@ -1114,7 +1260,7 @@ def four_term_split(K: TruncatedActivity, log_norm_k: float, params: RGStepParam
     }
     # the unit-charge sector isolates the leading contraction mechanism;
     # convolution keeps each term's charge, so its image is a filter of F_1 K
-    r1_unit = scale_linear(k1.filter(_unit_charge_small), cache)
+    r1_unit, _ = scale_linear(k1.filter(_unit_charge_small), cache)
     out["charged_small"] = {
         "in": activity_norm(K.filter(_unit_charge_small), params.norm),
         "out": activity_norm(r1_unit, params.norm),

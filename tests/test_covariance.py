@@ -234,3 +234,29 @@ class TestModeSum:
         a = mode_sum(px, py, f, alphas, xs)
         b = loop_mode_sum(px, py, f, alphas, xs)
         assert np.allclose(a, b, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("alphas", [
+        [(0, 0), (2, 0), (1, 1), (4, 0)],
+        [(1, 0), (0, 1), (2, 1), (0, 3)],
+        [(0, 0), (1, 0), (2, 0), (1, 2), (2, 3)],
+    ], ids=["even", "odd", "mixed"])
+    def test_one_trig_per_parity_keeps_the_bits(self, alphas):
+        # computing only the cos or sin that an alpha's parity reads gives the
+        # bits of the sum that computed both
+        rng = np.random.default_rng(3)
+        px, py = rng.normal(size=(2, 64))
+        f = rng.normal(size=64)
+        xs = rng.normal(size=(5, 2))
+        assert np.array_equal(mode_sum(px, py, f, alphas, xs),
+                              both_trig_mode_sum(px, py, f, alphas, xs))
+
+
+def both_trig_mode_sum(px, py, f, alphas, xs):
+    """The mode sum with cos and sin both computed for every call."""
+    phase = px[None, :] * xs[:, 0:1] + py[None, :] * xs[:, 1:2]
+    cos_p, sin_p = np.cos(phase), np.sin(phase)
+    out = np.empty((xs.shape[0], len(alphas)))
+    for j, (ax, ay) in enumerate(alphas):
+        tr = (cos_p, -sin_p, -cos_p, sin_p)[(ax + ay) % 4]
+        out[:, j] = tr @ (f * px**ax * py**ay)
+    return out

@@ -16,7 +16,6 @@ from sgrg.interpolation import (
     forest_interpolation_check_multilinear,
     forest_interpolation_check_smooth,
     integrate_min_products,
-    sigma,
     sigma_matrix,
     tree_count,
     trees_on,
@@ -27,14 +26,14 @@ class TestSigma:
     def test_path_minimum(self):
         T = ((0, 1), (1, 2))
         s = {(0, 1): 0.3, (1, 2): 0.7}
-        assert sigma(T, s, 0, 2) == pytest.approx(0.3)
+        assert sigma_matrix(T, s, 3)[0, 2] == pytest.approx(0.3)
 
     def test_no_path_is_zero(self):
         G = ((0, 1),)
-        assert sigma(G, {(0, 1): 0.5}, 0, 2) == 0.0
+        assert sigma_matrix(G, {(0, 1): 0.5}, 3)[0, 2] == 0.0
 
     def test_diagonal_one(self):
-        assert sigma((), {}, 1, 1) == 1.0
+        assert sigma_matrix((), {}, 2)[1, 1] == 1.0
 
     def test_monotone_in_s(self):
         rng = random.Random(2)

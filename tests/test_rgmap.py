@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sgrg import activities, rgmap
+from sgrg import activities, interpolation, rgmap
 from sgrg import terms as tm
 from sgrg.activities import (
     CloudActivity,
@@ -170,7 +170,7 @@ class TestLinearizedMaps:
         # S_1 (zeta V) = L^2 zeta V in the collapsed representation
         t = TorusSpec(2, 2)
         V = v_activity(t, n_q=1, trans_invariant=True)
-        SV = scale_linear(V, {})
+        SV, _ = scale_linear(V, {})
         key = tuple([(0, 0)])
         assert SV.torus.side == 2
         got = {x.key(): x.coeff for x in SV.shapes[key]}
@@ -184,7 +184,7 @@ class TestLinearizedMaps:
         for beta in (4.0 * math.pi, 6.0 * math.pi):
             cov = CovAccess(kern, scale=beta)
             V = v_activity(t, n_q=1, trans_invariant=True)
-            out = scale_linear(fluctuate_linear(V, cov), {})
+            out, _ = scale_linear(fluctuate_linear(V, cov), {})
             key = tuple([(0, 0)])
             got = {x.key(): x.coeff for x in out.shapes[key]}
             mult = 4.0 * math.exp(-beta * kern.at_zero() / 2.0)
@@ -275,8 +275,9 @@ def truncated_mayer(zeta, t, order=2, max_size=2):
 
 def cache_test_shapes(t):
     """A fluctuated Mayer activity plus charged and charge-free terms at
-    block centres off the shape, which split its offset classes; every term
-    is one of the truncated model."""
+    block centres off the shape, which split its offset classes, and an
+    np.complex128 coefficient whose copies land on the keys of float ones;
+    every term is one of the truncated model."""
     cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=t), scale=12 * math.pi)
     K = truncated_mayer(1e-2, t)
     with pytest.MonkeyPatch.context() as mp:  # a narrow window and no floor
@@ -289,6 +290,8 @@ def cache_test_shapes(t):
         CloudTerm(-0.2 + 0.05j, ((1, (-1.0, 1.0)), (1, (0.0, 1.0)), (-1, (1.0, -1.0)))),
         CloudTerm(0.1j, (), (((1, 0), (0.0, 0.0)), ((0, 1), (-1.0, 2.0)))),
     ]
+    key = ((0, 0),)
+    shapes[key] = shapes[key] + [CloudTerm(np.complex128(0.05 - 0.02j), ((1, (1.0, 0.0)),))]
     return shapes
 
 
@@ -298,8 +301,7 @@ def as_exact(shapes):
     return [(k, [(repr(t.key()), repr(t.coeff)) for t in ts]) for k, ts in shapes.items()]
 
 
-def tiny_ir_step():
-    t = TorusSpec(2, 2)
+def tiny_ir_step(t=TorusSpec(2, 2)):
     K = truncated_mayer(1e-2, t)
     params = RGStepParams(
         beta=12 * math.pi, torus=t, c_star=step_c_star(12 * math.pi, t), preset="ir",
@@ -314,12 +316,14 @@ class TestScalingCache:
 
     @pytest.mark.parametrize("t", [TorusSpec(8, 2), TorusSpec(2, 1), TorusSpec(3, 2)])
     def test_equals_reference(self, t):
-        # at L = 3 division is inexact, so the order of the roundings shows
+        # at L = 3 division is inexact, so the order of the roundings shows;
+        # the second output is the scaling of the large shapes alone
         K = TruncatedActivity(t, cache_test_shapes(t))
-        want = as_exact(reference_scale_trunc(K))
+        large = K.filter(lambda k, _: not rgmap.shape_is_small(k))
+        want = [as_exact(reference_scale_trunc(K)), as_exact(reference_scale_trunc(large))]
         cache = {}
-        assert as_exact(scale_linear(K, cache).shapes) == want
-        assert as_exact(scale_linear(K, cache).shapes) == want  # from the cache
+        assert [as_exact(S.shapes) for S in scale_linear(K, cache)] == want
+        assert [as_exact(S.shapes) for S in scale_linear(K, cache)] == want  # from the cache
 
     def test_one_collapse_per_offset_class(self, monkeypatch):
         # each term key is checked once, and offsets whose copies round every
@@ -364,7 +368,7 @@ class TestScalingCache:
         key = ((0, 0),)
         shapes[key] = shapes[key] + [CloudTerm(0.7 - 0.2j, ((1, (1.0, -1.0)),))]
         K = TruncatedActivity(t, shapes)
-        assert as_exact(scale_linear(K, cache).shapes) == as_exact(reference_scale_trunc(K))
+        assert as_exact(scale_linear(K, cache)[0].shapes) == as_exact(reference_scale_trunc(K))
 
     @pytest.mark.parametrize("term", [
         CloudTerm(0.3, ((1, (0.0, 0.0)), (-1, (0.0, 1.0)))),
@@ -384,7 +388,7 @@ class TestScalingCache:
         cache = {}
         for t in (TorusSpec(2, 1), TorusSpec(2, 3), TorusSpec(2, 1)):
             K = TruncatedActivity(t, shapes)
-            assert as_exact(scale_linear(K, cache).shapes) == as_exact(
+            assert as_exact(scale_linear(K, cache)[0].shapes) == as_exact(
                 reference_scale_trunc(K)
             )
 
@@ -399,11 +403,30 @@ class TestScalingCache:
         assert as_exact(k_sharp.shapes) == as_exact(fluctuate(K, cov, {}, k1).shapes)
         k_star, _ = extract_step(k_sharp, params, cache)
         assert as_exact(k_star.shapes) == as_exact(extract_step(k_sharp, params, {})[0].shapes)
-        assert as_exact(scale_linear(k_star, cache).shapes) == as_exact(
-            scale_linear(k_star, {}).shapes
-        )
-        # the memo, and the scaling images keyed by torus alone
-        assert list(cache) == ["collapse", K.torus]
+        assert [as_exact(S.shapes) for S in scale_linear(k_star, cache)] == [
+            as_exact(S.shapes) for S in scale_linear(k_star, {})
+        ]
+        # the memo, the scaling images keyed by torus alone, and their slots
+        assert list(cache) == ["collapse", K.torus, "slots"]
+
+    @pytest.mark.parametrize("t", [TorusSpec(2, 2), TorusSpec(8, 2)], ids=["tiny", "L8"])
+    def test_large_set_image_from_the_step_pass(self, t, monkeypatch):
+        # the split's large-set image comes from the step's own scaling pass,
+        # with the bits of scaling the large shapes on their own
+        seen = {}
+        plain = rgmap.four_term_split
+
+        def spy(*args):
+            seen["k_star"], seen["r1_large"] = args[5], args[6]
+            return plain(*args)
+
+        monkeypatch.setattr(rgmap, "four_term_split", spy)
+        rg_step(*tiny_ir_step(t))
+        large_star = seen["k_star"].filter(lambda k, _: not rgmap.shape_is_small(k))
+        assert large_star.shapes
+        alone, alone_large = scale_linear(large_star, {})
+        assert as_exact(seen["r1_large"].shapes) == as_exact(alone.shapes) == as_exact(
+            alone_large.shapes)
 
     def test_four_term_split_columns(self):
         K, params = tiny_ir_step()
@@ -435,7 +458,43 @@ class TestScalingCache:
         assert len(calls) == len(set(calls))
 
 
-def reference_tree_convolved_terms(coeff, slots, n_poly, tree, cov):
+class TestSlotSums:
+    """The scaling sums each slot's coefficients in input order, from 0.0,
+    as Python adds them, and gives each sum Python's type."""
+
+    SEQUENCES = [
+        [1.0, 1e16, -1e16, 1.0],  # 1.0 in this order, 0.0 summed pairwise
+        [1e16 + 1j, 1.0, -1e16 - 1e16j, 1.0 + 1e16j],
+        [0.5, np.complex128(1e16 - 1j), -1e16, 1.0 + 0.0j, 1.0],
+        [-0.0, 2.5 - 0.0j, 1.0],  # a float adds 0.0 to the imaginary part
+    ]
+
+    def test_repeated_slots_add_in_input_order(self):
+        coarse = ((0, 0),)
+        pieces = [(((1, (float(s), 0.0)),), ()) for s in range(len(self.SEQUENCES))]
+        slots = {(coarse, p): s for s, p in enumerate(pieces)}
+        # interleaved across slots, in two calls of one offset and many terms,
+        # so that one np.add.at meets each slot repeatedly
+        entries = sorted(((i, s, x) for s, seq in enumerate(self.SEQUENCES)
+                          for i, x in enumerate(seq)), key=lambda e: e[:2])
+        sums = rgmap._SlotSums(len(slots))
+        for chunk in (entries[:7], entries[7:]):
+            rows = np.array([[s] for _, s, _ in chunk], dtype=np.int32)
+            sums.add([coarse], rows, [x for _, _, x in chunk])
+        got = {t.charges[0][1][0]: repr(t.coeff) for t in sums.terms(list(slots))[coarse]}
+        folds = []
+        for seq in self.SEQUENCES:
+            c = 0.0
+            for x in seq:
+                c = c + x
+            folds.append(c)
+        assert got == {float(s): repr(c) for s, c in enumerate(folds)}
+        assert [type(c) for c in folds] == [float, complex, np.complex128, complex]
+        a, b, c, d = self.SEQUENCES[0]
+        assert folds[0] == 1.0 and (a + b) + (c + d) == 0.0  # the order shows
+
+
+def reference_tree_convolved_terms(coeff, slots, tree, cov):
     """The tree-term integral computed afresh on every call."""
     charges = [(s.data[0], s.pos, s.member) for s in slots if s.kind == "q"]
     linfs = [(s.data, s.pos, s.member) for s in slots if s.kind == "l"]
@@ -456,7 +515,7 @@ def reference_tree_convolved_terms(coeff, slots, n_poly, tree, cov):
         for q, x, ma in charges:
             parts[ma] = parts.get(ma, 0.0) + q * cov.c(alpha, (y[0] - x[0], y[1] - x[1]))
         shift_parts.append((m, parts))
-    paths = rgmap._tree_sigma_structures(n_poly, tree)
+    paths = interpolation._path_table(tree)
     out = []
     charge_tuple = tuple((q, x) for q, x, _ in charges)
     for pairing, rest in tm._pairings_with_rest(len(linfs)):
@@ -516,7 +575,7 @@ def reference_fluctuate_truncated(K, cov, pair_window, drop_tol):
                             slots += tm.term_slots(CloudTerm(1.0, t2s.charges, t2s.linfs), 1)
                             for c0, sl in tm.bond_laplacian(t1.coeff * t2s.coeff, slots, 0, 1, cov):
                                 acc.extend(reference_tree_convolved_terms(
-                                    c0, sl, 2, ((0, 1),), cov
+                                    c0, sl, ((0, 1),), cov
                                 ))
                     if acc:
                         out.setdefault(union.shape_key(), []).extend(
@@ -581,21 +640,64 @@ class TestTreeTermReplay:
         assert got.filter(lambda k, t: True).dropped_terms == 0  # a field: a copy reads 0
 
     def test_one_image_per_slot_list_per_call(self, monkeypatch):
-        # the images of one fluctuate call serve every placement
+        # the images of one fluctuate call serve every placement, from either
+        # builder: the charge-only one, keyed by the two members' charges, and
+        # the generic one, keyed by the slot list
         t = TorusSpec(8, 2)
         K = replay_test_activity(t)
         cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=t), scale=4 * math.pi)
-        built = []
-        plain = rgmap._tree_term_image
+        built = {"generic": [], "charges": []}
+        plain, plain_charges = rgmap._tree_term_image, rgmap._charge_tree_image
 
         def counted(slots, *args):
-            built.append(tuple(slots))
+            built["generic"].append(tuple(slots))
             return plain(slots, *args)
 
+        def counted_charges(charges1, charges2, cov):
+            built["charges"].append((charges1, charges2))
+            return plain_charges(charges1, charges2, cov)
+
         monkeypatch.setattr(rgmap, "_tree_term_image", counted)
+        monkeypatch.setattr(rgmap, "_charge_tree_image", counted_charges)
         fluctuate(K, cov, {}, fluctuate_linear(K, cov))
-        assert len(built) > 100
-        assert len(built) == len(set(built))
+        for keys in built.values():
+            assert len(keys) > 100
+            assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("t1, t2", [
+        (CloudTerm(1.0, ((1, (0.0, 0.0)),)), CloudTerm(1.0, ((-1, (1.0, 0.0)), (2, (2.0, -1.0))))),
+        # one member: no cross pair, so u = 0
+        (CloudTerm(1.0, ((1, (0.0, 0.0)), (-1, (0.0, 1.0)))), CloudTerm(1.0)),
+        # the charges cancel, pairwise at one position and in total
+        (CloudTerm(1.0, ((1, (0.0, 0.0)), (-2, (1.0, 1.0)))),
+         CloudTerm(1.0, ((-1, (0.0, 0.0)), (2, (2.0, 0.0))))),
+        (CloudTerm(1.0, ((1, (0.25, 0.0)), (1, (-1.0, 0.5)))), CloudTerm(1.0, ((-3, (2.0, 2.0)),))),
+    ], ids=["charged", "one_member", "cancel", "off_centre"])
+    def test_charge_image_equals_generic(self, t1, t2):
+        t = TorusSpec(2, 3)
+        cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=t), scale=4 * math.pi)
+        slots = tm.term_slots(t1, 0) + tm.term_slots(t2, 1)
+        assert repr(rgmap._charge_tree_image(t1.charges, t2.charges, cov)) == repr(
+            rgmap._tree_term_image(slots, ((0, 1),), cov))
+
+    def test_flow_charge_images_equal_generic(self, monkeypatch):
+        # every charge-only image a fluctuation builds, against the generic builder
+        t = TorusSpec(8, 2)
+        K = replay_test_activity(t)
+        cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=t), scale=4 * math.pi)
+        plain = rgmap._charge_tree_image
+        checked = []
+
+        def compared(charges1, charges2, cov):
+            image = plain(charges1, charges2, cov)
+            slots = (tm.term_slots(CloudTerm(1.0, charges1), 0)
+                     + tm.term_slots(CloudTerm(1.0, charges2), 1))
+            checked.append(repr(image) == repr(rgmap._tree_term_image(slots, ((0, 1),), cov)))
+            return image
+
+        monkeypatch.setattr(rgmap, "_charge_tree_image", compared)
+        fluctuate(K, cov, {}, fluctuate_linear(K, cov))
+        assert len(checked) > 100 and all(checked)
 
     def test_replay_across_coefficients(self):
         t = TorusSpec(2, 3)
@@ -609,16 +711,16 @@ class TestTreeTermReplay:
         for _, sl in pieces:
             images = {}
             for coeff in (3.0 - 1.5j, 3e-300 + 1e-300j, 1e-320, 2e-300j):
-                replayed = rgmap.tree_convolved_terms(coeff, sl, 2, tree, cov, images)
-                fresh = rgmap.tree_convolved_terms(coeff, sl, 2, tree, cov, {})
-                want = reference_tree_convolved_terms(coeff, sl, 2, tree, cov)
+                replayed = rgmap.tree_convolved_terms(coeff, sl, tree, cov, images)
+                fresh = rgmap.tree_convolved_terms(coeff, sl, tree, cov, {})
+                want = reference_tree_convolved_terms(coeff, sl, tree, cov)
                 want = [(t.key(), t.coeff) for t in want]
                 assert repr(replayed) == repr(fresh) == repr(want)
             assert len(images) == 1
         # at 1e-320 some products underflow to 0.0, which canon drops
         _, sl = pieces[0]
-        tiny = reference_tree_convolved_terms(1e-320, sl, 2, tree, cov)
-        assert 0 < len(tiny) < len(reference_tree_convolved_terms(1.0, sl, 2, tree, cov))
+        tiny = reference_tree_convolved_terms(1e-320, sl, tree, cov)
+        assert 0 < len(tiny) < len(reference_tree_convolved_terms(1.0, sl, tree, cov))
 
     def test_images_keyed_by_member(self):
         # equal slots on other polymers couple differently: one images dict
@@ -632,8 +734,8 @@ class TestTreeTermReplay:
         images = {}
         tree = ((0, 1),)
         for sl in (slots, moved):
-            got = rgmap.tree_convolved_terms(0.5 - 2j, sl, 2, tree, cov, images)
-            want = reference_tree_convolved_terms(0.5 - 2j, sl, 2, tree, cov)
+            got = rgmap.tree_convolved_terms(0.5 - 2j, sl, tree, cov, images)
+            want = reference_tree_convolved_terms(0.5 - 2j, sl, tree, cov)
             assert repr(got) == repr([(t.key(), t.coeff) for t in want])
         assert len(images) == 2
 
@@ -775,7 +877,7 @@ class TestNeutralScalingDimension:
             for dim, alpha in ((2, (1, 0)), (4, (2, 0))):
                 terms = [CloudTerm(1.0, (), ((alpha, (0.0, 0.0)), (alpha, (0.0, 0.0))))]
                 K = TruncatedActivity(t, {key: terms})
-                SK = scale_linear(K, {})
+                SK, _ = scale_linear(K, {})
                 num = activity_norm(SK, NormParams.default(t.coarse(), p=0))
                 den = activity_norm(K, NormParams.default(t, p=0))
                 ratios[(L, dim)] = math.exp(num - den)
@@ -827,7 +929,7 @@ class TestRGStep:
         K = TruncatedActivity(t, {key: terms})
         kern = CovarianceKernel("slice", sigma=0.0, torus=t)
         cov = CovAccess(kern, scale=4 * math.pi)
-        out = scale_linear(fluctuate_linear(K, cov), {})
+        out, _ = scale_linear(fluctuate_linear(K, cov), {})
         params = NormParams.default(t, p=0)
         num = activity_norm(out, params)
         den = activity_norm(K, params)
@@ -903,7 +1005,7 @@ class TestChargedSectorBound:
         for q in (1, 2, 3):
             key = tuple([(0, 0)])
             kq = TruncatedActivity(t, {key: [CloudTerm(1e-3, ((q, (0.0, 0.0)),))]})
-            out = scale_linear(fluctuate_linear(kq, cov), {})
+            out, _ = scale_linear(fluctuate_linear(kq, cov), {})
             num = activity_norm(out, NormParams.default(t.coarse(), p=0))
             den = activity_norm(kq, params)
             measured = math.exp(num - den)
