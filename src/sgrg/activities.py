@@ -39,6 +39,7 @@ from .lattice import (
     Polymer,
     SetRegulatorParams,
     TorusSpec,
+    block_quadrature_nodes,
     halo,
     is_connected,
     log_gamma_p,
@@ -367,20 +368,6 @@ def all_connected_subsets(torus: TorusSpec) -> list[Polymer]:
 
 
 # -- the potential and its Mayer expansion ----------------------------------------
-
-
-def block_quadrature_nodes(block, n_q: int):
-    """Midpoint nodes of the closed unit square centered at the block index."""
-    out = []
-    for i in range(n_q):
-        for j in range(n_q):
-            out.append(
-                (
-                    block[0] - 0.5 + (i + 0.5) / n_q,
-                    block[1] - 0.5 + (j + 0.5) / n_q,
-                )
-            )
-    return out
 
 
 def potentials(blocks, fld) -> list[float]:

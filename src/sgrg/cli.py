@@ -363,6 +363,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
+    from .flow import contraction_reference
+
     out = _out_dir(args)
     with open(args.trajectory) as fh:
         payload = json.load(fh)
@@ -377,7 +379,7 @@ def cmd_plotdata(args) -> int:
         return EXIT_CHECK_FAILED
     path = out / f"plot_{args.kind}.csv"
     if args.kind == "contraction":
-        delta = max(cfg["L"] ** -2.0, cfg["L"] ** (2.0 - cfg["beta"] / (4 * math.pi)))
+        _, delta = contraction_reference(cfg["L"], cfg["beta"])
         base = rows[0]["log_norm"]
         out_rows = [
             {"j": r["j"], "log_norm": r["log_norm"],
@@ -388,7 +390,7 @@ def cmd_plotdata(args) -> int:
         if cfg["mode"] != "uv":
             print("zeta-schedule plots need a UV trajectory", file=sys.stderr)
             return EXIT_USAGE
-        slope = (2.0 - cfg["beta"] / (4 * math.pi)) * math.log(cfg["L"])
+        slope = contraction_reference(cfg["L"], cfg["beta"])[0] * math.log(cfg["L"])
         base = math.log(rows[-1]["zeta_abs"])
         out_rows = [
             {"j": r["j"], "log_zeta": math.log(r["zeta_abs"]),

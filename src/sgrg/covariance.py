@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import TorusSpec
+from .lattice import TorusSpec, block_quadrature_nodes, small_shapes
 
 SIGMA_MAX = 0.1
 DEFAULT_P_MAX = 3.6
@@ -362,23 +362,11 @@ def star_norm(kernel: CovarianceKernel, r: int) -> float:
 
 def translation_loss(kernel: CovarianceKernel, r: int):
     """N_C = sup over small sets X of inf_{x in X} ||C(. - x) - C(0)||_X."""
-    from .lattice import small_shapes
-
     alphas = _deriv_alphas(r)
     c0 = kernel.eval((0.0, 0.0))
     worst = 0.0
     for shape in small_shapes():
-        pts = []
-        for b in shape.blocks:
-            for i in range(N_SUB):
-                for jj in range(N_SUB):
-                    pts.append(
-                        (
-                            b[0] - 0.5 + (i + 0.5) / N_SUB,
-                            b[1] - 0.5 + (jj + 0.5) / N_SUB,
-                        )
-                    )
-        pts = np.asarray(pts)
+        pts = np.asarray([x for b in shape.blocks for x in block_quadrature_nodes(b, N_SUB)])
         best = math.inf
         # differences pts - base for every candidate base point
         for base in pts:

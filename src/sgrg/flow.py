@@ -106,11 +106,11 @@ class FlowState:
     zeta_j: complex
     log_norm: float
     log_norm_tilde: float
-    ratio: float = float("nan")
-    charged_multiplier: float = float("nan")
-    large_multiplier: float = float("nan")
-    higher_share: float = float("nan")
-    clipped_log_norm: float = -math.inf
+    ratio: float
+    charged_multiplier: float
+    large_multiplier: float
+    higher_share: float
+    clipped_log_norm: float
 
 
 @dataclass
@@ -260,11 +260,11 @@ class _FlowMode:
     preset: str
     start: object  # config -> (first j, exponent of the first torus)
     sigma_feedback: bool
-    zeta_schedule: object = None  # config -> [zeta_j], when K_j = zeta_j V + Ktilde_j
+    zeta_schedule: object  # config -> [zeta_j], when K_j = zeta_j V + Ktilde_j
 
 
 _MODES = {
-    "ir": _FlowMode("ir", lambda c: (0, c.M), sigma_feedback=True),
+    "ir": _FlowMode("ir", lambda c: (0, c.M), sigma_feedback=True, zeta_schedule=None),
     "uv": _FlowMode("uv", lambda c: (-c.N, c.N), sigma_feedback=False,
                     zeta_schedule=uv_zeta_schedule),
 }
@@ -293,8 +293,11 @@ def run_flow(config: FlowConfig) -> FlowTrajectory:
     energy = 0.0
     zeta_j = zetas[0] if zetas else 0.0
     log_norm, log_tilde = norms(K, zeta_j)
+    nan = float("nan")
     states = [FlowState(j=j0, sigma=sigma, energy=energy, dE=0.0, dsigma=0.0, zeta_j=zeta_j,
-                        log_norm=log_norm, log_norm_tilde=log_tilde)]
+                        log_norm=log_norm, log_norm_tilde=log_tilde, ratio=nan,
+                        charged_multiplier=nan, large_multiplier=nan, higher_share=nan,
+                        clipped_log_norm=-math.inf)]
     diagnostics = []
     c_star = _flow_star_norm(config, torus)
     for step in range(config.steps):
@@ -460,14 +463,20 @@ def z_derivative_check(
 # -- contraction report -------------------------------------------------------------------
 
 
+def contraction_reference(L: int, beta: float) -> tuple[float, float]:
+    """(2 - beta/4pi, max(L^-2, L^(2 - beta/4pi))): the scaling exponent of
+    the unit-charge sector, and the per-step norm ratio that the slower of
+    it and the large-set contraction L^-2 predicts."""
+    exponent = 2.0 - beta / (4.0 * math.pi)
+    return exponent, max(L**-2.0, L**exponent)
+
+
 def contraction_report(traj: FlowTrajectory) -> list[dict]:
     """Per-step table: norm ratios and sector multipliers against references."""
     if len(traj.states) < 2:
         raise ValueError("contraction report needs at least two states")
     cfg = traj.config
-    delta_ref = max(
-        cfg.L**-2.0, cfg.L ** (2.0 - cfg.beta / (4.0 * math.pi))
-    )
+    charged_exponent, delta_ref = contraction_reference(cfg.L, cfg.beta)
     rows = []
     for prev, cur in zip(traj.states, traj.states[1:]):
         row = {
@@ -475,7 +484,7 @@ def contraction_report(traj: FlowTrajectory) -> list[dict]:
             "ratio": cur.ratio,
             "delta_ref": delta_ref,
             "charged_multiplier": cur.charged_multiplier,
-            "charged_ref": cfg.L ** (2.0 - cfg.beta / (4.0 * math.pi)),
+            "charged_ref": cfg.L**charged_exponent,
             "large_multiplier": cur.large_multiplier,
             "large_ref": cfg.L**-2.0,
             "higher_share": cur.higher_share,

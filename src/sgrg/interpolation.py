@@ -123,14 +123,27 @@ def _path_table(bonds: tuple) -> MappingProxyType:
     return MappingProxyType(table)
 
 
-def sigma_matrix(bonds, s: dict, n: int) -> np.ndarray:
-    """The path-minimum couplings sigma_ij(G, s) of the forest ``bonds`` on n
-    vertices, with s mapping bond -> [0, 1]: 1 on the diagonal, the minimum
-    of s over the G-path joining i and j, and 0 where no path joins them."""
-    out = np.eye(n)
-    for (i, j), ranks in _path_table(bonds).items():
-        out[i, j] = out[j, i] = min(s[bonds[r]] for r in ranks)
+def path_minima(bonds, pts: np.ndarray) -> dict:
+    """{(i, j): sigma_ij(G, s) at each row s of ``pts``} for every pair i < j
+    that the forest ``bonds`` joins, column r of ``pts`` holding the s of
+    bond r: the minimum of the columns of the bonds on the path."""
+    return {pair: np.min(pts[:, list(ranks)], axis=1)
+            for pair, ranks in _path_table(bonds).items()}
+
+
+def sigma_matrices(bonds, pts: np.ndarray, n: int) -> np.ndarray:
+    """The path-minimum couplings sigma(G, s) of the forest ``bonds`` on n
+    vertices at each row s of ``pts`` (as in ``path_minima``), stacked: 1 on
+    the diagonal, the path minimum, and 0 where no path joins the pair."""
+    out = np.tile(np.eye(n), (len(pts), 1, 1))
+    for (i, j), vals in path_minima(bonds, pts).items():
+        out[:, i, j] = out[:, j, i] = vals
     return out
+
+
+def sigma_matrix(bonds, s: dict, n: int) -> np.ndarray:
+    """``sigma_matrices`` at one point, with s mapping bond -> [0, 1]."""
+    return sigma_matrices(bonds, np.array([[s[b] for b in bonds]], dtype=float), n)[0]
 
 
 # -- exact integrals of min-monomials ------------------------------------------
@@ -173,14 +186,22 @@ def gl_nodes(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def ordered_region_quadrature(m: int):
+def ordered_region_quadrature(m: int) -> tuple:
     """Nodes/weights covering [0,1]^m split into ordering regions.
 
-    Yields (perm, pts, wts): pts are (GAUSS_NODES^m, m) points with
+    A tuple of (perm, pts, wts): pts are (GAUSS_NODES^m, m) points with
     t_{perm[0]} < t_{perm[1]} < ... inside the region, wts include the
     simplex Jacobian.  Integrands smooth per region integrate spectrally.
+    Built once per (m, GAUSS_NODES); every caller shares the arrays, so they
+    are read-only.
     """
-    x, w = gl_nodes(GAUSS_NODES)
+    return _region_quadrature(m, GAUSS_NODES)
+
+
+@lru_cache(maxsize=32)
+def _region_quadrature(m: int, nodes: int) -> tuple:
+    x, w = gl_nodes(nodes)
+    out = []
     for perm in itertools.permutations(range(m)):
         # t_(m) = u_m, t_(i) = t_(i+1) u_i  (descending construction)
         grids = np.meshgrid(*([x] * m), indexing="ij")
@@ -196,7 +217,10 @@ def ordered_region_quadrature(m: int):
         pts = np.empty((grids[0].size, m))
         for r, b in enumerate(perm):
             pts[:, b] = ts[r].ravel()
-        yield perm, pts, (wgts * jac).ravel()
+        wts = (wgts * jac).ravel()
+        pts.flags.writeable = wts.flags.writeable = False
+        out.append((perm, pts, wts))
+    return tuple(out)
 
 
 def integrate_over_cube(m: int, fn) -> float:
@@ -254,20 +278,15 @@ def forest_interpolation_check_smooth(n: int, f, df_prod) -> float:
         raise ValueError("smooth-integrand check capped at n = 4")
     ones = np.ones((n, n))
     lhs = f(ones)
-    total = df_prod((), sigma_matrix((), {}, n))  # empty forest: F at sigma(0)
+    total = df_prod((), np.eye(n))  # empty forest: F at sigma(0)
     for G in all_forests(n):
         if not G:
             continue
-        m = len(G)
 
-        def integrand(pts, G=G, m=m):
-            out = np.empty(pts.shape[0])
-            for row in range(pts.shape[0]):
-                s = {b: pts[row, r] for r, b in enumerate(G)}
-                out[row] = df_prod(G, sigma_matrix(G, s, n))
-            return out
+        def integrand(pts, G=G):
+            return np.array([df_prod(G, mat) for mat in sigma_matrices(G, pts, n)])
 
-        total += integrate_over_cube(m, integrand)
+        total += integrate_over_cube(len(G), integrand)
     return abs(lhs - total)
 
 

@@ -249,6 +249,12 @@ def partition_closure(p: Polymer, torus: TorusSpec) -> Polymer:
     )
 
 
+def block_quadrature_nodes(block, n_q: int):
+    """Midpoint nodes of the closed unit square centered at the block index."""
+    return [(block[0] - 0.5 + (i + 0.5) / n_q, block[1] - 0.5 + (j + 0.5) / n_q)
+            for i in range(n_q) for j in range(n_q)]
+
+
 @dataclass(frozen=True)
 class SetRegulatorParams:
     """Large-set regulator Gamma_p(X) = 2^{p|X|} A^{|X|} (1 + MST length)^THETA_NU."""

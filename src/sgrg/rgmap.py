@@ -60,17 +60,16 @@ from .activities import (
     _add_collapsed,
     _collapse_memo,
     _collapsed,
-    block_quadrature_nodes,
     truncate_cloud_terms,
 )
-from .interpolation import (
-    _path_table, construct_gamma, ordered_region_quadrature, trees_on,
-)
+from .interpolation import construct_gamma, ordered_region_quadrature, path_minima, trees_on
 from .lattice import (
     Polymer,
     TorusSpec,
+    block_quadrature_nodes,
     count_small_supersets,
     is_small,
+    partition_block,
     partition_closure,
     region_disjoint,
     region_intersects,
@@ -106,14 +105,6 @@ def fluctuate_linear(K, cov: CovAccess):
     return K.map(lambda k, ts: convolve_terms(ts, cov))
 
 
-def _sigma_values(paths, pts):
-    """sigma_kl at each quadrature point: min over path bond coordinates."""
-    out = {}
-    for pair, ranks in paths.items():
-        out[pair] = np.min(pts[:, list(ranks)], axis=1)
-    return out
-
-
 def _exp_monomial_01(k: int, u: float) -> float:
     """int_0^1 s^k e^{-u s} ds, stable for small u."""
     if abs(u) < 0.5:
@@ -132,14 +123,6 @@ def _exp_monomial_01(k: int, u: float) -> float:
     for kk in range(1, k + 1):
         val = (kk * val - e) / u
     return val
-
-
-@lru_cache(maxsize=32)
-def _cached_regions(m: int):
-    return tuple(
-        (perm, pts.copy(), wts.copy())
-        for perm, pts, wts in ordered_region_quadrature(m)
-    )
 
 
 def tree_convolved_terms(coeff: complex, slots: list[Slot], tree, cov: CovAccess,
@@ -235,8 +218,6 @@ def _tree_term_image(slots: list[Slot], tree, cov: CovAccess):
             pair_cache[(i, j)] = (cov.pair(ai, yi, aj, yj), mi, mj)
         return pair_cache[(i, j)]
 
-    paths = _path_table(tree)
-    m_bonds = len(tree)
     groups: dict = {}
     # CloudTerm drops zero charges and rounds and sorts positions
     canon_charges = CloudTerm(0.0, tuple((q, x) for q, x, _ in charges)).charges
@@ -262,16 +243,16 @@ def _tree_term_image(slots: list[Slot], tree, cov: CovAccess):
                             (min(m_i, ma), max(m_i, ma)), 0.0
                         ) + 1j * v
                 factors.append((a, lin))
-            integral = _s_integral_affine(paths, u, factors, m_bonds)
+            integral = _s_integral_affine(tree, u, factors)
             if integral != 0.0:
                 key = (canon_charges, CloudTerm(0.0, (), kept).linfs)
                 groups.setdefault(key, []).append(integral)
     return math.exp(-0.5 * intra), sorted(groups.items())
 
 
-def _s_integral_affine(paths, u, factors, m_bonds: int) -> complex:
-    """The s-integral over a tree of ``m_bonds >= 1`` bonds."""
-    if m_bonds == 1:
+def _s_integral_affine(tree, u, factors) -> complex:
+    """The s-integral over a tree of at least one bond."""
+    if len(tree) == 1:
         # every sigma equals the single bond coordinate s
         u_tot = sum(u.values())
         # polynomial prod (a_i + b_i s)
@@ -285,8 +266,8 @@ def _s_integral_affine(paths, u, factors, m_bonds: int) -> complex:
             poly = new
         return sum(c * _exp_monomial_01(k, u_tot) for k, c in enumerate(poly))
     total = 0.0 + 0.0j
-    for _, pts, wts in _cached_regions(m_bonds):
-        sig_arrays = _sigma_values(paths, pts)
+    for _, pts, wts in ordered_region_quadrature(len(tree)):
+        sig_arrays = path_minima(tree, pts)
         expo = np.ones(pts.shape[0])
         for pair, uval in u.items():
             if uval != 0.0:
@@ -724,11 +705,6 @@ def build_extraction_activity(coeffs: ExtractionCoefficients, K):
     return replace(K, **{K.STORE: data})
 
 
-def extract_linear(K, F):
-    """E_1(K, F) = K - F."""
-    return K.add(F, -1.0)
-
-
 def exp_f_minus_one_plus(f_vals: dict, target: Polymer, torus: TorusSpec) -> complex:
     """(e^F - 1)^+(target) from F's values at one field, {polymer: F(Y, phi)}
     in support order (distinct touch-connected covers)."""
@@ -921,12 +897,13 @@ def scale_activity(K: CloudActivity) -> CloudActivity:
     return CloudActivity(coarse, {k: v for k, v in out.items() if v})
 
 
-def scale_linear(K: TruncatedActivity, cache: dict):
-    """(S_1 K, S_1 K_large), where S_1 K(X) = sum over polymers with partition
+def scale_linear(K: TruncatedActivity, cache: dict, keep):
+    """(S_1 K, S_1 K_keep), where S_1 K(X) = sum over polymers with partition
     closure X of K(Y, phi_L): the translation-invariant scaling, every shape
     at the L^d positions modulo coarse translations, mapped by the partition
-    closure.  K_large is K on its shapes that are not small; its image comes
-    from the same pass, with the additions a call on K_large alone makes.
+    closure.  K_keep = ``K.filter(keep)`` holds the terms t of shape k with
+    keep(k, t); its image comes from the same pass, with the additions a call
+    on K_keep alone makes.
 
     Multi-polymer closure clusters are O(K^2); the truncated flow drops
     them (recorded upstream) and keeps the linearized regrouping, which is
@@ -949,7 +926,7 @@ def scale_linear(K: TruncatedActivity, cache: dict):
     images = cache.setdefault(K.torus, {})
     slots = cache.setdefault("slots", {})  # (coarse shape key, piece key) -> slot
     memo = _collapse_memo(cache)
-    scaled = []  # (images, rows, coefficients, large) per shape
+    scaled = []  # (images, rows, coefficients, indices of the kept terms) per shape
     for key, ts in K.shapes.items():
         if not ts:
             continue
@@ -967,13 +944,16 @@ def scale_linear(K: TruncatedActivity, cache: dict):
             img.add_terms(list(new.values()), L, offsets, slots, memo)
         rows = [img.rows[k] for k in keys]
         coeffs = [ops.apply(t.coeff) for t, (_, ops) in zip(ts, rows)]
-        scaled.append((img, [r for r, _ in rows], coeffs, not shape_is_small(key)))
-    full, large = _SlotSums(len(slots)), _SlotSums(len(slots))
-    for img, rows, coeffs, is_large in scaled:
-        for sums in (full, large) if is_large else (full,):
-            sums.add(img.coarse_keys, img.table[rows], coeffs)
+        picked = [i for i, t in enumerate(ts) if keep(key, t)]
+        scaled.append((img, [r for r, _ in rows], coeffs, picked))
+    full, kept = _SlotSums(len(slots)), _SlotSums(len(slots))
+    for img, rows, coeffs, picked in scaled:
+        table = img.table[rows]
+        full.add(img.coarse_keys, table, coeffs)
+        if picked:
+            kept.add(img.coarse_keys, table[picked], [coeffs[i] for i in picked])
     coarse, keys = K.torus.coarse(), list(slots)
-    return tuple(TruncatedActivity(coarse, sums.terms(keys)) for sums in (full, large))
+    return tuple(TruncatedActivity(coarse, sums.terms(keys)) for sums in (full, kept))
 
 
 class _ShapeImages:
@@ -988,9 +968,9 @@ class _ShapeImages:
     __slots__ = ("coarse_keys", "back", "rows", "table")
 
     def __init__(self, key, torus: TorusSpec, offsets: np.ndarray):
-        # partition_closure in integer arithmetic, at every offset at once
-        L, side = torus.L, torus.coarse().side
-        closure = ((np.array(key)[None] + offsets[:, None] + L // 2) // L) % side
+        # partition_closure at every offset at once
+        closure = partition_block(np.array(key)[None] + offsets[:, None], torus.L)
+        closure %= torus.coarse().side
         base = closure.min(axis=1)
         self.coarse_keys = [tuple(sorted(set(map(tuple, blocks))))
                             for blocks in (closure - base[:, None]).tolist()]
@@ -1032,11 +1012,8 @@ class _ShapeImages:
                 slot_rows.append([slots.setdefault((coarse_key, p), len(slots))
                                   for p in pieces])
             combo_of.append(j)
-        for t in new:
-            ops = _CoeffOps()  # scale_term's factor, shared by every offset
-            for alpha, _ in t.linfs:
-                ops *= float(L) ** (-sum(alpha))
-            self.rows[t.key()] = (len(self.rows), ops)
+        for t in new:  # scale_term's factors, shared by every offset
+            self.rows[t.key()] = (len(self.rows), tm._derivative_scale(_CoeffOps(), t.linfs, L))
         rows = np.array(slot_rows, dtype=np.int32)[combo_of].T
         self.table = np.concatenate([self.table, rows])
 
@@ -1211,7 +1188,7 @@ def rg_step(K, params: RGStepParams):
     k1 = fluctuate_linear(K, cov)
     k_sharp = fluctuate(K, cov, cache, k1)
     k_star, coeffs = extract_step(k_sharp, params, cache)
-    k_new, r1_large = scale_linear(k_star, cache)
+    k_new, r1_large = scale_linear(k_star, cache, _large)
     diag["four_terms"] = four_term_split(K, log_norm, params, k1, k_new, k_star, r1_large,
                                          cache)
     diag["dropped_terms"] = k_sharp.dropped_terms
@@ -1221,16 +1198,13 @@ def rg_step(K, params: RGStepParams):
 def clip_to_small(K: TruncatedActivity, norm: NormParams):
     """Restrict K to small shapes; returns it and the log norm of the rest."""
     small = K.filter(lambda k, t: shape_is_small(k))
-    rest = K.filter(lambda k, t: not shape_is_small(k))
+    rest = K.filter(_large)
     clipped_log = activity_norm(rest, norm) if rest.shapes else -math.inf
     return small, clipped_log
 
 
-def linearized_step(k1: TruncatedActivity, params: RGStepParams, cache: dict):
-    """R_1(K, F(K)) = S_1(F_1 K - F(F_1 K)) from k1 = F_1 K."""
-    coeffs = extraction_coefficients(k1, params.preset, params.beta)
-    F = build_extraction_activity(coeffs, k1)
-    return scale_linear(extract_linear(k1, F), cache)[0], coeffs
+def _large(key, t) -> bool:
+    return not shape_is_small(key)
 
 
 def _unit_charge_small(key, t) -> bool:
@@ -1248,9 +1222,11 @@ def four_term_split(K: TruncatedActivity, log_norm_k: float, params: RGStepParam
     The large-set column is measured where large sets live: on the
     extracted post-fluctuation state k_star (tree terms populate it), whose
     large shapes scale to ``r1_large`` (the second output of
-    ``scale_linear(k_star, cache)``)."""
+    ``scale_linear(k_star, cache, _large)``).  One scaling of k1 - F(k1)
+    gives the other two: R_1, and the image of its unit-charge small-set
+    terms."""
     out = {}
-    large_star = k_star.filter(lambda k, t: not shape_is_small(k))
+    large_star = k_star.filter(_large)
     # the closure contraction lives in the full-amplitude regulator
     # Gamma(X) = A^{|X|} Theta(X); measure this column there
     np_full = params.norm.with_p(0)
@@ -1259,13 +1235,14 @@ def four_term_split(K: TruncatedActivity, log_norm_k: float, params: RGStepParam
         "out": activity_norm(r1_large, np_full),
     }
     # the unit-charge sector isolates the leading contraction mechanism;
-    # convolution keeps each term's charge, so its image is a filter of F_1 K
-    r1_unit, _ = scale_linear(k1.filter(_unit_charge_small), cache)
+    # convolution keeps each term's charge and F is neutral, so the sector's
+    # terms of k1 - F(k1) are those of F_1 K
+    F = build_extraction_activity(extraction_coefficients(k1, params.preset, params.beta), k1)
+    r1_full, r1_unit = scale_linear(k1.add(F, -1.0), cache, _unit_charge_small)
     out["charged_small"] = {
         "in": activity_norm(K.filter(_unit_charge_small), params.norm),
         "out": activity_norm(r1_unit, params.norm),
     }
-    r1_full, _ = linearized_step(k1, params, cache)
     out["higher_order"] = {
         "in": log_norm_k,
         "out": activity_norm(k_new.add(r1_full, -1.0), params.norm),

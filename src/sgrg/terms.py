@@ -210,12 +210,17 @@ def scale_term(term: CloudTerm, L: int) -> CloudTerm:
     charges = tuple(
         (q, _round_pos((x[0] / L, x[1] / L))) for q, x in term.charges
     )
-    coeff = term.coeff
-    linfs = []
-    for alpha, y in term.linfs:
+    linfs = tuple((alpha, _round_pos((y[0] / L, y[1] / L))) for alpha, y in term.linfs)
+    return _raw_term(_derivative_scale(term.coeff, term.linfs, L), charges, linfs)
+
+
+def _derivative_scale(coeff, linfs, L: int):
+    """``coeff`` times L^{-|alpha|} for each derivative factor, in order: the
+    coefficient side of phi_L(x) = phi(x/L).  The scaling's shape images pass
+    an ``activities._CoeffOps``, which records the products to replay."""
+    for alpha, _ in linfs:
         coeff *= float(L) ** (-sum(alpha))
-        linfs.append((alpha, _round_pos((y[0] / L, y[1] / L))))
-    return _raw_term(coeff, charges, tuple(linfs))
+    return coeff
 
 
 def translate_term(term: CloudTerm, shift) -> CloudTerm:

@@ -253,7 +253,7 @@ class TestAcceptance:
         for beta in (4 * math.pi, 6 * math.pi):
             cov = CovAccess(kern, scale=beta)
             V = v_activity(t, n_q=1, trans_invariant=True)
-            out, _ = scale_linear(fluctuate_linear(V, cov), {})
+            out, _ = scale_linear(fluctuate_linear(V, cov), {}, lambda k, t: False)
             mult_expected = t.L**2 * math.exp(-beta * kern.at_zero() / 2.0)
             key = tuple([(0, 0)])
             got = {x.key(): x.coeff for x in out.shapes[key]}

@@ -13,7 +13,6 @@ from sgrg.activities import (
     TruncatedActivity,
     activity_norm,
     all_connected_subsets,
-    block_quadrature_nodes,
     charge_component,
     collapse_term,
     mayer_init_cloud,
@@ -30,7 +29,7 @@ from sgrg.activities import (
     vbd_norms,
     whole_torus,
 )
-from sgrg.lattice import Polymer, TorusSpec, polymer, region_disjoint
+from sgrg.lattice import Polymer, TorusSpec, block_quadrature_nodes, polymer, region_disjoint
 from sgrg.fields import FieldGrid, polymer_node_indices, random_band_limited
 from sgrg import activities
 from sgrg.terms import CloudTerm, _raw_term, evaluate_terms, scale_term, translate_term

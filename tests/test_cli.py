@@ -158,6 +158,21 @@ class TestFlows:
         for name in checks["failed"]:
             assert f"{name} (margin {checks[name]['margin']:.3f})" in err
 
+    def test_ir_step_reads_the_torus_only_through_the_volume(self, tmp_path, capsys):
+        # one step on the tori of side 512 and 4096 writes the same trajectory
+        # but for the energy, dE times the volume, and the configured M
+        texts = []
+        for M in (3, 4):
+            out = tmp_path / f"M{M}"
+            assert run_cli(["flow-ir", "--beta", str(12 * math.pi), "--zeta", "1e-3", "--L", "8",
+                            "--M", str(M), "--steps", "1", "--out", str(out)]) == EXIT_OK
+            payload = json.loads((out / "flow_ir_trajectory.json").read_text())
+            assert payload["config"].pop("M") == M
+            energies = [row.pop("energy") for row in payload["rows"]]
+            assert energies[0] == 0.0 and energies[1] != 0.0
+            texts.append(json.dumps(payload, sort_keys=True))
+        assert texts[0] == texts[1]
+
     def test_plotdata_zeta_schedule(self, tmp_path, capsys):
         run_cli([
             "flow-uv", "--beta", str(4 * math.pi), "--L", "2", "--N", "3",

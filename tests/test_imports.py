@@ -334,7 +334,7 @@ EXEMPT = {
 }
 EXEMPT_MAX = 3
 # defaulted parameters and dataclass fields: a change that adds one raises this number
-KNOBS_MAX = 17
+KNOBS_MAX = 11
 
 RUNTIME = None  # the value of an argument that is no literal: a local, an attribute, a call
 
@@ -644,3 +644,40 @@ def test_unread_default_is_caught():
     assert unread_defaults({"lib": lib, "use": use, "tested": tested}) == [
         "lib.Cfg.a", "lib.run(overridden)",
     ]
+
+
+# -- statement census: the AST statements of src/, docstrings left out
+
+# a change that adds statements raises this number in its diff
+STATEMENTS_MAX = 2725
+
+
+def statement_count(tree) -> int:
+    """The statements of a module, at every depth, less the docstrings of the
+    module and of its classes and functions.  Layout does not move it: line
+    breaks, comments and blank lines are not statements."""
+    docstrings = {
+        id(node.body[0]) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, *FUNCS)) and node.body
+        and isinstance(node.body[0], ast.Expr) and isinstance(node.body[0].value, ast.Constant)
+        and isinstance(node.body[0].value.value, str)
+    }
+    return sum(1 for node in ast.walk(tree)
+               if isinstance(node, ast.stmt) and id(node) not in docstrings)
+
+
+def test_statement_count_is_capped():
+    count = sum(statement_count(tree) for tree in parse_modules(SRC).values())
+    assert count <= STATEMENTS_MAX, f"src/ has {count} statements, more than {STATEMENTS_MAX}"
+
+
+def test_statement_count_ignores_layout():
+    plain = ast.parse('def f(a, b):\n    x = a + b\n    return x\n')
+    laid_out = ast.parse(
+        '"""Module."""\n\n\ndef f(a,\n      b):\n    """Doc."""\n    # a comment\n'
+        '    x = (a\n         + b)\n\n    return x\n'
+    )
+    one_line = ast.parse('def f(a, b): x = a + b; return x\n')
+    assert statement_count(plain) == statement_count(laid_out) == statement_count(one_line) == 3
+    # a string that is not the first statement of its body is counted
+    assert statement_count(ast.parse('x = 1\n"""not a docstring"""\n')) == 2

@@ -16,6 +16,9 @@ from sgrg.interpolation import (
     forest_interpolation_check_multilinear,
     forest_interpolation_check_smooth,
     integrate_min_products,
+    ordered_region_quadrature,
+    path_in_forest,
+    sigma_matrices,
     sigma_matrix,
     tree_count,
     trees_on,
@@ -54,6 +57,45 @@ class TestSigma:
                     s = {b: rng.random() for b in T}
                     w = np.linalg.eigvalsh(sigma_matrix(T, s, n))
                     assert w.min() >= -1e-10
+
+
+    def test_matrices_are_path_minima_at_each_point(self):
+        # the vectorised evaluator against path_in_forest, point by point
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 4):
+            for G in all_forests(n):
+                pts = rng.uniform(size=(7, len(G)))
+                mats = sigma_matrices(G, pts, n)
+                assert mats.shape == (7, n, n)
+                for s, mat in zip(pts, mats):
+                    for i in range(n):
+                        for j in range(n):
+                            path = path_in_forest(G, i, j)
+                            want = (0.0 if path is None else 1.0 if i == j
+                                    else min(s[G.index(b)] for b in path))
+                            assert mat[i, j] == want
+
+
+class TestRegionQuadrature:
+    def test_cache_follows_gauss_nodes(self, monkeypatch):
+        # the regions are cached per node count: a patched GAUSS_NODES takes
+        # effect even after the default's regions were built
+        default = ordered_region_quadrature(2)
+        assert [len(pts) for _, pts, _ in default] == [interpolation.GAUSS_NODES**2] * 2
+        monkeypatch.setattr(interpolation, "GAUSS_NODES", 5)
+        patched = ordered_region_quadrature(2)
+        assert [len(pts) for _, pts, _ in patched] == [25, 25]
+        assert sum(float(np.sum(wts)) for _, _, wts in patched) == pytest.approx(1.0, rel=1e-14)
+        assert ordered_region_quadrature(2) is patched
+        monkeypatch.undo()
+        assert ordered_region_quadrature(2) is default
+
+    def test_shared_arrays_are_read_only(self):
+        for _, pts, wts in ordered_region_quadrature(2):
+            with pytest.raises(ValueError):
+                pts[0, 0] = 0.5
+            with pytest.raises(ValueError):
+                wts[0] = 0.5
 
 
 class TestForests:

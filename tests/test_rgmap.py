@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from sgrg import activities, interpolation, rgmap
+from sgrg import activities, rgmap
 from sgrg import terms as tm
 from sgrg.activities import (
     CloudActivity,
@@ -28,13 +28,11 @@ from sgrg.rgmap import (
     charge_factors,
     extract_cloud,
     extract_functional,
-    extract_linear,
     extract_step,
     extraction_coefficients,
     fluctuate,
     fluctuate_cloud,
     fluctuate_linear,
-    linearized_step,
     neutral_moments,
     rg_step,
     scale_activity,
@@ -50,6 +48,11 @@ def rfield(torus, rng, n_g=8, amp=0.7, k_max=2):
 def cloud_K(torus, spec):
     """spec: {blocks: [terms]} convenience builder."""
     return CloudActivity(torus, {frozenset(b): ts for b, ts in spec.items()})
+
+
+def no_terms(key, t):
+    """The selection of no term: for scale_linear calls that read S_1 K only."""
+    return False
 
 
 def step_c_star(beta, torus):
@@ -170,7 +173,7 @@ class TestLinearizedMaps:
         # S_1 (zeta V) = L^2 zeta V in the collapsed representation
         t = TorusSpec(2, 2)
         V = v_activity(t, n_q=1, trans_invariant=True)
-        SV, _ = scale_linear(V, {})
+        SV, _ = scale_linear(V, {}, no_terms)
         key = tuple([(0, 0)])
         assert SV.torus.side == 2
         got = {x.key(): x.coeff for x in SV.shapes[key]}
@@ -184,7 +187,7 @@ class TestLinearizedMaps:
         for beta in (4.0 * math.pi, 6.0 * math.pi):
             cov = CovAccess(kern, scale=beta)
             V = v_activity(t, n_q=1, trans_invariant=True)
-            out, _ = scale_linear(fluctuate_linear(V, cov), {})
+            out, _ = scale_linear(fluctuate_linear(V, cov), {}, no_terms)
             key = tuple([(0, 0)])
             got = {x.key(): x.coeff for x in out.shapes[key]}
             mult = 4.0 * math.exp(-beta * kern.at_zero() / 2.0)
@@ -317,13 +320,15 @@ class TestScalingCache:
     @pytest.mark.parametrize("t", [TorusSpec(8, 2), TorusSpec(2, 1), TorusSpec(3, 2)])
     def test_equals_reference(self, t):
         # at L = 3 division is inexact, so the order of the roundings shows;
-        # the second output is the scaling of the large shapes alone
+        # the second output is the scaling of the selected terms alone, whole
+        # shapes (the large ones) or single terms (the unit-charge small ones)
         K = TruncatedActivity(t, cache_test_shapes(t))
-        large = K.filter(lambda k, _: not rgmap.shape_is_small(k))
-        want = [as_exact(reference_scale_trunc(K)), as_exact(reference_scale_trunc(large))]
         cache = {}
-        assert [as_exact(S.shapes) for S in scale_linear(K, cache)] == want
-        assert [as_exact(S.shapes) for S in scale_linear(K, cache)] == want  # from the cache
+        for keep in (rgmap._large, rgmap._unit_charge_small, rgmap._large):
+            want = [as_exact(reference_scale_trunc(K)),
+                    as_exact(reference_scale_trunc(K.filter(keep)))]
+            assert want[1] != want[0]
+            assert [as_exact(S.shapes) for S in scale_linear(K, cache, keep)] == want
 
     def test_one_collapse_per_offset_class(self, monkeypatch):
         # each term key is checked once, and offsets whose copies round every
@@ -337,7 +342,7 @@ class TestScalingCache:
             return activities._collapsed(memo, key)
 
         monkeypatch.setattr(rgmap, "_collapsed", counted)
-        scale_linear(K, {})
+        scale_linear(K, {}, no_terms)
 
         L = torus.L
         want = 0
@@ -364,11 +369,12 @@ class TestScalingCache:
         t = TorusSpec(8, 2)
         shapes = cache_test_shapes(t)
         cache = {}
-        scale_linear(TruncatedActivity(t, shapes), cache)
+        scale_linear(TruncatedActivity(t, shapes), cache, no_terms)
         key = ((0, 0),)
         shapes[key] = shapes[key] + [CloudTerm(0.7 - 0.2j, ((1, (1.0, -1.0)),))]
         K = TruncatedActivity(t, shapes)
-        assert as_exact(scale_linear(K, cache)[0].shapes) == as_exact(reference_scale_trunc(K))
+        assert as_exact(scale_linear(K, cache, no_terms)[0].shapes) == as_exact(
+            reference_scale_trunc(K))
 
     @pytest.mark.parametrize("term", [
         CloudTerm(0.3, ((1, (0.0, 0.0)), (-1, (0.0, 1.0)))),
@@ -380,7 +386,7 @@ class TestScalingCache:
         model = CloudTerm(0.1, ((1, (0.0, 0.0)),))
         K = TruncatedActivity(TorusSpec(2, 2), {((0, 0), (0, 1)): [model, term]})
         with pytest.raises(RuntimeError, match=r"is outside the truncated model") as exc:
-            scale_linear(K, {})
+            scale_linear(K, {}, no_terms)
         assert repr(term) in str(exc.value)
 
     def test_cache_shared_across_tori(self):
@@ -388,7 +394,7 @@ class TestScalingCache:
         cache = {}
         for t in (TorusSpec(2, 1), TorusSpec(2, 3), TorusSpec(2, 1)):
             K = TruncatedActivity(t, shapes)
-            assert as_exact(scale_linear(K, cache)[0].shapes) == as_exact(
+            assert as_exact(scale_linear(K, cache, no_terms)[0].shapes) == as_exact(
                 reference_scale_trunc(K)
             )
 
@@ -403,30 +409,39 @@ class TestScalingCache:
         assert as_exact(k_sharp.shapes) == as_exact(fluctuate(K, cov, {}, k1).shapes)
         k_star, _ = extract_step(k_sharp, params, cache)
         assert as_exact(k_star.shapes) == as_exact(extract_step(k_sharp, params, {})[0].shapes)
-        assert [as_exact(S.shapes) for S in scale_linear(k_star, cache)] == [
-            as_exact(S.shapes) for S in scale_linear(k_star, {})
+        assert [as_exact(S.shapes) for S in scale_linear(k_star, cache, rgmap._large)] == [
+            as_exact(S.shapes) for S in scale_linear(k_star, {}, rgmap._large)
         ]
         # the memo, the scaling images keyed by torus alone, and their slots
         assert list(cache) == ["collapse", K.torus, "slots"]
 
     @pytest.mark.parametrize("t", [TorusSpec(2, 2), TorusSpec(8, 2)], ids=["tiny", "L8"])
     def test_large_set_image_from_the_step_pass(self, t, monkeypatch):
-        # the split's large-set image comes from the step's own scaling pass,
-        # with the bits of scaling the large shapes on their own
-        seen = {}
-        plain = rgmap.four_term_split
+        # a step scales twice: the extracted state, whose large shapes give
+        # the split its large-set column, and k1 - F(k1), whose unit-charge
+        # small-set terms give its charged column; each selected image has
+        # the bits of scaling the selection on its own
+        calls = []
+        plain = rgmap.scale_linear
 
-        def spy(*args):
-            seen["k_star"], seen["r1_large"] = args[5], args[6]
-            return plain(*args)
+        def spy(K, cache, keep):
+            out = plain(K, cache, keep)
+            calls.append((K, keep, out))
+            return out
 
-        monkeypatch.setattr(rgmap, "four_term_split", spy)
-        rg_step(*tiny_ir_step(t))
-        large_star = seen["k_star"].filter(lambda k, _: not rgmap.shape_is_small(k))
+        monkeypatch.setattr(rgmap, "scale_linear", spy)
+        K, params = tiny_ir_step(t)
+        rg_step(K, params)
+        assert [keep for _, keep, _ in calls] == [rgmap._large, rgmap._unit_charge_small]
+        (k_star, _, (_, r1_large)), (_, _, (_, r1_unit)) = calls
+        large_star = k_star.filter(rgmap._large)
         assert large_star.shapes
-        alone, alone_large = scale_linear(large_star, {})
-        assert as_exact(seen["r1_large"].shapes) == as_exact(alone.shapes) == as_exact(
+        alone, alone_large = scale_linear(large_star, {}, rgmap._large)
+        assert as_exact(r1_large.shapes) == as_exact(alone.shapes) == as_exact(
             alone_large.shapes)
+        unit = fluctuate_linear(K, params.cov()).filter(rgmap._unit_charge_small)
+        assert unit.shapes
+        assert as_exact(r1_unit.shapes) == as_exact(scale_linear(unit, {}, no_terms)[0].shapes)
 
     def test_four_term_split_columns(self):
         K, params = tiny_ir_step()
@@ -515,7 +530,6 @@ def reference_tree_convolved_terms(coeff, slots, tree, cov):
         for q, x, ma in charges:
             parts[ma] = parts.get(ma, 0.0) + q * cov.c(alpha, (y[0] - x[0], y[1] - x[1]))
         shift_parts.append((m, parts))
-    paths = interpolation._path_table(tree)
     out = []
     charge_tuple = tuple((q, x) for q, x, _ in charges)
     for pairing, rest in tm._pairings_with_rest(len(linfs)):
@@ -539,7 +553,7 @@ def reference_tree_convolved_terms(coeff, slots, tree, cov):
                         pair = (min(m_i, ma), max(m_i, ma))
                         lin[pair] = lin.get(pair, 0.0) + 1j * v
                 factors.append((1j * parts.get(m_i, 0.0), lin))
-            integral = rgmap._s_integral_affine(paths, u, factors, len(tree))
+            integral = rgmap._s_integral_affine(tree, u, factors)
             if integral != 0.0:
                 out.append(CloudTerm(base * integral, charge_tuple, kept))
     return tm.canon(out)
@@ -754,7 +768,7 @@ class TestExtraction:
         t = TorusSpec(3, 1)
         K = cloud_K(t, {((0, 0),): [CloudTerm(0.5)]})
         F = cloud_K(t, {((0, 0),): [CloudTerm(0.2)], ((1, 1),): [CloudTerm(0.1)]})
-        E1 = extract_linear(K, F)
+        E1 = K.add(F, -1.0)  # E_1(K, F) = K - F, as the four-term split forms it
         assert E1.data[frozenset({(0, 0)})][0].coeff == pytest.approx(0.3)
         assert E1.data[frozenset({(1, 1)})][0].coeff == pytest.approx(-0.1)
 
@@ -848,7 +862,7 @@ class TestExtractionCoefficients:
         K = TruncatedActivity(t, shapes)
         coeffs = extraction_coefficients(K, "ir", beta=3.0)
         F = build_extraction_activity(coeffs, K)
-        resid = extract_linear(charge_component(K, 0), F)
+        resid = charge_component(K, 0).add(F, -1.0)
         from sgrg.rgmap import _centroid
 
         for key, ts in resid.shapes.items():
@@ -877,7 +891,7 @@ class TestNeutralScalingDimension:
             for dim, alpha in ((2, (1, 0)), (4, (2, 0))):
                 terms = [CloudTerm(1.0, (), ((alpha, (0.0, 0.0)), (alpha, (0.0, 0.0))))]
                 K = TruncatedActivity(t, {key: terms})
-                SK, _ = scale_linear(K, {})
+                SK, _ = scale_linear(K, {}, no_terms)
                 num = activity_norm(SK, NormParams.default(t.coarse(), p=0))
                 den = activity_norm(K, NormParams.default(t, p=0))
                 ratios[(L, dim)] = math.exp(num - den)
@@ -929,7 +943,7 @@ class TestRGStep:
         K = TruncatedActivity(t, {key: terms})
         kern = CovarianceKernel("slice", sigma=0.0, torus=t)
         cov = CovAccess(kern, scale=4 * math.pi)
-        out, _ = scale_linear(fluctuate_linear(K, cov), {})
+        out, _ = scale_linear(fluctuate_linear(K, cov), {}, no_terms)
         params = NormParams.default(t, p=0)
         num = activity_norm(out, params)
         den = activity_norm(K, params)
@@ -981,7 +995,9 @@ def contour_higher_order(K, params, radius, nodes):
         k_new_s, _, _ = rg_step(K.map(lambda k, ts: [t.scaled(s) for t in ts]), params)
         contour = contour.add(k_new_s, 1.0 / (nodes * s * (s - 1.0)))
     k_new, _, _ = rg_step(K, params)
-    r1, _ = linearized_step(fluctuate_linear(K, params.cov()), params, {})
+    k1 = fluctuate_linear(K, params.cov())
+    F = build_extraction_activity(extraction_coefficients(k1, params.preset, params.beta), k1)
+    r1, _ = scale_linear(k1.add(F, -1.0), {}, no_terms)
     direct = k_new.add(r1, -1.0)
     return {
         "direct_log_norm": activity_norm(direct, params.norm),
@@ -1005,7 +1021,7 @@ class TestChargedSectorBound:
         for q in (1, 2, 3):
             key = tuple([(0, 0)])
             kq = TruncatedActivity(t, {key: [CloudTerm(1e-3, ((q, (0.0, 0.0)),))]})
-            out, _ = scale_linear(fluctuate_linear(kq, cov), {})
+            out, _ = scale_linear(fluctuate_linear(kq, cov), {}, no_terms)
             num = activity_norm(out, NormParams.default(t.coarse(), p=0))
             den = activity_norm(kq, params)
             measured = math.exp(num - den)
