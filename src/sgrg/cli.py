@@ -61,21 +61,31 @@ def _version() -> str:
     return __version__
 
 
-def _load_config_defaults(parser, argv):
-    """Pre-parse --config and inject file values as defaults (flags win)."""
+def _with_config_flags(parser, argv, at: int) -> list:
+    """``argv`` with the --config file's values inserted at index ``at`` as
+    the flags they mirror, so each passes its flag's own type, choices and
+    required check, and a flag given on the command line comes later and
+    wins."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--config")
     known, _ = probe.parse_known_args(argv)
-    if known.config:
-        with open(known.config) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise ValueError("config file must hold a JSON object")
-        valid = {a.dest for a in parser._actions}
-        unknown = sorted(set(data) - valid)
-        if unknown:
-            raise KeyError(f"unknown config keys: {', '.join(unknown)}")
-        parser.set_defaults(**data)
+    if not known.config:
+        return argv
+    with open(known.config) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("config file must hold a JSON object")
+    flags = {a.dest: a.option_strings[-1] for a in parser._actions if a.option_strings}
+    unknown = sorted(set(data) - set(flags))
+    if unknown:
+        raise KeyError(f"unknown config keys: {', '.join(unknown)}")
+    tokens = []
+    for key, value in data.items():
+        if isinstance(value, list):  # an nargs option such as --x
+            tokens += [flags[key], *map(str, value)]
+        else:
+            tokens.append(f"{flags[key]}={value}")
+    return argv[:at] + tokens + argv[at:]
 
 
 def parse_torus(text: str):
@@ -484,8 +494,8 @@ def main(argv=None) -> int:
     try:
         command = next((a for a in argv if not a.startswith("-")), None)
         target = parser._subparsers_action.choices.get(command, parser)
-        _load_config_defaults(target, argv)
-        args = parser.parse_args(argv)
+        at = argv.index(command) + 1 if command else 0
+        args = parser.parse_args(_with_config_flags(target, argv, at))
     except (KeyError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -145,13 +145,10 @@ class FlowTrajectory:
 
 
 def _json_default(x):
+    """A complex number, such as a UV flow's zeta, as its two parts."""
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
-    if isinstance(x, (np.floating, np.integer)):
-        return float(x)
-    if isinstance(x, frozenset):
-        return sorted(map(list, x))
-    return str(x)
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def _config_json(config: FlowConfig) -> dict:

@@ -50,6 +50,7 @@ import numpy as np
 from . import terms as tm
 from .activities import (
     FLOW_N_Q,
+    MAX_LINFS,
     NORM_H,
     CloudActivity,
     FunctionalActivity,
@@ -75,7 +76,7 @@ from .lattice import (
     region_intersects,
     small_shapes,
 )
-from .terms import CloudTerm, CovAccess, Slot, bond_laplacian, canon, convolve_terms
+from .terms import CloudTerm, CovAccess, bond_laplacian, canon, convolve_terms
 
 # Fixed settings of the composed step (no command varies them).
 DROP_TOL = 1e-14  # relative coefficient floor of canon and of tree-term pairs
@@ -125,25 +126,25 @@ def _exp_monomial_01(k: int, u: float) -> float:
     return val
 
 
-def tree_convolved_terms(coeff: complex, slots: list[Slot], tree, cov: CovAccess,
+def tree_convolved_terms(coeff: complex, members: tuple, tree, cov: CovAccess,
                          images: dict) -> list:
-    """Integrate mu_{C(sigma(T,s))} * (slot term) over s in [0,1]^{|T|}.
+    """Integrate mu_{C(sigma(T,s))} * (product term) over s in [0,1]^{|T|}.
 
-    Every Wick structure contributes a product of factors affine in the
-    couplings sigma_kl; single-bond trees integrate in closed form, longer
-    trees per ordering region on ``interpolation.GAUSS_NODES`` Gauss nodes
-    per axis.  Returns the pieces summed by key as ``canon`` sums them:
-    [(key, coeff)] in sorted key order, each sum started from 0.0 and exact
-    zeros dropped.  The result is linear in ``coeff``: the integrals of a
-    slot list are computed once per ``images`` dict and replayed with the
-    multiplications and additions of a fresh computation in the same order
-    (``_replay_image``).  The dict is keyed by the slot list alone, member
-    indices included, so one dict serves one tree and cov.
+    ``members`` is the product as ``terms.bond_laplacian`` reads it: each
+    member's (charges, linfs) key in turn.  Every Wick structure contributes
+    a product of factors affine in the couplings sigma_kl; single-bond trees
+    integrate in closed form, longer trees per ordering region on
+    ``interpolation.GAUSS_NODES`` Gauss nodes per axis.  Returns the pieces
+    summed by key as ``canon`` sums them: [(key, coeff)] in sorted key
+    order, each sum started from 0.0 and exact zeros dropped.  The result is
+    linear in ``coeff``: the integrals of a product are computed once per
+    ``images`` dict and replayed with the multiplications and additions of a
+    fresh computation in the same order (``_replay_image``).  The dict is
+    keyed by ``members`` alone, so one dict serves one tree and cov.
     """
-    slots_key = tuple(slots)
-    image = images.get(slots_key)
+    image = images.get(members)
     if image is None:
-        image = images[slots_key] = _tree_term_image(slots, tree, cov)
+        image = images[members] = _tree_term_image(members, tree, cov)
     return _replay_image(coeff, image)
 
 
@@ -162,37 +163,17 @@ def _replay_image(coeff: complex, image) -> list:
     return out
 
 
-def _charge_tree_image(charges1, charges2, cov: CovAccess):
-    """``_tree_term_image`` of the slot list of two charge-only terms, with
-    canonical charges ``charges1`` on member 0 and ``charges2`` on member 1,
-    on the one-bond tree.
-
-    The same covariance reads and float operations in the same order, with
-    nothing to pair or shift: the one Wick structure integrates to
-    int_0^1 e^{-us} ds, which ``_s_integral_affine`` gives as 0 + (1 + 0j)
-    times it, equal to complex() of the finite integral; and the sorted
-    concatenation of canonical charges is their canonical form.
-    """
-    charges = [(q, x, 0) for q, x in charges1] + [(q, x, 1) for q, x in charges2]
-    intra = 0.0
-    u = 0.0
-    for qa, xa, ma in charges:
-        for qb, xb, mb in charges:
-            cv = qa * qb * cov.c((0, 0), (xa[0] - xb[0], xa[1] - xb[1]))
-            if ma == mb:
-                intra += cv
-            else:
-                u += 0.5 * cv
-    integral = complex(_exp_monomial_01(0, u))
-    key = (tuple(sorted(charges1 + charges2)), ())
-    return math.exp(-0.5 * intra), [(key, [integral])] if integral != 0.0 else []
-
-
-def _tree_term_image(slots: list[Slot], tree, cov: CovAccess):
-    """(exp(-intra/2), [(canonical key, [integral, ...])]): the integral of
-    each Wick structure, grouped by key in sorted key order."""
-    charges = [(s.data[0], s.pos, s.member) for s in slots if s.kind == "q"]
-    linfs = [(s.data, s.pos, s.member) for s in slots if s.kind == "l"]
+def _tree_term_image(members: tuple, tree, cov: CovAccess):
+    """(exp(-intra/2), ((canonical key, (integral, ...)), ...)): the integral
+    of each Wick structure of the product ``members``, grouped by key in
+    sorted key order.  The members' keys are canonical, so the sorted
+    concatenation of their charges, and of the kept linfs, is canonical too.
+    An image lives as long as its images dict, a whole ``fluctuate`` call,
+    so its keys reuse the members' charge and linf tuples and its groups are
+    exact-size tuples."""
+    n = len(members) // 2
+    charges = [(q, x, m) for m in range(n) for q, x in members[2 * m]]
+    linfs = [(linf, m) for m in range(n) for linf in members[2 * m + 1]]
     intra = 0.0
     u = {}
     for (qa, xa, ma) in charges:
@@ -203,51 +184,33 @@ def _tree_term_image(slots: list[Slot], tree, cov: CovAccess):
             else:
                 key = (min(ma, mb), max(ma, mb))
                 u[key] = u.get(key, 0.0) + 0.5 * cv
-    shift_parts = []
-    for alpha, y, m in linfs:
+    # the mean shift of each linf as an affine factor (a, {pair: b}), meaning
+    # a + sum b sigma_pair
+    shifts = []
+    for (alpha, y), m in linfs:
         parts: dict = {}
         for q, x, ma in charges:
             parts[ma] = parts.get(ma, 0.0) + q * cov.c(alpha, (y[0] - x[0], y[1] - x[1]))
-        shift_parts.append((m, parts))
-    pair_cache = {}
-
-    def linf_pair(i, j):
-        if (i, j) not in pair_cache:
-            ai, yi, mi = linfs[i]
-            aj, yj, mj = linfs[j]
-            pair_cache[(i, j)] = (cov.pair(ai, yi, aj, yj), mi, mj)
-        return pair_cache[(i, j)]
-
+        lin: dict = {}
+        for ma, v in parts.items():
+            if ma != m:
+                pair = (min(m, ma), max(m, ma))
+                lin[pair] = lin.get(pair, 0.0) + 1j * v
+        shifts.append((1j * parts.get(m, 0.0), lin))
     groups: dict = {}
-    # CloudTerm drops zero charges and rounds and sorts positions
-    canon_charges = CloudTerm(0.0, tuple((q, x) for q, x, _ in charges)).charges
-    for pairing, rest in tm._pairings_with_rest(len(linfs)):
-        for subset in tm._subsets(rest):
-            kept = tuple((linfs[i][0], linfs[i][1]) for i in sorted(subset))
-            shifted = [i for i in rest if i not in subset]
-            # affine factors (a, {pair: b}) meaning a + sum b sigma_pair
-            factors = []
-            for i, j in pairing:
-                pc, mi, mj = linf_pair(i, j)
-                if mi == mj:
-                    factors.append((pc, {}))
-                else:
-                    factors.append((0.0, {(min(mi, mj), max(mi, mj)): pc}))
-            for i in shifted:
-                m_i, parts = shift_parts[i]
-                a = 1j * parts.get(m_i, 0.0)
-                lin = {}
-                for ma, v in parts.items():
-                    if ma != m_i:
-                        lin[(min(m_i, ma), max(m_i, ma))] = lin.get(
-                            (min(m_i, ma), max(m_i, ma)), 0.0
-                        ) + 1j * v
-                factors.append((a, lin))
-            integral = _s_integral_affine(tree, u, factors)
+    canon_charges = tuple(sorted(sum(members[::2], ())))
+    for pairing, choices in tm._wick_structures(len(linfs)):
+        paired = []
+        for i, j in pairing:
+            ((ai, yi), mi), ((aj, yj), mj) = linfs[i], linfs[j]
+            pc = cov.pair(ai, yi, aj, yj)
+            paired.append((pc, {}) if mi == mj else (0.0, {(min(mi, mj), max(mi, mj)): pc}))
+        for kept, shifted in choices:
+            integral = _s_integral_affine(tree, u, paired + [shifts[i] for i in shifted])
             if integral != 0.0:
-                key = (canon_charges, CloudTerm(0.0, (), kept).linfs)
+                key = (canon_charges, tuple(sorted(linfs[i][0] for i in kept)))
                 groups.setdefault(key, []).append(integral)
-    return math.exp(-0.5 * intra), sorted(groups.items())
+    return math.exp(-0.5 * intra), tuple((k, tuple(v)) for k, v in sorted(groups.items()))
 
 
 def _s_integral_affine(tree, u, factors) -> complex:
@@ -321,18 +284,16 @@ def fluctuate_cloud(K: CloudActivity, cov: CovAccess) -> CloudActivity:
                 images: dict = {}
                 for combo in itertools.product(*term_lists):
                     coeff = 1.0 + 0.0j
-                    slots = []
-                    for memb, t in enumerate(combo):
+                    members = ()
+                    for t in combo:
                         coeff *= t.coeff
-                        slots.extend(tm.term_slots(t, memb))
-                    stack = [(coeff, slots)]
+                        members += t.key()
+                    stack = [(coeff, members)]
                     for (bi, bj) in tree:
-                        nxt = []
-                        for c0, sl in stack:
-                            nxt.extend(bond_laplacian(c0, sl, bi, bj, cov))
-                        stack = nxt
-                    for c0, sl in stack:
-                        for key, c in tree_convolved_terms(c0, sl, tree, cov, images):
+                        stack = [(c0 * fac, ms) for c0, m0 in stack
+                                 for fac, ms in bond_laplacian(m0, bi, bj, cov)]
+                    for c0, ms in stack:
+                        for key, c in tree_convolved_terms(c0, ms, tree, cov, images):
                             acc[key] = acc.get(key, 0.0) + c
         ts = tm._canon_sums(acc)
         if ts:
@@ -359,15 +320,12 @@ def fluctuate(K: TruncatedActivity, cov: CovAccess, cache: dict,
     concatenated term lists would add them; so the result has the bits of
     building, re-anchoring and truncating those lists.  Keys outside the
     model are counted in ``dropped_terms``.  One dict of tree-term images
-    serves the whole call: its cov and tree are fixed, and a slot list
-    carries the member index of every slot.  A pair of charge-only terms
-    takes ``_charge_bond_terms``, with no slot lists: its bond pieces share
-    one slot list, whose image ``_charge_tree_image`` builds once per call
-    from the two terms' charges with the float operations of the generic
-    ``_tree_term_image``.  The pair floor (``DROP_TOL`` times the largest
-    coefficient) tests the two coefficients only, so the term pairs above
-    it are listed once per pair of shapes and reused at each of its
-    placements.
+    serves the whole call: its cov and tree are fixed, and a product is keyed
+    by its two members' keys in turn, so each distinct product, every piece
+    of a charge-charge bond among them, has its image built once.  The pair
+    floor (``DROP_TOL`` times the largest coefficient) tests the two
+    coefficients only, so the term pairs above it are listed once per pair
+    of shapes and reused at each of its placements.
     """
     memo = _collapse_memo(cache)
     out: dict = {}  # union shape key -> {piece key: coeff}
@@ -386,44 +344,35 @@ def fluctuate(K: TruncatedActivity, cov: CovAccess, cache: dict,
                 else:
                     _add_collapsed(sums, pieces, t.coeff)
     shapes = [k for k in sorted(K.shapes) if len(k) <= TREE_SHAPE_CAP]
-    slots1 = {k: [tm.term_slots(t, 0) for t in K.shapes[k]] for k in shapes}
-    images: dict = {}  # slot list -> image
-    charge_images: dict = {}  # (charges of member 0, of member 1) -> image
+    images: dict = {}  # members -> image
     pair = None  # _pair_placements yields the placements of a shape pair together
     for key1, key2, offset, ukey, shift in _pair_placements(shapes):
         if (key1, key2) != pair:
             pair = (key1, key2)
             above = [  # the term pairs above the floor, in loop order
-                (t1, sl1, i2, t2, coeff)
-                for t1, sl1 in zip(K.shapes[key1], slots1[key1])
+                (t1, i2, t2, coeff)
+                for t1 in K.shapes[key1]
                 for i2, t2 in enumerate(K.shapes[key2])
                 if not abs(coeff := t1.coeff * t2.coeff) < pair_floor
             ]
         sums = out.get(ukey)
         moved: dict = {}  # output key -> collapse of the re-anchored key
-        moved2: dict = {}  # i2 -> t2 at offset
-        slots2: dict = {}  # i2 -> its slots as member 1
-        for t1, sl1, i2, t2, coeff in above:
-            t2m = moved2.get(i2)
-            if t2m is None:
-                t2m = moved2[i2] = tm.translate_term(t2, offset)
-            if t1.linfs or t2.linfs:
-                sl2 = slots2.get(i2)
-                if sl2 is None:
-                    sl2 = slots2[i2] = tm.term_slots(t2m, 1)
-                terms = _bond_terms(coeff, sl1 + sl2, cov, images)
-            else:
-                terms = _charge_bond_terms(coeff, t1.charges, t2m.charges, cov, charge_images)
-            for key, c in terms:
-                if sums is None:
-                    sums = out[ukey] = {}
-                if key not in moved:
-                    moved[key] = _collapsed(memo, tm._translate_key(key, shift))
-                pieces = moved[key]
-                if pieces is None:
-                    dropped += 1
-                else:
-                    _add_collapsed(sums, pieces, c)
+        moved2: dict = {}  # i2 -> the key of t2 at offset
+        for t1, i2, t2, coeff in above:
+            k2 = moved2.get(i2)
+            if k2 is None:
+                k2 = moved2[i2] = tm._translate_key(t2.key(), offset)
+            for fac, members in bond_laplacian(t1.key() + k2, 0, 1, cov):
+                for key, c in tree_convolved_terms(coeff * fac, members, ((0, 1),), cov, images):
+                    if sums is None:
+                        sums = out[ukey] = {}
+                    if key not in moved:
+                        moved[key] = _collapsed(memo, tm._translate_key(key, shift))
+                    pieces = moved[key]
+                    if pieces is None:
+                        dropped += 1
+                    else:
+                        _add_collapsed(sums, pieces, c)
     result = {}
     for key, sums in out.items():
         kept = tm._canon_sums(sums, DROP_TOL)
@@ -432,30 +381,6 @@ def fluctuate(K: TruncatedActivity, cov: CovAccess, cache: dict,
     act = TruncatedActivity(K.torus, result)
     act.dropped_terms = dropped
     return act
-
-
-def _bond_terms(coeff, slots: list[Slot], cov: CovAccess, images: dict):
-    """The (key, coeff) pieces of the one-bond tree term on a slot list of
-    members 0 and 1: each bond Laplacian piece through
-    ``tree_convolved_terms``."""
-    for c0, sl in bond_laplacian(coeff, slots, 0, 1, cov):
-        yield from tree_convolved_terms(c0, sl, ((0, 1),), cov, images)
-
-
-def _charge_bond_terms(coeff, charges1, charges2, cov: CovAccess, images: dict):
-    """``_bond_terms`` of two charge-only terms.  Every bond Laplacian piece
-    is a charge pair's -q q' C times ``coeff`` on the unchanged slot list,
-    so one ``_charge_tree_image``, built once per ``images`` dict, serves
-    them all."""
-    if not (charges1 and charges2):
-        return
-    image = images.get((charges1, charges2))
-    if image is None:
-        image = images[(charges1, charges2)] = _charge_tree_image(charges1, charges2, cov)
-    for qa, xa in charges1:
-        for qb, xb in charges2:
-            fac = -qa * qb * cov.c((0, 0), (xa[0] - xb[0], xa[1] - xb[1]))
-            yield from _replay_image(coeff * fac, image)
 
 
 def _pair_placements(shapes):
@@ -514,7 +439,12 @@ def _centroid(blocks) -> tuple:
 
 def neutral_moments(ts, x_star):
     """(M0, M2, M3): value and second derivatives at phi = 0 against the
-    recentered test functions x_mu and x_nu x_rho."""
+    recentered test functions x_mu and x_nu x_rho.
+
+    A neutral term of the model carries charges or at most ``MAX_LINFS``
+    gradient factors, not both; one gradient factor alone pairs with no
+    charge, so it adds nothing.  Any other neutral term raises.
+    """
     M0 = 0.0 + 0.0j
     M2 = np.zeros((2, 2), dtype=complex)
     M3 = np.zeros((2, 2, 2), dtype=complex)  # [mu, nu, rho]
@@ -526,34 +456,22 @@ def neutral_moments(ts, x_star):
         if t.total_charge != 0:
             continue
         nl = len(t.linfs)
+        if (nl and t.charges) or nl > MAX_LINFS:
+            raise ValueError(f"neutral term outside the model: {len(t.charges)} charges "
+                             f"and {nl} gradient factors in {t}")
         if nl == 0:
             M0 += t.coeff
-        if nl > 2:
-            continue
-        Q = [sum(q * xt(x, mu) for q, x in t.charges) for mu in (0, 1)]
-        QQ = [
-            [sum(q * xt(x, nu) * xt(x, rho) for q, x in t.charges) for rho in (0, 1)]
-            for nu in (0, 1)
-        ]
-        if nl == 0:
+            Q = [sum(q * xt(x, mu) for q, x in t.charges) for mu in (0, 1)]
+            QQ = [
+                [sum(q * xt(x, nu) * xt(x, rho) for q, x in t.charges) for rho in (0, 1)]
+                for nu in (0, 1)
+            ]
             for mu in (0, 1):
                 for nu in (0, 1):
                     M2[mu, nu] += t.coeff * (1j * Q[mu]) * (1j * Q[nu])
                     for rho in (0, 1):
                         M3[mu, nu, rho] += t.coeff * (1j * Q[mu]) * (1j * QQ[nu][rho])
-        elif nl == 1:
-            (alpha, y) = t.linfs[0]
-            for mu in (0, 1):
-                lmu = _poly_deriv_linear(alpha, mu)
-                for nu in (0, 1):
-                    lnu = _poly_deriv_linear(alpha, nu)
-                    M2[mu, nu] += t.coeff * (1j * Q[mu] * lnu + 1j * Q[nu] * lmu)
-                    for rho in (0, 1):
-                        lq = _poly_deriv_quadratic(alpha, y, x_star, nu, rho)
-                        M3[mu, nu, rho] += t.coeff * (
-                            1j * Q[mu] * lq + 1j * QQ[nu][rho] * lmu
-                        )
-        else:
+        elif nl == 2:
             (a1, y1), (a2, y2) = t.linfs
             for mu in (0, 1):
                 l1mu = _poly_deriv_linear(a1, mu)

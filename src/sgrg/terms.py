@@ -223,13 +223,9 @@ def _derivative_scale(coeff, linfs, L: int):
     return coeff
 
 
-def translate_term(term: CloudTerm, shift) -> CloudTerm:
-    """Uniform shift preserves the canonical ordering."""
-    return _raw_term(term.coeff, *_translate_key(term.key(), shift))
-
-
 def _translate_key(key, shift):
-    """The (charges, linfs) key of a term moved by ``shift``."""
+    """The (charges, linfs) key of a term moved by ``shift``; a uniform shift
+    preserves the canonical ordering."""
     charges, linfs = key
     return (
         tuple((q, _round_pos((x[0] + shift[0], x[1] + shift[1]))) for q, x in charges),
@@ -301,21 +297,19 @@ def convolve_term(term: CloudTerm, cov: CovAccess) -> list[CloudTerm]:
             m += q * cov.c(alpha, (y[0] - x[0], y[1] - x[1]))
         shifts.append(1j * m)
     out = []
-    n = len(linfs)
-    for pairing, rest in _pairings_with_rest(n):
+    for pairing, choices in _wick_structures(len(linfs)):
         pair_factor = 1.0
         for i, j in pairing:
             ai, yi = linfs[i]
             aj, yj = linfs[j]
             pair_factor *= cov.pair(ai, yi, aj, yj)
         # remaining slots: either keep the phi factor or take the mean shift
-        for subset in _subsets(rest):
+        for kept, shifted in choices:
             # a sub-tuple of the sorted linfs, in index order, is sorted too
-            keep = tuple(linfs[i] for i in sorted(subset))
+            keep = tuple(linfs[i] for i in kept)
             shift_factor = 1.0
-            for i in rest:
-                if i not in subset:
-                    shift_factor *= shifts[i]
+            for i in shifted:
+                shift_factor *= shifts[i]
             out.append(_raw_term(base * pair_factor * shift_factor, term.charges, keep))
     return canon(out)
 
@@ -353,51 +347,51 @@ def _subsets(items):
         yield from (set(c) for c in itertools.combinations(items, r))
 
 
-# -- slot-level machinery for the tree terms of the fluctuation map -------------
+@lru_cache(maxsize=None)
+def _wick_structures(n: int) -> tuple:
+    """The Wick structures of n gradient factors: (pairing, ((kept, shifted),
+    ...)) for each (pairing, rest) of ``_pairings_with_rest(n)``, one (kept,
+    shifted) per subset of the rest in ``_subsets`` order, with the kept
+    factors in index order and the shifted ones in rest order."""
+    return tuple(
+        (tuple(pairing),
+         tuple((tuple(sorted(subset)), tuple(i for i in rest if i not in subset))
+               for subset in _subsets(rest)))
+        for pairing, rest in _pairings_with_rest(n)
+    )
 
 
-@dataclass(frozen=True)
-class Slot:
-    kind: str  # "q" or "l"
-    data: tuple  # charge int or alpha
-    pos: tuple
-    member: int  # polymer index in the partition
+# -- the bond operator of the fluctuation map's tree terms ------------------------
 
 
-def term_slots(term: CloudTerm, member: int) -> list[Slot]:
-    slots = [Slot("q", (q,), x, member) for q, x in term.charges]
-    slots += [Slot("l", a, y, member) for a, y in term.linfs]
-    return slots
-
-
-def bond_laplacian(coeff: complex, slots: list[Slot], i_mem: int, j_mem: int, cov: CovAccess):
+def bond_laplacian(members: tuple, i: int, j: int, cov: CovAccess):
     """Apply the bond operator 2 Delta_{C(X_i, X_j)}: the s-derivative of the
     weighted convolution (d/ds_ij mu_{C(s)} * F = 2 Delta_{C(X_i,X_j)} mu * F).
 
-    Sums over cross-membership slot pairs; linear slots are consumed, charge
-    slots persist.  Charge-charge pairs pick up (i q_u)(i q_v) C = -q q C.
+    ``members`` is a product of terms as the flat tuple of each member's
+    (charges, linfs) key in turn, so two terms make ``t1.key() + t2.key()``.
+    Yields (factor, members) for every pair of a slot of member i and one of
+    member j, each member's charges before its linfs, i's slot outermost;
+    linear slots are consumed, charge slots persist.  Charge-charge pairs
+    pick up (i q_u)(i q_v) C = -q q C.
     """
-    left = [k for k, s in enumerate(slots) if s.member == i_mem]
-    right = [k for k, s in enumerate(slots) if s.member == j_mem]
-    for a in left:
-        for b in right:
-            sa, sb = slots[a], slots[b]
-            if sa.kind == "q" and sb.kind == "q":
-                fac = (
-                    -sa.data[0]
-                    * sb.data[0]
-                    * cov.c((0, 0), (sa.pos[0] - sb.pos[0], sa.pos[1] - sb.pos[1]))
-                )
-                yield coeff * fac, slots
-            elif sa.kind == "q" and sb.kind == "l":
-                fac = 1j * sa.data[0] * cov.pair((0, 0), sa.pos, sb.data, sb.pos)
-                yield coeff * fac, [s for k, s in enumerate(slots) if k != b]
-            elif sa.kind == "l" and sb.kind == "q":
-                fac = 1j * sb.data[0] * cov.pair((0, 0), sb.pos, sa.data, sa.pos)
-                yield coeff * fac, [s for k, s in enumerate(slots) if k != a]
-            else:
-                fac = cov.pair(sa.data, sa.pos, sb.data, sb.pos)
-                yield coeff * fac, [s for k, s in enumerate(slots) if k not in (a, b)]
+    qi, li, qj, lj = members[2 * i], members[2 * i + 1], members[2 * j], members[2 * j + 1]
+    for qa, xa in qi:
+        for qb, xb in qj:
+            yield -qa * qb * cov.c((0, 0), (xa[0] - xb[0], xa[1] - xb[1])), members
+        for b, (ab, yb) in enumerate(lj):
+            yield 1j * qa * cov.pair((0, 0), xa, ab, yb), _consumed(members, j, b)
+    for a, (aa, ya) in enumerate(li):
+        for qb, xb in qj:
+            yield 1j * qb * cov.pair((0, 0), xb, aa, ya), _consumed(members, i, a)
+        for b, (ab, yb) in enumerate(lj):
+            yield cov.pair(aa, ya, ab, yb), _consumed(_consumed(members, i, a), j, b)
+
+
+def _consumed(members: tuple, m: int, k: int) -> tuple:
+    """``members`` with the k-th linf of member m dropped."""
+    linfs = members[2 * m + 1]
+    return members[: 2 * m + 1] + (linfs[:k] + linfs[k + 1 :],) + members[2 * m + 2 :]
 
 
 # -- series norms -----------------------------------------------------------------

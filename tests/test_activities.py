@@ -32,8 +32,8 @@ from sgrg.activities import (
 from sgrg.lattice import Polymer, TorusSpec, block_quadrature_nodes, polymer, region_disjoint
 from sgrg.fields import FieldGrid, polymer_node_indices, random_band_limited
 from sgrg import activities
-from sgrg.terms import CloudTerm, _raw_term, evaluate_terms, scale_term, translate_term
-from test_rgmap import cache_test_shapes, reference_truncate_cloud_terms
+from sgrg.terms import CloudTerm, _raw_term, evaluate_terms, scale_term
+from test_rgmap import cache_test_shapes, reference_truncate_cloud_terms, translate_term
 
 
 def rfield(torus, rng, n_g=8, amp=0.8):

@@ -69,6 +69,44 @@ class TestParsing:
         assert "sigma=0.1" in out
 
 
+    @pytest.mark.parametrize("config, flags", [
+        ({"L": 2.5}, ["--L", "2.5"]),
+        ({"grid": 2.5}, ["--grid", "2.5"]),
+    ], ids=["L", "grid"])
+    def test_config_value_is_typed_as_its_flag(self, tmp_path, capsys, config, flags):
+        # a file value passes its flag's own type check, so a float for an
+        # int option exits 2 with the flag's message, before any output
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert exit_code(["covariance", *flags, "--out", str(out)]) == EXIT_USAGE
+        want = capsys.readouterr().err
+        assert exit_code(["covariance", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == want
+        assert "invalid int value: '2.5'" in want
+        assert not out.exists()
+
+    def test_config_file_satisfies_a_required_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"M": 7, "steps": 1}))
+        out = tmp_path / "out"
+        code = run_cli(["flow-ir", "--beta", repr(12 * math.pi), "--zeta", "1e-3", "--L", "8",
+                        "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_OK
+        config = json.loads((out / "flow_ir_trajectory.json").read_text())["config"]
+        assert (config["M"], config["steps"]) == (7, 1)
+
+    def test_flag_overrides_config_value(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "continuum", "L": 3, "x": [0.5, -1.0]}))
+        for flags, want in [([], [0.5, -1.0]), (["--x", "0.25", "0"], [0.25, 0.0])]:
+            out = tmp_path / f"out{len(flags)}"
+            code = run_cli(["covariance", "--config", str(cfg), *flags, "--out", str(out)])
+            assert code == EXIT_OK
+            config = json.loads((out / "covariance_manifest.json").read_text())["config"]
+            assert (config["kind"], config["L"], config["x"]) == ("continuum", 3, want)
+
+
 class TestCovariance:
     def test_continuum_value_and_manifest(self, tmp_path, capsys):
         code = run_cli([

@@ -649,7 +649,7 @@ def test_unread_default_is_caught():
 # -- statement census: the AST statements of src/, docstrings left out
 
 # a change that adds statements raises this number in its diff
-STATEMENTS_MAX = 2725
+STATEMENTS_MAX = 2654
 
 
 def statement_count(tree) -> int:

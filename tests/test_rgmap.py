@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -39,6 +40,12 @@ from sgrg.rgmap import (
     scale_linear,
 )
 from sgrg.terms import CloudTerm, CovAccess, evaluate_terms
+
+
+def translate_term(term, shift):
+    """``term`` moved by ``shift``, its positions rounded as the flow's
+    re-anchoring rounds them."""
+    return tm._raw_term(term.coeff, *tm._translate_key(term.key(), shift))
 
 
 def rfield(torus, rng, n_g=8, amp=0.7, k_max=2):
@@ -251,8 +258,8 @@ def reference_scale_trunc(K):
                 cl = partition_closure(p0.translate((ox, oy)), K.torus)
                 base = tuple(min(b[i] for b in cl.blocks) for i in range(2))
                 mapped = [
-                    tm.translate_term(
-                        tm.scale_term(tm.translate_term(t, (ox, oy)), L),
+                    translate_term(
+                        tm.scale_term(translate_term(t, (ox, oy)), L),
                         (-base[0], -base[1]),
                     )
                     for t in ts
@@ -357,7 +364,7 @@ class TestScalingCache:
                     blocks = []
                     for x in rounded:
                         one = CloudTerm(1.0, ((1, x),))
-                        moved = tm.translate_term(tm.scale_term(tm.translate_term(one, (ox, oy)), L), back)
+                        moved = translate_term(tm.scale_term(translate_term(one, (ox, oy)), L), back)
                         blocks.append(tuple(round(c) for c in moved.charges[0][1]))
                     classes.add(tuple(blocks))
             want += (1 + len(classes)) * len(ts)
@@ -509,6 +516,56 @@ class TestSlotSums:
         assert folds[0] == 1.0 and (a + b) + (c + d) == 0.0  # the order shows
 
 
+# -- the bond operator on slot lists: an independent reference ------------------
+
+
+@dataclass(frozen=True)
+class Slot:
+    kind: str  # "q" or "l"
+    data: tuple  # (charge,) or alpha
+    pos: tuple
+    member: int  # polymer index in the partition
+
+
+def term_slots(term, member):
+    slots = [Slot("q", (q,), x, member) for q, x in term.charges]
+    return slots + [Slot("l", a, y, member) for a, y in term.linfs]
+
+
+def slot_members(slots, n):
+    """A slot list on n members as ``terms.bond_laplacian`` reads a product:
+    each member's charges, then its linfs, in slot order."""
+    out = ()
+    for m in range(n):
+        out += (tuple((s.data[0], s.pos) for s in slots if s.member == m and s.kind == "q"),
+                tuple((s.data, s.pos) for s in slots if s.member == m and s.kind == "l"))
+    return out
+
+
+def reference_bond_laplacian(coeff, slots, i_mem, j_mem, cov):
+    """2 Delta_{C(X_i, X_j)} on a slot list: every slot of member i against
+    every slot of member j, in slot-list order, as (coeff * factor, slots);
+    linear slots are consumed, charge slots persist."""
+    left = [k for k, s in enumerate(slots) if s.member == i_mem]
+    right = [k for k, s in enumerate(slots) if s.member == j_mem]
+    for a in left:
+        for b in right:
+            sa, sb = slots[a], slots[b]
+            if sa.kind == "q" and sb.kind == "q":
+                fac = (-sa.data[0] * sb.data[0]
+                       * cov.c((0, 0), (sa.pos[0] - sb.pos[0], sa.pos[1] - sb.pos[1])))
+                yield coeff * fac, slots
+            elif sa.kind == "q" and sb.kind == "l":
+                fac = 1j * sa.data[0] * cov.pair((0, 0), sa.pos, sb.data, sb.pos)
+                yield coeff * fac, [s for k, s in enumerate(slots) if k != b]
+            elif sa.kind == "l" and sb.kind == "q":
+                fac = 1j * sb.data[0] * cov.pair((0, 0), sb.pos, sa.data, sa.pos)
+                yield coeff * fac, [s for k, s in enumerate(slots) if k != a]
+            else:
+                fac = cov.pair(sa.data, sa.pos, sb.data, sb.pos)
+                yield coeff * fac, [s for k, s in enumerate(slots) if k not in (a, b)]
+
+
 def reference_tree_convolved_terms(coeff, slots, tree, cov):
     """The tree-term integral computed afresh on every call."""
     charges = [(s.data[0], s.pos, s.member) for s in slots if s.kind == "q"]
@@ -561,7 +618,8 @@ def reference_tree_convolved_terms(coeff, slots, tree, cov):
 
 def reference_fluctuate_truncated(K, cov, pair_window, drop_tol):
     """Truncated fluctuation with the placement loop rebuilding every slot list,
-    integrating every bond piece afresh and re-anchoring every term."""
+    applying the reference bond operator, integrating every bond piece afresh
+    and re-anchoring every term."""
     out = {}
     for key, ts in K.shapes.items():
         out.setdefault(key, []).extend(tm.convolve_terms(ts, cov))
@@ -584,16 +642,17 @@ def reference_fluctuate_truncated(K, cov, pair_window, drop_tol):
                         for t2 in K.shapes[k2]:
                             if abs(t1.coeff * t2.coeff) < pair_floor:
                                 continue
-                            t2s = tm.translate_term(t2, (ox, oy))
-                            slots = tm.term_slots(CloudTerm(1.0, t1.charges, t1.linfs), 0)
-                            slots += tm.term_slots(CloudTerm(1.0, t2s.charges, t2s.linfs), 1)
-                            for c0, sl in tm.bond_laplacian(t1.coeff * t2s.coeff, slots, 0, 1, cov):
+                            t2s = translate_term(t2, (ox, oy))
+                            slots = term_slots(t1, 0) + term_slots(t2s, 1)
+                            for c0, sl in reference_bond_laplacian(
+                                t1.coeff * t2s.coeff, slots, 0, 1, cov
+                            ):
                                 acc.extend(reference_tree_convolved_terms(
                                     c0, sl, ((0, 1),), cov
                                 ))
                     if acc:
                         out.setdefault(union.shape_key(), []).extend(
-                            tm.translate_term(t, (-base[0], -base[1])) for t in acc
+                            translate_term(t, (-base[0], -base[1])) for t in acc
                         )
     result, dropped_terms = {}, 0
     for key, ts in out.items():
@@ -630,6 +689,24 @@ def as_repr(shapes):
     return [(repr(k), [(repr(t.key()), repr(t.coeff)) for t in ts]) for k, ts in shapes.items()]
 
 
+class TestExpMonomial:
+    """int_0^1 s^k e^{-us} ds on both sides of the |u| = 0.5 switch between
+    the series and the forward recursion, against 80-node Gauss-Legendre."""
+
+    @pytest.mark.parametrize("u", [-5, -1, -0.5, -0.49, 0, 1e-12, 0.49, 0.5, 0.5000001, 1,
+                                   5, 50])
+    def test_against_gauss_legendre(self, u):
+        x, w = np.polynomial.legendre.leggauss(80)
+        s = 0.5 * (x + 1)
+        # the series is good to rounding (6.6e-16 at worst); the recursion
+        # divides by u at every order and loses digits as k grows: 1.65e-11
+        # at k = 6 with u just above 0.5 is its worst here, so allow 3x that
+        tol = 2e-15 if abs(u) < 0.5 else 5e-11
+        for k in range(7):
+            want = float(np.sum(0.5 * w * s**k * np.exp(-u * s)))
+            assert abs(rgmap._exp_monomial_01(k, u) - want) <= tol * abs(want)
+
+
 class TestTreeTermReplay:
     """Replaying tree-term integrals per placement gives the bits of
     computing every one afresh."""
@@ -654,79 +731,72 @@ class TestTreeTermReplay:
         assert got.filter(lambda k, t: True).dropped_terms == 0  # a field: a copy reads 0
 
     def test_one_image_per_slot_list_per_call(self, monkeypatch):
-        # the images of one fluctuate call serve every placement, from either
-        # builder: the charge-only one, keyed by the two members' charges, and
-        # the generic one, keyed by the slot list
+        # the images of one fluctuate call serve every placement: each
+        # product of two members' keys, charge-only or not, is built once
         t = TorusSpec(8, 2)
         K = replay_test_activity(t)
         cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=t), scale=4 * math.pi)
-        built = {"generic": [], "charges": []}
-        plain, plain_charges = rgmap._tree_term_image, rgmap._charge_tree_image
+        built = []
+        plain = rgmap._tree_term_image
 
-        def counted(slots, *args):
-            built["generic"].append(tuple(slots))
-            return plain(slots, *args)
-
-        def counted_charges(charges1, charges2, cov):
-            built["charges"].append((charges1, charges2))
-            return plain_charges(charges1, charges2, cov)
+        def counted(members, *args):
+            built.append(members)
+            return plain(members, *args)
 
         monkeypatch.setattr(rgmap, "_tree_term_image", counted)
-        monkeypatch.setattr(rgmap, "_charge_tree_image", counted_charges)
         fluctuate(K, cov, {}, fluctuate_linear(K, cov))
-        for keys in built.values():
-            assert len(keys) > 100
-            assert len(keys) == len(set(keys))
+        charge_only = [m for m in built if not (m[1] or m[3])]
+        assert len(charge_only) > 100 and len(built) - len(charge_only) > 100
+        assert len(built) == len(set(built))
 
-    @pytest.mark.parametrize("t1, t2", [
-        (CloudTerm(1.0, ((1, (0.0, 0.0)),)), CloudTerm(1.0, ((-1, (1.0, 0.0)), (2, (2.0, -1.0))))),
-        # one member: no cross pair, so u = 0
-        (CloudTerm(1.0, ((1, (0.0, 0.0)), (-1, (0.0, 1.0)))), CloudTerm(1.0)),
-        # the charges cancel, pairwise at one position and in total
-        (CloudTerm(1.0, ((1, (0.0, 0.0)), (-2, (1.0, 1.0)))),
-         CloudTerm(1.0, ((-1, (0.0, 0.0)), (2, (2.0, 0.0))))),
-        (CloudTerm(1.0, ((1, (0.25, 0.0)), (1, (-1.0, 0.5)))), CloudTerm(1.0, ((-3, (2.0, 2.0)),))),
-    ], ids=["charged", "one_member", "cancel", "off_centre"])
-    def test_charge_image_equals_generic(self, t1, t2):
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_bond_laplacian_equals_reference(self, n):
+        # factors and products, in order, against the slot-list enumeration,
+        # on every ordered bond of n members with 0-3 charges and 0-2
+        # gradient factors each, every count on every member
         t = TorusSpec(2, 3)
         cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=t), scale=4 * math.pi)
-        slots = tm.term_slots(t1, 0) + tm.term_slots(t2, 1)
-        assert repr(rgmap._charge_tree_image(t1.charges, t2.charges, cov)) == repr(
-            rgmap._tree_term_image(slots, ((0, 1),), cov))
-
-    def test_flow_charge_images_equal_generic(self, monkeypatch):
-        # every charge-only image a fluctuation builds, against the generic builder
-        t = TorusSpec(8, 2)
-        K = replay_test_activity(t)
-        cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=t), scale=4 * math.pi)
-        plain = rgmap._charge_tree_image
-        checked = []
-
-        def compared(charges1, charges2, cov):
-            image = plain(charges1, charges2, cov)
-            slots = (tm.term_slots(CloudTerm(1.0, charges1), 0)
-                     + tm.term_slots(CloudTerm(1.0, charges2), 1))
-            checked.append(repr(image) == repr(rgmap._tree_term_image(slots, ((0, 1),), cov)))
-            return image
-
-        monkeypatch.setattr(rgmap, "_charge_tree_image", compared)
-        fluctuate(K, cov, {}, fluctuate_linear(K, cov))
-        assert len(checked) > 100 and all(checked)
+        rng = np.random.default_rng(n)
+        alphas = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+        coeff = 0.3 - 1.1j
+        kinds = set()
+        for case in range(12):
+            terms = []
+            for m in range(n):
+                n_q, n_l = (case + m) % 4, (case // 4 + m) % 3
+                pos = [tuple(rng.integers(-4, 5, 2) / 4) for _ in range(n_q + n_l)]
+                terms.append(CloudTerm(
+                    1.0, [(int(rng.choice([-2, -1, 1, 2])), x) for x in pos[:n_q]],
+                    [(alphas[rng.integers(len(alphas))], y) for y in pos[n_q:]]))
+            members = sum((u.key() for u in terms), ())
+            slots = [s for m, u in enumerate(terms) for s in term_slots(u, m)]
+            for i in range(n):
+                for j in range(n):
+                    if i == j:
+                        continue
+                    got = [(coeff * fac, ms) for fac, ms in tm.bond_laplacian(members, i, j, cov)]
+                    want = [(c0, slot_members(sl, n))
+                            for c0, sl in reference_bond_laplacian(coeff, slots, i, j, cov)]
+                    assert repr(got) == repr(want)
+                    kinds.update((len(ms[2 * i + 1]) < len(members[2 * i + 1]),
+                                  len(ms[2 * j + 1]) < len(members[2 * j + 1])) for _, ms in got)
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_replay_across_coefficients(self):
         t = TorusSpec(2, 3)
         cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=t), scale=4 * math.pi)
         t1 = CloudTerm(1.0, ((1, (0.0, 0.0)), (-1, (0.25, 0.0))), (((1, 0), (0.0, 0.0)),))
         t2 = CloudTerm(1.0, ((-1, (1.0, 0.0)),), (((0, 1), (1.0, 0.0)),))
-        slots = tm.term_slots(t1, 0) + tm.term_slots(t2, 1)
-        pieces = list(tm.bond_laplacian(1.0, slots, 0, 1, cov))
+        slots = term_slots(t1, 0) + term_slots(t2, 1)
+        pieces = list(reference_bond_laplacian(1.0, slots, 0, 1, cov))
         assert len(pieces) == 6
         tree = ((0, 1),)
         for _, sl in pieces:
             images = {}
+            members = slot_members(sl, 2)
             for coeff in (3.0 - 1.5j, 3e-300 + 1e-300j, 1e-320, 2e-300j):
-                replayed = rgmap.tree_convolved_terms(coeff, sl, tree, cov, images)
-                fresh = rgmap.tree_convolved_terms(coeff, sl, tree, cov, {})
+                replayed = rgmap.tree_convolved_terms(coeff, members, tree, cov, images)
+                fresh = rgmap.tree_convolved_terms(coeff, members, tree, cov, {})
                 want = reference_tree_convolved_terms(coeff, sl, tree, cov)
                 want = [(t.key(), t.coeff) for t in want]
                 assert repr(replayed) == repr(fresh) == repr(want)
@@ -738,17 +808,18 @@ class TestTreeTermReplay:
 
     def test_images_keyed_by_member(self):
         # equal slots on other polymers couple differently: one images dict
-        # keeps a slot list apart from its relabelled copy
+        # keeps a product apart from the one with a charge moved to the other
+        # member
         t = TorusSpec(2, 3)
         cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=t), scale=4 * math.pi)
         t1 = CloudTerm(1.0, ((1, (0.0, 0.0)), (-1, (0.25, 0.0))), (((1, 0), (0.0, 0.0)),))
         t2 = CloudTerm(1.0, ((-1, (1.0, 0.0)),), (((0, 1), (1.0, 0.0)),))
-        slots = tm.term_slots(t1, 0) + tm.term_slots(t2, 1)
-        moved = [tm.Slot(s.kind, s.data, s.pos, 1) if k == 1 else s for k, s in enumerate(slots)]
+        slots = term_slots(t1, 0) + term_slots(t2, 1)
+        moved = [Slot(s.kind, s.data, s.pos, 1) if k == 1 else s for k, s in enumerate(slots)]
         images = {}
         tree = ((0, 1),)
         for sl in (slots, moved):
-            got = rgmap.tree_convolved_terms(0.5 - 2j, sl, tree, cov, images)
+            got = rgmap.tree_convolved_terms(0.5 - 2j, slot_members(sl, 2), tree, cov, images)
             want = reference_tree_convolved_terms(0.5 - 2j, sl, tree, cov)
             assert repr(got) == repr([(t.key(), t.coeff) for t in want])
         assert len(images) == 2
@@ -879,6 +950,21 @@ class TestExtractionCoefficients:
         K = TruncatedActivity(t, {key: terms})
         # the check reports its measure and does not stop the caller
         assert extraction_coefficients(K, "ir", beta=1.0).anisotropy > 1e-8
+
+
+    def test_one_gradient_factor_adds_nothing(self):
+        # a neutral term with one gradient factor carries no charge to pair with
+        t = CloudTerm(0.5 - 0.25j, (), (((1, 0), (0.25, 0.0)),))
+        M0, M2, M3 = neutral_moments([t], (0.5, 0.5))
+        assert M0 == 0.0 and not M2.any() and not M3.any()
+
+    @pytest.mark.parametrize("term", [
+        CloudTerm(1.0, ((1, (0.0, 0.0)), (-1, (1.0, 0.0))), (((1, 0), (0.0, 0.0)),)),
+        CloudTerm(1.0, (), (((1, 0), (0.0, 0.0)),) * 3),
+    ], ids=["charges_and_linfs", "three_linfs"])
+    def test_term_outside_the_model_raises(self, term):
+        with pytest.raises(ValueError, match="neutral term outside the model"):
+            neutral_moments([term], (0.0, 0.0))
 
 
 class TestNeutralScalingDimension:

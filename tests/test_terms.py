@@ -23,8 +23,8 @@ from sgrg.terms import (
     TermTable,
     convolve_terms,
     evaluate_terms,
-    translate_term,
 )
+from test_rgmap import translate_term
 
 
 def reference_evaluate_terms(terms, field) -> complex:
