@@ -37,9 +37,10 @@ import numpy as np
 from . import terms as tm
 from .lattice import (
     Polymer,
-    SetRegulatorParams,
     TorusSpec,
     block_quadrature_nodes,
+    enumerate_all_connected,
+    enumerate_shapes,
     halo,
     is_connected,
     log_gamma_p,
@@ -321,31 +322,31 @@ def polymer_exp(K, region: Polymer, fld) -> complex:
 
 
 def _collection_sum(vals: dict, region: Polymer, torus: TorusSpec) -> complex:
-    by_block: dict = {}
-    halos = {}
-    for blocks in vals:
-        halos[blocks] = halo(Polymer(blocks), torus)
+    by_block: dict = {}  # block -> [(polymer blocks, value, halo)] in vals order
+    for blocks, value in vals.items():
+        entry = (blocks, value, halo(Polymer(blocks), torus))
         for b in blocks:
-            by_block.setdefault(b, []).append(blocks)
-    order = {b: i for i, b in enumerate(sorted(region.blocks))}
-    memo: dict = {}
+            by_block.setdefault(b, []).append(entry)
+    return _collections_in(frozenset(region.blocks), by_block, {})
 
-    def rec(avail: frozenset) -> complex:
-        if not avail:
-            return 1.0
-        hit = memo.get(avail)
-        if hit is not None:
-            return hit
-        b = min(avail, key=order.get)
-        total = rec(avail - {b})  # b belongs to no polymer
-        for blocks in by_block.get(b, ()):
-            if blocks <= avail:
-                total += vals[blocks] * rec(avail - halos[blocks])
-            # polymers containing b but not inside avail are excluded
-        memo[avail] = total
-        return total
 
-    return rec(frozenset(region.blocks))
+def _collections_in(avail: frozenset, by_block: dict, memo: dict) -> complex:
+    """The sum over collections of region-disjoint polymers inside ``avail``,
+    memoized by ``avail``: the lowest block of ``avail`` lies in no polymer
+    of the collection, or in one of the polymers ``by_block`` lists for it."""
+    if not avail:
+        return 1.0
+    hit = memo.get(avail)
+    if hit is not None:
+        return hit
+    b = min(avail)
+    total = _collections_in(avail - {b}, by_block, memo)  # b belongs to no polymer
+    for blocks, value, around in by_block.get(b, ()):
+        if blocks <= avail:
+            total += value * _collections_in(avail - around, by_block, memo)
+        # polymers containing b but not inside avail are excluded
+    memo[avail] = total
+    return total
 
 
 def whole_torus(torus: TorusSpec) -> Polymer:
@@ -448,8 +449,6 @@ def mayer_init_cloud(zeta: complex, torus: TorusSpec, n_q: int, order: int,
                      max_size: int) -> CloudActivity:
     """Cloud form of the Mayer activity, truncated at `order` per block
     and polymers of at most `max_size` blocks (value O(zeta^{|X|}))."""
-    from .lattice import enumerate_all_connected
-
     data = {}
     for p in enumerate_all_connected(torus, max_size):
         terms = _mayer_polymer_terms(zeta, p.sorted_blocks(), n_q, order)
@@ -461,8 +460,6 @@ def mayer_init_cloud(zeta: complex, torus: TorusSpec, n_q: int, order: int,
 def mayer_init_truncated(zeta: complex, torus: TorusSpec) -> TruncatedActivity:
     """Translation-invariant truncated Mayer activity (flow initial data):
     shapes of at most MAYER_MAX_SIZE blocks, the series to MAYER_ORDER."""
-    from .lattice import enumerate_shapes
-
     shapes = {}
     for p in enumerate_shapes(MAYER_MAX_SIZE):
         terms = _mayer_polymer_terms(zeta, p.sorted_blocks(), FLOW_N_Q, MAYER_ORDER)
@@ -530,35 +527,14 @@ def charge_component(K, q: int):
 # -- activity norms -------------------------------------------------------------------
 
 
-NORM_H = 1.0  # analyticity radius h of the activity norm
-NORM_KAPPA = 1e-3  # regulator budget kappa of the activity norm
+def _shape_log_norm(ts) -> float:
+    return logsumexp([term_log_weight(t) for t in ts])
 
 
-@dataclass(frozen=True)
-class NormParams:
-    """Weights of the norm: regulator budget kappa, analyticity h,
-    polymer-size budget Gamma_p."""
-
-    h: float
-    kappa: float
-    gamma: SetRegulatorParams
-
-    @staticmethod
-    def default(torus: TorusSpec, p: int) -> "NormParams":
-        """NORM_H and NORM_KAPPA with the Gamma_p shift p."""
-        return NormParams(h=NORM_H, kappa=NORM_KAPPA,
-                          gamma=SetRegulatorParams.default(torus, p=p))
-
-    def with_p(self, p: int) -> "NormParams":
-        return replace(self, gamma=replace(self.gamma, p=p))
-
-
-def _shape_log_norm(ts, params: NormParams) -> float:
-    return logsumexp([term_log_weight(t, params.h, params.kappa) for t in ts])
-
-
-def activity_norm(K, params: NormParams) -> float:
-    """Log of the series norm sum_{X cont. D} Gamma(X) ||K(X)||_{G,h}.
+def activity_norm(K, p: int) -> float:
+    """Log of the series norm sum_{X cont. D} Gamma_p(X) ||K(X)||_{G,h}, with
+    the weights h = NORM_H and kappa = NORM_KAPPA, and Gamma_p read on K's
+    torus with the shift p (``lattice.log_gamma_p``).
 
     Defined for cloud and truncated activities, whose terms give certified
     series bounds; the cloud norm is the largest sum over the polymers
@@ -567,18 +543,17 @@ def activity_norm(K, params: NormParams) -> float:
     if isinstance(K, TruncatedActivity):
         logs = []
         for key, ts in K.shapes.items():
-            p = Polymer(frozenset(key))
-            lg = log_gamma_p(p, params.gamma, K.torus)
-            logs.append(math.log(p.size) + lg + _shape_log_norm(ts, params))
+            X = Polymer(frozenset(key))
+            logs.append(math.log(X.size) + log_gamma_p(X, p, K.torus) + _shape_log_norm(ts))
         return logsumexp(logs)
     if isinstance(K, CloudActivity):
         anchors = {}
-        for p in K.support():
-            ts = K.terms(p)
+        for X in K.support():
+            ts = K.terms(X)
             if not ts:
                 continue
-            lgn = log_gamma_p(p, params.gamma, K.torus) + _shape_log_norm(ts, params)
-            for b in p.blocks:
+            lgn = log_gamma_p(X, p, K.torus) + _shape_log_norm(ts)
+            for b in X.blocks:
                 anchors[b] = logsumexp([anchors.get(b, -math.inf), lgn])
         return max(anchors.values(), default=-math.inf)
     raise TypeError(f"unsupported representation {type(K)!r}")

@@ -144,35 +144,32 @@ def cmd_covariance(args) -> int:
 def _identity_suites(torus, seed: int):
     """Run the identity suites on ``torus`` (side >= 3); yields (name,
     residual, tolerance)."""
+    import itertools
+    import random
+
     from .activities import (
-        mayer_init_functional, polymer_exp, potentials, v_activity,
-        verify_resummation, verify_shift_law, whole_torus, charge_component,
+        CloudActivity, charge_component, mayer_init_functional, polymer_exp, potentials,
+        v_activity, verify_resummation, verify_shift_law, whole_torus,
     )
     from .covariance import CovarianceKernel
     from .fields import random_band_limited, scale_field
-    from .interpolation import (
-        forest_interpolation_check_multilinear, bonds_on, tree_count,
-    )
+    from .interpolation import bonds_on, forest_interpolation_check_multilinear, tree_count
     from .lattice import TorusSpec, polymer
     from .rgmap import extract_functional, fluctuate_cloud, scale_activity
-    from .terms import CloudTerm, CovAccess
-    from .activities import CloudActivity
+    from .terms import CloudTerm, CovAccess, convolve_terms, evaluate_terms, multiply
 
     rng = np.random.default_rng(seed)
 
     # forest interpolation, multilinear n = 3
-    import itertools as _it
-    import random as _random
-
-    r = _random.Random(seed)
+    r = random.Random(seed)
     coeffs = {}
     for nb in range(len(bonds_on(3)) + 1):
-        for A in _it.combinations(bonds_on(3), nb):
+        for A in itertools.combinations(bonds_on(3), nb):
             coeffs[A] = r.uniform(-1, 1)
     yield ("forest-interpolation", forest_interpolation_check_multilinear(3, coeffs), 1e-12)
 
     cayley_total = sum(
-        tree_count(ds) for ds in _it.product(range(1, 4), repeat=4) if sum(ds) == 6
+        tree_count(ds) for ds in itertools.product(range(1, 4), repeat=4) if sum(ds) == 6
     )
     yield ("cayley-count", abs(cayley_total - 16), 0.5)
 
@@ -202,8 +199,6 @@ def _identity_suites(torus, seed: int):
                                   CloudTerm(0.3, ((-1, (2.0, 2.25)),))],
         },
     )
-    from .terms import convolve_terms, multiply as _mul, evaluate_terms
-
     FK = fluctuate_cloud(K, cov)
     support = K.support()
     worst = 0.0
@@ -212,7 +207,7 @@ def _identity_suites(torus, seed: int):
         lhs = 1.0 + sum(
             evaluate_terms(convolve_terms(K.terms(p), cov), fld) for p in support
         )
-        both = _mul(K.terms(support[0]), K.terms(support[1]))
+        both = multiply(K.terms(support[0]), K.terms(support[1]))
         lhs += evaluate_terms(convolve_terms(both, cov), fld)
         rhs = polymer_exp(FK, whole_torus(t4), fld)
         worst = max(worst, abs(lhs - rhs))

@@ -242,11 +242,11 @@ class CovarianceKernel:
     def at_zero(self) -> float:
         return self.eval((0.0, 0.0))
 
-    def grid_tables(self, n_sub: int, alphas):
-        """FFT evaluation of d^alpha C on the full torus grid (spacing 1/n_sub).
+    def grid_tables(self, alphas):
+        """FFT evaluation of d^alpha C on the full torus grid (spacing 1/N_SUB).
 
         Returns (tables, side_used): tables yields (alpha, (n, n) array over
-        grid points k/n_sub), one alpha at a time, from modes computed once.
+        grid points k/N_SUB), one alpha at a time, from modes computed once.
         A torus of side above NORM_PROXY_SIDE is proxied by its coarsening
         of the largest side L^M not above it, or of side L when L is larger.
         """
@@ -256,7 +256,7 @@ class CovarianceKernel:
         while proxy.side > NORM_PROXY_SIDE and proxy.M > 1:
             proxy = proxy.coarse()
         px, py, f = _torus_modes(self.kind, self.sigma, proxy.L, proxy.M, self.p_max)
-        n = proxy.side * n_sub
+        n = proxy.side * N_SUB
         step = 2.0 * math.pi / proxy.side
         kx = np.rint(px / step).astype(int) % n
         ky = np.rint(py / step).astype(int) % n
@@ -266,8 +266,8 @@ class CovarianceKernel:
                 coef = np.zeros((n, n), dtype=np.complex128)
                 w = f * (1j * px) ** a[0] * (1j * py) ** a[1]
                 np.add.at(coef, (kx, ky), w)
-                # values at x = m/n_sub: sum_k w_k e^{i p_k m / n_sub}; with
-                # p = 2 pi q / side the phase is 2 pi (q m) / (side n_sub) = DFT
+                # values at x = m/N_SUB: sum_k w_k e^{i p_k m / N_SUB}; with
+                # p = 2 pi q / side the phase is 2 pi (q m) / (side N_SUB) = DFT
                 yield tuple(a), np.real(np.fft.ifft2(coef)) * n * n
 
         return tables(), proxy.side
@@ -323,10 +323,11 @@ def _deriv_alphas(max_total: int):
     ]
 
 
-def block_pair_norm_table(kernel: CovarianceKernel, r: int):
+def block_pair_norm_table(kernel: CovarianceKernel):
     """Grid table of max over |gamma| <= 2r of |d^gamma C| (C^r norm in each
-    slot), kept as a running maximum so one table per gamma is alive at once."""
-    tables, side_used = kernel.grid_tables(N_SUB, _deriv_alphas(2 * r))
+    slot, r = 2: |gamma| <= 4), kept as a running maximum so one table per
+    gamma is alive at once."""
+    tables, side_used = kernel.grid_tables(_deriv_alphas(4))
     peak = None
     for _, table in tables:
         table = np.abs(table)
@@ -334,13 +335,13 @@ def block_pair_norm_table(kernel: CovarianceKernel, r: int):
     return peak, side_used
 
 
-def star_norm(kernel: CovarianceKernel, r: int) -> float:
+def star_norm(kernel: CovarianceKernel) -> float:
     """||C||_* = sup_D sum_{D' != D} ||C(D,D')|| d(D,D')^{2d} theta(D,D').
 
     Block norms are dense sub-grid maxima of mixed derivatives; the block
     pair sum runs over the (possibly proxied) torus.
     """
-    peak, side = block_pair_norm_table(kernel, r)
+    peak, side = block_pair_norm_table(kernel)
     n = side * N_SUB
     d = 2
     total = 0.0

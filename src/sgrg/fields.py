@@ -38,10 +38,10 @@ SOBOLEV_SEED = 1234
 SOBOLEV_SLACK = 1.1  # inflation of the measured Sobolev constant
 
 
-def multi_indices(min_total: int, max_total: int):
-    """2-D multi-indices a with min_total <= |a| <= max_total, by order."""
+def multi_indices():
+    """The regulator's 2-D multi-indices a, 1 <= |a| <= REGULATOR_S, by order."""
     out = []
-    for total in range(min_total, max_total + 1):
+    for total in range(1, REGULATOR_S + 1):
         for a in itertools.product(range(total + 1), repeat=2):
             if sum(a) == total:
                 out.append(a)
@@ -246,7 +246,7 @@ def log_regulator(phi: FieldGrid, p: Polymer, params: RegulatorParams, scaled: b
     """log G(kappa, X, phi); ``scaled=True`` gives the ELL-scaled variant."""
     gx, gy = polymer_node_indices(p, phi.torus, phi.n_g)
     bulk = 0.0
-    for a in multi_indices(1, REGULATOR_S):
+    for a in multi_indices():
         da = phi.deriv(a).values[gx, gy]
         w = ELL ** (2 * sum(a) - 2) if scaled else 1.0
         bulk += w * float(np.sum(da * da)) / phi.n_g**2
@@ -278,7 +278,7 @@ def measure_sobolev_constant() -> float:
         phi = random_band_limited(torus, n_g, rng, k_max=n_g // 2 - 1)
         gx, gy = polymer_node_indices(block, torus, n_g)
         denom = 0.0
-        for a in multi_indices(1, REGULATOR_S):
+        for a in multi_indices():
             da = phi.deriv(a).values[gx, gy]
             denom += float(np.sum(da * da)) / n_g**2
         num = 0.0

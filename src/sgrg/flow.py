@@ -1,6 +1,6 @@
 """The flow driver, ``run_flow``, with energy and field-strength bookkeeping.
 
-One step loop serves both regimes; a mode policy supplies what differs.
+One step loop serves both regimes, which differ by one bit, the mode.
 The IR flow (beta > 8 pi) iterates the composed step on the shrinking tori
 Lambda_{M-j}, feeding the field-strength extraction dsigma back into the
 Gaussian measure and accumulating the energy
@@ -12,11 +12,13 @@ extracts constants only, and maintains the split K_j = zeta_j V + Ktilde_j
 with the exact linearized multiplier zeta_{j+1} = L^2 e^{-beta C(0)/2}
 zeta_j.
 
-The norm weights are fixed (``activities.NORM_H``, ``NORM_KAPPA``), as
-are the charge cap ``Q_MAX`` and the one quadrature node per block side
-``FLOW_N_Q``; a flow takes beta, zeta, L and M or N only.  All truncation
-losses per step (clipped large-set norm, dropped term count) are carried
-in the trajectory diagnostics.
+The norm weights are fixed (``terms.NORM_H``, ``NORM_KAPPA`` and the
+amplitude A = L^{d+3} of ``lattice.log_gamma_p``), as are the charge cap
+``Q_MAX`` and the one quadrature node per block side ``FLOW_N_Q``; the
+norms' Gamma_p shift follows from L (``_flow_gamma_p``).  A flow takes
+beta, zeta, L and M or N only.  All truncation losses per step (clipped
+large-set norm, dropped term count) are carried in the trajectory
+diagnostics.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 
 from .activities import (
     FLOW_N_Q,
-    NormParams,
     activity_norm,
     mayer_init_cloud,
     mayer_init_truncated,
@@ -40,7 +41,7 @@ from .activities import (
     v_activity,
     whole_torus,
 )
-from .covariance import CovarianceKernel, trlog_T
+from .covariance import CovarianceKernel, star_norm, trlog_T
 from .fields import FieldGrid, gaussian_ensemble, scale_field
 from .lattice import TorusSpec
 from .rgmap import (
@@ -171,14 +172,10 @@ def _flow_gamma_p(config: FlowConfig) -> int:
     return -round(math.log2(A / 2.0))
 
 
-def _norm_params(config: FlowConfig, torus: TorusSpec) -> NormParams:
-    return NormParams.default(torus, p=_flow_gamma_p(config))
-
-
 def _step_params(config: FlowConfig, torus: TorusSpec, sigma: float,
-                 preset: str, c_star: float) -> RGStepParams:
+                 c_star: float) -> RGStepParams:
     return RGStepParams(beta=config.beta, torus=torus, c_star=c_star,
-                        norm=_norm_params(config, torus), sigma=sigma, preset=preset)
+                        p=_flow_gamma_p(config), sigma=sigma, preset=config.mode)
 
 
 def _flow_step(K, params: RGStepParams):
@@ -191,16 +188,14 @@ def _flow_step(K, params: RGStepParams):
     clipped log norm is in the diagnostics."""
     K, coeffs, diag = rg_step(K, params)
     K, coarse_coeffs = extract_step(K, params, {})
-    K, diag["clipped_log_norm"] = clip_to_small(K, params.norm)
+    K, diag["clipped_log_norm"] = clip_to_small(K, params.p)
     return K, coeffs, coarse_coeffs, diag
 
 
 def _flow_star_norm(config: FlowConfig, torus: TorusSpec) -> float:
     """beta-scaled star norm of the slice kernel, computed once per flow
     (its sigma dependence is negligible at desk scale)."""
-    from .covariance import star_norm
-
-    return config.beta * star_norm(CovarianceKernel("slice", sigma=0.0, torus=torus), r=2)
+    return config.beta * star_norm(CovarianceKernel("slice", sigma=0.0, torus=torus))
 
 
 def _multipliers(diag: dict) -> dict:
@@ -244,51 +239,33 @@ def uv_multiplier(config: FlowConfig, j: int) -> float:
     return config.L**2 * math.exp(-config.beta * c0 / 2.0)
 
 
-@dataclass(frozen=True)
-class _FlowMode:
-    """What the IR and UV flows do differently; the step loop is shared.
-
-    IR: the gradient preset, j = 0, 1, .. from Lambda_M, and sigma feedback
-    (dsigma enters the next measure, -(1/2) tr log(1 + dsigma T) the energy).
-    UV: the constants-only preset, j = -N, .. from Lambda_N with sigma = 0,
-    and the split K_j = zeta_j V + Ktilde_j along the zeta schedule.
-    """
-
-    preset: str
-    start: object  # config -> (first j, exponent of the first torus)
-    sigma_feedback: bool
-    zeta_schedule: object  # config -> [zeta_j], when K_j = zeta_j V + Ktilde_j
-
-
-_MODES = {
-    "ir": _FlowMode("ir", lambda c: (0, c.M), sigma_feedback=True, zeta_schedule=None),
-    "uv": _FlowMode("uv", lambda c: (-c.N, c.N), sigma_feedback=False,
-                    zeta_schedule=uv_zeta_schedule),
-}
-
-
 def run_flow(config: FlowConfig) -> FlowTrajectory:
     """Iterate the flow step (``_flow_step``) from the Mayer activity,
-    accumulating the energy (and, in IR mode, sigma); ``config.mode`` picks
-    the mode."""
-    mode = _MODES[config.mode]
-    j0, exponent = mode.start(config)
+    accumulating the energy.
+
+    IR (``config.mode == "ir"``): the gradient preset, j = 0, 1, .. from
+    Lambda_M, and sigma feedback (dsigma enters the next measure, -(1/2)
+    tr log(1 + dsigma T) the energy).  UV: the constants-only preset,
+    j = -N, .. from Lambda_N with sigma = 0, and the split K_j = zeta_j V +
+    Ktilde_j along the zeta schedule.
+    """
+    ir = config.mode == "ir"
+    j0, exponent = (0, config.M) if ir else (-config.N, config.N)
     torus = TorusSpec(config.L, exponent)
-    zetas = mode.zeta_schedule(config) if mode.zeta_schedule else None
-    K = mayer_init_truncated(zetas[0] if zetas else complex(config.zeta).real, torus)
+    zetas = None if ir else uv_zeta_schedule(config)
+    K = mayer_init_truncated(complex(config.zeta).real if ir else zetas[0], torus)
+    p = _flow_gamma_p(config)
 
     def norms(K, zeta_j):
         """log ||K|| and, tracking zeta, log ||K - zeta_j V||."""
-        np_j = _norm_params(config, K.torus)
-        if zetas is None:
-            return activity_norm(K, np_j), -math.inf
+        if ir:
+            return activity_norm(K, p), -math.inf
         V = v_activity(K.torus, n_q=FLOW_N_Q, trans_invariant=True)
-        return (activity_norm(K, np_j),
-                activity_norm(K.add(V, -zeta_j), np_j))
+        return activity_norm(K, p), activity_norm(K.add(V, -zeta_j), p)
 
     sigma = 0.0
     energy = 0.0
-    zeta_j = zetas[0] if zetas else 0.0
+    zeta_j = 0.0 if ir else zetas[0]
     log_norm, log_tilde = norms(K, zeta_j)
     nan = float("nan")
     states = [FlowState(j=j0, sigma=sigma, energy=energy, dE=0.0, dsigma=0.0, zeta_j=zeta_j,
@@ -299,19 +276,19 @@ def run_flow(config: FlowConfig) -> FlowTrajectory:
     c_star = _flow_star_norm(config, torus)
     for step in range(config.steps):
         j = j0 + step
-        params = _step_params(config, torus, sigma, mode.preset, c_star=c_star)
+        params = _step_params(config, torus, sigma, c_star)
         K, coeffs, coarse_coeffs, diag = _flow_step(K, params)
         mults = _multipliers(diag)
         dsig = coeffs.dsigma + coarse_coeffs.dsigma
         coarse = torus.coarse()
         energy = energy + coeffs.dE * torus.volume + coarse_coeffs.dE * coarse.volume
-        if mode.sigma_feedback:
+        if ir:
             energy = energy - 0.5 * trlog_T(coarse, sigma, dsig)
             sigma = sigma + dsig
             if abs(sigma) > SIGMA_CAP:
                 raise RuntimeError(f"sigma left the allowed window: {sigma}")
         torus = coarse
-        zeta_j = zetas[step + 1] if zetas else 0.0
+        zeta_j = 0.0 if ir else zetas[step + 1]
         log_norm, log_tilde = norms(K, zeta_j)
         states.append(FlowState(
             j=j + 1, sigma=sigma, energy=energy, dE=coeffs.dE, dsigma=dsig,

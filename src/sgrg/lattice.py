@@ -224,9 +224,11 @@ def is_small(p: Polymer, torus: TorusSpec) -> bool:
     return p.size <= 4 and is_connected(p.blocks, torus)
 
 
-def count_small_supersets(delta: Block, torus: TorusSpec) -> int:
-    """Number of small polymers containing a given block."""
-    return sum(1 for p in enumerate_polymers(torus, 4, delta))
+def count_small_supersets(torus: TorusSpec) -> int:
+    """Number of small polymers containing a block (by translation, any
+    block: the one at the torus center)."""
+    center = (torus.side // 2, torus.side // 2)
+    return sum(1 for p in enumerate_polymers(torus, 4, center))
 
 
 @lru_cache(maxsize=None)
@@ -253,22 +255,6 @@ def block_quadrature_nodes(block, n_q: int):
     """Midpoint nodes of the closed unit square centered at the block index."""
     return [(block[0] - 0.5 + (i + 0.5) / n_q, block[1] - 0.5 + (j + 0.5) / n_q)
             for i in range(n_q) for j in range(n_q)]
-
-
-@dataclass(frozen=True)
-class SetRegulatorParams:
-    """Large-set regulator Gamma_p(X) = 2^{p|X|} A^{|X|} (1 + MST length)^THETA_NU."""
-
-    A: float
-    p: int
-
-    def __post_init__(self):
-        if self.A < 1:
-            raise ValueError("amplitude A must be >= 1")
-
-    @staticmethod
-    def default(torus: TorusSpec, p: int) -> "SetRegulatorParams":
-        return SetRegulatorParams(A=float(torus.L ** (2 + 3)), p=p)
 
 
 def block_distance(b1: Block, b2: Block, torus: TorusSpec) -> float:
@@ -298,11 +284,13 @@ def mst_length(p: Polymer, torus: TorusSpec) -> float:
     return total
 
 
-def log_gamma_p(p: Polymer, params: SetRegulatorParams, torus: TorusSpec) -> float:
-    """log Gamma_p(X) = |X| (p log 2 + log A) + THETA_NU log(1 + MST length)."""
-    n = p.size
+def log_gamma_p(X: Polymer, p: int, torus: TorusSpec) -> float:
+    """log of the large-set regulator Gamma_p(X) = 2^{p|X|} A^{|X|} (1 + MST
+    length)^THETA_NU, with the amplitude A = L^{d+3} of the torus:
+    |X| (p log 2 + log A) + THETA_NU log(1 + MST length)."""
+    n = X.size
     return (
-        params.p * n * math.log(2.0)
-        + n * math.log(params.A)
-        + THETA_NU * math.log1p(mst_length(p, torus))
+        p * n * math.log(2.0)
+        + n * math.log(float(torus.L ** (2 + 3)))
+        + THETA_NU * math.log1p(mst_length(X, torus))
     )

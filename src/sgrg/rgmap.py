@@ -51,10 +51,8 @@ from . import terms as tm
 from .activities import (
     FLOW_N_Q,
     MAX_LINFS,
-    NORM_H,
     CloudActivity,
     FunctionalActivity,
-    NormParams,
     TruncatedActivity,
     activity_norm,
     _CoeffOps,
@@ -63,6 +61,7 @@ from .activities import (
     _collapsed,
     truncate_cloud_terms,
 )
+from .covariance import CovarianceKernel
 from .interpolation import construct_gamma, ordered_region_quadrature, path_minima, trees_on
 from .lattice import (
     Polymer,
@@ -76,7 +75,7 @@ from .lattice import (
     region_intersects,
     small_shapes,
 )
-from .terms import CloudTerm, CovAccess, bond_laplacian, canon, convolve_terms
+from .terms import NORM_H, NORM_KAPPA, CloudTerm, CovAccess, bond_laplacian, canon, convolve_terms
 
 # Fixed settings of the composed step (no command varies them).
 DROP_TOL = 1e-14  # relative coefficient floor of canon and of tree-term pairs
@@ -250,16 +249,19 @@ def _disjoint_collections(K: CloudActivity, cap: int):
     of K's support that carry terms, as a list in support order; depth first,
     each collection before its extensions."""
     support = [p for p in K.support() if K.terms(p)]
+    return _extensions(support, 0, [], cap, K.torus)
 
-    def rec(idx, chosen):
-        for i in range(idx, len(support)):
-            p = support[i]
-            if all(region_disjoint(p, c, K.torus) for c in chosen):
-                yield chosen + [p]
-                if len(chosen) + 1 < cap:
-                    yield from rec(i + 1, chosen + [p])
 
-    yield from rec(0, [])
+def _extensions(support: list, idx: int, chosen: list, cap: int, torus: TorusSpec):
+    """``chosen`` extended by each polymer of ``support[idx:]`` that is region
+    disjoint from all of it, each extension followed by its own extensions
+    while they have fewer than ``cap`` polymers."""
+    for i in range(idx, len(support)):
+        p = support[i]
+        if all(region_disjoint(p, c, torus) for c in chosen):
+            yield chosen + [p]
+            if len(chosen) + 1 < cap:
+                yield from _extensions(support, i + 1, chosen + [p], cap, torus)
 
 
 def fluctuate_cloud(K: CloudActivity, cov: CovAccess) -> CloudActivity:
@@ -747,12 +749,12 @@ def _valid_extraction_config(xs, ys, torus) -> bool:
     return _touch_connected(list(xs) + list(ys), torus)
 
 
-def _series_exp_minus_one(ts, order: int):
-    """Terms of e^{F(Y)} - 1 to the given order in F."""
+def _series_exp_minus_one(ts):
+    """Terms of e^{F(Y)} - 1 to ``EXTRACTION_ORDER`` in F."""
     out = []
     power = [CloudTerm(1.0)]
     fact = 1.0
-    for n in range(1, order + 1):
+    for n in range(1, EXTRACTION_ORDER + 1):
         # the factor 1.0 is part of the arithmetic: it rewrites signed zeros
         power = tm.multiply(power, [t.scaled(1.0) for t in ts])
         fact *= n
@@ -779,7 +781,7 @@ def extract_cloud(K: TruncatedActivity, F: TruncatedActivity,
     for key, ts in K.shapes.items():
         add(key, ts)
     for key, ts in F.shapes.items():
-        add(key, [t.scaled(-1.0) for t in _series_exp_minus_one(ts, EXTRACTION_ORDER)])
+        add(key, [t.scaled(-1.0) for t in _series_exp_minus_one(ts)])
     result = {}
     for key, ts in out.items():
         kept, _ = truncate_cloud_terms(ts, DROP_TOL, cache)
@@ -1011,18 +1013,18 @@ def charge_factors(q: int, c_zero: float, n_c: float, h: float, eta: float,
 
 @dataclass
 class RGStepParams:
-    """One-step configuration: measure, extraction preset, norm weights."""
+    """One-step configuration: the measure, the extraction preset, and the
+    Gamma_p shift p of the activity norm, whose other weights are fixed
+    (``activity_norm``)."""
 
     beta: float
     torus: TorusSpec
     c_star: float  # beta-scaled star norm for hypothesis 3, computed once per flow
-    norm: NormParams
+    p: int
     sigma: float
     preset: str  # 'uv' extracts constants; 'ir' gradient quadratics as well
 
     def cov(self) -> CovAccess:
-        from .covariance import CovarianceKernel
-
         return CovAccess(CovarianceKernel("slice", sigma=self.sigma, torus=self.torus),
                          scale=self.beta)
 
@@ -1034,7 +1036,7 @@ CAUCHY_ROOM = NORM_H / 4  # the analyticity room delta h of hypothesis 3
 @lru_cache(maxsize=None)
 def _hypothesis_constants() -> tuple[float, int]:
     """gamma(12) and the small-superset count of a block: fixed, computed once."""
-    return construct_gamma(12.0), count_small_supersets((8, 8), TorusSpec(2, 4))
+    return construct_gamma(12.0), count_small_supersets(TorusSpec(2, 4))
 
 
 def check_hypotheses(log_norm_k: float, params: RGStepParams) -> dict:
@@ -1054,7 +1056,7 @@ def check_hypotheses(log_norm_k: float, params: RGStepParams) -> dict:
     }
     L = params.torus.L
     c_bound = 1.0 / (2 * 2 * L)
-    kappa_val = params.norm.kappa / max(c_bound, 1e-300) * L**2
+    kappa_val = NORM_KAPPA / max(c_bound, 1e-300) * L**2
     checks["h2_regulator_constants"] = {
         "kappa_c_inv_L2": kappa_val,
         "margin": math.log(10.0 * SMALLNESS) - math.log(max(kappa_val, 1e-300)),
@@ -1100,7 +1102,7 @@ def rg_step(K, params: RGStepParams):
     gives the split its large-set image in the same pass.
     """
     cov = params.cov()
-    log_norm = activity_norm(K, params.norm)
+    log_norm = activity_norm(K, params.p)
     diag = {"hypotheses": check_hypotheses(log_norm, params)}
     cache: dict = {}
     k1 = fluctuate_linear(K, cov)
@@ -1113,11 +1115,12 @@ def rg_step(K, params: RGStepParams):
     return k_new, coeffs, diag
 
 
-def clip_to_small(K: TruncatedActivity, norm: NormParams):
-    """Restrict K to small shapes; returns it and the log norm of the rest."""
+def clip_to_small(K: TruncatedActivity, p: int):
+    """Restrict K to small shapes; returns it and the log norm (Gamma_p shift
+    p) of the rest."""
     small = K.filter(lambda k, t: shape_is_small(k))
     rest = K.filter(_large)
-    clipped_log = activity_norm(rest, norm) if rest.shapes else -math.inf
+    clipped_log = activity_norm(rest, p) if rest.shapes else -math.inf
     return small, clipped_log
 
 
@@ -1146,11 +1149,10 @@ def four_term_split(K: TruncatedActivity, log_norm_k: float, params: RGStepParam
     out = {}
     large_star = k_star.filter(_large)
     # the closure contraction lives in the full-amplitude regulator
-    # Gamma(X) = A^{|X|} Theta(X); measure this column there
-    np_full = params.norm.with_p(0)
+    # Gamma(X) = A^{|X|} Theta(X), the shift p = 0; measure this column there
     out["large_sets"] = {
-        "in": activity_norm(large_star, np_full),
-        "out": activity_norm(r1_large, np_full),
+        "in": activity_norm(large_star, 0),
+        "out": activity_norm(r1_large, 0),
     }
     # the unit-charge sector isolates the leading contraction mechanism;
     # convolution keeps each term's charge and F is neutral, so the sector's
@@ -1158,11 +1160,11 @@ def four_term_split(K: TruncatedActivity, log_norm_k: float, params: RGStepParam
     F = build_extraction_activity(extraction_coefficients(k1, params.preset, params.beta), k1)
     r1_full, r1_unit = scale_linear(k1.add(F, -1.0), cache, _unit_charge_small)
     out["charged_small"] = {
-        "in": activity_norm(K.filter(_unit_charge_small), params.norm),
-        "out": activity_norm(r1_unit, params.norm),
+        "in": activity_norm(K.filter(_unit_charge_small), params.p),
+        "out": activity_norm(r1_unit, params.p),
     }
     out["higher_order"] = {
         "in": log_norm_k,
-        "out": activity_norm(k_new.add(r1_full, -1.0), params.norm),
+        "out": activity_norm(k_new.add(r1_full, -1.0), params.p),
     }
     return out

@@ -397,25 +397,28 @@ def _consumed(members: tuple, m: int, k: int) -> tuple:
 # -- series norms -----------------------------------------------------------------
 
 
+NORM_H = 1.0  # analyticity radius h of the activity norm
+NORM_KAPPA = 1e-3  # regulator budget kappa of the activity norm
+
+
 @lru_cache(maxsize=4096)
-def linf_weight(m: int, h: float, kappa: float) -> float:
-    """sup_u (sqrt(u) + h)^m e^{-kappa u}: per-block weight of m gradient slots."""
+def linf_weight(m: int) -> float:
+    """sup_u (sqrt(u) + h)^m e^{-kappa u} at h = NORM_H, kappa = NORM_KAPPA:
+    per-block weight of m gradient slots."""
     if m == 0:
         return 1.0
-    if kappa <= 0:
-        raise ValueError("kappa must be positive to control gradient factors")
     us = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 400)])
-    vals = (np.sqrt(us) + h) ** m * np.exp(-kappa * us)
+    vals = (np.sqrt(us) + NORM_H) ** m * np.exp(-NORM_KAPPA * us)
     return float(np.max(vals))
 
 
-def term_log_weight(term: CloudTerm, h: float, kappa: float) -> float:
-    """log of the series norm contribution |c| e^{h Q} W(linfs)."""
+def term_log_weight(term: CloudTerm) -> float:
+    """log of the series norm contribution |c| e^{h Q} W(linfs), h = NORM_H."""
     if abs(term.coeff) == 0.0:
         return -math.inf
-    lw = math.log(abs(term.coeff)) + h * term.abs_charge
+    lw = math.log(abs(term.coeff)) + NORM_H * term.abs_charge
     if term.linfs:
-        lw += math.log(linf_weight(len(term.linfs), h, kappa))
+        lw += math.log(linf_weight(len(term.linfs)))
     return lw
 
 

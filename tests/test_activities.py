@@ -1,7 +1,6 @@
 import cmath
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ import pytest
 from sgrg.activities import (
     CloudActivity,
     FunctionalActivity,
-    NormParams,
     TruncatedActivity,
     activity_norm,
     all_connected_subsets,
@@ -32,8 +30,13 @@ from sgrg.activities import (
 from sgrg.lattice import Polymer, TorusSpec, block_quadrature_nodes, polymer, region_disjoint
 from sgrg.fields import FieldGrid, polymer_node_indices, random_band_limited
 from sgrg import activities
-from sgrg.terms import CloudTerm, _raw_term, evaluate_terms, scale_term
-from test_rgmap import cache_test_shapes, reference_truncate_cloud_terms, translate_term
+from sgrg.terms import NORM_H, CloudTerm, _raw_term, evaluate_terms, scale_term
+from test_rgmap import (
+    cache_test_shapes,
+    cyclic_garbage,
+    reference_truncate_cloud_terms,
+    translate_term,
+)
 
 
 def rfield(torus, rng, n_g=8, amp=0.8):
@@ -142,6 +145,12 @@ class TestMayer:
             lhs = cmath.exp(zeta * sum(potentials(lam.sorted_blocks(), fld)))
             rhs = polymer_exp(K0, lam, fld)
             assert abs(lhs - rhs) / abs(lhs) < 1e-10
+
+    def test_polymer_exp_leaves_no_reference_cycle(self):
+        t = TorusSpec(3, 1)
+        K0 = mayer_init_functional(0.2, t)
+        fld = rfield(t, np.random.default_rng(13))
+        assert cyclic_garbage(lambda: polymer_exp(K0, whole_torus(t), fld)) == 0
 
     def test_zero_coupling(self):
         t = TorusSpec(2, 1)
@@ -318,7 +327,7 @@ class TestChargeDecomposition:
 class TestNorms:
     def test_zero_activity(self):
         t = TorusSpec(2, 2)
-        res = activity_norm(CloudActivity(t, {}), NormParams.default(t, p=0))
+        res = activity_norm(CloudActivity(t, {}), 0)
         assert res == -math.inf
 
     def test_potential_norm_value(self):
@@ -327,14 +336,12 @@ class TestNorms:
         zeta = 1e-3
         V = v_activity(t, n_q=1, trans_invariant=True)
         K = V.map(lambda k, ts: [t.scaled(zeta) for t in ts])
-        params = replace(NormParams.default(t, p=0), h=1.5)
-        res = activity_norm(K, params)
-        assert math.exp(res) == pytest.approx(32.0 * zeta * math.exp(1.5), rel=1e-12)
+        res = activity_norm(K, 0)
+        assert math.exp(res) == pytest.approx(32.0 * zeta * math.exp(NORM_H), rel=1e-12)
 
     def test_charge_sector_norm_dominated(self):
         t = TorusSpec(2, 2)
         rng = np.random.default_rng(4)
-        params = replace(NormParams.default(t, p=0), h=0.8)
         for _ in range(30):
             terms = []
             for _ in range(rng.integers(1, 6)):
@@ -344,9 +351,9 @@ class TestNorms:
                 )
                 terms.append(CloudTerm(complex(rng.normal(), rng.normal()), charges))
             K = CloudActivity(t, {frozenset({(0, 0)}): terms})
-            total = activity_norm(K, params)
+            total = activity_norm(K, 0)
             for q in range(-4, 5):
-                part = activity_norm(charge_component(K, q), params)
+                part = activity_norm(charge_component(K, q), 0)
                 assert part <= total + 1e-12
 
 

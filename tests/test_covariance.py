@@ -131,7 +131,7 @@ def reference_star_norm(kernel, r, nu=2.0, n_sub=4):
     """star_norm over a stack of every |d^gamma C| table, maximised per block
     over gamma and grid point at once."""
     alphas = [(a, b) for a in range(2 * r + 1) for b in range(2 * r + 1) if a + b <= 2 * r]
-    tables, side = kernel.grid_tables(n_sub, alphas)
+    tables, side = kernel.grid_tables(alphas)
     tables = dict(tables)
     stack = np.stack([np.abs(tables[a]) for a in alphas], axis=0)
     n = side * n_sub
@@ -155,21 +155,19 @@ class TestNorms:
     def test_star_norm_equals_stacked_reference(self, L, M):
         # the running maximum over gamma is exact
         kernel = CovarianceKernel("slice", sigma=0.0, torus=TorusSpec(L, M))
-        value = star_norm(kernel, r=2)
+        value = star_norm(kernel)
         assert value == reference_star_norm(kernel, r=2)
 
     @pytest.mark.parametrize("L, M, side", [(3, 4, 27), (16, 2, 16), (8, 7, 64), (2, 3, 8)])
     def test_norm_proxy_side(self, L, M, side):
         # the largest power of L not above NORM_PROXY_SIDE, or L itself
         kernel = CovarianceKernel("slice", sigma=0.0, torus=TorusSpec(L, M))
-        assert kernel.grid_tables(4, [(0, 0)])[1] == side
+        assert kernel.grid_tables([(0, 0)])[1] == side
 
     def test_star_norm_finite_and_stable(self):
         t = TorusSpec(2, 3)
-        v1 = star_norm(CovarianceKernel("slice", sigma=0.0, torus=t), r=2)
-        v2 = star_norm(
-            CovarianceKernel("slice", sigma=0.0, torus=t, p_max=4.2), r=2
-        )
+        v1 = star_norm(CovarianceKernel("slice", sigma=0.0, torus=t))
+        v2 = star_norm(CovarianceKernel("slice", sigma=0.0, torus=t, p_max=4.2))
         assert v1 > 0
         assert abs(v1 - v2) / v1 < 0.01
 

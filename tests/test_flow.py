@@ -285,7 +285,7 @@ class TestUVSplitConsistency:
         zetas = uv_zeta_schedule(cfg)
         t0 = TorusSpec(2, 3)
         K = mayer_init_truncated(zetas[0], t0)
-        params = _step_params(cfg, t0, 0.0, "uv", c_star=step_c_star(cfg.beta, t0))
+        params = _step_params(cfg, t0, 0.0, step_c_star(cfg.beta, t0))
         K1, _, _, _ = _flow_step(K, params)
         key = tuple([(0, 0)])
         k1 = charge_component(K1, 1)

@@ -2,14 +2,15 @@
 every private function, method or class is referenced somewhere in the
 package, every public one runs under a command or an acceptance check (or
 is a reference that a named test compares other code against), and every
-defaulted parameter or dataclass field takes two values, or a runtime one,
-across the calls in ``src/`` (tests are not callers), its default among them:
-some call in ``src/`` omits it.
+parameter or dataclass field takes two values, or a runtime one, across the
+calls in ``src/`` (tests are not callers), unless a named test gives it its
+second value.  A defaulted one has its default among them: some call in
+``src/`` omits it.
 
 A standard-library stand-in for an unused-code lint: it parses each
 ``src/sgrg/*.py`` file and checks the names bound by ``import`` statements,
 at module level or inside functions, the function, method and class
-definitions, and the defaulted parameters and dataclass fields.
+definitions, and the parameters and dataclass fields.
 """
 
 import ast
@@ -218,6 +219,10 @@ def root_reads(mods, *trees) -> set:
     return out | reads(main) | {("name", "main")}
 
 
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def reached(defs, roots) -> set:
     """The qualified names of ``defs`` reached from the reads ``roots``.
 
@@ -228,7 +233,7 @@ def reached(defs, roots) -> set:
     by_read: dict = {}
     for qual in defs:
         parts = qual.split(".")
-        if len(parts) == 3 and parts[2].startswith("__") and parts[2].endswith("__"):
+        if len(parts) == 3 and is_dunder(parts[2]):
             by_read.setdefault(("class", ".".join(parts[:2])), []).append(qual)
             continue
         by_read.setdefault(("attr", parts[-1]), []).append(qual)
@@ -325,14 +330,28 @@ def test_unreferenced_public_is_caught():
     ]
 
 
-# -- knob census: every defaulted parameter takes two values in src/
+# -- knob census: every parameter takes two values in src/
 
-# {knob: why it stays a parameter though the calls in src/ give it one value}
+# {parameter: why it stays a parameter though the calls in src/ give it one value}
 EXEMPT = {
     "cli.main(argv)": "the entry point: run as a script it reads sys.argv, and tests "
                       "and the benchmark hand it their argument lists",
 }
 EXEMPT_MAX = 3
+# {parameter: the test or acceptance check that gives it a second value}
+TESTED = {
+    "activities.mayer_init_cloud(n_q)":
+        "test_activities.py::TestMayer::test_cloud_matches_functional_order",
+    "activities.mayer_init_cloud(order)":
+        "test_activities.py::TestMayer::test_cloud_matches_functional_order",
+    "interpolation.construct_gamma(r_max)":
+        "test_acceptance.py::TestAcceptance::test_ac9_randomized_bound_suites",
+    "interpolation.forest_interpolation_check_multilinear(n)":
+        "test_acceptance.py::TestAcceptance::test_ac3_forest_interpolation",
+    "interpolation._region_quadrature(nodes)":
+        "test_interpolation.py::TestRegionQuadrature::test_cache_follows_gauss_nodes",
+}
+TESTED_MAX = 5
 # defaulted parameters and dataclass fields: a change that adds one raises this number
 KNOBS_MAX = 11
 
@@ -345,7 +364,7 @@ class Knob:
     name: str  # what a call names: the function, the method, or the class of a field
     param: str
     index: int | None  # positional index, None for keyword-only
-    default: ast.expr
+    default: ast.expr | None  # None for a required parameter or field
     field: bool = False
 
 
@@ -370,43 +389,48 @@ def dataclass_fields(cls):
             yield node.target.id, value
 
 
-def function_knobs(fn, is_method):
-    """(parameter, positional index or None, default) per defaulted parameter."""
+def function_parameters(fn, is_method):
+    """(parameter, positional index or None, default or None) per parameter,
+    less a method's self or cls and the ``*args`` and ``**kwargs`` catch-alls."""
     args = fn.args
     positional = [*args.posonlyargs, *args.args]
     static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
     if is_method and not static:
         positional = positional[1:]
-    first = len(positional) - len(args.defaults)
-    for i, (a, d) in enumerate(zip(positional[first:], args.defaults), first):
+    defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+    for i, (a, d) in enumerate(zip(positional, defaults)):
         yield a.arg, i, d
     for a, d in zip(args.kwonlyargs, args.kw_defaults):
-        if d is not None:
-            yield a.arg, None, d
+        yield a.arg, None, d
 
 
-def knobs(mods) -> dict:
-    """{qualified parameter name: Knob} for each defaulted parameter of a
-    module-level function or a method, and each defaulted dataclass field."""
+def parameters(mods) -> dict:
+    """{qualified parameter name: Knob} for each parameter of a module-level
+    function or a method, and each dataclass field.  A dunder method other
+    than ``__init__`` is left out: the language calls it, not a call by name."""
     out = {}
     for mod, tree in mods.items():
         for node in tree.body:
             if isinstance(node, FUNCS):
-                for param, i, d in function_knobs(node, False):
+                for param, i, d in function_parameters(node, False):
                     out[f"{mod}.{node.name}({param})"] = Knob(None, node.name, param, i, d)
             elif isinstance(node, ast.ClassDef):
                 if is_dataclass(node):
                     for i, (name, d) in enumerate(dataclass_fields(node)):
-                        if d is not None:
-                            out[f"{mod}.{node.name}.{name}"] = Knob(node.name, node.name, name,
-                                                                    i, d, field=True)
+                        out[f"{mod}.{node.name}.{name}"] = Knob(node.name, node.name, name,
+                                                                i, d, field=True)
                 for sub in node.body:
-                    if isinstance(sub, FUNCS):
+                    if isinstance(sub, FUNCS) and (sub.name == "__init__" or not is_dunder(sub.name)):
                         call = node.name if sub.name == "__init__" else sub.name
-                        for param, i, d in function_knobs(sub, True):
+                        for param, i, d in function_parameters(sub, True):
                             out[f"{mod}.{node.name}.{sub.name}({param})"] = Knob(
                                 node.name, call, param, i, d)
     return out
+
+
+def knobs(mods) -> dict:
+    """The defaulted parameters and dataclass fields of ``parameters``."""
+    return {qual: knob for qual, knob in parameters(mods).items() if knob.default is not None}
 
 
 def module_constants(mods) -> dict:
@@ -502,14 +526,16 @@ def arguments(call, scope, consts):
 
 
 def knob_settings(mods):
-    """(qualified knob, value, whether the call leaves the default) for each
-    call in ``mods`` that reaches a knob.  A call that omits the knob gives
-    its default; ``C.name(...)`` with C a class of ``mods`` reaches only C's
-    knobs.  A ``replace`` keyword sets the dataclass fields of that name, and
-    its omissions set nothing.  A ``*args`` or unknown ``**`` that may carry
-    the knob gives a runtime value and may leave the default."""
+    """(qualified parameter, value, whether the call leaves the default) for
+    each call in ``mods`` that reaches a parameter.  A call that omits a
+    defaulted parameter gives its default; one that omits a required
+    parameter is a call of another function of that name and sets nothing.
+    ``C.name(...)`` with C a class of ``mods`` reaches only C's parameters.
+    A ``replace`` keyword sets the dataclass fields of that name, and its
+    omissions set nothing.  A ``*args`` or unknown ``**`` that may carry the
+    parameter gives a runtime value and may leave the default."""
     consts = module_constants(mods)
-    table = knobs(mods)
+    table = parameters(mods)
     classes = {node.name for tree in mods.values() for node in tree.body
                if isinstance(node, ast.ClassDef)}
     by_name: dict = {}
@@ -537,33 +563,44 @@ def knob_settings(mods):
                     yield qual, RUNTIME, True
                 elif knob.param in kws:
                     yield qual, kws[knob.param], False
-                else:
+                elif knob.default is not None:
                     default = value_of(knob.default, consts) or f"default {ast.unparse(knob.default)}"
                     yield qual, default, True
 
 
 def knob_values(mods) -> dict:
-    """{qualified knob: the values the calls in ``mods`` give it}."""
-    values = {qual: set() for qual in knobs(mods)}
+    """{qualified parameter: the values the calls in ``mods`` give it}."""
+    values = {qual: set() for qual in parameters(mods)}
     for qual, value, _ in knob_settings(mods):
         values[qual].add(value)
     return values
 
 
-def single_valued(mods, exempt) -> list:
-    """The knobs of ``mods`` that the calls in ``mods`` give fewer than two
-    values and no runtime value, less ``exempt``; and stale ``exempt`` entries."""
-    values = knob_values(mods)
-    flagged = [q for q, vals in sorted(values.items()) if RUNTIME not in vals and len(vals) < 2]
-    faults = [q for q in flagged if q not in exempt]
+def single_valued(mods, exempt, tested=None, tests=()) -> list:
+    """The parameters of ``mods`` that the calls in ``mods`` give fewer than
+    two values and no runtime value, less ``exempt`` and ``tested``: a
+    defaulted one always, a required one once some call reaches it (so a
+    function passed by reference, never called by name, is not flagged).
+    Then the faults of the two allow-lists: an entry of either that is not
+    single-valued, and a ``tested`` entry naming no test of ``tests``."""
+    tested = tested or {}
+    table = parameters(mods)
+    flagged = [q for q, vals in sorted(knob_values(mods).items())
+               if RUNTIME not in vals and len(vals) < 2 and (vals or table[q].default is not None)]
+    faults = [q for q in flagged if q not in exempt and q not in tested]
     faults += [f"exempt but not single-valued: {q}" for q in sorted(exempt) if q not in flagged]
+    faults += [f"tested but not single-valued: {q}" for q in sorted(tested) if q not in flagged]
+    faults += [f"tested by a test that does not exist: {q}"
+               for q, test in sorted(tested.items()) if test not in tests]
     return faults
 
 
 def test_every_parameter_default_is_overridden_somewhere():
     mods = parse_modules(SRC)
+    tests = {path.name: ast.parse(path.read_text()) for path in sorted(TESTS.glob("test_*.py"))}
     assert len(EXEMPT) <= EXEMPT_MAX
-    assert single_valued(mods, EXEMPT) == []
+    assert len(TESTED) <= TESTED_MAX
+    assert single_valued(mods, EXEMPT, TESTED, collect_test_ids(tests)) == []
     assert len(knobs(mods)) <= KNOBS_MAX
 
 
@@ -590,16 +627,52 @@ def test_unset_parameter_is_caught():
     tested = ast.parse("from lib import run\nrun(0, t=5)\n")
     # run(t) is set only by a test; run(w) only through a constant equal to
     # its default; Cfg(**kw) omits c; Obj.go(fast) is never set; inner's
-    # default binding is exempt
+    # default binding is exempt; the required Cfg.a is 0 in both calls
     assert single_valued({"lib": lib, "use": use}, {}) == [
-        "lib.Cfg.c", "lib.Obj.go(fast)", "lib.run(t)", "lib.run(w)",
+        "lib.Cfg.a", "lib.Cfg.c", "lib.Obj.go(fast)", "lib.run(t)", "lib.run(w)",
     ]
     # read as a module of the package, the test would count as a caller
     assert "lib.run(t)" not in single_valued({"lib": lib, "use": use, "tested": tested}, {})
     # the exemption list cannot go stale
     assert single_valued({"lib": lib, "use": use},
                          {"lib.run(t)": "set by a test", "lib.run(q)": "stale"}) == [
-        "lib.Cfg.c", "lib.Obj.go(fast)", "lib.run(w)", "exempt but not single-valued: lib.run(q)",
+        "lib.Cfg.a", "lib.Cfg.c", "lib.Obj.go(fast)", "lib.run(w)",
+        "exempt but not single-valued: lib.run(q)",
+    ]
+
+
+def test_one_valued_required_parameter_is_caught():
+    lib = ast.parse(
+        "from dataclasses import dataclass\n"
+        "ORDER = 2\n"
+        "@dataclass\nclass Spec:\n    side: int\n    kind: str\n"
+        "class Op:\n    def __init__(self, n):\n        pass\n"
+        "    def __call__(self, x):\n        return x\n"
+        "def series(ts, order):\n    return ts\n"
+        "def fixed(ts, order):\n    return ts\n"
+        "def callback(key, t):\n    return t\n"
+        "def scan(keep):\n    return keep(0, 1)\n"
+    )
+    use = ast.parse(
+        "from lib import ORDER, Op, Spec, callback, fixed, scan, series\n"
+        "def main(ts, n, kind):\n"
+        "    series(ts, 2)\n    series(ts, order=ORDER)\n    fixed(ts, n)\n    fixed(ts, 3)\n"
+        "    Spec(4, kind)\n    Spec(side=4, kind='a')\n"
+        "    Op(n).__call__(1)\n    scan(callback)\n"
+    )
+    mods = {"lib": lib, "use": use}
+    # series(order) gets 2, as a literal and as a constant, and Spec.side 4;
+    # fixed(order) and Spec.kind get a runtime value too; callback is passed
+    # by reference, never called by name, and the dunder __call__ is not a
+    # parameter of the census
+    assert single_valued(mods, {}) == ["lib.Spec.side", "lib.series(order)"]
+    # the allow-list cannot go stale or name a missing test
+    tested = {"lib.series(order)": "test_lib.py::test_series",
+              "lib.Spec.side": "test_lib.py::test_gone",
+              "lib.fixed(order)": "test_lib.py::test_series"}
+    assert single_valued(mods, {}, tested, {"test_lib.py::test_series"}) == [
+        "tested but not single-valued: lib.fixed(order)",
+        "tested by a test that does not exist: lib.Spec.side",
     ]
 
 
@@ -649,7 +722,7 @@ def test_unread_default_is_caught():
 # -- statement census: the AST statements of src/, docstrings left out
 
 # a change that adds statements raises this number in its diff
-STATEMENTS_MAX = 2654
+STATEMENTS_MAX = 2619
 
 
 def statement_count(tree) -> int:

@@ -8,7 +8,6 @@ from sgrg import lattice as lat
 from sgrg.lattice import (
     EnumerationCapError,
     Polymer,
-    SetRegulatorParams,
     TorusSpec,
     count_small_supersets,
     enumerate_all_connected,
@@ -22,8 +21,8 @@ from sgrg.lattice import (
 )
 
 
-def gamma_p(p, params, torus):
-    return math.exp(log_gamma_p(p, params, torus))
+def gamma_p(X, p, torus):
+    return math.exp(log_gamma_p(X, p, torus))
 
 
 def brute_enumerate(torus, max_size, anchor):
@@ -76,7 +75,7 @@ class TestSmallSets:
     def test_single_block_small_and_superset_count(self):
         t = TorusSpec(2, 4)  # large torus, no wrap effects
         assert is_small(polymer([(3, 3)]), t)
-        k = count_small_supersets((8, 8), t)
+        k = count_small_supersets(t)
         # independent count: m * (number of fixed shapes of size m)
         shapes = lat.enumerate_shapes(4)
         by_size = {}
@@ -119,8 +118,7 @@ class TestClosuresAndScaling:
 class TestRegulator:
     def test_single_block_value(self):
         t = TorusSpec(2, 2)
-        params = SetRegulatorParams.default(t, p=0)
-        assert gamma_p(polymer([(0, 0)]), params, t) == pytest.approx(32.0)
+        assert gamma_p(polymer([(0, 0)]), 0, t) == pytest.approx(32.0)
 
     def test_p_shift_ratio(self):
         t = TorusSpec(2, 3)
@@ -129,16 +127,15 @@ class TestRegulator:
             anchor = (rng.randrange(t.side), rng.randrange(t.side))
             polys = enumerate_polymers(t, 3, anchor)
             p = polys[rng.randrange(len(polys))]
-            g0 = gamma_p(p, SetRegulatorParams.default(t, p=0), t)
-            g2 = gamma_p(p, SetRegulatorParams.default(t, p=2), t)
+            g0 = gamma_p(p, 0, t)
+            g2 = gamma_p(p, 2, t)
             assert g2 / g0 == pytest.approx(2.0 ** (2 * p.size))
 
     def test_theta_self(self):
         # a single block spans no tree: Theta = 1, so Gamma_0 = A
         t = TorusSpec(2, 2)
-        params = SetRegulatorParams.default(t, p=0)
         assert lat.block_distance((1, 1), (1, 1), t) == 0.0
-        assert log_gamma_p(polymer([(1, 1)]), params, t) == math.log(params.A)
+        assert log_gamma_p(polymer([(1, 1)]), 0, t) == math.log(float(t.L ** 5))
 
     def test_distance_wraps(self):
         t = TorusSpec(2, 2)
@@ -149,7 +146,6 @@ class TestRegulator:
         # whenever the pieces share a block (the union's spanning tree reuses
         # the pieces' trees through the shared center).
         t = TorusSpec(2, 3)
-        params = SetRegulatorParams.default(t, p=0)
         polys = enumerate_polymers(t, 4, (3, 3))
         rng = random.Random(13)
         checked = 0
@@ -159,8 +155,8 @@ class TestRegulator:
             if not (p1.blocks & p2.blocks):
                 continue
             union = Polymer(p1.blocks | p2.blocks)
-            ratio = gamma_p(union, params, t) / (
-                gamma_p(p1, params, t) * gamma_p(p2, params, t)
+            ratio = gamma_p(union, 0, t) / (
+                gamma_p(p1, 0, t) * gamma_p(p2, 0, t)
             )
             assert ratio <= 1.0 + 1e-12
             checked += 1
@@ -170,7 +166,6 @@ class TestRegulator:
         # For region-disjoint pieces the connector edge costs at most a
         # (1 + diam)^nu slack: Gamma(Z) <= Gamma(X) Gamma(Y) (1 + diam Z)^nu.
         t = TorusSpec(2, 3)
-        params = SetRegulatorParams.default(t, p=0)
         polys = enumerate_polymers(t, 3, (3, 3))
         rng = random.Random(13)
         checked = 0
@@ -190,8 +185,8 @@ class TestRegulator:
                 for a in union.blocks
                 for b in union.blocks
             )
-            ratio = gamma_p(union, params, t) / (
-                gamma_p(p1, params, t) * gamma_p(p2, params, t)
+            ratio = gamma_p(union, 0, t) / (
+                gamma_p(p1, 0, t) * gamma_p(p2, 0, t)
             )
             slack = (1.0 + diam) ** lat.THETA_NU
             assert ratio <= slack * (1.0 + 1e-12)
@@ -204,15 +199,13 @@ class TestRegulator:
         # Measure c in Gamma_0(closure on coarse lattice) <= c L^{-d-2} Gamma_{-3}(X)
         # over an enumerated family of large sets, for the partition closure.
         t = TorusSpec(2, 3)
-        params0 = SetRegulatorParams.default(t, p=0)
-        params_m3 = SetRegulatorParams.default(t, p=-3)
         ratios = []
         for p in enumerate_polymers(t, 6, (2, 2)):
             if p.size < 5:
                 continue
             cl = partition_closure(p, t)
-            num = gamma_p(cl, params0, t.coarse())
-            den = gamma_p(p, params_m3, t)
+            num = gamma_p(cl, 0, t.coarse())
+            den = gamma_p(p, -3, t)
             ratios.append(num / den * t.L ** (2 + 2))
         assert len(ratios) > 100
         c = max(ratios)
