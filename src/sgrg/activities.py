@@ -36,6 +36,7 @@ import numpy as np
 
 from . import terms as tm
 from .lattice import (
+    CapError,
     Polymer,
     TorusSpec,
     block_quadrature_nodes,
@@ -54,10 +55,6 @@ POTENTIAL_N_Q = 2  # midpoint nodes per block side of the pointwise potential V(
 SUBSET_SCAN_SIDE_CAP = 4  # largest torus side whose block subsets are scanned
 MAYER_ORDER = 3  # series order of the truncated Mayer activity, across blocks
 MAYER_MAX_SIZE = 2  # largest polymer (in blocks) of the truncated Mayer activity
-
-
-class SupportCapError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -358,7 +355,7 @@ def whole_torus(torus: TorusSpec) -> Polymer:
 def all_connected_subsets(torus: TorusSpec) -> list[Polymer]:
     """Every connected polymer of a tiny torus (single pass over subsets)."""
     if torus.side > SUBSET_SCAN_SIDE_CAP:
-        raise SupportCapError(f"whole-subset scan capped at side {SUBSET_SCAN_SIDE_CAP}")
+        raise CapError(f"whole-subset scan capped at side {SUBSET_SCAN_SIDE_CAP}")
     cells = sorted(itertools.product(range(torus.side), repeat=2))
     out = []
     for mask in range(1, 1 << len(cells)):

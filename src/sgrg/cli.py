@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import csv
 import json
 import math
 import os
@@ -27,6 +26,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+from . import __version__, write_csv
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -47,18 +48,12 @@ def _write_manifest(args, path: Path, command: str, extra=None):
         "config": {
             k: v for k, v in sorted(vars(args).items()) if k not in ("func",)
         },
-        "package_version": _version(),
+        "package_version": __version__,
     }
     if extra:
         payload.update(extra)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=1, default=str)
-
-
-def _version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 def _with_config_flags(parser, argv, at: int) -> list:
@@ -125,10 +120,7 @@ def cmd_covariance(args) -> int:
         xs = [(p, 0.0) for p in pts]
     rows = covariance_table(kernel, xs, _deriv_alphas(args.alpha_max))
     table = out / "covariance.csv"
-    with open(table, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(table, rows)
     _write_manifest(args, out / "covariance_manifest.json", "covariance")
     value = kernel.eval((args.x[0], args.x[1]))
     print(f"kernel={args.kind} sigma={args.sigma} x=({args.x[0]},{args.x[1]}) "
@@ -320,10 +312,7 @@ def cmd_flow(args, mode: str) -> int:
     traj.write_csv(out / f"{stem}_trajectory.csv")
     traj.write_json(out / f"{stem}_trajectory.json")
     rows = contraction_report(traj)
-    with open(out / f"{stem}_contraction.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(out / f"{stem}_contraction.csv", rows)
     _write_manifest(args, out / f"{stem}_manifest.json", f"flow-{mode}",
                     {"hypothesis_overrides": overrides})
     print(f"{len(traj.states)} states written to {out / (stem + '_trajectory.csv')}")
@@ -403,10 +392,7 @@ def cmd_plotdata(args) -> int:
             for r in rows
             if r["zeta_abs"] > 0
         ]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(out_rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(out_rows)
+    write_csv(path, out_rows)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -497,10 +483,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - map to exit-code contract
-        from .activities import SupportCapError
-        from .lattice import EnumerationCapError
+        from .lattice import CapError
 
-        if isinstance(exc, (EnumerationCapError, SupportCapError)):
+        if isinstance(exc, CapError):
             print(f"resource cap: {exc}", file=sys.stderr)
             return EXIT_RESOURCE
         if isinstance(exc, ValueError):

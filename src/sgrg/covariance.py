@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import TorusSpec, block_quadrature_nodes, small_shapes
+from .lattice import CapError, TorusSpec, block_quadrature_nodes, small_shapes
 
 SIGMA_MAX = 0.1
 DEFAULT_P_MAX = 3.6
@@ -37,10 +37,6 @@ DIRECT_SIDE_CAP = 256
 NORM_PROXY_SIDE = 64
 N_SUB = 4  # grid points per block side in the block-pair norms
 STAR_NU = 2.0  # power of (1 + distance) in the star norm
-
-
-class TailBoundError(RuntimeError):
-    """Momentum truncation cannot certify the requested derivative order."""
 
 
 def _profile(kind: str, u: np.ndarray, sigma: float, L: int) -> np.ndarray:
@@ -200,7 +196,7 @@ class CovarianceKernel:
             return "fourier"
         if self.kind == "slice":
             return "periodized-continuum"
-        raise TailBoundError(
+        raise CapError(
             f"{self.kind} kernel on side {self.torus.side}: direct mode sum too large"
         )
 
@@ -213,10 +209,10 @@ class CovarianceKernel:
     def _check_order(self, alphas):
         worst = max(int(a[0] + a[1]) for a in alphas)
         if worst > R_MAX:
-            raise TailBoundError(f"derivative order {worst} above R_MAX={R_MAX}")
+            raise CapError(f"derivative order {worst} above R_MAX={R_MAX}")
         tb = tail_bound(self.p_max, worst)
         if tb > 1e-10:
-            raise TailBoundError(
+            raise CapError(
                 f"momentum tail bound {tb:.2e} too large for order {worst}; "
                 f"required p_max ~ {(math.log(1e12) + worst) ** 0.25 + 1.0:.2f}"
             )

@@ -24,13 +24,13 @@ diagnostics.
 from __future__ import annotations
 
 import cmath
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import write_csv
 from .activities import (
     FLOW_N_Q,
     activity_norm,
@@ -46,7 +46,6 @@ from .fields import FieldGrid, gaussian_ensemble, scale_field
 from .lattice import TorusSpec
 from .rgmap import (
     RGStepParams,
-    build_extraction_activity,
     clip_to_small,
     extract_step,
     extraction_coefficients,
@@ -129,11 +128,7 @@ class FlowTrajectory:
         ]
 
     def write_csv(self, path):
-        rows = self.to_rows()
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+        write_csv(path, self.to_rows())
 
     def write_json(self, path):
         payload = {
@@ -199,11 +194,11 @@ def _flow_star_norm(config: FlowConfig, torus: TorusSpec) -> float:
 
 
 def _multipliers(diag: dict) -> dict:
-    four = diag.get("four_terms", {})
+    four = diag["four_terms"]
 
     def mult(name):
-        d = four.get(name, {})
-        if d.get("in", -math.inf) == -math.inf:
+        d = four[name]
+        if d["in"] == -math.inf:
             return float("nan")
         return math.exp(d["out"] - d["in"])
 
@@ -386,7 +381,6 @@ def z_invariance_check(
     # on side <= 2 every polymer pair touches: F K = mu_C * K per polymer
     k_sharp = fluctuate_linear(K0, CovAccess(kern, scale=beta))
     coeffs = extraction_coefficients(k_sharp, "ir", beta)
-    F = build_extraction_activity(coeffs, k_sharp)
     dsig = coeffs.dsigma
     coarse = torus.coarse()
     energy1 = coeffs.dE * torus.volume - 0.5 * trlog_T(coarse, 0.0, dsig)
@@ -396,7 +390,7 @@ def z_invariance_check(
     vals0 = np.array([polymer_exp(K0, whole_torus(torus), f).real
                       for f in ens.sample(min(n_samples, Z0_SAMPLE_CAP))])
     z0_mean, z0_se = float(np.mean(vals0)), float(np.std(vals0, ddof=1) / math.sqrt(len(vals0)))
-    vals1 = _z1_values(k_sharp, F, coarse, dsig, min(n_samples, Z1_SAMPLE_CAP), n_g)
+    vals1 = _z1_values(k_sharp, coeffs.F, coarse, dsig, min(n_samples, Z1_SAMPLE_CAP), n_g)
     z1_mean = float(np.mean(vals1)) * math.exp(energy1)
     z1_se = float(np.std(vals1, ddof=1) / math.sqrt(len(vals1))) * math.exp(energy1)
     floor = 1e-6 * abs(z0_mean)

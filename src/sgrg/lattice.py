@@ -27,8 +27,9 @@ WHOLE_TORUS_SIDE_CAP = 8  # largest side that enumerate_all_connected scans
 THETA_NU = 2.0  # power of (1 + MST length) in the large-set regulator
 
 
-class EnumerationCapError(RuntimeError):
-    """Raised when a polymer enumeration would exceed the configured caps."""
+class CapError(RuntimeError):
+    """A request beyond a resource cap: a polymer enumeration, a subset scan
+    or a kernel's mode sum or certified derivative order."""
 
 
 @dataclass(frozen=True)
@@ -167,7 +168,7 @@ def enumerate_polymers(
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     if max_size > ENUM_MAX_SIZE_CAP:
-        raise EnumerationCapError(
+        raise CapError(
             f"max_size={max_size} exceeds enumeration cap {ENUM_MAX_SIZE_CAP}"
         )
     anchor = torus.wrap(anchor)
@@ -194,7 +195,7 @@ def enumerate_polymers(
 def enumerate_all_connected(torus: TorusSpec, max_size: int) -> list[Polymer]:
     """Every connected polymer of the torus with size <= max_size (whole-torus scan)."""
     if torus.side > WHOLE_TORUS_SIDE_CAP:
-        raise EnumerationCapError(
+        raise CapError(
             f"torus side {torus.side} exceeds whole-torus enumeration cap {WHOLE_TORUS_SIDE_CAP}"
         )
     seen = set()

@@ -419,13 +419,19 @@ def _inf_region_disjoint(p1: Polymer, p2: Polymer) -> bool:
 # ----------------------------------------------------------------------------
 
 
+_UNIT = ((1, 0), (0, 1))  # e_0, e_1
+
+
+def _unit_sum(nu, rho) -> tuple:
+    """The multi-index e_nu + e_rho."""
+    return (_UNIT[nu][0] + _UNIT[rho][0], _UNIT[nu][1] + _UNIT[rho][1])
+
+
 @dataclass
 class ExtractionCoefficients:
-    """Per-shape extraction data and the aggregated constants."""
+    """The extracted activity F and the constants that leave with it."""
 
-    alpha0: dict
-    quad: dict  # key -> {(mu, nu): coeff}, mu <= nu
-    grad2: dict  # key -> {(mu, nu, rho): coeff}, nu <= rho
+    F: CloudActivity | TruncatedActivity  # of K's class, on K's torus
     dE: float
     dsigma: float
     anisotropy: float  # the isotropy check's measure of the quadratic part
@@ -491,138 +497,86 @@ def neutral_moments(ts, x_star):
 
 def _poly_deriv_linear(alpha, mu) -> float:
     """(d^alpha x_mu) for |alpha| >= 1: 1 iff alpha = e_mu."""
-    e = [0, 0]
-    e[mu] = 1
-    return 1.0 if tuple(e) == tuple(alpha) else 0.0
+    return 1.0 if tuple(alpha) == _UNIT[mu] else 0.0
 
 
 def _poly_deriv_quadratic(alpha, y, x_star, nu, rho) -> float:
-    """(d^alpha (x_nu x_rho))(y) with x recentered, for |alpha| in {1, 2}."""
+    """(d^alpha (x_nu x_rho))(y) with x recentered, for |alpha| >= 1."""
     a = tuple(alpha)
-    total = sum(a)
-    xt = (y[0] - x_star[0], y[1] - x_star[1])
-    if total == 1:
-        mu = 0 if a == (1, 0) else 1
-        out = 0.0
-        if mu == nu:
-            out += xt[rho]
-        if mu == rho:
-            out += xt[nu]
-        return out
-    if total == 2:
-        if a == (2, 0):
-            pair = (0, 0)
-        elif a == (0, 2):
-            pair = (1, 1)
-        else:
-            pair = (0, 1)
-        want = tuple(sorted((nu, rho)))
-        if pair == want:
-            return 2.0 if nu == rho else 1.0
-        return 0.0
+    if sum(a) == 1:
+        return (0.0 + (a == _UNIT[nu]) * (y[rho] - x_star[rho])
+                + (a == _UNIT[rho]) * (y[nu] - x_star[nu]))
+    if a == _unit_sum(nu, rho):
+        return 2.0 if nu == rho else 1.0
     return 0.0
 
 
 def extraction_coefficients(K, preset: str, beta: float) -> ExtractionCoefficients:
-    """Extraction data from the neutral sector of K on small sets.
+    """F from the neutral sector of K on small sets, with dE and dsigma.
 
-    preset 'ir': constants plus both gradient quadratics; 'uv': constants only.
-    dE sums shape values at phi = 0; dsigma comes from the trace identity of
-    the quadratic coefficients.  The isotropy check reports its measure in
+    F(X) = sum_{D in X} [alpha0 + quadratic gradient terms] is an activity
+    of K's class on K's torus, keyed like K (polymer and shape keys alike
+    list their blocks by ``sorted``), with its gradient terms at
+    FLOW_N_Q^2 midpoint nodes per block.  preset 'ir': constants plus both
+    gradient quadratics; 'uv': constants only.  dE sums shape values at
+    phi = 0; dsigma comes from the trace identity of the quadratic
+    coefficients.  The isotropy check reports its measure in
     ``anisotropy`` and does not stop the caller.
     """
     if isinstance(K, TruncatedActivity):
         items = [(key, ts) for key, ts in K.shapes.items() if shape_is_small(key)]
-        weight = {key: 1.0 for key, _ in items}
+        weight = 1.0
     elif isinstance(K, CloudActivity):
         # absolute representation: every supported small polymer; dividing by
         # the block count makes dE and dsigma per-block quantities, matching
         # the translation-invariant branch
-        items = []
-        weight = {}
-        for p in K.support():
-            if is_small(p, K.torus):
-                items.append((p.blocks, K.terms(p)))
-                weight[p.blocks] = 1.0 / K.torus.n_blocks
+        items = [(p.blocks, K.terms(p)) for p in K.support() if is_small(p, K.torus)]
+        weight = 1.0 / K.torus.n_blocks
     else:
         raise TypeError("extraction coefficients need cloud or truncated input")
 
-    alpha0, quad, grad2 = {}, {}, {}
+    ir = preset == "ir"
+    data = {}
     dE = 0.0
     s_diag = np.zeros(2)
     s_off = 0.0
     for key, ts in items:
         blocks = sorted(key)
         size = len(blocks)
-        x_star = _centroid(blocks)
-        M0, M2, M3 = neutral_moments(ts, x_star)
-        a0 = M0 / size
-        alpha0[key] = a0
-        dE += weight[key] * M0.real
-        if preset == "ir":
-            qd = {}
-            for mu in (0, 1):
-                for nu in range(mu, 2):
-                    denom = 2.0 * size if mu == nu else size
-                    qd[(mu, nu)] = M2[mu, nu] / denom
-            quad[key] = qd
-            g2 = {}
-            for mu in (0, 1):
-                for nu in (0, 1):
-                    for rho in range(nu, 2):
-                        denom = (2.0 if nu == rho else 1.0) * size
-                        g2[(mu, nu, rho)] = M3[mu, nu, rho] / denom
-            grad2[key] = g2
-            s_diag[0] += weight[key] * size * qd[(0, 0)].real
-            s_diag[1] += weight[key] * size * qd[(1, 1)].real
-            s_off += weight[key] * size * qd[(0, 1)].real
-        else:
-            quad[key] = {}
-            grad2[key] = {}
-    if preset == "ir":
+        M0, M2, M3 = neutral_moments(ts, _centroid(blocks))
+        dE += weight * M0.real
+        out = []
+        if (a0 := M0 / size) != 0:
+            out.append(CloudTerm(a0 * size))
+        if ir:
+            quad = {(mu, nu): M2[mu, nu] / (2.0 * size if mu == nu else size)
+                    for mu in (0, 1) for nu in range(mu, 2)}
+            s_diag[0] += weight * size * quad[(0, 0)].real
+            s_diag[1] += weight * size * quad[(1, 1)].real
+            s_off += weight * size * quad[(0, 1)].real
+            # (gradient, gradient, coefficient): the quadratic terms, then
+            # the gradient-square terms
+            grads = [(_UNIT[mu], _UNIT[nu], c) for (mu, nu), c in quad.items()] + [
+                (_UNIT[mu], _unit_sum(nu, rho),
+                 M3[mu, nu, rho] / ((2.0 if nu == rho else 1.0) * size))
+                for mu in (0, 1) for nu in (0, 1) for rho in range(nu, 2)
+            ]
+            for b in blocks:
+                nodes = block_quadrature_nodes(b, FLOW_N_Q)
+                w = 1.0 / len(nodes)
+                for e1, e2, c in grads:
+                    if c != 0:
+                        out += [CloudTerm(c * w, (), ((e1, x), (e2, x))) for x in nodes]
+        if out := canon(out):
+            data[key] = out
+    if ir:
         aniso = float(abs(s_diag[0] - s_diag[1]) + abs(s_off))
         dsigma = -2.0 * beta * 0.5 * (s_diag[0] + s_diag[1])
     else:
         aniso = 0.0
         dsigma = 0.0
-    return ExtractionCoefficients(
-        alpha0=alpha0, quad=quad, grad2=grad2, dE=dE, dsigma=dsigma, anisotropy=aniso,
-    )
-
-
-def build_extraction_activity(coeffs: ExtractionCoefficients, K):
-    """F(X) = sum_{D in X} [alpha0 + quadratic gradient terms] as an activity
-    of K's class on K's torus, the gradient terms at FLOW_N_Q^2 midpoint nodes
-    per block.  Polymer and shape keys alike list their blocks by ``sorted``."""
-
-    def key_terms(key):
-        out = []
-        a0 = coeffs.alpha0[key]
-        if a0 != 0:
-            out.append(CloudTerm(a0 * len(key)))
-        for b in sorted(key):
-            nodes = block_quadrature_nodes(b, FLOW_N_Q)
-            w = 1.0 / len(nodes)
-            for (mu, nu), cq in coeffs.quad.get(key, {}).items():
-                if cq == 0:
-                    continue
-                emu = ((1, 0), (0, 1))[mu]
-                enu = ((1, 0), (0, 1))[nu]
-                for x in nodes:
-                    out.append(CloudTerm(cq * w, (), ((emu, x), (enu, x))))
-            for (mu, nu, rho), cg in coeffs.grad2.get(key, {}).items():
-                if cg == 0:
-                    continue
-                emu = ((1, 0), (0, 1))[mu]
-                e2 = [0, 0]
-                e2[nu] += 1
-                e2[rho] += 1
-                for x in nodes:
-                    out.append(CloudTerm(cg * w, (), ((emu, x), (tuple(e2), x))))
-        return canon(out)
-
-    data = {key: ts for key in coeffs.alpha0 if (ts := key_terms(key))}
-    return replace(K, **{K.STORE: data})
+    return ExtractionCoefficients(F=replace(K, **{K.STORE: data}), dE=dE, dsigma=dsigma,
+                                  anisotropy=aniso)
 
 
 def exp_f_minus_one_plus(f_vals: dict, target: Polymer, torus: TorusSpec) -> complex:
@@ -1084,8 +1038,7 @@ def extract_step(K: TruncatedActivity, params: RGStepParams, cache: dict):
     removed with e^F - 1 to ``EXTRACTION_ORDER``.  The isotropy check
     reports its measure in the coefficients and does not stop the step."""
     coeffs = extraction_coefficients(K, params.preset, params.beta)
-    F = build_extraction_activity(coeffs, K)
-    return extract_cloud(K, F, cache), coeffs
+    return extract_cloud(K, coeffs.F, cache), coeffs
 
 
 def rg_step(K, params: RGStepParams):
@@ -1157,7 +1110,7 @@ def four_term_split(K: TruncatedActivity, log_norm_k: float, params: RGStepParam
     # the unit-charge sector isolates the leading contraction mechanism;
     # convolution keeps each term's charge and F is neutral, so the sector's
     # terms of k1 - F(k1) are those of F_1 K
-    F = build_extraction_activity(extraction_coefficients(k1, params.preset, params.beta), k1)
+    F = extraction_coefficients(k1, params.preset, params.beta).F
     r1_full, r1_unit = scale_linear(k1.add(F, -1.0), cache, _unit_charge_small)
     out["charged_small"] = {
         "in": activity_norm(K.filter(_unit_charge_small), params.p),

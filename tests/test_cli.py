@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import sgrg
-from sgrg.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, build_parser, main, parse_torus
+from sgrg.cli import (
+    EXIT_CHECK_FAILED, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, build_parser, main, parse_torus,
+)
 from sgrg.flow import z_derivative_check, z_invariance_check
 
 
@@ -278,6 +280,21 @@ class TestBadInputs:
         assert code == EXIT_USAGE
         assert "invalid configuration" in capsys.readouterr().err
         assert not list(tmp_path.glob("oracle_*"))
+
+    # a derivative order above the kernel's certified one, and a torus too
+    # large for a direct mode sum: a one-line report and exit 3
+    @pytest.mark.parametrize("args", [
+        ["covariance", "--alpha-max", "15"],
+        ["covariance", "--kind", "full", "--L", "2", "--M", "9"],
+        ["covariance", "--kind", "cutoff", "--L", "2", "--M", "9"],
+    ], ids=["alpha_max", "full_side", "cutoff_side"])
+    def test_resource_cap_exits_3(self, tmp_path, args):
+        env = {**os.environ, "PYTHONPATH": str(Path(sgrg.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-m", "sgrg.cli", *args, "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_RESOURCE
+        assert proc.stderr.startswith("resource cap:")
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("check", [
         lambda n: z_invariance_check(beta=10.0, zeta=0.05, L=2, M=1, n_samples=n, seed=11,

@@ -5,7 +5,6 @@ import pytest
 
 from sgrg.covariance import (
     CovarianceKernel,
-    TailBoundError,
     mode_sum,
     star_norm,
     translation_loss,
@@ -13,7 +12,7 @@ from sgrg.covariance import (
     verify_periodization,
     verify_scale_decomposition,
 )
-from sgrg.lattice import TorusSpec
+from sgrg.lattice import CapError, TorusSpec
 
 
 def closed_form_c0(L, sigma):
@@ -106,7 +105,7 @@ class TestTorusKernels:
     def test_order_cap_raises(self):
         t = TorusSpec(2, 2)
         k = CovarianceKernel("slice", sigma=0.0, torus=t)
-        with pytest.raises(TailBoundError):
+        with pytest.raises(CapError):
             k.eval((0.0, 0.0), (8, 8))
 
 

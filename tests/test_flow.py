@@ -215,14 +215,14 @@ def oracle_activities(beta, zeta, torus):
     """The side-2 oracle's K#, F and extraction coefficients, built as
     z_invariance_check builds them."""
     from sgrg.activities import mayer_init_cloud
-    from sgrg.rgmap import build_extraction_activity, extraction_coefficients, fluctuate_linear
+    from sgrg.rgmap import extraction_coefficients, fluctuate_linear
     from sgrg.terms import CovAccess
 
     K0 = mayer_init_cloud(zeta, torus, flow.ORACLE_N_Q, flow.ORACLE_ORDER, torus.n_blocks)
     kern = CovarianceKernel("slice", sigma=0.0, torus=torus)
     k_sharp = fluctuate_linear(K0, CovAccess(kern, scale=beta))
     coeffs = extraction_coefficients(k_sharp, "ir", beta)
-    return k_sharp, build_extraction_activity(coeffs, k_sharp), coeffs
+    return k_sharp, coeffs.F, coeffs
 
 
 def sampled_z1_values(k_sharp, F, coarse, dsigma, count, n_g, seed, beta):

@@ -6,7 +6,7 @@ import pytest
 
 from sgrg import lattice as lat
 from sgrg.lattice import (
-    EnumerationCapError,
+    CapError,
     Polymer,
     TorusSpec,
     count_small_supersets,
@@ -54,11 +54,11 @@ class TestEnumeratePolymers:
 
     def test_cap_error(self):
         t = TorusSpec(2, 2)
-        with pytest.raises(EnumerationCapError):
+        with pytest.raises(CapError):
             enumerate_polymers(t, 7, (0, 0))
 
     def test_whole_torus_side_cap(self):
-        with pytest.raises(EnumerationCapError):
+        with pytest.raises(CapError):
             enumerate_all_connected(TorusSpec(2, 4), 2)
 
 

@@ -25,7 +25,6 @@ from sgrg.fields import random_band_limited, scale_field
 from sgrg.lattice import Polymer, TorusSpec, partition_closure, polymer
 from sgrg.rgmap import (
     RGStepParams,
-    build_extraction_activity,
     charge_factors,
     extract_cloud,
     extract_functional,
@@ -899,6 +898,13 @@ class TestExtraction:
         assert worst < 1e-9, f"extraction identity residual {worst}"
 
 
+def gradient_terms(shapes, key) -> dict:
+    """{linfs: coeff} of shape ``key``'s terms, which must carry no charge
+    and no constant."""
+    assert all(not t.charges and t.linfs for t in shapes[key]) and list(shapes) == [key]
+    return {t.linfs: t.coeff for t in shapes[key]}
+
+
 class TestExtractionCoefficients:
     def test_gradient_square_gives_dsigma(self):
         # K(D) = eps int_D (d phi)^2 on single blocks -> dsigma = -2 beta eps
@@ -914,6 +920,18 @@ class TestExtractionCoefficients:
         coeffs = extraction_coefficients(K, "ir", beta)
         assert coeffs.dsigma == pytest.approx(-2.0 * beta * eps, rel=1e-12)
         assert coeffs.dE == pytest.approx(0.0, abs=1e-15)
+        # F is K itself, moved to the block's one midpoint node (its center)
+        x = (0.0, 0.0)
+        e0, e1 = (1, 0), (0, 1)
+        assert gradient_terms(coeffs.F.shapes, key) == pytest.approx(
+            {((e0, x), (e0, x)): eps, ((e1, x), (e1, x)): eps})
+        # off the center, (d_0 phi(y))^2 = (d_0 phi)^2 + 2 (y - x)_0 d_0 phi d_0^2 phi + ...
+        y = (0.25, 0.0)
+        K = TruncatedActivity(t, {key: [CloudTerm(eps, (), (((1, 0), y), ((1, 0), y)))]})
+        coeffs = extraction_coefficients(K, "ir", beta)
+        assert coeffs.dsigma == pytest.approx(-beta * eps, rel=1e-12)
+        assert gradient_terms(coeffs.F.shapes, key) == pytest.approx(
+            {((e0, x), (e0, x)): eps, ((e0, x), ((2, 0), x)): 2 * 0.25 * eps})
 
     def test_constant_gives_dE(self):
         t = TorusSpec(2, 3)
@@ -922,6 +940,14 @@ class TestExtractionCoefficients:
         coeffs = extraction_coefficients(K, "uv", beta=1.0)
         assert coeffs.dE == pytest.approx(0.3)
         assert coeffs.dsigma == 0.0
+        assert coeffs.F.shapes == {key: [CloudTerm(0.3)]}
+        # under 'uv' F keeps only each shape's constant, never its gradient terms
+        pair = ((0, 0), (1, 0))
+        grad2 = CloudTerm(0.01, (), (((1, 0), (0.0, 0.0)), ((1, 0), (0.0, 0.0))))
+        K = TruncatedActivity(t, {key: [CloudTerm(0.3), grad2], pair: [CloudTerm(0.4), grad2]})
+        coeffs = extraction_coefficients(K, "uv", beta=1.0)
+        assert coeffs.dE == pytest.approx(0.7)
+        assert coeffs.F.shapes == {key: [CloudTerm(0.3)], pair: [CloudTerm(0.4)]}
 
     def test_charged_activity_extracts_nothing(self):
         t = TorusSpec(2, 3)
@@ -956,8 +982,7 @@ class TestExtractionCoefficients:
                 )
             shapes[p.shape_key()] = ts
         K = TruncatedActivity(t, shapes)
-        coeffs = extraction_coefficients(K, "ir", beta=3.0)
-        F = build_extraction_activity(coeffs, K)
+        F = extraction_coefficients(K, "ir", beta=3.0).F
         resid = charge_component(K, 0).add(F, -1.0)
         from sgrg.rgmap import _centroid
 
@@ -1106,7 +1131,7 @@ def contour_higher_order(K, params, radius, nodes):
         contour = contour.add(k_new_s, 1.0 / (nodes * s * (s - 1.0)))
     k_new, _, _ = rg_step(K, params)
     k1 = fluctuate_linear(K, params.cov())
-    F = build_extraction_activity(extraction_coefficients(k1, params.preset, params.beta), k1)
+    F = extraction_coefficients(k1, params.preset, params.beta).F
     r1, _ = scale_linear(k1.add(F, -1.0), {}, no_terms)
     direct = k_new.add(r1, -1.0)
     return {

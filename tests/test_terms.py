@@ -16,7 +16,7 @@ from sgrg.activities import CloudActivity, mayer_init_cloud
 from sgrg.covariance import CovarianceKernel
 from sgrg.fields import gaussian_ensemble, random_band_limited, scale_field
 from sgrg.lattice import TorusSpec
-from sgrg.rgmap import build_extraction_activity, extraction_coefficients
+from sgrg.rgmap import extraction_coefficients
 from sgrg.terms import (
     CloudTerm,
     CovAccess,
@@ -114,7 +114,7 @@ def oracle_setup():
     cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=torus), scale=beta)
     k_sharp = CloudActivity(torus, {k: convolve_terms(ts, cov) for k, ts in K0.data.items()})
     coeffs = extraction_coefficients(k_sharp, "ir", beta)
-    F = build_extraction_activity(coeffs, k_sharp)
+    F = coeffs.F
     fine = gaussian_ensemble(CovarianceKernel("full", sigma=0.0, torus=torus),
                              torus, 8, seed=3, scale=beta).sample(5)
     coarse = torus.coarse()
