@@ -208,25 +208,6 @@ def taylorize_neutral(term: CloudTerm) -> list[CloudTerm]:
     return out
 
 
-class _CoeffOps(tuple):
-    """Stand-in coefficient recording the products (factor, on_left) and
-    negations (None) done to it; ``apply`` replays them in order, bit-exact."""
-
-    def __mul__(self, f):
-        return _CoeffOps(self + ((f, False),))
-
-    def __rmul__(self, f):
-        return _CoeffOps(self + ((f, True),))
-
-    def __neg__(self):
-        return _CoeffOps(self + ((None, False),))
-
-    def apply(self, c):
-        for f, left in self:
-            c = -c if f is None else f * c if left else c * f
-        return c
-
-
 def collapse_term(term: CloudTerm):
     """Collapse to the truncated model; None when outside the truncation
     (charges with gradient factors, total |charge| above ``Q_MAX``, or more
@@ -271,12 +252,12 @@ def _collapse_memo(cache: dict) -> dict:
 
 def _collapsed(memo: dict, key):
     """``collapse_term`` of a term with this key, built once per memo: None
-    outside the model, else [(piece key, _CoeffOps)].  The collapse
-    multiplies the coefficient through, so replaying the ops on it gives the
-    term's bits."""
+    outside the model, else [(piece key, multiplier)], the pieces of the term
+    at coefficient 1; the collapse is linear, so a term with coefficient c
+    has the pieces c * multiplier."""
     pieces = memo.get(key, _MISSING)  # one hash of the key; None is a stored value
     if pieces is _MISSING:
-        c = collapse_term(tm._raw_term(_CoeffOps(), *key))
+        c = collapse_term(tm._raw_term(1.0 + 0.0j, *key))
         pieces = memo[key] = None if c is None else [
             (p.key(), p.coeff) for p in (c if isinstance(c, list) else [c])
         ]
@@ -286,8 +267,8 @@ def _collapsed(memo: dict, key):
 def _add_collapsed(sums: dict, pieces, c) -> None:
     """Add the collapse pieces (from ``_collapsed``) of a term with coefficient
     ``c`` into ``sums`` ({piece key: coeff}), as ``canon`` would sum them."""
-    for piece_key, ops in pieces:
-        sums[piece_key] = sums.get(piece_key, 0.0) + ops.apply(c)
+    for piece_key, m in pieces:
+        sums[piece_key] = sums.get(piece_key, 0.0) + c * m
 
 
 def truncate_cloud_terms(ts, drop_tol: float, cache: dict):

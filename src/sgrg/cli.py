@@ -83,6 +83,23 @@ def _with_config_flags(parser, argv, at: int) -> list:
     return argv[:at] + tokens + argv[at:]
 
 
+def _checked(kind, ok, what: str):
+    """An argparse type: ``kind`` of the text, rejected unless ``ok``; it keeps
+    ``kind``'s name, so unparsable text reads "invalid float value"."""
+    def convert(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    convert.__name__ = kind.__name__
+    return convert
+
+
+FINITE = _checked(float, math.isfinite, "a finite number")  # nan and inf pass float
+COUNT = _checked(int, lambda n: n >= 0, ">= 0")
+
+
 def parse_torus(text: str):
     """'3x3' -> TorusSpec with that side (smallest L >= 2 whose power fits)."""
     from .lattice import TorusSpec
@@ -416,17 +433,17 @@ def build_parser():
                    choices=["slice", "full", "cutoff", "continuum"])
     p.add_argument("--L", type=int, default=2)
     p.add_argument("--M", type=int, default=4)
-    p.add_argument("--sigma", type=float, default=0.0)
-    p.add_argument("--x", type=float, nargs=2, default=[0.0, 0.0])
-    p.add_argument("--alpha-max", type=int, default=2)
-    p.add_argument("--grid", type=int, default=0,
+    p.add_argument("--sigma", type=FINITE, default=0.0)
+    p.add_argument("--x", type=FINITE, nargs=2, default=[0.0, 0.0])
+    p.add_argument("--alpha-max", type=COUNT, default=2)
+    p.add_argument("--grid", type=COUNT, default=0,
                    help="emit a radial table with this many points")
     p.add_argument("--out")
     p.set_defaults(func=cmd_covariance)
 
     p = sub.add_parser("identities", help="algebraic identity suites")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=COUNT, required=True)
     p.add_argument("--torus", default="3x3")
     p.add_argument("--out")
     p.set_defaults(func=cmd_identities)
@@ -435,8 +452,8 @@ def build_parser():
         # no prefix matching: a retired flag such as --h must not pass for --help
         p = sub.add_parser(f"flow-{mode}", help=f"{mode.upper()} RG flow", allow_abbrev=False)
         p.add_argument("--config")
-        p.add_argument("--beta", type=float, required=True)
-        p.add_argument("--zeta", type=float, required=True)
+        p.add_argument("--beta", type=FINITE, required=True)
+        p.add_argument("--zeta", type=FINITE, required=True)
         p.add_argument("--L", type=int, required=True)
         if mode == "ir":
             p.add_argument("--M", type=int, required=True)
@@ -448,16 +465,16 @@ def build_parser():
 
     p = sub.add_parser("oracle", help="partition-function invariance checks")
     p.add_argument("--config")
-    p.add_argument("--beta", type=float, default=10.0)
-    p.add_argument("--zeta", type=float, default=0.05)
+    p.add_argument("--beta", type=FINITE, default=10.0)
+    p.add_argument("--zeta", type=FINITE, default=0.05)
     p.add_argument("--L", type=int, default=2)
     p.add_argument("--M", type=int, default=1)
     p.add_argument("--samples", type=int, default=20000,
                    help="field samples; dZ/dzeta uses all of them, the invariance check at "
                         "most 2000 for Z(j) and 400 for Z(j+1) (flow.Z0_SAMPLE_CAP, "
                         "flow.Z1_SAMPLE_CAP)")
-    p.add_argument("--n-g", type=int, default=8)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--n-g", type=COUNT, default=8)
+    p.add_argument("--seed", type=COUNT, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_oracle)
 

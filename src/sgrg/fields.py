@@ -350,6 +350,8 @@ def gaussian_ensemble(
     mode table of a torus kernel (``kernel.method == "fourier"``)."""
     if kernel.method != "fourier":
         raise ValueError(f"mode-basis sampling needs a torus mode table, not {kernel.method!r}")
+    if scale < 0:
+        raise ValueError(f"a covariance scale must be >= 0, got {scale}")
     px, py, f = kernel.modes()
     if np.any(f < 0):
         raise ValueError("mode-basis sampling needs non-negative mode weights")

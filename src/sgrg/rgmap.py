@@ -55,7 +55,6 @@ from .activities import (
     FunctionalActivity,
     TruncatedActivity,
     activity_norm,
-    _CoeffOps,
     _add_collapsed,
     _collapse_memo,
     _collapsed,
@@ -134,42 +133,27 @@ def tree_convolved_terms(coeff: complex, members: tuple, tree, cov: CovAccess,
     a product of factors affine in the couplings sigma_kl; single-bond trees
     integrate in closed form, longer trees per ordering region on
     ``interpolation.GAUSS_NODES`` Gauss nodes per axis.  Returns the pieces
-    summed by key as ``canon`` sums them: [(key, coeff)] in sorted key
-    order, each sum started from 0.0 and exact zeros dropped.  The result is
-    linear in ``coeff``: the integrals of a product are computed once per
-    ``images`` dict and replayed with the multiplications and additions of a
-    fresh computation in the same order (``_replay_image``).  The dict is
-    keyed by ``members`` alone, so one dict serves one tree and cov.
+    by key: [(key, coeff * exp(-intra/2) * the key's integrals summed)] in
+    sorted key order, a piece whose product is exactly zero dropped.  The
+    result is linear in ``coeff``, so the image of a product (its factor
+    and per-key sums) is computed once per ``images`` dict, which is keyed
+    by ``members`` alone: one dict serves one tree and cov.
     """
     image = images.get(members)
     if image is None:
         image = images[members] = _tree_term_image(members, tree, cov)
-    return _replay_image(coeff, image)
-
-
-def _replay_image(coeff: complex, image) -> list:
-    """[(key, coeff * exp(-intra/2) * integrals summed from 0.0)] of a tree-term
-    image, exact zeros dropped."""
     e, groups = image
     base = coeff * e
-    out = []
-    for key, integrals in groups:
-        c = 0.0
-        for integral in integrals:
-            c = c + base * integral
-        if c != 0.0:
-            out.append((key, c))
-    return out
+    return [(key, c) for key, total in groups if (c := base * total) != 0.0]
 
 
 def _tree_term_image(members: tuple, tree, cov: CovAccess):
-    """(exp(-intra/2), ((canonical key, (integral, ...)), ...)): the integral
-    of each Wick structure of the product ``members``, grouped by key in
+    """(exp(-intra/2), ((canonical key, summed integral), ...)): the integrals
+    of the Wick structures of the product ``members``, summed by key in
     sorted key order.  The members' keys are canonical, so the sorted
     concatenation of their charges, and of the kept linfs, is canonical too.
     An image lives as long as its images dict, a whole ``fluctuate`` call,
-    so its keys reuse the members' charge and linf tuples and its groups are
-    exact-size tuples."""
+    so its keys reuse the members' charge and linf tuples."""
     n = len(members) // 2
     charges = [(q, x, m) for m in range(n) for q, x in members[2 * m]]
     linfs = [(linf, m) for m in range(n) for linf in members[2 * m + 1]]
@@ -208,8 +192,8 @@ def _tree_term_image(members: tuple, tree, cov: CovAccess):
             integral = _s_integral_affine(tree, u, paired + [shifts[i] for i in shifted])
             if integral != 0.0:
                 key = (canon_charges, tuple(sorted(linfs[i][0] for i in kept)))
-                groups.setdefault(key, []).append(integral)
-    return math.exp(-0.5 * intra), tuple((k, tuple(v)) for k, v in sorted(groups.items()))
+                groups[key] = groups.get(key, 0.0) + integral
+    return math.exp(-0.5 * intra), tuple(sorted(groups.items()))
 
 
 def _s_integral_affine(tree, u, factors) -> complex:
@@ -234,9 +218,9 @@ def _s_integral_affine(tree, u, factors) -> complex:
         for pair, uval in u.items():
             if uval != 0.0:
                 expo = expo * np.exp(-uval * sig_arrays[pair])
-        fac = np.ones(pts.shape[0], dtype=np.complex128)
+        fac = np.ones(pts.shape[0], dtype=complex)
         for a, lin in factors:
-            vals = np.full(pts.shape[0], a, dtype=np.complex128)
+            vals = np.full(pts.shape[0], a, dtype=complex)
             for pair, b in lin.items():
                 vals = vals + b * sig_arrays[pair]
             fac = fac * vals
@@ -316,15 +300,14 @@ def fluctuate(K: TruncatedActivity, cov: CovAccess, cache: dict,
     order enters.
 
     Each union shape keeps one {piece key: coeff} dict.  The linear terms,
-    then every bond piece's sums from ``tree_convolved_terms``, go into it
-    through the step's collapse memo (``cache``), each key re-anchored and
-    looked up once per placement, in the order in which truncating the
-    concatenated term lists would add them; so the result has the bits of
-    building, re-anchoring and truncating those lists.  Keys outside the
-    model are counted in ``dropped_terms``.  One dict of tree-term images
-    serves the whole call: its cov and tree are fixed, and a product is keyed
-    by its two members' keys in turn, so each distinct product, every piece
-    of a charge-charge bond among them, has its image built once.  The pair
+    then every bond piece from ``tree_convolved_terms``, go into it through
+    the step's collapse memo (``cache``), each key re-anchored and looked up
+    once per placement, in the order in which truncating the concatenated
+    term lists would add them.  Keys outside the model are counted in
+    ``dropped_terms``.  One dict of tree-term images serves the whole call:
+    its cov and tree are fixed, and a product is keyed by its two members'
+    keys in turn, so each distinct product, every piece of a charge-charge
+    bond among them, has its image built once.  The pair
     floor (``DROP_TOL`` times the largest coefficient) tests the two
     coefficients only, so the term pairs above it are listed once per pair
     of shapes and reused at each of its placements.
@@ -549,7 +532,8 @@ def extraction_coefficients(K, preset: str, beta: float) -> ExtractionCoefficien
         if (a0 := M0 / size) != 0:
             out.append(CloudTerm(a0 * size))
         if ir:
-            quad = {(mu, nu): M2[mu, nu] / (2.0 * size if mu == nu else size)
+            # F's coefficients are Python complex, as every flow coefficient is
+            quad = {(mu, nu): complex(M2[mu, nu]) / (2.0 * size if mu == nu else size)
                     for mu in (0, 1) for nu in range(mu, 2)}
             s_diag[0] += weight * size * quad[(0, 0)].real
             s_diag[1] += weight * size * quad[(1, 1)].real
@@ -558,7 +542,7 @@ def extraction_coefficients(K, preset: str, beta: float) -> ExtractionCoefficien
             # the gradient-square terms
             grads = [(_UNIT[mu], _UNIT[nu], c) for (mu, nu), c in quad.items()] + [
                 (_UNIT[mu], _unit_sum(nu, rho),
-                 M3[mu, nu, rho] / ((2.0 if nu == rho else 1.0) * size))
+                 complex(M3[mu, nu, rho]) / ((2.0 if nu == rho else 1.0) * size))
                 for mu in (0, 1) for nu in (0, 1) for rho in range(nu, 2)
             ]
             for b in blocks:
@@ -709,8 +693,7 @@ def _series_exp_minus_one(ts):
     power = [CloudTerm(1.0)]
     fact = 1.0
     for n in range(1, EXTRACTION_ORDER + 1):
-        # the factor 1.0 is part of the arithmetic: it rewrites signed zeros
-        power = tm.multiply(power, [t.scaled(1.0) for t in ts])
+        power = tm.multiply(power, ts)
         fact *= n
         out.extend(t.scaled(1.0 / fact) for t in power)
     return canon(out)
@@ -790,10 +773,10 @@ def scale_linear(K: TruncatedActivity, cache: dict, keep):
     the torus, shape and term key, not on the coefficient: each (shape,
     term key) image is built once per ``cache`` (see ``_ShapeImages``), an
     int32 row of slots, each slot a (coarse shape key, piece key) pair
-    numbered once per ``cache``.  The coefficients, with the L^-|alpha|
-    factors applied once per term, are summed per slot in the order of
-    collapsing every copy (shape, then offset, then term) by ``_SlotSums``,
-    and then ``canon``.
+    numbered once per ``cache``.  Each coefficient is multiplied once by its
+    term's L^-|alpha| factor, and the products are summed per slot in the
+    order of collapsing every copy (shape, then offset, then term) by
+    ``_SlotSums``, and then ``canon``.
     """
     L = K.torus.L
     offsets = np.array([(ox, oy) for ox in range(L) for oy in range(L)])
@@ -811,13 +794,13 @@ def scale_linear(K: TruncatedActivity, cache: dict, keep):
         new: dict = {}
         for k, t in zip(keys, ts):
             if k not in img.rows and k not in new:
-                if _collapsed(memo, k) != [(k, ())]:
+                if _collapsed(memo, k) != [(k, 1)]:
                     raise RuntimeError(f"shape {key}: {t!r} is outside the truncated model")
                 new[k] = t
         if new:
             img.add_terms(list(new.values()), L, offsets, slots, memo)
         rows = [img.rows[k] for k in keys]
-        coeffs = [ops.apply(t.coeff) for t, (_, ops) in zip(ts, rows)]
+        coeffs = [t.coeff * f for t, (_, f) in zip(ts, rows)]
         picked = [i for i, t in enumerate(ts) if keep(key, t)]
         scaled.append((img, [r for r, _ in rows], coeffs, picked))
     full, kept = _SlotSums(len(slots)), _SlotSums(len(slots))
@@ -835,8 +818,8 @@ class _ShapeImages:
 
     Per offset: the shape key of the shape's partition closure, and the
     shift back to that key's anchor.  Per term key: a row of ``table``, the
-    slot of the moved term's collapse at each offset, and the L^-|alpha|
-    factors as ``_CoeffOps``.
+    slot of the moved term's collapse at each offset, and the term's
+    L^-|alpha| factor (``terms._derivative_scale``).
     """
 
     __slots__ = ("coarse_keys", "back", "rows", "table")
@@ -849,7 +832,7 @@ class _ShapeImages:
         self.coarse_keys = [tuple(sorted(set(map(tuple, blocks))))
                             for blocks in (closure - base[:, None]).tolist()]
         self.back = -base
-        self.rows: dict = {}  # term key -> (row of table, L^-|alpha| factors)
+        self.rows: dict = {}  # term key -> (row of table, L^-|alpha| factor)
         self.table = np.empty((0, len(offsets)), dtype=np.int32)
 
     def add_terms(self, new, L: int, offsets: np.ndarray, slots: dict, memo: dict):
@@ -858,10 +841,10 @@ class _ShapeImages:
         The collapse reads positions only through ``round()``, so offsets
         whose copies round every position of the new terms to the same
         blocks form a class, and each term is looked up in ``memo`` once per
-        class.  A position x at offset o lands at translate_term, scale_term
-        and translate_term's roundings of (x + o) / L + back, then
-        ``round()``; for the integral positions of the model that is
-        ``np.rint((x + o) / L + back)``, ties to even alike.
+        class.  A position x at offset o lands at the roundings of
+        ``terms._translate_key``, ``scale_term`` and ``_translate_key`` of
+        (x + o) / L + back, then ``round()``; for the integral positions of
+        the model that is ``np.rint((x + o) / L + back)``, ties to even alike.
         """
         positions = sorted({x for t in new for _, x in t.charges + t.linfs})
         moved = np.rint(
@@ -886,30 +869,21 @@ class _ShapeImages:
                 slot_rows.append([slots.setdefault((coarse_key, p), len(slots))
                                   for p in pieces])
             combo_of.append(j)
-        for t in new:  # scale_term's factors, shared by every offset
-            self.rows[t.key()] = (len(self.rows), tm._derivative_scale(_CoeffOps(), t.linfs, L))
+        for t in new:  # scale_term's factor, shared by every offset
+            self.rows[t.key()] = (len(self.rows), tm._derivative_scale(t.linfs, L))
         rows = np.array(slot_rows, dtype=np.int32)[combo_of].T
         self.table = np.concatenate([self.table, rows])
 
 
-# the types of the flow's coefficients; a sum takes the highest of its terms'
-_COEFF_RANK = {float: 0, complex: 1, np.complex128: 2}
-
-
 class _SlotSums:
-    """Per-slot sums of coefficients, each started from 0.0 and added to in
-    the order of the ``add`` calls, and within one call offset by offset.
-
-    ``np.add.at`` adds repeated indices in input order, into separate real
-    and imaginary parts, as Python's float, complex and np.complex128
-    additions do (a float adds 0.0 to an imaginary part); each sum then
-    takes the type that Python's sum would have.
-    """
+    """Per-slot sums of complex coefficients, each started from 0 and added
+    to in the order of the ``add`` calls, and within one call offset by
+    offset: ``np.add.at`` adds repeated indices in input order, as Python's
+    complex additions would."""
 
     def __init__(self, n: int):
         self.order: dict = {}  # coarse shape keys, in order of appearance
-        self.re, self.im = np.zeros(n), np.zeros(n)
-        self.rank = np.zeros(n, dtype=np.int8)
+        self.sums = np.zeros(n, dtype=complex)
         self.hit = np.zeros(n, dtype=bool)
 
     def add(self, coarse_keys, rows: np.ndarray, coeffs) -> None:
@@ -917,12 +891,7 @@ class _SlotSums:
         coarse keys are those of the offsets."""
         self.order.update(dict.fromkeys(coarse_keys))
         idx = rows.T.ravel()
-        n_offsets = rows.shape[1]
-        z = np.tile(np.array(coeffs, dtype=complex), n_offsets)
-        np.add.at(self.re, idx, z.real)
-        np.add.at(self.im, idx, z.imag)
-        rank = np.array([_COEFF_RANK[type(c)] for c in coeffs], dtype=np.int8)
-        np.maximum.at(self.rank, idx, np.tile(rank, n_offsets))
+        np.add.at(self.sums, idx, np.tile(np.array(coeffs, dtype=complex), rows.shape[1]))
         self.hit[idx] = True
 
     def terms(self, keys) -> dict:
@@ -930,11 +899,9 @@ class _SlotSums:
         piece key) of each slot."""
         acc: dict = {k: {} for k in self.order}
         hit = np.flatnonzero(self.hit)
-        for s, r, i, k in zip(hit.tolist(), self.re[hit].tolist(), self.im[hit].tolist(),
-                              self.rank[hit].tolist()):
+        for s, c in zip(hit.tolist(), self.sums[hit].tolist()):
             coarse_key, piece = keys[s]
-            acc[coarse_key][piece] = (r if k == 0 else complex(r, i) if k == 1
-                                      else np.complex128(complex(r, i)))
+            acc[coarse_key][piece] = c
         return {k: kept for k, sums in acc.items() if (kept := tm._canon_sums(sums))}
 
 

@@ -71,7 +71,7 @@ class CloudTerm:
         return (self.charges, self.linfs)
 
     def scaled(self, factor: complex) -> "CloudTerm":
-        return CloudTerm(self.coeff * factor, self.charges, self.linfs)
+        return _raw_term(self.coeff * factor, self.charges, self.linfs)
 
     def flipped(self) -> "CloudTerm":
         """Term composed with phi -> -phi."""
@@ -211,16 +211,13 @@ def scale_term(term: CloudTerm, L: int) -> CloudTerm:
         (q, _round_pos((x[0] / L, x[1] / L))) for q, x in term.charges
     )
     linfs = tuple((alpha, _round_pos((y[0] / L, y[1] / L))) for alpha, y in term.linfs)
-    return _raw_term(_derivative_scale(term.coeff, term.linfs, L), charges, linfs)
+    return _raw_term(term.coeff * _derivative_scale(term.linfs, L), charges, linfs)
 
 
-def _derivative_scale(coeff, linfs, L: int):
-    """``coeff`` times L^{-|alpha|} for each derivative factor, in order: the
-    coefficient side of phi_L(x) = phi(x/L).  The scaling's shape images pass
-    an ``activities._CoeffOps``, which records the products to replay."""
-    for alpha, _ in linfs:
-        coeff *= float(L) ** (-sum(alpha))
-    return coeff
+def _derivative_scale(linfs, L: int) -> float:
+    """L^{-sum |alpha|} over the derivative factors: the coefficient side of
+    phi_L(x) = phi(x/L), one factor per term."""
+    return float(L) ** -sum(sum(alpha) for alpha, _ in linfs)
 
 
 def _translate_key(key, shift):

@@ -259,8 +259,25 @@ class TestBadInputs:
         (UV + ["--zeta", "0"], "invalid configuration: UV flow needs zeta != 0"),
         (UV + ["--beta", "0"], "invalid configuration: beta must be > 0, got 0.0"),
         (IR + ["--M", "2", "--beta=-37.699"], "invalid configuration: beta must be > 0"),
+        # nan passes every comparison the configurations make, and inf the
+        # sign tests: each numeric flag is checked as it is parsed
+        (IR + ["--M", "2", "--zeta", "nan"], "argument --zeta: must be a finite number, got 'nan'"),
+        (IR + ["--M", "2", "--beta", "nan"], "argument --beta: must be a finite number, got 'nan'"),
+        (IR + ["--M", "2", "--beta", "inf"], "argument --beta: must be a finite number, got 'inf'"),
+        (UV + ["--zeta", "inf"], "argument --zeta: must be a finite number, got 'inf'"),
+        (["covariance", "--sigma", "nan"], "argument --sigma: must be a finite number"),
+        (["covariance", "--x", "nan", "0"], "argument --x: must be a finite number, got 'nan'"),
+        (["covariance", "--alpha-max", "-1"], "argument --alpha-max: must be >= 0, got '-1'"),
+        (["covariance", "--grid", "-1"], "argument --grid: must be >= 0, got '-1'"),
+        (["oracle", "--seed", "3", "--zeta", "nan"], "argument --zeta: must be a finite number"),
+        (["oracle", "--seed", "-3"], "argument --seed: must be >= 0, got '-3'"),
+        (["oracle", "--seed", "3", "--n-g", "-1"], "argument --n-g: must be >= 0, got '-1'"),
+        (["oracle", "--seed", "3", "--samples", "4", "--beta", "-1"],
+         "invalid configuration: a covariance scale must be >= 0, got -1.0"),
     ], ids=["n_q", "kappa", "q_max", "h", "h_mode", "steps", "M", "cutoff_sigma", "uv_zeta",
-            "uv_beta", "ir_beta"])
+            "uv_beta", "ir_beta", "ir_zeta_nan", "ir_beta_nan", "ir_beta_inf", "uv_zeta_inf",
+            "sigma_nan", "x_nan", "alpha_max", "grid", "oracle_zeta_nan", "oracle_seed",
+            "oracle_n_g", "oracle_beta"])
     def test_bad_flow_input_fails_before_any_work(self, tmp_path, capsys, args, message):
         assert exit_code([*args, "--out", str(tmp_path)]) == EXIT_USAGE
         assert message in capsys.readouterr().err

@@ -722,7 +722,7 @@ def test_unread_default_is_caught():
 # -- statement census: the AST statements of src/, docstrings left out
 
 # a change that adds statements raises this number in its diff
-STATEMENTS_MAX = 2550
+STATEMENTS_MAX = 2533
 
 
 def statement_count(tree) -> int:

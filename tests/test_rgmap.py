@@ -310,7 +310,7 @@ def truncated_mayer(zeta, t, order=2, max_size=2):
 def cache_test_shapes(t):
     """A fluctuated Mayer activity plus charged and charge-free terms at
     block centres off the shape, which split its offset classes, and an
-    np.complex128 coefficient whose copies land on the keys of float ones;
+    np.complex128 coefficient whose copies land on the keys of others;
     every term is one of the truncated model."""
     cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=t), scale=12 * math.pi)
     K = truncated_mayer(1e-2, t)
@@ -331,8 +331,13 @@ def cache_test_shapes(t):
 
 def as_exact(shapes):
     # repr tells an int block coordinate from its equal float
-    # and a float coefficient from a complex or np.complex128 one
+    # and a float coefficient from a complex one
     return [(k, [(repr(t.key()), repr(t.coeff)) for t in ts]) for k, ts in shapes.items()]
+
+
+def as_values(shapes):
+    """Keys by repr, coefficients as exact complex values."""
+    return [(k, [(repr(t.key()), complex(t.coeff)) for t in ts]) for k, ts in shapes.items()]
 
 
 def tiny_ir_step(t=TorusSpec(2, 2)):
@@ -346,7 +351,9 @@ def tiny_ir_step(t=TorusSpec(2, 2)):
 
 class TestScalingCache:
     """The cached truncated scaling equals copying and collapsing every term,
-    term for term and coefficient for coefficient."""
+    term for term and coefficient for coefficient (exact values, as
+    ``complex``: the scaling's sums are complex, the reference keeps each
+    input's type)."""
 
     @pytest.mark.parametrize("t", [TorusSpec(8, 2), TorusSpec(2, 1), TorusSpec(3, 2)])
     def test_equals_reference(self, t):
@@ -356,10 +363,10 @@ class TestScalingCache:
         K = TruncatedActivity(t, cache_test_shapes(t))
         cache = {}
         for keep in (rgmap._large, rgmap._unit_charge_small, rgmap._large):
-            want = [as_exact(reference_scale_trunc(K)),
-                    as_exact(reference_scale_trunc(K.filter(keep)))]
+            want = [as_values(reference_scale_trunc(K)),
+                    as_values(reference_scale_trunc(K.filter(keep)))]
             assert want[1] != want[0]
-            assert [as_exact(S.shapes) for S in scale_linear(K, cache, keep)] == want
+            assert [as_values(S.shapes) for S in scale_linear(K, cache, keep)] == want
 
     def test_one_collapse_per_offset_class(self, monkeypatch):
         # each term key is checked once, and offsets whose copies round every
@@ -404,7 +411,7 @@ class TestScalingCache:
         key = ((0, 0),)
         shapes[key] = shapes[key] + [CloudTerm(0.7 - 0.2j, ((1, (1.0, -1.0)),))]
         K = TruncatedActivity(t, shapes)
-        assert as_exact(scale_linear(K, cache, no_terms)[0].shapes) == as_exact(
+        assert as_values(scale_linear(K, cache, no_terms)[0].shapes) == as_values(
             reference_scale_trunc(K))
 
     @pytest.mark.parametrize("term", [
@@ -425,7 +432,7 @@ class TestScalingCache:
         cache = {}
         for t in (TorusSpec(2, 1), TorusSpec(2, 3), TorusSpec(2, 1)):
             K = TruncatedActivity(t, shapes)
-            assert as_exact(scale_linear(K, cache, no_terms)[0].shapes) == as_exact(
+            assert as_values(scale_linear(K, cache, no_terms)[0].shapes) == as_values(
                 reference_scale_trunc(K)
             )
 
@@ -504,15 +511,50 @@ class TestScalingCache:
         assert len(calls) == len(set(calls))
 
 
+class TestCoefficientType:
+    """Every coefficient on the flow's path is a Python ``complex``, whatever
+    the type of zeta: the step's sums and products meet no float and no
+    np.complex128 coefficient."""
+
+    @pytest.mark.parametrize("preset, beta, zeta", [
+        ("ir", 12 * math.pi, 1e-2),  # the IR flow starts from a real zeta
+        ("uv", 4 * math.pi, 1e-2 + 0j),
+    ], ids=["ir", "uv"])
+    def test_flow_step_carries_complex(self, preset, beta, zeta, monkeypatch):
+        from sgrg import flow
+
+        t = TorusSpec(2, 2)
+        K = truncated_mayer(zeta, t)
+        params = RGStepParams(beta=beta, torus=t, c_star=step_c_star(beta, t), preset=preset,
+                              p=0, sigma=0.0)
+        seen = []  # (input, output, coefficients) of each extraction
+        plain = rgmap.extract_step
+
+        def spy(K, params, cache):
+            out = plain(K, params, cache)
+            seen.append((K, *out))
+            return out
+
+        monkeypatch.setattr(rgmap, "extract_step", spy)
+        monkeypatch.setattr(flow, "extract_step", spy)
+        flow._flow_step(K, params)
+        (k_sharp, k_star, coeffs), (k_new, k_coarse, coarse) = seen
+        acts = {"k_sharp": k_sharp, "F": coeffs.F, "k_star": k_star, "K'": k_new,
+                "coarse F": coarse.F, "coarse K'": k_coarse}
+        for name, act in acts.items():
+            types = {type(x.coeff) for ts in act.shapes.values() for x in ts}
+            assert types == {complex}, name
+
+
 class TestSlotSums:
-    """The scaling sums each slot's coefficients in input order, from 0.0,
-    as Python adds them, and gives each sum Python's type."""
+    """The scaling sums each slot's coefficients in input order, from 0, as
+    Python adds complex numbers."""
 
     SEQUENCES = [
-        [1.0, 1e16, -1e16, 1.0],  # 1.0 in this order, 0.0 summed pairwise
-        [1e16 + 1j, 1.0, -1e16 - 1e16j, 1.0 + 1e16j],
-        [0.5, np.complex128(1e16 - 1j), -1e16, 1.0 + 0.0j, 1.0],
-        [-0.0, 2.5 - 0.0j, 1.0],  # a float adds 0.0 to the imaginary part
+        [1.0 + 0j, 1e16 + 0j, -1e16 + 0j, 1.0 + 0j],  # 1.0 in this order, 0.0 pairwise
+        [1e16 + 1j, 1.0 + 0j, -1e16 - 1e16j, 1.0 + 1e16j],
+        [0.5 + 0j, 1e16 - 1j, -1e16 + 0j, 1.0 + 0.0j, 1.0 + 0j],
+        [complex(-0.0, -0.0), 2.5 - 0.0j, 1.0 + 0j],  # a sum from +0 reads no zero's sign
     ]
 
     def test_repeated_slots_add_in_input_order(self):
@@ -530,12 +572,11 @@ class TestSlotSums:
         got = {t.charges[0][1][0]: repr(t.coeff) for t in sums.terms(list(slots))[coarse]}
         folds = []
         for seq in self.SEQUENCES:
-            c = 0.0
+            c = 0j
             for x in seq:
                 c = c + x
             folds.append(c)
         assert got == {float(s): repr(c) for s, c in enumerate(folds)}
-        assert [type(c) for c in folds] == [float, complex, np.complex128, complex]
         a, b, c, d = self.SEQUENCES[0]
         assert folds[0] == 1.0 and (a + b) + (c + d) == 0.0  # the order shows
 
@@ -709,10 +750,6 @@ def replay_test_activity(t, shared_key=False):
     return TruncatedActivity(t, shapes)
 
 
-def as_repr(shapes):
-    return [(repr(k), [(repr(t.key()), repr(t.coeff)) for t in ts]) for k, ts in shapes.items()]
-
-
 class TestExpMonomial:
     """int_0^1 s^k e^{-us} ds on both sides of the |u| = 0.5 switch between
     the series and the forward recursion, against 80-node Gauss-Legendre."""
@@ -731,9 +768,19 @@ class TestExpMonomial:
             assert abs(rgmap._exp_monomial_01(k, u) - want) <= tol * abs(want)
 
 
+def assert_close_terms(got, want, rel=1e-13):
+    """Equal keys in equal order, and each coefficient within ``rel`` of the
+    largest coefficient of its list; lists are [(key, coeff)]."""
+    assert [k for k, _ in got] == [k for k, _ in want]
+    scale = max((abs(c) for _, c in want), default=0.0)
+    assert all(abs(a - b) <= rel * scale for (_, a), (_, b) in zip(got, want))
+
+
 class TestTreeTermReplay:
-    """Replaying tree-term integrals per placement gives the bits of
-    computing every one afresh."""
+    """Tree-term images reused across placements and coefficients give the
+    terms of computing every one afresh: the same keys, and coefficients
+    that differ by rounding only (an image sums a key's integrals before it
+    multiplies by the coefficient)."""
 
     @pytest.mark.parametrize("drop_tol", [1e-14, 1e-6])  # 1e-6 skips most term pairs
     @pytest.mark.parametrize("t, shared_key", [
@@ -750,7 +797,10 @@ class TestTreeTermReplay:
             K, cov, pair_window=2, drop_tol=drop_tol
         )
         assert sum(len(ts) for ts in want.values()) > 100 and dropped_terms > 0
-        assert as_repr(got.shapes) == as_repr(want)
+        assert list(got.shapes) == list(want)
+        for key, ts in want.items():
+            assert_close_terms([(repr(t.key()), t.coeff) for t in got.shapes[key]],
+                               [(repr(t.key()), t.coeff) for t in ts])
         assert got.dropped_terms == dropped_terms
         assert got.filter(lambda k, t: True).dropped_terms == 0  # a field: a copy reads 0
 
@@ -822,13 +872,16 @@ class TestTreeTermReplay:
                 replayed = rgmap.tree_convolved_terms(coeff, members, tree, cov, images)
                 fresh = rgmap.tree_convolved_terms(coeff, members, tree, cov, {})
                 want = reference_tree_convolved_terms(coeff, sl, tree, cov)
-                want = [(t.key(), t.coeff) for t in want]
-                assert repr(replayed) == repr(fresh) == repr(want)
+                assert repr(replayed) == repr(fresh)
+                assert_close_terms(replayed, [(t.key(), t.coeff) for t in want])
             assert len(images) == 1
-        # at 1e-320 some products underflow to 0.0, which canon drops
+        # at 1e-320 some products underflow to 0.0, and those pieces are dropped
         _, sl = pieces[0]
-        tiny = reference_tree_convolved_terms(1e-320, sl, tree, cov)
-        assert 0 < len(tiny) < len(reference_tree_convolved_terms(1.0, sl, tree, cov))
+        members = slot_members(sl, 2)
+        tiny = rgmap.tree_convolved_terms(1e-320, members, tree, cov, {})
+        whole = rgmap.tree_convolved_terms(1.0, members, tree, cov, {})
+        assert 0 < len(tiny) < len(whole)
+        assert {k for k, _ in tiny} < {k for k, _ in whole}
 
     def test_images_keyed_by_member(self):
         # equal slots on other polymers couple differently: one images dict
@@ -857,7 +910,7 @@ class TestExtraction:
             ((0, 0), (0, 1)): tm.canon([CloudTerm(0.2), CloudTerm(-0.1j, ((-1, (0.0, 1.0)),))]),
         })
         E = extract_cloud(K, TruncatedActivity(t, {}), {})
-        assert repr(E.shapes) == repr(K.shapes)
+        assert as_values(E.shapes) == as_values(K.shapes)
 
     def test_extract_linear(self):
         t = TorusSpec(3, 1)
