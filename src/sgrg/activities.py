@@ -271,22 +271,18 @@ def _add_collapsed(sums: dict, pieces, c) -> None:
         sums[piece_key] = sums.get(piece_key, 0.0) + c * m
 
 
-def truncate_cloud_terms(ts, drop_tol: float, cache: dict):
-    """(kept terms, dropped terms) after collapsing to the truncated model.
-
-    Each key is collapsed once per ``cache`` (see ``_collapsed``); the pieces
-    are summed in the order of collapsing every term, as ``canon`` sums, and
-    sums at most ``drop_tol`` times the largest are dropped."""
-    memo = _collapse_memo(cache)
-    sums: dict = {}
-    dropped = []
+def _collapse_into(sums: dict, ts, memo: dict) -> int:
+    """Add the collapse pieces of each term of ``ts``, in order, into ``sums``
+    ({piece key: coeff}) through ``memo`` (see ``_collapsed``); the number of
+    terms outside the model, which add nothing."""
+    outside = 0
     for t in ts:
         pieces = _collapsed(memo, t.key())
         if pieces is None:
-            dropped.append(t)
+            outside += 1
         else:
             _add_collapsed(sums, pieces, t.coeff)
-    return tm._canon_sums(sums, drop_tol), dropped
+    return outside
 
 
 # -- polymer exponential ----------------------------------------------------------
@@ -439,9 +435,12 @@ def mayer_init_truncated(zeta: complex, torus: TorusSpec) -> TruncatedActivity:
     """Translation-invariant truncated Mayer activity (flow initial data):
     shapes of at most MAYER_MAX_SIZE blocks, the series to MAYER_ORDER."""
     shapes = {}
+    memo: dict = {}
     for p in enumerate_shapes(MAYER_MAX_SIZE):
         terms = _mayer_polymer_terms(zeta, p.sorted_blocks(), FLOW_N_Q, MAYER_ORDER)
-        kept, _ = truncate_cloud_terms(terms, 0.0, {})
+        sums: dict = {}
+        _collapse_into(sums, terms, memo)
+        kept = tm._canon_sums(sums)
         if kept:
             shapes[p.shape_key()] = kept
     return TruncatedActivity(torus, shapes)

@@ -56,9 +56,9 @@ from .activities import (
     TruncatedActivity,
     activity_norm,
     _add_collapsed,
+    _collapse_into,
     _collapse_memo,
     _collapsed,
-    truncate_cloud_terms,
 )
 from .covariance import CovarianceKernel
 from .interpolation import construct_gamma, ordered_region_quadrature, path_minima, trees_on
@@ -300,14 +300,13 @@ def fluctuate(K: TruncatedActivity, cov: CovAccess, cache: dict,
     order enters.
 
     Each union shape keeps one {piece key: coeff} dict.  The linear terms,
-    then every bond piece from ``tree_convolved_terms``, go into it through
-    the step's collapse memo (``cache``), each key re-anchored and looked up
-    once per placement, in the order in which truncating the concatenated
-    term lists would add them.  Keys outside the model are counted in
-    ``dropped_terms``.  One dict of tree-term images serves the whole call:
-    its cov and tree are fixed, and a product is keyed by its two members'
-    keys in turn, so each distinct product, every piece of a charge-charge
-    bond among them, has its image built once.  The pair
+    then every bond piece from ``tree_convolved_terms`` in the order it is
+    made, go into it through the step's collapse memo (``cache``), each key
+    re-anchored and looked up once per placement.  Keys outside the model
+    are counted in ``dropped_terms``.  One dict of tree-term images serves
+    the whole call: its cov and tree are fixed, and a product is keyed by
+    its two members' keys in turn, so each distinct product, every piece of
+    a charge-charge bond among them, has its image built once.  The pair
     floor (``DROP_TOL`` times the largest coefficient) tests the two
     coefficients only, so the term pairs above it are listed once per pair
     of shapes and reused at each of its placements.
@@ -321,13 +320,7 @@ def fluctuate(K: TruncatedActivity, cov: CovAccess, cache: dict,
     pair_floor = DROP_TOL * scale_max
     for key, ts in k1.shapes.items():
         if ts:
-            sums = out[key] = {}
-            for t in ts:
-                pieces = _collapsed(memo, t.key())
-                if pieces is None:
-                    dropped += 1
-                else:
-                    _add_collapsed(sums, pieces, t.coeff)
+            dropped += _collapse_into(out.setdefault(key, {}), ts, memo)
     shapes = [k for k in sorted(K.shapes) if len(k) <= TREE_SHAPE_CAP]
     images: dict = {}  # members -> image
     pair = None  # _pair_placements yields the placements of a shape pair together
@@ -688,12 +681,15 @@ def _valid_extraction_config(xs, ys, torus) -> bool:
 
 
 def _series_exp_minus_one(ts):
-    """Terms of e^{F(Y)} - 1 to ``EXTRACTION_ORDER`` in F."""
+    """Terms of e^{F(Y)} - 1 to ``EXTRACTION_ORDER`` in F, without the
+    products of more than ``MAX_LINFS`` gradient factors: F carries no
+    charges, so the truncated model drops exactly those."""
     out = []
     power = [CloudTerm(1.0)]
     fact = 1.0
     for n in range(1, EXTRACTION_ORDER + 1):
-        power = tm.multiply(power, ts)
+        power = canon(tm.product(a, b) for a in power for b in ts
+                      if len(a.linfs) + len(b.linfs) <= MAX_LINFS)
         fact *= n
         out.extend(t.scaled(1.0 / fact) for t in power)
     return canon(out)
@@ -702,29 +698,27 @@ def _series_exp_minus_one(ts):
 def extract_cloud(K: TruncatedActivity, F: TruncatedActivity,
                   cache: dict) -> TruncatedActivity:
     """Truncated extraction: Ktilde = K - (e^F - 1) per shape, with e^F - 1
-    expanded to ``EXTRACTION_ORDER`` and the truncation dropping sums at most
-    ``DROP_TOL`` times a shape's largest.
+    expanded to ``EXTRACTION_ORDER`` and only its products inside the model
+    formed.  Each shape's terms, K's then -(e^F - 1)'s, are collapsed into one
+    sum per piece through the step's collapse memo (``cache``), and sums at
+    most ``DROP_TOL`` times a shape's largest are dropped.  K's shapes come
+    first, then F's new ones.
 
     F is second order in the activity, so multi-Y clusters and the X-Y
     collections are at least third order; they are dropped, and no record
-    of them is kept.  ``cache`` holds the collapse memo of the truncation.
+    of them is kept, nor of the F.F products left out.
     """
-    out: dict = {}
-
-    def add(key, ts):
-        if ts:
-            out.setdefault(key, []).extend(ts)
-
+    memo = _collapse_memo(cache)
+    out: dict = {}  # shape key -> {piece key: coeff}
     for key, ts in K.shapes.items():
-        add(key, ts)
+        if ts:
+            _collapse_into(out.setdefault(key, {}), ts, memo)
     for key, ts in F.shapes.items():
-        add(key, [t.scaled(-1.0) for t in _series_exp_minus_one(ts)])
-    result = {}
-    for key, ts in out.items():
-        kept, _ = truncate_cloud_terms(ts, DROP_TOL, cache)
-        if kept:
-            result[key] = kept
-    return TruncatedActivity(K.torus, result)
+        _collapse_into(out.setdefault(key, {}),
+                       [t.scaled(-1.0) for t in _series_exp_minus_one(ts)], memo)
+    return TruncatedActivity(K.torus, {
+        key: kept for key, sums in out.items() if (kept := tm._canon_sums(sums, DROP_TOL))
+    })
 
 
 # ----------------------------------------------------------------------------

@@ -110,12 +110,14 @@ def _raw_term(coeff, charges, linfs) -> CloudTerm:
     return t
 
 
+def product(a: CloudTerm, b: CloudTerm) -> CloudTerm:
+    """The product of two canonical terms: their keys' sorted concatenations."""
+    return _raw_term(a.coeff * b.coeff, tuple(sorted(a.charges + b.charges)),
+                     tuple(sorted(b.linfs + a.linfs)))
+
+
 def multiply(ts1, ts2) -> list[CloudTerm]:
-    out = []
-    for a in ts1:
-        for b in ts2:
-            out.append(CloudTerm(a.coeff * b.coeff, a.charges + b.charges, b.linfs + a.linfs))
-    return canon(out)
+    return canon(product(a, b) for a in ts1 for b in ts2)
 
 
 def _padded_columns(rows, fill):

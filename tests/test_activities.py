@@ -19,7 +19,6 @@ from sgrg.activities import (
     polymer_exp,
     potentials,
     taylorize_neutral,
-    truncate_cloud_terms,
     v_activity,
     v_cloud_terms,
     verify_resummation,
@@ -473,9 +472,9 @@ class TestCollapse:
         grad = (((1, 0), (0.0, 0.0)), ((0, 1), (0.0, 0.0)), ((1, 0), (1.0, 0.0)))
         neutral = CloudTerm(0.5, ((1, (0.0, 0.0)), (-1, (0.25, 0.0))), grad)
         charged = CloudTerm(0.25, ((2, (0.0, 0.0)), (2, (1.0, 0.0))))
-        kept, dropped = truncate_cloud_terms([neutral, charged], 0.0, {})
-        assert kept == [] and dropped == [neutral, charged]
-        assert repr((kept, dropped)) == repr(reference_truncate_cloud_terms([neutral, charged]))
-        memo = {}
+        memo, sums = {}, {}
+        assert activities._collapse_into(sums, [neutral, charged], memo) == 2
+        assert sums == {}
+        assert reference_truncate_cloud_terms([neutral, charged]) == ([], [neutral, charged])
         assert activities._collapsed(memo, neutral.key()) is None
         assert activities._collapsed(memo, charged.key()) is None

@@ -16,7 +16,6 @@ from sgrg.activities import (
     collapse_term,
     mayer_init_truncated,
     polymer_exp,
-    truncate_cloud_terms,
     v_activity,
     whole_torus,
 )
@@ -269,6 +268,32 @@ def reference_truncate_cloud_terms(ts, drop_tol=0.0):
     merged = tm.canon(kept)
     floor = drop_tol * max((abs(t.coeff) for t in merged), default=0.0)
     return [t for t in merged if not (drop_tol > 0.0 and abs(t.coeff) <= floor)], dropped
+
+
+def reference_multiply(ts1, ts2):
+    """The product of two term lists, every product term canonicalised by
+    ``CloudTerm`` afresh."""
+    return tm.canon([CloudTerm(a.coeff * b.coeff, a.charges + b.charges, b.linfs + a.linfs)
+                     for a in ts1 for b in ts2])
+
+
+def reference_extract_cloud(K, F):
+    """Truncated extraction forming every product of e^F - 1, then truncating
+    each shape's concatenated term list, K's terms first."""
+    out = {key: list(ts) for key, ts in K.shapes.items()}
+    for key, ts in F.shapes.items():
+        series, power, fact = [], [CloudTerm(1.0)], 1.0
+        for n in range(1, rgmap.EXTRACTION_ORDER + 1):
+            power = reference_multiply(power, ts)
+            fact *= n
+            series.extend(t.scaled(1.0 / fact) for t in power)
+        out.setdefault(key, []).extend(t.scaled(-1.0) for t in tm.canon(series))
+    result = {}
+    for key, ts in out.items():
+        kept, _ = reference_truncate_cloud_terms(ts, rgmap.DROP_TOL)
+        if kept:
+            result[key] = kept
+    return result
 
 
 def reference_scale_trunc(K):
@@ -951,6 +976,62 @@ class TestExtraction:
         assert worst < 1e-9, f"extraction identity residual {worst}"
 
 
+def extraction_test_input(t):
+    """An activity of constants, gradient quadratics and dipoles on the
+    shapes of at most two blocks."""
+    from sgrg.lattice import enumerate_shapes
+
+    rng = np.random.default_rng(5)
+    shapes = {}
+    for p in enumerate_shapes(2):
+        ts = []
+        for b in p.sorted_blocks():
+            x = (float(b[0]), float(b[1]))
+            ts += [
+                CloudTerm(complex(*rng.normal(size=2)) * 0.1),
+                CloudTerm(rng.normal() * 0.05, (), (((1, 0), x), ((0, 1), x))),
+                CloudTerm(rng.normal() * 0.05, (), (((1, 0), x), ((1, 0), x))),
+                CloudTerm(rng.normal() * 0.05, ((1, x), (-1, (x[0] + 0.25, x[1])))),
+            ]
+        shapes[p.shape_key()] = tm.canon(ts)
+    return TruncatedActivity(t, shapes)
+
+
+class TestExtractCloud:
+    """``extract_cloud`` forms only the products of e^F - 1 that the model
+    keeps, and gives what forming all of them and truncating gives."""
+
+    @pytest.mark.parametrize("case", ["ir", "uv", "shared_keys"])
+    def test_equals_reference(self, case):
+        t = TorusSpec(2, 3)
+        A = extraction_test_input(t)
+        F = extraction_coefficients(A, "uv" if case == "uv" else "ir", beta=3.0).F
+        K = A if case == "shared_keys" else truncated_mayer(1e-2, t)
+        if case == "ir":  # gradient quadratics, whose products have 4 factors
+            assert any(len(x.linfs) == 2 for ts in F.shapes.values() for x in ts)
+        if case == "shared_keys":
+            assert {x.key() for ts in K.shapes.values() for x in ts} & {
+                x.key() for ts in F.shapes.values() for x in ts}
+        got = extract_cloud(K, F, {}).shapes
+        assert repr(got) == repr(reference_extract_cloud(K, F))
+
+    def test_forms_only_products_in_the_model(self, monkeypatch):
+        t = TorusSpec(2, 3)
+        A = extraction_test_input(t)
+        F = extraction_coefficients(A, "ir", beta=3.0).F
+        assert any(len(x.linfs) == 2 for ts in F.shapes.values() for x in ts)
+        seen = []
+        plain = activities._collapsed
+
+        def recorded(memo, key):
+            seen.append(key)
+            return plain(memo, key)
+
+        monkeypatch.setattr(activities, "_collapsed", recorded)
+        extract_cloud(truncated_mayer(1e-2, t), F, {})
+        assert seen and max(len(linfs) for _, linfs in seen) <= activities.MAX_LINFS
+
+
 def gradient_terms(shapes, key) -> dict:
     """{linfs: coeff} of shape ``key``'s terms, which must carry no charge
     and no constant."""
@@ -1127,7 +1208,7 @@ class TestRGStep:
         cross = polymer([(1, 1), (0, 1), (2, 1), (1, 0), (1, 2)])
         key = cross.shape_key()
         dipole = CloudTerm(1e-3, ((1, (1.0, 1.0)), (-1, (0.0, 1.0))))
-        terms, dropped = truncate_cloud_terms([dipole], 0.0, {})
+        terms, dropped = reference_truncate_cloud_terms([dipole])
         assert terms and not dropped
         K = TruncatedActivity(t, {key: terms})
         kern = CovarianceKernel("slice", sigma=0.0, torus=t)
