@@ -434,16 +434,14 @@ def mayer_init_cloud(zeta: complex, torus: TorusSpec, n_q: int, order: int,
 def mayer_init_truncated(zeta: complex, torus: TorusSpec) -> TruncatedActivity:
     """Translation-invariant truncated Mayer activity (flow initial data):
     shapes of at most MAYER_MAX_SIZE blocks, the series to MAYER_ORDER."""
-    shapes = {}
+    out: dict = {}  # shape key -> {piece key: coeff}
     memo: dict = {}
     for p in enumerate_shapes(MAYER_MAX_SIZE):
         terms = _mayer_polymer_terms(zeta, p.sorted_blocks(), FLOW_N_Q, MAYER_ORDER)
-        sums: dict = {}
-        _collapse_into(sums, terms, memo)
-        kept = tm._canon_sums(sums)
-        if kept:
-            shapes[p.shape_key()] = kept
-    return TruncatedActivity(torus, shapes)
+        _collapse_into(out.setdefault(p.shape_key(), {}), terms, memo)
+    return TruncatedActivity(torus, {
+        key: kept for key, sums in out.items() if (kept := tm._canon_sums(sums))
+    })
 
 
 # -- potential norms (series bounds) ------------------------------------------------

@@ -306,7 +306,6 @@ def cmd_identities(args) -> int:
 def cmd_flow(args, mode: str) -> int:
     from .flow import FlowConfig, contraction_report, run_flow
 
-    out = _out_dir(args)
     M, N = (args.M, 0) if mode == "ir" else (0, args.N)
     steps = args.steps if args.steps is not None else M + N
     config = FlowConfig(mode=mode, beta=args.beta, zeta=args.zeta, L=args.L, M=M, N=N,
@@ -326,6 +325,7 @@ def cmd_flow(args, mode: str) -> int:
         for name in failed:
             overrides[name] = overrides.get(name, 0) + 1
     stem = f"flow_{mode}"
+    out = _out_dir(args)
     traj.write_csv(out / f"{stem}_trajectory.csv")
     traj.write_json(out / f"{stem}_trajectory.json")
     rows = contraction_report(traj)
@@ -376,9 +376,13 @@ def cmd_oracle(args) -> int:
 def cmd_plotdata(args) -> int:
     from .flow import contraction_reference
 
+    try:
+        with open(args.trajectory) as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        print(f"cannot read --trajectory {args.trajectory}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     out = _out_dir(args)
-    with open(args.trajectory) as fh:
-        payload = json.load(fh)
     rows = payload["rows"]
     cfg = payload["config"]
     kinds = ("contraction", "zeta-schedule")

@@ -16,9 +16,9 @@ The norm weights are fixed (``terms.NORM_H``, ``NORM_KAPPA`` and the
 amplitude A = L^{d+3} of ``lattice.log_gamma_p``), as are the charge cap
 ``Q_MAX`` and the one quadrature node per block side ``FLOW_N_Q``; the
 norms' Gamma_p shift follows from L (``_flow_gamma_p``).  A flow takes
-beta, zeta, L and M or N only.  All truncation losses per step (clipped
-large-set norm, dropped term count) are carried in the trajectory
-diagnostics.
+beta, zeta, L and M or N only.  The truncation losses a step records
+(clipped large-set norm, dropped term count) are carried in the trajectory
+diagnostics; the README lists the truncations that leave no record.
 """
 
 from __future__ import annotations
@@ -262,6 +262,8 @@ def run_flow(config: FlowConfig) -> FlowTrajectory:
     energy = 0.0
     zeta_j = 0.0 if ir else zetas[0]
     log_norm, log_tilde = norms(K, zeta_j)
+    if not log_norm < math.inf:  # NaN or +inf; zeta = 0 gives -inf and runs
+        raise ValueError(f"--zeta {config.zeta!r}: the initial activity's log norm is {log_norm}")
     nan = float("nan")
     states = [FlowState(j=j0, sigma=sigma, energy=energy, dE=0.0, dsigma=0.0, zeta_j=zeta_j,
                         log_norm=log_norm, log_norm_tilde=log_tilde, ratio=nan,

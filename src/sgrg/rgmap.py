@@ -351,12 +351,9 @@ def fluctuate(K: TruncatedActivity, cov: CovAccess, cache: dict,
                         dropped += 1
                     else:
                         _add_collapsed(sums, pieces, c)
-    result = {}
-    for key, sums in out.items():
-        kept = tm._canon_sums(sums, DROP_TOL)
-        if kept:
-            result[key] = kept
-    act = TruncatedActivity(K.torus, result)
+    act = TruncatedActivity(K.torus, {
+        key: kept for key, sums in out.items() if (kept := tm._canon_sums(sums, DROP_TOL))
+    })
     act.dropped_terms = dropped
     return act
 

@@ -239,6 +239,16 @@ class TestFlows:
         assert code == EXIT_USAGE
         assert "contraction" in capsys.readouterr().err
 
+    def test_plotdata_missing_trajectory(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        out = tmp_path / "out"
+        code = run_cli(["plotdata", "--trajectory", str(missing), "--kind", "contraction",
+                        "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"cannot read --trajectory {missing}: No such file or directory\n"
+        assert not out.exists()
+
 
 class TestBadInputs:
     UV = ["flow-uv", "--beta", "12.566", "--L", "2", "--N", "1", "--zeta", "0.01"]
@@ -274,10 +284,13 @@ class TestBadInputs:
         (["oracle", "--seed", "3", "--n-g", "-1"], "argument --n-g: must be >= 0, got '-1'"),
         (["oracle", "--seed", "3", "--samples", "4", "--beta", "-1"],
          "invalid configuration: a covariance scale must be >= 0, got -1.0"),
+        # finite, but the Mayer start's norm is NaN: the flow stops before its first step
+        (UV + ["--beta", "12", "--zeta", "1e300"],
+         "invalid configuration: --zeta 1e+300: the initial activity's log norm is nan"),
     ], ids=["n_q", "kappa", "q_max", "h", "h_mode", "steps", "M", "cutoff_sigma", "uv_zeta",
             "uv_beta", "ir_beta", "ir_zeta_nan", "ir_beta_nan", "ir_beta_inf", "uv_zeta_inf",
             "sigma_nan", "x_nan", "alpha_max", "grid", "oracle_zeta_nan", "oracle_seed",
-            "oracle_n_g", "oracle_beta"])
+            "oracle_n_g", "oracle_beta", "uv_zeta_huge"])
     def test_bad_flow_input_fails_before_any_work(self, tmp_path, capsys, args, message):
         assert exit_code([*args, "--out", str(tmp_path)]) == EXIT_USAGE
         assert message in capsys.readouterr().err
