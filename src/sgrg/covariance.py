@@ -140,7 +140,8 @@ def mode_sum(px, py, f, alphas, xs) -> np.ndarray:
             tr = -cos_p
         else:
             tr = sin_p
-        out[:, j] = tr @ (f * px**ax * py**ay)
+        # a numpy sum, not a BLAS product: its order does not follow the thread count
+        out[:, j] = (tr * (f * px**ax * py**ay)).sum(axis=1)
     return out
 
 

@@ -395,17 +395,22 @@ class TestOracleDerivativePull:
 
 
 class TestThreadIndependence:
-    """The identity and oracle manifests do not depend on the BLAS thread count."""
+    """The output files do not depend on the BLAS thread count: the
+    covariance mode sum adds in numpy's order, not in a BLAS product's."""
 
     CASES = {
         "identities": ["identities", "--torus", "3x3", "--seed", "3"],
         "oracle": ["oracle", "--samples", "20", "--seed", "3"],
+        "covariance": ["covariance", "--kind", "continuum"],
+        # at N = 8 the step's kernel is the continuum table of the L = 2, side 256 torus
+        "flow_uv": ["flow-uv", "--beta", repr(4 * math.pi), "--zeta", "1e-2", "--L", "2",
+                    "--N", "8", "--steps", "1"],
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_manifest_bytes_at_one_and_two_threads(self, tmp_path, name):
         src = str(Path(sgrg.__file__).resolve().parents[1])
-        manifests = []
+        outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
             env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
@@ -414,10 +419,11 @@ class TestThreadIndependence:
                 [sys.executable, "-m", "sgrg.cli", *self.CASES[name], "--out", str(out)],
                 env=env, capture_output=True, text=True, timeout=300)
             assert proc.returncode == EXIT_OK, proc.stderr
-            text = (out / f"{name}_manifest.json").read_text()
-            assert json.loads(text)["config"]["out"] == str(out)
-            manifests.append(text.replace(json.dumps(str(out)), '"OUT"'))
-        assert manifests[0] == manifests[1]
+            (manifest,) = out.glob("*_manifest.json")
+            assert json.loads(manifest.read_text())["config"]["out"] == str(out)
+            outputs.append({path.name: path.read_text().replace(json.dumps(str(out)), '"OUT"')
+                            for path in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
 
 
 class TestBench:

@@ -249,11 +249,12 @@ class TestModeSum:
 
 
 def both_trig_mode_sum(px, py, f, alphas, xs):
-    """The mode sum with cos and sin both computed for every call."""
+    """The mode sum with cos and sin both computed for every call, each
+    column summed as ``mode_sum`` sums it."""
     phase = px[None, :] * xs[:, 0:1] + py[None, :] * xs[:, 1:2]
     cos_p, sin_p = np.cos(phase), np.sin(phase)
     out = np.empty((xs.shape[0], len(alphas)))
     for j, (ax, ay) in enumerate(alphas):
         tr = (cos_p, -sin_p, -cos_p, sin_p)[(ax + ay) % 4]
-        out[:, j] = tr @ (f * px**ax * py**ay)
+        out[:, j] = (tr * (f * px**ax * py**ay)).sum(axis=1)
     return out
