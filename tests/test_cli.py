@@ -402,7 +402,7 @@ class TestThreadIndependence:
         "identities": ["identities", "--torus", "3x3", "--seed", "3"],
         "oracle": ["oracle", "--samples", "20", "--seed", "3"],
         "covariance": ["covariance", "--kind", "continuum"],
-        # at N = 8 the step's kernel is the continuum table of the L = 2, side 256 torus
+        # N = 8 starts on the side-256 torus: most of its mode sums run over 67,572 modes
         "flow_uv": ["flow-uv", "--beta", repr(4 * math.pi), "--zeta", "1e-2", "--L", "2",
                     "--N", "8", "--steps", "1"],
     }
