@@ -164,8 +164,8 @@ def _identity_suites(torus, seed: int):
     from .fields import random_band_limited, scale_field
     from .interpolation import bonds_on, forest_interpolation_check_multilinear, tree_count
     from .lattice import TorusSpec, polymer
-    from .rgmap import extract_functional, fluctuate_cloud, scale_activity
-    from .terms import CloudTerm, CovAccess, convolve_terms, evaluate_terms, multiply
+    from .rgmap import convolve_terms, extract_functional, fluctuate_cloud, scale_activity
+    from .terms import CloudTerm, CovAccess, evaluate_terms, multiply
 
     rng = np.random.default_rng(seed)
 

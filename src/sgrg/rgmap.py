@@ -13,6 +13,8 @@ with the path-minimum couplings sigma of :mod:`sgrg.interpolation`.  On
 charge clouds every piece is exact: bond Laplacians contract slots across
 polymers, the weighted convolution multiplies by exp(-intra/2) times
 exp(-sum sigma_kl u_kl), and the s-integral is done per ordering region.
+The linear term mu_C * K(X) is the case of one polymer, the tree with no
+bond, so one image builder (``_tree_term_image``) makes every convolution.
 
 Extraction removes a localized activity F:
 
@@ -74,7 +76,7 @@ from .lattice import (
     region_intersects,
     small_shapes,
 )
-from .terms import NORM_H, NORM_KAPPA, CloudTerm, CovAccess, bond_laplacian, canon, convolve_terms
+from .terms import NORM_H, NORM_KAPPA, CloudTerm, CovAccess, bond_laplacian, canon
 
 # Fixed settings of the composed step (no command varies them).
 DROP_TOL = 1e-14  # relative coefficient floor of canon and of tree-term pairs
@@ -104,6 +106,19 @@ def fluctuate_linear(K, cov: CovAccess):
     return K.map(lambda k, ts: convolve_terms(ts, cov))
 
 
+def convolve_terms(terms, cov: CovAccess) -> list[CloudTerm]:
+    """mu_C * (sum of ``terms``), exact: each term's image as a product of one
+    member, on the tree with no bond."""
+    acc: dict = {}
+    for t in terms:
+        e, groups = _tree_term_image(t.key(), (), cov)
+        base = t.coeff * e
+        for key, total in groups:
+            if (c := base * total) != 0.0:
+                acc[key] = acc.get(key, 0.0) + c
+    return tm._canon_sums(acc)
+
+
 def _exp_monomial_01(k: int, u: float) -> float:
     """int_0^1 s^k e^{-u s} ds, stable for small u."""
     if abs(u) < 0.5:
@@ -130,8 +145,9 @@ def tree_convolved_terms(coeff: complex, members: tuple, tree, cov: CovAccess,
 
     ``members`` is the product as ``terms.bond_laplacian`` reads it: each
     member's (charges, linfs) key in turn.  Every Wick structure contributes
-    a product of factors affine in the couplings sigma_kl; single-bond trees
-    integrate in closed form, longer trees per ordering region on
+    a product of factors affine in the couplings sigma_kl; a tree with no
+    bond (one member) gives the product, single-bond trees integrate in
+    closed form, longer trees per ordering region on
     ``interpolation.GAUSS_NODES`` Gauss nodes per axis.  Returns the pieces
     by key: [(key, coeff * exp(-intra/2) * the key's integrals summed)] in
     sorted key order, a piece whose product is exactly zero dropped.  The
@@ -152,8 +168,9 @@ def _tree_term_image(members: tuple, tree, cov: CovAccess):
     of the Wick structures of the product ``members``, summed by key in
     sorted key order.  The members' keys are canonical, so the sorted
     concatenation of their charges, and of the kept linfs, is canonical too.
-    An image lives as long as its images dict, a whole ``fluctuate`` call,
-    so its keys reuse the members' charge and linf tuples."""
+    An image lives no longer than its members (one term of
+    ``convolve_terms``, or an images dict of a whole ``fluctuate`` call), so
+    its keys reuse the members' charge and linf tuples."""
     n = len(members) // 2
     charges = [(q, x, m) for m in range(n) for q, x in members[2 * m]]
     linfs = [(linf, m) for m in range(n) for linf in members[2 * m + 1]]
@@ -197,7 +214,10 @@ def _tree_term_image(members: tuple, tree, cov: CovAccess):
 
 
 def _s_integral_affine(tree, u, factors) -> complex:
-    """The s-integral over a tree of at least one bond."""
+    """The s-integral of the product of ``factors`` over the cube of the
+    tree's bonds; with no bond nothing couples, and it is the product."""
+    if not tree:
+        return math.prod(a for a, _ in factors)
     if len(tree) == 1:
         # every sigma equals the single bond coordinate s
         u_tot = sum(u.values())
@@ -250,7 +270,8 @@ def _extensions(support: list, idx: int, chosen: list, cap: int, torus: TorusSpe
 
 def fluctuate_cloud(K: CloudActivity, cov: CovAccess) -> CloudActivity:
     """The full cluster-expanded fluctuation map on cloud activities, with
-    trees on up to ``CLOUD_TREE_CAP`` polymers."""
+    trees on up to ``CLOUD_TREE_CAP`` polymers; a single polymer's tree has
+    no bond, and its image is the polymer's convolution."""
     targets: dict = {}
     for chosen in _disjoint_collections(K, CLOUD_TREE_CAP):
         union = frozenset().union(*(p.blocks for p in chosen))
@@ -259,14 +280,8 @@ def fluctuate_cloud(K: CloudActivity, cov: CovAccess) -> CloudActivity:
     for union, collections in targets.items():
         acc: dict = {}  # the sums canon makes of the concatenated term lists
         for polys in collections:
-            if len(polys) == 1:
-                for t in convolve_terms(K.terms(polys[0]), cov):
-                    key = t.key()
-                    acc[key] = acc.get(key, 0.0) + t.coeff
-                continue
-            n = len(polys)
             term_lists = [K.terms(p) for p in polys]
-            for tree in trees_on(n):
+            for tree in trees_on(len(polys)):
                 images: dict = {}
                 for combo in itertools.product(*term_lists):
                     coeff = 1.0 + 0.0j

@@ -11,7 +11,9 @@ in closed form:
 
   * convolution by the Gaussian measure of covariance scale*C multiplies a
     pure cloud by exp(-scale/2 sum q_a q_b C(x_a-x_b)); linear factors pick
-    up imaginary mean shifts i q_a d^a C and Wick pairings;
+    up imaginary mean shifts i q_a d^a C and Wick pairings (the Wick
+    structures are tabled here; ``rgmap.convolve_terms`` and the tree terms
+    of ``rgmap`` build every convolution image with one rule);
   * a bond Laplacian -2 Delta_{C(X_i,X_j)} contracts one slot in X_i with
     one slot in X_j;
   * rescaling maps positions x -> x/L and multiplies each derivative
@@ -273,51 +275,6 @@ class CovAccess:
         a = (alpha_i[0] + alpha_j[0], alpha_i[1] + alpha_j[1])
         sign = (-1.0) ** (alpha_j[0] + alpha_j[1])
         return sign * self.c(a, (yi[0] - yj[0], yi[1] - yj[1]))
-
-
-def convolve_term(term: CloudTerm, cov: CovAccess) -> list[CloudTerm]:
-    """Gaussian convolution: E_zeta[ term(phi + zeta) ] as a term list."""
-    qs = [q for q, _ in term.charges]
-    xs = [x for _, x in term.charges]
-    n_q = len(qs)
-    quad = 0.0
-    for a in range(n_q):
-        for b in range(n_q):
-            quad += qs[a] * qs[b] * cov.c((0, 0), (xs[a][0] - xs[b][0], xs[a][1] - xs[b][1]))
-    base = term.coeff * math.exp(-0.5 * quad)
-    if not term.linfs:
-        return [_raw_term(base, term.charges, ())]
-    # mean shifts m_k = i sum_a q_a d^{alpha_k} C(y_k - x_a)
-    linfs = list(term.linfs)
-    shifts = []
-    for alpha, y in linfs:
-        m = 0.0
-        for q, x in term.charges:
-            m += q * cov.c(alpha, (y[0] - x[0], y[1] - x[1]))
-        shifts.append(1j * m)
-    out = []
-    for pairing, choices in _wick_structures(len(linfs)):
-        pair_factor = 1.0
-        for i, j in pairing:
-            ai, yi = linfs[i]
-            aj, yj = linfs[j]
-            pair_factor *= cov.pair(ai, yi, aj, yj)
-        # remaining slots: either keep the phi factor or take the mean shift
-        for kept, shifted in choices:
-            # a sub-tuple of the sorted linfs, in index order, is sorted too
-            keep = tuple(linfs[i] for i in kept)
-            shift_factor = 1.0
-            for i in shifted:
-                shift_factor *= shifts[i]
-            out.append(_raw_term(base * pair_factor * shift_factor, term.charges, keep))
-    return canon(out)
-
-
-def convolve_terms(terms, cov: CovAccess) -> list[CloudTerm]:
-    out = []
-    for t in terms:
-        out.extend(convolve_term(t, cov))
-    return canon(out)
 
 
 def _pairings_with_rest(n: int):

@@ -51,8 +51,15 @@ from sgrg.interpolation import (
     trees_on,
 )
 from sgrg.lattice import TorusSpec, polymer
-from sgrg.rgmap import extract_functional, fluctuate_cloud, scale_activity, scale_linear, fluctuate_linear
-from sgrg.terms import CloudTerm, CovAccess, convolve_terms, evaluate_terms, multiply
+from sgrg.rgmap import (
+    convolve_terms,
+    extract_functional,
+    fluctuate_cloud,
+    fluctuate_linear,
+    scale_activity,
+    scale_linear,
+)
+from sgrg.terms import CloudTerm, CovAccess, evaluate_terms, multiply
 
 
 def report(line):

@@ -17,7 +17,8 @@ from sgrg.fields import (
     scale_field,
 )
 from sgrg.lattice import Polymer, TorusSpec, polymer
-from sgrg.terms import CloudTerm, CovAccess, convolve_term
+from sgrg.terms import CloudTerm, CovAccess
+from test_rgmap import reference_convolve_term
 
 
 def make_wave(torus, n_g, mx=1, my=0, amp=1.0, phase=0.3):
@@ -253,7 +254,7 @@ def _bulk_only(phi, X, params):
 
 def cloud_expectation(charges, kernel, scale=1.0):
     """E[e^{i sum_a q_a phi(x_a)}]: the Gaussian convolution of the pure cloud."""
-    (term,) = convolve_term(CloudTerm(1.0, tuple(charges)), CovAccess(kernel, scale))
+    (term,) = reference_convolve_term(CloudTerm(1.0, tuple(charges)), CovAccess(kernel, scale))
     return term.coeff
 
 

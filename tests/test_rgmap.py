@@ -80,6 +80,47 @@ def cyclic_garbage(fn) -> int:
             gc.enable()
 
 
+def reference_convolve_term(term, cov):
+    """Gaussian convolution E_zeta[term(phi + zeta)] as a term list, term by
+    term: each Wick structure's piece multiplied out, then ``canon``."""
+    qs = [q for q, _ in term.charges]
+    xs = [x for _, x in term.charges]
+    quad = 0.0
+    for a in range(len(qs)):
+        for b in range(len(qs)):
+            quad += qs[a] * qs[b] * cov.c((0, 0), (xs[a][0] - xs[b][0], xs[a][1] - xs[b][1]))
+    base = term.coeff * math.exp(-0.5 * quad)
+    if not term.linfs:
+        return [tm._raw_term(base, term.charges, ())]
+    # mean shifts m_k = i sum_a q_a d^{alpha_k} C(y_k - x_a)
+    linfs = list(term.linfs)
+    shifts = []
+    for alpha, y in linfs:
+        m = 0.0
+        for q, x in term.charges:
+            m += q * cov.c(alpha, (y[0] - x[0], y[1] - x[1]))
+        shifts.append(1j * m)
+    out = []
+    for pairing, choices in tm._wick_structures(len(linfs)):
+        pair_factor = 1.0
+        for i, j in pairing:
+            ai, yi = linfs[i]
+            aj, yj = linfs[j]
+            pair_factor *= cov.pair(ai, yi, aj, yj)
+        # remaining slots: either keep the phi factor or take the mean shift
+        for kept, shifted in choices:
+            keep = tuple(linfs[i] for i in kept)
+            shift_factor = 1.0
+            for i in shifted:
+                shift_factor *= shifts[i]
+            out.append(tm._raw_term(base * pair_factor * shift_factor, term.charges, keep))
+    return tm.canon(out)
+
+
+def reference_convolve_terms(terms, cov):
+    return tm.canon(t for term in terms for t in reference_convolve_term(term, cov))
+
+
 def exact_convolved_exp(K, cov, region, fld, torus):
     """mu_C * Exp(box + K)(region, phi) by expanding every collection."""
     from itertools import combinations
@@ -97,7 +138,7 @@ def exact_convolved_exp(K, cov, region, fld, torus):
             terms = [CloudTerm(1.0)]
             for p in combo:
                 terms = tm.multiply(terms, K.terms(p))
-            conv = tm.convolve_terms(terms, cov)
+            conv = reference_convolve_terms(terms, cov)
             total += evaluate_terms(conv, fld)
     return total
 
@@ -166,7 +207,7 @@ class TestFluctuationIdentity:
         terms = [CloudTerm(0.7, ((1, (1.0, 1.0)), (-1, (1.25, 1.0))))]
         K = cloud_K(self.torus, {((1, 1),): terms})
         FK = fluctuate_cloud(K, cov)
-        expect = tm.convolve_terms(terms, cov)
+        expect = reference_convolve_terms(terms, cov)
         got = FK.terms(polymer([(1, 1)]))
         assert len(got) == len(expect)
         for a, b in zip(got, expect):
@@ -712,7 +753,7 @@ def reference_fluctuate_truncated(K, cov, pair_window, drop_tol):
     and re-anchoring every term."""
     out = {}
     for key, ts in K.shapes.items():
-        out.setdefault(key, []).extend(tm.convolve_terms(ts, cov))
+        out.setdefault(key, []).extend(reference_convolve_terms(ts, cov))
     pair_floor = drop_tol * max(abs(t.coeff) for ts in K.shapes.values() for t in ts)
     shapes = [k for k in sorted(K.shapes) if len(k) <= 2]
     for i1, k1 in enumerate(shapes):
@@ -835,6 +876,7 @@ class TestTreeTermReplay:
         t = TorusSpec(8, 2)
         K = replay_test_activity(t)
         cov = CovAccess(CovarianceKernel("slice", sigma=0.0, torus=t), scale=4 * math.pi)
+        k1 = fluctuate_linear(K, cov)  # its one-member images are not the call's
         built = []
         plain = rgmap._tree_term_image
 
@@ -843,7 +885,7 @@ class TestTreeTermReplay:
             return plain(members, *args)
 
         monkeypatch.setattr(rgmap, "_tree_term_image", counted)
-        fluctuate(K, cov, {}, fluctuate_linear(K, cov))
+        fluctuate(K, cov, {}, k1)
         charge_only = [m for m in built if not (m[1] or m[3])]
         assert len(charge_only) > 100 and len(built) - len(charge_only) > 100
         assert len(built) == len(set(built))
@@ -925,6 +967,66 @@ class TestTreeTermReplay:
             want = reference_tree_convolved_terms(0.5 - 2j, sl, tree, cov)
             assert repr(got) == repr([(t.key(), t.coeff) for t in want])
         assert len(images) == 2
+
+
+def convolution_test_terms(rng, n_terms, n_q, n_l, centres):
+    """``n_terms`` terms of ``n_q`` charges and ``n_l`` gradient factors, with
+    Python complex coefficients; at block centres, or off them in quarters."""
+    alphas = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    step = 1 if centres else 4
+    out = []
+    for _ in range(n_terms):
+        pos = [tuple(float(v) for v in rng.integers(-3 * step, 3 * step + 1, 2) / step)
+               for _ in range(n_q + n_l)]
+        coeff = complex(rng.normal(), rng.normal())
+        out.append(CloudTerm(coeff, [(int(rng.choice([-2, -1, 1, 2])), x) for x in pos[:n_q]],
+                             [(alphas[rng.integers(len(alphas))], y) for y in pos[n_q:]]))
+    return tm.canon(out)
+
+
+class TestConvolveTerms:
+    """``rgmap.convolve_terms``, the images of one member on the tree with no
+    bond, against the per-term Gaussian convolution it replaced."""
+
+    def cov(self, sigma=0.0):
+        t = TorusSpec(2, 3)
+        return CovAccess(CovarianceKernel("slice", sigma=sigma, torus=t), scale=4 * math.pi)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_model_terms_equal_reference(self, sigma):
+        # charge-only terms, and terms of at most MAX_LINFS gradient factors
+        # at block centres, F's gradient squares at one node among them
+        cov = self.cov(sigma)
+        rng = np.random.default_rng(7)
+        mayer = mayer_init_truncated(1e-3 + 0j, TorusSpec(2, 3))
+        lists = list(mayer.shapes.values())
+        lists += [convolution_test_terms(rng, 6, n_q, 0, True) for n_q in (1, 2, 3)]
+        lists += [convolution_test_terms(rng, 6, 0, n_l, True)
+                  for n_l in range(1, activities.MAX_LINFS + 1)]
+        squares = [CloudTerm(complex(0.3 * mu, -0.1), (), ((e1, (1.0, 2.0)), (e2, (1.0, 2.0))))
+                   for mu, (e1, e2) in enumerate([((1, 0), (1, 0)), ((1, 0), (0, 1)),
+                                                  ((0, 1), (0, 1)), ((1, 0), (2, 0)),
+                                                  ((0, 1), (1, 1))])]
+        lists += [tm.canon(squares), tm.canon(squares + lists[0] + lists[-1])]
+        for ts in lists:
+            got = rgmap.convolve_terms(ts, cov)
+            assert repr(got) == repr(reference_convolve_terms(ts, cov))
+        assert any(t.linfs for t in rgmap.convolve_terms(tm.canon(squares), cov))
+
+    @pytest.mark.parametrize("n_l", [1, 2, 3, 4])
+    def test_off_model_terms_within_rounding(self, n_l):
+        # charges with gradient factors: an image sums a key's integrals
+        # before it multiplies by the coefficient, so only rounding differs
+        cov = self.cov()
+        rng = np.random.default_rng(n_l)
+        for n_q in (1, 2, 3):
+            for centres in (True, False):
+                ts = convolution_test_terms(rng, 4, n_q, n_l, centres)
+                got = rgmap.convolve_terms(ts, cov)
+                want = reference_convolve_terms(ts, cov)
+                assert len(got) > len(ts)
+                assert_close_terms([(t.key(), t.coeff) for t in got],
+                                   [(t.key(), t.coeff) for t in want], rel=1e-15)
 
 
 class TestExtraction:

@@ -16,12 +16,11 @@ from sgrg.activities import CloudActivity, mayer_init_cloud
 from sgrg.covariance import CovarianceKernel
 from sgrg.fields import gaussian_ensemble, random_band_limited, scale_field
 from sgrg.lattice import TorusSpec
-from sgrg.rgmap import extraction_coefficients
+from sgrg.rgmap import convolve_terms, extraction_coefficients
 from sgrg.terms import (
     CloudTerm,
     CovAccess,
     TermTable,
-    convolve_terms,
     evaluate_terms,
 )
 from test_rgmap import translate_term
