@@ -376,19 +376,19 @@ def cmd_oracle(args) -> int:
 def cmd_plotdata(args) -> int:
     from .flow import contraction_reference
 
-    try:
-        with open(args.trajectory) as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        print(f"cannot read --trajectory {args.trajectory}: {exc.strerror}", file=sys.stderr)
-        return EXIT_USAGE
-    out = _out_dir(args)
-    rows = payload["rows"]
-    cfg = payload["config"]
     kinds = ("contraction", "zeta-schedule")
     if args.kind not in kinds:
         print(f"unknown plot kind {args.kind!r}; choose from {kinds}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        with open(args.trajectory) as fh:
+            payload = json.load(fh)
+        rows, cfg = payload["rows"], payload["config"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # not JSON, or another JSON
+        why = exc.strerror if isinstance(exc, OSError) else "not a flow trajectory JSON"
+        print(f"cannot read --trajectory {args.trajectory}: {why}", file=sys.stderr)
+        return EXIT_USAGE
+    out = _out_dir(args)
     if not rows:
         print("empty trajectory", file=sys.stderr)
         return EXIT_CHECK_FAILED

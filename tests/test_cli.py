@@ -18,6 +18,15 @@ def run_cli(args):
     return main(args)
 
 
+@pytest.fixture(scope="module")
+def uv_flow_dir(tmp_path_factory):
+    """The files of one small UV flow: trajectory CSV and JSON, manifest."""
+    out = tmp_path_factory.mktemp("uv_flow")
+    assert main(["flow-uv", "--beta", "12.0", "--L", "2", "--N", "2", "--zeta", "0.01",
+                 "--out", str(out)]) == EXIT_OK
+    return out
+
+
 def exit_code(args):
     """The code main returns, or the one argparse exits with."""
     try:
@@ -247,6 +256,24 @@ class TestFlows:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert err == f"cannot read --trajectory {missing}: No such file or directory\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stem, kind, message", [
+        ("flow_uv_manifest.json", "contraction",
+         "cannot read --trajectory {path}: not a flow trajectory JSON\n"),
+        ("flow_uv_trajectory.csv", "contraction",
+         "cannot read --trajectory {path}: not a flow trajectory JSON\n"),
+        ("flow_uv_trajectory.json", "bogus",
+         "unknown plot kind 'bogus'; choose from ('contraction', 'zeta-schedule')\n"),
+    ], ids=["manifest", "csv", "unknown_kind"])
+    def test_plotdata_bad_input_writes_nothing(self, uv_flow_dir, tmp_path, capsys,
+                                               stem, kind, message):
+        path = uv_flow_dir / stem
+        out = tmp_path / "out"
+        code = run_cli(["plotdata", "--trajectory", str(path), "--kind", kind,
+                        "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == message.format(path=path)
         assert not out.exists()
 
 
