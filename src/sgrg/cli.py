@@ -336,7 +336,7 @@ def cmd_flow(args, mode: str) -> int:
     for r in rows:
         print(
             f"j={r['j']:3d} ratio={r['ratio']:.4f} charged={r['charged_multiplier']:.4f}"
-            f" (ref {r['charged_ref']:.4f})"
+            f" (ref {r['charged_ref']:.4f}, finite volume {r['charged_fv_ref']:.4f})"
         )
     return EXIT_OK
 

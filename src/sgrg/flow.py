@@ -10,7 +10,7 @@ Gaussian measure and accumulating the energy
 The UV flow (beta < 8 pi) runs from j = -N up to 0, keeps sigma = 0,
 extracts constants only, and maintains the split K_j = zeta_j V + Ktilde_j
 with the exact linearized multiplier zeta_{j+1} = L^2 e^{-beta C(0)/2}
-zeta_j.
+zeta_j (``predicted_charged_multiplier``).
 
 The norm weights are fixed (``terms.NORM_H``, ``NORM_KAPPA`` and the
 amplitude A = L^{d+3} of ``lattice.log_gamma_p``), as are the charge cap
@@ -227,10 +227,14 @@ def uv_zeta_schedule(config: FlowConfig) -> list[complex]:
     return out
 
 
-def uv_multiplier(config: FlowConfig, j: int) -> float:
-    """One-step multiplier L^2 e^{-beta C^{|j|}(0)/2} from scale |j| to |j|-1."""
-    t = TorusSpec(config.L, abs(j))
-    c0 = CovarianceKernel("slice", sigma=0.0, torus=t).at_zero()
+def predicted_charged_multiplier(config: FlowConfig, j: int, sigma: float) -> float:
+    """The finite-volume one-step multiplier L^2 e^{-beta C_j(0)/2} of a unit
+    charge: C_j is step j's slice kernel at ``sigma`` on the step's own torus,
+    of side L^{M-j} (L^{|j|} in UV, where M = 0 and sigma = 0).  It is the
+    zeta schedule's ratio, and the charged multiplier a flow step measures;
+    L^{2-beta/4pi} is its limit on tori much larger than L."""
+    t = TorusSpec(config.L, config.M - j)
+    c0 = CovarianceKernel("slice", sigma=sigma, torus=t).at_zero()
     return config.L**2 * math.exp(-config.beta * c0 / 2.0)
 
 
@@ -442,7 +446,9 @@ def contraction_reference(L: int, beta: float) -> tuple[float, float]:
 
 
 def contraction_report(traj: FlowTrajectory) -> list[dict]:
-    """Per-step table: norm ratios and sector multipliers against references."""
+    """Per-step table: norm ratios and sector multipliers against references;
+    the charged multiplier against its infinite-volume limit (``charged_ref``)
+    and its finite-volume prediction (``charged_fv_ref``)."""
     if len(traj.states) < 2:
         raise ValueError("contraction report needs at least two states")
     cfg = traj.config
@@ -455,6 +461,7 @@ def contraction_report(traj: FlowTrajectory) -> list[dict]:
             "delta_ref": delta_ref,
             "charged_multiplier": cur.charged_multiplier,
             "charged_ref": cfg.L**charged_exponent,
+            "charged_fv_ref": predicted_charged_multiplier(cfg, prev.j, prev.sigma),
             "large_multiplier": cur.large_multiplier,
             "large_ref": cfg.L**-2.0,
             "higher_share": cur.higher_share,

@@ -35,7 +35,6 @@ from sgrg.fields import (
 from sgrg.flow import (
     FlowConfig,
     run_flow,
-    uv_multiplier,
     uv_zeta_schedule,
     z_derivative_check,
     z_invariance_check,

@@ -9,8 +9,8 @@ from sgrg.flow import (
     FlowConfig,
     FlowTrajectory,
     contraction_report,
+    predicted_charged_multiplier,
     run_flow,
-    uv_multiplier,
     uv_zeta_schedule,
     z_derivative_check,
     z_invariance_check,
@@ -28,7 +28,7 @@ class TestZetaSchedule:
             zs = uv_zeta_schedule(cfg)
             for idx, j in enumerate(range(-5, 0)):
                 ratio = zs[idx + 1] / zs[idx]
-                assert abs(ratio - uv_multiplier(cfg, j)) < 1e-10
+                assert abs(ratio - predicted_charged_multiplier(cfg, j, 0.0)) < 1e-10
 
     def test_slope_after_periodization_correction(self):
         # log multiplier + beta corr / 2 = (2 - beta/4pi) log L to 1e-6
@@ -39,7 +39,7 @@ class TestZetaSchedule:
                 t = TorusSpec(L, abs(j))
                 c0 = CovarianceKernel("slice", sigma=0.0, torus=t).at_zero()
                 corr = c0 - math.log(L) / (2.0 * math.pi)
-                slope = math.log(uv_multiplier(cfg, j)) + beta * corr / 2.0
+                slope = math.log(predicted_charged_multiplier(cfg, j, 0.0)) + beta * corr / 2.0
                 assert slope == pytest.approx(
                     (2.0 - beta / (4.0 * math.pi)) * math.log(L), abs=1e-6
                 )
@@ -47,7 +47,7 @@ class TestZetaSchedule:
     def test_beta_4pi_multiplier_two(self):
         cfg = FlowConfig(mode="uv", beta=4 * math.pi, zeta=1e-2, L=2, M=0, N=6, steps=6)
         # far from the small-torus regime the multiplier approaches 2
-        assert uv_multiplier(cfg, -6) == pytest.approx(2.0, abs=1e-3)
+        assert predicted_charged_multiplier(cfg, -6, 0.0) == pytest.approx(2.0, abs=1e-3)
 
 
 class TestFlowDrivers:
@@ -71,6 +71,18 @@ class TestFlowDrivers:
         for d in traj.diagnostics:
             assert len(d["anisotropy"]) == 2
             assert all(math.isfinite(a) and a >= 0.0 for a in d["anisotropy"])
+
+    def test_charged_multiplier_matches_finite_volume_prediction(self):
+        # L = 8, M = 2: the second step lands on the side-1 torus, where the
+        # measured multiplier is about L^2 = 64 times L^{2 - beta/4pi}; the
+        # prediction's gaps measured 1.8e-4 and 3.4e-4 relative, and the
+        # tolerance is about three times the larger
+        cfg = FlowConfig(mode="ir", beta=12 * math.pi, zeta=1e-3, L=8, M=2, N=0, steps=2)
+        rows = contraction_report(run_flow(cfg))
+        assert len(rows) == 2
+        for r in rows:
+            assert r["charged_multiplier"] == pytest.approx(r["charged_fv_ref"], rel=1e-3)
+        assert rows[1]["charged_multiplier"] > 50 * rows[1]["charged_ref"]
 
     def test_small_uv_flow_runs_and_tracks_split(self):
         cfg = FlowConfig(mode="uv", beta=4 * math.pi, zeta=1e-2, L=2, M=0, N=3, steps=3)
