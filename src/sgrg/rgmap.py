@@ -167,10 +167,9 @@ def _tree_term_image(members: tuple, tree, cov: CovAccess):
     """(exp(-intra/2), ((canonical key, summed integral), ...)): the integrals
     of the Wick structures of the product ``members``, summed by key in
     sorted key order.  The members' keys are canonical, so the sorted
-    concatenation of their charges, and of the kept linfs, is canonical too.
-    An image lives no longer than its members (one term of
-    ``convolve_terms``, or an images dict of a whole ``fluctuate`` call), so
-    its keys reuse the members' charge and linf tuples."""
+    concatenation of their charges, and of the kept linfs, is canonical too,
+    and the keys reuse the members' charge and linf tuples.  An empty
+    ``tree`` takes one member: its image is the member's convolution."""
     n = len(members) // 2
     charges = [(q, x, m) for m in range(n) for q, x in members[2 * m]]
     linfs = [(linf, m) for m in range(n) for linf in members[2 * m + 1]]
