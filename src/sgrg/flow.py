@@ -173,15 +173,16 @@ def _step_params(config: FlowConfig, torus: TorusSpec, sigma: float,
                         p=_flow_gamma_p(config), sigma=sigma, preset=config.mode)
 
 
-def _flow_step(K, params: RGStepParams):
-    """rg_step, then the flow's two policies: a second extraction on the
-    coarse lattice, where the scaling collapse has turned sub-block neutral
-    structure into constants (and quadratic remnants) that would otherwise
-    sit in K until the next step, and the restriction to small shapes.
+def _flow_step(K, params: RGStepParams, log_norm: float):
+    """rg_step on K of log norm ``log_norm``, then the flow's two policies:
+    a second extraction on the coarse lattice, where the scaling collapse
+    has turned sub-block neutral structure into constants (and quadratic
+    remnants) that would otherwise sit in K until the next step, and the
+    restriction to small shapes.
 
     Returns (K', step coefficients, coarse coefficients, diagnostics); the
     clipped log norm is in the diagnostics."""
-    K, coeffs, diag = rg_step(K, params)
+    K, coeffs, diag = rg_step(K, params, log_norm)
     K, coarse_coeffs = extract_step(K, params, {})
     K, diag["clipped_log_norm"] = clip_to_small(K, params.p)
     return K, coeffs, coarse_coeffs, diag
@@ -191,22 +192,6 @@ def _flow_star_norm(config: FlowConfig, torus: TorusSpec) -> float:
     """beta-scaled star norm of the slice kernel, computed once per flow
     (its sigma dependence is negligible at desk scale)."""
     return config.beta * star_norm(CovarianceKernel("slice", sigma=0.0, torus=torus))
-
-
-def _multipliers(diag: dict) -> dict:
-    four = diag["four_terms"]
-
-    def mult(name):
-        d = four[name]
-        if d["in"] == -math.inf:
-            return float("nan")
-        return math.exp(d["out"] - d["in"])
-
-    return {
-        "charged": mult("charged_small"),
-        "large": mult("large_sets"),
-        "higher": mult("higher_order"),
-    }
 
 
 # -- the flow driver ------------------------------------------------------------------
@@ -278,8 +263,8 @@ def run_flow(config: FlowConfig) -> FlowTrajectory:
     for step in range(config.steps):
         j = j0 + step
         params = _step_params(config, torus, sigma, c_star)
-        K, coeffs, coarse_coeffs, diag = _flow_step(K, params)
-        mults = _multipliers(diag)
+        K, coeffs, coarse_coeffs, diag = _flow_step(K, params, log_norm)
+        mults = diag["multipliers"]
         dsig = coeffs.dsigma + coarse_coeffs.dsigma
         coarse = torus.coarse()
         energy = energy + coeffs.dE * torus.volume + coarse_coeffs.dE * coarse.volume

@@ -759,13 +759,10 @@ def scale_activity(K: CloudActivity) -> CloudActivity:
     return CloudActivity(coarse, {k: v for k, v in out.items() if v})
 
 
-def scale_linear(K: TruncatedActivity, cache: dict, keep):
-    """(S_1 K, S_1 K_keep), where S_1 K(X) = sum over polymers with partition
-    closure X of K(Y, phi_L): the translation-invariant scaling, every shape
-    at the L^d positions modulo coarse translations, mapped by the partition
-    closure.  K_keep = ``K.filter(keep)`` holds the terms t of shape k with
-    keep(k, t); its image comes from the same pass, with the additions a call
-    on K_keep alone makes.
+def scale_linear(K: TruncatedActivity, cache: dict):
+    """S_1 K, where S_1 K(X) = sum over polymers with partition closure X of
+    K(Y, phi_L): the translation-invariant scaling, every shape at the L^d
+    positions modulo coarse translations, mapped by the partition closure.
 
     Multi-polymer closure clusters are O(K^2); the truncated flow drops
     them (recorded upstream) and keeps the linearized regrouping, which is
@@ -778,17 +775,18 @@ def scale_linear(K: TruncatedActivity, cache: dict, keep):
     the torus, shape and term key, not on the coefficient: each (shape,
     term key) image is built once per ``cache`` (see ``_ShapeImages``), an
     int32 row of slots, each slot a (coarse shape key, piece key) pair
-    numbered once per ``cache``.  Each coefficient is multiplied once by its
-    term's L^-|alpha| factor, and the products are summed per slot in the
-    order of collapsing every copy (shape, then offset, then term) by
-    ``_SlotSums``, and then ``canon``.
+    numbered once per ``cache``.  So a selection of an activity already
+    scaled through ``cache`` builds no image and no slot.  Each coefficient
+    is multiplied once by its term's L^-|alpha| factor, and the products
+    are summed per slot in the order of collapsing every copy (shape, then
+    offset, then term) by ``_SlotSums``, and then ``canon``.
     """
     L = K.torus.L
     offsets = np.array([(ox, oy) for ox in range(L) for oy in range(L)])
     images = cache.setdefault(K.torus, {})
     slots = cache.setdefault("slots", {})  # (coarse shape key, piece key) -> slot
     memo = _collapse_memo(cache)
-    scaled = []  # (images, rows, coefficients, indices of the kept terms) per shape
+    scaled = []  # (images, rows, coefficients) per shape
     for key, ts in K.shapes.items():
         if not ts:
             continue
@@ -805,17 +803,11 @@ def scale_linear(K: TruncatedActivity, cache: dict, keep):
         if new:
             img.add_terms(list(new.values()), L, offsets, slots, memo)
         rows = [img.rows[k] for k in keys]
-        coeffs = [t.coeff * f for t, (_, f) in zip(ts, rows)]
-        picked = [i for i, t in enumerate(ts) if keep(key, t)]
-        scaled.append((img, [r for r, _ in rows], coeffs, picked))
-    full, kept = _SlotSums(len(slots)), _SlotSums(len(slots))
-    for img, rows, coeffs, picked in scaled:
-        table = img.table[rows]
-        full.add(img.coarse_keys, table, coeffs)
-        if picked:
-            kept.add(img.coarse_keys, table[picked], [coeffs[i] for i in picked])
-    coarse, keys = K.torus.coarse(), list(slots)
-    return tuple(TruncatedActivity(coarse, sums.terms(keys)) for sums in (full, kept))
+        scaled.append((img, [r for r, _ in rows], [t.coeff * f for t, (_, f) in zip(ts, rows)]))
+    sums = _SlotSums(len(slots))
+    for img, rows, coeffs in scaled:
+        sums.add(img.coarse_keys, img.table[rows], coeffs)
+    return TruncatedActivity(K.torus.coarse(), sums.terms(list(slots)))
 
 
 class _ShapeImages:
@@ -1013,29 +1005,28 @@ def extract_step(K: TruncatedActivity, params: RGStepParams, cache: dict):
     return extract_cloud(K, coeffs.F, cache), coeffs
 
 
-def rg_step(K, params: RGStepParams):
-    """K' = S(E(F K)) with the hypothesis checks and the four-term split.
+def rg_step(K, params: RGStepParams, log_norm: float):
+    """K' = S(E(F K)) with the hypothesis checks and the four-term split, on
+    an activity K of log norm ``log_norm`` (Gamma_p shift ``params.p``), the
+    norm the flow has already computed for its state.
 
     Returns (K', coeffs, diagnostics); the extraction coefficients carry
     dE and dsigma for the flow bookkeeping.
 
     One cache per step holds the scaling images and slots and the collapse
     memo, so each term key is collapsed once per step, whether
-    fluctuation, extraction, scaling or the four-term split meets it; F_1 K
-    is computed once, for the fluctuation and the split, ||K|| once, for
-    the hypotheses and the split, and the scaling of the extracted state
-    gives the split its large-set image in the same pass.
+    fluctuation, extraction, scaling or the four-term split meets it, and
+    the split's selections are scaled on images already built; F_1 K is
+    computed once, for the fluctuation and the split.
     """
     cov = params.cov()
-    log_norm = activity_norm(K, params.p)
     diag = {"hypotheses": check_hypotheses(log_norm, params)}
     cache: dict = {}
     k1 = fluctuate_linear(K, cov)
     k_sharp = fluctuate(K, cov, cache, k1)
     k_star, coeffs = extract_step(k_sharp, params, cache)
-    k_new, r1_large = scale_linear(k_star, cache, _large)
-    diag["four_terms"] = four_term_split(K, log_norm, params, k1, k_new, k_star, r1_large,
-                                         cache)
+    k_new = scale_linear(k_star, cache)
+    diag["multipliers"] = four_term_split(K, log_norm, params, k1, k_new, k_star, cache)
     diag["dropped_terms"] = k_sharp.dropped_terms
     return k_new, coeffs, diag
 
@@ -1059,37 +1050,32 @@ def _unit_charge_small(key, t) -> bool:
 
 def four_term_split(K: TruncatedActivity, log_norm_k: float, params: RGStepParams,
                     k1: TruncatedActivity, k_new: TruncatedActivity,
-                    k_star: TruncatedActivity, r1_large: TruncatedActivity,
-                    cache: dict) -> dict:
-    """Norms of the mechanisms the flow reads: higher order, large sets and
-    unit-charge small sets (each linearized except the first), from
-    k1 = F_1 K = ``fluctuate_linear(K, cov)`` and log ||K|| = ``log_norm_k``.
+                    k_star: TruncatedActivity, cache: dict) -> dict:
+    """The one-step multipliers exp(out - in) of the mechanisms the flow
+    reads, NaN where the input is empty: ``charged`` (unit-charge small
+    sets), ``large`` (large sets), both linearized, and ``higher`` (higher
+    order), from k1 = F_1 K = ``fluctuate_linear(K, cov)``, log ||K|| =
+    ``log_norm_k`` and the step's K' = ``k_new``, scaled from the extracted
+    state ``k_star`` through ``cache``.
 
-    The large-set column is measured where large sets live: on the
-    extracted post-fluctuation state k_star (tree terms populate it), whose
-    large shapes scale to ``r1_large`` (the second output of
-    ``scale_linear(k_star, cache, _large)``).  One scaling of k1 - F(k1)
-    gives the other two: R_1, and the image of its unit-charge small-set
-    terms."""
-    out = {}
-    large_star = k_star.filter(_large)
+    The large-set column is measured where large sets live: on the large
+    shapes of k_star (tree terms populate them).  One scaling of
+    r1 = k1 - F(k1) gives the other two: R_1, and the image of its
+    unit-charge small-set terms.  Each selection is scaled through
+    ``cache`` after its whole activity, so it builds no image."""
     # the closure contraction lives in the full-amplitude regulator
     # Gamma(X) = A^{|X|} Theta(X), the shift p = 0; measure this column there
-    out["large_sets"] = {
-        "in": activity_norm(large_star, 0),
-        "out": activity_norm(r1_large, 0),
-    }
+    large_star = k_star.filter(_large)
+    logs = {"large": (activity_norm(large_star, 0),
+                      activity_norm(scale_linear(large_star, cache), 0))}
     # the unit-charge sector isolates the leading contraction mechanism;
     # convolution keeps each term's charge and F is neutral, so the sector's
     # terms of k1 - F(k1) are those of F_1 K
     F = extraction_coefficients(k1, params.preset, params.beta).F
-    r1_full, r1_unit = scale_linear(k1.add(F, -1.0), cache, _unit_charge_small)
-    out["charged_small"] = {
-        "in": activity_norm(K.filter(_unit_charge_small), params.p),
-        "out": activity_norm(r1_unit, params.p),
-    }
-    out["higher_order"] = {
-        "in": log_norm_k,
-        "out": activity_norm(k_new.add(r1_full, -1.0), params.p),
-    }
-    return out
+    r1 = k1.add(F, -1.0)
+    r1_full = scale_linear(r1, cache)
+    logs["charged"] = (activity_norm(K.filter(_unit_charge_small), params.p),
+                       activity_norm(scale_linear(r1.filter(_unit_charge_small), cache), params.p))
+    logs["higher"] = (log_norm_k, activity_norm(k_new.add(r1_full, -1.0), params.p))
+    return {name: math.nan if log_in == -math.inf else math.exp(log_out - log_in)
+            for name, (log_in, log_out) in logs.items()}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sgrg import flow
+from sgrg.activities import activity_norm
 from sgrg.covariance import CovarianceKernel, trlog_T
 from sgrg.flow import (
     FlowConfig,
@@ -100,6 +101,25 @@ class TestFlowDrivers:
         for s in traj.states[1:]:
             if s.dE != 0.0:
                 assert abs(s.dE) <= 10.0 * abs(s.zeta_j) ** 1.2
+
+    @pytest.mark.parametrize("cfg", [
+        FlowConfig(mode="ir", beta=12 * math.pi, zeta=1e-3, L=2, M=3, N=0, steps=2),
+        FlowConfig(mode="uv", beta=4 * math.pi, zeta=1e-2, L=2, M=0, N=2, steps=2),
+    ], ids=["ir", "uv"])
+    def test_step_reads_the_state_norm(self, cfg, monkeypatch):
+        # each step is handed the log norm of the state it starts from, the
+        # one the trajectory records, and computes no norm of its own
+        seen = []
+        plain = flow.rg_step
+
+        def spy(K, params, log_norm):
+            seen.append((activity_norm(K, params.p), log_norm))
+            return plain(K, params, log_norm)
+
+        monkeypatch.setattr(flow, "rg_step", spy)
+        traj = run_flow(cfg)
+        assert [n for _, n in seen] == [s.log_norm for s in traj.states[:-1]]
+        assert [own for own, _ in seen] == [n for _, n in seen]
 
     def test_ir_requires_real_zeta(self):
         with pytest.raises(ValueError):
@@ -298,7 +318,7 @@ class TestUVSplitConsistency:
         t0 = TorusSpec(2, 3)
         K = mayer_init_truncated(zetas[0], t0)
         params = _step_params(cfg, t0, 0.0, step_c_star(cfg.beta, t0))
-        K1, _, _, _ = _flow_step(K, params)
+        K1, _, _, _ = _flow_step(K, params, activity_norm(K, params.p))
         key = tuple([(0, 0)])
         k1 = charge_component(K1, 1)
         amp = sum(

@@ -55,11 +55,6 @@ def cloud_K(torus, spec):
     return CloudActivity(torus, {frozenset(b): ts for b, ts in spec.items()})
 
 
-def no_terms(key, t):
-    """The selection of no term: for scale_linear calls that read S_1 K only."""
-    return False
-
-
 def step_c_star(beta, torus):
     """The beta-scaled star norm at sigma = 0 that a flow hands each step."""
     return beta * star_norm(CovarianceKernel("slice", sigma=0.0, torus=torus))
@@ -244,7 +239,7 @@ class TestLinearizedMaps:
         # S_1 (zeta V) = L^2 zeta V in the collapsed representation
         t = TorusSpec(2, 2)
         V = v_activity(t, n_q=1, trans_invariant=True)
-        SV, _ = scale_linear(V, {}, no_terms)
+        SV = scale_linear(V, {})
         key = tuple([(0, 0)])
         assert SV.torus.side == 2
         got = {x.key(): x.coeff for x in SV.shapes[key]}
@@ -258,7 +253,7 @@ class TestLinearizedMaps:
         for beta in (4.0 * math.pi, 6.0 * math.pi):
             cov = CovAccess(kern, scale=beta)
             V = v_activity(t, n_q=1, trans_invariant=True)
-            out, _ = scale_linear(fluctuate_linear(V, cov), {}, no_terms)
+            out = scale_linear(fluctuate_linear(V, cov), {})
             key = tuple([(0, 0)])
             got = {x.key(): x.coeff for x in out.shapes[key]}
             mult = 4.0 * math.exp(-beta * kern.at_zero() / 2.0)
@@ -424,15 +419,16 @@ class TestScalingCache:
     @pytest.mark.parametrize("t", [TorusSpec(8, 2), TorusSpec(2, 1), TorusSpec(3, 2)])
     def test_equals_reference(self, t):
         # at L = 3 division is inexact, so the order of the roundings shows;
-        # the second output is the scaling of the selected terms alone, whole
-        # shapes (the large ones) or single terms (the unit-charge small ones)
+        # a selection, whole shapes (the large ones) or single terms (the
+        # unit-charge small ones), is scaled on the images of the full call
         K = TruncatedActivity(t, cache_test_shapes(t))
         cache = {}
         for keep in (rgmap._large, rgmap._unit_charge_small, rgmap._large):
             want = [as_values(reference_scale_trunc(K)),
                     as_values(reference_scale_trunc(K.filter(keep)))]
             assert want[1] != want[0]
-            assert [as_values(S.shapes) for S in scale_linear(K, cache, keep)] == want
+            got = [scale_linear(S, cache) for S in (K, K.filter(keep))]
+            assert [as_values(S.shapes) for S in got] == want
 
     def test_one_collapse_per_offset_class(self, monkeypatch):
         # each term key is checked once, and offsets whose copies round every
@@ -446,7 +442,7 @@ class TestScalingCache:
             return activities._collapsed(memo, key)
 
         monkeypatch.setattr(rgmap, "_collapsed", counted)
-        scale_linear(K, {}, no_terms)
+        scale_linear(K, {})
 
         L = torus.L
         want = 0
@@ -473,11 +469,11 @@ class TestScalingCache:
         t = TorusSpec(8, 2)
         shapes = cache_test_shapes(t)
         cache = {}
-        scale_linear(TruncatedActivity(t, shapes), cache, no_terms)
+        scale_linear(TruncatedActivity(t, shapes), cache)
         key = ((0, 0),)
         shapes[key] = shapes[key] + [CloudTerm(0.7 - 0.2j, ((1, (1.0, -1.0)),))]
         K = TruncatedActivity(t, shapes)
-        assert as_values(scale_linear(K, cache, no_terms)[0].shapes) == as_values(
+        assert as_values(scale_linear(K, cache).shapes) == as_values(
             reference_scale_trunc(K))
 
     @pytest.mark.parametrize("term", [
@@ -490,7 +486,7 @@ class TestScalingCache:
         model = CloudTerm(0.1, ((1, (0.0, 0.0)),))
         K = TruncatedActivity(TorusSpec(2, 2), {((0, 0), (0, 1)): [model, term]})
         with pytest.raises(RuntimeError, match=r"is outside the truncated model") as exc:
-            scale_linear(K, {}, no_terms)
+            scale_linear(K, {})
         assert repr(term) in str(exc.value)
 
     def test_cache_shared_across_tori(self):
@@ -498,7 +494,7 @@ class TestScalingCache:
         cache = {}
         for t in (TorusSpec(2, 1), TorusSpec(2, 3), TorusSpec(2, 1)):
             K = TruncatedActivity(t, shapes)
-            assert as_values(scale_linear(K, cache, no_terms)[0].shapes) == as_values(
+            assert as_values(scale_linear(K, cache).shapes) == as_values(
                 reference_scale_trunc(K)
             )
 
@@ -513,47 +509,80 @@ class TestScalingCache:
         assert as_exact(k_sharp.shapes) == as_exact(fluctuate(K, cov, {}, k1).shapes)
         k_star, _ = extract_step(k_sharp, params, cache)
         assert as_exact(k_star.shapes) == as_exact(extract_step(k_sharp, params, {})[0].shapes)
-        assert [as_exact(S.shapes) for S in scale_linear(k_star, cache, rgmap._large)] == [
-            as_exact(S.shapes) for S in scale_linear(k_star, {}, rgmap._large)
-        ]
+        assert as_exact(scale_linear(k_star, cache).shapes) == as_exact(
+            scale_linear(k_star, {}).shapes)
         # the memo, the scaling images keyed by torus alone, and their slots
         assert list(cache) == ["collapse", K.torus, "slots"]
 
     @pytest.mark.parametrize("t", [TorusSpec(2, 2), TorusSpec(8, 2)], ids=["tiny", "L8"])
-    def test_large_set_image_from_the_step_pass(self, t, monkeypatch):
-        # a step scales twice: the extracted state, whose large shapes give
-        # the split its large-set column, and k1 - F(k1), whose unit-charge
-        # small-set terms give its charged column; each selected image has
-        # the bits of scaling the selection on its own
+    def test_split_scales_its_selections_on_the_step_images(self, t, monkeypatch):
+        # a step scales four activities: the extracted state k_star, its
+        # large shapes (the split's large-set column), r1 = k1 - F(k1), and
+        # its unit-charge small-set terms (the charged column); each
+        # selection has the bits of scaling it on a fresh cache
         calls = []
         plain = rgmap.scale_linear
 
-        def spy(K, cache, keep):
-            out = plain(K, cache, keep)
-            calls.append((K, keep, out))
+        def spy(K, cache):
+            out = plain(K, cache)
+            calls.append((K, out))
             return out
 
         monkeypatch.setattr(rgmap, "scale_linear", spy)
         K, params = tiny_ir_step(t)
-        rg_step(K, params)
-        assert [keep for _, keep, _ in calls] == [rgmap._large, rgmap._unit_charge_small]
-        (k_star, _, (_, r1_large)), (_, _, (_, r1_unit)) = calls
-        large_star = k_star.filter(rgmap._large)
-        assert large_star.shapes
-        alone, alone_large = scale_linear(large_star, {}, rgmap._large)
-        assert as_exact(r1_large.shapes) == as_exact(alone.shapes) == as_exact(
-            alone_large.shapes)
-        unit = fluctuate_linear(K, params.cov()).filter(rgmap._unit_charge_small)
-        assert unit.shapes
-        assert as_exact(r1_unit.shapes) == as_exact(scale_linear(unit, {}, no_terms)[0].shapes)
+        k_new, _, _ = rg_step(K, params, activity_norm(K, params.p))
+        (k_star, out), (large_star, large_out), (r1, _), (unit, unit_out) = calls
+        assert out is k_new
+        cov = params.cov()
+        k1 = fluctuate_linear(K, cov)
+        want_star, _ = extract_step(fluctuate(K, cov, {}, k1), params, {})
+        assert as_exact(k_star.shapes) == as_exact(want_star.shapes)
+        F = extraction_coefficients(k1, params.preset, params.beta).F
+        assert as_exact(r1.shapes) == as_exact(k1.add(F, -1.0).shapes)
+        for whole, part, keep in ((k_star, large_star, rgmap._large),
+                                  (r1, unit, rgmap._unit_charge_small)):
+            assert part.shapes
+            assert as_exact(part.shapes) == as_exact(whole.filter(keep).shapes)
+        for part, image in ((large_star, large_out), (unit, unit_out)):
+            assert as_exact(image.shapes) == as_exact(scale_linear(part, {}).shapes)
+
+    def test_selections_build_no_image_in_a_flow(self, monkeypatch):
+        # each selection, an activity of only large shapes or only
+        # unit-charge small-set terms, is scaled after its whole activity
+        # through the same cache, so it adds no row and no slot at any step
+        from sgrg.flow import FlowConfig, run_flow
+
+        calls = []  # per scale_linear call: (a selection?, add_terms calls, new slots)
+        plain, plain_add = rgmap.scale_linear, rgmap._ShapeImages.add_terms
+        rows = [0]
+
+        def add_terms(self, *args):
+            rows[0] += 1
+            return plain_add(self, *args)
+
+        def spy(K, cache):
+            rows[0], slots = 0, len(cache.get("slots", ()))
+            out = plain(K, cache)
+            selection = any(as_exact(K.filter(keep).shapes) == as_exact(K.shapes)
+                            for keep in (rgmap._large, rgmap._unit_charge_small))
+            calls.append((selection, rows[0], len(cache["slots"]) - slots))
+            return out
+
+        monkeypatch.setattr(rgmap, "scale_linear", spy)
+        monkeypatch.setattr(rgmap._ShapeImages, "add_terms", add_terms)
+        run_flow(FlowConfig(mode="ir", beta=12 * math.pi, zeta=1e-3, L=2, M=4, N=0, steps=3))
+        assert len(calls) == 4 * 3 and calls[0][1] > 0
+        for j in range(3):
+            added = [(n, m) for selection, n, m in calls[4 * j:4 * j + 4] if selection]
+            assert added == [(0, 0), (0, 0)], j
 
     def test_four_term_split_columns(self):
         K, params = tiny_ir_step()
-        _, _, diag = rg_step(K, params)
-        four = diag["four_terms"]
-        assert set(four) == {"charged_small", "large_sets", "higher_order"}
-        for column in four.values():
-            assert math.isfinite(column["in"]) and math.isfinite(column["out"])
+        _, _, diag = rg_step(K, params, activity_norm(K, params.p))
+        mults = diag["multipliers"]
+        assert set(mults) == {"charged", "large", "higher"}
+        for m in mults.values():
+            assert math.isfinite(m) and m > 0
         assert diag["hypotheses"]["h4_small_superset_count"] == {"k": 509, "margin": 0, "ok": True}
 
     def test_one_collapse_per_key_per_step(self, monkeypatch):
@@ -572,7 +601,7 @@ class TestScalingCache:
 
         monkeypatch.setattr(activities, "collapse_term", counted)
         monkeypatch.setattr(rgmap, "collapse_term", counted, raising=False)
-        rg_step(K, params)
+        rg_step(K, params, activity_norm(K, params.p))
         assert len(calls) > 1000
         assert len(calls) == len(set(calls))
 
@@ -603,7 +632,7 @@ class TestCoefficientType:
 
         monkeypatch.setattr(rgmap, "extract_step", spy)
         monkeypatch.setattr(flow, "extract_step", spy)
-        flow._flow_step(K, params)
+        flow._flow_step(K, params, activity_norm(K, params.p))
         (k_sharp, k_star, coeffs), (k_new, k_coarse, coarse) = seen
         acts = {"k_sharp": k_sharp, "F": coeffs.F, "k_star": k_star, "K'": k_new,
                 "coarse F": coarse.F, "coarse K'": k_coarse}
@@ -1263,7 +1292,7 @@ class TestNeutralScalingDimension:
             for dim, alpha in ((2, (1, 0)), (4, (2, 0))):
                 terms = [CloudTerm(1.0, (), ((alpha, (0.0, 0.0)), (alpha, (0.0, 0.0))))]
                 K = TruncatedActivity(t, {key: terms})
-                SK, _ = scale_linear(K, {}, no_terms)
+                SK = scale_linear(K, {})
                 num = activity_norm(SK, 0)
                 den = activity_norm(K, 0)
                 ratios[(L, dim)] = math.exp(num - den)
@@ -1301,7 +1330,7 @@ class TestRGStep:
         params = RGStepParams(beta=4 * math.pi, torus=t, c_star=step_c_star(4 * math.pi, t),
                               p=0, sigma=0.0, preset="uv")
         K = TruncatedActivity(t, {})
-        k_new, coeffs, diag = rg_step(K, params)
+        k_new, coeffs, diag = rg_step(K, params, activity_norm(K, params.p))
         assert not k_new.shapes
         assert coeffs.dE == 0.0 and coeffs.dsigma == 0.0
 
@@ -1315,7 +1344,7 @@ class TestRGStep:
         K = TruncatedActivity(t, {key: terms})
         kern = CovarianceKernel("slice", sigma=0.0, torus=t)
         cov = CovAccess(kern, scale=4 * math.pi)
-        out, _ = scale_linear(fluctuate_linear(K, cov), {}, no_terms)
+        out = scale_linear(fluctuate_linear(K, cov), {})
         num = activity_norm(out, 0)
         den = activity_norm(K, 0)
         ratio = math.exp(num - den)
@@ -1332,7 +1361,7 @@ class TestRGStep:
             beta=4 * math.pi, torus=t, c_star=step_c_star(4 * math.pi, t), preset="uv",
             p=0, sigma=0.0,
         )
-        k_new, coeffs, diag = rg_step(K, params)
+        k_new, coeffs, diag = rg_step(K, params, activity_norm(K, params.p))
         assert k_new.torus.side == 4
         # evenness: q -> -q symmetric coefficients
         for key, ts in k_new.shapes.items():
@@ -1363,12 +1392,13 @@ def contour_higher_order(K, params, radius, nodes):
     contour = TruncatedActivity(K.torus.coarse(), {})
     for k in range(nodes):
         s = radius * cmath.exp(2j * math.pi * k / nodes)
-        k_new_s, _, _ = rg_step(K.map(lambda k, ts: [t.scaled(s) for t in ts]), params)
+        K_s = K.map(lambda k, ts: [t.scaled(s) for t in ts])
+        k_new_s, _, _ = rg_step(K_s, params, activity_norm(K_s, params.p))
         contour = contour.add(k_new_s, 1.0 / (nodes * s * (s - 1.0)))
-    k_new, _, _ = rg_step(K, params)
+    k_new, _, _ = rg_step(K, params, activity_norm(K, params.p))
     k1 = fluctuate_linear(K, params.cov())
     F = extraction_coefficients(k1, params.preset, params.beta).F
-    r1, _ = scale_linear(k1.add(F, -1.0), {}, no_terms)
+    r1 = scale_linear(k1.add(F, -1.0), {})
     direct = k_new.add(r1, -1.0)
     return {
         "direct_log_norm": activity_norm(direct, params.p),
@@ -1391,7 +1421,7 @@ class TestChargedSectorBound:
         for q in (1, 2, 3):
             key = tuple([(0, 0)])
             kq = TruncatedActivity(t, {key: [CloudTerm(1e-3, ((q, (0.0, 0.0)),))]})
-            out, _ = scale_linear(fluctuate_linear(kq, cov), {}, no_terms)
+            out = scale_linear(fluctuate_linear(kq, cov), {})
             num = activity_norm(out, 0)
             den = activity_norm(kq, 0)
             measured = math.exp(num - den)
