@@ -380,39 +380,35 @@ def cmd_plotdata(args) -> int:
     if args.kind not in kinds:
         print(f"unknown plot kind {args.kind!r}; choose from {kinds}", file=sys.stderr)
         return EXIT_USAGE
-    try:
+    try:  # every row is read before --out is made: a row without a field, or none, fails
         with open(args.trajectory) as fh:
             payload = json.load(fh)
         rows, cfg = payload["rows"], payload["config"]
-    except (OSError, ValueError, KeyError, TypeError) as exc:  # not JSON, or another JSON
+        if args.kind == "zeta-schedule" and cfg["mode"] != "uv":
+            print("zeta-schedule plots need a UV trajectory", file=sys.stderr)
+            return EXIT_USAGE
+        if args.kind == "contraction":
+            _, delta = contraction_reference(cfg["L"], cfg["beta"])
+            base = rows[0]["log_norm"]
+            out_rows = [
+                {"j": r["j"], "log_norm": r["log_norm"],
+                 "delta_ref": base + (r["j"] - rows[0]["j"]) * math.log(delta)}
+                for r in rows
+            ]
+        else:
+            slope = contraction_reference(cfg["L"], cfg["beta"])[0] * math.log(cfg["L"])
+            base = math.log(rows[-1]["zeta_abs"])
+            out_rows = [
+                {"j": r["j"], "log_zeta": math.log(r["zeta_abs"]),
+                 "slope_ref": base + r["j"] * slope}
+                for r in rows
+                if r["zeta_abs"] > 0
+            ]
+    except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:  # not a trajectory
         why = exc.strerror if isinstance(exc, OSError) else "not a flow trajectory JSON"
         print(f"cannot read --trajectory {args.trajectory}: {why}", file=sys.stderr)
         return EXIT_USAGE
-    out = _out_dir(args)
-    if not rows:
-        print("empty trajectory", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    path = out / f"plot_{args.kind}.csv"
-    if args.kind == "contraction":
-        _, delta = contraction_reference(cfg["L"], cfg["beta"])
-        base = rows[0]["log_norm"]
-        out_rows = [
-            {"j": r["j"], "log_norm": r["log_norm"],
-             "delta_ref": base + (r["j"] - rows[0]["j"]) * math.log(delta)}
-            for r in rows
-        ]
-    else:
-        if cfg["mode"] != "uv":
-            print("zeta-schedule plots need a UV trajectory", file=sys.stderr)
-            return EXIT_USAGE
-        slope = contraction_reference(cfg["L"], cfg["beta"])[0] * math.log(cfg["L"])
-        base = math.log(rows[-1]["zeta_abs"])
-        out_rows = [
-            {"j": r["j"], "log_zeta": math.log(r["zeta_abs"]),
-             "slope_ref": base + r["j"] * slope}
-            for r in rows
-            if r["zeta_abs"] > 0
-        ]
+    path = _out_dir(args) / f"plot_{args.kind}.csv"
     write_csv(path, out_rows)
     print(f"wrote {path}")
     return EXIT_OK

@@ -258,17 +258,37 @@ class TestFlows:
         assert err == f"cannot read --trajectory {missing}: No such file or directory\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("stem, kind, message", [
-        ("flow_uv_manifest.json", "contraction",
+    @staticmethod
+    def edited_trajectory(uv_flow_dir, tmp_path, edit):
+        """The UV trajectory JSON with ``edit`` applied to its payload."""
+        payload = json.loads((uv_flow_dir / "flow_uv_trajectory.json").read_text())
+        edit(payload)
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    @pytest.mark.parametrize("stem, edit, kind, message", [
+        ("flow_uv_manifest.json", None, "contraction",
          "cannot read --trajectory {path}: not a flow trajectory JSON\n"),
-        ("flow_uv_trajectory.csv", "contraction",
+        ("flow_uv_trajectory.csv", None, "contraction",
          "cannot read --trajectory {path}: not a flow trajectory JSON\n"),
-        ("flow_uv_trajectory.json", "bogus",
+        ("flow_uv_trajectory.json", None, "bogus",
          "unknown plot kind 'bogus'; choose from ('contraction', 'zeta-schedule')\n"),
-    ], ids=["manifest", "csv", "unknown_kind"])
+        (None, lambda p: p.update(rows=[]), "contraction",
+         "cannot read --trajectory {path}: not a flow trajectory JSON\n"),
+        (None, lambda p: p.update(rows=[{}]), "contraction",
+         "cannot read --trajectory {path}: not a flow trajectory JSON\n"),
+        (None, lambda p: p["config"].update(mode="ir"), "zeta-schedule",
+         "zeta-schedule plots need a UV trajectory\n"),
+    ], ids=["manifest", "csv", "unknown_kind", "rows_empty", "row_without_log_norm",
+            "ir_zeta_schedule"])
     def test_plotdata_bad_input_writes_nothing(self, uv_flow_dir, tmp_path, capsys,
-                                               stem, kind, message):
-        path = uv_flow_dir / stem
+                                               stem, edit, kind, message):
+        # each fails with one line and exit 2 before --out is made
+        if edit is None:
+            path = uv_flow_dir / stem
+        else:
+            path = self.edited_trajectory(uv_flow_dir, tmp_path, edit)
         out = tmp_path / "out"
         code = run_cli(["plotdata", "--trajectory", str(path), "--kind", kind,
                         "--out", str(out)])
