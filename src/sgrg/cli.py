@@ -76,6 +76,8 @@ def _with_config_flags(parser, argv, at: int) -> list:
         raise KeyError(f"unknown config keys: {', '.join(unknown)}")
     tokens = []
     for key, value in data.items():
+        if value is None:
+            raise ValueError(f"config key {key!r} is null")
         if isinstance(value, list):  # an nargs option such as --x
             tokens += [flags[key], *map(str, value)]
         else:

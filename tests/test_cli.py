@@ -97,6 +97,17 @@ class TestParsing:
         assert "invalid int value: '2.5'" in want
         assert not out.exists()
 
+    def test_null_config_value_fails_before_any_output(self, tmp_path, monkeypatch, capsys):
+        # null is no flag value; passed on as the text None, {"out": null}
+        # would name an output folder None
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("SGRG_OUTDIR", raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"L": 2, "out": None}))
+        assert exit_code(["covariance", "--config", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "configuration error: config key 'out' is null\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_config_file_satisfies_a_required_flag(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"M": 7, "steps": 1}))
